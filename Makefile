@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test ci bench-search bench-guard bench-scale bench-serve bench-hetero bench-spot chaos fuzz-smoke trace-smoke diff-smoke elastic-smoke churn-smoke serve-smoke hetero-smoke spot-smoke
+.PHONY: build test ci fmt-check bench-smoke bench-search bench-guard scale-guard bench-scale bench-serve bench-hetero bench-spot chaos fuzz-smoke trace-smoke diff-smoke elastic-smoke churn-smoke serve-smoke hetero-smoke spot-smoke
 
 build:
 	$(GO) build ./...
@@ -32,14 +32,17 @@ test:
 # mixed-cluster diff slice must stay violation-free), and the spot
 # smoke (randomized spot preemption/notice chaos trials plus the
 # notice-drain e2e: window ≥ checkpoint cost must lose zero steps).
-ci: build
+# fmt-check, bench-smoke and scale-guard are described at their targets.
+ci: build fmt-check
 	$(GO) vet ./...
 	$(GO) test ./...
+	$(MAKE) bench-smoke
 	$(GO) test -race ./internal/core/... ./internal/perfmodel/... ./internal/memo/... ./internal/planserver/... ./internal/plancache/... ./internal/obs/... ./internal/hardware/... ./internal/collective/...
 	$(GO) test -race -count=1 -run 'Notice|Spot|DoublePreempt' ./internal/elastic
 	$(MAKE) fuzz-smoke
 	$(GO) test -run xxx -bench BenchmarkSearchThroughput -benchtime 1x .
 	$(MAKE) bench-guard
+	$(MAKE) scale-guard
 	$(MAKE) trace-smoke
 	$(MAKE) chaos CHAOS_DURATION=10s
 	$(MAKE) diff-smoke
@@ -48,6 +51,17 @@ ci: build
 	$(MAKE) churn-smoke
 	$(MAKE) spot-smoke
 	$(MAKE) serve-smoke
+
+# fmt-check fails when gofmt would change any file of either module.
+fmt-check:
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt -l:"; echo "$$out"; exit 1; fi
+
+# bench-smoke vets and tests the repository benchmark (bench/ is a
+# module of its own, which the root ./... does not see): every workload
+# at tiny size, under 10 s. The benchmark itself is run by
+# `go run -C bench .` (bench/README.md), not by ci.
+bench-smoke:
+	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 # trace-smoke runs the observability target into a scratch directory:
 # it exercises the JSONL tracer, the metrics registry and the breakdown
@@ -148,10 +162,19 @@ bench-search:
 bench-guard:
 	$(GO) run ./cmd/acesobench -guard search
 
+# scale-guard re-runs the thousand-device scale benchmark against the
+# committed BENCH_scale.json without rewriting it: explored counts must
+# match exactly, alloc_mb must stay within the allocation tolerance of
+# each row, and the 4096-device point may cost at most 5x the
+# allocation and 6x the time of the 1024-device one (a search whose
+# set-up is linear in the graph pays about 4x). Part of ci.
+scale-guard:
+	$(GO) run ./cmd/acesobench -guard scale
+
 # bench-scale runs the thousand-device scale benchmark (1024/2048/4096
 # synthetic V100s, up to 10240-operator graphs) and rewrites
 # BENCH_scale.json, exiting non-zero if any explored count drifted from
-# the committed file.
+# the committed file or the linearity gate fails.
 bench-scale:
 	$(GO) run ./cmd/acesobench scale
 

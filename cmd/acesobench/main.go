@@ -25,7 +25,11 @@
 // iteration budget (-scale-iters) and writes BENCH_scale.json (see
 // -scalefile). Explored counts are the determinism fingerprint at
 // scale: when the committed file already has a row for a setting, a
-// differing count makes the run exit non-zero.
+// differing count makes the run exit non-zero, and so does a 4096-device
+// point costing more than 6× the time or 5× the allocation of the
+// 1024-device one. With -guard the committed file is checked instead of
+// rewritten: every point needs a row, and alloc_mb must stay within
+// -guard-alloc-tol of it.
 //
 // Any target combination can be profiled with -cpuprofile and
 // -memprofile, which write pprof files covering everything the
@@ -85,6 +89,7 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -235,82 +240,149 @@ var scalePoints = []struct{ nodes, ops int }{
 // the fingerprint independent of future auto-set changes.
 var scaleStageCounts = []int{8, 16, 32}
 
-// runScaleBench runs the fixed-iteration search on each scale point,
-// writes the report, and returns how many rows drifted from the
-// explored counts previously recorded in path.
-func runScaleBench(path string, iters int, seed int64, w io.Writer) (int, error) {
+// Linearity gate of the scale target: the largest point has four times
+// the devices and operators of the smallest at an equal explored count,
+// so a search whose construction cost is linear in the graph pays about
+// 4× there. The gates leave room for cache effects and a noisy run, not
+// for a cost that grows with the square of the profiling database.
+const (
+	scaleMaxAllocRatio   = 5.0
+	scaleMaxElapsedRatio = 6.0
+)
+
+// scaleReps is how many times the scale target searches each point.
+const scaleReps = 3
+
+// scaleSearch runs one fixed-iteration search of g on cl and returns
+// its row.
+func scaleSearch(g *model.Graph, cl hardware.Cluster, iters int, seed int64) (scaleRow, error) {
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	start := time.Now()
+	res, err := core.Search(g, cl, core.Options{
+		TimeBudget:    time.Hour, // iteration-bounded, like the search bench
+		MaxIterations: iters,
+		Seed:          seed,
+		StageCounts:   scaleStageCounts,
+	})
+	if err != nil {
+		return scaleRow{}, err
+	}
+	elapsed := time.Since(start)
+	runtime.ReadMemStats(&after)
+	return scaleRow{
+		Devices:     cl.TotalDevices(),
+		Ops:         len(g.Ops),
+		StageCounts: scaleStageCounts,
+		ElapsedMs:   float64(elapsed.Nanoseconds()) / 1e6,
+		Explored:    res.Explored,
+		BestScore:   res.Best.Score,
+		AllocMB:     float64(after.TotalAlloc-before.TotalAlloc) / (1 << 20),
+	}, nil
+}
+
+// runScaleBench runs the fixed-iteration search on each scale point and
+// returns an error naming every gate that failed: an explored count
+// that differs from the one recorded in path for the same setting, and
+// allocation or wall time at the largest point above the linearity gate
+// relative to the smallest. Without guard it then rewrites path; with
+// guard it leaves path untouched and additionally requires every point
+// to have a recorded row, with alloc_mb within allocTol of it.
+func runScaleBench(path string, iters int, seed int64, guard bool, allocTol float64, w io.Writer) error {
+	// prev keeps the recorded rows only when they were measured under
+	// the same iteration budget and seed.
 	var prev scaleBenchFile
-	havePrev := false
-	if raw, err := os.ReadFile(path); err == nil {
-		if err := json.Unmarshal(raw, &prev); err == nil {
-			havePrev = prev.MaxIterations == iters && prev.Seed == seed
-		}
+	if raw, err := os.ReadFile(path); err != nil || json.Unmarshal(raw, &prev) != nil ||
+		prev.MaxIterations != iters || prev.Seed != seed {
+		prev.Rows = nil
+	}
+	if guard && prev.Rows == nil {
+		return fmt.Errorf("no committed benchmark for MaxIterations=%d, Seed=%d in %s to guard against", iters, seed, path)
 	}
 	out := scaleBenchFile{
-		Setting: fmt.Sprintf("uniform synthetic graphs on DGX1V100 clusters, StageCounts=%v, MaxIterations=%d, Seed=%d, fixed-iteration",
-			scaleStageCounts, iters, seed),
+		Setting: fmt.Sprintf("uniform synthetic graphs on DGX1V100 clusters, StageCounts=%v, MaxIterations=%d, Seed=%d, fixed-iteration, fastest of %d",
+			scaleStageCounts, iters, seed, scaleReps),
 		MaxIterations: iters,
 		Seed:          seed,
 	}
-	drift := 0
+	var failed []string
 	for _, pt := range scalePoints {
 		g := model.Uniform(pt.ops, 1e9, 1e6, 1e5, 1024)
 		cl := hardware.DGX1V100(pt.nodes)
-		var before, after runtime.MemStats
-		runtime.GC()
-		runtime.ReadMemStats(&before)
-		start := time.Now()
-		res, err := core.Search(g, cl, core.Options{
-			TimeBudget:    time.Hour, // iteration-bounded, like the search bench
-			MaxIterations: iters,
-			Seed:          seed,
-			StageCounts:   scaleStageCounts,
-		})
-		if err != nil {
-			return drift, fmt.Errorf("%d devices / %d ops: %w", cl.TotalDevices(), pt.ops, err)
-		}
-		elapsed := time.Since(start)
-		runtime.ReadMemStats(&after)
-		row := scaleRow{
-			Devices:     cl.TotalDevices(),
-			Ops:         pt.ops,
-			StageCounts: scaleStageCounts,
-			ElapsedMs:   float64(elapsed.Nanoseconds()) / 1e6,
-			Explored:    res.Explored,
-			BestScore:   res.Best.Score,
-			AllocMB:     float64(after.TotalAlloc-before.TotalAlloc) / (1 << 20),
+		// The row is the fastest of scaleReps searches: the elapsed gate
+		// is a ratio of two short wall times, and the minimum is the
+		// figure a busy host disturbs least.
+		var row scaleRow
+		for rep := 0; rep < scaleReps; rep++ {
+			r, err := scaleSearch(g, cl, iters, seed)
+			if err != nil {
+				return fmt.Errorf("%d devices / %d ops: %w", cl.TotalDevices(), pt.ops, err)
+			}
+			if rep > 0 && r.Explored != row.Explored {
+				failed = append(failed, fmt.Sprintf("%d devices / %d ops: explored %d then %d in one process",
+					r.Devices, r.Ops, row.Explored, r.Explored))
+			}
+			if rep == 0 || r.ElapsedMs < row.ElapsedMs {
+				row = r
+			}
 		}
 		out.Rows = append(out.Rows, row)
 		fmt.Fprintf(w, "scale: %4d devices, %5d ops: %8.0fms, %d explored, best %.4fs, %.0f MB allocated\n",
 			row.Devices, row.Ops, row.ElapsedMs, row.Explored, row.BestScore, row.AllocMB)
-		if havePrev {
-			for _, p := range prev.Rows {
-				if p.Devices == row.Devices && p.Ops == row.Ops {
-					if p.Explored != row.Explored {
-						drift++
-						fmt.Fprintf(w, "scale: DRIFT at %d devices / %d ops: explored %d, recorded %d\n",
-							row.Devices, row.Ops, row.Explored, p.Explored)
-					}
-					break
-				}
+		var rec *scaleRow
+		for i := range prev.Rows {
+			if prev.Rows[i].Devices == row.Devices && prev.Rows[i].Ops == row.Ops {
+				rec = &prev.Rows[i]
+				break
 			}
 		}
+		switch {
+		case rec == nil && guard:
+			failed = append(failed, fmt.Sprintf("%d devices / %d ops: no recorded row", row.Devices, row.Ops))
+		case rec == nil:
+		case rec.Explored != row.Explored:
+			failed = append(failed, fmt.Sprintf("%d devices / %d ops: explored %d, recorded %d — the search is no longer bit-identical",
+				row.Devices, row.Ops, row.Explored, rec.Explored))
+		case guard && row.AllocMB > rec.AllocMB*(1+allocTol):
+			failed = append(failed, fmt.Sprintf("%d devices / %d ops: %.1f MB allocated exceeds recorded %.1f MB by more than %.0f%%",
+				row.Devices, row.Ops, row.AllocMB, rec.AllocMB, allocTol*100))
+		}
 	}
-	f, err := os.Create(path)
-	if err != nil {
-		return drift, err
+	small, large := out.Rows[0], out.Rows[len(out.Rows)-1]
+	if r := large.AllocMB / small.AllocMB; r > scaleMaxAllocRatio {
+		failed = append(failed, fmt.Sprintf("alloc_mb at %d devices is %.1f× that at %d, gate %.0f×",
+			large.Devices, r, small.Devices, scaleMaxAllocRatio))
 	}
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(out); err != nil {
-		f.Close()
-		return drift, err
+	if r := large.ElapsedMs / small.ElapsedMs; r > scaleMaxElapsedRatio {
+		failed = append(failed, fmt.Sprintf("elapsed_ms at %d devices is %.1f× that at %d, gate %.0f×",
+			large.Devices, r, small.Devices, scaleMaxElapsedRatio))
 	}
-	if err := f.Close(); err != nil {
-		return drift, err
+	fmt.Fprintf(w, "scale: %d → %d devices costs %.1f× time, %.1f× allocation\n", small.Devices, large.Devices,
+		large.ElapsedMs/small.ElapsedMs, large.AllocMB/small.AllocMB)
+	if !guard {
+		f, err := os.Create(path)
+		if err != nil {
+			return err
+		}
+		enc := json.NewEncoder(f)
+		enc.SetIndent("", "  ")
+		if err := enc.Encode(out); err != nil {
+			f.Close()
+			return err
+		}
+		if err := f.Close(); err != nil {
+			return err
+		}
+		fmt.Fprintf(w, "scale: report → %s\n", path)
 	}
-	fmt.Fprintf(w, "scale: report → %s\n", path)
-	return drift, nil
+	if len(failed) > 0 {
+		return errors.New(strings.Join(failed, "; "))
+	}
+	if guard {
+		fmt.Fprintf(w, "guard: ok — explored counts match, alloc_mb within %.0f%% of %s, linearity gates hold\n", allocTol*100, path)
+	}
+	return nil
 }
 
 // tracePoint is one convergence-curve sample in BENCH_trace.json.
@@ -1070,9 +1142,9 @@ func main() {
 	csvDir := flag.String("csv", "", "also write machine-readable CSVs into this directory")
 	benchFile := flag.String("benchfile", "BENCH_search.json", "output path for the search throughput benchmark")
 	benchReps := flag.Int("benchreps", 3, "repetitions of the search throughput benchmark")
-	guard := flag.Bool("guard", false, "with the search target: check the committed -benchfile instead of rewriting it; exit non-zero on explored drift or regression beyond the tolerances")
+	guard := flag.Bool("guard", false, "with the search, scale or hetero target: check the committed file instead of rewriting it; exit non-zero on explored drift or regression beyond the tolerances")
 	guardNsTol := flag.Float64("guard-ns-tol", 0.5, "-guard: allowed fractional ns/op regression (wall time is machine-noisy; this catches order-of-magnitude slips, not jitter)")
-	guardAllocTol := flag.Float64("guard-alloc-tol", 0.1, "-guard: allowed fractional allocs/op regression (allocation counts are near-deterministic)")
+	guardAllocTol := flag.Float64("guard-alloc-tol", 0.1, "-guard: allowed fractional regression of search allocs/op and scale alloc_mb (allocation is near-deterministic)")
 	scaleFile := flag.String("scalefile", "BENCH_scale.json", "output path for the scale target's report")
 	scaleIters := flag.Int("scale-iters", 2, "top-level iterations per stage count for the scale target")
 	cpuProfile := flag.String("cpuprofile", "", "write a pprof CPU profile covering the selected targets to this file")
@@ -1335,12 +1407,8 @@ func main() {
 	if want["scale"] { // deliberately not part of "all"
 		fmt.Fprintf(w, "running scale benchmark (%d points up to 4096 devices / 10240 ops, %d iterations, seed %d)...\n",
 			len(scalePoints), *scaleIters, *seed)
-		drift, err := runScaleBench(*scaleFile, *scaleIters, *seed, w)
-		if err != nil {
+		if err := runScaleBench(*scaleFile, *scaleIters, *seed, *guard, *guardAllocTol, w); err != nil {
 			fail("scale", err)
-		}
-		if drift > 0 {
-			fail("scale", fmt.Errorf("%d rows drifted from the recorded explored counts", drift))
 		}
 		fmt.Fprintln(w)
 	}

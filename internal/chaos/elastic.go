@@ -99,9 +99,9 @@ func ReplayElasticTrial(trial int, seed int64, rep *Report) (viol *Violation) {
 	}
 	rng := rand.New(rand.NewSource(seed))
 
-	dim := 4 << rng.Intn(2)    // 4 or 8
-	layers := 2 + rng.Intn(3)  // 2..4
-	batch := 8 << rng.Intn(2)  // 8 or 16
+	dim := 4 << rng.Intn(2)   // 4 or 8
+	layers := 2 + rng.Intn(3) // 2..4
+	batch := 8 << rng.Intn(2) // 8 or 16
 	g, err := model.MLP(layers, dim, batch)
 	if err != nil {
 		rep.TypedErrs++

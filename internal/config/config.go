@@ -40,7 +40,6 @@ func fnvBytes(h uint64, b []byte) uint64 {
 	return h
 }
 
-
 // OpSetting is the parallelization of a single operator inside its
 // pipeline stage. TP·DP always equals the stage's device count; the
 // fine-tuning pass (§4.2) may give different ops in one stage

@@ -84,8 +84,8 @@ func TestIncrementalEstimateEquivalence(t *testing.T) {
 	prims := append(append([]Primitive(nil), Table...), ExtensionTable...)
 	walk := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		stages := 1 << rng.Intn(3)             // 1, 2 or 4 pipeline stages
-		mbs := 1 << rng.Intn(3)                // 1, 2 or 4
+		stages := 1 << rng.Intn(3) // 1, 2 or 4 pipeline stages
+		mbs := 1 << rng.Intn(3)    // 1, 2 or 4
 		cfg, err := config.Balanced(g, 8, stages, mbs)
 		if err != nil {
 			return true // not every (stages, mbs) combination is buildable

@@ -11,13 +11,13 @@ import (
 // Violation kinds reported by Check. Each is one invariant of the
 // model/simulator contract (DESIGN.md §5e).
 const (
-	KindBuild    = "build"            // tuple failed to rebuild (repro rot)
-	KindSimError = "sim-error"        // simulator rejected a config the model accepted
-	KindInflight = "inflight"         // PeakInflight[i] ≠ Eq. 1's min(p−i, n)
-	KindMemComp  = "mem-composition"  // stage memory ≠ Eq. 1 term-for-term
-	KindOOM      = "oom-verdict"      // per-stage OOM disagreement vs CapMem
-	KindGPipe    = "gpipe-mem"        // GPipe peak memory < 1F1B peak memory
-	KindIterBand = "iter-band"        // makespan outside the signed band of Eq. 2
+	KindBuild    = "build"           // tuple failed to rebuild (repro rot)
+	KindSimError = "sim-error"       // simulator rejected a config the model accepted
+	KindInflight = "inflight"        // PeakInflight[i] ≠ Eq. 1's min(p−i, n)
+	KindMemComp  = "mem-composition" // stage memory ≠ Eq. 1 term-for-term
+	KindOOM      = "oom-verdict"     // per-stage OOM disagreement vs CapMem
+	KindGPipe    = "gpipe-mem"       // GPipe peak memory < 1F1B peak memory
+	KindIterBand = "iter-band"       // makespan outside the signed band of Eq. 2
 )
 
 // Finding is one invariant violation on one tuple.

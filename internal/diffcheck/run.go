@@ -39,12 +39,12 @@ const DefaultTrials = 5000
 // Violation is one invariant violation, already shrunk to a minimal
 // reproducing tuple.
 type Violation struct {
-	Trial       int     `json:"trial"`
-	Seed        int64   `json:"seed"` // per-trial generator seed
-	Kind        string  `json:"kind"`
-	Detail      string  `json:"detail"`
-	Tuple       Tuple   `json:"tuple"`        // shrunken repro
-	ShrinkSteps int     `json:"shrink_steps"` // accepted reductions
+	Trial       int    `json:"trial"`
+	Seed        int64  `json:"seed"` // per-trial generator seed
+	Kind        string `json:"kind"`
+	Detail      string `json:"detail"`
+	Tuple       Tuple  `json:"tuple"`        // shrunken repro
+	ShrinkSteps int    `json:"shrink_steps"` // accepted reductions
 }
 
 // BandStats summarizes the signed relative deviation

@@ -158,10 +158,10 @@ func FuzzChurnEventsNeverPanic(f *testing.F) {
 // drain path exists precisely so reclaims stay survivable.
 func FuzzPreemptNoticeNeverPanics(f *testing.F) {
 	f.Add([]byte{}, uint8(1))
-	f.Add([]byte{2, 4, 2, 2}, uint8(1))       // clean covered drain
-	f.Add([]byte{2, 4, 2, 0}, uint8(3))       // window < cost: missed
-	f.Add([]byte{1, 4, 3, 2, 2, 0, 3, 0}, uint8(1)) // notice then real preempt
-	f.Add([]byte{0, 4, 2, 7, 0, 4, 2, 7}, uint8(0)) // duplicate notices
+	f.Add([]byte{2, 4, 2, 2}, uint8(1))                   // clean covered drain
+	f.Add([]byte{2, 4, 2, 0}, uint8(3))                   // window < cost: missed
+	f.Add([]byte{1, 4, 3, 2, 2, 0, 3, 0}, uint8(1))       // notice then real preempt
+	f.Add([]byte{0, 4, 2, 7, 0, 4, 2, 7}, uint8(0))       // duplicate notices
 	f.Add([]byte{255, 4, 0, 255, 3, 4, 1, 1}, uint8(255)) // hostile corners
 
 	f.Fuzz(func(t *testing.T, data []byte, ckptCost uint8) {

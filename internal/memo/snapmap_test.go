@@ -1,17 +1,31 @@
 package memo
 
 import (
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 )
 
+// intKey is the tests' key type: an integer that hashes itself.
+type intKey int
+
+func (k intKey) Hash() uint64 { return Mix(0, uint64(k)) }
+
+// clashKey hashes every key to the same value, so all entries share
+// one probe run: lookups must still tell keys apart by equality.
+type clashKey int
+
+func (clashKey) Hash() uint64 { return 7 }
+
 func TestSnapMapBasics(t *testing.T) {
-	var m SnapMap[int, string]
+	var m SnapMap[intKey, string]
 	if _, ok := m.Load(1); ok {
 		t.Fatal("empty map reported a hit")
 	}
 	m.Store(1, "one")
 	m.Store(2, "two")
+	m.Store(1, "one") // a racing recomputation stores the same pair again
 	if v, ok := m.Load(1); !ok || v != "one" {
 		t.Fatalf("Load(1) = %q, %v; want \"one\", true", v, ok)
 	}
@@ -20,83 +34,217 @@ func TestSnapMapBasics(t *testing.T) {
 	}
 }
 
-// TestSnapMapMerge drives the overflow past the threshold so entries
-// are promoted into the snapshot, and checks nothing is lost or
-// duplicated across the merge boundary.
-func TestSnapMapMerge(t *testing.T) {
-	m := SnapMap[int, int]{Threshold: 8}
-	const n = 100
+func TestSnapMapCollidingHashes(t *testing.T) {
+	var m SnapMap[clashKey, int]
+	const n = 200
 	for i := 0; i < n; i++ {
-		m.Store(i, i*i)
+		m.Store(clashKey(i), i+1)
+	}
+	for i := 0; i < n; i++ {
+		if v, ok := m.Load(clashKey(i)); !ok || v != i+1 {
+			t.Fatalf("Load(%d) = %d, %v; want %d, true", i, v, ok, i+1)
+		}
+	}
+	if _, ok := m.Load(clashKey(n)); ok {
+		t.Fatal("absent key with a colliding hash reported a hit")
+	}
+}
+
+// TestSnapMapFill grows the table from empty through 14 doublings and
+// checks nothing is lost or duplicated on the way.
+func TestSnapMapFill(t *testing.T) {
+	var m SnapMap[intKey, int]
+	const n = 1 << 16
+	for i := 0; i < n; i++ {
+		m.Store(intKey(i), i*i)
 	}
 	if got := m.Len(); got != n {
 		t.Fatalf("Len = %d, want %d", got, n)
 	}
 	for i := 0; i < n; i++ {
-		if v, ok := m.Load(i); !ok || v != i*i {
+		if v, ok := m.Load(intKey(i)); !ok || v != i*i {
 			t.Fatalf("Load(%d) = %d, %v; want %d, true", i, v, ok, i*i)
 		}
 	}
-	seen := make(map[int]int)
-	m.ForEach(func(k, v int) { seen[k] = v })
+	seen := make(map[intKey]int, n)
+	m.ForEach(func(k intKey, v int) {
+		if _, dup := seen[k]; dup {
+			t.Fatalf("ForEach visited %d twice", k)
+		}
+		seen[k] = v
+	})
 	if len(seen) != n {
 		t.Fatalf("ForEach visited %d entries, want %d", len(seen), n)
 	}
 	for k, v := range seen {
-		if v != k*k {
-			t.Fatalf("ForEach saw %d → %d, want %d", k, v, k*k)
+		if v != int(k)*int(k) {
+			t.Fatalf("ForEach saw %d → %d, want %d", k, v, int(k)*int(k))
 		}
+	}
+	m.Replace(nil)
+	if got := m.Len(); got != 0 {
+		t.Fatalf("Len after Replace(nil) = %d, want 0", got)
+	}
+	if _, ok := m.Load(1); ok {
+		t.Fatal("Replace(nil) kept an entry")
+	}
+	m.ForEach(func(k intKey, v int) { t.Fatalf("ForEach on an emptied map visited %d", k) })
+	m.Store(3, 9)
+	if v, ok := m.Load(3); !ok || v != 9 || m.Len() != 1 {
+		t.Fatalf("after Replace(nil), Store: Load(3) = %d, %v, Len %d; want 9, true, 1", v, ok, m.Len())
 	}
 }
 
 func TestSnapMapReplace(t *testing.T) {
-	var m SnapMap[string, int]
-	m.Store("stale", 1)
-	m.Replace(map[string]int{"a": 10, "b": 20})
-	if _, ok := m.Load("stale"); ok {
+	var m SnapMap[intKey, int]
+	m.Store(99, 1)
+	m.Replace(map[intKey]int{1: 10, 2: 20})
+	if _, ok := m.Load(99); ok {
 		t.Fatal("Replace kept a pre-existing entry")
 	}
-	if v, ok := m.Load("a"); !ok || v != 10 {
-		t.Fatalf("Load(a) = %d, %v; want 10, true", v, ok)
+	if v, ok := m.Load(1); !ok || v != 10 {
+		t.Fatalf("Load(1) = %d, %v; want 10, true", v, ok)
 	}
 	if got := m.Len(); got != 2 {
 		t.Fatalf("Len = %d, want 2", got)
 	}
+	m.Store(3, 30)
+	if v, ok := m.Load(3); !ok || v != 30 || m.Len() != 3 {
+		t.Fatalf("Store after Replace: Load(3) = %d, %v, Len %d; want 30, true, 3", v, ok, m.Len())
+	}
 }
 
-// TestSnapMapConcurrent hammers Load/Store from many goroutines with a
-// tiny threshold so merges happen constantly. Values are pure functions
-// of their keys — the SnapMap correctness precondition — so every hit
-// must return the canonical value. Run under -race in make ci.
+// TestSnapMapConcurrent races readers against writers while the table
+// doubles ten times (8 → 8192 slots). Values are pure functions of
+// their keys — the SnapMap correctness precondition — so a hit must
+// return the canonical value, and a key a reader has once seen present
+// must stay present: neither a store into the table the reader holds
+// nor a growth behind its back may hide it. Run under -race in make ci.
 func TestSnapMapConcurrent(t *testing.T) {
-	m := SnapMap[int, int]{Threshold: 4}
+	var m SnapMap[intKey, int]
 	const (
-		workers = 8
-		keys    = 64
-		rounds  = 500
+		writers = 4
+		readers = 4
+		keys    = 4096
 	)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(seed int) {
-			defer wg.Done()
-			for r := 0; r < rounds; r++ {
-				k := (seed*31 + r) % keys
-				if v, ok := m.Load(k); ok {
-					if v != k*3 {
+	var stop atomic.Bool
+	var rd, wr, started sync.WaitGroup
+	for r := 0; r < readers; r++ {
+		rd.Add(1)
+		started.Add(1)
+		go func(r int) {
+			defer rd.Done()
+			started.Done()
+			var seen [keys]bool
+			for !stop.Load() {
+				for i := 0; i < keys; i++ {
+					k := (i*7 + r*1031) % keys
+					v, ok := m.Load(intKey(k))
+					switch {
+					case ok && v != k*3:
 						t.Errorf("Load(%d) = %d, want %d", k, v, k*3)
 						return
+					case !ok && seen[k]:
+						t.Errorf("Load(%d) missed after an earlier hit", k)
+						return
 					}
-				} else {
-					m.Store(k, k*3)
+					seen[k] = ok
+				}
+				runtime.Gosched()
+			}
+		}(r)
+	}
+	started.Wait()
+	for w := 0; w < writers; w++ {
+		wr.Add(1)
+		go func(w int) {
+			defer wr.Done()
+			// Writers overlap on purpose: each key is stored by two of them.
+			for i := 0; i < keys/2; i++ {
+				k := (w*keys/4 + i) % keys
+				if _, ok := m.Load(intKey(k)); !ok {
+					m.Store(intKey(k), k*3)
+				}
+				if i%64 == 0 {
+					runtime.Gosched() // let the readers in between growths
 				}
 			}
 		}(w)
 	}
-	wg.Wait()
+	wr.Wait()
+	stop.Store(true)
+	rd.Wait()
+	if got := m.Len(); got != keys {
+		t.Fatalf("Len = %d, want %d", got, keys)
+	}
 	for k := 0; k < keys; k++ {
-		if v, ok := m.Load(k); !ok || v != k*3 {
+		if v, ok := m.Load(intKey(k)); !ok || v != k*3 {
 			t.Fatalf("after run: Load(%d) = %d, %v; want %d, true", k, v, ok, k*3)
 		}
+	}
+}
+
+// fillBytes returns the bytes allocated by storing n fresh keys into
+// an empty map.
+func fillBytes(n int) uint64 {
+	var before, after runtime.MemStats
+	var m SnapMap[intKey, float64]
+	runtime.ReadMemStats(&before)
+	for i := 0; i < n; i++ {
+		m.Store(intKey(i), float64(i))
+	}
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(&m)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// TestSnapMapFillIsLinear guards the cost model: a map's allocation is
+// linear in its entries. Four times the entries may cost at most five
+// times the bytes; a design that re-copies what it holds as it grows
+// (the snapshot-merge one this table replaced cost 15×) fails here.
+func TestSnapMapFillIsLinear(t *testing.T) {
+	small, large := fillBytes(1<<14), fillBytes(1<<16)
+	if large > 5*small {
+		t.Fatalf("filling 65536 entries allocated %d bytes, %.1f× the %d bytes of 16384 entries; want ≤ 5×",
+			large, float64(large)/float64(small), small)
+	}
+}
+
+var sink int
+
+// BenchmarkSnapMapLoadHit is the lock-free read every profiler and
+// stage-cache hit pays, on a table the size of the scale workload's
+// profiling database.
+func BenchmarkSnapMapLoadHit(b *testing.B) {
+	var m SnapMap[intKey, int]
+	const n = 1 << 16
+	for i := 0; i < n; i++ {
+		m.Store(intKey(i), i)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		v, _ := m.Load(intKey(i & (n - 1)))
+		sink += v
+	}
+}
+
+// BenchmarkSnapMapFill stores n fresh keys into an empty map; ns/op and
+// B/op divided by n are the amortised cost of one store, growth
+// included, and must not depend on n.
+func BenchmarkSnapMapFill(b *testing.B) {
+	for _, c := range []struct {
+		name string
+		n    int
+	}{{"1k", 1 << 10}, {"64k", 1 << 16}} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				var m SnapMap[intKey, float64]
+				for k := 0; k < c.n; k++ {
+					m.Store(intKey(k), float64(k))
+				}
+				sink += m.Len()
+			}
+		})
 	}
 }

@@ -142,6 +142,13 @@ type stageKey struct {
 	prevDevices int
 }
 
+// Hash implements memo.Key. sub is already a hash of the stage; the
+// pipeline-context fields are small integers, spread over one word.
+func (k stageKey) Hash() uint64 {
+	return memo.Mix(k.sub, uint64(k.microBatch)^uint64(k.firstDev)<<16^
+		uint64(k.inflight)<<32^uint64(k.prevDevices)<<48)
+}
+
 // stageCacheCap bounds the stage-metrics memo. Entries are ~150 bytes;
 // the cap keeps a long search under ~40 MB of cache. Values are pure
 // functions of the key, so the occasional wholesale reset on overflow
@@ -172,16 +179,11 @@ type Model struct {
 
 // New builds a performance model backed by a profiler database.
 func New(g *model.Graph, c hardware.Cluster, seed int64) *Model {
-	m := &Model{
+	return &Model{
 		Graph:   g,
 		Cluster: c,
 		Prof:    profiler.New(c, seed),
 	}
-	// The stage cache grows to tens of thousands of entries in a long
-	// search; a larger merge threshold keeps the snapshot-copy churn
-	// (entries²/threshold) bounded. See memo.SnapMap.
-	m.scache.Threshold = 4096
-	return m
 }
 
 // StageCacheEntries returns the number of memoized stage evaluations.

@@ -346,3 +346,25 @@ func TestZeroMicrobatchConfigInfeasible(t *testing.T) {
 		t.Errorf("error payload = %+v, want {128 64}", nmb)
 	}
 }
+
+var sink float64
+
+// BenchmarkStageMetricsMiss is a stage-cache miss on a warm profiling
+// database: one evalStage plus the store of its result. Each call asks
+// for an in-flight count no earlier call used, so the cache grows with
+// b.N (and is reset at stageCacheCap, as in a long search).
+func BenchmarkStageMetricsMiss(b *testing.B) {
+	g, _ := model.GPT3("2.6B")
+	m := New(g, hardware.DGX1V100(2), 1)
+	cfg, err := config.Balanced(g, 16, 4, 2)
+	if err != nil {
+		b.Fatal(err)
+	}
+	m.Estimate(cfg)
+	st := &cfg.Stages[1]
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sink += m.stageMetrics(st, cfg.MicroBatch, cfg.FirstDev(1), 8+i, cfg.Stages[0].Devices).StageTime
+	}
+}

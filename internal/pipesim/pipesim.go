@@ -169,7 +169,7 @@ func (fx Effects) timeSkew(seed int64, cfg *config.Config, stage int, backward b
 	}
 	h := fnv.New64a()
 	fmt.Fprintf(h, "%d|%d|%v|%d", seed, stage, backward, cfg.Hash())
-	u := float64(h.Sum64()%(1<<20)) / float64(1 << 20)
+	u := float64(h.Sum64()%(1<<20)) / float64(1<<20)
 	return 1 + fx.SkewBias + fx.SkewAmp*(u-0.5)
 }
 
@@ -184,7 +184,7 @@ func (fx Effects) memSkew(seed int64, cfg *config.Config, stage int) float64 {
 	}
 	h := fnv.New64a()
 	fmt.Fprintf(h, "mem|%d|%d|%d", seed, stage, cfg.Hash())
-	u := float64(h.Sum64()%(1<<20)) / float64(1 << 20)
+	u := float64(h.Sum64()%(1<<20)) / float64(1<<20)
 	return 1 + fx.MemSkewBias + fx.MemSkewAmp*(u-0.5)
 }
 

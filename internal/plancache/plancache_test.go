@@ -66,8 +66,8 @@ func TestCacheLRUEvictionClearsWarmPointer(t *testing.T) {
 	c := New(2)
 	c.Put(entry(1, 10, 0))
 	c.Put(entry(2, 20, 0))
-	c.Get(Key{1, 10, 0})    // bump 1 → LRU order: 1, 2
-	c.Put(entry(3, 30, 0))  // evicts graph-2 entry
+	c.Get(Key{1, 10, 0})   // bump 1 → LRU order: 1, 2
+	c.Put(entry(3, 30, 0)) // evicts graph-2 entry
 	if c.Len() != 2 {
 		t.Fatalf("len = %d", c.Len())
 	}

@@ -158,7 +158,7 @@ func (s *Server) writeError(w http.ResponseWriter, code int, format string, args
 	// one search budget, 503 (draining) once a replacement is up.
 	if code == http.StatusTooManyRequests || code == http.StatusServiceUnavailable {
 		resp.RetryAfterMS = int(s.cfg.DefaultBudget / time.Millisecond)
-		w.Header().Set("Retry-After", strconv.Itoa(int((s.cfg.DefaultBudget + time.Second - 1) / time.Second)))
+		w.Header().Set("Retry-After", strconv.Itoa(int((s.cfg.DefaultBudget+time.Second-1)/time.Second)))
 	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)

@@ -16,11 +16,14 @@ import (
 	"encoding/json"
 	"fmt"
 	"hash/fnv"
+	"hash/maphash"
 	"io"
 	"math"
+	"runtime"
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"aceso/internal/collective"
 	"aceso/internal/hardware"
@@ -89,6 +92,15 @@ func (k opKey) String() string {
 type opMapKey struct {
 	name string
 	bits uint64
+}
+
+// nameSeed keys the op-name hash. It differs per process, which only
+// moves entries between table slots: nothing reads the table's order.
+var nameSeed = maphash.MakeSeed()
+
+// Hash implements memo.Key.
+func (k opMapKey) Hash() uint64 {
+	return memo.Mix(maphash.String(nameSeed, k.name), k.bits)
 }
 
 // Field widths of the packed key. tp and shards are parallelism
@@ -169,8 +181,8 @@ func parseOpKey(s string) (opKey, bool) {
 
 // Profiler produces operator and collective times for one cluster. It
 // is safe for concurrent use by the parallel stage-count searches.
-// The memo maps are snapshot-based (see memo.SnapMap) so the hit path —
-// taken for every operator of every evaluated stage — is lock-free.
+// The memo maps are memo.SnapMap tables, so the hit path — taken for
+// every operator of every evaluated stage — is lock-free.
 type Profiler struct {
 	Cluster hardware.Cluster
 	Seed    int64
@@ -184,6 +196,11 @@ type collKey struct {
 	kind  byte // 'r' all-reduce, 'g' all-gather, 'p' p2p
 	group int
 	pl    collective.Placement
+}
+
+// Hash implements memo.Key.
+func (k collKey) Hash() uint64 {
+	return memo.Mix(uint64(k.kind)<<56^uint64(k.pl)<<48, uint64(k.group))
 }
 
 // New returns a Profiler for the cluster with a deterministic seed.
@@ -350,30 +367,43 @@ func (p *Profiler) Load(r io.Reader) error {
 }
 
 // Prewarm fills the database for every operator of g under the given
-// tensor-parallel degrees and per-replica sample counts, using one
-// goroutine per operator. The paper profiles operators sequentially
-// and notes that "the profiling overhead can be highly improved with
-// good parallelization. We leave this as future work" — this is that
-// parallelization.
+// tensor-parallel degrees and per-replica sample counts, from
+// GOMAXPROCS workers that each pull the next operator index. The paper
+// profiles operators sequentially and notes that "the profiling
+// overhead can be highly improved with good parallelization. We leave
+// this as future work" — this is that parallelization.
 func (p *Profiler) Prewarm(g *model.Graph, tps, samples []int) {
+	var next atomic.Int64
 	var wg sync.WaitGroup
-	for i := range g.Ops {
+	for w := min(runtime.GOMAXPROCS(0), len(g.Ops)); w > 0; w-- {
 		wg.Add(1)
-		go func(op *model.Op) {
+		go func() {
 			defer wg.Done()
-			for _, tp := range tps {
-				for d := range op.Dims {
-					for _, n := range samples {
-						for _, bwd := range []bool{false, true} {
-							p.OpTime(op, tp, d, n, tp, bwd, g.Precision)
-							if tp > 1 {
-								p.OpTime(op, tp, d, n, 1, bwd, g.Precision)
-							}
-						}
+			for {
+				i := int(next.Add(1)) - 1
+				if i >= len(g.Ops) {
+					return
+				}
+				p.prewarmOp(&g.Ops[i], tps, samples, g.Precision)
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// prewarmOp queries every entry a search can ask of op: each tp degree
+// and partition dim, sharded over tp and replicated, both passes.
+func (p *Profiler) prewarmOp(op *model.Op, tps, samples []int, prec hardware.Precision) {
+	for _, tp := range tps {
+		for d := range op.Dims {
+			for _, n := range samples {
+				for _, bwd := range []bool{false, true} {
+					p.OpTime(op, tp, d, n, tp, bwd, prec)
+					if tp > 1 {
+						p.OpTime(op, tp, d, n, 1, bwd, prec)
 					}
 				}
 			}
-		}(&g.Ops[i])
+		}
 	}
-	wg.Wait()
 }

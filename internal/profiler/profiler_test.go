@@ -204,6 +204,10 @@ func TestLoadRejectsMalformedKeys(t *testing.T) {
 	}
 }
 
+// TestSaveLoadLargeDatabase round-trips a multi-thousand-entry database
+// (the table grows a dozen times while Prewarm fills it): the loaded
+// copy saves to the same bytes, and a file rejected halfway through
+// validation leaves the loaded database exactly as it was.
 func TestSaveLoadLargeDatabase(t *testing.T) {
 	g, err := model.WideResNet("0.5B")
 	if err != nil {
@@ -215,6 +219,7 @@ func TestSaveLoadLargeDatabase(t *testing.T) {
 	if err := p.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
+	saved := append([]byte(nil), buf.Bytes()...)
 	q := New(hardware.DGX1V100(1), 2)
 	if err := q.Load(&buf); err != nil {
 		t.Fatal(err)
@@ -226,6 +231,26 @@ func TestSaveLoadLargeDatabase(t *testing.T) {
 	op := &g.Ops[0]
 	if q.OpTime(op, 2, 0, 1, 2, false, hardware.FP32) != p.OpTime(op, 2, 0, 1, 2, false, hardware.FP32) {
 		t.Error("round-tripped value differs")
+	}
+
+	resave := func() []byte {
+		t.Helper()
+		var b bytes.Buffer
+		if err := q.Save(&b); err != nil {
+			t.Fatal(err)
+		}
+		return b.Bytes()
+	}
+	if !bytes.Equal(resave(), saved) {
+		t.Error("Save → Load → Save is not byte-identical")
+	}
+	// One bad entry at the end of an otherwise valid file.
+	poisoned := append(append([]byte(nil), saved[:bytes.LastIndexByte(saved, '}')]...), `,"op|zz|1|0|1|1|false|fp16":-1}`...)
+	if err := q.Load(bytes.NewReader(poisoned)); err == nil {
+		t.Fatal("Load accepted a database with a negative time")
+	}
+	if !bytes.Equal(resave(), saved) {
+		t.Error("a rejected Load changed the database")
 	}
 }
 
@@ -249,3 +274,39 @@ func TestLoadRejectsPoisonedValues(t *testing.T) {
 		}
 	}
 }
+
+var sink float64
+
+// benchOpTime times OpTime the way the bench ledger's probes do
+// (bench/probes.go: profiler.optime_hit_ns, profiler.optime_miss_ns):
+// over the scale workload's 10 240 operators, a key per (operator,
+// sample count). keys bounds the distinct keys; 0 means every call
+// meets a key never asked for before.
+func benchOpTime(b *testing.B, keys int) {
+	g := model.Uniform(10240, 1e9, 1e6, 1e5, 1024)
+	p := New(hardware.DGX1V100(512), 1)
+	opTime := func(i int) {
+		sink += p.OpTime(&g.Ops[i%len(g.Ops)], 1, 0, 1+i/len(g.Ops), 1, false, g.Precision)
+	}
+	for i := 0; i < keys; i++ {
+		opTime(i)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if keys > 0 {
+			opTime(i % keys)
+		} else {
+			opTime(i)
+		}
+	}
+}
+
+// BenchmarkOpTimeHit reads a database of 62 592 entries, the size the
+// scale workload's search fills.
+func BenchmarkOpTimeHit(b *testing.B) { benchOpTime(b, 62592) }
+
+// BenchmarkOpTimeMiss computes and stores a fresh entry per call, so
+// the database grows to b.N entries: the cost per entry must not grow
+// with it.
+func BenchmarkOpTimeMiss(b *testing.B) { benchOpTime(b, 0) }
