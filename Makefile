@@ -12,9 +12,10 @@ test:
 # the packages that share caches across goroutines (the search workers
 # and the perfmodel stage cache), a fuzz smoke over every corpus-seeded
 # fuzz target, a one-iteration smoke of the search-throughput benchmark
-# so hot-path regressions fail loudly, the benchmark guard (explored
-# must match the committed BENCH_search.json exactly; ns/op and
-# allocs/op must stay within tolerance of it), a traced-search smoke
+# so hot-path regressions fail loudly (and of the config identity
+# layer's in-package benchmarks, so they cannot rot), the benchmark
+# guard (explored must match the committed BENCH_search.json exactly;
+# ns/op and allocs/op must stay within tolerance of it), a traced-search smoke
 # (the breakdown auditor fails the build on any resource-accounting
 # violation), a short chaos run — which also audits every trial's
 # estimates — the differential model-vs-simulator smoke (5k effects-off
@@ -41,6 +42,7 @@ ci: build fmt-check
 	$(GO) test -race -count=1 -run 'Notice|Spot|DoublePreempt' ./internal/elastic
 	$(MAKE) fuzz-smoke
 	$(GO) test -run xxx -bench BenchmarkSearchThroughput -benchtime 1x .
+	$(GO) test -run xxx -bench . -benchtime 1x ./internal/config
 	$(MAKE) bench-guard
 	$(MAKE) scale-guard
 	$(MAKE) trace-smoke

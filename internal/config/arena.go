@@ -68,8 +68,9 @@ func (a *Arena) Stats() (gets, puts, reuses int) { return a.gets, a.puts, a.reus
 // enough capacity is available its Stage and OpSetting slices are
 // reused, otherwise it falls back to fresh allocation. The result is
 // indistinguishable from Clone(): every field — including the
-// memoized canonical segments and hashes — is copied or overwritten,
-// so no state of the recycled config's previous life survives.
+// memoized canonical segments, sub-hashes, key and hash — is copied or
+// overwritten, so no state of the recycled config's previous life
+// survives.
 // (Stage value copies share the source's canon string; that is safe
 // because a canonical segment is immutable once built — mutation
 // helpers replace it rather than writing into it.)
@@ -85,19 +86,9 @@ func (c *Config) CloneIn(a *Arena) *Config {
 	}
 	a.reuses++
 	out.MicroBatch = c.MicroBatch
+	out.key = c.key
 	out.hash = c.hash
 	out.hashOK = c.hashOK
-	out.hpfxN = c.hpfxN
-	if n := c.hpfxN; n > 0 {
-		if cap(out.hpfx) >= n {
-			out.hpfx = out.hpfx[:n]
-		} else {
-			out.hpfx = make([]uint64, n)
-		}
-		copy(out.hpfx, c.hpfx[:n])
-	} else {
-		out.hpfx = out.hpfx[:0]
-	}
 	if cap(out.Stages) >= len(c.Stages) {
 		out.Stages = out.Stages[:len(c.Stages)]
 	} else {

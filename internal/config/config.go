@@ -10,19 +10,22 @@ import (
 	"strings"
 	"sync"
 
+	"aceso/internal/memo"
 	"aceso/internal/model"
 )
 
-// FNV-1a constants. Hashing is inlined instead of going through
-// hash/fnv: the stdlib hasher costs one allocation per New64a plus a
-// string→[]byte copy per io.WriteString, and Config.Hash is the single
-// hottest function of the search (DESIGN.md §5g). The fold below is
-// byte-identical to fnv.New64a().Write(...).Sum64(), so every memoized
-// hash — and every hash-based tie-break in the search — is unchanged.
+// FNV-1a constants. The fold below is byte-identical to
+// fnv.New64a().Write(...).Sum64() without the hasher allocation and the
+// string→[]byte copies, so Config.Hash — and with it every plan
+// fingerprint and every hash-ordered tie-break — keeps its values.
 const (
 	fnvOffset64 = 14695981039346656037
 	fnvPrime64  = 1099511628211
 )
+
+// mixSeed starts the word-at-a-time folds of SubHash and Key (the
+// golden-ratio constant: memo.Mix maps an all-zero state to zero).
+const mixSeed = 0x9e3779b97f4a7c15
 
 // fnvString folds s into an FNV-1a state.
 func fnvString(h uint64, s string) uint64 {
@@ -69,20 +72,21 @@ type OpSetting struct {
 // Stage is one pipeline stage: the contiguous operator range
 // [Start, End) executed on Devices GPUs.
 //
-// Stages memoize their canonical segment and semantic sub-hash (the
-// search hot path hashes every candidate several times). The caches
-// are invalidated by the Config mutation helpers (MutStage, MutOp,
-// SetMicroBatch, InvalidateStage, Invalidate); code that writes the
-// exported fields directly after a Hash/SubHash call must invalidate
-// by hand or the caches go stale (DESIGN.md §5b).
+// Stages memoize their semantic sub-hash (asked for every candidate
+// the search builds) and, separately, their canonical segment (built
+// only when a Config.Hash is actually needed). Both memos are
+// invalidated by the Config mutation helpers (MutStage, MutOp,
+// InvalidateStage, Invalidate); code that writes the exported fields
+// directly after a Key/Hash/SubHash call must invalidate by hand or
+// the memos go stale (DESIGN.md §5b).
 type Stage struct {
 	Start, End int
 	Devices    int
 	Ops        []OpSetting // len == End-Start, indexed by op - Start
 
 	// canon memoizes the stage's canonical segment ("" = not yet
-	// computed; a valid segment is never empty). sub is its FNV-1a
-	// sub-hash — the perfmodel stage-cache key component.
+	// computed; a valid segment is never empty). sub memoizes SubHash
+	// (0 = not yet computed; SubHash never returns 0).
 	canon string
 	sub   uint64
 }
@@ -98,9 +102,8 @@ func (s *Stage) Setting(op int) *OpSetting { return &s.Ops[op-s.Start] }
 // invalidate drops the stage's memoized segment and sub-hash.
 func (s *Stage) invalidate() { s.canon, s.sub = "", 0 }
 
-// segScratch recycles segment()'s build buffer: rebuilding a mutated
-// stage's segment is the second-hottest allocation site of the search,
-// and only the memoized string needs to outlive the call.
+// segScratch recycles segment()'s build buffer: only the memoized
+// string needs to outlive the call.
 var segScratch = sync.Pool{New: func() any { b := make([]byte, 0, 256); return &b }}
 
 // appendDec is strconv.AppendInt specialized for the small
@@ -119,8 +122,8 @@ func appendDec(b []byte, v int) []byte {
 }
 
 // segment returns the stage's canonical segment, computing and
-// memoizing it (and the sub-hash) on first use. The byte format is
-// identical to what Config.canonical historically produced.
+// memoizing it on first use. The byte format is identical to what
+// Config.canonical historically produced.
 func (s *Stage) segment() string {
 	if s.canon == "" {
 		bp := segScratch.Get().(*[]byte)
@@ -149,18 +152,49 @@ func (s *Stage) segment() string {
 		}
 		b = append(b, ';')
 		s.canon = string(b)
-		s.sub = fnvBytes(fnvOffset64, b)
 		*bp = b
 		segScratch.Put(bp)
 	}
 	return s.canon
 }
 
+// word packs the setting into one 64-bit word: 20 bits each for TP, DP
+// and Dim above the three flag bits. The packing is injective while the
+// three integers stay below 2^20 — a single stage of a million devices
+// — which Validate's tp·dp = Devices bound guarantees for every
+// configuration the search keeps.
+func (o *OpSetting) word() uint64 {
+	w := uint64(o.TP)<<43 ^ uint64(o.DP)<<23 ^ uint64(o.Dim)<<3
+	if o.Recompute {
+		w ^= 1
+	}
+	if o.ZeRO {
+		w ^= 2
+	}
+	if o.SeqPar {
+		w ^= 4
+	}
+	return w
+}
+
 // SubHash returns the stage's semantic sub-hash: two stages have equal
 // sub-hashes iff their canonical segments (op range, device count and
-// every op setting) are byte-identical. Memoized; see Stage.
+// every op setting) are byte-identical, up to 64-bit collisions. It
+// folds exactly the fields segment() writes, a word at a time, and
+// builds no string. Memoized; see Stage. Never 0.
 func (s *Stage) SubHash() uint64 {
-	s.segment()
+	if s.sub == 0 {
+		h := memo.Mix(mixSeed, uint64(s.Start))
+		h = memo.Mix(h, uint64(s.End))
+		h = memo.Mix(h, uint64(s.Devices))
+		for j := range s.Ops {
+			h = memo.Mix(h, s.Ops[j].word())
+		}
+		if h == 0 {
+			h = 1
+		}
+		s.sub = h
+	}
 	return s.sub
 }
 
@@ -184,25 +218,12 @@ type Config struct {
 	// (Figure 5(c)).
 	MicroBatch int
 
-	// hash memoizes Hash(); hashOK marks it valid. Invalidated by the
-	// mutation helpers below.
+	// key memoizes Key() (0 = not yet computed; Key never returns 0);
+	// hash memoizes Hash(), hashOK marks it valid. Both are invalidated
+	// by the mutation helpers below.
+	key    uint64
 	hash   uint64
 	hashOK bool
-
-	// hpfx caches FNV-1a prefix states: hpfx[i] is the hash state after
-	// folding the "mb=<n>;" prefix and stages [0..i]. hpfxN counts the
-	// valid entries — mutating stage k clamps it to k, changing the
-	// microbatch resets it to 0. Hash() resumes folding at the first
-	// invalid stage, so a clone-plus-single-stage-mutation neighbor
-	// re-folds only the stages from the mutation onward instead of the
-	// whole pipeline. The final hash value is identical either way:
-	// FNV-1a is a left fold, so the state after a byte prefix is a pure
-	// function of that prefix. (A cheaper stage-level fold of the
-	// memoized sub-hashes was tried and rejected: it changes hash
-	// values, and score ties broken by hash order make the exploration
-	// sequence — pinned by the benchmark baselines — drift.)
-	hpfx  []uint64
-	hpfxN int
 
 	// flat remembers the full backing array behind the stages' Ops
 	// slices (Clone carves per-stage windows out of one allocation,
@@ -321,9 +342,10 @@ func (c *Config) Validate(g *model.Graph, totalDevices int) error {
 	return nil
 }
 
-// Clone returns a deep copy of the configuration. Memoized hashes are
-// carried over (they describe identical content), so a neighbor built
-// by Clone plus a mutation helper re-hashes only the mutated stage.
+// Clone returns a deep copy of the configuration. Memoized keys and
+// hashes are carried over (they describe identical content), so a
+// neighbor built by Clone plus a mutation helper re-folds only the
+// mutated stage's sub-hash.
 //
 // All stages' op settings share one backing array, sliced with
 // cap==len per stage so an append on any stage's Ops reallocates
@@ -334,13 +356,9 @@ func (c *Config) Clone() *Config {
 	out := &Config{
 		Stages:     make([]Stage, len(c.Stages)),
 		MicroBatch: c.MicroBatch,
+		key:        c.key,
 		hash:       c.hash,
 		hashOK:     c.hashOK,
-		hpfxN:      c.hpfxN,
-	}
-	if c.hpfxN > 0 {
-		out.hpfx = make([]uint64, c.hpfxN)
-		copy(out.hpfx, c.hpfx[:c.hpfxN])
 	}
 	total := 0
 	for i := range c.Stages {
@@ -363,19 +381,19 @@ func (c *Config) Clone() *Config {
 
 // ---------- mutation helpers (the cache-invalidation contract) ----------
 //
-// The search hot path memoizes Hash(), per-stage sub-hashes, and (in
-// perfmodel) per-stage metrics keyed by those sub-hashes. All of that
-// is only sound if every post-construction mutation goes through the
-// helpers below, which invalidate exactly the touched caches. Building
-// a Config from literals and mutating it before the first Hash call
-// needs no helpers — the caches are filled lazily.
+// The search hot path memoizes Key(), per-stage sub-hashes, and (in
+// perfmodel) per-stage metrics keyed by those sub-hashes; Hash() and
+// the canonical segments are memoized too. All of that is only sound if
+// every post-construction mutation goes through the helpers below,
+// which invalidate exactly the touched memos. Building a Config from
+// literals and mutating it before the first Key/Hash/SubHash call needs
+// no helpers — the memos are filled lazily.
 
 // SetMicroBatch sets the aggregate microbatch size. Stage sub-hashes
 // are unaffected (the microbatch is keyed separately everywhere).
 func (c *Config) SetMicroBatch(mbs int) {
 	c.MicroBatch = mbs
-	c.hashOK = false
-	c.hpfxN = 0 // the mb prefix feeds every stage's fold state
+	c.key, c.hashOK = 0, false
 }
 
 // MutStage applies fn to stage i and invalidates its memoized hashes.
@@ -391,14 +409,11 @@ func (c *Config) MutOp(i, op int, fn func(*OpSetting)) {
 	c.InvalidateStage(i)
 }
 
-// InvalidateStage drops stage i's memoized hashes (and the config
-// hash) after a direct mutation that bypassed MutStage/MutOp.
+// InvalidateStage drops stage i's memoized hashes (and the config's
+// key and hash) after a direct mutation that bypassed MutStage/MutOp.
 func (c *Config) InvalidateStage(i int) {
 	c.Stages[i].invalidate()
-	c.hashOK = false
-	if c.hpfxN > i {
-		c.hpfxN = i
-	}
+	c.key, c.hashOK = 0, false
 }
 
 // Invalidate drops every memoized hash. The escape hatch for code that
@@ -407,8 +422,7 @@ func (c *Config) Invalidate() {
 	for i := range c.Stages {
 		c.Stages[i].invalidate()
 	}
-	c.hashOK = false
-	c.hpfxN = 0
+	c.key, c.hashOK = 0, false
 }
 
 // canonical writes the semantic content of the configuration in a
@@ -423,46 +437,56 @@ func (c *Config) canonical(sb *strings.Builder) {
 	}
 }
 
-// Hash returns the configuration-semantic hash used for search
-// deduplication (§4.3): FNV-1a over the canonical form. Memoized two
-// ways: a valid hash returns instantly, and otherwise the fold resumes
-// from the cached prefix state of the last unmutated stage — a
-// neighbor that mutated stage k re-folds only segments k..p-1 instead
-// of the whole canonical form.
+// Key returns the configuration's structural identity: two
+// configurations have equal keys iff their canonical forms are
+// byte-identical, up to 64-bit collisions. It mixes the microbatch and
+// the stages' memoized sub-hashes, so a neighbor that mutated one stage
+// pays that stage's fold plus O(stages). This is what the search
+// deduplicates and memoizes estimates on (§4.3); it says nothing about
+// order — the value is not Hash() and is not stable across versions, so
+// it must never be persisted or used to rank. Memoized. Never 0.
+func (c *Config) Key() uint64 {
+	if c.key == 0 {
+		h := memo.Mix(mixSeed, uint64(c.MicroBatch))
+		for i := range c.Stages {
+			h = memo.Mix(h, c.Stages[i].SubHash())
+		}
+		if h == 0 {
+			h = 1
+		}
+		c.key = h
+	}
+	return c.key
+}
+
+// Hash returns the configuration's canonical hash: FNV-1a over the
+// canonical form, a frozen value — plan fingerprints, simulator seeds
+// and committed benchmark files carry it, and the search orders equal-
+// scored candidates by it. It builds (and memoizes) every stage's
+// canonical segment, so it is the cold path: ask Key for identity and
+// call Hash only where the exact value matters. Memoized.
 func (c *Config) Hash() uint64 {
 	if c.hashOK {
 		return c.hash
 	}
-	p := len(c.Stages)
-	i := c.hpfxN
-	if i > p {
-		i = p // defensive: stages were truncated without Invalidate
-	}
-	if cap(c.hpfx) >= p {
-		c.hpfx = c.hpfx[:p]
-	} else {
-		np := make([]uint64, p)
-		copy(np, c.hpfx[:i])
-		c.hpfx = np
-	}
-	var h uint64
-	if i == 0 {
-		var buf [16]byte
-		b := append(buf[:0], "mb="...)
-		b = strconv.AppendInt(b, int64(c.MicroBatch), 10)
-		b = append(b, ';')
-		h = fnvBytes(fnvOffset64, b)
-	} else {
-		h = c.hpfx[i-1]
-	}
-	for ; i < p; i++ {
+	var buf [20]byte
+	h := fnvString(fnvOffset64, "mb=")
+	h = fnvBytes(h, strconv.AppendInt(buf[:0], int64(c.MicroBatch), 10))
+	h = fnvString(h, ";")
+	for i := range c.Stages {
 		h = fnvString(h, c.Stages[i].segment())
-		c.hpfx[i] = h
 	}
-	c.hpfxN = p
-	c.hash = h
-	c.hashOK = true
-	return c.hash
+	c.hash, c.hashOK = h, true
+	return h
+}
+
+// Freeze fills every memo — Key, Hash, each stage's sub-hash and
+// canonical segment — so that no accessor writes afterwards and the
+// configuration can be shared read-only across goroutines (and cloned
+// from several at once). A later mutation helper thaws it.
+func (c *Config) Freeze() {
+	c.Key()
+	c.Hash()
 }
 
 // Canonical returns the canonical string form (exposed for tests of

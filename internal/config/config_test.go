@@ -1,6 +1,8 @@
 package config
 
 import (
+	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -220,38 +222,63 @@ func TestHashDistinguishesAndMatches(t *testing.T) {
 	g := model.Uniform(16, 1e9, 1e6, 1e5, 64)
 	a := mustBalanced(t, g, 8, 2, 4)
 	b := a.Clone()
-	if a.Hash() != b.Hash() {
-		t.Error("clone hash differs")
+	if a.Hash() != b.Hash() || a.Key() != b.Key() {
+		t.Error("clone hash or key differs")
 	}
 	if a.Canonical() != b.Canonical() {
 		t.Error("clone canonical differs")
 	}
-	b.MutOp(0, 3, func(op *OpSetting) { op.Recompute = true })
-	if a.Hash() == b.Hash() {
-		t.Error("recompute flag not reflected in hash")
+	differs := func(what string, c *Config) {
+		t.Helper()
+		if a.Hash() == c.Hash() {
+			t.Errorf("%s not reflected in hash", what)
+		}
+		if a.Key() == c.Key() {
+			t.Errorf("%s not reflected in key", what)
+		}
 	}
+	b.MutOp(0, 3, func(op *OpSetting) { op.Recompute = true })
+	differs("recompute flag", b)
 	c := a.Clone()
 	c.SetMicroBatch(8)
-	if a.Hash() == c.Hash() {
-		t.Error("microbatch not reflected in hash")
-	}
+	differs("microbatch", c)
 	d := a.Clone()
 	d.MutOp(0, 0, func(op *OpSetting) { op.Dim = 1 })
-	if a.Hash() == d.Hash() {
-		t.Error("dim not reflected in hash")
-	}
+	differs("dim", d)
 }
 
-// The memoized hash must always equal a from-scratch rebuild — the
+// rebuilt copies c's exported fields only — no memo survives. The
+// memoized key and hash must always equal the rebuild's: the
 // invalidation contract of the mutation helpers (DESIGN.md §5b).
-func rebuiltHash(c *Config) uint64 {
+func rebuilt(c *Config) *Config {
 	fresh := &Config{MicroBatch: c.MicroBatch, Stages: make([]Stage, len(c.Stages))}
 	for i := range c.Stages {
 		s := c.Stages[i]
 		fresh.Stages[i] = Stage{Start: s.Start, End: s.End, Devices: s.Devices,
 			Ops: append([]OpSetting(nil), s.Ops...)}
 	}
-	return fresh.Hash()
+	return fresh
+}
+
+// checkMemos fails when any memo of c disagrees with a from-scratch
+// rebuild.
+func checkMemos(t *testing.T, what string, c *Config) {
+	t.Helper()
+	fresh := rebuilt(c)
+	if got, want := c.Key(), fresh.Key(); got != want {
+		t.Errorf("%s: memoized key %x != rebuilt key %x", what, got, want)
+	}
+	if got, want := c.Hash(), fresh.Hash(); got != want {
+		t.Errorf("%s: memoized hash %x != rebuilt hash %x", what, got, want)
+	}
+	for i := range c.Stages {
+		if got, want := c.Stages[i].SubHash(), fresh.Stages[i].SubHash(); got != want {
+			t.Errorf("%s: stage %d memoized sub-hash %x != rebuilt %x", what, i, got, want)
+		}
+	}
+	if got, want := c.Canonical(), fresh.Canonical(); got != want {
+		t.Errorf("%s: memoized segments give %q, rebuilt %q", what, got, want)
+	}
 }
 
 func TestMutationHelpersInvalidate(t *testing.T) {
@@ -259,12 +286,7 @@ func TestMutationHelpersInvalidate(t *testing.T) {
 	c := mustBalanced(t, g, 8, 2, 4)
 	check := func(what string) {
 		t.Helper()
-		if got, want := c.Hash(), rebuiltHash(c); got != want {
-			t.Errorf("%s: memoized hash %x != rebuilt hash %x", what, got, want)
-		}
-		if got, want := c.Stages[0].SubHash(), rebuiltSubHash(&c.Stages[0]); got != want {
-			t.Errorf("%s: memoized sub-hash %x != rebuilt %x", what, got, want)
-		}
+		checkMemos(t, what, c)
 	}
 	check("fresh")
 	c.MutOp(0, 1, func(op *OpSetting) { op.Recompute = true })
@@ -278,22 +300,21 @@ func TestMutationHelpersInvalidate(t *testing.T) {
 	c.SetMicroBatch(8)
 	check("SetMicroBatch")
 
-	// Direct mutation after hashing goes stale until Invalidate.
-	c.Hash()
+	// Direct mutation after hashing goes stale until Invalidate (check
+	// has just filled every memo).
 	c.Stages[0].Ops[0].Dim = 1
 	c.Invalidate()
 	check("Invalidate after direct mutation")
 
-	c.Hash()
 	c.Stages[1].Ops[0].Dim = 1
 	c.InvalidateStage(1)
 	check("InvalidateStage after direct mutation")
-}
 
-func rebuiltSubHash(s *Stage) uint64 {
-	fresh := Stage{Start: s.Start, End: s.End, Devices: s.Devices,
-		Ops: append([]OpSetting(nil), s.Ops...)}
-	return fresh.SubHash()
+	// A clone carries the memos; mutating it must not leave them behind.
+	d := c.Clone()
+	d.MutOp(1, c.Stages[1].Start, func(op *OpSetting) { op.ZeRO = !op.ZeRO })
+	checkMemos(t, "MutOp on a clone", d)
+	check("original after its clone was mutated")
 }
 
 // SetMicroBatch must not disturb stage sub-hashes: the perfmodel stage
@@ -313,31 +334,139 @@ func TestSubHashIgnoresMicroBatch(t *testing.T) {
 	}
 }
 
-// Property: hash equality ⇔ canonical equality on random mutations
-// (DESIGN.md §6, invariant 7).
+// walkStep applies one random search-shaped mutation to c through the
+// mutation helpers: a single-bit Recompute/ZeRO/SeqPar flip, a dim
+// change, a tp↔dp retile of a stage, an op moved across a stage
+// boundary, or a microbatch change. Validity is irrelevant here — the
+// identity functions are total.
+func walkStep(rng *rand.Rand, c *Config) {
+	si := rng.Intn(len(c.Stages))
+	st := &c.Stages[si]
+	op := st.Start + rng.Intn(st.NumOps())
+	switch rng.Intn(7) {
+	case 0:
+		c.MutOp(si, op, func(o *OpSetting) { o.Recompute = !o.Recompute })
+	case 1:
+		c.MutOp(si, op, func(o *OpSetting) { o.ZeRO = !o.ZeRO })
+	case 2:
+		c.MutOp(si, op, func(o *OpSetting) { o.SeqPar = !o.SeqPar })
+	case 3:
+		c.MutOp(si, op, func(o *OpSetting) { o.Dim ^= 1 })
+	case 4:
+		c.MutStage(si, func(s *Stage) {
+			for j := range s.Ops {
+				s.Ops[j].TP, s.Ops[j].DP = s.Ops[j].DP, s.Ops[j].TP
+			}
+		})
+	case 5:
+		// Move the boundary op of stage si into its right neighbor.
+		if si+1 == len(c.Stages) || st.NumOps() < 2 {
+			return
+		}
+		moved := st.Ops[len(st.Ops)-1]
+		c.MutStage(si, func(s *Stage) { s.End--; s.Ops = s.Ops[:len(s.Ops)-1] })
+		c.MutStage(si+1, func(s *Stage) {
+			s.Start--
+			s.Ops = append([]OpSetting{moved}, s.Ops...)
+		})
+	case 6:
+		c.SetMicroBatch(1 << rng.Intn(5))
+	}
+}
+
+// Property: key equality ⇔ hash equality ⇔ canonical equality over
+// random primitive walks, and no memo ever goes stale along one
+// (DESIGN.md §6, invariant 7). Short walks from one base revisit
+// configurations often, so both directions are exercised.
 func TestHashCanonicalEquivalence(t *testing.T) {
 	g := model.Uniform(16, 1e9, 1e6, 1e5, 64)
 	base := mustBalanced(t, g, 8, 2, 4)
-	mutate := func(seed uint32) *Config {
+	base.Freeze() // walks start from filled memos, as search clones do
+	walk := func(seed int64) *Config {
+		rng := rand.New(rand.NewSource(seed))
 		c := base.Clone()
-		s := int(seed) % len(c.Stages)
-		j := int(seed/7) % len(c.Stages[s].Ops)
-		switch seed % 3 {
-		case 0:
-			c.MutStage(s, func(st *Stage) { st.Ops[j].Recompute = !st.Ops[j].Recompute })
-		case 1:
-			c.MutStage(s, func(st *Stage) { st.Ops[j].Dim ^= 1 })
-		case 2:
-			c.SetMicroBatch(1 << (seed % 5))
+		for n := rng.Intn(4); n > 0; n-- {
+			walkStep(rng, c)
+			if rng.Intn(2) == 0 {
+				c.Key() // refill memos mid-walk so later steps must drop them
+			}
 		}
 		return c
 	}
-	f := func(s1, s2 uint32) bool {
-		a, b := mutate(s1), mutate(s2)
-		return (a.Hash() == b.Hash()) == (a.Canonical() == b.Canonical())
+	equal, distinct := 0, 0
+	f := func(s1, s2 int64) bool {
+		a, b := walk(s1), walk(s2)
+		checkMemos(t, "walk", a)
+		same := a.Canonical() == b.Canonical()
+		if same {
+			equal++
+		} else {
+			distinct++
+		}
+		return (a.Hash() == b.Hash()) == same && (a.Key() == b.Key()) == same
 	}
-	if err := quick.Check(f, nil); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
 		t.Error(err)
+	}
+	if equal == 0 || distinct == 0 {
+		t.Errorf("walk pairs: %d equal, %d distinct — one direction of ⇔ went untested", equal, distinct)
+	}
+}
+
+// TestIdentityCoversEveryField walks the fields of Stage and OpSetting
+// by reflection and perturbs each one: the canonical segment (what
+// Hash folds) and SubHash (what Key folds) must both change, and a
+// field with no registered perturbation fails the test by name. Adding
+// a field therefore forces folding it into both — or listing it here as
+// a memo — so the two identities cannot drift apart.
+func TestIdentityCoversEveryField(t *testing.T) {
+	memos := map[string]bool{"canon": true, "sub": true}
+	stageMuts := map[string]func(*Stage){
+		"Start":   func(s *Stage) { s.Start++ },
+		"End":     func(s *Stage) { s.End++ },
+		"Devices": func(s *Stage) { s.Devices *= 2 },
+		"Ops":     func(s *Stage) { s.Ops = s.Ops[:len(s.Ops)-1] },
+	}
+	opMuts := map[string]func(*Stage){
+		"TP":        func(s *Stage) { s.Ops[1].TP *= 2 },
+		"DP":        func(s *Stage) { s.Ops[1].DP *= 2 },
+		"Dim":       func(s *Stage) { s.Ops[1].Dim++ },
+		"Recompute": func(s *Stage) { s.Ops[1].Recompute = true },
+		"ZeRO":      func(s *Stage) { s.Ops[1].ZeRO = true },
+		"SeqPar":    func(s *Stage) { s.Ops[1].SeqPar = true },
+	}
+	for _, tc := range []struct {
+		typ  reflect.Type
+		muts map[string]func(*Stage)
+	}{
+		{reflect.TypeOf(Stage{}), stageMuts},
+		{reflect.TypeOf(OpSetting{}), opMuts},
+	} {
+		for i := 0; i < tc.typ.NumField(); i++ {
+			name := tc.typ.Field(i).Name
+			if memos[name] {
+				continue
+			}
+			mut, ok := tc.muts[name]
+			if !ok {
+				t.Errorf("%s.%s is not covered: fold it into segment() and SubHash and add it to this test's perturbation table",
+					tc.typ.Name(), name)
+				continue
+			}
+			st := Stage{Start: 4, End: 8, Devices: 4, Ops: make([]OpSetting, 4)}
+			for j := range st.Ops {
+				st.Ops[j] = OpSetting{TP: 2, DP: 2}
+			}
+			fresh := st // no memo yet
+			seg, sub := st.segment(), st.SubHash()
+			mut(&fresh)
+			if fresh.segment() == seg {
+				t.Errorf("perturbing %s.%s did not change the canonical segment", tc.typ.Name(), name)
+			}
+			if fresh.SubHash() == sub {
+				t.Errorf("perturbing %s.%s did not change SubHash", tc.typ.Name(), name)
+			}
+		}
 	}
 }
 

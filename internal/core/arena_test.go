@@ -22,6 +22,11 @@ import (
 // directly and through CloneIn, and checks that every retained config
 // is bitwise unchanged. A failure here means CloneIn handed out a
 // backing array that a live config still references.
+//
+// Retention asks only for Key, as the search does; the canonical Hash
+// of a retained config is first read after the scribbling — the moment
+// a score tie would read it — and must be the hash of the config as it
+// was retained.
 func TestArenaAliasing(t *testing.T) {
 	g, err := model.GPT3("350M")
 	if err != nil {
@@ -33,8 +38,8 @@ func TestArenaAliasing(t *testing.T) {
 
 	type retained struct {
 		cfg  *config.Config
-		hash uint64
-		snap *config.Config // strippedClone at retention time; Hash never called
+		key  uint64
+		snap *config.Config // strippedClone at retention time
 	}
 
 	walk := func(seed int64) bool {
@@ -58,7 +63,7 @@ func TestArenaAliasing(t *testing.T) {
 		}
 		var kept []retained
 		keep := func(c *config.Config) {
-			kept = append(kept, retained{c, c.Hash(), strippedClone(c)})
+			kept = append(kept, retained{c, c.Key(), strippedClone(c)})
 		}
 		cur := cfg
 		valid := make([]*config.Config, 0, 8)
@@ -135,9 +140,21 @@ func TestArenaAliasing(t *testing.T) {
 					seed, i, r.cfg, r.snap)
 				return false
 			}
-			if h := got.Hash(); h != r.hash {
-				t.Errorf("seed %d: retained config %d rebuilt hash %x != %x at retention",
-					seed, i, h, r.hash)
+			if k := got.Key(); k != r.key || r.cfg.Key() != r.key {
+				t.Errorf("seed %d: retained config %d rebuilt key %x, memo %x != %x at retention",
+					seed, i, k, r.cfg.Key(), r.key)
+				return false
+			}
+			if h, want := r.cfg.Hash(), r.snap.Hash(); h != want {
+				t.Errorf("seed %d: retained config %d hashes to %x after recycling, %x as retained",
+					seed, i, h, want)
+				return false
+			}
+			// A tie between retained configs orders them as retained.
+			a := Candidate{Config: r.cfg}
+			b := Candidate{Config: kept[0].cfg}
+			if a.less(&b) != (r.snap.Hash() < kept[0].snap.Hash()) {
+				t.Errorf("seed %d: retained configs %d and 0 tie-break differently after recycling", seed, i)
 				return false
 			}
 		}
@@ -158,7 +175,7 @@ func TestPruneInsertAllocs(t *testing.T) {
 	fill := func() {
 		for i := 0; i < poolCap+1; i++ {
 			h := uint64(i)*2654435761 + 1
-			s.pool[h] = Candidate{Score: float64(i), hash: h}
+			s.pool[h] = Candidate{Score: float64(i), key: h}
 		}
 	}
 	// Warm-up: grow pruneBuf, limbo and the map to steady-state capacity.
@@ -178,11 +195,90 @@ func TestPruneInsertAllocs(t *testing.T) {
 	list := make([]Candidate, 0, k+1)
 	n := 0
 	if got := testing.AllocsPerRun(100, func() {
-		// Each insert is a fresh hash ranking first, so it takes the
+		// Each insert is a fresh key ranking first, so it takes the
 		// splice path (append + copy) every time.
 		n++
-		list = insertTopK(list, Candidate{Score: -float64(n), hash: uint64(n)}, k)
+		list = insertTopK(list, Candidate{Score: -float64(n), key: uint64(n)}, k)
 	}); got > 0 {
 		t.Errorf("insertTopK: %.0f allocs/op in steady state, want 0", got)
 	}
+}
+
+// TestArenasOutliveSearch pins the hand-over through arenaPool: the
+// search after this one clones into the memory this one recycled, and
+// nothing this one returned is in that memory. Every config of the
+// first result must read afterwards as it read when it was returned,
+// although later searches — of another model, so that every recycled
+// slice is re-cut — have overwritten the arenas; and a repeated search
+// must find its clones in the arena it is handed.
+func TestArenasOutliveSearch(t *testing.T) {
+	small, err := model.GPT3("350M")
+	if err != nil {
+		t.Fatal(err)
+	}
+	large, err := model.GPT3("1.3B")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cl := hardware.DGX1V100(1)
+	opts := Options{MaxIterations: 3, Seed: 1}
+
+	first, err := Search(small, cl, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := make([]string, len(first.TopK))
+	for i, c := range first.TopK {
+		want[i] = c.Config.Canonical()
+	}
+	for _, g := range []*model.Graph{large, small} {
+		if _, err := Search(g, cl, opts); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i, c := range first.TopK {
+		if got := c.Config.Canonical(); got != want[i] {
+			t.Errorf("TopK[%d] of the first search was overwritten by a later one:\n got %.80s…\nwant %.80s…", i, got, want[i])
+		}
+	}
+
+	// Same search twice on arenas this test put into the emptied pool:
+	// the second run's clones all come out of the first run's leavings.
+	// sync.Pool may drop what it is given (a collection, the race
+	// detector's sampling), so a lost hand-over is tried again.
+	for try := 0; try < 10; try++ {
+		for arenaPool.Get() != nil {
+		}
+		ap := &[]config.Arena{}
+		var reused [2]int
+		held := true
+		for i := range reused {
+			arenaPool.Put(ap)
+			before := 0
+			for w := range *ap {
+				_, _, r := (*ap)[w].Stats()
+				before += r
+			}
+			if _, err := Search(small, cl, opts); err != nil {
+				t.Fatal(err)
+			}
+			if got, _ := arenaPool.Get().(*[]config.Arena); got != ap {
+				held = false
+				break
+			}
+			for w := range *ap {
+				_, _, r := (*ap)[w].Stats()
+				reused[i] += r
+			}
+			reused[i] -= before
+		}
+		if !held {
+			continue
+		}
+		if reused[1] <= reused[0] {
+			t.Errorf("second search reused %d recycled configs, first %d: the arenas were not handed over", reused[1], reused[0])
+		}
+		return
+	}
+	t.Skip("sync.Pool never handed the arenas back in ten tries")
 }

@@ -40,8 +40,8 @@ func (s *searcher) fineTune(cfg *config.Config) *config.Config {
 			return
 		}
 		budget--
-		h := c.Hash()
-		if s.visited[h] {
+		k := c.Key()
+		if s.visited[k] {
 			s.discard(c)
 			return
 		}
@@ -49,7 +49,7 @@ func (s *searcher) fineTune(cfg *config.Config) *config.Config {
 			s.discard(c)
 			return
 		}
-		s.visited[h] = true
+		s.visited[k] = true
 		e := s.estimate(c)
 		sc := s.score(c, e)
 		if e.Feasible {

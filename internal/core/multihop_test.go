@@ -52,7 +52,7 @@ func TestPopBestUnexploredDeterministic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		s.pool[c.Hash()] = Candidate{Config: c, Score: score}
+		s.pool[c.Key()] = Candidate{Config: c, Score: score, key: c.Key()}
 	}
 	mk(1, 3)
 	mk(2, 1)

@@ -48,6 +48,10 @@ func (q *stealQueue) stealBack() (int, bool) {
 // same worker run strictly serially, so per-worker state (such as a
 // config arena) needs no locking.
 //
+// Worker 0 is the calling goroutine: the first — most expensive — task
+// sets the makespan, and it starts at once on the thread that is already
+// running instead of waiting for an idle one to wake and steal it.
+//
 // tasks must be given in scheduling-priority order (most expensive
 // first); they are dealt round-robin so every worker starts on an
 // expensive task, and idle workers steal the cheapest remaining task
@@ -75,29 +79,33 @@ func runWorkStealing(workers int, tasks []int, run func(worker, task int)) {
 		q := &queues[i%workers]
 		q.tasks = append(q.tasks, t)
 	}
+	work := func(self int) {
+		for {
+			if t, ok := queues[self].popFront(); ok {
+				run(self, t)
+				continue
+			}
+			stolen := false
+			for off := 1; off < workers; off++ {
+				if t, ok := queues[(self+off)%workers].stealBack(); ok {
+					run(self, t)
+					stolen = true
+					break
+				}
+			}
+			if !stolen {
+				return
+			}
+		}
+	}
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	for w := 1; w < workers; w++ {
 		wg.Add(1)
 		go func(self int) {
 			defer wg.Done()
-			for {
-				if t, ok := queues[self].popFront(); ok {
-					run(self, t)
-					continue
-				}
-				stolen := false
-				for off := 1; off < workers; off++ {
-					if t, ok := queues[(self+off)%workers].stealBack(); ok {
-						run(self, t)
-						stolen = true
-						break
-					}
-				}
-				if !stolen {
-					return
-				}
-			}
+			work(self)
 		}(w)
 	}
+	work(0)
 	wg.Wait()
 }

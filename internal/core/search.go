@@ -8,6 +8,8 @@ import (
 	"runtime"
 	"runtime/debug"
 	"sort"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"aceso/internal/config"
@@ -129,18 +131,35 @@ type Candidate struct {
 	Estimate *perfmodel.Estimate
 	Score    float64
 
-	// hash is Config.Hash(), captured at construction so comparators
-	// and dedup loops never re-hash inside sorts.
-	hash uint64
+	// key is Config.Key(), captured at construction: the identity the
+	// pool, the top-K list and the final merge deduplicate on.
+	key uint64
 }
 
-// less is the canonical candidate order: score, then hash tie-break.
+// less is the canonical candidate order: score, then canonical hash.
 func (c *Candidate) less(o *Candidate) bool {
 	if c.Score != o.Score {
 		return c.Score < o.Score
 	}
-	return c.hash < o.hash
+	return hashLess(c.Config, o.Config)
 }
+
+// hashLess breaks a score tie. Identity inside the search is
+// Config.Key; order is the frozen Config.Hash, because the exploration
+// sequence (explored = 24 701, every committed plan fingerprint) depends
+// on which of two equal-scored candidates goes first. Hash is the cold
+// path — it builds canonical segments — so it is asked only here, on an
+// actual tie: a few hundred times a search against tens of thousands of
+// Key calls. Both configs must still be alive (not recycled through the
+// arena), which the limbo discipline guarantees for every pool entry
+// and per-depth candidate slice. tieBreaks counts the calls for
+// TestTieBreaksPerSearch.
+func hashLess(a, b *config.Config) bool {
+	tieBreaks.Add(1)
+	return a.Hash() < b.Hash()
+}
+
+var tieBreaks atomic.Int64
 
 // SearchError describes the failure of one per-stage-count search
 // worker. A panicking worker is isolated — its goroutine recovers,
@@ -209,6 +228,21 @@ func defaultStageCounts(devices, ops int) []int {
 	}
 	return out
 }
+
+// arenaPool hands the per-worker config arenas of a finished search to
+// the next one. When a search ends its arenas hold only dead candidates
+// (run recycles its pool and limbo; nothing a Result carries was ever
+// Put), a few thousand of them, and CloneIn overwrites every field of
+// what it reuses — so the next search clones into that memory instead of
+// allocating, zeroing and faulting in the same amount again. Without the
+// hand-over a process that searches in a loop has a heap that swings by
+// the candidate memory of one search per call: a collection every third
+// of a search and, for the pages the runtime returns in between and
+// takes back, some 180 cross-CPU interrupts a search (TLB shoot-downs,
+// wake-ups) that on a shared host cost whatever the host charges at that
+// moment (DESIGN.md §5g). An idle process keeps nothing: sync.Pool drops
+// the arenas at the second collection.
+var arenaPool sync.Pool // of *[]config.Arena
 
 // Search runs Aceso's iterative bottleneck-alleviation search for
 // graph g over cluster cl (Algorithm 1), with one goroutine per
@@ -330,7 +364,16 @@ func SearchContext(ctx context.Context, g *model.Graph, cl hardware.Cluster, opt
 	// serially, so consecutive stage-count searches on the same worker
 	// recycle each other's candidate memory instead of re-allocating
 	// their whole working set from a cold free list.
-	arenas := make([]config.Arena, workers)
+	// The arenas outlive the search (see arenaPool); worker 0 runs the
+	// deepest pipeline first, so it meets the arena that search left.
+	ap, _ := arenaPool.Get().(*[]config.Arena)
+	if ap == nil {
+		ap = new([]config.Arena)
+	}
+	for len(*ap) < workers {
+		*ap = append(*ap, config.Arena{})
+	}
+	arenas := *ap
 	runWorkStealing(workers, order, func(w, wi int) {
 		p := stageCounts[wi]
 		// Panic isolation: one buggy searcher (a bad primitive, a
@@ -371,6 +414,16 @@ func SearchContext(ctx context.Context, g *model.Graph, cl hardware.Cluster, opt
 		outs[wi] = workerOut{topK: topK, explored: s.explored, iterations: iters, converged: converged}
 	})
 
+	// A searcher that panicked may have died between recycling a config
+	// and dropping its last reference: its arenas are not used again.
+	panicked := false
+	for i := range outs {
+		panicked = panicked || outs[i].err != nil && outs[i].err.PanicValue != nil
+	}
+	if !panicked {
+		arenaPool.Put(ap)
+	}
+
 	if opts.Metrics != nil {
 		// Mirror the performance model's own stage-cache counters into
 		// the registry. Set (not Add): a shared Model accumulates across
@@ -407,10 +460,10 @@ func SearchContext(ctx context.Context, g *model.Graph, cl hardware.Cluster, opt
 	})
 	seen := make(map[uint64]bool)
 	for _, c := range all {
-		if seen[c.hash] {
+		if seen[c.key] {
 			continue
 		}
-		seen[c.hash] = true
+		seen[c.key] = true
 		res.TopK = append(res.TopK, c)
 		if len(res.TopK) == opts.TopK {
 			break
@@ -489,6 +542,7 @@ type searcher struct {
 	deadline time.Time
 	done     <-chan struct{} // context cancellation, shared with the deadline
 
+	// All three are keyed by Config.Key.
 	visited  map[uint64]bool                // every config ever estimated (dedup, §4.3)
 	pool     map[uint64]Candidate           // unexplored configs (Algorithm 1)
 	cache    map[uint64]*perfmodel.Estimate // estimate memo
@@ -627,14 +681,14 @@ func (s *searcher) popBatch() {
 	}
 }
 
-// estimate memoizes performance-model evaluations by semantic hash and
-// counts unique explored configurations. Inside a multiHop/fineTune
+// estimate memoizes performance-model evaluations by configuration key
+// and counts unique explored configurations. Inside a multiHop/fineTune
 // node the active batch estimator serves the call, sharing the base
 // configuration's per-stage metrics; the resulting estimate is
 // bitwise identical to the full path (see perfmodel.Batch).
 func (s *searcher) estimate(cfg *config.Config) *perfmodel.Estimate {
-	h := cfg.Hash()
-	if e, ok := s.cache[h]; ok {
+	k := cfg.Key()
+	if e, ok := s.cache[k]; ok {
 		return e
 	}
 	var e *perfmodel.Estimate
@@ -643,7 +697,7 @@ func (s *searcher) estimate(cfg *config.Config) *perfmodel.Estimate {
 	} else {
 		e = s.pm.EstimateIn(cfg, &s.estArena)
 	}
-	s.cache[h] = e
+	s.cache[k] = e
 	s.explored++
 	s.itEstimated++
 	if s.met != nil {
@@ -694,7 +748,7 @@ const poisonedPenalty = 1e6
 // contract rests on.
 func (s *searcher) run(init *config.Config) ([]Candidate, int, bool) {
 	cur := init
-	s.visited[init.Hash()] = true
+	s.visited[init.Key()] = true
 	var topK []Candidate
 	record := func(cfg *config.Config) {
 		e := s.estimate(cfg)
@@ -702,7 +756,7 @@ func (s *searcher) run(init *config.Config) ([]Candidate, int, bool) {
 		if e.Feasible {
 			s.trace.observe(sc)
 		}
-		cand := Candidate{Config: cfg, Estimate: e, Score: sc, hash: cfg.Hash()}
+		cand := Candidate{Config: cfg, Estimate: e, Score: sc, key: cfg.Key()}
 		topK = insertTopK(topK, cand, s.opts.TopK)
 	}
 	record(cur)
@@ -914,9 +968,14 @@ func (s *searcher) multiHop(cfg *config.Config, est *perfmodel.Estimate, bn Bott
 					s.discard(c)
 					continue
 				}
-				c = s.attachRecompute(c)
-				h := c.Hash()
-				if s.visited[h] {
+				if rc := s.attachRecompute(c); rc != c {
+					// The candidate was superseded by its recompute
+					// variant before anything retained it.
+					s.discard(c)
+					c = rc
+				}
+				k := c.Key()
+				if s.visited[k] {
 					s.itDedup++
 					if s.met != nil {
 						s.met.dedup.Inc()
@@ -924,7 +983,7 @@ func (s *searcher) multiHop(cfg *config.Config, est *perfmodel.Estimate, bn Bott
 					s.discard(c)
 					continue
 				}
-				s.visited[h] = true
+				s.visited[k] = true
 				if pc != nil {
 					pc.Inc()
 				}
@@ -943,8 +1002,8 @@ func (s *searcher) multiHop(cfg *config.Config, est *perfmodel.Estimate, bn Bott
 					}
 					return c, hop + 1, prim.Name
 				}
-				cand := Candidate{Config: c, Estimate: e, Score: sc, hash: h}
-				s.pool[h] = cand
+				cand := Candidate{Config: c, Estimate: e, Score: sc, key: k}
+				s.pool[k] = cand
 				if len(s.pool) > poolCap {
 					s.prunePool()
 				}
@@ -1110,7 +1169,7 @@ func (s *searcher) attachRecompute(cfg *config.Config) *config.Config {
 // the searcher, a prune allocates nothing in steady state (pinned by
 // TestPruneInsertAllocs).
 type poolEntry struct {
-	h     uint64
+	key   uint64
 	score float64
 	cfg   *config.Config
 }
@@ -1123,7 +1182,7 @@ func (p *poolEntries) Less(a, b int) bool {
 	if s[a].score != s[b].score {
 		return s[a].score < s[b].score
 	}
-	return s[a].h < s[b].h
+	return hashLess(s[a].cfg, s[b].cfg)
 }
 func (p *poolEntries) Swap(a, b int) {
 	s := *p
@@ -1142,14 +1201,14 @@ func (s *searcher) prunePool() {
 		return
 	}
 	all := s.pruneBuf[:0]
-	for h, c := range s.pool {
-		all = append(all, poolEntry{h, c.Score, c.Config})
+	for k, c := range s.pool {
+		all = append(all, poolEntry{k, c.Score, c.Config})
 	}
 	s.pruneBuf = all
 	sort.Sort(&s.pruneBuf)
 	all = s.pruneBuf
 	for _, e := range all[keep:] {
-		delete(s.pool, e.h)
+		delete(s.pool, e.key)
 		s.limbo = append(s.limbo, e.cfg)
 	}
 	if s.met != nil {
@@ -1160,29 +1219,27 @@ func (s *searcher) prunePool() {
 // popBestUnexplored removes and returns the best-scoring unexplored
 // configuration (deterministic: ties broken by hash).
 func (s *searcher) popBestUnexplored() *config.Config {
-	var bestH uint64
-	var bestCfg *config.Config
-	bestScore := math.Inf(1)
-	for h, c := range s.pool {
-		if bestCfg == nil || c.Score < bestScore || c.Score == bestScore && h < bestH {
-			bestCfg, bestScore, bestH = c.Config, c.Score, h
+	var best Candidate
+	for _, c := range s.pool {
+		if best.Config == nil || c.less(&best) {
+			best = c
 		}
 	}
-	if bestCfg == nil {
+	if best.Config == nil {
 		return nil
 	}
-	delete(s.pool, bestH)
-	return bestCfg
+	delete(s.pool, best.key)
+	return best.Config
 }
 
-// insertTopK keeps a ranked, hash-deduplicated list of the k best
+// insertTopK keeps a ranked, key-deduplicated list of the k best
 // candidates. The list is always sorted (score, then hash), so the
 // new candidate is spliced in at its position rather than re-sorting
 // the whole slice per insertion.
 func insertTopK(list []Candidate, c Candidate, k int) []Candidate {
 	pos := len(list)
 	for i := range list {
-		if list[i].hash == c.hash {
+		if list[i].key == c.key {
 			return list
 		}
 		if pos == len(list) && c.less(&list[i]) {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"sort"
 	"testing"
 	"time"
 
@@ -320,7 +321,7 @@ func TestInsertTopK(t *testing.T) {
 	g := model.Uniform(8, 1e9, 1e6, 1e5, 64)
 	mk := func(mbs int, score float64) Candidate {
 		c, _ := config.Balanced(g, 4, 2, mbs)
-		return Candidate{Config: c, Score: score, hash: c.Hash()}
+		return Candidate{Config: c, Score: score, key: c.Key()}
 	}
 	var list []Candidate
 	list = insertTopK(list, mk(1, 3), 2)
@@ -329,7 +330,7 @@ func TestInsertTopK(t *testing.T) {
 	if len(list) != 2 || list[0].Score != 1 || list[1].Score != 2 {
 		t.Errorf("insertTopK = %+v", list)
 	}
-	// Duplicate hash ignored.
+	// Duplicate key ignored.
 	list = insertTopK(list, mk(2, 0.5), 2)
 	if list[0].Score != 1 {
 		t.Error("duplicate config replaced existing entry")
@@ -364,15 +365,10 @@ func TestPoolPruneKeepsBest(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Fill the pool well past 2×cap with distinct configs: encode a
-	// counter into the recompute bit pattern (16 ops in stage 0 give
-	// 65536 distinct hashes).
+	// Fill the pool well past 2×cap with distinct configs.
 	for n := 1; n <= 2*poolCap+10; n++ {
-		c := base.Clone()
-		for j := 0; j < len(c.Stages[0].Ops); j++ {
-			c.Stages[0].Ops[j].Recompute = (n>>j)&1 == 1
-		}
-		s.pool[c.Hash()] = Candidate{Config: c, Score: float64(n)}
+		c := recomputePattern(base, n)
+		s.pool[c.Key()] = Candidate{Config: c, Score: float64(n), key: c.Key()}
 	}
 	if len(s.pool) != 2*poolCap+10 {
 		t.Fatalf("setup produced %d distinct configs", len(s.pool))
@@ -393,32 +389,72 @@ func TestPoolPruneKeepsBest(t *testing.T) {
 	}
 }
 
+// recomputePattern returns a clone of base with n encoded into stage
+// 0's recompute bits: 16 ops there give 65536 distinct configurations.
+func recomputePattern(base *config.Config, n int) *config.Config {
+	c := base.Clone()
+	c.MutStage(0, func(st *config.Stage) {
+		for j := range st.Ops {
+			st.Ops[j].Recompute = (n>>j)&1 == 1
+		}
+	})
+	return c
+}
+
+// tiedCandidates returns n distinct equal-scored candidates, after
+// checking that their Key order is not their Hash order — otherwise a
+// tie-break on the wrong one of the two would pass unnoticed.
+func tiedCandidates(t *testing.T, n int) []Candidate {
+	t.Helper()
+	g := model.Uniform(32, 1e9, 1e6, 1e5, 1<<20)
+	base, err := config.Balanced(g, 4, 2, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := make([]Candidate, n)
+	for i := range out {
+		c := recomputePattern(base, i+1)
+		out[i] = Candidate{Config: c, Score: 7, key: c.Key()}
+	}
+	byHash := append([]Candidate(nil), out...)
+	sort.Slice(byHash, func(a, b int) bool { return byHash[a].Config.Hash() < byHash[b].Config.Hash() })
+	byKey := append([]Candidate(nil), out...)
+	sort.Slice(byKey, func(a, b int) bool { return byKey[a].key < byKey[b].key })
+	same := true
+	for i := range byHash {
+		same = same && byHash[i].key == byKey[i].key
+	}
+	if same {
+		t.Fatal("Key order equals Hash order on the sample; the tie-break tests would be vacuous")
+	}
+	return out
+}
+
 func TestPrunePoolKeepsBestHalf(t *testing.T) {
 	// Regression (PR 4): prunePool documented "drop the worst-scoring
 	// half" but truncated only to poolCap, so a pool at its trigger size
 	// re-pruned after nearly every subsequent insert. It must prune to
 	// poolCap/2 (deterministic, hash-tiebroken).
 	s := &searcher{pool: make(map[uint64]Candidate)}
-	n := poolCap + 1
-	for i := 0; i < n; i++ {
-		h := uint64(i)
-		// Two-valued scores exercise the hash tiebreak across the cut.
-		score := float64(i % 2)
-		s.pool[h] = Candidate{Score: score, hash: h}
+	// Two-valued scores exercise the hash tiebreak across the cut: 2049
+	// entries score 0, so exactly one of them — the highest canonical
+	// hash — must go, with every score-1 entry.
+	var zeros []Candidate
+	for i, c := range tiedCandidates(t, poolCap+1) {
+		c.Score = float64(i % 2)
+		s.pool[c.key] = c
+		if c.Score == 0 {
+			zeros = append(zeros, c)
+		}
 	}
+	sort.Slice(zeros, func(a, b int) bool { return zeros[a].Config.Hash() < zeros[b].Config.Hash() })
 	s.prunePool()
 	if len(s.pool) != poolCap/2 {
 		t.Fatalf("pool size after prune = %d, want poolCap/2 = %d", len(s.pool), poolCap/2)
 	}
-	// Survivors must be exactly the best (score, hash)-ordered entries:
-	// all score-0 candidates sort before score-1, and within score 0 the
-	// lowest hashes win.
-	for h, c := range s.pool {
-		if c.Score != 0 {
-			t.Fatalf("hash %d with score %v survived ahead of score-0 entries", h, c.Score)
-		}
-		if h >= uint64(poolCap) {
-			t.Errorf("hash %d survived the hash tiebreak over lower hashes", h)
+	for _, want := range zeros[:poolCap/2] {
+		if _, ok := s.pool[want.key]; !ok {
+			t.Fatalf("score-0 config %016x is among the %d lowest hashes but was pruned", want.Config.Hash(), poolCap/2)
 		}
 	}
 	// Pruning an at-or-under-target pool is a no-op.
@@ -426,6 +462,66 @@ func TestPrunePoolKeepsBestHalf(t *testing.T) {
 	s.prunePool()
 	if len(s.pool) != before {
 		t.Errorf("prune of small pool changed size %d → %d", before, len(s.pool))
+	}
+}
+
+// TestTieBreakIsCanonicalHash: identity inside the search is
+// Config.Key, but equal-scored candidates are ordered by the frozen
+// Config.Hash everywhere an order is taken — Candidate.less (multiHop's
+// ranking, insertTopK, the final merge), prunePool's cut and
+// popBestUnexplored. Breaking ties on Key instead would reorder
+// exploration; it fails here before it fails the explored pins.
+func TestTieBreakIsCanonicalHash(t *testing.T) {
+	cands := tiedCandidates(t, 64)
+	byHash := append([]Candidate(nil), cands...)
+	sort.Slice(byHash, func(a, b int) bool { return byHash[a].Config.Hash() < byHash[b].Config.Hash() })
+
+	for i := range cands {
+		for j := range cands {
+			a, b := &cands[i], &cands[j]
+			if got, want := a.less(b), a.Config.Hash() < b.Config.Hash(); got != want {
+				t.Fatalf("less(%016x, %016x) = %v, want canonical-hash order %v", a.Config.Hash(), b.Config.Hash(), got, want)
+			}
+		}
+	}
+
+	var list []Candidate
+	for _, c := range cands {
+		list = insertTopK(list, c, 5)
+	}
+	for i := range list {
+		if list[i].key != byHash[i].key {
+			t.Fatalf("insertTopK rank %d = %016x, want %016x", i, list[i].Config.Hash(), byHash[i].Config.Hash())
+		}
+	}
+
+	// prunePool keeps the poolCap/2 lowest hashes of an all-tied pool.
+	big := tiedCandidates(t, poolCap+1)
+	s := &searcher{pool: make(map[uint64]Candidate)}
+	for _, c := range big {
+		s.pool[c.key] = c
+	}
+	sort.Slice(big, func(a, b int) bool { return big[a].Config.Hash() < big[b].Config.Hash() })
+	s.prunePool()
+	for i, c := range big {
+		if _, ok := s.pool[c.key]; ok != (i < poolCap/2) {
+			t.Fatalf("prunePool: hash rank %d of %d tied entries, kept = %v", i, len(big), ok)
+		}
+	}
+
+	// popBestUnexplored drains an all-tied pool in ascending hash order.
+	s = &searcher{pool: make(map[uint64]Candidate)}
+	for _, c := range cands {
+		s.pool[c.key] = c
+	}
+	for i, want := range byHash {
+		got := s.popBestUnexplored()
+		if got != want.Config {
+			t.Fatalf("popBestUnexplored #%d = %016x, want %016x", i, got.Hash(), want.Config.Hash())
+		}
+	}
+	if s.popBestUnexplored() != nil {
+		t.Error("popBestUnexplored on an empty pool must return nil")
 	}
 }
 
@@ -459,5 +555,25 @@ func TestSearchDeterministicWithPruning(t *testing.T) {
 		if va, vb := ra.Counter(name).Value(), rb.Counter(name).Value(); va != vb {
 			t.Errorf("%s differs across identical runs: %d vs %d", name, va, vb)
 		}
+	}
+}
+
+// TestTieBreaksPerSearch counts how often one search of the
+// BENCH_search.json setting (GPT-3 2.6B, 16 V100, MaxIterations 4,
+// seed 1; 24 701 configurations) pays for a canonical hash: hashLess is
+// the only caller of Config.Hash inside the search, so its call count
+// bounds the cold path. The count repeats exactly; a count in the
+// thousands means an order is being taken on the hot loop.
+func TestTieBreaksPerSearch(t *testing.T) {
+	g, _ := model.GPT3("2.6B")
+	before := tieBreaks.Load()
+	res, err := Search(g, hardware.DGX1V100(2), Options{TimeBudget: time.Hour, MaxIterations: 4, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := tieBreaks.Load() - before
+	t.Logf("explored %d configurations, %d score ties broken by canonical hash", res.Explored, n)
+	if n == 0 || n > 1000 {
+		t.Errorf("%d tie-breaks for %d explored configurations, want a few hundred", n, res.Explored)
 	}
 }

@@ -13,7 +13,7 @@
 // core.Replan's warm-start path instead of starting cold.
 //
 // Concurrency contract: entries are immutable after Put. Callers must
-// freeze the stored config's hash memos (config.Config.Hash) before
+// fill the stored config's memos (config.Config.Freeze) before
 // inserting so concurrent readers never race on lazy memoization.
 package plancache
 
@@ -47,7 +47,7 @@ type warmKey struct {
 
 // Entry is one cached plan. Plan holds the marshaled response body
 // exactly as first produced, so cache hits are bit-identical to the
-// original miss. Config is the winning configuration (hash-frozen,
+// original miss. Config is the winning configuration (frozen,
 // read-only) retained for warm-starting related searches.
 type Entry struct {
 	Key      Key

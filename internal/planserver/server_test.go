@@ -10,6 +10,9 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"aceso/internal/config"
+	"aceso/internal/plancache"
 )
 
 func testServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
@@ -403,5 +406,75 @@ func TestOptionsNormalizationSharesCacheKey(t *testing.T) {
 	}
 	if s.Cache().Len() != 1 {
 		t.Fatalf("cache has %d entries, want 1", s.Cache().Len())
+	}
+}
+
+// TestCachedDonorIsFrozen pins the freeze contract between runSearch and
+// plancache: the config of a cached entry has every memo filled before
+// Put, so concurrent warm starts may key, hash and clone it without a
+// write; under -race an unfilled memo (Key's, a stage's sub-hash, the
+// canonical hash or a segment) is a reported race. Two donors: the one
+// the miss cached — the search itself asked for its Key but not
+// necessarily its Hash — and a rebuild of it from exported fields, whose
+// memos only Freeze ever filled.
+func TestCachedDonorIsFrozen(t *testing.T) {
+	s, ts := testServer(t, Config{})
+	if resp, out := postPlan(t, ts.URL, tinyRequest()); resp.StatusCode != http.StatusOK || out.Cache != "miss" {
+		t.Fatalf("seed request: status %d cache %q", resp.StatusCode, out.Cache)
+	}
+	rq, err := s.prepare(tinyRequest())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cached, ok := s.Cache().Warm(rq.key.Graph, rq.key.Options)
+	if !ok || cached.Config == nil {
+		t.Fatal("no cached donor")
+	}
+
+	bare := &config.Config{MicroBatch: cached.Config.MicroBatch}
+	for _, st := range cached.Config.Stages {
+		bare.Stages = append(bare.Stages, config.Stage{
+			Start: st.Start, End: st.End, Devices: st.Devices,
+			Ops: append([]config.OpSetting(nil), st.Ops...),
+		})
+	}
+	bare.Freeze()
+	other := rq.key
+	other.Cluster++
+	s.Cache().Put(&plancache.Entry{Key: other, Config: bare})
+	rebuilt, ok := s.Cache().Get(other)
+	if !ok {
+		t.Fatal("rebuilt donor not cached")
+	}
+
+	for _, donor := range []*config.Config{cached.Config, rebuilt.Config} {
+		want := donor.Canonical()
+		var wg sync.WaitGroup
+		for i := 0; i < 8; i++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				var arena config.Arena
+				arena.Put(donor.Clone())
+				c := donor.CloneIn(&arena)
+				if c.Key() != donor.Key() || c.Hash() != donor.Hash() {
+					t.Error("clone of the cached donor keys or hashes differently")
+				}
+				for si := range donor.Stages {
+					if c.Stages[si].SubHash() != donor.Stages[si].SubHash() {
+						t.Errorf("stage %d sub-hash differs between donor and clone", si)
+					}
+				}
+				// A warm start mutates its clone, never the donor.
+				c.MutOp(0, 0, func(o *config.OpSetting) { o.Recompute = !o.Recompute })
+				if c.Key() == donor.Key() || c.Hash() == donor.Hash() {
+					t.Error("mutated clone still keys or hashes as the donor")
+				}
+			}()
+		}
+		wg.Wait()
+		if got := donor.Canonical(); got != want {
+			t.Errorf("donor changed under concurrent warm starts:\n got %s\nwant %s", got, want)
+		}
 	}
 }
