@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test ci fmt-check bench-smoke bench-search bench-guard scale-guard bench-scale bench-serve bench-hetero bench-spot chaos fuzz-smoke trace-smoke diff-smoke elastic-smoke churn-smoke serve-smoke hetero-smoke spot-smoke
+.PHONY: build test ci fmt-check bench-smoke bench-search bench-guard scale-guard bench-scale bench-serve bench-hetero bench-spot chaos fuzz-smoke trace-smoke diff-smoke recover-smoke serve-smoke hetero-smoke
 
 build:
 	$(GO) build ./...
@@ -8,38 +8,17 @@ build:
 test:
 	$(GO) test ./...
 
-# ci is the pre-merge gate: vet, the full suite, race-detector runs of
-# the packages that share caches across goroutines (the search workers
-# and the perfmodel stage cache), a fuzz smoke over every corpus-seeded
-# fuzz target, a one-iteration smoke of the search-throughput benchmark
-# so hot-path regressions fail loudly (and of the config identity
-# layer's in-package benchmarks, so they cannot rot), the benchmark
-# guard (explored must match the committed BENCH_search.json exactly;
-# ns/op and allocs/op must stay within tolerance of it), a traced-search smoke
-# (the breakdown auditor fails the build on any resource-accounting
-# violation), a short chaos run — which also audits every trial's
-# estimates — the differential model-vs-simulator smoke (5k effects-off
-# tuples; any Eq.1/Eq.2 invariant violation fails the build and leaves
-# a shrunken repro JSON behind), and the elastic-runtime smoke
-# (checkpoint → kill → replan → reshard → resume must rejoin the
-# uninterrupted trajectory, plus randomized elastic chaos trials), the
-# continuous-churn smoke (a seeded multi-event schedule through
-# elastic.Supervise plus randomized churn chaos trials), and the
-# planning-daemon smoke (start acesod, one cold plan, one cache hit
-# that must replay identical bytes, an SSE stream, a /metrics scrape,
-# then a real SIGTERM drain), and the heterogeneous-planning smoke (the
-# mixed-fleet search must keep beating the re-priced class-blind plan
-# with its committed explored counts and plan fingerprint, and a
-# mixed-cluster diff slice must stay violation-free), and the spot
-# smoke (randomized spot preemption/notice chaos trials plus the
-# notice-drain e2e: window ≥ checkpoint cost must lose zero steps).
-# fmt-check, bench-smoke and scale-guard are described at their targets.
+# ci is the pre-merge gate; each target below says what it checks. The
+# race lines cover the packages that share state across goroutines: the
+# search workers and their caches, the daemon, and the runtime, its
+# collectives and the supervisor that restarts them. The two -bench
+# lines run one iteration so the benchmarks cannot rot.
 ci: build fmt-check
 	$(GO) vet ./...
 	$(GO) test ./...
 	$(MAKE) bench-smoke
 	$(GO) test -race ./internal/core/... ./internal/perfmodel/... ./internal/memo/... ./internal/planserver/... ./internal/plancache/... ./internal/obs/... ./internal/hardware/... ./internal/collective/...
-	$(GO) test -race -count=1 -run 'Notice|Spot|DoublePreempt' ./internal/elastic
+	$(GO) test -race ./internal/elastic/... ./internal/chaos/... ./internal/runtime/... ./internal/comm/... ./internal/clustersim/...
 	$(MAKE) fuzz-smoke
 	$(GO) test -run xxx -bench BenchmarkSearchThroughput -benchtime 1x .
 	$(GO) test -run xxx -bench . -benchtime 1x ./internal/config
@@ -49,9 +28,7 @@ ci: build fmt-check
 	$(MAKE) chaos CHAOS_DURATION=10s
 	$(MAKE) diff-smoke
 	$(MAKE) hetero-smoke
-	$(MAKE) elastic-smoke
-	$(MAKE) churn-smoke
-	$(MAKE) spot-smoke
+	$(MAKE) recover-smoke
 	$(MAKE) serve-smoke
 
 # fmt-check fails when gofmt would change any file of either module.
@@ -93,34 +70,22 @@ fuzz-smoke:
 	$(GO) test -fuzz=FuzzChurnEventsNeverPanic -fuzztime=5s ./internal/elastic
 	$(GO) test -fuzz=FuzzPreemptNoticeNeverPanics -fuzztime=5s ./internal/elastic
 
-# elastic-smoke runs the elastic-runtime benchmark + randomized elastic
-# chaos trials via cmd/acesobench: it fails the build if the recovered
-# run diverges from the uninterrupted trajectory or any trial panics,
-# deadlocks, loses steps or produces a non-finite loss. It writes
-# BENCH_elastic.json into /tmp to keep the tree clean.
-ELASTIC_TRIALS ?= 12
-elastic-smoke:
-	$(GO) run ./cmd/acesobench -elastic-trials $(ELASTIC_TRIALS) -elasticfile /tmp/aceso_ci_elastic.json elastic
-
-# churn-smoke runs the continuous-churn supervisor benchmark (a seeded
-# 22-event schedule of preemptions, re-additions, stragglers and link
-# derates through elastic.Supervise) plus randomized churn chaos
-# trials. It fails the build if the supervised run diverges from the
-# uninterrupted trajectory, the hysteresis never defers a replan, or
-# any trial violates the availability/monotonicity invariants. It
-# writes BENCH_churn.json into /tmp to keep the tree clean.
-CHURN_TRIALS ?= 12
-churn-smoke:
-	$(GO) run ./cmd/acesobench -churn-trials $(CHURN_TRIALS) -churnfile /tmp/aceso_ci_churn.json churn
-
-# spot-smoke is the fast spot-capacity gate: randomized Poisson-hazard
-# preemption streams — with and without reclaim notices — through
-# elastic.Supervise (internal/chaos.RunSpot), plus the notice-drain
-# end-to-end test: a notice window at least as long as the checkpoint
-# cost must yield a clean drain with zero lost steps and a trajectory
-# identical to the uninterrupted run. Part of ci.
-spot-smoke:
-	$(GO) test -count=1 -run TestRunSpotClean ./internal/chaos
+# recover-smoke gates the one recovery path, elastic.Supervise. The
+# churn target drives a seeded 22-event schedule of preemptions,
+# re-additions, stragglers and link derates through it with a
+# checkpoint file round trip, then RECOVER_TRIALS randomized chaos
+# trials each of the one-fault and churn scenarios; it fails the build
+# if the supervised run leaves the uninterrupted trajectory, the
+# hysteresis never defers a replan, or any trial panics, hangs, loses
+# steps or diverges (BENCH_churn.json goes to /tmp to keep the tree
+# clean). The two test lines are the spot half: randomized
+# Poisson-hazard reclaim streams with and without notices, and the
+# notice-drain end to end — a window at least as long as the checkpoint
+# cost must drain with zero lost steps.
+RECOVER_TRIALS ?= 12
+recover-smoke:
+	$(GO) run ./cmd/acesobench -churn-trials $(RECOVER_TRIALS) -churnfile /tmp/aceso_ci_churn.json churn
+	$(GO) test -count=1 -run 'TestRunClean/spot' ./internal/chaos
 	$(GO) test -count=1 -run 'TestSuperviseNoticeDrainZeroLostSteps|TestSuperviseNoticeMissedFallsBack' ./internal/elastic
 
 # bench-spot re-runs the spot-capacity case study (risk-aware vs

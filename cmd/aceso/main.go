@@ -7,14 +7,16 @@
 //	aceso estimate -model gpt3 -size 1.3B -gpus 4 -pp 2 -tp 2 -dp 1 -mbs 1 [-recompute]
 //	aceso baseline -model gpt3 -size 1.3B -gpus 4            # Megatron grid + Alpa-like
 //	aceso elastic  -layers 6 -dim 16 -batch 32 -iters 8 -fault-rank 2 -fault-iter 4
+//	aceso churn    -layers 6 -dim 16 -batch 32 -iters 12 [-events 8]
 //
 // search prints the best found configuration, its performance-model
 // estimate, and the runtime simulator's verdict. estimate evaluates a
 // manual (Megatron-style global) configuration. baseline runs the two
-// comparison systems on the same workload. elastic trains a small MLP
-// for real, kills a device mid-run, and narrates the recovery
-// (checkpoint → replan → reshard → resume) against an uninterrupted
-// reference run.
+// comparison systems on the same workload. elastic and churn train a
+// small MLP for real under a fault schedule — one device killed
+// mid-run, or a random stream of fleet events — and narrate the
+// supervisor's recovery (checkpoint → replan → reshard → resume)
+// against an uninterrupted reference run.
 package main
 
 import (
@@ -36,8 +38,6 @@ import (
 	"aceso/internal/perfmodel"
 	"aceso/internal/pipesim"
 	"aceso/internal/profiler"
-	"aceso/internal/runtime"
-	"aceso/internal/tensor"
 )
 
 func main() {
@@ -237,133 +237,74 @@ func runBaseline(args []string) error {
 	return nil
 }
 
-// runElastic is the elastic-runtime demo: really train a small MLP on
-// an emulated cluster, kill a device mid-run, and show the recovery —
-// replanned config, reshard traffic, recovery latency — next to an
-// uninterrupted reference trajectory.
-func runElastic(args []string) error {
-	fs := flag.NewFlagSet("elastic", flag.ExitOnError)
-	layers := fs.Int("layers", 6, "MLP layers")
-	dim := fs.Int("dim", 16, "MLP hidden width")
-	batch := fs.Int("batch", 32, "global batch rows")
-	iters := fs.Int("iters", 8, "training iterations")
-	faultRank := fs.Int("fault-rank", 2, "device rank to kill (-1 disables the fault)")
-	faultIter := fs.Int("fault-iter", 4, "iteration at which the device dies")
-	ckptEvery := fs.Int("ckpt-every", 2, "checkpoint cadence in iterations")
-	seed := fs.Int64("seed", 1, "deterministic seed")
-	fs.Parse(args)
-
-	g, err := model.MLP(*layers, *dim, *batch)
-	if err != nil {
-		return err
-	}
-	cfg, err := config.Balanced(g, 4, 2, *batch/4)
-	if err != nil {
-		return err
-	}
-	for i := range cfg.Stages {
-		for j := range cfg.Stages[i].Ops {
-			cfg.Stages[i].Ops[j] = config.OpSetting{TP: 2, DP: 1}
-		}
-	}
-	cl := hardware.DGX1V100(1).Restrict(4)
-	if err := cfg.Validate(g, cl.TotalDevices()); err != nil {
-		return err
-	}
-	rng := rand.New(rand.NewSource(*seed))
-	x, y := tensor.New(*batch, *dim), tensor.New(*batch, *dim)
-	for i := range x.Data {
-		x.Data[i] = rng.NormFloat64()
-		y.Data[i] = rng.NormFloat64()
-	}
-	fmt.Printf("elastic: MLP(%d layers, dim %d, batch %d), pp2×tp2 on %d emulated V100s\n",
-		*layers, *dim, *batch, cl.TotalDevices())
-
-	ref := runtime.InitParams(g, *seed)
-	ref.Opt = runtime.Adam
-	refLosses, err := runtime.Parallel(g, cfg, ref, x, y, 0.05, *iters)
-	if err != nil {
-		return err
-	}
-
-	var fault *runtime.FaultPlan
-	if *faultRank >= 0 {
-		fault = &runtime.FaultPlan{Rank: *faultRank, Iteration: *faultIter}
-		fmt.Printf("elastic: device %d will die at the top of iteration %d\n", *faultRank, *faultIter)
-	}
-	p := runtime.InitParams(g, *seed)
-	p.Opt = runtime.Adam
-	rep, err := elastic.Train(context.Background(), g, cl, cfg, p, x, y, *iters, fault,
-		elastic.Options{LR: 0.05, CheckpointEvery: *ckptEvery, Seed: *seed,
-			SearchBudget: 300 * time.Millisecond})
-	if err != nil {
-		return err
-	}
-
-	fmt.Printf("\n%-5s %-14s %-14s\n", "iter", "uninterrupted", "elastic")
-	for i := range rep.Losses {
-		fmt.Printf("%-5d %-14.9f %-14.9f\n", i, refLosses[i], rep.Losses[i])
-	}
-	if rep.FaultsInjected > 0 {
-		fmt.Printf("\nrecovered in %v: replanned %d→%d devices (%d stages, mbs %d), reshard moved %d bytes, %d checkpoints\n",
-			rep.Recovery.Round(time.Microsecond), cl.TotalDevices(), rep.Config.TotalDevices(),
-			rep.Config.NumStages(), rep.Config.MicroBatch, rep.ReshardBytesMoved, rep.Checkpoints)
-	} else {
-		fmt.Printf("\nno fault injected: %d checkpoints, final step %d\n", rep.Checkpoints, rep.FinalStep)
-	}
-	fmt.Printf("final state: step %d, max parameter divergence from uninterrupted run %.3g\n",
-		rep.FinalStep, ref.MaxDiff(rep.Params))
-	return nil
+// demoFlags are the flags `aceso elastic` and `aceso churn` share.
+type demoFlags struct {
+	layers, dim, batch, iters, ckptEvery int
+	seed                                 int64
 }
 
-// runChurn is the continuous-churn demo: train a small MLP under a
-// randomly drawn stream of preemptions, re-additions and derates, and
-// narrate every supervisor decision — deferred and forced replans,
-// ladder rungs, backoff retries, pauses — as a live timeline, ending
-// with the availability ledger and the divergence from an
-// uninterrupted reference run.
+func (f *demoFlags) bind(fs *flag.FlagSet, iters int) {
+	fs.IntVar(&f.layers, "layers", 6, "MLP layers")
+	fs.IntVar(&f.dim, "dim", 16, "MLP hidden width")
+	fs.IntVar(&f.batch, "batch", 32, "global batch rows")
+	fs.IntVar(&f.iters, "iters", iters, "training iterations")
+	fs.IntVar(&f.ckptEvery, "ckpt-every", 2, "initial checkpoint cadence in iterations")
+	fs.Int64Var(&f.seed, "seed", 1, "deterministic seed")
+}
+
+// runElastic kills one device mid-run: the smallest fault schedule.
+func runElastic(args []string) error {
+	fs := flag.NewFlagSet("elastic", flag.ExitOnError)
+	var f demoFlags
+	f.bind(fs, 8)
+	faultRank := fs.Int("fault-rank", 2, "device rank to kill (-1 disables the fault)")
+	faultIter := fs.Int("fault-iter", 4, "iteration at which the device dies")
+	fs.Parse(args)
+	return superviseDemo("elastic", f, func(*rand.Rand, int) elastic.ChurnSpec {
+		if *faultRank < 0 {
+			return elastic.ChurnSpec{}
+		}
+		return elastic.ChurnSpec{Events: []elastic.ChurnEvent{
+			{Iteration: *faultIter, Kind: elastic.Preempt, Device: *faultRank},
+		}}
+	})
+}
+
+// runChurn draws a random stream of preemptions, re-additions and
+// derates.
 func runChurn(args []string) error {
 	fs := flag.NewFlagSet("churn", flag.ExitOnError)
-	layers := fs.Int("layers", 6, "MLP layers")
-	dim := fs.Int("dim", 16, "MLP hidden width")
-	batch := fs.Int("batch", 32, "global batch rows")
-	iters := fs.Int("iters", 12, "training iterations")
+	var f demoFlags
+	f.bind(fs, 12)
 	events := fs.Int("events", 8, "maximum churn events to draw")
-	ckptEvery := fs.Int("ckpt-every", 2, "initial checkpoint cadence in iterations")
-	seed := fs.Int64("seed", 1, "deterministic seed")
 	fs.Parse(args)
-
-	g, err := model.MLP(*layers, *dim, *batch)
-	if err != nil {
-		return err
-	}
-	cfg, err := config.Balanced(g, 4, 2, *batch/4)
-	if err != nil {
-		return err
-	}
-	for i := range cfg.Stages {
-		for j := range cfg.Stages[i].Ops {
-			cfg.Stages[i].Ops[j] = config.OpSetting{TP: 2, DP: 1}
+	return superviseDemo("churn", f, func(rng *rand.Rand, devices int) elastic.ChurnSpec {
+		spec := chaos.RandomChurnSpec(rng, devices, f.iters, *events)
+		for tries := 0; *events > 0 && len(spec.Events) == 0 && tries < 16; tries++ {
+			// The generator draws 0..events; an empty schedule makes a dull
+			// demo, so keep drawing from the same deterministic stream.
+			spec = chaos.RandomChurnSpec(rng, devices, f.iters, *events)
 		}
-	}
+		return spec
+	})
+}
+
+// superviseDemo is the recovery demo: really train a small MLP on an
+// emulated cluster under a fault schedule and narrate every supervisor
+// decision — deferred and forced replans, ladder rungs, backoff
+// retries, pauses — as a live timeline, ending with the availability
+// ledger and the divergence from an uninterrupted reference run.
+func superviseDemo(name string, f demoFlags, schedule func(rng *rand.Rand, devices int) elastic.ChurnSpec) error {
+	rng := rand.New(rand.NewSource(f.seed))
 	cl := hardware.DGX1V100(1).Restrict(4)
-	if err := cfg.Validate(g, cl.TotalDevices()); err != nil {
+	job, err := chaos.MLPJob(rng, cl, f.layers, f.dim, f.batch, chaos.Shape{Stages: 2, TP: 2, DP: 1}, f.batch/4, f.seed)
+	if err != nil {
 		return err
 	}
-	rng := rand.New(rand.NewSource(*seed))
-	x, y := tensor.New(*batch, *dim), tensor.New(*batch, *dim)
-	for i := range x.Data {
-		x.Data[i] = rng.NormFloat64()
-		y.Data[i] = rng.NormFloat64()
-	}
-	spec := chaos.RandomChurnSpec(rng, cl.TotalDevices(), *iters, *events)
-	for tries := 0; *events > 0 && len(spec.Events) == 0 && tries < 16; tries++ {
-		// The generator draws 0..events; an empty schedule makes a dull
-		// demo, so keep drawing from the same deterministic stream.
-		spec = chaos.RandomChurnSpec(rng, cl.TotalDevices(), *iters, *events)
-	}
-	fmt.Printf("churn: MLP(%d layers, dim %d, batch %d), pp2×tp2 on %d emulated V100s, %d scheduled events:\n",
-		*layers, *dim, *batch, cl.TotalDevices(), len(spec.Events))
+	job.Iters = f.iters
+	spec := schedule(rng, cl.TotalDevices())
+	fmt.Printf("%s: MLP(%d layers, dim %d, batch %d), pp2×tp2 on %d emulated V100s, %d scheduled events:\n",
+		name, f.layers, f.dim, f.batch, cl.TotalDevices(), len(spec.Events))
 	for _, ev := range spec.Events {
 		switch ev.Kind {
 		case elastic.Preempt, elastic.Readd:
@@ -375,44 +316,36 @@ func runChurn(args []string) error {
 		}
 	}
 
-	ref := runtime.InitParams(g, *seed)
-	ref.Opt = runtime.Adam
-	refLosses, err := runtime.Parallel(g, cfg, ref, x, y, 0.05, *iters)
+	refLosses, ref, err := chaos.Reference(job)
 	if err != nil {
 		return err
 	}
-
-	p := runtime.InitParams(g, *seed)
-	p.Opt = runtime.Adam
 	fmt.Println("\ntimeline:")
-	rep, err := elastic.Supervise(context.Background(), g, cl, cfg, p, x, y, *iters, spec,
-		elastic.SuperviseOptions{
-			Options: elastic.Options{
-				LR: 0.05, CheckpointEvery: *ckptEvery, Seed: *seed,
-				SearchBudget: 300 * time.Millisecond,
-			},
-			OnTransition: func(tr elastic.Transition) {
-				fmt.Printf("  step %-3d [%s] %s\n", tr.Step, tr.Kind, tr.Detail)
-			},
-		})
+	rep, err := elastic.Supervise(context.Background(), job, spec, elastic.Options{
+		LR: chaos.LR, CheckpointEvery: f.ckptEvery, Seed: f.seed,
+		SearchBudget: 300 * time.Millisecond,
+		OnTransition: func(tr elastic.Transition) {
+			fmt.Printf("  step %-3d [%s] %s\n", tr.Step, tr.Kind, tr.Detail)
+		},
+	})
 	if err != nil {
 		return err
 	}
 
-	fmt.Printf("\n%-5s %-14s %-14s\n", "iter", "uninterrupted", "churn")
+	fmt.Printf("\n%-5s %-14s %-14s\n", "iter", "uninterrupted", name)
 	for i := range rep.Losses {
 		fmt.Printf("%-5d %-14.9f %-14.9f\n", i, refLosses[i], rep.Losses[i])
 	}
-	fmt.Printf("\nsurvived %d events (%d in-plan faults): availability %.1f%%, %d steps lost, %d replans (%d avoided by hysteresis), %d retries, %d pauses, cadence %d→%d\n",
+	fmt.Printf("\nsurvived %d events (%d in-plan faults): availability %.1f%%, %d steps lost, %d replans (%d avoided by hysteresis), %d retries, %d pauses, %d checkpoints, cadence %d→%d\n",
 		rep.EventsApplied, rep.FaultsDetected, 100*rep.Availability(), rep.StepsLost,
-		rep.Replans, rep.ReplansAvoided, rep.Retries, rep.Pauses, *ckptEvery, rep.FinalCadence)
+		rep.Replans, rep.ReplansAvoided, rep.Retries, rep.Pauses, rep.Checkpoints, f.ckptEvery, rep.FinalCadence)
 	if n := len(rep.Recoveries); n > 0 {
 		fmt.Printf("recovery p50 %v, p99 %v over %d recoveries; %d bytes resharded\n",
 			rep.RecoveryPercentile(0.5).Round(time.Microsecond),
 			rep.RecoveryPercentile(0.99).Round(time.Microsecond), n, rep.ReshardBytesMoved)
 	}
-	fmt.Printf("final state: step %d on %d devices, max parameter divergence from uninterrupted run %.3g\n",
-		rep.FinalStep, rep.Config.TotalDevices(), ref.MaxDiff(rep.Params))
+	fmt.Printf("final state: step %d on %d devices (%d stages, mbs %d), max parameter divergence from uninterrupted run %.3g\n",
+		rep.FinalStep, rep.Config.TotalDevices(), rep.Config.NumStages(), rep.Config.MicroBatch, ref.MaxDiff(rep.Params))
 	return nil
 }
 

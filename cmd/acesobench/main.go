@@ -59,16 +59,6 @@
 // committed file instead — explored counts and the chosen plan's
 // fingerprint must match exactly.
 //
-// The extra target "elastic" (not part of "all") runs the elastic
-// training runtime end to end — train, kill a device mid-iteration,
-// Replan on the degraded cluster, reshard the last checkpoint, resume
-// — against an uninterrupted reference run, then hammers the same loop
-// with -elastic-trials randomized chaos trials. It writes
-// BENCH_elastic.json (see -elasticfile) with recovery latency, bytes
-// moved by the reshard and the post-resume loss delta, and exits
-// non-zero if the trajectories diverge or any chaos trial violates a
-// runtime invariant.
-//
 // The extra target "spot" (not part of "all") runs the spot-capacity
 // case study: risk-aware planning on a mixed reserved/spot fleet
 // against the hazard-blind search re-priced under the true hazard, a
@@ -112,8 +102,6 @@ import (
 	"aceso/internal/model"
 	"aceso/internal/obs"
 	"aceso/internal/perfmodel"
-	art "aceso/internal/runtime"
-	"aceso/internal/tensor"
 )
 
 // searchMeasurement is one timed run of the fixed-iteration search.
@@ -752,158 +740,73 @@ func runHeteroBench(outFile string, guardMode bool, diffTrials int, seed int64, 
 	return nil
 }
 
-// elasticBenchFile is the BENCH_elastic.json schema: the measured
-// recovery of one deterministic kill-and-resume run, plus the verdict
-// of the randomized chaos pass over the same loop.
-type elasticBenchFile struct {
-	Setting              string        `json:"setting"`
-	Iterations           int           `json:"iterations"`
-	FaultRank            int           `json:"fault_rank"`
-	FaultIteration       int           `json:"fault_iteration"`
-	DevicesBefore        int           `json:"devices_before"`
-	DevicesAfter         int           `json:"devices_after"`
-	Checkpoints          int           `json:"checkpoints"`
-	RecoveryMs           float64       `json:"recovery_ms"`
-	ReshardBytesMoved    int64         `json:"reshard_bytes_moved"`
-	LossDeltaAfterResume float64       `json:"loss_delta_after_resume"`
-	MaxParamDiff         float64       `json:"max_param_diff"`
-	ChaosTrials          int           `json:"chaos_trials"`
-	ChaosRecoveredRuns   int           `json:"chaos_recovered_runs"`
-	ChaosTypedErrs       int           `json:"chaos_typed_errors"`
-	ChaosViolations      []string      `json:"chaos_violations,omitempty"`
-	Metrics              *obs.Registry `json:"metrics"`
-}
-
-// elasticTol is the acceptance bound on the stitched-vs-uninterrupted
+// elasticTol is the acceptance bound on the supervised-vs-uninterrupted
 // trajectory: reshard is a pure float64 repartition, so anything above
 // accumulated rounding noise means recovery corrupted state.
 const elasticTol = 1e-9
 
-// runElasticBench measures one deterministic elastic recovery (pp2×tp2
-// MLP on 4 devices, device 2 killed mid-run) against an uninterrupted
-// reference, runs the randomized chaos pass, writes BENCH_elastic.json
-// and returns how many invariants failed.
-func runElasticBench(outFile string, trials int, seed int64, w io.Writer) (int, error) {
-	const (
-		layers, dim, batch = 6, 16, 32
-		iters              = 8
-		lr                 = 0.05
-	)
-	g, err := model.MLP(layers, dim, batch)
-	if err != nil {
-		return 0, err
+// recoveryJob is the churn and spot targets' workload: MLP(6 layers,
+// dim 16, batch 32) at pp2×tp2×dp2 on 8 emulated V100s — two 4-device
+// nodes instead of one DGX, so link derates hit a fabric the plan
+// actually crosses.
+func recoveryJob(iters int, seed int64) (elastic.Job, error) {
+	cl := hardware.DGX1V100(2)
+	cl.DevicesPerNode = 4
+	if err := cl.Validate(); err != nil {
+		return elastic.Job{}, err
 	}
-	cfg, err := config.Balanced(g, 4, 2, 8) // 2 stages × 2 devices, mbs 8
-	if err != nil {
-		return 0, err
-	}
-	for i := range cfg.Stages {
-		for j := range cfg.Stages[i].Ops {
-			cfg.Stages[i].Ops[j] = config.OpSetting{TP: 2, DP: 1}
+	job, err := chaos.MLPJob(rand.New(rand.NewSource(seed)), cl, 6, 16, 32, chaos.Shape{Stages: 2, TP: 2, DP: 2}, 8, seed)
+	job.Iters = iters
+	return job, err
+}
+
+const recoveryJobSetting = "MLP(6 layers, dim 16, batch 32), pp2×tp2×dp2 on 8 emulated V100s (2 nodes × 4)"
+
+// chaosVerdict is the randomized-chaos block of a recovery report.
+type chaosVerdict struct {
+	ChaosTrials       int      `json:"chaos_trials"`
+	ChaosSurvivedRuns int      `json:"chaos_survived_runs"`
+	ChaosTypedErrs    int      `json:"chaos_typed_errors"`
+	ChaosViolations   []string `json:"chaos_violations,omitempty"`
+}
+
+// runChaos runs trials randomized trials of each scenario and sums the
+// verdicts.
+func runChaos(w io.Writer, trials int, seed int64, scenarios ...chaos.Scenario) chaosVerdict {
+	var out chaosVerdict
+	for _, sc := range scenarios {
+		rep := chaos.Run(sc, chaos.Options{
+			Trials: trials,
+			Seed:   seed,
+			Log: func(format string, args ...any) {
+				fmt.Fprintf(w, format+"\n", args...)
+			},
+		})
+		fmt.Fprint(w, rep.Summary())
+		out.ChaosTrials += rep.Trials
+		out.ChaosSurvivedRuns += rep.Plans
+		out.ChaosTypedErrs += rep.TypedErrs
+		for _, v := range rep.Violations {
+			out.ChaosViolations = append(out.ChaosViolations,
+				fmt.Sprintf("%s trial %d seed %d [%s]: %s", sc, v.Trial, v.Seed, v.Kind, v.Detail))
 		}
 	}
-	cl := hardware.DGX1V100(1).Restrict(4)
-	if err := cfg.Validate(g, cl.TotalDevices()); err != nil {
-		return 0, err
-	}
-	rng := rand.New(rand.NewSource(seed))
-	x, y := tensor.New(batch, dim), tensor.New(batch, dim)
-	for i := range x.Data {
-		x.Data[i] = rng.NormFloat64()
-		y.Data[i] = rng.NormFloat64()
-	}
+	return out
+}
 
-	ref := art.InitParams(g, seed)
-	ref.Opt = art.Adam
-	refLosses, err := art.Parallel(g, cfg, ref, x, y, lr, iters)
-	if err != nil {
-		return 0, err
-	}
-
-	dir, err := os.MkdirTemp("", "aceso-elastic-*")
-	if err != nil {
-		return 0, err
-	}
-	defer os.RemoveAll(dir)
-	reg := obs.NewRegistry()
-	p := art.InitParams(g, seed)
-	p.Opt = art.Adam
-	fault := &art.FaultPlan{Rank: 2, Iteration: iters / 2}
-	rep, err := elastic.Train(context.Background(), g, cl, cfg, p, x, y, iters, fault,
-		elastic.Options{
-			LR:              lr,
-			CheckpointEvery: 2,
-			Dir:             dir,
-			SearchBudget:    300 * time.Millisecond,
-			Seed:            seed,
-			Metrics:         reg,
-		})
-	if err != nil {
-		return 0, err
-	}
-
-	out := elasticBenchFile{
-		Setting: fmt.Sprintf("MLP(%d layers, dim %d, batch %d), pp2×tp2 on 4 V100s, device %d killed at iteration %d, checkpoint every 2, seed %d",
-			layers, dim, batch, fault.Rank, fault.Iteration, seed),
-		Iterations:           iters,
-		FaultRank:            fault.Rank,
-		FaultIteration:       fault.Iteration,
-		DevicesBefore:        cl.TotalDevices(),
-		DevicesAfter:         rep.Config.TotalDevices(),
-		Checkpoints:          rep.Checkpoints,
-		RecoveryMs:           float64(rep.Recovery.Nanoseconds()) / 1e6,
-		ReshardBytesMoved:    rep.ReshardBytesMoved,
-		LossDeltaAfterResume: math.Abs(refLosses[iters-1] - rep.Losses[iters-1]),
-		MaxParamDiff:         ref.MaxDiff(rep.Params),
-		Metrics:              reg,
-	}
-	violations := 0
-	if rep.FaultsInjected != 1 || rep.Reshards != 1 || rep.FinalStep != iters {
-		violations++
-		fmt.Fprintf(w, "elastic: recovery incomplete: faults=%d reshards=%d final step %d/%d\n",
-			rep.FaultsInjected, rep.Reshards, rep.FinalStep, iters)
-	}
-	if out.LossDeltaAfterResume > elasticTol || out.MaxParamDiff > elasticTol {
-		violations++
-		fmt.Fprintf(w, "elastic: resumed trajectory diverged: loss delta %g, param diff %g (tol %g)\n",
-			out.LossDeltaAfterResume, out.MaxParamDiff, elasticTol)
-	}
-	fmt.Fprintf(w, "elastic: recovered in %.1fms (%d→%d devices, %d bytes resharded), loss delta %.3g, param diff %.3g\n",
-		out.RecoveryMs, out.DevicesBefore, out.DevicesAfter, out.ReshardBytesMoved,
-		out.LossDeltaAfterResume, out.MaxParamDiff)
-
-	crep := chaos.RunElastic(chaos.Options{
-		Trials: trials,
-		Seed:   seed,
-		Log: func(format string, args ...any) {
-			fmt.Fprintf(w, format+"\n", args...)
-		},
-	})
-	fmt.Fprint(w, crep.Summary())
-	out.ChaosTrials = crep.Trials
-	out.ChaosRecoveredRuns = crep.Plans
-	out.ChaosTypedErrs = crep.TypedErrs
-	for _, v := range crep.Violations {
-		out.ChaosViolations = append(out.ChaosViolations,
-			fmt.Sprintf("trial %d seed %d [%s]: %s", v.Trial, v.Seed, v.Kind, v.Detail))
-	}
-	violations += len(crep.Violations)
-
+// writeReport writes v to outFile as indented JSON.
+func writeReport(outFile string, v any) error {
 	f, err := os.Create(outFile)
 	if err != nil {
-		return violations, err
+		return err
 	}
 	enc := json.NewEncoder(f)
 	enc.SetIndent("", "  ")
-	if err := enc.Encode(out); err != nil {
+	if err := enc.Encode(v); err != nil {
 		f.Close()
-		return violations, err
+		return err
 	}
-	if err := f.Close(); err != nil {
-		return violations, err
-	}
-	fmt.Fprintf(w, "elastic: report → %s\n", outFile)
-	return violations, nil
+	return f.Close()
 }
 
 // churnBenchFile is the BENCH_churn.json schema: one deterministic
@@ -936,11 +839,8 @@ type churnBenchFile struct {
 	LossDeltaFinal    float64        `json:"loss_delta_final"`
 	MaxParamDiff      float64        `json:"max_param_diff"`
 	Transitions       []string       `json:"transitions"`
-	ChaosTrials       int            `json:"chaos_trials"`
-	ChaosSurvivedRuns int            `json:"chaos_survived_runs"`
-	ChaosTypedErrs    int            `json:"chaos_typed_errors"`
-	ChaosViolations   []string       `json:"chaos_violations,omitempty"`
-	Metrics           *obs.Registry  `json:"metrics"`
+	chaosVerdict
+	Metrics *obs.Registry `json:"metrics"`
 }
 
 // churnSchedule is the deterministic 22-event acceptance schedule: two
@@ -979,46 +879,14 @@ func churnSchedule() elastic.ChurnSpec {
 // gates on: every iteration completed, the final trajectory matching
 // an uninterrupted run within elasticTol, and hysteresis having
 // avoided at least one replan search. It then runs the randomized
-// churn chaos pass and writes BENCH_churn.json.
+// one-fault and churn chaos passes and writes BENCH_churn.json.
 func runChurnBench(outFile string, trials int, seed int64, w io.Writer) (int, error) {
-	const (
-		layers, dim, batch = 6, 16, 32
-		iters              = 28
-		lr                 = 0.05
-	)
-	g, err := model.MLP(layers, dim, batch)
+	const iters = 28
+	job, err := recoveryJob(iters, seed)
 	if err != nil {
 		return 0, err
 	}
-	cfg, err := config.Balanced(g, 8, 2, 8) // 2 stages × 4 devices, mbs 8
-	if err != nil {
-		return 0, err
-	}
-	for i := range cfg.Stages {
-		for j := range cfg.Stages[i].Ops {
-			cfg.Stages[i].Ops[j] = config.OpSetting{TP: 2, DP: 2}
-		}
-	}
-	// Two 4-device nodes instead of half a DGX: link derates then hit
-	// a fabric the plan actually crosses.
-	cl := hardware.DGX1V100(2)
-	cl.DevicesPerNode = 4
-	if err := cl.Validate(); err != nil {
-		return 0, err
-	}
-	if err := cfg.Validate(g, cl.TotalDevices()); err != nil {
-		return 0, err
-	}
-	rng := rand.New(rand.NewSource(seed))
-	x, y := tensor.New(batch, dim), tensor.New(batch, dim)
-	for i := range x.Data {
-		x.Data[i] = rng.NormFloat64()
-		y.Data[i] = rng.NormFloat64()
-	}
-
-	ref := art.InitParams(g, seed)
-	ref.Opt = art.Adam
-	refLosses, err := art.Parallel(g, cfg, ref, x, y, lr, iters)
+	refLosses, ref, err := chaos.Reference(job)
 	if err != nil {
 		return 0, err
 	}
@@ -1029,30 +897,25 @@ func runChurnBench(outFile string, trials int, seed int64, w io.Writer) (int, er
 	}
 	defer os.RemoveAll(dir)
 	reg := obs.NewRegistry()
-	p := art.InitParams(g, seed)
-	p.Opt = art.Adam
 	spec := churnSchedule()
-	rep, err := elastic.Supervise(context.Background(), g, cl, cfg, p, x, y, iters, spec,
-		elastic.SuperviseOptions{
-			Options: elastic.Options{
-				LR:              lr,
-				CheckpointEvery: 2,
-				Dir:             dir,
-				SearchBudget:    300 * time.Millisecond,
-				Seed:            seed,
-				Metrics:         reg,
-			},
-			BackoffBase:      100 * time.Microsecond,
-			BackoffCap:       2 * time.Millisecond,
-			SimulateTimeouts: 1, // exercise the backoff policy once
-		})
+	rep, err := elastic.Supervise(context.Background(), job, spec, elastic.Options{
+		LR:               chaos.LR,
+		CheckpointEvery:  2,
+		Dir:              dir,
+		SearchBudget:     300 * time.Millisecond,
+		Seed:             seed,
+		Metrics:          reg,
+		BackoffBase:      100 * time.Microsecond,
+		BackoffCap:       2 * time.Millisecond,
+		SimulateTimeouts: 1, // exercise the backoff policy once
+	})
 	if err != nil {
 		return 0, err
 	}
 
 	out := churnBenchFile{
-		Setting: fmt.Sprintf("MLP(%d layers, dim %d, batch %d), pp2×tp2×dp2 on 8 emulated V100s (2 nodes × 4), %d-event churn schedule, checkpoint every 2, seed %d",
-			layers, dim, batch, len(spec.Events), seed),
+		Setting: fmt.Sprintf("%s, %d-event churn schedule, checkpoint every 2, seed %d",
+			recoveryJobSetting, len(spec.Events), seed),
 		Iterations:        iters,
 		ScheduledEvents:   len(spec.Events),
 		EventsApplied:     rep.EventsApplied,
@@ -1109,34 +972,10 @@ func runChurnBench(outFile string, trials int, seed int64, w io.Writer) (int, er
 	fmt.Fprintf(w, "churn: final trajectory vs uninterrupted: loss delta %.3g, param diff %.3g (gate %g)\n",
 		out.LossDeltaFinal, out.MaxParamDiff, elasticTol)
 
-	crep := chaos.RunChurn(chaos.Options{
-		Trials: trials,
-		Seed:   seed,
-		Log: func(format string, args ...any) {
-			fmt.Fprintf(w, format+"\n", args...)
-		},
-	})
-	fmt.Fprint(w, crep.Summary())
-	out.ChaosTrials = crep.Trials
-	out.ChaosSurvivedRuns = crep.Plans
-	out.ChaosTypedErrs = crep.TypedErrs
-	for _, v := range crep.Violations {
-		out.ChaosViolations = append(out.ChaosViolations,
-			fmt.Sprintf("trial %d seed %d [%s]: %s", v.Trial, v.Seed, v.Kind, v.Detail))
-	}
-	violations += len(crep.Violations)
+	out.chaosVerdict = runChaos(w, trials, seed, chaos.OneFault, chaos.Churn)
+	violations += len(out.ChaosViolations)
 
-	f, err := os.Create(outFile)
-	if err != nil {
-		return violations, err
-	}
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(out); err != nil {
-		f.Close()
-		return violations, err
-	}
-	if err := f.Close(); err != nil {
+	if err := writeReport(outFile, out); err != nil {
 		return violations, err
 	}
 	fmt.Fprintf(w, "churn: report → %s\n", outFile)
@@ -1164,12 +1003,10 @@ func main() {
 	diffFile := flag.String("difffile", "BENCH_diff.json", "output path for the diff target's report")
 	diffTrials := flag.Int("diff-trials", diffcheck.DefaultTrials, "randomized tuples per mode for the diff target")
 	diffEffectsOn := flag.Bool("diff-effects-on", false, "also run the diff target's effects-on calibration pass")
-	elasticFile := flag.String("elasticfile", "BENCH_elastic.json", "output path for the elastic target's report")
-	elasticTrials := flag.Int("elastic-trials", chaos.DefaultElasticTrials, "randomized chaos trials for the elastic target")
 	churnFile := flag.String("churnfile", "BENCH_churn.json", "output path for the churn target's report")
-	churnTrials := flag.Int("churn-trials", chaos.DefaultChurnTrials, "randomized chaos trials for the churn target")
+	churnTrials := flag.Int("churn-trials", chaos.DefaultRecoveryTrials, "randomized chaos trials per scenario (one-fault, churn) for the churn target")
 	spotFile := flag.String("spotfile", "BENCH_spot.json", "output path for the spot target's report")
-	spotTrials := flag.Int("spot-trials", chaos.DefaultSpotTrials, "randomized chaos trials for the spot target")
+	spotTrials := flag.Int("spot-trials", chaos.DefaultRecoveryTrials, "randomized chaos trials for the spot target")
 	heteroFile := flag.String("heterofile", "BENCH_hetero.json", "output path for the hetero target's report")
 	heteroDiffTrials := flag.Int("hetero-diff-trials", 512, "randomized mixed-cluster tuples for the hetero target's diff slice")
 	serveFile := flag.String("servefile", "BENCH_serve.json", "output path for the serve target's report")
@@ -1462,21 +1299,8 @@ func main() {
 		fmt.Fprintln(w)
 	}
 
-	if want["elastic"] { // deliberately not part of "all"
-		fmt.Fprintf(w, "running elastic recovery benchmark (+%d chaos trials, seed %d)...\n",
-			*elasticTrials, *seed)
-		violations, err := runElasticBench(*elasticFile, *elasticTrials, *seed, w)
-		if err != nil {
-			fail("elastic", err)
-		}
-		if violations > 0 {
-			fail("elastic", fmt.Errorf("%d invariant violations", violations))
-		}
-		fmt.Fprintln(w)
-	}
-
 	if want["churn"] { // deliberately not part of "all"
-		fmt.Fprintf(w, "running continuous-churn benchmark (+%d chaos trials, seed %d)...\n",
+		fmt.Fprintf(w, "running continuous-churn benchmark (+%d chaos trials per scenario, seed %d)...\n",
 			*churnTrials, *seed)
 		violations, err := runChurnBench(*churnFile, *churnTrials, *seed, w)
 		if err != nil {
@@ -1521,7 +1345,7 @@ func main() {
 		}
 		fmt.Fprintf(w, "running chaos harness (duration %v, trials %d, seed %d)...\n",
 			dur, *chaosTrials, *seed)
-		rep := chaos.Run(chaos.Options{
+		rep := chaos.Run(chaos.Search, chaos.Options{
 			Trials:   *chaosTrials,
 			Duration: dur,
 			Seed:     *seed,

@@ -14,23 +14,18 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
-	"math/rand"
 	"os"
 	"time"
 
 	"aceso/internal/chaos"
-	"aceso/internal/config"
 	"aceso/internal/core"
 	"aceso/internal/elastic"
 	"aceso/internal/hardware"
 	"aceso/internal/model"
 	"aceso/internal/obs"
 	"aceso/internal/perfmodel"
-	art "aceso/internal/runtime"
-	"aceso/internal/tensor"
 )
 
 // spotSpeedupGate is the acceptance floor on achieved-throughput
@@ -90,10 +85,7 @@ type spotBenchFile struct {
 	AchievedSpeedup  float64         `json:"achieved_speedup"`
 	SpeedupGate      float64         `json:"speedup_gate"`
 
-	ChaosTrials       int      `json:"chaos_trials"`
-	ChaosSurvivedRuns int      `json:"chaos_survived_runs"`
-	ChaosTypedErrs    int      `json:"chaos_typed_errors"`
-	ChaosViolations   []string `json:"chaos_violations,omitempty"`
+	chaosVerdict
 
 	Metrics *obs.Registry `json:"metrics"`
 }
@@ -150,7 +142,7 @@ func spotEvents(aware bool) elastic.ChurnSpec {
 }
 
 // spotStats prices one supervised run's achieved throughput.
-func spotStats(rep *elastic.ChurnReport, cadence, iters int) spotReplayStats {
+func spotStats(rep *elastic.Report, cadence, iters int) spotReplayStats {
 	wall := float64(rep.IterationsExecuted) +
 		spotCkptCost*float64(rep.Checkpoints) +
 		spotFaultCost*float64(rep.FaultsDetected) +
@@ -234,37 +226,12 @@ func runSpotBench(outFile string, trials int, seed int64, w io.Writer) (int, err
 	// --- Replay slice --------------------------------------------------
 	// Same MLP fleet as the churn bench: 8 emulated V100s, 2 nodes.
 	const (
-		layers, dim, batch = 6, 16, 32
-		iters              = 32
-		lr                 = 0.05
-		blindCadence       = 8
+		iters        = 32
+		blindCadence = 8
 	)
-	g, err := model.MLP(layers, dim, batch)
+	job, err := recoveryJob(iters, seed)
 	if err != nil {
 		return violations, err
-	}
-	cfg, err := config.Balanced(g, 8, 2, 8)
-	if err != nil {
-		return violations, err
-	}
-	for i := range cfg.Stages {
-		for j := range cfg.Stages[i].Ops {
-			cfg.Stages[i].Ops[j] = config.OpSetting{TP: 2, DP: 2}
-		}
-	}
-	cl := hardware.DGX1V100(2)
-	cl.DevicesPerNode = 4
-	if err := cl.Validate(); err != nil {
-		return violations, err
-	}
-	if err := cfg.Validate(g, cl.TotalDevices()); err != nil {
-		return violations, err
-	}
-	rng := rand.New(rand.NewSource(seed))
-	x, y := tensor.New(batch, dim), tensor.New(batch, dim)
-	for i := range x.Data {
-		x.Data[i] = rng.NormFloat64()
-		y.Data[i] = rng.NormFloat64()
 	}
 
 	// The aware cadence is the Young–Daly recommendation for the
@@ -273,33 +240,30 @@ func runSpotBench(outFile string, trials int, seed int64, w io.Writer) (int, err
 	awareCadence := perfmodel.RecommendedCadence(lamPerIter, 1, spotCkptCost, blindCadence)
 
 	reg := obs.NewRegistry()
-	run := func(aware bool) (*elastic.ChurnReport, error) {
+	run := func(aware bool) (*elastic.Report, error) {
 		dir, err := os.MkdirTemp("", "aceso-spot-*")
 		if err != nil {
 			return nil, err
 		}
 		defer os.RemoveAll(dir)
-		p := art.InitParams(g, seed)
-		p.Opt = art.Adam
-		sopt := elastic.SuperviseOptions{
-			Options: elastic.Options{
-				LR:              lr,
-				CheckpointEvery: blindCadence,
-				Dir:             dir,
-				SearchBudget:    300 * time.Millisecond,
-				Seed:            seed,
-			},
-			BackoffBase: 100 * time.Microsecond,
-			BackoffCap:  2 * time.Millisecond,
-			MaxCadence:  blindCadence,
+		j := job
+		j.Params = job.Params.Clone() // a supervised run consumes its parameters
+		sopt := elastic.Options{
+			LR:              chaos.LR,
+			CheckpointEvery: blindCadence,
+			Dir:             dir,
+			SearchBudget:    300 * time.Millisecond,
+			Seed:            seed,
+			BackoffBase:     100 * time.Microsecond,
+			BackoffCap:      2 * time.Millisecond,
+			MaxCadence:      blindCadence,
 		}
 		if aware {
 			sopt.CheckpointEvery = awareCadence
 			sopt.CheckpointCost = 1
 			sopt.Metrics = reg
 		}
-		return elastic.Supervise(context.Background(), g, cl, cfg, p, x, y, iters,
-			spotEvents(aware), sopt)
+		return elastic.Supervise(context.Background(), j, spotEvents(aware), sopt)
 	}
 
 	awareRep, err := run(true)
@@ -344,19 +308,12 @@ func runSpotBench(outFile string, trials int, seed int64, w io.Writer) (int, err
 		speedup, spotSpeedupGate)
 
 	// --- Chaos slice ---------------------------------------------------
-	crep := chaos.RunSpot(chaos.Options{
-		Trials: trials,
-		Seed:   seed,
-		Log: func(format string, args ...any) {
-			fmt.Fprintf(w, format+"\n", args...)
-		},
-	})
-	fmt.Fprint(w, crep.Summary())
-	violations += len(crep.Violations)
+	verdict := runChaos(w, trials, seed, chaos.Spot)
+	violations += len(verdict.ChaosViolations)
 
 	out := spotBenchFile{
-		Setting: fmt.Sprintf("planner: GPT-3 350M on 8 reserved + 8 spot V100s (6 reclaims/hour, 120s notice); replay: MLP(%d layers, dim %d, batch %d) on 8 emulated V100s, %d-reclaim trace over %d iterations, seed %d",
-			layers, dim, batch, len(spotTrace), iters, seed),
+		Setting: fmt.Sprintf("planner: GPT-3 350M on 8 reserved + 8 spot V100s (6 reclaims/hour, 120s notice); replay: %s, %d-reclaim trace over %d iterations, seed %d",
+			recoveryJobSetting, len(spotTrace), iters, seed),
 		Seed:                  seed,
 		AwareNominalIterTime:  aware.Best.Estimate.IterTime,
 		AwareExpectedIterTime: awareExpected,
@@ -372,27 +329,10 @@ func runSpotBench(outFile string, trials int, seed int64, w io.Writer) (int, err
 		Blind:                 blindStats,
 		AchievedSpeedup:       speedup,
 		SpeedupGate:           spotSpeedupGate,
-		ChaosTrials:           crep.Trials,
-		ChaosSurvivedRuns:     crep.Plans,
-		ChaosTypedErrs:        crep.TypedErrs,
+		chaosVerdict:          verdict,
 		Metrics:               reg,
 	}
-	for _, v := range crep.Violations {
-		out.ChaosViolations = append(out.ChaosViolations,
-			fmt.Sprintf("trial %d seed %d [%s]: %s", v.Trial, v.Seed, v.Kind, v.Detail))
-	}
-
-	f, err := os.Create(outFile)
-	if err != nil {
-		return violations, err
-	}
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(out); err != nil {
-		f.Close()
-		return violations, err
-	}
-	if err := f.Close(); err != nil {
+	if err := writeReport(outFile, out); err != nil {
 		return violations, err
 	}
 	fmt.Fprintf(w, "spot: report → %s\n", outFile)

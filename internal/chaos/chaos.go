@@ -1,15 +1,17 @@
-// Package chaos is the fault-injection harness for the search stack:
-// it hammers SearchContext with randomly degraded clusters, hostile
+// Package chaos is the fault-injection harness. Its Search scenario
+// hammers SearchContext with randomly degraded clusters, hostile
 // option sets, poisoned profiler databases and malformed graphs, and
 // checks one invariant on every trial — the search returns either a
 // Validate-clean plan with finite scores or a typed error. Never a
-// panic, never a NaN.
+// panic, never a NaN. Its recovery scenarios (recovery.go) train a real
+// model through elastic.Supervise under a random fault schedule and
+// check that the run rejoins the uninterrupted trajectory.
 //
 // The harness is deliberately adversarial where the unit tests are
 // cooperative: unit tests pin the behavior of specific fault paths,
 // chaos searches for the paths nobody thought to pin. Every trial is
 // reproducible from (Options.Seed, trial index), so a violation in a
-// long run can be replayed in isolation with ReplayTrial.
+// long run can be replayed in isolation with Replay.
 package chaos
 
 import (
@@ -28,10 +30,34 @@ import (
 	"aceso/internal/perfmodel"
 )
 
-// Options tunes a chaos run. The zero value runs DefaultTrials trials.
+// Scenario selects what a trial hammers.
+type Scenario uint8
+
+const (
+	// Search runs SearchContext on hostile inputs.
+	Search Scenario = iota
+	// OneFault kills one in-plan device mid-run: the smallest churn
+	// schedule, train → kill → replan → reshard → resume.
+	OneFault
+	// Churn draws a mixed schedule of preemptions, re-additions,
+	// stragglers and link derates (RandomChurnSpec).
+	Churn
+	// Spot draws a Poisson-hazard reclaim stream with a mix of noticed
+	// and unnoticed reclaims and a random checkpoint cost
+	// (RandomSpotSpec).
+	Spot
+)
+
+// String implements fmt.Stringer.
+func (sc Scenario) String() string {
+	return [...]string{"search", "one-fault", "churn", "spot"}[sc]
+}
+
+// Options tunes a chaos run.
 type Options struct {
 	// Trials is the number of randomized trials; 0 means run until
-	// Duration expires (or DefaultTrials when Duration is also zero).
+	// Duration expires (or the scenario's default count when Duration is
+	// also zero).
 	Trials int
 	// Duration bounds the wall time of the whole run; 0 means no bound.
 	Duration time.Duration
@@ -41,17 +67,24 @@ type Options struct {
 	Log func(format string, args ...any)
 }
 
-// DefaultTrials is the trial count when neither Trials nor Duration is
-// set.
-const DefaultTrials = 64
+// DefaultTrials is the Search trial count when neither Trials nor
+// Duration is set. DefaultRecoveryTrials is the same for the recovery
+// scenarios, whose trials each train a model and usually run several
+// replan searches.
+const (
+	DefaultTrials         = 64
+	DefaultRecoveryTrials = 12
+)
 
-// Violation is one broken invariant: the search panicked, returned an
-// unvalidated plan, let a non-finite value escape, or produced an
-// estimate whose resource-accounting breakdown is inconsistent.
+// Violation is one broken invariant: a trial panicked, or the search
+// returned an unvalidated plan, let a non-finite value escape or
+// produced an estimate whose resource-accounting breakdown is
+// inconsistent, or a supervised run hung, lost steps or left the
+// uninterrupted trajectory.
 type Violation struct {
 	Trial  int
 	Seed   int64  // per-trial seed: replays the exact trial
-	Kind   string // "panic" | "invalid-plan" | "non-finite" | "poison-accepted" | "breakdown"
+	Kind   string // "panic", "invalid-plan", "non-finite", "diverged", ...
 	Detail string
 }
 
@@ -59,10 +92,15 @@ func (v Violation) String() string {
 	return fmt.Sprintf("trial %d (seed %d) %s: %s", v.Trial, v.Seed, v.Kind, v.Detail)
 }
 
+// violation builds a trial's verdict; Replay stamps trial and seed.
+func violation(kind, format string, args ...any) *Violation {
+	return &Violation{Kind: kind, Detail: fmt.Sprintf(format, args...)}
+}
+
 // Report summarizes a chaos run.
 type Report struct {
 	Trials     int
-	Plans      int // trials that produced a validated plan
+	Plans      int // trials that produced a validated plan or a finished, faithful run
 	TypedErrs  int // trials rejected with a typed error (acceptable)
 	Violations []Violation
 	Elapsed    time.Duration
@@ -86,51 +124,68 @@ func (r *Report) Summary() string {
 	return b.String()
 }
 
-// Run executes the chaos trials and returns the report.
-func Run(o Options) *Report {
+// Run executes the scenario's trials and returns the report.
+func Run(sc Scenario, o Options) *Report {
 	start := time.Now()
 	rep := &Report{}
 	deadline := time.Time{}
 	if o.Duration > 0 {
 		deadline = start.Add(o.Duration)
 	}
+	defTrials, logEvery := DefaultRecoveryTrials, 4
+	if sc == Search {
+		defTrials, logEvery = DefaultTrials, 1024
+	}
 	trials := o.Trials
 	if trials <= 0 && o.Duration <= 0 {
-		trials = DefaultTrials
+		trials = defTrials
 	}
 	for i := 0; trials <= 0 || i < trials; i++ {
 		if !deadline.IsZero() && time.Now().After(deadline) {
 			break
 		}
-		seed := o.Seed + int64(i)*1000003
-		v := ReplayTrial(i, seed, rep)
+		ok, v := Replay(sc, i, o.Seed+int64(i)*1000003)
 		rep.Trials++
-		if v != nil {
+		switch {
+		case v != nil:
 			rep.Violations = append(rep.Violations, *v)
+		case ok:
+			rep.Plans++
+		default:
+			rep.TypedErrs++
 		}
-		if o.Log != nil && (i+1)%1024 == 0 {
-			o.Log("chaos: %d trials, %d plans, %d typed errors, %d violations",
-				rep.Trials, rep.Plans, rep.TypedErrs, len(rep.Violations))
+		if o.Log != nil && (i+1)%logEvery == 0 {
+			o.Log("chaos %s: %d trials, %d passed, %d typed errors, %d violations",
+				sc, rep.Trials, rep.Plans, rep.TypedErrs, len(rep.Violations))
 		}
 	}
 	rep.Elapsed = time.Since(start)
 	return rep
 }
 
-// ReplayTrial runs one trial with the given seed, updating the plan and
-// typed-error counters on rep (which may be a throwaway), and returns
-// the violation, if any. Exported so a violation found in a long run
-// can be replayed under a debugger.
-func ReplayTrial(trial int, seed int64, rep *Report) (viol *Violation) {
+// Replay runs one trial of a scenario with the given seed. It reports
+// ok when the trial produced a validated plan (Search) or a finished
+// run on the uninterrupted trajectory (recovery scenarios); not ok with
+// a nil violation is an acceptable typed rejection. Exported so a
+// violation found in a long run can be replayed under a debugger.
+func Replay(sc Scenario, trial int, seed int64) (ok bool, viol *Violation) {
 	defer func() {
 		if r := recover(); r != nil {
-			viol = &Violation{
-				Trial: trial, Seed: seed, Kind: "panic",
-				Detail: fmt.Sprintf("%v\n%s", r, debug.Stack()),
-			}
+			ok, viol = false, violation("panic", "%v\n%s", r, debug.Stack())
+		}
+		if viol != nil {
+			viol.Trial, viol.Seed = trial, seed
 		}
 	}()
 	rng := rand.New(rand.NewSource(seed))
+	if sc == Search {
+		return searchTrial(rng)
+	}
+	return recoveryTrial(sc, rng, seed)
+}
+
+// searchTrial is one Search trial.
+func searchTrial(rng *rand.Rand) (bool, *Violation) {
 	g := randomGraph(rng)
 	cl, degraded := randomCluster(rng)
 	opts := hostileOptions(rng)
@@ -143,8 +198,7 @@ func ReplayTrial(trial int, seed int64, rep *Report) (viol *Violation) {
 		payload, poisoned := poisonProfile(rng)
 		err := pm.Prof.Load(strings.NewReader(payload))
 		if poisoned && err == nil {
-			return &Violation{Trial: trial, Seed: seed, Kind: "poison-accepted",
-				Detail: fmt.Sprintf("profiler.Load accepted %q", payload)}
+			return false, violation("poison-accepted", "profiler.Load accepted %q", payload)
 		}
 		if err == nil {
 			opts.Model = pm
@@ -169,33 +223,26 @@ func ReplayTrial(trial int, seed int64, rep *Report) (viol *Violation) {
 
 	res, err := core.SearchContext(ctx, g, cl, opts)
 	if err != nil {
-		rep.TypedErrs++
-		return nil
+		return false, nil
 	}
 	if aerr := auditor.Err(); aerr != nil {
-		return &Violation{Trial: trial, Seed: seed, Kind: "breakdown",
-			Detail: aerr.Error()}
+		return false, violation("breakdown", "%v", aerr)
 	}
 	if res == nil || res.Best.Config == nil {
-		return &Violation{Trial: trial, Seed: seed, Kind: "invalid-plan",
-			Detail: "nil result or nil best config with nil error"}
+		return false, violation("invalid-plan", "nil result or nil best config with nil error")
 	}
 	if verr := res.Best.Config.Validate(g, cl.TotalDevices()); verr != nil {
-		return &Violation{Trial: trial, Seed: seed, Kind: "invalid-plan",
-			Detail: fmt.Sprintf("best config fails Validate: %v (degraded=%v)", verr, degraded)}
+		return false, violation("invalid-plan", "best config fails Validate: %v (degraded=%v)", verr, degraded)
 	}
 	for _, c := range append([]core.Candidate{res.Best}, res.TopK...) {
 		if math.IsNaN(c.Score) || math.IsInf(c.Score, 0) {
-			return &Violation{Trial: trial, Seed: seed, Kind: "non-finite",
-				Detail: fmt.Sprintf("candidate score %v", c.Score)}
+			return false, violation("non-finite", "candidate score %v", c.Score)
 		}
 		if c.Estimate != nil && (math.IsNaN(c.Estimate.IterTime) || math.IsNaN(c.Estimate.PeakMem)) {
-			return &Violation{Trial: trial, Seed: seed, Kind: "non-finite",
-				Detail: fmt.Sprintf("estimate IterTime=%v PeakMem=%v", c.Estimate.IterTime, c.Estimate.PeakMem)}
+			return false, violation("non-finite", "estimate IterTime=%v PeakMem=%v", c.Estimate.IterTime, c.Estimate.PeakMem)
 		}
 	}
-	rep.Plans++
-	return nil
+	return true, nil
 }
 
 // randomGraph picks a workload: usually a sane synthetic model, with a

@@ -5,49 +5,82 @@ import (
 	"time"
 )
 
-// TestShortChaosRunIsClean is the CI-sized chaos gate: a deterministic
-// batch of trials must finish with zero violations. The acesobench
-// `chaos` target runs the same harness for longer.
-func TestShortChaosRunIsClean(t *testing.T) {
-	trials := 48
-	if testing.Short() {
-		trials = 12
-	}
-	rep := Run(Options{Trials: trials, Seed: 20260806, Log: t.Logf})
-	t.Log(rep.Summary())
-	if rep.Failed() {
-		t.Fatalf("chaos violations:\n%s", rep.Summary())
-	}
-	if rep.Trials != trials {
-		t.Errorf("ran %d trials, want %d", rep.Trials, trials)
-	}
-	if rep.Plans == 0 {
-		t.Error("no trial produced a plan — the harness is only generating garbage")
-	}
-	if rep.TypedErrs == 0 {
-		t.Error("no trial was rejected — the harness is not generating hostile inputs")
+// scenarios is the table every harness property is checked over: each
+// scenario with its CI-sized trial count and seed.
+var scenarios = []struct {
+	sc     Scenario
+	trials int
+	seed   int64
+}{
+	{Search, 48, 20260806},
+	{OneFault, 12, 20260806},
+	{Churn, 12, 20260808},
+	{Spot, 12, 20260808},
+}
+
+// TestRunClean is the CI-sized chaos gate: a deterministic batch of
+// trials of every scenario must finish with zero violations. The
+// acesobench chaos, churn and spot targets run the same harness.
+func TestRunClean(t *testing.T) {
+	for _, tc := range scenarios {
+		t.Run(tc.sc.String(), func(t *testing.T) {
+			trials := tc.trials
+			if testing.Short() {
+				if tc.sc != Search {
+					t.Skip("recovery trials train a model each: not short")
+				}
+				trials = 12
+			}
+			rep := Run(tc.sc, Options{Trials: trials, Seed: tc.seed, Log: t.Logf})
+			t.Log(rep.Summary())
+			if rep.Failed() {
+				t.Fatalf("chaos violations:\n%s", rep.Summary())
+			}
+			if rep.Trials != trials {
+				t.Errorf("ran %d trials, want %d", rep.Trials, trials)
+			}
+			if rep.Plans == 0 {
+				t.Error("no trial passed — the harness is only generating garbage")
+			}
+			if tc.sc == Search && rep.TypedErrs == 0 {
+				t.Error("no trial was rejected — the harness is not generating hostile inputs")
+			}
+		})
 	}
 }
 
 // TestDurationBound pins that a duration-bounded run stops on time.
 func TestDurationBound(t *testing.T) {
-	start := time.Now()
-	rep := Run(Options{Duration: 300 * time.Millisecond, Seed: 7})
-	if el := time.Since(start); el > 5*time.Second {
-		t.Fatalf("duration-bounded run took %v", el)
-	}
-	if rep.Trials == 0 {
-		t.Error("duration-bounded run executed no trials")
+	for _, tc := range scenarios {
+		t.Run(tc.sc.String(), func(t *testing.T) {
+			bound, limit := 300*time.Millisecond, 5*time.Second
+			if tc.sc != Search {
+				bound, limit = 2*time.Second, 90*time.Second
+			}
+			start := time.Now()
+			rep := Run(tc.sc, Options{Duration: bound, Seed: 7})
+			if el := time.Since(start); el > limit {
+				t.Fatalf("duration-bounded run took %v", el)
+			}
+			if rep.Trials == 0 {
+				t.Error("duration-bounded run executed no trials")
+			}
+		})
 	}
 }
 
-// TestReplayIsDeterministic: the same (trial, seed) pair must reproduce
-// the same outcome counters.
+// TestReplayIsDeterministic: the same (trial, seed) pair replays to the
+// same verdict — the property that makes violations debuggable.
 func TestReplayIsDeterministic(t *testing.T) {
-	var a, b Report
-	va := ReplayTrial(3, 12345, &a)
-	vb := ReplayTrial(3, 12345, &b)
-	if (va == nil) != (vb == nil) || a.Plans != b.Plans || a.TypedErrs != b.TypedErrs {
-		t.Errorf("replay diverged: %v/%+v vs %v/%+v", va, a, vb, b)
+	for _, tc := range scenarios {
+		t.Run(tc.sc.String(), func(t *testing.T) {
+			for _, seed := range []int64{3, 77, 9001, 12345} {
+				okA, a := Replay(tc.sc, 3, seed)
+				okB, b := Replay(tc.sc, 3, seed)
+				if okA != okB || (a == nil) != (b == nil) {
+					t.Fatalf("seed %d: verdicts differ between replays (%v/%v vs %v/%v)", seed, okA, a, okB, b)
+				}
+			}
+		})
 	}
 }

@@ -13,36 +13,72 @@ import (
 	"aceso/internal/runtime"
 )
 
+const tol = 1e-9
+
 // superviseOpts returns fast-test defaults: file round trip, tiny
 // backoff, short search budget.
-func superviseOpts(t *testing.T) SuperviseOptions {
+func superviseOpts(t *testing.T) Options {
 	t.Helper()
-	return SuperviseOptions{
-		Options: Options{
-			LR:              lr,
-			CheckpointEvery: 2,
-			Dir:             t.TempDir(),
-			CommDeadline:    10 * time.Second,
-			SearchBudget:    300 * time.Millisecond,
-		},
-		BackoffBase: time.Microsecond,
-		BackoffCap:  8 * time.Microsecond,
+	return Options{
+		LR:              lr,
+		CheckpointEvery: 2,
+		Dir:             t.TempDir(),
+		CommDeadline:    10 * time.Second,
+		SearchBudget:    300 * time.Millisecond,
+		BackoffBase:     time.Microsecond,
+		BackoffCap:      8 * time.Microsecond,
 	}
 }
 
-// refRun trains the uninterrupted reference trajectory.
-func refRun(t *testing.T, iters int) ([]float64, *runtime.Params) {
+// testJob is the tests' workload on cl: the MLP under a balanced plan
+// of stages × devPerStage devices with every operator at tp, the fixed
+// batch, and fresh Adam parameters.
+func testJob(t testing.TB, cl hardware.Cluster, stages, devPerStage, tp, iters int) Job {
 	t.Helper()
 	g := buildMLP(t)
-	cfg := uniformCfg(t, g, 2, 2, 2, 1, 4)
 	x, y := trainData(42)
 	p := runtime.InitParams(g, 7)
 	p.Opt = runtime.Adam
-	losses, err := runtime.Parallel(g, cfg, p, x, y, lr, iters)
+	return Job{
+		Graph: g, Cluster: cl, Config: uniformCfg(t, g, stages, devPerStage, tp, 1, 4),
+		Params: p, X: x, Y: y, Iters: iters,
+	}
+}
+
+// pp2tp2Job is the standard setting: pp2 × tp2 on 4 devices.
+func pp2tp2Job(t testing.TB, iters int) Job {
+	t.Helper()
+	return testJob(t, hardware.DGX1V100(1).Restrict(4), 2, 2, 2, iters)
+}
+
+// refRun trains job's uninterrupted reference trajectory on a copy of
+// its parameters.
+func refRun(t *testing.T, job Job) ([]float64, *runtime.Params) {
+	t.Helper()
+	p := job.Params.Clone()
+	losses, err := runtime.Parallel(job.Graph, job.Config, p, job.X, job.Y, lr, job.Iters)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return losses, p
+}
+
+// checkRejoins asserts a finished run took every iteration and matches
+// the uninterrupted trajectory — losses and final state — within tol.
+func checkRejoins(t *testing.T, rep *Report, refLosses []float64, ref *runtime.Params, tol float64) {
+	t.Helper()
+	if len(rep.Losses) != len(refLosses) || rep.FinalStep != len(refLosses) {
+		t.Fatalf("losses %d, final step %d; want %d", len(rep.Losses), rep.FinalStep, len(refLosses))
+	}
+	for i := range refLosses {
+		if math.Abs(rep.Losses[i]-refLosses[i]) > tol {
+			t.Errorf("iter %d: loss %.12f vs reference %.12f", i, rep.Losses[i], refLosses[i])
+		}
+	}
+	if d := ref.MaxDiff(rep.Params); d > tol {
+		t.Errorf("final state differs by %g from uninterrupted run (tolerance %g)", d, tol)
+	}
+	checkMonotone(t, rep.Steps)
 }
 
 func checkMonotone(t *testing.T, steps []int) {
@@ -54,7 +90,7 @@ func checkMonotone(t *testing.T, steps []int) {
 	}
 }
 
-func hasTransition(rep *ChurnReport, kind TransitionKind) bool {
+func hasTransition(rep *Report, kind TransitionKind) bool {
 	for _, tr := range rep.Transitions {
 		if tr.Kind == kind {
 			return true
@@ -63,42 +99,96 @@ func hasTransition(rep *ChurnReport, kind TransitionKind) bool {
 	return false
 }
 
-// TestSuperviseNoEventsMatchesPlainRun: with an empty schedule the
-// supervisor is segmented training — bitwise identical to one Parallel
-// call, at 100% availability.
-func TestSuperviseNoEventsMatchesPlainRun(t *testing.T) {
-	const iters = 5
-	refLosses, ref := refRun(t, iters)
+// TestSuperviseSingleFault covers the schedule's smallest inputs. One
+// in-plan preempt is the end-to-end acceptance case: train, lose a
+// device at iteration 3, replan on the degraded cluster, reshard the
+// last checkpoint through the file round trip, resume — and the
+// stitched trajectory plus the final parameters match an uninterrupted
+// run on the original plan. No event, or one the run never reaches, is
+// segmented training: bitwise identical to one Parallel call. A device
+// outside the cluster is refused before any training happens.
+func TestSuperviseSingleFault(t *testing.T) {
+	const iters = 6
+	for _, tc := range []struct {
+		name    string
+		events  []ChurnEvent
+		faults  int
+		wantErr bool
+	}{
+		{name: "one preempt", events: []ChurnEvent{{Iteration: 3, Kind: Preempt, Device: 2}}, faults: 1},
+		{name: "no event"},
+		{name: "event past the run", events: []ChurnEvent{{Iteration: iters, Kind: Preempt, Device: 2}}},
+		{name: "device out of range", events: []ChurnEvent{{Iteration: 3, Kind: Preempt, Device: 4}}, wantErr: true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			job := pp2tp2Job(t, iters)
+			refLosses, ref := refRun(t, job)
+			reg := obs.NewRegistry()
+			opt := superviseOpts(t)
+			opt.Metrics = reg
 
-	g := buildMLP(t)
-	cfg := uniformCfg(t, g, 2, 2, 2, 1, 4)
-	cl := hardware.DGX1V100(1).Restrict(4)
-	x, y := trainData(42)
-	p := runtime.InitParams(g, 7)
-	p.Opt = runtime.Adam
+			rep, err := Supervise(context.Background(), job, ChurnSpec{Events: tc.events}, opt)
+			if tc.wantErr {
+				if err == nil {
+					t.Fatal("out-of-range event accepted")
+				}
+				if job.Params.Step != 0 || reg.Counter(obs.ElasticCheckpointsTotal).Value() != 0 {
+					t.Errorf("refused schedule still trained: step %d", job.Params.Step)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rep.FaultsDetected != tc.faults || rep.Reshards != tc.faults || len(rep.Recoveries) != tc.faults {
+				t.Fatalf("faults %d, reshards %d, recoveries %d; want %d each",
+					rep.FaultsDetected, rep.Reshards, len(rep.Recoveries), tc.faults)
+			}
+			if got := reg.Counter(obs.ChurnFaultsTotal).Value(); got != int64(tc.faults) {
+				t.Errorf("%s = %d, want %d", obs.ChurnFaultsTotal, got, tc.faults)
+			}
+			// One recovery timer: each recovery is observed exactly once.
+			if got := reg.Timer(obs.ChurnRecovery).Count(); got != int64(tc.faults) {
+				t.Errorf("%s observed %d times, want %d", obs.ChurnRecovery, got, tc.faults)
+			}
 
-	rep, err := Supervise(context.Background(), g, cl, cfg, p, x, y, iters, ChurnSpec{}, superviseOpts(t))
-	if err != nil {
-		t.Fatal(err)
+			if tc.faults == 0 {
+				checkRejoins(t, rep, refLosses, ref, 0) // the plan never changed: bitwise
+				if rep.Config != job.Config || rep.Replans != 0 || rep.EventsApplied != 0 {
+					t.Errorf("idle schedule caused work: %+v", rep)
+				}
+				if a := rep.Availability(); a != 1 {
+					t.Errorf("availability %v, want 1", a)
+				}
+				if rep.Checkpoints != iters/2+1 {
+					t.Errorf("checkpoints %d, want %d (every segment + step 0)", rep.Checkpoints, iters/2+1)
+				}
+				return
+			}
+
+			checkRejoins(t, rep, refLosses, ref, tol)
+			if rep.Config == job.Config {
+				t.Error("no replanned config: still training on the original plan")
+			}
+			if rep.Config.TotalDevices() >= 4 {
+				t.Errorf("replanned config uses %d devices, want < 4 after losing one", rep.Config.TotalDevices())
+			}
+			if rep.ReshardBytesMoved <= 0 {
+				t.Errorf("reshard moved %d bytes, want > 0 (plan changed)", rep.ReshardBytesMoved)
+			}
+			if rep.Recoveries[0] <= 0 {
+				t.Error("recovery duration not recorded")
+			}
+			for _, name := range []string{
+				obs.ElasticCheckpointsTotal, obs.ElasticRestoresTotal,
+				obs.ElasticReshardsTotal, obs.ElasticReshardBytesMovedTotal,
+			} {
+				if reg.Counter(name).Value() == 0 {
+					t.Errorf("metric %s = 0, want > 0", name)
+				}
+			}
+		})
 	}
-	if len(rep.Losses) != iters || rep.FinalStep != iters {
-		t.Fatalf("losses %d, final step %d; want %d", len(rep.Losses), rep.FinalStep, iters)
-	}
-	for i := range refLosses {
-		if rep.Losses[i] != refLosses[i] {
-			t.Errorf("iter %d: loss %g != reference %g", i, rep.Losses[i], refLosses[i])
-		}
-	}
-	if d := ref.MaxDiff(rep.Params); d != 0 {
-		t.Errorf("final state differs by %g, want bitwise match", d)
-	}
-	if a := rep.Availability(); a != 1 {
-		t.Errorf("availability %v, want 1", a)
-	}
-	if rep.Replans != 0 || rep.Reshards != 0 || rep.FaultsDetected != 0 {
-		t.Errorf("idle schedule caused work: %+v", rep)
-	}
-	checkMonotone(t, rep.Steps)
 }
 
 // TestSupervisePreemptReaddEndToEnd is the churn acceptance core: an
@@ -107,14 +197,8 @@ func TestSuperviseNoEventsMatchesPlainRun(t *testing.T) {
 // uninterrupted run to float tolerance.
 func TestSupervisePreemptReaddEndToEnd(t *testing.T) {
 	const iters = 8
-	refLosses, ref := refRun(t, iters)
-
-	g := buildMLP(t)
-	cfg := uniformCfg(t, g, 2, 2, 2, 1, 4)
-	cl := hardware.DGX1V100(1).Restrict(4)
-	x, y := trainData(42)
-	p := runtime.InitParams(g, 7)
-	p.Opt = runtime.Adam
+	job := pp2tp2Job(t, iters)
+	refLosses, ref := refRun(t, job)
 
 	reg := obs.NewRegistry()
 	opt := superviseOpts(t)
@@ -123,7 +207,7 @@ func TestSupervisePreemptReaddEndToEnd(t *testing.T) {
 		{Iteration: 3, Kind: Preempt, Device: 2},
 		{Iteration: 6, Kind: Readd, Device: 2},
 	}}
-	rep, err := Supervise(context.Background(), g, cl, cfg, p, x, y, iters, spec, opt)
+	rep, err := Supervise(context.Background(), job, spec, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,18 +223,7 @@ func TestSupervisePreemptReaddEndToEnd(t *testing.T) {
 	if len(rep.Recoveries) == 0 {
 		t.Error("no recovery duration recorded")
 	}
-	if len(rep.Losses) != iters || rep.FinalStep != iters {
-		t.Fatalf("losses %d, final step %d; want %d", len(rep.Losses), rep.FinalStep, iters)
-	}
-	for i := range refLosses {
-		if math.Abs(rep.Losses[i]-refLosses[i]) > tol {
-			t.Errorf("iter %d: loss %.12f vs reference %.12f", i, rep.Losses[i], refLosses[i])
-		}
-	}
-	if d := ref.MaxDiff(rep.Params); d > tol {
-		t.Errorf("final state differs by %g from uninterrupted run", d)
-	}
-	checkMonotone(t, rep.Steps)
+	checkRejoins(t, rep, refLosses, ref, tol)
 	if !hasTransition(rep, TransFault) || !hasTransition(rep, TransResume) {
 		t.Errorf("transition log missing fault/resume: %+v", rep.Transitions)
 	}
@@ -176,14 +249,8 @@ func TestSupervisePreemptReaddEndToEnd(t *testing.T) {
 // the plan never changed the run stays bitwise identical.
 func TestSuperviseHysteresisDefersMildBlips(t *testing.T) {
 	const iters = 6
-	refLosses, ref := refRun(t, iters)
-
-	g := buildMLP(t)
-	cfg := uniformCfg(t, g, 2, 2, 2, 1, 4)
-	cl := hardware.DGX1V100(1).Restrict(4)
-	x, y := trainData(42)
-	p := runtime.InitParams(g, 7)
-	p.Opt = runtime.Adam
+	job := pp2tp2Job(t, iters)
+	refLosses, ref := refRun(t, job)
 
 	opt := superviseOpts(t)
 	opt.ReplanThreshold = 0.95 // nothing short of a collapse triggers
@@ -191,7 +258,7 @@ func TestSuperviseHysteresisDefersMildBlips(t *testing.T) {
 		{Iteration: 1, Kind: SlowNode, Device: 0, Scale: 0.9},
 		{Iteration: 4, Kind: SlowNode, Device: 0, Scale: 1},
 	}}
-	rep, err := Supervise(context.Background(), g, cl, cfg, p, x, y, iters, spec, opt)
+	rep, err := Supervise(context.Background(), job, spec, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,35 +271,23 @@ func TestSuperviseHysteresisDefersMildBlips(t *testing.T) {
 	if !hasTransition(rep, TransReplanDeferred) {
 		t.Errorf("no replan-deferred transition: %+v", rep.Transitions)
 	}
-	for i := range refLosses {
-		if rep.Losses[i] != refLosses[i] {
-			t.Errorf("iter %d: loss %g != reference %g (plan should not have changed)", i, rep.Losses[i], refLosses[i])
-		}
-	}
-	if d := ref.MaxDiff(rep.Params); d != 0 {
-		t.Errorf("final state differs by %g, want bitwise (no reconfiguration happened)", d)
-	}
+	// No reconfiguration happened, so the run stays bitwise identical.
+	checkRejoins(t, rep, refLosses, ref, 0)
 }
 
 // TestSuperviseForcedReplanOnHarshDegradation: a derate whose projected
 // slowdown clears the threshold forces an immediate replan decision.
 func TestSuperviseForcedReplanOnHarshDegradation(t *testing.T) {
 	const iters = 6
-	refLosses, ref := refRun(t, iters)
-
-	g := buildMLP(t)
-	cfg := uniformCfg(t, g, 2, 2, 2, 1, 4)
-	cl := hardware.DGX1V100(1).Restrict(4)
-	x, y := trainData(42)
-	p := runtime.InitParams(g, 7)
-	p.Opt = runtime.Adam
+	job := pp2tp2Job(t, iters)
+	refLosses, ref := refRun(t, job)
 
 	opt := superviseOpts(t)
 	opt.ReplanThreshold = 0.15
 	spec := ChurnSpec{Events: []ChurnEvent{
 		{Iteration: 2, Kind: SlowNode, Device: 0, Scale: 0.05},
 	}}
-	rep, err := Supervise(context.Background(), g, cl, cfg, p, x, y, iters, spec, opt)
+	rep, err := Supervise(context.Background(), job, spec, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,26 +298,14 @@ func TestSuperviseForcedReplanOnHarshDegradation(t *testing.T) {
 		t.Error("forced replan ran no search")
 	}
 	// Whatever plan the search picked, semantics are preserved.
-	for i := range refLosses {
-		if math.Abs(rep.Losses[i]-refLosses[i]) > tol {
-			t.Errorf("iter %d: loss %.12f vs reference %.12f", i, rep.Losses[i], refLosses[i])
-		}
-	}
-	if d := ref.MaxDiff(rep.Params); d > tol {
-		t.Errorf("final state differs by %g from uninterrupted run", d)
-	}
+	checkRejoins(t, rep, refLosses, ref, tol)
 }
 
 // TestSupervisePersistenceForcesReplan: each blip is individually below
 // threshold, but HysteresisEvents consecutive deferrals escalate.
 func TestSupervisePersistenceForcesReplan(t *testing.T) {
 	const iters = 8
-	g := buildMLP(t)
-	cfg := uniformCfg(t, g, 2, 2, 2, 1, 4)
-	cl := hardware.DGX1V100(1).Restrict(4)
-	x, y := trainData(42)
-	p := runtime.InitParams(g, 7)
-	p.Opt = runtime.Adam
+	job := pp2tp2Job(t, iters)
 
 	opt := superviseOpts(t)
 	opt.ReplanThreshold = 0.95
@@ -273,7 +316,7 @@ func TestSupervisePersistenceForcesReplan(t *testing.T) {
 		// degrades a fresh bottleneck rather than hiding behind the first.
 		{Iteration: 3, Kind: SlowNode, Device: 2, Scale: 0.9},
 	}}
-	rep, err := Supervise(context.Background(), g, cl, cfg, p, x, y, iters, spec, opt)
+	rep, err := Supervise(context.Background(), job, spec, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -292,19 +335,13 @@ func TestSupervisePersistenceForcesReplan(t *testing.T) {
 // backoff and checkpoint restore; the run still completes exactly.
 func TestSuperviseBackoffRetries(t *testing.T) {
 	const iters = 4
-	refLosses, ref := refRun(t, iters)
-
-	g := buildMLP(t)
-	cfg := uniformCfg(t, g, 2, 2, 2, 1, 4)
-	cl := hardware.DGX1V100(1).Restrict(4)
-	x, y := trainData(42)
-	p := runtime.InitParams(g, 7)
-	p.Opt = runtime.Adam
+	job := pp2tp2Job(t, iters)
+	refLosses, ref := refRun(t, job)
 
 	opt := superviseOpts(t)
 	opt.SimulateTimeouts = 2
 	opt.MaxRetries = 3
-	rep, err := Supervise(context.Background(), g, cl, cfg, p, x, y, iters, ChurnSpec{}, opt)
+	rep, err := Supervise(context.Background(), job, ChurnSpec{}, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -314,105 +351,89 @@ func TestSuperviseBackoffRetries(t *testing.T) {
 	if !hasTransition(rep, TransBackoffRetry) {
 		t.Errorf("no backoff-retry transition: %+v", rep.Transitions)
 	}
-	for i := range refLosses {
-		if math.Abs(rep.Losses[i]-refLosses[i]) > tol {
-			t.Errorf("iter %d: loss %.12f vs reference %.12f", i, rep.Losses[i], refLosses[i])
-		}
-	}
-	if d := ref.MaxDiff(rep.Params); d > tol {
-		t.Errorf("final state differs by %g from uninterrupted run", d)
-	}
+	checkRejoins(t, rep, refLosses, ref, tol)
 }
 
 // TestSuperviseBackoffExhausted: more consecutive timeouts than
 // MaxRetries surfaces the typed timeout error.
 func TestSuperviseBackoffExhausted(t *testing.T) {
-	g := buildMLP(t)
-	cfg := uniformCfg(t, g, 2, 2, 2, 1, 4)
-	cl := hardware.DGX1V100(1).Restrict(4)
-	x, y := trainData(42)
-	p := runtime.InitParams(g, 7)
-	p.Opt = runtime.Adam
+	job := pp2tp2Job(t, 4)
 
 	opt := superviseOpts(t)
 	opt.SimulateTimeouts = 5
 	opt.MaxRetries = 2
-	_, err := Supervise(context.Background(), g, cl, cfg, p, x, y, 4, ChurnSpec{}, opt)
+	_, err := Supervise(context.Background(), job, ChurnSpec{}, opt)
 	var te *comm.CollectiveTimeoutError
 	if !errors.As(err, &te) {
 		t.Fatalf("error %v, want wrapped *comm.CollectiveTimeoutError", err)
 	}
 }
 
+// allDevices is the schedule that applies kind to every device of an
+// n-device cluster at the boundary of iteration at.
+func allDevices(n, at int, kind ChurnKind) []ChurnEvent {
+	evs := make([]ChurnEvent, n)
+	for d := range evs {
+		evs[d] = ChurnEvent{Iteration: at, Kind: kind, Device: d}
+	}
+	return evs
+}
+
+// capacityFleets are the fleets the out-of-capacity tests run pp2 on:
+// one the plan fills, and a ragged one (10 devices over two 8-device
+// nodes) whose last node is only partly there — alive() must count the
+// devices that exist, not the node grid.
+var capacityFleets = []struct {
+	name string
+	cl   hardware.Cluster
+}{
+	{"full node", hardware.DGX1V100(1).Restrict(2)},
+	{"ragged fleet", hardware.DGX1V100(2).Restrict(10)},
+}
+
 // TestSupervisePauseAndResume: losing every device parks the run on its
 // last checkpoint until the schedule re-adds capacity.
 func TestSupervisePauseAndResume(t *testing.T) {
 	const iters = 6
-	g := buildMLP(t)
-	cfg := uniformCfg(t, g, 2, 1, 1, 1, 4) // pp2 on 2 devices
-	cl := hardware.DGX1V100(1).Restrict(2)
-	x, y := trainData(42)
+	for _, tc := range capacityFleets {
+		t.Run(tc.name, func(t *testing.T) {
+			job := testJob(t, tc.cl, 2, 1, 1, iters) // pp2 on 2 devices
+			refLosses, ref := refRun(t, job)
 
-	ref := runtime.InitParams(g, 7)
-	ref.Opt = runtime.Adam
-	refLosses, err := runtime.Parallel(g, cfg, ref, x, y, lr, iters)
-	if err != nil {
-		t.Fatal(err)
+			spec := ChurnSpec{Events: append(allDevices(tc.cl.TotalDevices(), 2, Preempt),
+				ChurnEvent{Iteration: 4, Kind: Readd, Device: 0},
+				ChurnEvent{Iteration: 5, Kind: Readd, Device: 1})}
+			rep, err := Supervise(context.Background(), job, spec, superviseOpts(t))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rep.Pauses == 0 {
+				t.Errorf("losing all devices did not pause: %+v", rep.Transitions)
+			}
+			if !hasTransition(rep, TransLadderPause) || !hasTransition(rep, TransResume) {
+				t.Errorf("transition log missing pause/resume: %+v", rep.Transitions)
+			}
+			checkRejoins(t, rep, refLosses, ref, tol)
+		})
 	}
-
-	p := runtime.InitParams(g, 7)
-	p.Opt = runtime.Adam
-	spec := ChurnSpec{Events: []ChurnEvent{
-		{Iteration: 2, Kind: Preempt, Device: 0},
-		{Iteration: 2, Kind: Preempt, Device: 1},
-		{Iteration: 4, Kind: Readd, Device: 0},
-		{Iteration: 5, Kind: Readd, Device: 1},
-	}}
-	rep, err := Supervise(context.Background(), g, cl, cfg, p, x, y, iters, spec, superviseOpts(t))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Pauses == 0 {
-		t.Errorf("losing all devices did not pause: %+v", rep.Transitions)
-	}
-	if !hasTransition(rep, TransLadderPause) || !hasTransition(rep, TransResume) {
-		t.Errorf("transition log missing pause/resume: %+v", rep.Transitions)
-	}
-	if len(rep.Losses) != iters || rep.FinalStep != iters {
-		t.Fatalf("losses %d, final step %d; want %d", len(rep.Losses), rep.FinalStep, iters)
-	}
-	for i := range refLosses {
-		if math.Abs(rep.Losses[i]-refLosses[i]) > tol {
-			t.Errorf("iter %d: loss %.12f vs reference %.12f", i, rep.Losses[i], refLosses[i])
-		}
-	}
-	if d := ref.MaxDiff(rep.Params); d > tol {
-		t.Errorf("final state differs by %g from uninterrupted run", d)
-	}
-	checkMonotone(t, rep.Steps)
 }
 
 // TestSuperviseStallsWithoutCapacity: all devices gone and no
 // re-addition left — a typed StalledError, not a hang.
 func TestSuperviseStallsWithoutCapacity(t *testing.T) {
-	g := buildMLP(t)
-	cfg := uniformCfg(t, g, 2, 1, 1, 1, 4)
-	cl := hardware.DGX1V100(1).Restrict(2)
-	x, y := trainData(42)
-	p := runtime.InitParams(g, 7)
-	p.Opt = runtime.Adam
-
-	spec := ChurnSpec{Events: []ChurnEvent{
-		{Iteration: 1, Kind: Preempt, Device: 0},
-		{Iteration: 1, Kind: Preempt, Device: 1},
-	}}
-	_, err := Supervise(context.Background(), g, cl, cfg, p, x, y, 4, spec, superviseOpts(t))
-	var stalled *StalledError
-	if !errors.As(err, &stalled) {
-		t.Fatalf("error %v, want *StalledError", err)
-	}
-	if stalled.Alive != 0 {
-		t.Errorf("stalled with %d alive, want 0", stalled.Alive)
+	for _, tc := range capacityFleets {
+		t.Run(tc.name, func(t *testing.T) {
+			job := testJob(t, tc.cl, 2, 1, 1, 4)
+			spec := ChurnSpec{Events: allDevices(tc.cl.TotalDevices(), 1, Preempt)}
+			_, err := Supervise(context.Background(), job, spec, superviseOpts(t))
+			var stalled *StalledError
+			if !errors.As(err, &stalled) {
+				t.Fatalf("error %v, want *StalledError", err)
+			}
+			if stalled.Alive != 0 {
+				t.Errorf("stalled with %d alive, want 0", stalled.Alive)
+			}
+		})
 	}
 }
 
@@ -420,12 +441,7 @@ func TestSuperviseStallsWithoutCapacity(t *testing.T) {
 // cadence down toward the observed inter-fault interval.
 func TestSuperviseAdaptiveCadence(t *testing.T) {
 	const iters = 8
-	g := buildMLP(t)
-	cfg := uniformCfg(t, g, 2, 2, 2, 1, 4)
-	cl := hardware.DGX1V100(1).Restrict(4)
-	x, y := trainData(42)
-	p := runtime.InitParams(g, 7)
-	p.Opt = runtime.Adam
+	job := pp2tp2Job(t, iters)
 
 	opt := superviseOpts(t)
 	opt.CheckpointEvery = 4
@@ -434,7 +450,7 @@ func TestSuperviseAdaptiveCadence(t *testing.T) {
 		{Iteration: 1, Kind: Preempt, Device: 3},
 		{Iteration: 3, Kind: Preempt, Device: 2},
 	}}
-	rep, err := Supervise(context.Background(), g, cl, cfg, p, x, y, iters, spec, opt)
+	rep, err := Supervise(context.Background(), job, spec, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -478,23 +494,18 @@ func TestChurnSpecValidate(t *testing.T) {
 		}
 	}
 
-	g := buildMLP(t)
-	cfg := uniformCfg(t, g, 2, 2, 2, 1, 4)
-	x, y := trainData(42)
-	p := runtime.InitParams(g, 7)
-	p.Opt = runtime.Adam
-
 	// Supervise refuses an invalid schedule and a pre-degraded cluster.
-	cl := hardware.DGX1V100(1).Restrict(4)
+	job := pp2tp2Job(t, 2)
 	bad := ChurnSpec{Events: []ChurnEvent{{Iteration: -1, Kind: Preempt}}}
-	if _, err := Supervise(context.Background(), g, cl, cfg, p, x, y, 2, bad, superviseOpts(t)); err == nil {
+	if _, err := Supervise(context.Background(), job, bad, superviseOpts(t)); err == nil {
 		t.Error("invalid spec accepted")
 	}
-	degraded, err := cl.Degrade(hardware.FaultSpec{Devices: []hardware.DeviceFault{{Device: 3, Dead: true}}})
+	var err error
+	job.Cluster, err = job.Cluster.Degrade(hardware.FaultSpec{Devices: []hardware.DeviceFault{{Device: 3, Dead: true}}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Supervise(context.Background(), g, degraded, cfg, p, x, y, 2, ChurnSpec{}, superviseOpts(t)); err == nil {
+	if _, err := Supervise(context.Background(), job, ChurnSpec{}, superviseOpts(t)); err == nil {
 		t.Error("degraded input cluster accepted")
 	}
 }
@@ -516,7 +527,7 @@ func TestChurnKindString(t *testing.T) {
 
 // TestRecoveryPercentile checks the quantile helper on known data.
 func TestRecoveryPercentile(t *testing.T) {
-	rep := &ChurnReport{}
+	rep := &Report{}
 	if rep.RecoveryPercentile(0.5) != 0 {
 		t.Error("empty recoveries should yield 0")
 	}

@@ -2,13 +2,13 @@ package elastic
 
 import (
 	"context"
-	"errors"
 	"fmt"
+	"math"
 	"path/filepath"
+	"sort"
 	"time"
 
 	"aceso/internal/config"
-	"aceso/internal/core"
 	"aceso/internal/hardware"
 	"aceso/internal/model"
 	"aceso/internal/obs"
@@ -16,11 +16,26 @@ import (
 	"aceso/internal/tensor"
 )
 
-// Options tunes the elastic training driver.
+// Job is one training run to supervise: a model, the healthy cluster
+// the churn schedule's physical ranks refer to, the plan and state to
+// start from, one batch, and how many iterations to take.
+type Job struct {
+	Graph   *model.Graph
+	Cluster hardware.Cluster
+	Config  *config.Config
+	// Params is consumed: a fault tears it (stages stop mid-iteration at
+	// different points, like a crashed fleet). The state training ended
+	// on is Report.Params.
+	Params *runtime.Params
+	X, Y   *tensor.Mat
+	Iters  int
+}
+
+// Options tunes the supervisor.
 type Options struct {
 	// LR is the learning rate passed through to the runtime.
 	LR float64
-	// CheckpointEvery is the segment length in iterations: training
+	// CheckpointEvery seeds the adaptive checkpoint cadence: training
 	// runs in segments of this many iterations with a checkpoint at
 	// every boundary (default 1 — checkpoint each iteration).
 	CheckpointEvery int
@@ -33,300 +48,273 @@ type Options struct {
 	// (default 30s); it is what turns a missing rank into a typed
 	// error instead of a hung World.
 	CommDeadline time.Duration
-	// SearchBudget bounds the Replan search after a fault
-	// (default 200ms).
+	// SearchBudget bounds each Replan search (default 200ms).
 	SearchBudget time.Duration
-	// Seed drives the replan search.
+	// Seed drives the replan searches and the backoff jitter.
 	Seed int64
-	// Metrics, when non-nil, receives aceso_elastic_* counters and the
-	// recovery timer. Nil disables metering at zero overhead.
+	// Metrics, when non-nil, receives the aceso_elastic_*,
+	// aceso_churn_* and aceso_spot_* series.
 	Metrics *obs.Registry
+
+	// ReplanThreshold is the projected fractional throughput loss (or
+	// idle-capacity gain) above which a churn event triggers an
+	// immediate warm replan; smaller blips are debounced. Default 0.15.
+	ReplanThreshold float64
+	// HysteresisEvents is how many consecutive deferred degradations
+	// accumulate before the supervisor replans anyway — persistence
+	// beats the threshold. Default 3.
+	HysteresisEvents int
+	// BackoffBase/BackoffCap bound the capped exponential backoff
+	// between retries of a segment that failed with
+	// *comm.CollectiveTimeoutError. Defaults 2ms / 50ms; jitter is
+	// deterministic from Seed.
+	BackoffBase time.Duration
+	BackoffCap  time.Duration
+	// MaxRetries caps consecutive timeout retries of one segment
+	// before the error is surfaced. Default 3.
+	MaxRetries int
+	// MaxCadence caps the adaptive checkpoint cadence (iterations per
+	// checkpoint); the floor is 1. Default 4.
+	MaxCadence int
+	// SimulateTimeouts fails the first N segment attempts with a
+	// synthetic *comm.CollectiveTimeoutError before touching the
+	// runtime — a deterministic hook for exercising the backoff policy
+	// from tests and the chaos harness.
+	SimulateTimeouts int
+	// CheckpointCost is how many iterations' worth of time one
+	// checkpoint write occupies when racing a preempt notice's window:
+	// a PreemptNotice with Notice ≥ CheckpointCost drains proactively
+	// (the switchover fires CheckpointCost iterations before the
+	// deadline so the final checkpoint completes in time) with zero
+	// lost steps; a shorter window is a missed notice and the reclaim
+	// falls back to the in-plan Preempt path. Default 0: checkpoints
+	// are instantaneous and every window fits.
+	CheckpointCost int
+	// OnTransition, when non-nil, observes every supervisor transition
+	// as it happens (they are also collected in Report).
+	OnTransition func(Transition)
 }
 
-// Report is the outcome of an elastic training run.
+// withDefaults fills every unset knob.
+func (o Options) withDefaults() Options {
+	if o.CheckpointEvery <= 0 {
+		o.CheckpointEvery = 1
+	}
+	if o.CommDeadline <= 0 {
+		o.CommDeadline = 30 * time.Second
+	}
+	if o.SearchBudget <= 0 {
+		o.SearchBudget = 200 * time.Millisecond
+	}
+	if o.ReplanThreshold <= 0 {
+		o.ReplanThreshold = 0.15
+	}
+	if o.HysteresisEvents <= 0 {
+		o.HysteresisEvents = 3
+	}
+	if o.BackoffBase <= 0 {
+		o.BackoffBase = 2 * time.Millisecond
+	}
+	if o.BackoffCap <= 0 {
+		o.BackoffCap = 50 * time.Millisecond
+	}
+	if o.MaxRetries <= 0 {
+		o.MaxRetries = 3
+	}
+	if o.MaxCadence <= 0 {
+		o.MaxCadence = 4
+	}
+	if o.CheckpointCost < 0 {
+		o.CheckpointCost = 0
+	}
+	return o
+}
+
+// Report is the outcome of a supervised run.
 type Report struct {
 	// Losses holds one loss per completed iteration, stitched across
-	// the fault: pre-fault segments up to the last checkpoint, then
-	// the resumed trajectory.
+	// every recovery: Losses only grows at segment boundaries, which is
+	// where checkpoints are, so a rolled-back segment leaves no trace.
 	Losses []float64
 	// Steps records the optimizer step counter after every successful
 	// segment — the chaos harness asserts it is strictly monotone.
 	Steps []int
-	// Params is the final training state. On a fault the caller's
-	// params object is torn (stages stopped mid-iteration at different
-	// points, like a crashed fleet); the recovered state lives here.
-	Params *runtime.Params
-	// Config is the plan training ended on (the replanned config when
-	// a fault fired, the original otherwise).
-	Config *config.Config
+	// Params and Config are the state and plan training ended on;
 	// FinalStep is Params.Step at exit.
+	Params    *runtime.Params
+	Config    *config.Config
 	FinalStep int
-	// FaultsInjected / Checkpoints / Reshards count recovery events.
-	FaultsInjected int
-	Checkpoints    int
-	Reshards       int
-	// Recovery is the wall time from fault detection to resumed
-	// training (replan + reshard + restore).
-	Recovery time.Duration
-	// ReshardBytesMoved is the physical data movement the reshard
+
+	// EventsApplied counts schedule events consumed; EventCounts
+	// breaks them down by ChurnKind string.
+	EventsApplied int
+	EventCounts   map[string]int
+	// FaultsDetected counts in-plan device losses surfaced by the
+	// runtime (a subset of the preempt events).
+	FaultsDetected int
+	// Checkpoints and Reshards count recovery events;
+	// ReshardBytesMoved is the physical data movement the reshards
 	// implied (shard overlap that changed devices).
+	Checkpoints       int
+	Reshards          int
 	ReshardBytesMoved int64
+	// Replans counts replan searches run; ReplansAvoided counts the
+	// searches hysteresis (or a good-enough projection) avoided.
+	Replans        int
+	ReplansAvoided int
+	// Ladder counts recovery commits per rung ("project", "replan",
+	// "shrink", "drain").
+	Ladder map[string]int
+	// Retries counts timeout retries; Pauses counts pause-and-wait
+	// episodes.
+	Retries int
+	Pauses  int
+	// Recoveries holds the wall time of each recovery (detection →
+	// resumed training: replan + reshard + restore).
+	Recoveries []time.Duration
+	// IterationsExecuted counts every iteration the fleet ran,
+	// including partial segments discarded by a rollback; StepsLost is
+	// the discarded portion. Availability derives from the two.
+	IterationsExecuted int
+	StepsLost          int
+	// FinalCadence is the adaptive checkpoint cadence at exit.
+	FinalCadence int
+	// Notices counts preempt notices received; CleanDrains the
+	// notice-driven drains completed with zero lost steps (proactive
+	// switchover or idle reclaim inside the window); NoticesMissed the
+	// notices whose window could not absorb a checkpoint, so the
+	// reclaim fell back to the Preempt path.
+	Notices       int
+	CleanDrains   int
+	NoticesMissed int
+	// NoticeMisses holds the typed error recorded for each missed
+	// notice, in schedule order.
+	NoticeMisses []*NoticeMissedError
+	// Transitions is the full supervisor decision log.
+	Transitions []Transition
 }
 
-// meters holds pre-resolved metric handles; a nil *meters disables
-// metering (the nil-guarded zero-overhead-off pattern).
+// Availability is the fraction of executed iterations that counted
+// toward training progress (1 = no work was ever discarded).
+func (r *Report) Availability() float64 {
+	if r.IterationsExecuted == 0 {
+		return 1
+	}
+	return float64(len(r.Losses)) / float64(r.IterationsExecuted)
+}
+
+// RecoveryPercentile returns the q-quantile (0 ≤ q ≤ 1) of recovery
+// wall times, or 0 when no recovery happened.
+func (r *Report) RecoveryPercentile(q float64) time.Duration {
+	if len(r.Recoveries) == 0 {
+		return 0
+	}
+	sorted := append([]time.Duration(nil), r.Recoveries...)
+	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
+	idx := int(math.Ceil(q*float64(len(sorted)))) - 1
+	if idx < 0 {
+		idx = 0
+	}
+	if idx >= len(sorted) {
+		idx = len(sorted) - 1
+	}
+	return sorted[idx]
+}
+
+// meters holds the supervisor's pre-resolved metric handles.
 type meters struct {
-	faults      *obs.Counter
-	checkpoints *obs.Counter
-	restores    *obs.Counter
-	reshards    *obs.Counter
-	bytesMoved  *obs.Counter
-	recovery    *obs.Timer
+	reg            *obs.Registry
+	checkpoints    *obs.Counter
+	restores       *obs.Counter
+	reshards       *obs.Counter
+	bytesMoved     *obs.Counter
+	faults         *obs.Counter
+	replans        *obs.Counter
+	replansAvoided *obs.Counter
+	retries        *obs.Counter
+	pauses         *obs.Counter
+	stepsLost      *obs.Counter
+	recovery       *obs.Timer
+	notices        *obs.Counter
+	cleanDrains    *obs.Counter
+	noticesMissed  *obs.Counter
+	prewarms       *obs.Counter
 }
 
-func newMeters(reg *obs.Registry) *meters {
+// newMeters resolves the handles. An unmetered run counts into a
+// registry nobody reads, so no call site tests for one.
+func newMeters(reg *obs.Registry) meters {
 	if reg == nil {
-		return nil
+		reg = obs.NewRegistry()
 	}
-	return &meters{
-		faults:      reg.Counter(obs.ElasticFaultsInjectedTotal),
-		checkpoints: reg.Counter(obs.ElasticCheckpointsTotal),
-		restores:    reg.Counter(obs.ElasticRestoresTotal),
-		reshards:    reg.Counter(obs.ElasticReshardsTotal),
-		bytesMoved:  reg.Counter(obs.ElasticReshardBytesMovedTotal),
-		recovery:    reg.Timer(obs.ElasticRecovery),
-	}
-}
-
-func (m *meters) fault() {
-	if m != nil {
-		m.faults.Inc()
-	}
-}
-
-func (m *meters) checkpoint() {
-	if m != nil {
-		m.checkpoints.Inc()
+	return meters{
+		reg:            reg,
+		checkpoints:    reg.Counter(obs.ElasticCheckpointsTotal),
+		restores:       reg.Counter(obs.ElasticRestoresTotal),
+		reshards:       reg.Counter(obs.ElasticReshardsTotal),
+		bytesMoved:     reg.Counter(obs.ElasticReshardBytesMovedTotal),
+		faults:         reg.Counter(obs.ChurnFaultsTotal),
+		replans:        reg.Counter(obs.ChurnReplansTotal),
+		replansAvoided: reg.Counter(obs.ChurnReplansAvoidedTotal),
+		retries:        reg.Counter(obs.ChurnBackoffRetriesTotal),
+		pauses:         reg.Counter(obs.ChurnPausesTotal),
+		stepsLost:      reg.Counter(obs.ChurnStepsLostTotal),
+		recovery:       reg.Timer(obs.ChurnRecovery),
+		notices:        reg.Counter(obs.SpotNoticesTotal),
+		cleanDrains:    reg.Counter(obs.SpotCleanDrainsTotal),
+		noticesMissed:  reg.Counter(obs.SpotNoticesMissedTotal),
+		prewarms:       reg.Counter(obs.SpotPrewarmReplansTotal),
 	}
 }
 
-func (m *meters) restore() {
-	if m != nil {
-		m.restores.Inc()
-	}
+// labelled bumps the series of a counter family selected by one label.
+func (m *meters) labelled(family, label, value string) {
+	m.reg.Counter(family + `{` + label + `="` + value + `"}`).Inc()
 }
 
-func (m *meters) reshard(bytes int64) {
-	if m != nil {
-		m.reshards.Inc()
-		m.bytesMoved.Add(bytes)
-	}
-}
-
-func (m *meters) recovered(d time.Duration) {
-	if m != nil {
-		m.recovery.Observe(d)
-	}
-}
-
-// Train runs iters iterations of elastic training: segments of
-// Options.CheckpointEvery iterations with a checkpoint at every
-// boundary. When fault is non-nil the runtime kills device fault.Rank
-// at the top of iteration fault.Iteration (0-based, absolute within
-// this run); Train then closes the recovery loop — mark the device
-// dead in a hardware.FaultSpec, core.Replan on the degraded cluster,
-// reshard the last checkpoint onto the best runnable candidate, and
-// resume until all iters are done. One fault per run is supported: the
-// healthy cluster degrades once, and the checkpoint lineage stays
-// linear.
+// Supervise runs job.Iters iterations of training under a churn
+// schedule — preemptions, re-additions, stragglers, fabric derates,
+// reclaim notices — recovering from every event per the configured
+// policies: backoff for transient timeouts, hysteresis before paying
+// for a replan search, a checkpoint cadence that adapts to the observed
+// fault rate, and a graceful-degradation ladder (project → warm replan
+// → shrink → pause) when capacity drops. A single device failure is the
+// schedule's smallest input: one Preempt event. Every decision is
+// emitted as a typed Transition.
 //
-// Because checkpoint/reshard are exact and every valid config is
-// semantic-preserving, the recovered run re-joins the uninterrupted
-// trajectory: the stitched loss curve matches a fault-free run on the
-// original config to floating-point tolerance.
-func Train(ctx context.Context, g *model.Graph, cl hardware.Cluster, cfg *config.Config, p *runtime.Params, x, y *tensor.Mat, iters int, fault *runtime.FaultPlan, opt Options) (*Report, error) {
-	if opt.CheckpointEvery <= 0 {
-		opt.CheckpointEvery = 1
+// job.Cluster must be healthy (Faults == nil): it is the reference
+// frame the schedule's physical device ranks live in. On success the
+// final trajectory matches an uninterrupted run of the same model to
+// floating-point tolerance — checkpoint and reshard are exact and every
+// valid config is semantics-preserving, so churn costs only wall time,
+// never training fidelity.
+func Supervise(ctx context.Context, job Job, spec ChurnSpec, opt Options) (*Report, error) {
+	if job.Cluster.Faults != nil {
+		return nil, fmt.Errorf("elastic: Supervise needs a healthy cluster (degrade via the churn schedule)")
 	}
-	if opt.CommDeadline <= 0 {
-		opt.CommDeadline = 30 * time.Second
+	if err := spec.Validate(job.Cluster.TotalDevices()); err != nil {
+		return nil, err
 	}
-	if opt.SearchBudget <= 0 {
-		opt.SearchBudget = 200 * time.Millisecond
-	}
-	if fault != nil && (fault.Iteration < 0 || fault.Iteration >= iters) {
-		return nil, fmt.Errorf("elastic: fault iteration %d out of range [0, %d)", fault.Iteration, iters)
-	}
-	m := newMeters(opt.Metrics)
-	rep := &Report{Params: p, Config: cfg}
-	stepZero := p.Step
-
+	s := newSupervisor(ctx, job, spec, opt.withDefaults())
 	// Clear temp files orphaned by a crash mid-Save before the lineage
 	// starts growing again.
-	if opt.Dir != "" {
-		if _, err := SweepTemps(opt.Dir); err != nil {
+	if s.opt.Dir != "" {
+		if _, err := SweepTemps(s.opt.Dir); err != nil {
 			return nil, err
 		}
 	}
-
-	// ckpt is the most recent durable state; take one before the first
-	// iteration so even an iteration-0 fault has something to restore.
-	ckpt, err := ShardState(g, cfg, p)
-	if err != nil {
+	// Checkpoint before the first iteration so even an iteration-0 fault
+	// has something to restore.
+	if err := s.saveCkpt(); err != nil {
 		return nil, err
 	}
-	if err := persist(opt.Dir, ckpt); err != nil {
-		return nil, err
+	if err := s.run(); err != nil {
+		return s.rep, err
 	}
-	m.checkpoint()
-	rep.Checkpoints++
-
-	cur, curP := cfg, p
-	done := 0
-	for done < iters {
-		seg := opt.CheckpointEvery
-		if left := iters - done; left < seg {
-			seg = left
-		}
-		ro := runtime.RunOptions{CommDeadline: opt.CommDeadline}
-		if fault != nil && fault.Iteration >= done && fault.Iteration < done+seg {
-			ro.Fault = &runtime.FaultPlan{Rank: fault.Rank, Iteration: fault.Iteration - done}
-		}
-		losses, err := runtime.ParallelOpts(g, cur, curP, x, y, opt.LR, seg, ro)
-		if err == nil {
-			rep.Losses = append(rep.Losses, losses...)
-			rep.Steps = append(rep.Steps, curP.Step)
-			done += seg
-			if ckpt, err = ShardState(g, cur, curP); err != nil {
-				return rep, err
-			}
-			if err := persist(opt.Dir, ckpt); err != nil {
-				return rep, err
-			}
-			m.checkpoint()
-			rep.Checkpoints++
-			continue
-		}
-
-		var lost *runtime.DeviceLostError
-		if !errors.As(err, &lost) {
-			// Not a planned device loss: surface it. Partial losses from
-			// the failed segment are discarded — the state is torn.
-			return rep, err
-		}
-		fault = nil // consumed
-		m.fault()
-		rep.FaultsInjected++
-		began := time.Now()
-
-		newCfg, newP, bytes, err := recoverPlan(ctx, g, cl, cur, curP.Arch, lost.Rank, ckpt, opt, m)
-		if err != nil {
-			return rep, err
-		}
-		rep.Recovery = time.Since(began)
-		m.recovered(rep.Recovery)
-		rep.Reshards++
-		rep.ReshardBytesMoved = bytes
-
-		// Roll back to the checkpointed step: iterations after it re-run
-		// on the new plan (their losses were never recorded — Losses only
-		// grows at segment boundaries, which is where checkpoints are).
-		done = ckpt.Step - stepZero
-		cur, curP = newCfg, newP
-		rep.Config, rep.Params = cur, curP
-	}
-	rep.FinalStep = curP.Step
-	return rep, nil
-}
-
-// recoverPlan turns a device loss into a resumable (config, params) pair:
-// degrade the cluster, Replan, pick the best runnable candidate,
-// reshard the last checkpoint onto it, and reassemble full params.
-func recoverPlan(ctx context.Context, g *model.Graph, cl hardware.Cluster, prev *config.Config, arch *runtime.Arch, deadRank int, ckpt *State, opt Options, m *meters) (*config.Config, *runtime.Params, int64, error) {
-	spec := hardware.FaultSpec{Devices: []hardware.DeviceFault{{Device: deadRank, Dead: true}}}
-	degraded, err := cl.Degrade(spec)
-	if err != nil {
-		return nil, nil, 0, fmt.Errorf("elastic: degrade: %w", err)
-	}
-
-	// Restore once up front: candidate filtering needs the weights to
-	// check runnability (tp divisibility against actual tensor shapes).
-	if opt.Dir != "" {
-		if ckpt, err = Load(ckptPath(opt.Dir)); err != nil {
-			return nil, nil, 0, err
-		}
-	}
-	restored, err := AssembleState(ckpt)
-	if err != nil {
-		return nil, nil, 0, err
-	}
-	restored.Arch = arch
-	m.restore()
-
-	res, err := core.Replan(ctx, g, cl, spec, prev, core.Options{
-		TimeBudget: opt.SearchBudget,
-		Seed:       opt.Seed,
-	})
-	if err != nil {
-		return nil, nil, 0, fmt.Errorf("elastic: replan: %w", err)
-	}
-	next := pickRunnable(g, degraded, res, restored)
-	if next == nil {
-		// The search found nothing executable; fall back to the direct
-		// projection of the surviving plan.
-		proj, err := core.ProjectConfig(g, prev, degraded.TotalDevices())
-		if err != nil {
-			return nil, nil, 0, fmt.Errorf("elastic: no runnable replanned config and projection failed: %w", err)
-		}
-		if !runnable(g, degraded, proj, restored) {
-			return nil, nil, 0, fmt.Errorf("elastic: projected config not runnable on %d devices", degraded.TotalDevices())
-		}
-		next = proj
-	}
-
-	resharded, err := Reshard(g, next, ckpt)
-	if err != nil {
-		return nil, nil, 0, err
-	}
-	// Bytes moved compares physical devices: the checkpoint's ranks are
-	// healthy-cluster physical ranks, the new plan's are logical ranks
-	// of the degraded cluster.
-	bytes := BytesMoved(ckpt, resharded, nil, degraded.PhysOf)
-	m.reshard(bytes)
-
-	// Resume from the *resharded* state, not the assembly shortcut —
-	// this is the path that proves reshard exactness end to end.
-	newP, err := AssembleState(resharded)
-	if err != nil {
-		return nil, nil, 0, err
-	}
-	newP.Arch = arch
-	return next, newP, bytes, nil
-}
-
-// pickRunnable returns the first candidate (best first) the runtime
-// can actually execute, or nil.
-func pickRunnable(g *model.Graph, cl hardware.Cluster, res *core.Result, p *runtime.Params) *config.Config {
-	cands := append([]core.Candidate{res.Best}, res.TopK...)
-	for i := range cands {
-		c := cands[i].Config
-		if c != nil && runnable(g, cl, c, p) {
-			return c
-		}
-	}
-	return nil
-}
-
-// runnable checks a candidate against both the config validator and
-// the runtime's executability preflight.
-func runnable(g *model.Graph, cl hardware.Cluster, c *config.Config, p *runtime.Params) bool {
-	if c.Validate(g, cl.TotalDevices()) != nil {
-		return false
-	}
-	if c.MicroBatch <= 0 || g.GlobalBatch%c.MicroBatch != 0 {
-		return false
-	}
-	return runtime.CheckRunnable(g, c, p) == nil
+	s.rep.FinalStep = s.curP.Step
+	s.rep.Params, s.rep.Config = s.curP, s.cur
+	s.rep.FinalCadence = s.cadence
+	return s.rep, nil
 }
 
 // ckptPath is the single-lineage checkpoint file under dir.

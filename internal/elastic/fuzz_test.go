@@ -77,6 +77,12 @@ func FuzzChurnEventsNeverPanic(f *testing.F) {
 	f.Add([]byte{0, 0, 1, 0, 0, 1, 1, 0, 0, 0})           // preempt then readd
 	f.Add([]byte{0, 2, 0, 200, 0, 1, 3, 0, 255, 0})       // slow-node + link derate variants
 	f.Add([]byte{5, 17, 99, 254, 7, 3, 3, 3, 3, 3, 3, 3}) // out-of-range everything
+	// Odd length draws the ragged fleet: preempt all ten of its devices.
+	var drain []byte
+	for d := byte(1); d <= 10; d++ {
+		drain = append(drain, 0, 0, d, 0, 0)
+	}
+	f.Add(append(drain, 0))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		g, err := model.MLP(2, 4, 4)
@@ -87,7 +93,14 @@ func FuzzChurnEventsNeverPanic(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		// The plan spans two devices; odd-length inputs run it on a ragged
+		// 10-device fleet (two 8-device nodes, the last one partial) with
+		// eight idle spares, even-length ones on exactly two devices.
 		cl := hardware.DGX1V100(1).Restrict(2)
+		if len(data)%2 == 1 {
+			cl = hardware.DGX1V100(2).Restrict(10)
+		}
+		devices := cl.TotalDevices()
 
 		// Decode 5 bytes per event, mapping select byte values onto the
 		// hostile corners of the domain (negative iterations, NaN/Inf
@@ -111,8 +124,8 @@ func FuzzChurnEventsNeverPanic(f *testing.F) {
 			}
 			spec.Events = append(spec.Events, ChurnEvent{
 				Iteration: iter,
-				Kind:      ChurnKind(data[i+1] % 6), // includes invalid kinds
-				Device:    int(data[i+2])%4 - 1,     // includes -1 and out-of-range
+				Kind:      ChurnKind(data[i+1] % 6),       // includes invalid kinds
+				Device:    int(data[i+2])%(devices+2) - 1, // includes -1 and out-of-range
 				Scale:     scale,
 			})
 		}
@@ -125,16 +138,15 @@ func FuzzChurnEventsNeverPanic(f *testing.F) {
 			x.Data[i] = float64(i%7) * 0.1
 			y.Data[i] = float64(i%5) * 0.1
 		}
-		opt := SuperviseOptions{
-			Options: Options{
-				LR:           0.05,
-				CommDeadline: 5 * time.Second,
-				SearchBudget: 10 * time.Millisecond,
-			},
-			BackoffBase: time.Microsecond,
-			BackoffCap:  2 * time.Microsecond,
+		opt := Options{
+			LR:           0.05,
+			CommDeadline: 5 * time.Second,
+			SearchBudget: 10 * time.Millisecond,
+			BackoffBase:  time.Microsecond,
+			BackoffCap:   2 * time.Microsecond,
 		}
-		rep, err := Supervise(context.Background(), g, cl, cfg, p, x, y, 2, spec, opt)
+		job := Job{Graph: g, Cluster: cl, Config: cfg, Params: p, X: x, Y: y, Iters: 2}
+		rep, err := Supervise(context.Background(), job, spec, opt)
 		if err != nil {
 			return // typed rejection (invalid spec, stall, ...) is fine
 		}
@@ -211,17 +223,16 @@ func FuzzPreemptNoticeNeverPanics(f *testing.F) {
 			x.Data[i] = float64(i%7) * 0.1
 			y.Data[i] = float64(i%5) * 0.1
 		}
-		opt := SuperviseOptions{
-			Options: Options{
-				LR:           0.05,
-				CommDeadline: 5 * time.Second,
-				SearchBudget: 10 * time.Millisecond,
-			},
+		opt := Options{
+			LR:             0.05,
+			CommDeadline:   5 * time.Second,
+			SearchBudget:   10 * time.Millisecond,
 			BackoffBase:    time.Microsecond,
 			BackoffCap:     2 * time.Microsecond,
 			CheckpointCost: int(ckptCost) % 7,
 		}
-		rep, err := Supervise(context.Background(), g, cl, cfg, p, x, y, 4, spec, opt)
+		job := Job{Graph: g, Cluster: cl, Config: cfg, Params: p, X: x, Y: y, Iters: 4}
+		rep, err := Supervise(context.Background(), job, spec, opt)
 		if err != nil {
 			return // typed rejection (invalid spec, stall, ...) is fine
 		}

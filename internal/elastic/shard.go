@@ -1,10 +1,14 @@
 // Package elastic is the fault-recovery layer over the numeric
 // runtime: versioned checkpoints of the full training state
 // (checkpoint.go), a resharder that maps that state between arbitrary
-// parallelization plans (this file), and a driver that closes the
-// paper's bottleneck-alleviation loop at execution time — train,
-// lose a device mid-iteration, core.Replan on the degraded cluster,
-// reshard the last checkpoint onto the new plan, resume (elastic.go).
+// parallelization plans (this file), and one driver, Supervise
+// (elastic.go), that closes the paper's bottleneck-alleviation loop at
+// execution time — train, lose a device mid-iteration, core.Replan on
+// the degraded cluster, reshard the last checkpoint onto the new plan,
+// resume — for any schedule of fleet events (churn.go), from a single
+// failure to continuous churn. The supervisor's layers are the fleet
+// view (fleet.go), the recovery policies (policy.go), the reclaim
+// notice drains (drain.go) and the segment loop (supervisor.go).
 //
 // The reshard contract is exactness: sharding is pure partitioning
 // (every scalar of every tensor lives in exactly one shard), so

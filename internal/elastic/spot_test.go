@@ -2,16 +2,13 @@ package elastic
 
 import (
 	"context"
-	"math"
 	"strings"
 	"testing"
 
-	"aceso/internal/hardware"
 	"aceso/internal/obs"
-	"aceso/internal/runtime"
 )
 
-func countTransitions(rep *ChurnReport, kind TransitionKind) int {
+func countTransitions(rep *Report, kind TransitionKind) int {
 	n := 0
 	for _, tr := range rep.Transitions {
 		if tr.Kind == kind {
@@ -28,14 +25,8 @@ func countTransitions(rep *ChurnReport, kind TransitionKind) int {
 // that still matches the uninterrupted run to float tolerance.
 func TestSuperviseNoticeDrainZeroLostSteps(t *testing.T) {
 	const iters = 8
-	refLosses, ref := refRun(t, iters)
-
-	g := buildMLP(t)
-	cfg := uniformCfg(t, g, 2, 2, 2, 1, 4)
-	cl := hardware.DGX1V100(1).Restrict(4)
-	x, y := trainData(42)
-	p := runtime.InitParams(g, 7)
-	p.Opt = runtime.Adam
+	job := pp2tp2Job(t, iters)
+	refLosses, ref := refRun(t, job)
 
 	reg := obs.NewRegistry()
 	opt := superviseOpts(t)
@@ -46,7 +37,7 @@ func TestSuperviseNoticeDrainZeroLostSteps(t *testing.T) {
 	spec := ChurnSpec{Events: []ChurnEvent{
 		{Iteration: 3, Kind: PreemptNotice, Device: 2, Notice: 2},
 	}}
-	rep, err := Supervise(context.Background(), g, cl, cfg, p, x, y, iters, spec, opt)
+	rep, err := Supervise(context.Background(), job, spec, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,24 +51,13 @@ func TestSuperviseNoticeDrainZeroLostSteps(t *testing.T) {
 	if rep.FaultsDetected != 0 {
 		t.Fatalf("faults detected %d, want 0: the drain pre-empts the fault path", rep.FaultsDetected)
 	}
-	if len(rep.Losses) != iters || rep.FinalStep != iters {
-		t.Fatalf("losses %d, final step %d; want %d", len(rep.Losses), rep.FinalStep, iters)
-	}
-	for i := range refLosses {
-		if math.Abs(rep.Losses[i]-refLosses[i]) > tol {
-			t.Errorf("iter %d: loss %.12f vs reference %.12f", i, rep.Losses[i], refLosses[i])
-		}
-	}
-	if d := ref.MaxDiff(rep.Params); d > tol {
-		t.Errorf("final state differs by %g from uninterrupted run", d)
-	}
+	checkRejoins(t, rep, refLosses, ref, tol)
 	if !hasTransition(rep, TransNotice) || !hasTransition(rep, TransDrain) {
 		t.Errorf("transition log missing notice/drain: %+v", rep.Transitions)
 	}
 	if rep.Replans == 0 {
 		t.Error("no pre-warmed replan recorded for an in-use device drain")
 	}
-	checkMonotone(t, rep.Steps)
 	for _, name := range []string{
 		obs.SpotNoticesTotal, obs.SpotCleanDrainsTotal, obs.SpotPrewarmReplansTotal,
 		obs.ChurnEventsTotal + `{kind="preempt-notice"}`,
@@ -97,14 +77,8 @@ func TestSuperviseNoticeDrainZeroLostSteps(t *testing.T) {
 // preemption path (mid-segment fault, rollback, ladder recovery).
 func TestSuperviseNoticeMissedFallsBack(t *testing.T) {
 	const iters = 8
-	refLosses, ref := refRun(t, iters)
-
-	g := buildMLP(t)
-	cfg := uniformCfg(t, g, 2, 2, 2, 1, 4)
-	cl := hardware.DGX1V100(1).Restrict(4)
-	x, y := trainData(42)
-	p := runtime.InitParams(g, 7)
-	p.Opt = runtime.Adam
+	job := pp2tp2Job(t, iters)
+	refLosses, ref := refRun(t, job)
 
 	reg := obs.NewRegistry()
 	opt := superviseOpts(t)
@@ -115,7 +89,7 @@ func TestSuperviseNoticeMissedFallsBack(t *testing.T) {
 	spec := ChurnSpec{Events: []ChurnEvent{
 		{Iteration: 2, Kind: PreemptNotice, Device: 2, Notice: 1},
 	}}
-	rep, err := Supervise(context.Background(), g, cl, cfg, p, x, y, iters, spec, opt)
+	rep, err := Supervise(context.Background(), job, spec, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,17 +119,7 @@ func TestSuperviseNoticeMissedFallsBack(t *testing.T) {
 	if hasTransition(rep, TransDrain) {
 		t.Errorf("unexpected clean drain in %+v", rep.Transitions)
 	}
-	if len(rep.Losses) != iters || rep.FinalStep != iters {
-		t.Fatalf("losses %d, final step %d; want %d", len(rep.Losses), rep.FinalStep, iters)
-	}
-	for i := range refLosses {
-		if math.Abs(rep.Losses[i]-refLosses[i]) > tol {
-			t.Errorf("iter %d: loss %.12f vs reference %.12f", i, rep.Losses[i], refLosses[i])
-		}
-	}
-	if d := ref.MaxDiff(rep.Params); d > tol {
-		t.Errorf("final state differs by %g from uninterrupted run", d)
-	}
+	checkRejoins(t, rep, refLosses, ref, tol)
 	if reg.Counter(obs.SpotNoticesMissedTotal).Value() == 0 {
 		t.Errorf("metric %s = 0, want > 0", obs.SpotNoticesMissedTotal)
 	}
@@ -171,18 +135,13 @@ func TestSuperviseNoticeMissedFallsBack(t *testing.T) {
 func TestSuperviseDoublePreemptSameDevice(t *testing.T) {
 	const iters = 8
 
-	g := buildMLP(t)
-	cfg := uniformCfg(t, g, 2, 2, 2, 1, 4)
-	cl := hardware.DGX1V100(1).Restrict(4)
-	x, y := trainData(42)
-	p := runtime.InitParams(g, 7)
-	p.Opt = runtime.Adam
+	job := pp2tp2Job(t, iters)
 
 	spec := ChurnSpec{Events: []ChurnEvent{
 		{Iteration: 3, Kind: Preempt, Device: 2},
 		{Iteration: 5, Kind: Preempt, Device: 2},
 	}}
-	rep, err := Supervise(context.Background(), g, cl, cfg, p, x, y, iters, spec, superviseOpts(t))
+	rep, err := Supervise(context.Background(), job, spec, superviseOpts(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,12 +181,7 @@ func TestSuperviseDoublePreemptSameDevice(t *testing.T) {
 func TestSuperviseNoticeCanceledByRealPreempt(t *testing.T) {
 	const iters = 8
 
-	g := buildMLP(t)
-	cfg := uniformCfg(t, g, 2, 2, 2, 1, 4)
-	cl := hardware.DGX1V100(1).Restrict(4)
-	x, y := trainData(42)
-	p := runtime.InitParams(g, 7)
-	p.Opt = runtime.Adam
+	job := pp2tp2Job(t, iters)
 
 	opt := superviseOpts(t)
 	opt.CheckpointCost = 1
@@ -237,7 +191,7 @@ func TestSuperviseNoticeCanceledByRealPreempt(t *testing.T) {
 		{Iteration: 2, Kind: PreemptNotice, Device: 2, Notice: 4},
 		{Iteration: 3, Kind: Preempt, Device: 2},
 	}}
-	rep, err := Supervise(context.Background(), g, cl, cfg, p, x, y, iters, spec, opt)
+	rep, err := Supervise(context.Background(), job, spec, opt)
 	if err != nil {
 		t.Fatal(err)
 	}

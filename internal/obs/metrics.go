@@ -39,19 +39,15 @@ const (
 	DiffViolationsTotal  = "aceso_diff_violations_total"
 	DiffShrinkStepsTotal = "aceso_diff_shrink_steps_total"
 
-	// Elastic-training runtime (internal/elastic): fault recovery,
-	// checkpointing and state resharding.
-	ElasticFaultsInjectedTotal    = "aceso_elastic_faults_injected_total"
+	// Checkpointing and state resharding under elastic.Supervise.
 	ElasticCheckpointsTotal       = "aceso_elastic_checkpoints_total"
 	ElasticRestoresTotal          = "aceso_elastic_restores_total"
 	ElasticReshardsTotal          = "aceso_elastic_reshards_total"
 	ElasticReshardBytesMovedTotal = "aceso_elastic_reshard_bytes_moved_total"
-	// ElasticRecovery is a Timer; the snapshot suffixes it with
-	// _seconds_total and _count.
-	ElasticRecovery = "aceso_elastic_recovery"
 
-	// Continuous-churn supervisor (elastic.Supervise). Events carry a
-	// `{kind="..."}` label per ChurnKind, ladder commits a
+	// Recovery policy of elastic.Supervise: ChurnFaultsTotal is the one
+	// fault counter and ChurnRecovery the one recovery timer. Events
+	// carry a `{kind="..."}` label per ChurnKind, ladder commits a
 	// `{rung="..."}` label per degradation rung, and transitions a
 	// `{kind="..."}` label per TransitionKind.
 	ChurnEventsTotal         = "aceso_churn_events_total"
