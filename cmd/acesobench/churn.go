@@ -1,0 +1,195 @@
+package main
+
+// The churn target, and the training job it shares with the spot
+// target's replay.
+
+import (
+	"context"
+	"fmt"
+	"math"
+	"math/rand"
+	"os"
+	"time"
+
+	"aceso/internal/chaos"
+	"aceso/internal/elastic"
+	"aceso/internal/hardware"
+	"aceso/internal/obs"
+)
+
+// elasticTol is the acceptance bound on the supervised-vs-uninterrupted
+// trajectory: reshard is a pure float64 repartition, so anything above
+// accumulated rounding noise means recovery corrupted state.
+const elasticTol = 1e-9
+
+// recoveryJob is the churn and spot targets' workload: MLP(6 layers,
+// dim 16, batch 32) at pp2×tp2×dp2 on 8 emulated V100s — two 4-device
+// nodes instead of one DGX, so link derates hit a fabric the plan
+// actually crosses.
+func recoveryJob(iters int, seed int64) (elastic.Job, error) {
+	cl := hardware.DGX1V100(2)
+	cl.DevicesPerNode = 4
+	if err := cl.Validate(); err != nil {
+		return elastic.Job{}, err
+	}
+	job, err := chaos.MLPJob(rand.New(rand.NewSource(seed)), cl, 6, 16, 32, chaos.Shape{Stages: 2, TP: 2, DP: 2}, 8, seed)
+	job.Iters = iters
+	return job, err
+}
+
+const recoveryJobSetting = "MLP(6 layers, dim 16, batch 32), pp2×tp2×dp2 on 8 emulated V100s (2 nodes × 4)"
+
+// churnReport is the BENCH_churn.json schema: one deterministic
+// 20+-event churn schedule survived end to end, with the recovery
+// policies' ledger (availability, work lost, replans avoided by
+// hysteresis, recovery percentiles), plus the verdict of the
+// randomized churn chaos pass.
+type churnReport struct {
+	Setting           string         `json:"setting"`
+	Iterations        int            `json:"iterations"`
+	ScheduledEvents   int            `json:"scheduled_events"`
+	EventsApplied     int            `json:"events_applied"`
+	EventCounts       map[string]int `json:"event_counts"`
+	FaultsDetected    int            `json:"faults_detected"`
+	AvailabilityPct   float64        `json:"availability_pct"`
+	StepsLost         int            `json:"steps_lost"`
+	StepsLostPerFault float64        `json:"steps_lost_per_fault"`
+	Replans           int            `json:"replans"`
+	ReplansAvoided    int            `json:"replans_avoided"`
+	Ladder            map[string]int `json:"ladder"`
+	Retries           int            `json:"retries"`
+	Pauses            int            `json:"pauses"`
+	RecoveryP50Ms     float64        `json:"recovery_p50_ms"`
+	RecoveryP99Ms     float64        `json:"recovery_p99_ms"`
+	Checkpoints       int            `json:"checkpoints"`
+	Reshards          int            `json:"reshards"`
+	ReshardBytesMoved int64          `json:"reshard_bytes_moved"`
+	FinalCadence      int            `json:"final_cadence"`
+	FinalDevices      int            `json:"final_devices"`
+	LossDeltaFinal    float64        `json:"loss_delta_final"`
+	MaxParamDiff      float64        `json:"max_param_diff"`
+	Transitions       []string       `json:"transitions"`
+	chaosVerdict
+	Metrics *obs.Registry `json:"metrics"`
+}
+
+// churnSchedule is the deterministic 22-event acceptance schedule: two
+// full preempt/readd cycles plus a late third, mild derates the
+// hysteresis should absorb, a harsh straggler that must force a
+// replan, and fabric derates with restores.
+func churnSchedule() elastic.ChurnSpec {
+	return elastic.ChurnSpec{Events: []elastic.ChurnEvent{
+		{Iteration: 2, Kind: elastic.SlowNode, Device: 5, Scale: 0.9},   // mild blip → deferred
+		{Iteration: 3, Kind: elastic.SlowNode, Device: 5, Scale: 1},     // restored
+		{Iteration: 4, Kind: elastic.LinkDerate, Scale: 0.85},           // mild fabric congestion
+		{Iteration: 5, Kind: elastic.LinkDerate, Scale: 1},              // cleared
+		{Iteration: 6, Kind: elastic.Preempt, Device: 6},                // in-plan loss → ladder
+		{Iteration: 8, Kind: elastic.Preempt, Device: 7},                // second loss
+		{Iteration: 10, Kind: elastic.Readd, Device: 6},                 // capacity returns
+		{Iteration: 11, Kind: elastic.Readd, Device: 7},                 // back to full fleet
+		{Iteration: 13, Kind: elastic.SlowNode, Device: 1, Scale: 0.3},  // harsh straggler → forced
+		{Iteration: 15, Kind: elastic.SlowNode, Device: 1, Scale: 1},    // recovered
+		{Iteration: 16, Kind: elastic.LinkDerate, Scale: 0.6},           // heavy congestion
+		{Iteration: 18, Kind: elastic.LinkDerate, Scale: 1},             // cleared
+		{Iteration: 19, Kind: elastic.Preempt, Device: 0},               // third loss
+		{Iteration: 21, Kind: elastic.Readd, Device: 0},                 // returns
+		{Iteration: 22, Kind: elastic.SlowNode, Device: 3, Scale: 0.92}, // mild
+		{Iteration: 23, Kind: elastic.SlowNode, Device: 4, Scale: 0.92}, // mild
+		{Iteration: 24, Kind: elastic.SlowNode, Device: 3, Scale: 1},
+		{Iteration: 24, Kind: elastic.SlowNode, Device: 4, Scale: 1},
+		{Iteration: 25, Kind: elastic.Preempt, Device: 2}, // late loss
+		{Iteration: 26, Kind: elastic.Readd, Device: 2},
+		{Iteration: 27, Kind: elastic.LinkDerate, Scale: 0.9}, // parting blip
+		{Iteration: 27, Kind: elastic.LinkDerate, Scale: 1},
+	}}
+}
+
+// runChurn survives one deterministic churn schedule (22 mixed events
+// over 28 iterations on 8 emulated V100s across 2 nodes, with a
+// checkpoint file round trip) and gates on: every iteration completed,
+// the final trajectory matching an uninterrupted run within elasticTol,
+// and hysteresis having avoided at least one replan search. It then
+// runs the randomized one-fault and churn chaos passes.
+func runChurn(e *env) (any, []string, error) {
+	const iters = 28
+	job, err := recoveryJob(iters, e.set.Seed)
+	if err != nil {
+		return nil, nil, err
+	}
+	refLosses, ref, err := chaos.Reference(job)
+	if err != nil {
+		return nil, nil, err
+	}
+
+	dir, err := os.MkdirTemp("", "aceso-churn-*")
+	if err != nil {
+		return nil, nil, err
+	}
+	defer os.RemoveAll(dir)
+	reg := obs.NewRegistry()
+	spec := churnSchedule()
+	rep, err := elastic.Supervise(context.Background(), job, spec, elastic.Options{
+		LR:               chaos.LR,
+		CheckpointEvery:  2,
+		Dir:              dir,
+		SearchBudget:     300 * time.Millisecond,
+		Seed:             e.set.Seed,
+		Metrics:          reg,
+		BackoffBase:      100 * time.Microsecond,
+		BackoffCap:       2 * time.Millisecond,
+		SimulateTimeouts: 1, // exercise the backoff policy once
+	})
+	if err != nil {
+		return nil, nil, err
+	}
+
+	out := &churnReport{
+		Setting: fmt.Sprintf("%s, %d-event churn schedule, checkpoint every 2, seed %d",
+			recoveryJobSetting, len(spec.Events), e.set.Seed),
+		Iterations:        iters,
+		ScheduledEvents:   len(spec.Events),
+		EventsApplied:     rep.EventsApplied,
+		EventCounts:       rep.EventCounts,
+		FaultsDetected:    rep.FaultsDetected,
+		AvailabilityPct:   100 * rep.Availability(),
+		StepsLost:         rep.StepsLost,
+		Replans:           rep.Replans,
+		ReplansAvoided:    rep.ReplansAvoided,
+		Ladder:            rep.Ladder,
+		Retries:           rep.Retries,
+		Pauses:            rep.Pauses,
+		RecoveryP50Ms:     float64(rep.RecoveryPercentile(0.5).Nanoseconds()) / 1e6,
+		RecoveryP99Ms:     float64(rep.RecoveryPercentile(0.99).Nanoseconds()) / 1e6,
+		Checkpoints:       rep.Checkpoints,
+		Reshards:          rep.Reshards,
+		ReshardBytesMoved: rep.ReshardBytesMoved,
+		FinalCadence:      rep.FinalCadence,
+		FinalDevices:      rep.Config.TotalDevices(),
+		LossDeltaFinal:    math.Abs(refLosses[iters-1] - rep.Losses[iters-1]),
+		MaxParamDiff:      ref.MaxDiff(rep.Params),
+		Metrics:           reg,
+	}
+	if rep.FaultsDetected > 0 {
+		out.StepsLostPerFault = float64(rep.StepsLost) / float64(rep.FaultsDetected)
+	}
+	for _, tr := range rep.Transitions {
+		out.Transitions = append(out.Transitions, fmt.Sprintf("step %d [%s] %s", tr.Step, tr.Kind, tr.Detail))
+	}
+
+	var g gates
+	g.gate(rep.FinalStep == iters && len(rep.Losses) == iters, "run incomplete: final step %d, %d losses, want %d",
+		rep.FinalStep, len(rep.Losses), iters)
+	g.gate(out.LossDeltaFinal <= elasticTol && out.MaxParamDiff <= elasticTol,
+		"trajectory diverged: loss delta %g, param diff %g (tol %g)", out.LossDeltaFinal, out.MaxParamDiff, elasticTol)
+	g.gate(rep.ReplansAvoided > 0, "hysteresis avoided no replans across %d events", rep.EventsApplied)
+	g.gate(rep.FaultsDetected > 0 && rep.Retries > 0, "schedule exercised too little: faults=%d retries=%d",
+		rep.FaultsDetected, rep.Retries)
+	fmt.Fprintf(e.w, "churn: survived %d events (%d faults) in %d iterations: availability %.1f%%, %d steps lost, %d replans (%d avoided), recovery p50 %.1fms p99 %.1fms\n",
+		rep.EventsApplied, rep.FaultsDetected, iters, out.AvailabilityPct, rep.StepsLost,
+		rep.Replans, rep.ReplansAvoided, out.RecoveryP50Ms, out.RecoveryP99Ms)
+	fmt.Fprintf(e.w, "churn: final trajectory vs uninterrupted: loss delta %.3g, param diff %.3g (gate %g)\n",
+		out.LossDeltaFinal, out.MaxParamDiff, elasticTol)
+
+	out.chaosVerdict = runChaos(e, chaos.Options{Trials: e.trials}, chaos.OneFault, chaos.Churn)
+	return out, append(g.failed, out.ChaosViolations...), nil
+}

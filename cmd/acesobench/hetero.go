@@ -1,0 +1,206 @@
+package main
+
+// The hetero target, and the aware-vs-blind comparison it shares with
+// the spot target.
+
+import (
+	"fmt"
+	"strings"
+	"time"
+
+	"aceso/internal/config"
+	"aceso/internal/core"
+	"aceso/internal/diffcheck"
+	"aceso/internal/hardware"
+	"aceso/internal/model"
+	"aceso/internal/perfmodel"
+)
+
+// caseStudyOptions is the search both planning case studies run:
+// iterations are the binding limit, so explored counts and plans are
+// exact fingerprints.
+func caseStudyOptions(seed int64) core.Options {
+	return core.Options{TimeBudget: time.Hour, MaxIterations: 4, StageCounts: []int{2, 4}, Seed: seed}
+}
+
+// blindComparison is what a planner pays for not seeing a property of
+// the fleet (its device classes, its reclaim hazard).
+type blindComparison struct {
+	Aware, Blind *core.Result
+	// BlindBest is the plan of the blind search — its best or one of its
+	// top-K — that is cheapest once priced under the truth, BlindCost
+	// that price, and Feasible how many of those plans the truth accepts.
+	BlindBest core.Candidate
+	BlindCost float64
+	Feasible  int
+}
+
+// awareVsBlind searches g on the true fleet and on its blind twin (the
+// same fleet with the property stripped), then re-prices every plan the
+// blind search kept under the truth. price returns false for a plan the
+// truth finds infeasible.
+func awareVsBlind(g *model.Graph, truth, blind hardware.Cluster, opts core.Options,
+	price func(core.Candidate) (float64, bool)) (*blindComparison, error) {
+	aware, err := core.Search(g, truth, opts)
+	if err != nil {
+		return nil, err
+	}
+	if !aware.Best.Estimate.Feasible {
+		return nil, fmt.Errorf("the aware search found no feasible plan")
+	}
+	blindRes, err := core.Search(g, blind, opts)
+	if err != nil {
+		return nil, err
+	}
+	cmp := &blindComparison{Aware: aware, Blind: blindRes}
+	for _, cand := range append([]core.Candidate{blindRes.Best}, blindRes.TopK...) {
+		if cand.Config == nil {
+			continue
+		}
+		cost, ok := price(cand)
+		if !ok {
+			continue
+		}
+		cmp.Feasible++
+		if cmp.Feasible == 1 || cost < cmp.BlindCost {
+			cmp.BlindBest, cmp.BlindCost = cand, cost
+		}
+	}
+	if cmp.Feasible == 0 {
+		return nil, fmt.Errorf("no blind plan is feasible under the truth; the comparison is vacuous")
+	}
+	return cmp, nil
+}
+
+// heteroDiffTrials is the hetero target's default diff-slice size.
+const heteroDiffTrials = 512
+
+// heteroReport is the BENCH_hetero.json schema. The search is fully
+// deterministic, so explored counts, plan shapes and iteration times
+// are all exact fingerprints.
+type heteroReport struct {
+	Setting        string  `json:"setting"`
+	Seed           int64   `json:"seed"`
+	HeteroIterTime float64 `json:"hetero_iter_time_s"`
+	HeteroExplored int     `json:"hetero_explored"`
+	HeteroPlan     string  `json:"hetero_plan"`
+	BlindIterTime  float64 `json:"blind_iter_time_s"` // best blind plan re-priced on the mixed fleet
+	BlindExplored  int     `json:"blind_explored"`
+	BlindFeasible  int     `json:"blind_feasible_plans"`
+	Speedup        float64 `json:"speedup"` // blind / hetero iteration time
+	AllA100Time    float64 `json:"all_a100_iter_time_s"`
+	AllV100Time    float64 `json:"all_v100_iter_time_s"`
+	DiffTrials     int     `json:"diff_trials"`
+	DiffViolations int     `json:"diff_violations"`
+}
+
+// planFingerprint renders a configuration's shape as a stable string —
+// stage boundaries and device counts — so plan drift (as opposed to
+// mere cost drift) is directly visible in the guard's message.
+func planFingerprint(cfg *config.Config) string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "mb%d", cfg.MicroBatch)
+	for _, st := range cfg.Stages {
+		fmt.Fprintf(&b, ";%d-%d/%dd", st.Start, st.End, st.Devices)
+	}
+	return b.String()
+}
+
+// runHetero is the heterogeneous planning case study: GPT-3 1.3B on one
+// A100 node + one V100 node, against (a) a class-blind search over the
+// same scalar envelope — every device looks like a full-speed A100 —
+// whose plans are re-priced under the true mixed model, the penalty a
+// homogeneous planner pays on a real mixed fleet, and (b) homogeneous
+// all-A100 / all-V100 fleets for context. The hetero-aware plan must
+// strictly beat the blind one, and a slice of the differential
+// validation on mixed-class clusters must find no violation.
+func runHetero(e *env) (any, []string, error) {
+	graph, err := model.GPT3("1.3B")
+	if err != nil {
+		return nil, nil, err
+	}
+	mixed := hardware.A100V100(1, 1) // 8×A100-80GB + 8×V100-32GB
+	opts := caseStudyOptions(e.set.Seed)
+	blind := mixed
+	blind.Classes = nil
+	blind.NodeClass = nil
+	truth := perfmodel.New(graph, mixed, e.set.Seed)
+	cmp, err := awareVsBlind(graph, mixed, blind, opts, func(c core.Candidate) (float64, bool) {
+		est := truth.Estimate(c.Config)
+		return est.IterTime, est.Feasible
+	})
+	if err != nil {
+		return nil, nil, err
+	}
+	heteroTime, heteroPlan := cmp.Aware.Best.Estimate.IterTime, planFingerprint(cmp.Aware.Best.Config)
+
+	homTime := func(cl hardware.Cluster) (float64, error) {
+		res, err := core.Search(graph, cl, opts)
+		if err != nil {
+			return 0, err
+		}
+		if !res.Best.Estimate.Feasible {
+			return 0, fmt.Errorf("no feasible plan")
+		}
+		return res.Best.Estimate.IterTime, nil
+	}
+	a100Time, err := homTime(hardware.A100V100(2, 0))
+	if err != nil {
+		return nil, nil, fmt.Errorf("all-A100 baseline: %w", err)
+	}
+	v100Time, err := homTime(hardware.A100V100(0, 2))
+	if err != nil {
+		return nil, nil, fmt.Errorf("all-V100 baseline: %w", err)
+	}
+
+	fmt.Fprintf(e.w, "hetero: mixed-aware %.4fs (explored %d, plan %s)\n",
+		heteroTime, cmp.Aware.Explored, heteroPlan)
+	fmt.Fprintf(e.w, "hetero: class-blind %.4fs re-priced (explored %d, %d/%d plans feasible) — speedup %.3fx\n",
+		cmp.BlindCost, cmp.Blind.Explored, cmp.Feasible, 1+len(cmp.Blind.TopK), cmp.BlindCost/heteroTime)
+	fmt.Fprintf(e.w, "hetero: homogeneous baselines: all-A100 %.4fs, all-V100 %.4fs\n", a100Time, v100Time)
+	var g gates
+	g.gate(heteroTime < cmp.BlindCost, "hetero-aware plan (%.6fs) does not strictly beat the best class-blind plan (%.6fs)",
+		heteroTime, cmp.BlindCost)
+
+	trials := e.trials
+	if trials == 0 {
+		trials = heteroDiffTrials
+	}
+	rep := diffcheck.Run(diffcheck.Options{
+		Trials:    trials,
+		Seed:      e.set.Seed,
+		Generator: diffcheck.RandomHeteroTuple,
+		Log:       e.logf,
+	})
+	fmt.Fprint(e.w, rep.Summary())
+	g.gate(!rep.Failed(), "%d hetero diff violations", len(rep.Violations))
+
+	return &heteroReport{
+		Setting: fmt.Sprintf("GPT-3 1.3B on 8×A100-80GB + 8×V100-32GB, %d iterations, stage counts {2,4}, seed %d",
+			opts.MaxIterations, e.set.Seed),
+		Seed:           e.set.Seed,
+		HeteroIterTime: heteroTime,
+		HeteroExplored: cmp.Aware.Explored,
+		HeteroPlan:     heteroPlan,
+		BlindIterTime:  cmp.BlindCost,
+		BlindExplored:  cmp.Blind.Explored,
+		BlindFeasible:  cmp.Feasible,
+		Speedup:        cmp.BlindCost / heteroTime,
+		AllA100Time:    a100Time,
+		AllV100Time:    v100Time,
+		DiffTrials:     rep.Trials,
+		DiffViolations: len(rep.Violations),
+	}, g.failed, nil
+}
+
+func checkHetero(recorded, current any) []string {
+	rec, cur := recorded.(*heteroReport), current.(*heteroReport)
+	var g gates
+	g.gate(cur.HeteroExplored == rec.HeteroExplored, "hetero explored %d, recorded %d — the search is no longer bit-identical",
+		cur.HeteroExplored, rec.HeteroExplored)
+	g.gate(cur.BlindExplored == rec.BlindExplored, "class-blind explored %d, recorded %d — the homogeneous search drifted",
+		cur.BlindExplored, rec.BlindExplored)
+	g.gate(cur.HeteroPlan == rec.HeteroPlan, "hetero plan %q, recorded %q — the chosen plan drifted",
+		cur.HeteroPlan, rec.HeteroPlan)
+	return g.failed
+}

@@ -1,6 +1,8 @@
 package main
 
 import (
+	"bytes"
+	"errors"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -65,5 +67,57 @@ func TestBenchFig10(t *testing.T) {
 	}
 	if !strings.Contains(string(out), "Figure 10") {
 		t.Errorf("output:\n%s", out)
+	}
+}
+
+// TestCommandLine pins the exit convention: a command line that names
+// nothing runnable exits 2 before anything runs or is written, and
+// -list names every registered target.
+func TestCommandLine(t *testing.T) {
+	dir := t.TempDir()
+	committed := []byte("{\"committed\": true}\n")
+	spotFile := filepath.Join(dir, "BENCH_spot.json")
+	if err := os.WriteFile(spotFile, committed, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, tg := range registry {
+		names = append(names, tg.name)
+	}
+	for _, tc := range []struct {
+		name     string
+		args     []string
+		wantExit int
+		wantOut  []string
+	}{
+		{"unknown target", []string{"nosuchtarget"}, 2, append([]string{`unknown target "nosuchtarget"`}, names...)},
+		{"deleted serve target", []string{"fig1", "serve"}, 2, []string{`unknown target "serve"`}},
+		{"guard without a check", []string{"-guard", "-outdir", dir, "spot"}, 2, []string{`"spot"`, "-guard"}},
+		{"list", []string{"-list"}, 0, names},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			out, err := exec.Command(binPath, tc.args...).CombinedOutput()
+			exit := 0
+			var ee *exec.ExitError
+			if errors.As(err, &ee) {
+				exit = ee.ExitCode()
+			} else if err != nil {
+				t.Fatal(err)
+			}
+			if exit != tc.wantExit {
+				t.Errorf("exit %d, want %d\n%s", exit, tc.wantExit, out)
+			}
+			for _, want := range tc.wantOut {
+				if !strings.Contains(string(out), want) {
+					t.Errorf("output lacks %q:\n%s", want, out)
+				}
+			}
+			if strings.Contains(string(out), "Figure 1:") {
+				t.Errorf("a target ran on a refused command line:\n%s", out)
+			}
+		})
+	}
+	if got, err := os.ReadFile(spotFile); err != nil || !bytes.Equal(got, committed) {
+		t.Errorf("-guard spot touched the committed report: %q, %v", got, err)
 	}
 }

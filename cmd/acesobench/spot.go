@@ -1,21 +1,17 @@
 package main
 
-// The "spot" target (not part of "all") is the spot-capacity case
-// study: risk-aware planning against a mixed reserved/spot fleet, a
-// deterministic replayed preemption trace driven twice through the
-// churn supervisor — once risk-aware (notices honored, Young–Daly
-// cadence), once risk-blind (same reclaim instants, no notices, sparse
-// checkpoints) — and the randomized spot chaos pass. It writes
-// BENCH_spot.json and exits non-zero unless the risk-aware run achieves
-// at least spotSpeedupGate× the risk-blind run's *achieved* throughput
-// (steps per unit of wall work, counting re-executed iterations,
-// checkpoint overhead and recovery stalls — not the nominal iteration
-// time).
+// The spot target is the spot-capacity case study: risk-aware planning
+// against a mixed reserved/spot fleet, a deterministic preemption trace
+// replayed twice through elastic.Supervise — once risk-aware (notices
+// honored, Young–Daly cadence), once risk-blind (same reclaim instants,
+// no notices, sparse checkpoints) — and the randomized spot chaos pass.
+// The speedup it gates on is of *achieved* throughput: steps per unit
+// of wall work, counting re-executed iterations, checkpoint overhead
+// and recovery stalls — not the nominal iteration time.
 
 import (
 	"context"
 	"fmt"
-	"io"
 	"os"
 	"time"
 
@@ -61,8 +57,8 @@ type spotReplayStats struct {
 	AchievedThroughput float64 `json:"achieved_throughput"`
 }
 
-// spotBenchFile is the BENCH_spot.json schema.
-type spotBenchFile struct {
+// spotReport is the BENCH_spot.json schema.
+type spotReport struct {
 	Setting string `json:"setting"`
 	Seed    int64  `json:"seed"`
 
@@ -163,75 +159,50 @@ func spotStats(rep *elastic.Report, cadence, iters int) spotReplayStats {
 	}
 }
 
-// runSpotBench runs the spot case study and returns the number of gate
-// violations.
-func runSpotBench(outFile string, trials int, seed int64, w io.Writer) (int, error) {
-	// --- Planner slice -------------------------------------------------
-	// GPT-3 350M on 8 reserved + 8 spot V100s, spot reclaimed 6×/hour.
-	gSearch, err := model.GPT3("350M")
+// runSpot runs the planner, replay and chaos slices of the case study.
+func runSpot(e *env) (any, []string, error) {
+	// Planner slice: GPT-3 350M on 8 reserved + 8 spot V100s, spot
+	// reclaimed 6×/hour, against the same search on the hazard-stripped
+	// twin with every plan re-priced under the true hazard.
+	graph, err := model.GPT3("350M")
 	if err != nil {
-		return 0, err
+		return nil, nil, err
 	}
 	spotCl := hardware.ReservedSpotV100(8, 1, 1, 6, 120)
-	opts := core.Options{
-		TimeBudget:    time.Hour, // iterations are the binding limit
-		MaxIterations: 4,
-		StageCounts:   []int{2, 4},
-		Seed:          seed,
+	opts := caseStudyOptions(e.set.Seed)
+	expected := func(c core.Candidate) float64 {
+		exp, _ := core.RiskAssess(&spotCl, c.Config, c.Estimate.IterTime, opts)
+		return exp
 	}
-	aware, err := core.Search(gSearch, spotCl, opts)
-	if err != nil {
-		return 0, err
-	}
-	if !aware.Best.Estimate.Feasible {
-		return 0, fmt.Errorf("risk-aware search found no feasible plan")
-	}
-	awareExpected, _ := core.RiskAssess(&spotCl, aware.Best.Config, aware.Best.Estimate.IterTime, opts)
-
-	// Risk-blind: identical fleet with the hazard stripped, then every
-	// candidate re-priced under the true hazard.
-	blindCl := spotCl.StripHazard()
-	blindRes, err := core.Search(gSearch, blindCl, opts)
-	if err != nil {
-		return 0, err
-	}
-	blindNominal, blindExpected := 0.0, 0.0
-	for _, cand := range append([]core.Candidate{blindRes.Best}, blindRes.TopK...) {
-		if cand.Config == nil || cand.Estimate == nil || !cand.Estimate.Feasible {
-			continue
+	cmp, err := awareVsBlind(graph, spotCl, spotCl.StripHazard(), opts, func(c core.Candidate) (float64, bool) {
+		if c.Estimate == nil || !c.Estimate.Feasible {
+			return 0, false
 		}
-		exp, _ := core.RiskAssess(&spotCl, cand.Config, cand.Estimate.IterTime, opts)
-		if blindExpected == 0 || exp < blindExpected {
-			blindNominal, blindExpected = cand.Estimate.IterTime, exp
-		}
+		return expected(c), true
+	})
+	if err != nil {
+		return nil, nil, err
 	}
-	if blindExpected == 0 {
-		return 0, fmt.Errorf("no risk-blind plan is feasible; the comparison is vacuous")
-	}
+	aware := cmp.Aware
+	awareExpected := expected(aware.Best)
 
-	violations := 0
-	if aware.RecommendedCadence <= 0 {
-		violations++
-		fmt.Fprintf(w, "spot: no recommended cadence on a hazardous fleet\n")
-	}
-	if awareExpected > blindExpected*(1+1e-9) {
-		violations++
-		fmt.Fprintf(w, "spot: risk-aware expected %.6fs worse than re-priced risk-blind %.6fs\n",
-			awareExpected, blindExpected)
-	}
-	fmt.Fprintf(w, "spot: planner: aware %.4fs nominal / %.4fs expected (cadence %d, explored %d); blind %.4fs nominal / %.4fs expected (explored %d)\n",
+	var g gates
+	g.gate(aware.RecommendedCadence > 0, "no recommended cadence on a hazardous fleet")
+	g.gate(awareExpected <= cmp.BlindCost*(1+1e-9), "risk-aware expected %.6fs worse than re-priced risk-blind %.6fs",
+		awareExpected, cmp.BlindCost)
+	fmt.Fprintf(e.w, "spot: planner: aware %.4fs nominal / %.4fs expected (cadence %d, explored %d); blind %.4fs nominal / %.4fs expected (explored %d)\n",
 		aware.Best.Estimate.IterTime, awareExpected, aware.RecommendedCadence, aware.Explored,
-		blindNominal, blindExpected, blindRes.Explored)
+		cmp.BlindBest.Estimate.IterTime, cmp.BlindCost, cmp.Blind.Explored)
 
-	// --- Replay slice --------------------------------------------------
-	// Same MLP fleet as the churn bench: 8 emulated V100s, 2 nodes.
+	// Replay slice: the churn target's MLP fleet, one preemption trace,
+	// two supervisors.
 	const (
 		iters        = 32
 		blindCadence = 8
 	)
-	job, err := recoveryJob(iters, seed)
+	job, err := recoveryJob(iters, e.set.Seed)
 	if err != nil {
-		return violations, err
+		return nil, nil, err
 	}
 
 	// The aware cadence is the Young–Daly recommendation for the
@@ -253,7 +224,7 @@ func runSpotBench(outFile string, trials int, seed int64, w io.Writer) (int, err
 			CheckpointEvery: blindCadence,
 			Dir:             dir,
 			SearchBudget:    300 * time.Millisecond,
-			Seed:            seed,
+			Seed:            e.set.Seed,
 			BackoffBase:     100 * time.Microsecond,
 			BackoffCap:      2 * time.Millisecond,
 			MaxCadence:      blindCadence,
@@ -268,61 +239,43 @@ func runSpotBench(outFile string, trials int, seed int64, w io.Writer) (int, err
 
 	awareRep, err := run(true)
 	if err != nil {
-		return violations, fmt.Errorf("aware replay: %w", err)
+		return nil, nil, fmt.Errorf("aware replay: %w", err)
 	}
 	blindRep, err := run(false)
 	if err != nil {
-		return violations, fmt.Errorf("blind replay: %w", err)
+		return nil, nil, fmt.Errorf("blind replay: %w", err)
 	}
 
 	awareStats := spotStats(awareRep, awareCadence, iters)
 	blindStats := spotStats(blindRep, blindCadence, iters)
 	speedup := awareStats.AchievedThroughput / blindStats.AchievedThroughput
 
-	if awareRep.FinalStep != iters || blindRep.FinalStep != iters {
-		violations++
-		fmt.Fprintf(w, "spot: replay incomplete: aware %d, blind %d, want %d\n",
-			awareRep.FinalStep, blindRep.FinalStep, iters)
-	}
-	if awareRep.StepsLost != 0 {
-		violations++
-		fmt.Fprintf(w, "spot: aware replay lost %d steps; covered notices must drain losslessly\n",
-			awareRep.StepsLost)
-	}
-	if awareRep.CleanDrains != len(spotTrace) || awareRep.NoticesMissed != 0 {
-		violations++
-		fmt.Fprintf(w, "spot: aware replay drains %d/%d clean (%d missed)\n",
-			awareRep.CleanDrains, len(spotTrace), awareRep.NoticesMissed)
-	}
-	if blindRep.StepsLost == 0 {
-		violations++
-		fmt.Fprintf(w, "spot: blind replay lost no steps; the trace exercises nothing\n")
-	}
-	if speedup < spotSpeedupGate {
-		violations++
-		fmt.Fprintf(w, "spot: achieved speedup %.3fx < gate %.1fx\n", speedup, spotSpeedupGate)
-	}
-	fmt.Fprintf(w, "spot: replay: aware %.4f steps/iter-time (lost %d, %d clean drains, cadence %d) vs blind %.4f (lost %d, %d faults, cadence %d): %.3fx achieved speedup (gate %.1fx)\n",
+	g.gate(awareRep.FinalStep == iters && blindRep.FinalStep == iters, "replay incomplete: aware %d, blind %d, want %d",
+		awareRep.FinalStep, blindRep.FinalStep, iters)
+	g.gate(awareRep.StepsLost == 0, "aware replay lost %d steps; covered notices must drain losslessly", awareRep.StepsLost)
+	g.gate(awareRep.CleanDrains == len(spotTrace) && awareRep.NoticesMissed == 0, "aware replay drains %d/%d clean (%d missed)",
+		awareRep.CleanDrains, len(spotTrace), awareRep.NoticesMissed)
+	g.gate(blindRep.StepsLost > 0, "blind replay lost no steps; the trace exercises nothing")
+	g.gate(speedup >= spotSpeedupGate, "achieved speedup %.3fx < gate %.1fx", speedup, spotSpeedupGate)
+	fmt.Fprintf(e.w, "spot: replay: aware %.4f steps/iter-time (lost %d, %d clean drains, cadence %d) vs blind %.4f (lost %d, %d faults, cadence %d): %.3fx achieved speedup (gate %.1fx)\n",
 		awareStats.AchievedThroughput, awareRep.StepsLost, awareRep.CleanDrains, awareCadence,
 		blindStats.AchievedThroughput, blindRep.StepsLost, blindRep.FaultsDetected, blindCadence,
 		speedup, spotSpeedupGate)
 
-	// --- Chaos slice ---------------------------------------------------
-	verdict := runChaos(w, trials, seed, chaos.Spot)
-	violations += len(verdict.ChaosViolations)
+	verdict := runChaos(e, chaos.Options{Trials: e.trials}, chaos.Spot)
 
-	out := spotBenchFile{
+	return &spotReport{
 		Setting: fmt.Sprintf("planner: GPT-3 350M on 8 reserved + 8 spot V100s (6 reclaims/hour, 120s notice); replay: %s, %d-reclaim trace over %d iterations, seed %d",
-			recoveryJobSetting, len(spotTrace), iters, seed),
-		Seed:                  seed,
+			recoveryJobSetting, len(spotTrace), iters, e.set.Seed),
+		Seed:                  e.set.Seed,
 		AwareNominalIterTime:  aware.Best.Estimate.IterTime,
 		AwareExpectedIterTime: awareExpected,
 		AwareExplored:         aware.Explored,
 		RecommendedCadence:    aware.RecommendedCadence,
-		BlindNominalIterTime:  blindNominal,
-		BlindExpectedIterTime: blindExpected,
-		BlindExplored:         blindRes.Explored,
-		ExpectedSpeedup:       blindExpected / awareExpected,
+		BlindNominalIterTime:  cmp.BlindBest.Estimate.IterTime,
+		BlindExpectedIterTime: cmp.BlindCost,
+		BlindExplored:         cmp.Blind.Explored,
+		ExpectedSpeedup:       cmp.BlindCost / awareExpected,
 		ReplayIterations:      iters,
 		ReplayReclaims:        len(spotTrace),
 		Aware:                 awareStats,
@@ -331,10 +284,5 @@ func runSpotBench(outFile string, trials int, seed int64, w io.Writer) (int, err
 		SpeedupGate:           spotSpeedupGate,
 		chaosVerdict:          verdict,
 		Metrics:               reg,
-	}
-	if err := writeReport(outFile, out); err != nil {
-		return violations, err
-	}
-	fmt.Fprintf(w, "spot: report → %s\n", outFile)
-	return violations, nil
+	}, append(g.failed, verdict.ChaosViolations...), nil
 }

@@ -87,16 +87,9 @@ func GroupLink(c *hardware.Cluster, first, size int, p Placement) (bw, lat float
 	return bw * ibwS, lat * ilatS
 }
 
-// AllReduce returns the time (seconds) for a ring all-reduce of `bytes`
-// over a group of `size` devices with the given placement, priced at
-// the cluster-wide link.
-func AllReduce(c *hardware.Cluster, bytes float64, size int, p Placement) float64 {
-	bw, lat := linkOf(c, p)
-	return allReduceOn(bw, lat, bytes, size)
-}
-
-// AllReduceAt is AllReduce priced at the link of the device range
-// starting at first — the slowest class in the group on a mixed fleet.
+// AllReduceAt returns the time (seconds) for a ring all-reduce of
+// `bytes` over the `size` devices starting at first, priced at that
+// range's link — the slowest class in the group on a mixed fleet.
 func AllReduceAt(c *hardware.Cluster, bytes float64, first, size int, p Placement) float64 {
 	bw, lat := GroupLink(c, first, size, p)
 	return allReduceOn(bw, lat, bytes, size)
@@ -110,15 +103,10 @@ func allReduceOn(bw, lat, bytes float64, size int) float64 {
 	return 2*(g-1)/g*bytes/bw + 2*(g-1)*lat
 }
 
-// AllGather returns the time for a ring all-gather where every rank
-// ends with `bytes` total (i.e. each contributes bytes/size).
-func AllGather(c *hardware.Cluster, bytes float64, size int, p Placement) float64 {
-	bw, lat := linkOf(c, p)
-	return allGatherOn(bw, lat, bytes, size)
-}
-
-// AllGatherAt is AllGather priced at the link of the device range
-// starting at first.
+// AllGatherAt returns the time for a ring all-gather over the device
+// range starting at first, where every rank ends with `bytes` total
+// (i.e. each contributes bytes/size). A ring reduce-scatter has the
+// same cost shape.
 func AllGatherAt(c *hardware.Cluster, bytes float64, first, size int, p Placement) float64 {
 	bw, lat := GroupLink(c, first, size, p)
 	return allGatherOn(bw, lat, bytes, size)
@@ -132,30 +120,9 @@ func allGatherOn(bw, lat, bytes float64, size int) float64 {
 	return (g-1)/g*bytes/bw + (g-1)*lat
 }
 
-// ReduceScatter returns the time for a ring reduce-scatter of `bytes`.
-func ReduceScatter(c *hardware.Cluster, bytes float64, size int, p Placement) float64 {
-	// Same ring cost shape as all-gather.
-	return AllGather(c, bytes, size, p)
-}
-
-// ReduceScatterAt is ReduceScatter priced at the link of the device
-// range starting at first.
-func ReduceScatterAt(c *hardware.Cluster, bytes float64, first, size int, p Placement) float64 {
-	return AllGatherAt(c, bytes, first, size, p)
-}
-
-// P2P returns the time to move `bytes` between two devices with the
-// given placement (pipeline-stage boundary send/recv).
-func P2P(c *hardware.Cluster, bytes float64, p Placement) float64 {
-	if bytes <= 0 {
-		return 0
-	}
-	bw, lat := linkOf(c, p)
-	return bytes/bw + lat
-}
-
-// P2PAt is P2P priced at the link of the two-device range starting at
-// first (the sender/receiver pair spanning a stage boundary).
+// P2PAt returns the time to move `bytes` across a pipeline-stage
+// boundary, priced at the link of the two-device range starting at
+// first (the sender/receiver pair).
 func P2PAt(c *hardware.Cluster, bytes float64, first int, p Placement) float64 {
 	if bytes <= 0 {
 		return 0

@@ -10,10 +10,10 @@ import (
 var cl = hardware.DGX1V100(4)
 
 func TestAllReduceZeroForTrivialGroups(t *testing.T) {
-	if got := AllReduce(&cl, 1e6, 1, IntraNode); got != 0 {
+	if got := AllReduceAt(&cl, 1e6, 0, 1, IntraNode); got != 0 {
 		t.Errorf("AllReduce(group=1) = %v, want 0", got)
 	}
-	if got := AllReduce(&cl, 0, 8, IntraNode); got != 0 {
+	if got := AllReduceAt(&cl, 0, 0, 8, IntraNode); got != 0 {
 		t.Errorf("AllReduce(bytes=0) = %v, want 0", got)
 	}
 }
@@ -21,8 +21,8 @@ func TestAllReduceZeroForTrivialGroups(t *testing.T) {
 func TestInterNodeSlowerThanIntraNode(t *testing.T) {
 	const bytes = 256 << 20
 	for _, g := range []int{2, 4, 8, 16} {
-		intra := AllReduce(&cl, bytes, g, IntraNode)
-		inter := AllReduce(&cl, bytes, g, InterNode)
+		intra := AllReduceAt(&cl, bytes, 0, g, IntraNode)
+		inter := AllReduceAt(&cl, bytes, 0, g, InterNode)
 		if inter <= intra {
 			t.Errorf("group %d: inter (%v) should exceed intra (%v)", g, inter, intra)
 		}
@@ -33,21 +33,21 @@ func TestAllReduceRingFormula(t *testing.T) {
 	// For 2 ranks intra-node: 2·(1/2)·bytes/bw + 2·lat.
 	const bytes = 1e9
 	want := bytes/cl.IntraBW + 2*cl.IntraLat
-	got := AllReduce(&cl, bytes, 2, IntraNode)
+	got := AllReduceAt(&cl, bytes, 0, 2, IntraNode)
 	if diff := got - want; diff > 1e-12 || diff < -1e-12 {
 		t.Errorf("AllReduce = %v, want %v", got, want)
 	}
 }
 
 func TestAllReduceCostsTwiceAllGather(t *testing.T) {
-	// Ring all-reduce = reduce-scatter + all-gather.
+	// Ring all-reduce = reduce-scatter + all-gather, and a reduce-scatter
+	// costs what an all-gather does.
 	const bytes = 64 << 20
 	for _, g := range []int{2, 4, 8} {
-		ar := AllReduce(&cl, bytes, g, IntraNode)
-		ag := AllGather(&cl, bytes, g, IntraNode)
-		rs := ReduceScatter(&cl, bytes, g, IntraNode)
-		if diff := ar - (ag + rs); diff > 1e-12 || diff < -1e-12 {
-			t.Errorf("group %d: allreduce (%v) != allgather+reducescatter (%v)", g, ar, ag+rs)
+		ar := AllReduceAt(&cl, bytes, 0, g, IntraNode)
+		ag := AllGatherAt(&cl, bytes, 0, g, IntraNode)
+		if diff := ar - 2*ag; diff > 1e-12 || diff < -1e-12 {
+			t.Errorf("group %d: allreduce (%v) != 2 × allgather (%v)", g, ar, 2*ag)
 		}
 	}
 }
@@ -55,13 +55,13 @@ func TestAllReduceCostsTwiceAllGather(t *testing.T) {
 func TestP2P(t *testing.T) {
 	const bytes = 1 << 20
 	wantIntra := bytes/cl.IntraBW + cl.IntraLat
-	if got := P2P(&cl, bytes, IntraNode); got != wantIntra {
+	if got := P2PAt(&cl, bytes, 0, IntraNode); got != wantIntra {
 		t.Errorf("P2P intra = %v, want %v", got, wantIntra)
 	}
-	if P2P(&cl, bytes, InterNode) <= P2P(&cl, bytes, IntraNode) {
+	if P2PAt(&cl, bytes, 0, InterNode) <= P2PAt(&cl, bytes, 0, IntraNode) {
 		t.Error("inter-node P2P should be slower than intra-node")
 	}
-	if P2P(&cl, 0, IntraNode) != 0 {
+	if P2PAt(&cl, 0, 0, IntraNode) != 0 {
 		t.Error("P2P of zero bytes should be free")
 	}
 }
@@ -82,13 +82,13 @@ func TestMonotoneInBytes(t *testing.T) {
 		b1 := float64(kb) * 1024
 		b2 := b1 + float64(extra)*1024
 		for _, p := range []Placement{IntraNode, InterNode} {
-			if AllReduce(&cl, b1, group, p) > AllReduce(&cl, b2, group, p) {
+			if AllReduceAt(&cl, b1, 0, group, p) > AllReduceAt(&cl, b2, 0, group, p) {
 				return false
 			}
-			if AllGather(&cl, b1, group, p) > AllGather(&cl, b2, group, p) {
+			if AllGatherAt(&cl, b1, 0, group, p) > AllGatherAt(&cl, b2, 0, group, p) {
 				return false
 			}
-			if P2P(&cl, b1, p) > P2P(&cl, b2, p) {
+			if P2PAt(&cl, b1, 0, p) > P2PAt(&cl, b2, 0, p) {
 				return false
 			}
 		}
@@ -105,7 +105,7 @@ func TestAllReduceMonotoneInGroup(t *testing.T) {
 	const bytes = 128 << 20
 	prev := 0.0
 	for _, g := range []int{2, 4, 8, 16, 32} {
-		cur := AllReduce(&cl, bytes, g, InterNode)
+		cur := AllReduceAt(&cl, bytes, 0, g, InterNode)
 		if cur <= prev {
 			t.Errorf("AllReduce group %d (%v) should exceed smaller group (%v)", g, cur, prev)
 		}

@@ -8,6 +8,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -475,6 +476,112 @@ func TestCachedDonorIsFrozen(t *testing.T) {
 		wg.Wait()
 		if got := donor.Canonical(); got != want {
 			t.Errorf("donor changed under concurrent warm starts:\n got %s\nwant %s", got, want)
+		}
+	}
+}
+
+// zooRequests is a mixed workload of request shapes: four model
+// families, two fleet sizes, two seeds, and one degraded twin of the
+// first entry (same graph and options, device 3 dead), which a server
+// that has planned the first serves by warm start.
+func zooRequests() (zoo []PlanRequest, degraded PlanRequest) {
+	tiny9 := tinyRequest()
+	tiny9.Options.Seed = 9
+	bigger := PlanRequest{
+		Model:   ModelSpec{Family: "tinygpt", Layers: 4, Seq: 128, Hidden: 256, Heads: 4, Batch: 16},
+		Cluster: ClusterSpec{Nodes: 1, Restrict: 8},
+		Options: SearchOptions{BudgetMS: 10_000, MaxIterations: 2, StageCounts: []int{2, 4}, Seed: 7},
+	}
+	mlp := PlanRequest{
+		Model:   ModelSpec{Family: "mlp", Layers: 4, Dim: 256, Batch: 16},
+		Cluster: ClusterSpec{Nodes: 1, Restrict: 4},
+		Options: SearchOptions{BudgetMS: 10_000, MaxIterations: 2, StageCounts: []int{1, 2}, Seed: 3},
+	}
+	mlpnorm := mlp
+	mlpnorm.Model.Family = "mlpnorm"
+	uni := PlanRequest{
+		Model:   ModelSpec{Family: "uniform", Ops: 16, FLOPs: 1e9, Params: 1e6, Act: 1e5, Batch: 8},
+		Cluster: ClusterSpec{Nodes: 1, Restrict: 4},
+		Options: SearchOptions{BudgetMS: 10_000, MaxIterations: 2, StageCounts: []int{1, 2}, Seed: 5},
+	}
+	uniWide := uni
+	uniWide.Model.Ops = 24
+	uniWide.Cluster.Restrict = 8
+	uniWide.Options.StageCounts = []int{2, 4}
+	degraded = tinyRequest()
+	degraded.Cluster.Faults = &FaultsSpec{Dead: []int{3}}
+	return []PlanRequest{tinyRequest(), tiny9, bigger, mlp, mlpnorm, uni, uniWide}, degraded
+}
+
+// TestConcurrentZooServesFreshSearchBytes loads one server with the zoo
+// from 32 clients at once — exact hits contending with the forced
+// searches of a NoCache slice — and requires that nothing fails and
+// that what the loaded cache then serves for every healthy key is,
+// byte for byte, what a virgin server plans from cold.
+func TestConcurrentZooServesFreshSearchBytes(t *testing.T) {
+	const clients, rounds = 32, 8
+	zoo, degraded := zooRequests()
+	// The load must shed nothing, however many requests queue.
+	_, ts := testServer(t, Config{Queue: clients * rounds})
+
+	// The healthy keys are planned first, one at a time: planned after
+	// the degraded twin they would be warm-started from it, and a virgin
+	// server has no donor to reproduce that from.
+	for i, pr := range zoo {
+		if resp, out := postPlan(t, ts.URL, pr); resp.StatusCode != http.StatusOK || out.Cache != "miss" {
+			t.Fatalf("seed %d: status %d cache %q, want 200 miss", i, resp.StatusCode, out.Cache)
+		}
+	}
+	if resp, out := postPlan(t, ts.URL, degraded); resp.StatusCode != http.StatusOK || out.Cache != "warm" {
+		t.Fatalf("degraded probe: status %d cache %q, want 200 warm", resp.StatusCode, out.Cache)
+	}
+
+	mix := append(zoo, degraded)
+	var hits atomic.Int64
+	var wg sync.WaitGroup
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for r := 0; r < rounds; r++ {
+				i := c*rounds + r
+				pr := mix[i%len(mix)]
+				pr.NoCache = i%17 == 0 // keep real searches in flight among the hits
+				body, _ := json.Marshal(pr)
+				resp, err := http.Post(ts.URL+"/v1/plan", "application/json", bytes.NewReader(body))
+				if err != nil {
+					t.Errorf("request %d: %v", i, err)
+					continue
+				}
+				var out PlanResponse
+				err = json.NewDecoder(resp.Body).Decode(&out)
+				resp.Body.Close()
+				if resp.StatusCode != http.StatusOK || err != nil {
+					t.Errorf("request %d: status %d, decode error %v", i, resp.StatusCode, err)
+				}
+				if out.Cache == "hit" {
+					hits.Add(1)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if hits.Load() == 0 {
+		t.Error("no exact hit on a repeated-request mix")
+	}
+
+	_, virgin := testServer(t, Config{})
+	for i, pr := range zoo {
+		resp, cached := postPlan(t, ts.URL, pr)
+		if resp.StatusCode != http.StatusOK || cached.Cache != "hit" {
+			t.Fatalf("key %d on the loaded server: status %d cache %q, want 200 hit", i, resp.StatusCode, cached.Cache)
+		}
+		resp, fresh := postPlan(t, virgin.URL, pr)
+		if resp.StatusCode != http.StatusOK || fresh.Cache != "miss" {
+			t.Fatalf("key %d on the virgin server: status %d cache %q, want 200 miss", i, resp.StatusCode, fresh.Cache)
+		}
+		if !bytes.Equal(cached.Plan, fresh.Plan) {
+			t.Errorf("key %d (%s): cached plan differs from a fresh search", i, cached.Key)
 		}
 	}
 }

@@ -127,7 +127,7 @@ func TestPerturbationBounded(t *testing.T) {
 	// The perturbed collective time must stay within ±4% of analytic.
 	c := p.Cluster
 	for _, g := range []int{2, 4, 8, 16} {
-		base := collective.AllReduce(&c, 1e8, g, collective.InterNode)
+		base := collective.AllReduceAt(&c, 1e8, 0, g, collective.InterNode)
 		got := p.AllReduce(1e8, 0, g, collective.InterNode)
 		if got < base*(1-perturbAmp)-1e-15 || got > base*(1+perturbAmp)+1e-15 {
 			t.Errorf("group %d: perturbed %v outside ±4%% of %v", g, got, base)
