@@ -35,7 +35,7 @@ ci: build fmt-check
 	$(MAKE) fuzz-smoke
 	$(GO) test -run xxx -bench BenchmarkSearchThroughput -benchtime 1x .
 	$(GO) test -run xxx -bench . -benchtime 1x ./internal/config
-	$(MAKE) guard-search guard-scale guard-hetero
+	$(MAKE) guard-search guard-scale guard-hetero guard-spot
 	out=$$(mktemp -d) && $(BENCH) -outdir $$out -duration 10s trace diff chaos && $(MAKE) recover-smoke OUT=$$out
 	$(MAKE) serve-smoke
 

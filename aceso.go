@@ -62,8 +62,6 @@ type (
 	SimResult = pipesim.Result
 	// PerfModel predicts execution time and memory for configurations.
 	PerfModel = perfmodel.Model
-	// Trace carries search statistics (Exp#5–7 instrumentation).
-	Trace = core.Trace
 	// Initializer builds starting configurations (Exp#7 variants).
 	Initializer = core.Initializer
 	// SearchError is a typed per-worker failure (panic or initializer

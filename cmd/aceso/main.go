@@ -145,8 +145,7 @@ func runSearch(args []string) error {
 		fmt.Printf("loaded profiling database %s (%d entries)\n", *dbPath, sharedPM.Prof.Entries())
 	}
 	res, err := core.Search(g, cl, core.Options{
-		TimeBudget: *budget, MaxHops: *maxHops, Seed: *seed, CollectTrace: true,
-		Model: sharedPM,
+		TimeBudget: *budget, MaxHops: *maxHops, Seed: *seed, Model: sharedPM,
 	})
 	if err != nil {
 		return err

@@ -69,15 +69,15 @@ var registry = []target{
 		doc: "fixed-iteration searches on 1024/2048/4096 synthetic V100s: explored counts, allocation, 4096-vs-1024 linearity gate"},
 	paper("cases", "§5.4 case studies", cases),
 	{name: "trace", run: runTrace,
-		doc: "the search target's setting with tracer, metrics and breakdown auditor attached; also writes BENCH_trace.jsonl; fails on any audit violation"},
+		doc: "the search target's setting with the JSONL, convergence and breakdown-audit tracers and the metrics registry attached; also writes BENCH_trace.jsonl; fails on any audit violation"},
 	{name: "diff", run: runDiff,
 		doc: "-trials randomized model-vs-simulator tuples per mode (effects off, effects on); shrunken repro files; fails on any invariant violation"},
 	{name: "hetero", run: runHetero, check: checkHetero,
 		doc: "GPT-3 1.3B on 8 A100 + 8 V100 vs the best class-blind plan re-priced there, plus a mixed-cluster diff slice of -trials tuples"},
 	{name: "churn", run: runChurn,
 		doc: "elastic.Supervise through a seeded 22-event schedule, then -trials one-fault and churn chaos trials; fails unless it rejoins the uninterrupted run within 1e-9"},
-	{name: "spot", run: runSpot,
-		doc: "risk-aware vs risk-blind planning and a replayed reclaim trace on spot capacity, then -trials spot chaos trials; fails under 1.2x achieved speedup"},
+	{name: "spot", run: runSpot, check: checkSpot,
+		doc: "expected-time vs nominal-time planning and a replayed reclaim trace on spot capacity, then -trials spot chaos trials; fails under 1.2x achieved speedup; -guard pins explored counts, expected times, cadence, lost steps and drains"},
 	{name: "chaos", run: runChaosTarget,
 		doc: "fault-injection trials against the search for -duration (or -trials); fails on any panic, invalid plan or non-finite score"},
 }

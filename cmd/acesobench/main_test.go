@@ -76,8 +76,8 @@ func TestBenchFig10(t *testing.T) {
 func TestCommandLine(t *testing.T) {
 	dir := t.TempDir()
 	committed := []byte("{\"committed\": true}\n")
-	spotFile := filepath.Join(dir, "BENCH_spot.json")
-	if err := os.WriteFile(spotFile, committed, 0o644); err != nil {
+	churnFile := filepath.Join(dir, "BENCH_churn.json")
+	if err := os.WriteFile(churnFile, committed, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	var names []string
@@ -92,7 +92,7 @@ func TestCommandLine(t *testing.T) {
 	}{
 		{"unknown target", []string{"nosuchtarget"}, 2, append([]string{`unknown target "nosuchtarget"`}, names...)},
 		{"deleted serve target", []string{"fig1", "serve"}, 2, []string{`unknown target "serve"`}},
-		{"guard without a check", []string{"-guard", "-outdir", dir, "spot"}, 2, []string{`"spot"`, "-guard"}},
+		{"guard without a check", []string{"-guard", "-outdir", dir, "churn"}, 2, []string{`"churn"`, "-guard"}},
 		{"list", []string{"-list"}, 0, names},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -117,7 +117,7 @@ func TestCommandLine(t *testing.T) {
 			}
 		})
 	}
-	if got, err := os.ReadFile(spotFile); err != nil || !bytes.Equal(got, committed) {
-		t.Errorf("-guard spot touched the committed report: %q, %v", got, err)
+	if got, err := os.ReadFile(churnFile); err != nil || !bytes.Equal(got, committed) {
+		t.Errorf("-guard churn touched the committed report: %q, %v", got, err)
 	}
 }

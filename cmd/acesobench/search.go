@@ -251,20 +251,14 @@ func checkScale(recorded, current any) []string {
 // convergence samples carry wall-clock times, so this file — unlike the
 // JSONL trace — is not byte-identical across runs.
 type traceReport struct {
-	Setting     string        `json:"setting"`
-	Iterations  int           `json:"iterations"`
-	Explored    int           `json:"explored"`
-	BestScore   float64       `json:"best_iter_time_seconds"`
-	Audited     int64         `json:"estimates_audited"`
-	Violations  []string      `json:"breakdown_violations,omitempty"`
-	Convergence []tracePoint  `json:"convergence"`
-	Metrics     *obs.Registry `json:"metrics"`
-}
-
-// tracePoint is one convergence-curve sample.
-type tracePoint struct {
-	ElapsedSeconds float64 `json:"elapsed_seconds"`
-	Score          float64 `json:"score"`
+	Setting     string                 `json:"setting"`
+	Iterations  int                    `json:"iterations"`
+	Explored    int                    `json:"explored"`
+	BestScore   float64                `json:"best_iter_time_seconds"`
+	Audited     int64                  `json:"estimates_audited"`
+	Violations  []string               `json:"breakdown_violations,omitempty"`
+	Convergence []obs.ConvergencePoint `json:"convergence"`
+	Metrics     *obs.Registry          `json:"metrics"`
 }
 
 // runTrace runs the search target's setting with the JSONL tracer, the
@@ -278,13 +272,13 @@ func runTrace(e *env) (any, []string, error) {
 	}
 	jsonl := obs.NewJSONLTracer()
 	auditor := obs.NewAuditor()
+	conv := obs.NewConvergence()
 	reg := obs.NewRegistry()
 	res, err := core.Search(g, hardware.DGX1V100(2), core.Options{
 		TimeBudget:    time.Hour,
 		MaxIterations: iters,
 		Seed:          e.set.Seed,
-		CollectTrace:  true,
-		Tracer:        obs.MultiTracer(jsonl, auditor),
+		Tracer:        obs.MultiTracer(jsonl, auditor, conv),
 		Metrics:       reg,
 	})
 	if err != nil {
@@ -305,16 +299,14 @@ func runTrace(e *env) (any, []string, error) {
 	}
 
 	out := &traceReport{
-		Setting:    fmt.Sprintf("%s, MaxIterations=%d, Seed=%d", searchSetting, iters, e.set.Seed),
-		Iterations: res.Iterations,
-		Explored:   res.Explored,
-		BestScore:  res.Best.Score,
-		Audited:    auditor.Checked(),
-		Violations: auditor.Violations(),
-		Metrics:    reg,
-	}
-	for _, p := range res.Trace.Convergence() {
-		out.Convergence = append(out.Convergence, tracePoint{ElapsedSeconds: p.Elapsed.Seconds(), Score: p.Score})
+		Setting:     fmt.Sprintf("%s, MaxIterations=%d, Seed=%d", searchSetting, iters, e.set.Seed),
+		Iterations:  res.Iterations,
+		Explored:    res.Explored,
+		BestScore:   res.Best.Score,
+		Audited:     auditor.Checked(),
+		Violations:  auditor.Violations(),
+		Convergence: conv.Curve(),
+		Metrics:     reg,
 	}
 	fmt.Fprintf(e.w, "trace: %d iterations, %d explored, best %.4fs, %d estimates audited\n",
 		res.Iterations, res.Explored, res.Best.Score, auditor.Checked())

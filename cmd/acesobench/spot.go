@@ -170,21 +170,18 @@ func runSpot(e *env) (any, []string, error) {
 	}
 	spotCl := hardware.ReservedSpotV100(8, 1, 1, 6, 120)
 	opts := caseStudyOptions(e.set.Seed)
-	expected := func(c core.Candidate) float64 {
-		exp, _ := core.RiskAssess(&spotCl, c.Config, c.Estimate.IterTime, opts)
-		return exp
-	}
 	cmp, err := awareVsBlind(graph, spotCl, spotCl.StripHazard(), opts, func(c core.Candidate) (float64, bool) {
 		if c.Estimate == nil || !c.Estimate.Feasible {
 			return 0, false
 		}
-		return expected(c), true
+		expected, _ := core.RiskAssess(&spotCl, c.Config, c.Estimate.IterTime)
+		return expected, true
 	})
 	if err != nil {
 		return nil, nil, err
 	}
 	aware := cmp.Aware
-	awareExpected := expected(aware.Best)
+	awareExpected := aware.Best.Score // on spot capacity the objective is expected iteration time
 
 	var g gates
 	g.gate(aware.RecommendedCadence > 0, "no recommended cadence on a hazardous fleet")
@@ -285,4 +282,26 @@ func runSpot(e *env) (any, []string, error) {
 		chaosVerdict:          verdict,
 		Metrics:               reg,
 	}, append(g.failed, verdict.ChaosViolations...), nil
+}
+
+// checkSpot compares what a run decides, not what it times: both
+// searches are iteration-bounded, so explored counts, expected times and
+// the cadence are exact fingerprints, and the replay's lost steps and
+// drains are decisions of the transition log.
+func checkSpot(recorded, current any) []string {
+	rec, cur := recorded.(*spotReport), current.(*spotReport)
+	var g gates
+	g.gate(cur.AwareExplored == rec.AwareExplored && cur.BlindExplored == rec.BlindExplored,
+		"explored aware %d / blind %d, recorded %d / %d — the search is no longer bit-identical",
+		cur.AwareExplored, cur.BlindExplored, rec.AwareExplored, rec.BlindExplored)
+	g.gate(cur.AwareExpectedIterTime == rec.AwareExpectedIterTime && cur.BlindExpectedIterTime == rec.BlindExpectedIterTime &&
+		cur.RecommendedCadence == rec.RecommendedCadence,
+		"expected iteration time aware %v / blind %v at cadence %d, recorded %v / %v at %d — the objective drifted",
+		cur.AwareExpectedIterTime, cur.BlindExpectedIterTime, cur.RecommendedCadence,
+		rec.AwareExpectedIterTime, rec.BlindExpectedIterTime, rec.RecommendedCadence)
+	lost := func(r *spotReport) [4]int {
+		return [4]int{r.Aware.StepsLost, r.Aware.CleanDrains, r.Blind.StepsLost, r.Blind.CleanDrains}
+	}
+	g.gate(lost(cur) == lost(rec), "replay lost steps and clean drains (aware, blind) %v, recorded %v", lost(cur), lost(rec))
+	return g.failed
 }

@@ -80,9 +80,18 @@ func TestDeviceSplitProperty(t *testing.T) {
 	}
 }
 
+// uniform is the weight vector of Balanced: every stage alike.
+func uniform(stages int) []float64 {
+	w := make([]float64, stages)
+	for s := range w {
+		w[s] = 1
+	}
+	return w
+}
+
 func TestOpSplitBalance(t *testing.T) {
 	g := model.Uniform(100, 1e9, 1e6, 1e5, 64)
-	ranges, err := OpSplit(g, 4)
+	ranges, err := OpSplit(g, uniform(4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +107,7 @@ func TestOpSplitSkewed(t *testing.T) {
 	// With 4× heavier ops at the end, the last stage must hold fewer
 	// ops than the first for a FLOPs-balanced split.
 	g := model.Skewed(100, 1e9, 1e6, 1e5, 0.1, 64)
-	ranges, err := OpSplit(g, 4)
+	ranges, err := OpSplit(g, uniform(4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,10 +129,10 @@ func TestOpSplitSkewed(t *testing.T) {
 
 func TestOpSplitErrors(t *testing.T) {
 	g := model.Uniform(3, 1e9, 1e6, 1e5, 64)
-	if _, err := OpSplit(g, 4); err == nil {
+	if _, err := OpSplit(g, uniform(4)); err == nil {
 		t.Error("OpSplit with more stages than ops should fail")
 	}
-	if _, err := OpSplit(g, 0); err == nil {
+	if _, err := OpSplit(g, nil); err == nil {
 		t.Error("OpSplit(0 stages) should fail")
 	}
 }

@@ -45,16 +45,32 @@ func DeviceSplit(total, stages int) ([]int, error) {
 	return out, nil
 }
 
-// OpSplit partitions the model's operators into `stages` contiguous
-// ranges with near-equal forward FLOPs. Every range is non-empty.
-func OpSplit(g *model.Graph, stages int) ([][2]int, error) {
-	n := len(g.Ops)
+// OpSplit partitions the model's operators into len(weights)
+// contiguous ranges whose forward FLOPs are proportional to the
+// weights: stage s targets weights[s]/Σweights of the total. Every
+// range is non-empty; a non-positive weight is treated as a minimal
+// share.
+func OpSplit(g *model.Graph, weights []float64) ([][2]int, error) {
+	n, stages := len(g.Ops), len(weights)
 	if stages <= 0 || n < stages {
 		return nil, fmt.Errorf("config: cannot split %d ops into %d stages", n, stages)
+	}
+	share := func(s int) float64 {
+		if weights[s] <= 0 {
+			return 1e-9
+		}
+		return weights[s]
 	}
 	prefix := make([]float64, n+1)
 	for i := range g.Ops {
 		prefix[i+1] = prefix[i] + g.Ops[i].FwdFLOPs
+	}
+	// rest[s] = Σ_{k ≥ s} share(k): stage s targets its share of the
+	// FLOPs *remaining* at its start, so the split rebalances as it
+	// goes. With uniform weights that share is exactly 1/(stages-s).
+	rest := make([]float64, stages+1)
+	for s := stages - 1; s >= 0; s-- {
+		rest[s] = rest[s+1] + share(s)
 	}
 	out := make([][2]int, 0, stages)
 	start := 0
@@ -63,7 +79,7 @@ func OpSplit(g *model.Graph, stages int) ([][2]int, error) {
 			out = append(out, [2]int{start, n})
 			break
 		}
-		target := prefix[start] + (prefix[n]-prefix[start])/float64(stages-s)
+		target := prefix[start] + (prefix[n]-prefix[start])*share(s)/rest[s]
 		end := start + 1
 		// Advance while adding the next op keeps us closer to target,
 		// but leave at least one op per remaining stage.
@@ -88,33 +104,56 @@ func OpSplit(g *model.Graph, stages int) ([][2]int, error) {
 	return out, nil
 }
 
-// Balanced builds the paper's default initial configuration: FLOPs-
-// balanced contiguous operator ranges, an (as even as possible)
-// power-of-two device split, full tensor parallelism inside each
-// stage (memory-safest start), default sharding dims, no
-// recomputation, and the given (minimum) microbatch size.
+// Weighted builds a pipeline's starting configuration — the one
+// constructor every fresh start goes through. Stage s runs on devs[s]
+// devices (a DeviceSplit), takes the contiguous operator range holding
+// weights[s]/Σweights of the forward FLOPs (OpSplit) and starts with
+// full tensor parallelism inside the stage, the memory-safest start,
+// unless replicate[s] asks for a dp-replicated one (TP devs[s]/2 ×
+// DP 2), granted only when devs[s] and microBatch are both even.
+// Default sharding dims, no recomputation. nil weights are uniform —
+// per *stage*, which is Balanced; StageWeights' sums of uniform
+// per-device scales are not — and nil replicate is all false.
+func Weighted(g *model.Graph, devs []int, microBatch int, weights []float64, replicate []bool) (*Config, error) {
+	if weights == nil {
+		weights = make([]float64, len(devs))
+		for s := range weights {
+			weights[s] = 1
+		}
+	}
+	ranges, err := OpSplit(g, weights)
+	if err != nil {
+		return nil, err
+	}
+	c := &Config{MicroBatch: microBatch, Stages: make([]Stage, len(devs))}
+	for s, n := range devs {
+		st := Stage{Start: ranges[s][0], End: ranges[s][1], Devices: n}
+		st.Ops = make([]OpSetting, st.NumOps())
+		tp, dp := n, 1
+		if replicate != nil && replicate[s] && n%2 == 0 && microBatch%2 == 0 {
+			tp, dp = n/2, 2
+		}
+		for j := range st.Ops {
+			st.Ops[j] = OpSetting{TP: tp, DP: dp, Dim: 0}
+		}
+		c.Stages[s] = st
+	}
+	if err := c.Validate(g, c.TotalDevices()); err != nil {
+		return nil, err
+	}
+	return c, nil
+}
+
+// Balanced builds the paper's default initial configuration: an (as
+// even as possible) power-of-two device split and Weighted's start
+// with uniform per-stage weights — FLOPs-balanced operator ranges,
+// full tensor parallelism — at the given (minimum) microbatch size.
 func Balanced(g *model.Graph, totalDevices, stages, microBatch int) (*Config, error) {
 	devs, err := DeviceSplit(totalDevices, stages)
 	if err != nil {
 		return nil, err
 	}
-	ranges, err := OpSplit(g, stages)
-	if err != nil {
-		return nil, err
-	}
-	c := &Config{MicroBatch: microBatch, Stages: make([]Stage, stages)}
-	for s := 0; s < stages; s++ {
-		st := Stage{Start: ranges[s][0], End: ranges[s][1], Devices: devs[s]}
-		st.Ops = make([]OpSetting, st.NumOps())
-		for j := range st.Ops {
-			st.Ops[j] = OpSetting{TP: devs[s], DP: 1, Dim: 0}
-		}
-		c.Stages[s] = st
-	}
-	if err := c.Validate(g, totalDevices); err != nil {
-		return nil, err
-	}
-	return c, nil
+	return Weighted(g, devs, microBatch, nil, nil)
 }
 
 // ImbalancedOps builds the "imbalance-op" initial configuration of
@@ -159,15 +198,12 @@ func ImbalancedOps(g *model.Graph, totalDevices, stages, microBatch int) (*Confi
 }
 
 // ImbalancedGPUs builds the "imbalance-GPU" initial configuration of
-// Exp#7: the first stage hoards devices (half of the total when that
-// is a power of two) and the remainder is split across the rest.
+// Exp#7: Balanced's operator ranges on a device split whose first stage
+// hoards devices (half of the total when that is a power of two), the
+// remainder split across the rest.
 func ImbalancedGPUs(g *model.Graph, totalDevices, stages, microBatch int) (*Config, error) {
-	c, err := Balanced(g, totalDevices, stages, microBatch)
-	if err != nil {
-		return nil, err
-	}
 	if stages == 1 {
-		return c, nil
+		return Balanced(g, totalDevices, stages, microBatch)
 	}
 	first := totalDevices / 2
 	for !IsPow2(first) && first > 1 {
@@ -177,13 +213,5 @@ func ImbalancedGPUs(g *model.Graph, totalDevices, stages, microBatch int) (*Conf
 	if err != nil {
 		return nil, err
 	}
-	devs := append([]int{first}, restSplit...)
-	for s := 0; s < stages; s++ {
-		st := &c.Stages[s]
-		st.Devices = devs[s]
-		for j := range st.Ops {
-			st.Ops[j] = OpSetting{TP: devs[s], DP: 1, Dim: 0}
-		}
-	}
-	return c, c.Validate(g, totalDevices)
+	return Weighted(g, append([]int{first}, restSplit...), microBatch, nil, nil)
 }

@@ -13,74 +13,105 @@ type Bottleneck struct {
 	Resources []Resource // Heuristic-2 exploration order
 }
 
-// Bottlenecks ranks the stages of an estimate by Heuristic-1:
-//
-//   - When the configuration is out of memory, stages are ranked by
-//     memory consumption (largest first) and memory is the first
-//     resource to alleviate.
-//   - Otherwise stages are ranked by execution time (longest first)
-//     and resources are ordered by their consumption proportion —
-//     the stage's share of the cluster-wide consumption of that
-//     resource (Heuristic-2, highest-consumption first).
-//
-// The full ranking (not just the top stage) is returned so that the
-// search can fall back to secondary bottlenecks when the primary one
-// cannot be improved (§3.2.3).
+// Heuristic-1 ranks stages by rankKey, largest first: memory
+// consumption when the configuration is out of memory (safety first),
+// execution time otherwise.
+func rankKey(est *perfmodel.Estimate, si int) float64 {
+	if !est.Feasible {
+		return est.Stages[si].PeakMem
+	}
+	return est.Stages[si].StageTime
+}
+
+// consumption is the cluster-wide consumption of each resource, the
+// denominators of Heuristic-2's proportions.
+type consumption struct{ comp, comm, mem float64 }
+
+func totalConsumption(est *perfmodel.Estimate) consumption {
+	var t consumption
+	for i := range est.Stages {
+		s := &est.Stages[i]
+		t.comp += s.CompTime()
+		t.comm += s.CommTime(est.Microbatches)
+		t.mem += s.PeakMem
+	}
+	return t
+}
+
+// resourceOrder appends to buf the resources to alleviate in stage si,
+// in Heuristic-2 order: the time resources by the stage's consumption
+// proportion — its share of the cluster-wide consumption of that
+// resource, highest first — with memory in front when the stage is what
+// makes the configuration infeasible, and at the back when the stage is
+// feasible but under memory pressure.
+func resourceOrder(buf []Resource, est *perfmodel.Estimate, si int, tot consumption, memCapacity float64) []Resource {
+	s := &est.Stages[si]
+	// Per-stage capacity: a fault-derated device shrinks its stage's
+	// budget below the cluster-wide figure.
+	cap := memCapacity
+	if s.CapMem > 0 && s.CapMem < cap {
+		cap = s.CapMem
+	}
+	if !est.Feasible && s.PeakMem > cap {
+		// Safety first: resolve memory, then whatever time resource
+		// dominates.
+		buf = append(buf, Mem)
+	}
+	if proportion(s.CompTime(), tot.comp) >= proportion(s.CommTime(est.Microbatches), tot.comm) {
+		buf = append(buf, Comp, Comm)
+	} else {
+		buf = append(buf, Comm, Comp)
+	}
+	// High memory pressure makes memory-relieving primitives worth
+	// exploring even before an OOM materializes.
+	if est.Feasible && s.PeakMem > 0.9*cap {
+		buf = append(buf, Mem)
+	}
+	return buf
+}
+
+// Bottlenecks ranks the stages of an estimate by Heuristic-1 and orders
+// each one's resources by Heuristic-2. The full ranking (not just the
+// top stage) is returned so that the search can fall back to secondary
+// bottlenecks when the primary one cannot be improved (§3.2.3).
 func Bottlenecks(est *perfmodel.Estimate, memCapacity float64) []Bottleneck {
-	n := len(est.Stages)
-	idx := make([]int, n)
+	idx := make([]int, len(est.Stages))
 	for i := range idx {
 		idx[i] = i
 	}
-
-	var totalComp, totalComm, totalMem float64
-	for i := range est.Stages {
-		s := &est.Stages[i]
-		totalComp += s.CompTime()
-		totalComm += s.CommTime(est.Microbatches)
-		totalMem += s.PeakMem
-	}
-
-	if !est.Feasible {
-		sort.SliceStable(idx, func(a, b int) bool {
-			return est.Stages[idx[a]].PeakMem > est.Stages[idx[b]].PeakMem
-		})
-	} else {
-		sort.SliceStable(idx, func(a, b int) bool {
-			return est.Stages[idx[a]].StageTime > est.Stages[idx[b]].StageTime
-		})
-	}
-
-	out := make([]Bottleneck, 0, n)
+	sort.SliceStable(idx, func(a, b int) bool {
+		return rankKey(est, idx[a]) > rankKey(est, idx[b])
+	})
+	tot := totalConsumption(est)
+	out := make([]Bottleneck, 0, len(idx))
 	for _, si := range idx {
-		s := &est.Stages[si]
-		// Per-stage capacity: a fault-derated device shrinks its
-		// stage's budget below the cluster-wide figure.
-		cap := memCapacity
-		if s.CapMem > 0 && s.CapMem < cap {
-			cap = s.CapMem
-		}
-		b := Bottleneck{Stage: si}
-		if !est.Feasible && s.PeakMem > cap {
-			// Safety first: resolve memory, then whatever time
-			// resource dominates.
-			b.Resources = append(b.Resources, Mem)
-		}
-		comp := proportion(s.CompTime(), totalComp)
-		comm := proportion(s.CommTime(est.Microbatches), totalComm)
-		if comp >= comm {
-			b.Resources = append(b.Resources, Comp, Comm)
-		} else {
-			b.Resources = append(b.Resources, Comm, Comp)
-		}
-		// High memory pressure makes memory-relieving primitives worth
-		// exploring even before an OOM materializes.
-		if est.Feasible && s.PeakMem > 0.9*cap {
-			b.Resources = append(b.Resources, Mem)
-		}
-		out = append(out, b)
+		out = append(out, Bottleneck{Stage: si, Resources: resourceOrder(nil, est, si, tot, memCapacity)})
 	}
 	return out
+}
+
+// topBottleneck returns Bottlenecks(est, mem)[0] without building and
+// sorting the full per-stage ranking: the multi-hop branch step only
+// ever consumes the top entry. The top stage is the first index
+// attaining the extreme key (matching the stable sort's tie-break),
+// and the resource list is built into the per-depth scratch buffer —
+// owned by this frame until the recursion consuming it returns.
+func (s *searcher) topBottleneck(hop int, est *perfmodel.Estimate) (Bottleneck, bool) {
+	if len(est.Stages) == 0 {
+		return Bottleneck{}, false
+	}
+	top := 0
+	for i := 1; i < len(est.Stages); i++ {
+		if rankKey(est, i) > rankKey(est, top) {
+			top = i
+		}
+	}
+	for len(s.bnBufAt) <= hop {
+		s.bnBufAt = append(s.bnBufAt, make([]Resource, 0, 4))
+	}
+	rs := resourceOrder(s.bnBufAt[hop][:0], est, top, totalConsumption(est), s.cluster.MemoryBytes)
+	s.bnBufAt[hop] = rs
+	return Bottleneck{Stage: top, Resources: rs}, true
 }
 
 // StageProportions returns stage si's share of the cluster-wide
@@ -92,17 +123,11 @@ func StageProportions(est *perfmodel.Estimate, si int) (comp, comm, mem float64)
 	if est == nil || si < 0 || si >= len(est.Stages) {
 		return 0, 0, 0
 	}
-	var totalComp, totalComm, totalMem float64
-	for i := range est.Stages {
-		s := &est.Stages[i]
-		totalComp += s.CompTime()
-		totalComm += s.CommTime(est.Microbatches)
-		totalMem += s.PeakMem
-	}
+	tot := totalConsumption(est)
 	s := &est.Stages[si]
-	return proportion(s.CompTime(), totalComp),
-		proportion(s.CommTime(est.Microbatches), totalComm),
-		proportion(s.PeakMem, totalMem)
+	return proportion(s.CompTime(), tot.comp),
+		proportion(s.CommTime(est.Microbatches), tot.comm),
+		proportion(s.PeakMem, tot.mem)
 }
 
 func proportion(part, total float64) float64 {

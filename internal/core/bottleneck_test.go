@@ -1,9 +1,16 @@
 package core
 
 import (
+	"reflect"
+	"sync"
 	"testing"
+	"time"
 
+	"aceso/internal/config"
+	"aceso/internal/hardware"
 	"aceso/internal/model"
+	"aceso/internal/obs"
+	"aceso/internal/perfmodel"
 )
 
 func TestBottleneckRankingByTime(t *testing.T) {
@@ -100,5 +107,50 @@ func TestResourceString(t *testing.T) {
 	}
 	if Resource(42).String() == "" {
 		t.Error("unknown resource should stringify")
+	}
+}
+
+// bottleneckChecker compares, for every estimate a search produces,
+// the allocation-free top-bottleneck path multiHop branches on with
+// the head of the full ranking run starts from.
+type bottleneckChecker struct {
+	t  *testing.T
+	mu sync.Mutex
+	s  searcher // scratch buffers for topBottleneck
+
+	feasible, infeasible, pressured int
+}
+
+func (c *bottleneckChecker) OnIteration(obs.IterationEvent) {}
+
+func (c *bottleneckChecker) OnEstimate(_ *config.Config, est *perfmodel.Estimate) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	want := Bottlenecks(est, c.s.cluster.MemoryBytes)[0]
+	got, ok := c.s.topBottleneck(0, est)
+	if !ok || got.Stage != want.Stage || !reflect.DeepEqual(got.Resources, want.Resources) {
+		c.t.Errorf("topBottleneck = stage %d %v (ok %v), Bottlenecks[0] = stage %d %v",
+			got.Stage, got.Resources, ok, want.Stage, want.Resources)
+	}
+	switch {
+	case !est.Feasible:
+		c.infeasible++
+	case want.Resources[len(want.Resources)-1] == Mem:
+		c.pressured++
+	default:
+		c.feasible++
+	}
+}
+
+func TestTopBottleneckMatchesBottlenecks(t *testing.T) {
+	g, _ := model.GPT3("350M")
+	cl := hardware.DGX1V100(1).Restrict(4)
+	check := &bottleneckChecker{t: t, s: searcher{cluster: cl}}
+	if _, err := Search(g, cl, Options{TimeBudget: time.Hour, MaxIterations: 4, Seed: 1, Tracer: check}); err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("%d feasible, %d infeasible, %d feasible above 0.9× capacity", check.feasible, check.infeasible, check.pressured)
+	if check.feasible == 0 || check.infeasible == 0 || check.pressured == 0 {
+		t.Error("the search did not cover all three orderings")
 	}
 }

@@ -52,9 +52,6 @@ func (s *searcher) fineTune(cfg *config.Config) *config.Config {
 		s.visited[k] = true
 		e := s.estimate(c)
 		sc := s.score(c, e)
-		if e.Feasible {
-			s.trace.observe(sc)
-		}
 		if sc < bestScore {
 			// The superseded best is dead unless it is the caller's
 			// input configuration.

@@ -4,7 +4,6 @@ import (
 	"testing"
 	"time"
 
-	"aceso/internal/config"
 	"aceso/internal/hardware"
 	"aceso/internal/model"
 	"aceso/internal/perfmodel"
@@ -82,7 +81,7 @@ func TestHeteroSearchBeatsClassBlind(t *testing.T) {
 }
 
 // TestHeteroInitializerShiftsOps pins the placement mechanism: with
-// A100 nodes first, the capacity-balanced initializer must assign the
+// A100 nodes first, the seed rule of a classed fleet must assign the
 // fast first stage at least as many FLOPs as Balanced would, so
 // compute-heavy work gravitates to the fast class from iteration zero.
 func TestHeteroInitializerShiftsOps(t *testing.T) {
@@ -91,13 +90,10 @@ func TestHeteroInitializerShiftsOps(t *testing.T) {
 		t.Fatal(err)
 	}
 	mixed := hardware.A100V100(1, 1)
-	scales := make([]float64, mixed.TotalDevices())
-	for d := range scales {
-		scales[d] = mixed.DeviceFLOPSScale(d, g.Precision)
-	}
 	// Two stages over 16 devices: stage 0 on the A100 node, stage 1 on
 	// the V100 node.
-	heteroInit, err := config.CapacityBalanced(scales)(g, 16, 2, 1)
+	obj := newObjective(&mixed)
+	heteroInit, err := obj.seeds(g, perfmodel.New(g, mixed, 1), nil)(g, 16, 2, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -144,16 +144,3 @@ func TestVisitedDedupAcrossHops(t *testing.T) {
 		t.Errorf("estimate cache has %d entries but explored counted %d", len(s.cache), s.explored)
 	}
 }
-
-func TestTraceNilSafe(t *testing.T) {
-	// A nil *Trace must absorb all calls (search without CollectTrace).
-	var tr *Trace
-	tr.addIteration(IterationTrace{})
-	tr.observe(1)
-	if tr.Iterations() != nil || tr.Convergence() != nil {
-		t.Error("nil trace returned data")
-	}
-	if tr.TriesHistogram() != nil || tr.HopsHistogram() != nil {
-		t.Error("nil trace histograms non-nil")
-	}
-}

@@ -25,7 +25,6 @@ func newSearcher(t *testing.T, g *model.Graph, devices int) *searcher {
 		visited:  make(map[uint64]bool),
 		pool:     make(map[uint64]Candidate),
 		cache:    make(map[uint64]*perfmodel.Estimate),
-		trace:    nil,
 	}
 }
 

@@ -70,11 +70,9 @@ type Options struct {
 	// optimizer-state sharding) to the searched space — beyond the
 	// paper's Table 1, per §3.2.1's extensibility note.
 	ExtendedPrimitives bool
-	// Initializer overrides the default balanced initial configuration.
+	// Initializer overrides the default initial configuration, which
+	// the cluster decides (objective.seeds).
 	Initializer Initializer
-	// CollectTrace records per-iteration statistics and the
-	// convergence curve (Exp#5–7).
-	CollectTrace bool
 	// Tracer receives structured observability events: one
 	// obs.IterationEvent per top-level iteration (bottleneck stage and
 	// resource proportions, accepted primitive, hops, backtracks,
@@ -92,15 +90,6 @@ type Options struct {
 	// Model optionally supplies a pre-built performance model (shared
 	// profiling database); one is created when nil.
 	Model *perfmodel.Model
-	// RiskRecoverySeconds and RiskCheckpointSeconds parameterize the
-	// risk-aware objective selected automatically on clusters with spot
-	// capacity (see risk.go): the modeled cost of recovering from one
-	// preemption (replan + reshard + restore) and of writing one
-	// checkpoint. 0 selects defaults proportional to each candidate's
-	// own iteration time (10× and 1×), keeping the objective
-	// scale-free. Ignored on hazard-free clusters.
-	RiskRecoverySeconds   float64
-	RiskCheckpointSeconds float64
 }
 
 func (o Options) withDefaults() Options {
@@ -118,9 +107,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.InitMicroBatch <= 0 {
 		o.InitMicroBatch = 1
-	}
-	if o.Initializer == nil {
-		o.Initializer = config.Balanced
 	}
 	return o
 }
@@ -190,7 +176,6 @@ type Result struct {
 	Explored   int         // configurations estimated (Exp#4's metric)
 	Iterations int         // top-level iterations across all workers
 	Elapsed    time.Duration
-	Trace      *Trace // nil unless Options.CollectTrace
 
 	// Partial is true when the search was interrupted before every
 	// worker converged — the context was canceled, a deadline or the
@@ -204,7 +189,7 @@ type Result struct {
 	Diagnostics []*SearchError
 
 	// RecommendedCadence is the checkpoint cadence (iterations per
-	// checkpoint) minimizing the risk-aware objective for Best on a
+	// checkpoint) minimizing the expected-time objective for Best on a
 	// cluster with spot capacity — the elastic supervisor's
 	// CheckpointEvery should track it. 0 on hazard-free clusters,
 	// where the objective is plain iteration time.
@@ -272,46 +257,15 @@ func SearchContext(ctx context.Context, g *model.Graph, cl hardware.Cluster, opt
 	if err := cl.Validate(); err != nil {
 		return nil, err
 	}
-	userInit := opts.Initializer
 	opts = opts.withDefaults()
-	// Risk-aware objective: on a cluster with live spot hazard, rank
-	// candidates by expected (hazard-adjusted) iteration time instead
-	// of nominal time. nil on hazard-free clusters — the gate that
-	// keeps risk-blind searches bit-identical (explored=24701).
-	risk := newRiskModel(&cl, opts)
 	pm := opts.Model
 	if pm == nil {
 		pm = perfmodel.New(g, cl, opts.Seed)
 	}
-	if userInit == nil && len(cl.Classes) > 0 {
-		// Heterogeneity-aware default start: on a mixed fleet the
-		// FLOPs-uniform Balanced split parks half the model on the slow
-		// class; seed each pipeline with operator shares proportional
-		// to per-device capacity instead (class × fault derates at the
-		// graph's precision). Gated strictly on device classes so
-		// homogeneous searches — faulted or not — stay bit-identical.
-		scales := make([]float64, cl.TotalDevices())
-		for d := range scales {
-			scales[d] = cl.DeviceFLOPSScale(d, g.Precision)
-		}
-		capInit := config.CapacityBalanced(scales)
-		if risk != nil {
-			// Spot capacity: bias the start so high-hazard devices
-			// carry dp-replicated, cheap-to-reshard work. The bias is a
-			// hint, not a commitment: each pipeline starts from whichever
-			// of the hazard-biased and the plain capacity candidates the
-			// risk objective prices cheaper, so a discount that lands the
-			// biased split in a bad basin never strands the search.
-			hazards := make([]float64, cl.TotalDevices())
-			for d := range hazards {
-				hazards[d] = cl.DeviceHazard(d)
-			}
-			opts.Initializer = riskSeedInitializer(pm, risk,
-				config.RiskBalanced(scales, hazards), capInit)
-		} else {
-			opts.Initializer = capInit
-		}
-	}
+	// What a candidate scores and where each pipeline starts, both
+	// derived from cl (objective.go).
+	obj := newObjective(&cl)
+	seed := obj.seeds(g, pm, opts.Initializer)
 	start := time.Now()
 	deadline := start.Add(opts.TimeBudget)
 	if d, ok := ctx.Deadline(); ok && d.Before(deadline) {
@@ -322,11 +276,6 @@ func SearchContext(ctx context.Context, g *model.Graph, cl hardware.Cluster, opt
 	stageCounts := opts.StageCounts
 	if len(stageCounts) == 0 {
 		stageCounts = defaultStageCounts(cl.TotalDevices(), len(g.Ops))
-	}
-
-	var trace *Trace
-	if opts.CollectTrace {
-		trace = newTrace(start)
 	}
 
 	type workerOut struct {
@@ -387,7 +336,7 @@ func SearchContext(ctx context.Context, g *model.Graph, cl hardware.Cluster, opt
 				}}
 			}
 		}()
-		init, err := opts.Initializer(g, cl.TotalDevices(), p, opts.InitMicroBatch)
+		init, err := seed(g, cl.TotalDevices(), p, opts.InitMicroBatch)
 		if err != nil {
 			outs[wi] = workerOut{err: &SearchError{StageCount: p, Err: err}}
 			return
@@ -405,10 +354,9 @@ func SearchContext(ctx context.Context, g *model.Graph, cl hardware.Cluster, opt
 			cache:    make(map[uint64]*perfmodel.Estimate, 1024),
 			arena:    &arenas[w],
 			rng:      rand.New(rand.NewSource(opts.Seed + int64(p)*7919)),
-			trace:    trace,
 			tracer:   opts.Tracer,
 			met:      met,
-			risk:     risk,
+			obj:      obj,
 		}
 		topK, iters, converged := s.run(init)
 		outs[wi] = workerOut{topK: topK, explored: s.explored, iterations: iters, converged: converged}
@@ -433,7 +381,7 @@ func SearchContext(ctx context.Context, g *model.Graph, cl hardware.Cluster, opt
 		opts.Metrics.Counter(obs.StageCacheMissesTotal).Set(int64(misses))
 	}
 
-	res := &Result{Trace: trace}
+	res := &Result{}
 	var all []Candidate
 	ok := false
 	allConverged := true
@@ -473,8 +421,8 @@ func SearchContext(ctx context.Context, g *model.Graph, cl hardware.Cluster, opt
 		return nil, fmt.Errorf("core: search produced no candidates")
 	}
 	res.Best = res.TopK[0]
-	if risk != nil && res.Best.Estimate != nil && res.Best.Estimate.Feasible {
-		res.RecommendedCadence = risk.cadence(res.Best.Config, res.Best.Estimate.IterTime)
+	if res.Best.Estimate != nil && res.Best.Estimate.Feasible {
+		_, res.RecommendedCadence = obj.assess(res.Best.Config, res.Best.Estimate.IterTime)
 	}
 	res.Elapsed = time.Since(start)
 	return res, nil
@@ -548,7 +496,6 @@ type searcher struct {
 	cache    map[uint64]*perfmodel.Estimate // estimate memo
 	explored int
 	rng      *rand.Rand
-	trace    *Trace
 
 	// arena recycles rejected candidate clones (DESIGN.md §5g). Shared
 	// by every searcher run serially on one worker. The discipline: a
@@ -596,9 +543,9 @@ type searcher struct {
 	applyBufs  [2][]*config.Config
 	applyDepth int
 
-	// risk is the spot-capacity scoring model; nil on hazard-free
-	// clusters, where score() returns nominal iteration time.
-	risk *riskModel
+	// obj scores feasible candidates: nominal iteration time, or
+	// expected time on spot capacity (objective.go).
+	obj objective
 
 	// Observability (nil when disabled — every use is pointer-guarded
 	// so the tracing-off hot path pays only the nil checks).
@@ -709,9 +656,9 @@ func (s *searcher) estimate(cfg *config.Config) *perfmodel.Estimate {
 	return e
 }
 
-// score maps an estimate to a single comparable figure: iteration time
-// when feasible (hazard-adjusted expected time on spot-capacity
-// clusters — the placement matters, hence the config argument); a
+// score maps an estimate to a single comparable figure: the objective's
+// value when feasible (iteration time; hazard-adjusted expected time on
+// spot capacity — the placement matters, hence the config argument); a
 // large penalty plus the memory excess otherwise so that approaching
 // feasibility still registers as progress. Non-finite estimates
 // (poisoned profiles that slipped past input validation) collapse to a
@@ -719,10 +666,7 @@ func (s *searcher) estimate(cfg *config.Config) *perfmodel.Estimate {
 // where every ordering test against it is false.
 func (s *searcher) score(cfg *config.Config, e *perfmodel.Estimate) float64 {
 	if e.Feasible {
-		t := e.IterTime
-		if s.risk != nil && t >= 0 && !math.IsInf(t, 0) && !math.IsNaN(t) {
-			t = s.risk.expected(cfg, t)
-		}
+		t := s.obj.score(cfg, e.IterTime)
 		if t >= 0 && !math.IsInf(t, 0) && !math.IsNaN(t) {
 			return t
 		}
@@ -752,11 +696,7 @@ func (s *searcher) run(init *config.Config) ([]Candidate, int, bool) {
 	var topK []Candidate
 	record := func(cfg *config.Config) {
 		e := s.estimate(cfg)
-		sc := s.score(cfg, e)
-		if e.Feasible {
-			s.trace.observe(sc)
-		}
-		cand := Candidate{Config: cfg, Estimate: e, Score: sc, key: cfg.Key()}
+		cand := Candidate{Config: cfg, Estimate: e, Score: s.score(cfg, e), key: cfg.Key()}
 		topK = insertTopK(topK, cand, s.opts.TopK)
 	}
 	record(cur)
@@ -814,17 +754,6 @@ func (s *searcher) run(init *config.Config) ([]Candidate, int, bool) {
 			}
 			cur = found
 			record(cur)
-			s.trace.addIteration(IterationTrace{
-				StageCount:      init.NumStages(),
-				BottleneckTries: tries,
-				Hops:            hops,
-				Improved:        true,
-			})
-		} else {
-			s.trace.addIteration(IterationTrace{
-				StageCount: init.NumStages(),
-				Improved:   false,
-			})
 		}
 		// No improvement reachable from cur: restart from the most
 		// promising unexplored configuration (Algorithm 1 line 13).
@@ -989,9 +918,6 @@ func (s *searcher) multiHop(cfg *config.Config, est *perfmodel.Estimate, bn Bott
 				}
 				e := s.estimate(c)
 				sc := s.score(c, e)
-				if e.Feasible {
-					s.trace.observe(sc)
-				}
 				if sc < initScore {
 					// The rest of the batch was never pooled or
 					// estimated — recycle it on the way out.
@@ -1051,63 +977,6 @@ func (s *searcher) multiHop(cfg *config.Config, est *perfmodel.Estimate, bn Bott
 		}
 	}
 	return nil, 0, ""
-}
-
-// topBottleneck returns Bottlenecks(est, mem)[0] without building and
-// sorting the full per-stage ranking: the multi-hop branch step only
-// ever consumes the top entry. The top stage is the first index
-// attaining the extreme key (matching the stable sort's tie-break),
-// and the resource list is built into the per-depth scratch buffer —
-// owned by this frame until the recursion consuming it returns.
-func (s *searcher) topBottleneck(hop int, est *perfmodel.Estimate) (Bottleneck, bool) {
-	n := len(est.Stages)
-	if n == 0 {
-		return Bottleneck{}, false
-	}
-	top := 0
-	if !est.Feasible {
-		for i := 1; i < n; i++ {
-			if est.Stages[i].PeakMem > est.Stages[top].PeakMem {
-				top = i
-			}
-		}
-	} else {
-		for i := 1; i < n; i++ {
-			if est.Stages[i].StageTime > est.Stages[top].StageTime {
-				top = i
-			}
-		}
-	}
-	var totalComp, totalComm float64
-	for i := range est.Stages {
-		sm := &est.Stages[i]
-		totalComp += sm.CompTime()
-		totalComm += sm.CommTime(est.Microbatches)
-	}
-	for len(s.bnBufAt) <= hop {
-		s.bnBufAt = append(s.bnBufAt, make([]Resource, 0, 4))
-	}
-	rs := s.bnBufAt[hop][:0]
-	sm := &est.Stages[top]
-	memCap := s.cluster.MemoryBytes
-	if sm.CapMem > 0 && sm.CapMem < memCap {
-		memCap = sm.CapMem
-	}
-	if !est.Feasible && sm.PeakMem > memCap {
-		rs = append(rs, Mem)
-	}
-	comp := proportion(sm.CompTime(), totalComp)
-	comm := proportion(sm.CommTime(est.Microbatches), totalComm)
-	if comp >= comm {
-		rs = append(rs, Comp, Comm)
-	} else {
-		rs = append(rs, Comm, Comp)
-	}
-	if est.Feasible && sm.PeakMem > 0.9*memCap {
-		rs = append(rs, Mem)
-	}
-	s.bnBufAt[hop] = rs
-	return Bottleneck{Stage: top, Resources: rs}, true
 }
 
 // attachRecompute implements the §4.3 combination "attach inc/dec-rc

@@ -200,43 +200,48 @@ func TestSearchTraceCollection(t *testing.T) {
 	g, _ := model.GPT3("350M")
 	cl := hardware.DGX1V100(1).Restrict(4)
 	opts := quickOpts()
-	opts.CollectTrace = true
+	tr := obs.NewConvergence()
+	events := obs.NewJSONLTracer()
+	opts.Tracer = obs.MultiTracer(tr, events)
 	res, err := Search(g, cl, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr := res.Trace
-	if tr == nil {
-		t.Fatal("trace not collected")
-	}
-	if len(tr.Iterations()) == 0 {
+	if len(events.Events()) == 0 {
 		t.Error("no iteration records")
 	}
-	conv := tr.Convergence()
+	conv := tr.Curve()
 	if len(conv) == 0 {
 		t.Fatal("no convergence points")
 	}
 	for i := 1; i < len(conv); i++ {
-		if conv[i].Score >= conv[i-1].Score {
+		if conv[i].IterTime >= conv[i-1].IterTime {
 			t.Error("convergence curve must be strictly decreasing")
 		}
 		if conv[i].Elapsed < conv[i-1].Elapsed {
 			t.Error("convergence timestamps must be monotone")
 		}
 	}
-	hist := tr.TriesHistogram()
-	total := 0
-	for _, v := range hist {
-		total += v
+	// On a hazard-free fleet the score is the iteration time, so the
+	// curve ends at the plan the search returns.
+	if last := conv[len(conv)-1].IterTime; last != res.Best.Score {
+		t.Errorf("curve ends at %v, best score is %v", last, res.Best.Score)
 	}
 	improving := 0
-	for _, it := range tr.Iterations() {
-		if it.Improved {
+	for _, ev := range events.Events() {
+		if ev.Improved {
 			improving++
 		}
 	}
-	if total != improving {
-		t.Errorf("TriesHistogram sums to %d, want %d improving iterations", total, improving)
+	tries, hops := tr.Histograms()
+	for name, hist := range map[string][]int{"tries": tries, "hops": hops} {
+		total := 0
+		for _, v := range hist {
+			total += v
+		}
+		if total != improving {
+			t.Errorf("%s histogram sums to %d, want %d improving iterations", name, total, improving)
+		}
 	}
 }
 

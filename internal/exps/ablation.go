@@ -9,6 +9,7 @@ import (
 	"aceso/internal/config"
 	"aceso/internal/core"
 	"aceso/internal/hardware"
+	"aceso/internal/obs"
 	"aceso/internal/tablefmt"
 )
 
@@ -49,11 +50,12 @@ func (f *Fig11Result) MultiHopRate() float64 {
 	return float64(multi) / float64(total)
 }
 
-// Fig11 runs trace-instrumented searches over a sample of the Exp#1
-// workloads and aggregates the heuristic statistics.
+// Fig11 runs searches over a sample of the Exp#1 workloads with one
+// tracer attached to all of them, which aggregates the heuristic
+// statistics.
 func Fig11(set Settings) (*Fig11Result, error) {
 	set = set.withDefaults()
-	out := &Fig11Result{}
+	trace := obs.NewConvergence()
 	cases := []struct {
 		family, size string
 		gpus         int
@@ -68,23 +70,14 @@ func Fig11(set Settings) (*Fig11Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		run, err := runAceso(g, hardware.DGX1V100(4).Restrict(tc.gpus), set, nil)
+		_, err = runAceso(g, hardware.DGX1V100(4).Restrict(tc.gpus), set, func(o *core.Options) { o.Tracer = trace })
 		if err != nil {
 			return nil, err
 		}
-		merge(&out.Tries, run.Trace.TriesHistogram())
-		merge(&out.Hops, run.Trace.HopsHistogram())
 	}
+	out := &Fig11Result{}
+	out.Tries, out.Hops = trace.Histograms()
 	return out, nil
-}
-
-func merge(dst *[]int, src []int) {
-	for len(*dst) < len(src) {
-		*dst = append(*dst, 0)
-	}
-	for i, v := range src {
-		(*dst)[i] += v
-	}
 }
 
 // RenderFig11 prints the two distributions.
@@ -119,14 +112,14 @@ type Curve struct {
 
 // sampleCurve resamples trace convergence points onto `samples`
 // uniform steps across the budget, carrying the best score forward.
-func sampleCurve(points []core.ConvergencePoint, budget time.Duration, samples int) []float64 {
+func sampleCurve(points []obs.ConvergencePoint, budget time.Duration, samples int) []float64 {
 	out := make([]float64, samples)
 	best := 0.0
 	pi := 0
 	for i := 0; i < samples; i++ {
 		cutoff := budget * time.Duration(i+1) / time.Duration(samples)
 		for pi < len(points) && points[pi].Elapsed <= cutoff {
-			best = points[pi].Score
+			best = points[pi].IterTime
 			pi++
 		}
 		out[i] = best
@@ -134,20 +127,22 @@ func sampleCurve(points []core.ConvergencePoint, budget time.Duration, samples i
 	return out
 }
 
-// convergenceRun executes one trace-collected search and samples it.
+// convergenceRun executes one search with the convergence tracer
+// attached and samples its curve.
 func convergenceRun(family, size string, gpus int, set Settings, label string, samples int, mut func(*core.Options)) (Curve, error) {
 	g, err := buildModel(family, size)
 	if err != nil {
 		return Curve{}, err
 	}
-	run, err := runAceso(g, hardware.DGX1V100(4).Restrict(gpus), set, mut)
+	trace := obs.NewConvergence()
+	_, err = runAceso(g, hardware.DGX1V100(4).Restrict(gpus), set, mut, func(o *core.Options) { o.Tracer = trace })
 	if err != nil {
 		return Curve{}, err
 	}
 	return Curve{
 		Label:  label,
 		Budget: set.Budget,
-		Best:   sampleCurve(run.Trace.Convergence(), set.Budget, samples),
+		Best:   sampleCurve(trace.Curve(), set.Budget, samples),
 	}, nil
 }
 

@@ -28,7 +28,7 @@ func Cases(set Settings) ([]CaseStudy, error) {
 		if err != nil {
 			return nil, err
 		}
-		run, err := runAceso(g, hardware.DGX1V100(1).Restrict(4), set, nil)
+		run, err := runAceso(g, hardware.DGX1V100(1).Restrict(4), set)
 		if err != nil {
 			return nil, err
 		}
@@ -41,7 +41,7 @@ func Cases(set Settings) ([]CaseStudy, error) {
 		if err != nil {
 			return nil, err
 		}
-		run, err := runAceso(g, hardware.DGX1V100(2), set, nil)
+		run, err := runAceso(g, hardware.DGX1V100(2), set)
 		if err != nil {
 			return nil, err
 		}

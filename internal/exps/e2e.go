@@ -103,7 +103,7 @@ func runE2ECell(fam, size string, gpus int, set Settings) (*E2ECell, error) {
 	cell := &E2ECell{Family: fam, Size: size, GPUs: gpus}
 
 	// Aceso.
-	run, err := runAceso(g, cl, set, nil)
+	run, err := runAceso(g, cl, set)
 	if err != nil {
 		return nil, err
 	}

@@ -81,27 +81,27 @@ type AcesoRun struct {
 	Simulated  *pipesim.Result     // runtime view of Best
 	SearchTime time.Duration
 	Explored   int
-	Trace      *core.Trace
 }
 
 // runAceso searches and then "executes" (simulates) the top-K
 // candidates, returning the one that is fastest in the runtime.
-func runAceso(g *model.Graph, cl hardware.Cluster, set Settings, mut func(*core.Options)) (*AcesoRun, error) {
+func runAceso(g *model.Graph, cl hardware.Cluster, set Settings, muts ...func(*core.Options)) (*AcesoRun, error) {
 	opts := core.Options{
-		TimeBudget:   set.Budget,
-		MaxHops:      set.MaxHops,
-		Seed:         set.Seed,
-		CollectTrace: true,
+		TimeBudget: set.Budget,
+		MaxHops:    set.MaxHops,
+		Seed:       set.Seed,
 	}
-	if mut != nil {
-		mut(&opts)
+	for _, mut := range muts {
+		if mut != nil {
+			mut(&opts)
+		}
 	}
 	res, err := core.Search(g, cl, opts)
 	if err != nil {
 		return nil, err
 	}
 	pm := perfmodel.New(g, cl, set.Seed)
-	run := &AcesoRun{SearchTime: res.Elapsed, Explored: res.Explored, Trace: res.Trace}
+	run := &AcesoRun{SearchTime: res.Elapsed, Explored: res.Explored}
 	for _, cand := range res.TopK {
 		if !cand.Estimate.Feasible {
 			continue

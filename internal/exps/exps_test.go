@@ -6,7 +6,7 @@ import (
 	"testing"
 	"time"
 
-	"aceso/internal/core"
+	"aceso/internal/obs"
 )
 
 // fast returns settings tuned for unit tests.
@@ -206,16 +206,16 @@ func TestSampleCurve(t *testing.T) {
 	}
 }
 
-// corePoint mirrors core.ConvergencePoint for table-driven tests.
+// corePoint mirrors obs.ConvergencePoint for table-driven tests.
 type corePoint struct {
 	elapsed time.Duration
 	score   float64
 }
 
-func toConv(ps []corePoint) []core.ConvergencePoint {
-	out := make([]core.ConvergencePoint, len(ps))
+func toConv(ps []corePoint) []obs.ConvergencePoint {
+	out := make([]obs.ConvergencePoint, len(ps))
 	for i, p := range ps {
-		out[i] = core.ConvergencePoint{Elapsed: p.elapsed, Score: p.score}
+		out[i] = obs.ConvergencePoint{Elapsed: p.elapsed, IterTime: p.score}
 	}
 	return out
 }

@@ -50,7 +50,7 @@ func Fig10(set Settings) ([]Fig10Row, error) {
 			row.DPIter = sim.IterTime
 		}
 
-		run, err := runAceso(g, cl, set, nil)
+		run, err := runAceso(g, cl, set)
 		if err != nil {
 			return nil, fmt.Errorf("exps: fig10 aceso %s: %w", tc.size, err)
 		}

@@ -41,7 +41,7 @@ func Fig9(set Settings, layerCounts []int) ([]Fig9Row, error) {
 		}
 		row := Fig9Row{Layers: layers}
 
-		run, err := runAceso(g, cl, set, nil)
+		run, err := runAceso(g, cl, set)
 		if err != nil {
 			return nil, fmt.Errorf("exps: fig9 %d layers: %w", layers, err)
 		}

@@ -1,9 +1,9 @@
-// Package obs is the observability layer of the search stack: a
-// structured search trace (JSONL events for every top-level iteration
-// of Algorithm 1), an atomic metrics registry (exportable as JSON and
-// Prometheus text format), and a breakdown auditor that asserts the
-// performance model's resource-accounting invariants on every traced
-// estimate.
+// Package obs is the observability layer of the search stack: the
+// Tracer interface with a structured search trace (JSONL events for
+// every top-level iteration of Algorithm 1), the convergence tracer
+// behind Exp#5–7 and a breakdown auditor that asserts the performance
+// model's resource-accounting invariants on every traced estimate; and
+// an atomic metrics registry (exportable as JSON and Prometheus text).
 //
 // The zero-overhead-when-disabled contract: nothing in this package
 // runs unless a Tracer or *Registry is handed to core.Options. The

@@ -3,6 +3,8 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"math"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -194,5 +196,42 @@ func TestMultiTracerNilCollapse(t *testing.T) {
 	mt.OnEstimate(nil, soundEstimate())
 	if a.Checked() != 1 {
 		t.Error("MultiTracer did not forward to the non-nil tracer")
+	}
+}
+
+func TestConvergence(t *testing.T) {
+	c := NewConvergence()
+	if tries, hops := c.Histograms(); c.Curve() != nil || tries != nil || hops != nil {
+		t.Error("a tracer that saw nothing reports data")
+	}
+	// Only feasible, finite, improving estimates make the curve.
+	for _, e := range []perfmodel.Estimate{
+		{Feasible: false, IterTime: 1},
+		{Feasible: true, IterTime: 9},
+		{Feasible: true, IterTime: 9},
+		{Feasible: true, IterTime: 12},
+		{Feasible: true, IterTime: math.NaN()},
+		{Feasible: true, IterTime: -1},
+		{Feasible: true, IterTime: 4},
+	} {
+		c.OnEstimate(nil, &e)
+	}
+	c.OnEstimate(nil, nil)
+	curve := c.Curve()
+	if len(curve) != 2 || curve[0].IterTime != 9 || curve[1].IterTime != 4 || curve[1].Elapsed < curve[0].Elapsed {
+		t.Errorf("curve %+v, want 9 then 4 with non-decreasing Elapsed", curve)
+	}
+	// Only improving iterations are counted, by tries and by hops.
+	for _, ev := range []IterationEvent{
+		{Improved: true, BottleneckTries: 1, Hops: 3},
+		{Improved: true, BottleneckTries: 1, Hops: 1},
+		{Improved: false, BottleneckTries: 4},
+		{Improved: true, BottleneckTries: 2, Hops: 3},
+	} {
+		c.OnIteration(ev)
+	}
+	tries, hops := c.Histograms()
+	if !reflect.DeepEqual(tries, []int{2, 1}) || !reflect.DeepEqual(hops, []int{1, 0, 2}) {
+		t.Errorf("tries %v hops %v, want [2 1] and [1 0 2]", tries, hops)
 	}
 }
