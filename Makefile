@@ -34,7 +34,7 @@ ci: build fmt-check
 	$(GO) test -race ./...
 	$(MAKE) fuzz-smoke
 	$(GO) test -run xxx -bench BenchmarkSearchThroughput -benchtime 1x .
-	$(GO) test -run xxx -bench . -benchtime 1x ./internal/config
+	$(GO) test -run xxx -bench . -benchtime 1x ./internal/config ./internal/profiler
 	$(MAKE) guard-search guard-scale guard-hetero guard-spot
 	out=$$(mktemp -d) && $(BENCH) -outdir $$out -duration 10s trace diff chaos && $(MAKE) recover-smoke OUT=$$out
 	$(MAKE) serve-smoke

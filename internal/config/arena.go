@@ -108,14 +108,14 @@ func (c *Config) CloneIn(a *Arena) *Config {
 		flat = make([]OpSetting, total)
 	}
 	out.flat = flat
+	copy(out.Stages, c.Stages)
 	off := 0
-	for i := range c.Stages {
-		src := c.Stages[i]
-		n := len(src.Ops)
+	for i := range out.Stages {
+		st := &out.Stages[i]
+		n := len(st.Ops)
 		dst := flat[off : off+n : off+n]
-		copy(dst, src.Ops)
-		src.Ops = dst
-		out.Stages[i] = src
+		copy(dst, st.Ops)
+		st.Ops = dst
 		off += n
 	}
 	return out

@@ -66,3 +66,44 @@ func BenchmarkHashCanonicalCold(b *testing.B) {
 		sinkHash += c.Hash()
 	}
 }
+
+// scaleConfigs returns search-scale's deepest start (10 240 ops in 32
+// stages on 4 096 devices) and a neighbor with one op of one stage
+// rewritten — what a fine-tune candidate is to the best so far.
+func scaleConfigs(b *testing.B) (g *model.Graph, base, cand *Config) {
+	b.Helper()
+	g = model.Uniform(10240, 1e9, 1e6, 1e5, 1024)
+	base, err := Balanced(g, 4096, 32, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	base.Freeze()
+	cand = base.Clone()
+	cand.MutOp(9, cand.Stages[9].Start, func(o *OpSetting) { o.Dim = 1 })
+	cand.Key()
+	return g, base, cand
+}
+
+// BenchmarkValidate reads all 10 240 op settings of the neighbor.
+func BenchmarkValidate(b *testing.B) {
+	g, _, cand := scaleConfigs(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := cand.Validate(g, 4096); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkValidateDelta reads the one changed stage of 32.
+func BenchmarkValidateDelta(b *testing.B) {
+	g, base, cand := scaleConfigs(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := cand.ValidateDelta(g, 4096, base); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -280,6 +280,25 @@ func IsPow2(v int) bool { return v > 0 && v&(v-1) == 0 }
 // Validate checks every structural invariant of the configuration
 // against its model and cluster size (DESIGN.md §6, invariant 1).
 func (c *Config) Validate(g *model.Graph, totalDevices int) error {
+	return c.validate(g, totalDevices, nil, nil)
+}
+
+// ValidateDelta is Validate for a configuration derived from base, a
+// configuration that is itself valid for g and totalDevices: every
+// O(stages) invariant is checked, and the per-operator invariants only
+// in the stages whose SubHash differs from base's stage at the same
+// index — the ones the derivation rewrote (an equal sub-hash means an
+// equal stage, up to the 64-bit collision Key-based dedup accepts too).
+// When the stage count or MicroBatch differ, or base is nil, every
+// stage is checked. An invalid base is the blind spot: what is wrong in
+// a stage the derivation did not touch stays unseen.
+func (c *Config) ValidateDelta(g *model.Graph, totalDevices int, base *Config) error {
+	return c.validate(g, totalDevices, base, nil)
+}
+
+// validate serves Validate (base nil) and ValidateDelta. Tests of what
+// a delta skips pass opsRead, which receives the op settings read.
+func (c *Config) validate(g *model.Graph, totalDevices int, base *Config, opsRead *int) error {
 	if len(c.Stages) == 0 {
 		return fmt.Errorf("config: no stages")
 	}
@@ -293,6 +312,9 @@ func (c *Config) Validate(g *model.Graph, totalDevices int) error {
 	if got := c.TotalDevices(); got != totalDevices {
 		return fmt.Errorf("config: stages use %d devices, cluster has %d", got, totalDevices)
 	}
+	if base != nil && (len(base.Stages) != len(c.Stages) || base.MicroBatch != c.MicroBatch) {
+		base = nil
+	}
 	next := 0
 	for i := range c.Stages {
 		s := &c.Stages[i]
@@ -302,12 +324,21 @@ func (c *Config) Validate(g *model.Graph, totalDevices int) error {
 		if s.End <= s.Start {
 			return fmt.Errorf("config: stage %d is empty [%d, %d)", i, s.Start, s.End)
 		}
+		if s.End > len(g.Ops) {
+			return fmt.Errorf("config: stage %d ends at op %d, model has %d", i, s.End, len(g.Ops))
+		}
 		next = s.End
 		if !IsPow2(s.Devices) {
 			return fmt.Errorf("config: stage %d has %d devices, want a power of two", i, s.Devices)
 		}
 		if len(s.Ops) != s.NumOps() {
 			return fmt.Errorf("config: stage %d has %d settings for %d ops", i, len(s.Ops), s.NumOps())
+		}
+		if base != nil && s.SubHash() == base.Stages[i].SubHash() {
+			continue
+		}
+		if opsRead != nil {
+			*opsRead += len(s.Ops)
 		}
 		for j := range s.Ops {
 			op := &s.Ops[j]

@@ -45,7 +45,10 @@ func (s *searcher) fineTune(cfg *config.Config) *config.Config {
 			s.discard(c)
 			return
 		}
-		if err := c.Validate(s.graph, s.cluster.TotalDevices()); err != nil {
+		// Every candidate is a clone of the best so far with one stage
+		// rewritten, and best is valid: cfg passed multiHop's check, a
+		// successor passed this one.
+		if err := c.ValidateDelta(s.graph, s.cluster.TotalDevices(), best); err != nil {
 			s.discard(c)
 			return
 		}

@@ -337,6 +337,11 @@ func SearchContext(ctx context.Context, g *model.Graph, cl hardware.Cluster, opt
 			}
 		}()
 		init, err := seed(g, cl.TotalDevices(), p, opts.InitMicroBatch)
+		if err == nil {
+			// The one full validation of a task: ValidateDelta checks each
+			// candidate against what it was derived from, from here on.
+			err = init.Validate(g, cl.TotalDevices())
+		}
 		if err != nil {
 			outs[wi] = workerOut{err: &SearchError{StageCount: p, Err: err}}
 			return
@@ -893,7 +898,10 @@ func (s *searcher) multiHop(cfg *config.Config, est *perfmodel.Estimate, bn Bott
 				if c == nil {
 					continue
 				}
-				if err := c.Validate(s.graph, s.cluster.TotalDevices()); err != nil {
+				// cfg is valid — the task's seed, or a candidate that passed
+				// here or in fineTune, give or take Recompute flags, which
+				// no invariant reads — so only rewritten stages are checked.
+				if err := c.ValidateDelta(s.graph, s.cluster.TotalDevices(), cfg); err != nil {
 					s.discard(c)
 					continue
 				}

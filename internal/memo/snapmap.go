@@ -11,7 +11,7 @@ import (
 // own. Keys hash themselves because the table cannot: the runtime's
 // map hash is not reachable from generic code at this module's go
 // version, and a key knows which of its fields are already well mixed
-// (a sub-hash, a maphash of its string) and which are small integers.
+// (a sub-hash) and which are small integers.
 // Equal keys must hash equal; the better the hash spreads, the shorter
 // the probe runs — correctness never depends on it.
 type Key interface {
@@ -35,11 +35,11 @@ func Mix(h, x uint64) uint64 {
 // SnapMap is a concurrent memo map whose read path, for every stored
 // key, is one atomic pointer load plus a probe over atomically
 // published entry pointers — no locks, no read-modify-write atomics, no
-// interface boxing — which is what search hot paths need: the profiler
-// database and the performance model's stage cache are queried millions
-// of times per search, and both sync.RWMutex (two atomic RMWs per
-// lookup) and sync.Map (interface-keyed hashing, pointer chasing)
-// showed up prominently in CPU profiles.
+// interface boxing — which is what search hot paths need: the
+// performance model's stage cache and the profiler's collective
+// multipliers are queried millions of times per search, and both
+// sync.RWMutex (two atomic RMWs per lookup) and sync.Map (interface-
+// keyed hashing, pointer chasing) showed up prominently in CPU profiles.
 //
 // It is one open-addressed, linearly probed table. A store takes the
 // mutex, writes an immutable entry and publishes its pointer into a
@@ -165,39 +165,11 @@ func (m *SnapMap[K, V]) growLocked(old *table[K, V]) *table[K, V] {
 // Len returns the number of memoized entries.
 func (m *SnapMap[K, V]) Len() int { return int(m.n.Load()) }
 
-// ForEach calls fn once for every entry stored before the call; entries
-// stored while it runs may or may not be visited. It holds no lock.
-func (m *SnapMap[K, V]) ForEach(fn func(K, V)) {
-	t := m.tab.Load()
-	if t == nil {
-		return
-	}
-	for i := range t.slots {
-		if e := t.slots[i].Load(); e != nil {
-			fn(e.key, e.val)
-		}
-	}
-}
-
-// Replace swaps the entire contents for db.
-func (m *SnapMap[K, V]) Replace(db map[K]V) {
-	var t *table[K, V]
-	if len(db) > 0 {
-		slots := minSlots
-		for slots < 2*len(db) {
-			slots *= 2
-		}
-		t = newTable[K, V](slots)
-		entries := make([]entry[K, V], 0, len(db))
-		for k, v := range db {
-			h := k.Hash()
-			entries = append(entries, entry[K, V]{h, k, v})
-			t.slot(h, k).Store(&entries[len(entries)-1])
-		}
-	}
+// Reset empties the map.
+func (m *SnapMap[K, V]) Reset() {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.tab.Store(t)
-	m.n.Store(int64(len(db)))
+	m.tab.Store(nil)
+	m.n.Store(0)
 	m.slab = nil
 }

@@ -66,51 +66,16 @@ func TestSnapMapFill(t *testing.T) {
 			t.Fatalf("Load(%d) = %d, %v; want %d, true", i, v, ok, i*i)
 		}
 	}
-	seen := make(map[intKey]int, n)
-	m.ForEach(func(k intKey, v int) {
-		if _, dup := seen[k]; dup {
-			t.Fatalf("ForEach visited %d twice", k)
-		}
-		seen[k] = v
-	})
-	if len(seen) != n {
-		t.Fatalf("ForEach visited %d entries, want %d", len(seen), n)
-	}
-	for k, v := range seen {
-		if v != int(k)*int(k) {
-			t.Fatalf("ForEach saw %d → %d, want %d", k, v, int(k)*int(k))
-		}
-	}
-	m.Replace(nil)
+	m.Reset()
 	if got := m.Len(); got != 0 {
-		t.Fatalf("Len after Replace(nil) = %d, want 0", got)
+		t.Fatalf("Len after Reset = %d, want 0", got)
 	}
 	if _, ok := m.Load(1); ok {
-		t.Fatal("Replace(nil) kept an entry")
+		t.Fatal("Reset kept an entry")
 	}
-	m.ForEach(func(k intKey, v int) { t.Fatalf("ForEach on an emptied map visited %d", k) })
 	m.Store(3, 9)
 	if v, ok := m.Load(3); !ok || v != 9 || m.Len() != 1 {
-		t.Fatalf("after Replace(nil), Store: Load(3) = %d, %v, Len %d; want 9, true, 1", v, ok, m.Len())
-	}
-}
-
-func TestSnapMapReplace(t *testing.T) {
-	var m SnapMap[intKey, int]
-	m.Store(99, 1)
-	m.Replace(map[intKey]int{1: 10, 2: 20})
-	if _, ok := m.Load(99); ok {
-		t.Fatal("Replace kept a pre-existing entry")
-	}
-	if v, ok := m.Load(1); !ok || v != 10 {
-		t.Fatalf("Load(1) = %d, %v; want 10, true", v, ok)
-	}
-	if got := m.Len(); got != 2 {
-		t.Fatalf("Len = %d, want 2", got)
-	}
-	m.Store(3, 30)
-	if v, ok := m.Load(3); !ok || v != 30 || m.Len() != 3 {
-		t.Fatalf("Store after Replace: Load(3) = %d, %v, Len %d; want 30, true, 3", v, ok, m.Len())
+		t.Fatalf("after Reset, Store: Load(3) = %d, %v, Len %d; want 9, true, 1", v, ok, m.Len())
 	}
 }
 

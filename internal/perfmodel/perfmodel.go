@@ -216,7 +216,7 @@ func (m *Model) stageMetrics(st *config.Stage, microBatch, firstDev, inflight, p
 	if m.scache.Len() >= stageCacheCap {
 		// Values are pure functions of keys, so a wholesale reset on
 		// overflow changes no results, only recomputation counts.
-		m.scache.Replace(nil)
+		m.scache.Reset()
 	}
 	m.scache.Store(key, sm)
 	return sm

@@ -16,7 +16,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"hash/fnv"
-	"hash/maphash"
 	"io"
 	"math"
 	"runtime"
@@ -84,25 +83,6 @@ func (k opKey) String() string {
 	return string(k.appendTo(make([]byte, 0, 64)))
 }
 
-// opMapKey is opKey's database-map form: the numeric fields packed
-// into one word so the per-lookup hash covers a string and a uint64
-// instead of a seven-field struct. OpTime is the single hottest memo
-// lookup of the search (every operator of every uncached stage), and
-// the wide struct key's hash and equality showed up in CPU profiles.
-type opMapKey struct {
-	name string
-	bits uint64
-}
-
-// nameSeed keys the op-name hash. It differs per process, which only
-// moves entries between table slots: nothing reads the table's order.
-var nameSeed = maphash.MakeSeed()
-
-// Hash implements memo.Key.
-func (k opMapKey) Hash() uint64 {
-	return memo.Mix(maphash.String(nameSeed, k.name), k.bits)
-}
-
 // Field widths of the packed key. tp and shards are parallelism
 // degrees bounded by the cluster size (1<<13 covers 8192 devices),
 // samples by the global batch, dim by an op's partition choices.
@@ -113,16 +93,17 @@ const (
 	opkShardsBits  = 13
 )
 
-// pack folds the numeric fields into one word. ok=false means a field
+// pack folds the numeric fields into one word — what a class's table
+// is keyed by; the name selects the class. ok=false means a field
 // exceeds its width — the caller must then compute without memoizing
 // (the database would need the wide key), which stays correct because
 // every entry is a pure function of its key.
-func (k opKey) pack() (opMapKey, bool) {
-	if k.tp >= 1<<opkTPBits || k.dim >= 1<<opkDimBits ||
-		k.samples >= 1<<opkSamplesBits || k.shards >= 1<<opkShardsBits ||
-		k.tp < 0 || k.dim < 0 || k.samples < 0 || k.shards < 0 ||
-		k.prec < 0 || k.prec > 3 {
-		return opMapKey{}, false
+func (k opKey) pack() (uint64, bool) {
+	// One test for all five ranges: a negative field converts to a word
+	// with its top bit set, which survives the shift like an overflow.
+	if uint64(k.tp)>>opkTPBits|uint64(k.dim)>>opkDimBits|uint64(k.samples)>>opkSamplesBits|
+		uint64(k.shards)>>opkShardsBits|uint64(k.prec)>>2 != 0 {
+		return 0, false
 	}
 	b := uint64(k.tp)
 	b = b<<opkDimBits | uint64(k.dim)
@@ -133,14 +114,14 @@ func (k opKey) pack() (opMapKey, bool) {
 		b |= 1 << 2
 	}
 	b |= uint64(k.prec) & 3
-	return opMapKey{k.name, b}, true
+	return b, true
 }
 
 // unpack inverts pack (lossless for in-range fields), so Save can
-// reconstruct the serialized key text from the map form.
-func (k opMapKey) unpack() opKey {
-	b := k.bits
-	out := opKey{name: k.name, prec: hardware.Precision(b & 3), backward: b&(1<<2) != 0}
+// reconstruct the serialized key text from a class's name and a table
+// word.
+func unpack(name string, b uint64) opKey {
+	out := opKey{name: name, prec: hardware.Precision(b & 3), backward: b&(1<<2) != 0}
 	b >>= 3
 	out.shards = int(b & (1<<opkShardsBits - 1))
 	b >>= opkShardsBits
@@ -180,14 +161,16 @@ func parseOpKey(s string) (opKey, bool) {
 }
 
 // Profiler produces operator and collective times for one cluster. It
-// is safe for concurrent use by the parallel stage-count searches.
-// The memo maps are memo.SnapMap tables, so the hit path — taken for
-// every operator of every evaluated stage — is lock-free.
+// is safe for concurrent use by the parallel stage-count searches: the
+// hit path of both memos — taken for every operator of every evaluated
+// stage — is lock-free.
 type Profiler struct {
 	Cluster hardware.Cluster
 	Seed    int64
 
-	db    memo.SnapMap[opMapKey, float64]
+	// db is swapped whole by Load, so a rejected file touches nothing
+	// and a caller mid-OpTime finishes against the database it started on.
+	db    atomic.Pointer[opDB]
 	cmult memo.SnapMap[collKey, float64]
 }
 
@@ -205,7 +188,9 @@ func (k collKey) Hash() uint64 {
 
 // New returns a Profiler for the cluster with a deterministic seed.
 func New(c hardware.Cluster, seed int64) *Profiler {
-	return &Profiler{Cluster: c, Seed: seed}
+	p := &Profiler{Cluster: c, Seed: seed}
+	p.db.Store(new(opDB))
+	return p
 }
 
 // collPerturb memoizes the perturbation multiplier for a collective.
@@ -261,9 +246,13 @@ func (p *Profiler) OpTime(op *model.Op, tp, dim, samples, shards int, backward b
 		dim = 0
 	}
 	key := opKey{op.Name, tp, dim, samples, shards, backward, prec}
-	mk, packable := key.pack()
+	b, packable := key.pack()
+	var db *opDB
+	var c *opClass
 	if packable {
-		if v, ok := p.db.Load(mk); ok {
+		db = p.db.Load()
+		c = db.class(op)
+		if v, ok := c.load(b); ok {
 			return v
 		}
 	}
@@ -283,7 +272,7 @@ func (p *Profiler) OpTime(op *model.Op, tp, dim, samples, shards int, backward b
 	t *= p.perturb(key.appendTo(kb[:0]))
 
 	if packable {
-		p.db.Store(mk, t)
+		db.store(c, b, t)
 	}
 	return t
 }
@@ -322,14 +311,15 @@ func (p *Profiler) P2P(bytes float64, first int, pl collective.Placement) float6
 }
 
 // Entries returns the number of memoized operator entries.
-func (p *Profiler) Entries() int { return p.db.Len() }
+func (p *Profiler) Entries() int { return int(p.db.Load().n.Load()) }
 
 // Save writes the memoized database as JSON, mirroring the reusable
 // profiled database of §3.3.
 func (p *Profiler) Save(w io.Writer) error {
-	out := make(map[string]float64, p.db.Len())
-	p.db.ForEach(func(k opMapKey, v float64) {
-		out[k.unpack().String()] = v
+	db := p.db.Load()
+	out := make(map[string]float64, db.n.Load())
+	db.forEach(func(name string, b uint64, v float64) {
+		out[unpack(name, b).String()] = v
 	})
 	return json.NewEncoder(w).Encode(out)
 }
@@ -345,7 +335,7 @@ func (p *Profiler) Load(r io.Reader) error {
 	if err := json.NewDecoder(r).Decode(&raw); err != nil {
 		return fmt.Errorf("profiler: load: %w", err)
 	}
-	db := make(map[opMapKey]float64, len(raw))
+	db := new(opDB)
 	for s, v := range raw {
 		k, ok := parseOpKey(s)
 		if !ok {
@@ -354,15 +344,16 @@ func (p *Profiler) Load(r io.Reader) error {
 		if math.IsNaN(v) || math.IsInf(v, 0) || v < 0 {
 			return fmt.Errorf("profiler: load: entry %q has invalid time %v", s, v)
 		}
-		mk, packable := k.pack()
+		b, packable := k.pack()
 		if !packable {
 			return fmt.Errorf("profiler: load: entry %q out of packable range", s)
 		}
-		db[mk] = v
+		// db is not yet published, so classLocked needs no lock.
+		db.store(db.classLocked(k.name), b, v)
 	}
 	// Validation passed in full — only now touch the live database, so
 	// a rejected file leaves the profiler unchanged.
-	p.db.Replace(db)
+	p.db.Store(db)
 	return nil
 }
 

@@ -2,8 +2,13 @@ package profiler
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
+	"math"
+	"os"
+	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 
 	"aceso/internal/collective"
@@ -275,30 +280,200 @@ func TestLoadRejectsPoisonedValues(t *testing.T) {
 	}
 }
 
+// TestOpTimeMatchesGolden replays every key the pinned GPT-3 350M /
+// 8-GPU search asked (testdata, written by the string-keyed database
+// this one replaced; see golden_test.go): the miss that computes the
+// entry and the hit that reads it back both return the golden float,
+// bit for bit.
+func TestOpTimeMatchesGolden(t *testing.T) {
+	raw, err := os.ReadFile(filepath.Join("testdata", "gpt3-350M-8gpu.db.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	golden := map[string]float64{}
+	if err := json.Unmarshal(raw, &golden); err != nil {
+		t.Fatal(err)
+	}
+	g, err := model.GPT3("350M")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// One op per name is enough to ask by; the layers share classes.
+	byName := map[string]*model.Op{}
+	for i := range g.Ops {
+		byName[g.Ops[i].Name] = &g.Ops[i]
+	}
+	p := New(hardware.DGX1V100(1), 1)
+	for s, want := range golden {
+		k, ok := parseOpKey(s)
+		op := byName[k.name]
+		if !ok || op == nil {
+			t.Fatalf("golden key %q does not name an op of the graph", s)
+		}
+		miss := p.OpTime(op, k.tp, k.dim, k.samples, k.shards, k.backward, k.prec)
+		hit := p.OpTime(op, k.tp, k.dim, k.samples, k.shards, k.backward, k.prec)
+		if math.Float64bits(miss) != math.Float64bits(want) || math.Float64bits(hit) != math.Float64bits(want) {
+			t.Errorf("%s: miss %v, hit %v, golden %v", s, miss, hit, want)
+		}
+	}
+	if p.Entries() != len(golden) {
+		t.Errorf("%d entries after replaying %d keys", p.Entries(), len(golden))
+	}
+}
+
+// TestSharedIDsDifferentNames puts two graphs whose ops share IDs but
+// not names — and hand-built ops the index cannot hold — through one
+// profiler: the ID index is a cache, so every answer must equal what a
+// profiler that saw only that op returns, whichever graph filled the
+// slot last.
+func TestSharedIDsDifferentNames(t *testing.T) {
+	a := model.Uniform(16, 1e9, 1e6, 1e5, 64)
+	b, err := model.GPT3("350M")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ops := []*model.Op{
+		{ID: -3, Name: "negative", FwdFLOPs: 2e9, BwdFLOPsFactor: 2},
+		{ID: maxIndexedID + 7, Name: "beyond", FwdFLOPs: 3e9, BwdFLOPsFactor: 2},
+		{ID: 5, Name: "op5-impostor", FwdFLOPs: 4e9, BwdFLOPsFactor: 2},
+	}
+	for i := 0; i < 16; i++ {
+		ops = append(ops, &a.Ops[i], &b.Ops[i])
+	}
+	cl := hardware.DGX1V100(1)
+	shared := New(cl, 7)
+	names := map[string]bool{}
+	for round := 0; round < 3; round++ {
+		for _, op := range ops {
+			names[op.Name] = true
+			for _, bwd := range []bool{false, true} {
+				want := New(cl, 7).OpTime(op, 2, 0, 4, 2, bwd, hardware.FP16)
+				if got := shared.OpTime(op, 2, 0, 4, 2, bwd, hardware.FP16); got != want {
+					t.Fatalf("round %d: op %d %q backward=%v: %v through the shared profiler, %v alone",
+						round, op.ID, op.Name, bwd, got, want)
+				}
+			}
+		}
+	}
+	if want := 2 * len(names); shared.Entries() != want {
+		t.Errorf("%d entries for %d names asked forward and backward", shared.Entries(), len(names))
+	}
+	if ix := shared.db.Load().index.Load(); ix == nil || len(*ix) > 64 {
+		t.Errorf("index grew beyond the IDs it may hold: %v", ix)
+	}
+}
+
+// TestProfilerConcurrent races readers and writers on one class (every
+// goroutine asks the same op under many keys, so the class spills and
+// doubles under the readers) and on the ID index (many ops, so the
+// index doubles under them too). Every answer must be the value a lone
+// profiler computes, and an entry two goroutines missed at once must be
+// counted once. Run with -race -count=10.
+func TestProfilerConcurrent(t *testing.T) {
+	const (
+		workers = 8
+		ops     = 1500 // the index doubles from 64 past 1024
+		samples = 200  // one class grows from 8 slots to 512
+	)
+	g := model.Uniform(ops, 1e9, 1e6, 1e5, 1024)
+	cl := hardware.DGX1V100(1)
+	ref := New(cl, 11)
+	wantClass := make([]float64, samples)
+	for n := range wantClass {
+		wantClass[n] = ref.OpTime(&g.Ops[0], 1, 0, n+1, 1, false, hardware.FP16)
+	}
+	wantIndex := make([]float64, ops)
+	for i := range wantIndex {
+		wantIndex[i] = ref.OpTime(&g.Ops[i], 1, 0, 1, 1, true, hardware.FP16)
+	}
+	p := New(cl, 11)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for round := 0; round < 3; round++ {
+				for j := 0; j < samples; j++ {
+					n := (j*7 + w*31) % samples
+					if got := p.OpTime(&g.Ops[0], 1, 0, n+1, 1, false, hardware.FP16); got != wantClass[n] {
+						t.Errorf("one class: samples=%d: %v, want %v", n+1, got, wantClass[n])
+						return
+					}
+				}
+				for j := 0; j < ops; j++ {
+					i := (j*13 + w*101) % ops
+					if got := p.OpTime(&g.Ops[i], 1, 0, 1, 1, true, hardware.FP16); got != wantIndex[i] {
+						t.Errorf("index: op %d: %v, want %v", i, got, wantIndex[i])
+						return
+					}
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	// op0 was asked under samples keys forward and once backward.
+	if want := samples + ops; p.Entries() != want {
+		t.Errorf("%d entries, want %d: a racing miss was counted twice or lost", p.Entries(), want)
+	}
+}
+
+// TestOpTimeHitAllocatesNothing pins the hit path: no allocation,
+// whether the class is still inline or has spilled.
+func TestOpTimeHitAllocatesNothing(t *testing.T) {
+	g := model.Uniform(4, 1e9, 1e6, 1e5, 1024)
+	p := New(hardware.DGX1V100(1), 1)
+	for n := 1; n <= 64; n++ {
+		p.OpTime(&g.Ops[1], 1, 0, n, 1, false, hardware.FP16) // spills
+	}
+	p.OpTime(&g.Ops[2], 1, 0, 1, 1, false, hardware.FP16) // inline
+	if a := testing.AllocsPerRun(100, func() {
+		sink += p.OpTime(&g.Ops[1], 1, 0, 33, 1, false, hardware.FP16)
+		sink += p.OpTime(&g.Ops[2], 1, 0, 1, 1, false, hardware.FP16)
+	}); a != 0 {
+		t.Errorf("a hit allocates %v times", a)
+	}
+}
+
 var sink float64
 
-// benchOpTime times OpTime the way the bench ledger's probes do
-// (bench/probes.go: profiler.optime_hit_ns, profiler.optime_miss_ns):
-// over the scale workload's 10 240 operators, a key per (operator,
-// sample count). keys bounds the distinct keys; 0 means every call
-// meets a key never asked for before.
+// benchShapes are the two shapes a database takes: search-scale's, one
+// name per operator, and the zoo's, a dozen names shared by every layer.
+var benchShapes = []struct {
+	name  string
+	graph func() *model.Graph
+}{
+	{"scale", func() *model.Graph { return model.Uniform(10240, 1e9, 1e6, 1e5, 1024) }},
+	{"zoo", func() *model.Graph { g, _ := model.GPT3("2.6B"); return g }},
+}
+
+// benchOpTime times OpTime over both shapes, operators in graph order.
+// A hit run asks, as the bench ledger's probes do (bench/probes.go:
+// profiler.optime_hit_ns), for one of keys entries stored beforehand, a
+// key per (operator, sample count). A miss run (keys = 0) asks for an
+// entry nobody asked for before — the call number spread over samples
+// and shards, because the zoo's layers share entries — so the database
+// grows to b.N entries and the cost per entry must not grow with it.
 func benchOpTime(b *testing.B, keys int) {
-	g := model.Uniform(10240, 1e9, 1e6, 1e5, 1024)
-	p := New(hardware.DGX1V100(512), 1)
-	opTime := func(i int) {
-		sink += p.OpTime(&g.Ops[i%len(g.Ops)], 1, 0, 1+i/len(g.Ops), 1, false, g.Precision)
-	}
-	for i := 0; i < keys; i++ {
-		opTime(i)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if keys > 0 {
-			opTime(i % keys)
-		} else {
-			opTime(i)
-		}
+	for _, shape := range benchShapes {
+		b.Run(shape.name, func(b *testing.B) {
+			g := shape.graph()
+			p := New(hardware.DGX1V100(512), 1)
+			hit := func(i int) {
+				sink += p.OpTime(&g.Ops[i%len(g.Ops)], 1, 0, 1+i/len(g.Ops), 1, false, g.Precision)
+			}
+			for i := 0; i < keys; i++ {
+				hit(i)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if keys > 0 {
+					hit(i % keys)
+				} else {
+					sink += p.OpTime(&g.Ops[i%len(g.Ops)], 1, 0, 1+i&(1<<20-1), 1+i>>20, false, g.Precision)
+				}
+			}
+		})
 	}
 }
 
@@ -306,7 +481,5 @@ func benchOpTime(b *testing.B, keys int) {
 // scale workload's search fills.
 func BenchmarkOpTimeHit(b *testing.B) { benchOpTime(b, 62592) }
 
-// BenchmarkOpTimeMiss computes and stores a fresh entry per call, so
-// the database grows to b.N entries: the cost per entry must not grow
-// with it.
+// BenchmarkOpTimeMiss computes and stores a fresh entry per call.
 func BenchmarkOpTimeMiss(b *testing.B) { benchOpTime(b, 0) }
