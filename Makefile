@@ -1,7 +1,7 @@
 GO ?= go
 BENCH = $(GO) run ./cmd/acesobench
 
-.PHONY: build test ci fmt-check bench-smoke fuzz-smoke recover-smoke serve-smoke loc
+.PHONY: build test ci paper fmt-check bench-smoke fuzz-smoke recover-smoke serve-smoke loc
 
 build:
 	$(GO) build ./...
@@ -20,13 +20,24 @@ bench-%:
 guard-%:
 	$(BENCH) -guard $(ARGS) $*
 
-# OUT receives the reports of gates that have no committed file.
+# OUT receives what is regenerated rather than committed: the reports
+# of gates that have no committed file, and the paper's evaluation.
 OUT ?= /tmp
+
+# paper regenerates every figure and table of the paper (DESIGN.md §4):
+# the text into $(OUT)/results_full.txt, the rows into $(OUT)/csv. The
+# acesobench target is the artifact; nothing it prints is committed.
+# ARGS='-budget 200ms -sizes 2' makes a quick pass.
+paper:
+	mkdir -p $(OUT)/csv
+	$(BENCH) $(ARGS) -csv $(OUT)/csv all > $(OUT)/results_full.txt
 
 # ci is the pre-merge gate. Every package is raced. The two -bench
 # lines run one iteration so the benchmarks cannot rot. The guards
 # compare against the committed BENCH_*.json; the other acesobench
-# gates write their reports into one scratch directory.
+# gates write their reports into one scratch directory; chaos runs for
+# its -duration, the other randomized targets their scenarios' own
+# trial counts.
 ci: build fmt-check
 	$(GO) vet ./...
 	$(GO) test ./...
@@ -35,8 +46,8 @@ ci: build fmt-check
 	$(MAKE) fuzz-smoke
 	$(GO) test -run xxx -bench BenchmarkSearchThroughput -benchtime 1x .
 	$(GO) test -run xxx -bench . -benchtime 1x ./internal/config ./internal/profiler
-	$(MAKE) guard-search guard-scale guard-hetero guard-spot
-	out=$$(mktemp -d) && $(BENCH) -outdir $$out -duration 10s trace diff chaos && $(MAKE) recover-smoke OUT=$$out
+	$(MAKE) guard-scale guard-hetero guard-spot
+	out=$$(mktemp -d) && $(BENCH) -outdir $$out trace diff && $(BENCH) -duration 10s chaos && $(MAKE) recover-smoke OUT=$$out
 	$(MAKE) serve-smoke
 
 # fmt-check fails when gofmt would change any file of either module.
@@ -78,8 +89,10 @@ recover-smoke:
 serve-smoke:
 	$(GO) run ./cmd/acesod -smoke
 
-# loc prints the non-test Go line counts ROADMAP item 3 budgets: the
-# root module (bench/ is a module of its own), then cmd/acesobench.
+# loc prints what ROADMAP item 7 budgets: the non-test Go lines of the
+# root module (bench/ is a module of its own) and of cmd/acesobench,
+# then the number of directories directly under internal/.
 loc:
 	@find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' | xargs cat | wc -l
 	@find cmd/acesobench -name '*.go' -not -name '*_test.go' | xargs cat | wc -l
+	@ls -d internal/*/ | wc -l

@@ -28,73 +28,40 @@ import (
 	"aceso/internal/core"
 	"aceso/internal/hardware"
 	"aceso/internal/model"
-	"aceso/internal/obs"
 	"aceso/internal/perfmodel"
 	"aceso/internal/pipesim"
 )
 
-// Re-exported core types. External callers cannot import the internal
-// packages directly; these aliases are the public names.
+// The names a caller of the entry points below needs. External callers
+// cannot import the internal packages; these aliases are the public
+// names, and example_test.go is their compile-checked contract.
 type (
 	// Graph is a sequential DNN model at operator granularity.
 	Graph = model.Graph
-	// Op is one operator of a Graph.
-	Op = model.Op
 	// Cluster describes the accelerator cluster.
 	Cluster = hardware.Cluster
 	// Config is a complete parallel-training configuration.
 	Config = config.Config
-	// Stage is one pipeline stage of a Config.
-	Stage = config.Stage
 	// OpSetting is the per-operator parallelization inside a stage.
 	OpSetting = config.OpSetting
 	// Options tunes the search (time budget, MaxHops, ablations, …).
 	Options = core.Options
 	// Result is a search outcome (best config, top-K, statistics).
 	Result = core.Result
-	// Candidate pairs a configuration with its estimate.
-	Candidate = core.Candidate
 	// Estimate is the performance model's prediction for a Config.
 	Estimate = perfmodel.Estimate
-	// StageMetrics is the per-stage slice of an Estimate.
-	StageMetrics = perfmodel.StageMetrics
 	// SimResult is the runtime simulator's observation of a Config.
 	SimResult = pipesim.Result
-	// PerfModel predicts execution time and memory for configurations.
-	PerfModel = perfmodel.Model
-	// Initializer builds starting configurations (Exp#7 variants).
+	// Initializer builds starting configurations (Options.Initializer).
 	Initializer = core.Initializer
-	// SearchError is a typed per-worker failure (panic or initializer
-	// error) reported in Result.Diagnostics.
-	SearchError = core.SearchError
-	// DeviceClass describes one device generation of a heterogeneous
-	// cluster (per-class FLOPS, utilization, memory, link overrides).
-	DeviceClass = hardware.DeviceClass
 	// FaultSpec describes a degraded cluster: dead devices, per-device
 	// FLOPS/memory deratings, and derated links.
 	FaultSpec = hardware.FaultSpec
 	// DeviceFault is one device's entry in a FaultSpec.
 	DeviceFault = hardware.DeviceFault
-	// Tracer receives structured search events (set Options.Tracer).
-	Tracer = obs.Tracer
-	// IterationEvent is one JSONL search-trace record.
-	IterationEvent = obs.IterationEvent
-	// JSONLTracer collects iteration events as deterministic JSON Lines.
-	JSONLTracer = obs.JSONLTracer
-	// Auditor asserts resource-accounting invariants on every estimate.
-	Auditor = obs.Auditor
-	// MetricsRegistry accumulates search counters/timers/histograms
-	// (set Options.Metrics); exportable as JSON or Prometheus text.
-	MetricsRegistry = obs.Registry
 )
 
-// Precision of a model's training arithmetic.
-const (
-	FP16 = hardware.FP16
-	FP32 = hardware.FP32
-)
-
-// Model builders (Table 2 of the paper).
+// Model and cluster constructors.
 var (
 	// GPT3 builds a GPT-3 decoder stack: "350M", "1.3B", "2.6B",
 	// "6.7B" or "13B".
@@ -113,29 +80,15 @@ var (
 	DGX1V100 = hardware.DGX1V100
 	// A100V100 builds a mixed fleet: a A100 nodes then v V100 nodes.
 	A100V100 = hardware.A100V100
-	// Mixed builds a heterogeneous cluster from a per-node class layout.
-	Mixed = hardware.Mixed
-	// A100Class/V100Class are the canonical device-class descriptions.
-	A100Class = hardware.A100Class
-	V100Class = hardware.V100Class
 	// ReservedSpotV100 builds a mixed-capacity V100 fleet: r reserved
 	// nodes then s spot nodes, each spot device reclaimed hazard
-	// times/hour with notice seconds of warning (DESIGN.md §5k).
+	// times/hour with notice seconds of warning. A search on it
+	// minimizes expected iteration time and recommends a checkpoint
+	// cadence (Result.RecommendedCadence).
 	ReservedSpotV100 = hardware.ReservedSpotV100
-	// AsSpot derives the spot twin of a device class.
-	AsSpot = hardware.AsSpot
-	// RiskAssess prices an existing plan under a cluster's preemption
-	// hazard: expected iteration time + recommended checkpoint cadence.
-	RiskAssess = core.RiskAssess
-)
-
-// Initial-configuration builders.
-var (
-	// Balanced is the default initializer (FLOPs-balanced stages).
+	// Balanced is the default initial configuration (FLOPs-balanced
+	// stages), and the starting point of a hand-built one.
 	Balanced = config.Balanced
-	// ImbalancedOps/ImbalancedGPUs are the Exp#7 robustness variants.
-	ImbalancedOps  = config.ImbalancedOps
-	ImbalancedGPUs = config.ImbalancedGPUs
 )
 
 // Search runs the Aceso configuration search for graph g over cluster
@@ -148,7 +101,7 @@ func Search(g *Graph, cl Cluster, opts Options) (*Result, error) {
 // search stops at ctx cancellation or deadline (whichever fires first,
 // including Options.TimeBudget) and still returns the best
 // configurations found so far, with Result.Partial set. A worker that
-// panics is isolated and reported as a *SearchError in
+// panics is isolated and reported as a *core.SearchError in
 // Result.Diagnostics while the remaining pipeline depths finish.
 func SearchContext(ctx context.Context, g *Graph, cl Cluster, opts Options) (*Result, error) {
 	return core.SearchContext(ctx, g, cl, opts)
@@ -170,38 +123,10 @@ func Degrade(cl Cluster, faults FaultSpec) (Cluster, error) {
 	return cl.Degrade(faults)
 }
 
-// ProjectConfig adapts a configuration to a different device count,
-// preserving its structure — the warm start for elastic
-// reconfiguration after cluster resizes.
-func ProjectConfig(g *Graph, old *Config, newDevices int) (*Config, error) {
-	return core.ProjectConfig(g, old, newDevices)
-}
-
 // WarmStart wraps a previous best configuration as a search
-// Initializer for a resized cluster.
+// Initializer for a resized cluster: the plan is projected onto the new
+// device count and the search moves outward from it.
 func WarmStart(prev *Config) Initializer { return core.WarmStart(prev) }
-
-// Observability constructors (DESIGN.md §5d).
-var (
-	// NewJSONLTracer returns a deterministic JSONL search-trace
-	// collector for Options.Tracer.
-	NewJSONLTracer = obs.NewJSONLTracer
-	// NewAuditor returns a breakdown auditor for Options.Tracer.
-	NewAuditor = obs.NewAuditor
-	// NewMetricsRegistry returns an empty registry for Options.Metrics.
-	NewMetricsRegistry = obs.NewRegistry
-	// MultiTracer fans events out to several tracers (nils dropped).
-	MultiTracer = obs.MultiTracer
-	// AuditEstimate checks one estimate's resource-accounting
-	// invariants, returning a description of each violation.
-	AuditEstimate = obs.AuditEstimate
-)
-
-// NewPerfModel builds a performance model with a fresh (deterministic,
-// seeded) profiling database for the given graph and cluster.
-func NewPerfModel(g *Graph, cl Cluster, seed int64) *PerfModel {
-	return perfmodel.New(g, cl, seed)
-}
 
 // EstimateConfig predicts iteration time and memory for cfg with a
 // fresh performance model.

@@ -5,6 +5,11 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"aceso/internal/config"
+	"aceso/internal/core"
+	"aceso/internal/hardware"
+	"aceso/internal/perfmodel"
 )
 
 // TestPublicAPIRoundTrip exercises the facade the way a downstream
@@ -66,7 +71,7 @@ func TestPublicInitializers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, init := range []Initializer{Balanced, ImbalancedOps, ImbalancedGPUs} {
+	for _, init := range []Initializer{Balanced, config.ImbalancedOps, config.ImbalancedGPUs} {
 		cfg, err := init(g, 8, 2, 1)
 		if err != nil {
 			t.Fatal(err)
@@ -79,11 +84,11 @@ func TestPublicInitializers(t *testing.T) {
 
 func TestPrecisionConstants(t *testing.T) {
 	g, _ := GPT3("350M")
-	if g.Precision != FP16 {
+	if g.Precision != hardware.FP16 {
 		t.Error("GPT-3 should be FP16")
 	}
 	w, _ := WideResNet("0.5B")
-	if w.Precision != FP32 {
+	if w.Precision != hardware.FP32 {
 		t.Error("Wide-ResNet should be FP32")
 	}
 }
@@ -91,7 +96,7 @@ func TestPrecisionConstants(t *testing.T) {
 func TestNewPerfModelSharing(t *testing.T) {
 	g, _ := GPT3("350M")
 	cl := DGX1V100(1).Restrict(4)
-	pm := NewPerfModel(g, cl, 7)
+	pm := perfmodel.New(g, cl, 7)
 	cfg, err := Balanced(g, 4, 2, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -123,7 +128,7 @@ func TestPublicElasticAPI(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	proj, err := ProjectConfig(g, cfg, 4)
+	proj, err := core.ProjectConfig(g, cfg, 4)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,235 +1,18 @@
-// Benchmarks regenerating the paper's evaluation artifacts, one per
-// table or figure (see DESIGN.md §4 for the mapping and EXPERIMENTS.md
-// for paper-vs-measured results). Each benchmark runs a scaled-down
-// version of the corresponding experiment (short search budgets, the
-// first two of the five model sizes) and reports the figure's headline
-// quantity as a custom metric, e.g.
+// Micro-benchmarks of the planner's layers, for measuring while you
+// work: the repository's performance reference is bench/ (`go run -C
+// bench .`, BENCHMARK.json), and the paper's figures and tables are
+// cmd/acesobench targets. BenchmarkSearchThroughput is the profiling
+// entry point for the paper's pinned search:
 //
-//	go test -bench=Fig7 -benchmem
-//
-// reports Aceso's speedup over the best baseline. cmd/acesobench runs
-// the full-scale versions.
+//	go test -run '^$' -bench BenchmarkSearchThroughput -benchtime 40x -cpuprofile cpu.out .
 package aceso
 
 import (
-	"io"
 	"testing"
 	"time"
 
-	"aceso/internal/exps"
-	"aceso/internal/pipesim"
+	"aceso/internal/perfmodel"
 )
-
-// benchSettings keeps benchmark iterations short; cmd/acesobench runs
-// the full-size experiments.
-func benchSettings() exps.Settings {
-	return exps.Settings{Budget: 300 * time.Millisecond, Seed: 1, Sizes: 2}
-}
-
-func BenchmarkFig1ConfigSpace(b *testing.B) {
-	var last float64
-	for i := 0; i < b.N; i++ {
-		rows := exps.Fig1(nil)
-		last = rows[len(rows)-1].Log10Four
-	}
-	b.ReportMetric(last, "log10-configs-1Klayer")
-}
-
-// benchFig7 runs the end-to-end comparison for one family and reports
-// Aceso's mean speedup over the best baseline.
-func benchFig7(b *testing.B, family string) {
-	b.Helper()
-	var speedup float64
-	for i := 0; i < b.N; i++ {
-		e, err := exps.RunE2E(benchSettings(), []string{family})
-		if err != nil {
-			b.Fatal(err)
-		}
-		var sum float64
-		n := 0
-		for _, c := range e.Cells {
-			base := c.MegatronIter
-			if c.AlpaIter > 0 && (base == 0 || c.AlpaIter < base) {
-				base = c.AlpaIter
-			}
-			if base > 0 && c.AcesoIter > 0 {
-				sum += base / c.AcesoIter
-				n++
-			}
-		}
-		if n > 0 {
-			speedup = sum / float64(n)
-		}
-	}
-	b.ReportMetric(speedup, "aceso-speedup")
-}
-
-func BenchmarkFig7_GPT3(b *testing.B)       { benchFig7(b, "gpt3") }
-func BenchmarkFig7_WideResNet(b *testing.B) { benchFig7(b, "wresnet") }
-func BenchmarkFig7_T5(b *testing.B)         { benchFig7(b, "t5") }
-
-func BenchmarkFig8SearchCost(b *testing.B) {
-	var ratio float64
-	for i := 0; i < b.N; i++ {
-		e, err := exps.RunE2E(benchSettings(), []string{"gpt3"})
-		if err != nil {
-			b.Fatal(err)
-		}
-		var sum float64
-		n := 0
-		for _, c := range e.Cells {
-			if c.AlpaSearch > 0 && c.AcesoSearch > 0 {
-				sum += c.AcesoSearch / c.AlpaSearch
-				n++
-			}
-		}
-		if n > 0 {
-			ratio = sum / float64(n)
-		}
-	}
-	b.ReportMetric(100*ratio, "aceso-%-of-alpa-cost")
-}
-
-func BenchmarkFig9Scale1K(b *testing.B) {
-	var acesoSearch float64
-	for i := 0; i < b.N; i++ {
-		rows, err := exps.Fig9(benchSettings(), []int{8, 64, 128, 256})
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, r := range rows {
-			if r.Layers == 256 {
-				acesoSearch = r.AcesoSearch
-				if !r.AlpaFailed {
-					b.Fatal("Alpa baseline should fail beyond 64 layers")
-				}
-			}
-		}
-	}
-	b.ReportMetric(acesoSearch, "aceso-search-s-256layers")
-}
-
-func BenchmarkFig10DPvsAceso(b *testing.B) {
-	var ratio float64
-	for i := 0; i < b.N; i++ {
-		rows, err := exps.Fig10(benchSettings())
-		if err != nil {
-			b.Fatal(err)
-		}
-		r := rows[0] // GPT-3 2.6B
-		if r.DPExplored > 0 {
-			ratio = 100 * float64(r.AcesoExplored) / float64(r.DPExplored)
-		}
-	}
-	b.ReportMetric(ratio, "aceso-%-of-dp-explored")
-}
-
-func BenchmarkFig11Heuristics(b *testing.B) {
-	var firstTry float64
-	for i := 0; i < b.N; i++ {
-		r, err := exps.Fig11(benchSettings())
-		if err != nil {
-			b.Fatal(err)
-		}
-		firstTry = 100 * r.FirstTryRate()
-	}
-	b.ReportMetric(firstTry, "first-try-bottleneck-%")
-}
-
-func BenchmarkFig12Heuristic2(b *testing.B) {
-	var curves int
-	for i := 0; i < b.N; i++ {
-		m, err := exps.Fig12(benchSettings())
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, cs := range m {
-			curves += len(cs)
-		}
-	}
-	b.ReportMetric(float64(curves)/float64(b.N), "curves")
-}
-
-func BenchmarkFig13MaxHops(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := exps.Fig13(benchSettings()); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkFig14InitRobustness(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := exps.Fig14(benchSettings()); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkFig15TimeAccuracy(b *testing.B) {
-	var avgErr float64
-	for i := 0; i < b.N; i++ {
-		e, err := exps.RunE2E(benchSettings(), []string{"gpt3"})
-		if err != nil {
-			b.Fatal(err)
-		}
-		var sum float64
-		n := 0
-		for _, c := range e.Cells {
-			if c.ActualTime > 0 {
-				d := (c.PredTime - c.ActualTime) / c.ActualTime
-				if d < 0 {
-					d = -d
-				}
-				sum += d
-				n++
-			}
-		}
-		if n > 0 {
-			avgErr = 100 * sum / float64(n)
-		}
-	}
-	b.ReportMetric(avgErr, "time-prediction-error-%")
-}
-
-func BenchmarkFig16MemAccuracy(b *testing.B) {
-	var avgErr float64
-	for i := 0; i < b.N; i++ {
-		e, err := exps.RunE2E(benchSettings(), []string{"gpt3"})
-		if err != nil {
-			b.Fatal(err)
-		}
-		var sum float64
-		n := 0
-		for _, c := range e.Cells {
-			if c.ActualMem > 0 {
-				d := (c.PredMem - c.ActualMem) / c.ActualMem
-				if d < 0 {
-					d = -d
-				}
-				sum += d
-				n++
-			}
-		}
-		if n > 0 {
-			avgErr = 100 * sum / float64(n)
-		}
-	}
-	b.ReportMetric(avgErr, "mem-prediction-error-%")
-}
-
-func BenchmarkTables3to5TFLOPS(b *testing.B) {
-	var tf float64
-	for i := 0; i < b.N; i++ {
-		e, err := exps.RunE2E(benchSettings(), []string{"gpt3"})
-		if err != nil {
-			b.Fatal(err)
-		}
-		e.RenderTables(io.Discard)
-		tf = e.Cells[len(e.Cells)-1].AcesoTF
-	}
-	b.ReportMetric(tf, "aceso-tflops-per-gpu")
-}
 
 // BenchmarkSearchThroughput measures raw search speed on the paper's
 // GPT-3 2.6B / 16-GPU setting. The search is iteration-bounded rather
@@ -267,7 +50,7 @@ func BenchmarkEstimate(b *testing.B) {
 		b.Fatal(err)
 	}
 	cl := DGX1V100(1)
-	pm := NewPerfModel(g, cl, 1)
+	pm := perfmodel.New(g, cl, 1)
 	cfg, err := Balanced(g, 8, 4, 2)
 	if err != nil {
 		b.Fatal(err)
@@ -291,7 +74,7 @@ func BenchmarkEstimateNeighbor(b *testing.B) {
 		b.Fatal(err)
 	}
 	cl := DGX1V100(1)
-	pm := NewPerfModel(g, cl, 1)
+	pm := perfmodel.New(g, cl, 1)
 	cfg, err := Balanced(g, 8, 4, 2)
 	if err != nil {
 		b.Fatal(err)
@@ -315,7 +98,6 @@ func BenchmarkSimulate(b *testing.B) {
 		b.Fatal(err)
 	}
 	cl := DGX1V100(1).Restrict(4)
-	pm := NewPerfModel(g, cl, 1)
 	cfg, err := Balanced(g, 4, 4, 2)
 	if err != nil {
 		b.Fatal(err)
@@ -326,84 +108,4 @@ func BenchmarkSimulate(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	_ = pm
-}
-
-// --- Ablation benches for DESIGN.md's called-out design choices ---
-
-// benchAblation runs a fixed-budget search with mutated options and
-// reports the best estimated iteration time.
-func benchAblation(b *testing.B, mut func(*Options)) {
-	g, err := GPT3("1.3B")
-	if err != nil {
-		b.Fatal(err)
-	}
-	cl := DGX1V100(1).Restrict(4)
-	var best float64
-	for i := 0; i < b.N; i++ {
-		opts := Options{TimeBudget: 400 * time.Millisecond, Seed: 1, StageCounts: []int{1, 2, 4}}
-		if mut != nil {
-			mut(&opts)
-		}
-		res, err := Search(g, cl, opts)
-		if err != nil {
-			b.Fatal(err)
-		}
-		best = res.Best.Score
-	}
-	b.ReportMetric(best, "best-iter-s")
-}
-
-func BenchmarkAblationBaseline(b *testing.B) { benchAblation(b, nil) }
-
-func BenchmarkAblationBranchFactor1(b *testing.B) {
-	benchAblation(b, func(o *Options) { o.BranchFactor = 1 })
-}
-
-func BenchmarkAblationBranchFactor6(b *testing.B) {
-	benchAblation(b, func(o *Options) { o.BranchFactor = 6 })
-}
-
-func BenchmarkAblationNoFineTune(b *testing.B) {
-	benchAblation(b, func(o *Options) { o.DisableFineTune = true })
-}
-
-func BenchmarkAblationNoHeuristic2(b *testing.B) {
-	benchAblation(b, func(o *Options) { o.DisableHeuristic2 = true })
-}
-
-// BenchmarkAblationGPipeVs1F1B quantifies why the memory model assumes
-// 1F1B (Eq. 1): GPipe scheduling stashes every microbatch.
-func BenchmarkAblationGPipeVs1F1B(b *testing.B) {
-	g, err := GPT3("350M")
-	if err != nil {
-		b.Fatal(err)
-	}
-	cl := DGX1V100(1)
-	pm := NewPerfModel(g, cl, 1)
-	cfg, err := Balanced(g, 8, 4, 8)
-	if err != nil {
-		b.Fatal(err)
-	}
-	var ratio float64
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		one, err := pipesim.Simulate(pm, cfg, 1)
-		if err != nil {
-			b.Fatal(err)
-		}
-		gp, err := pipesim.SimulateSchedule(pm, cfg, 1, pipesim.GPipe)
-		if err != nil {
-			b.Fatal(err)
-		}
-		ratio = gp.PeakMem / one.PeakMem
-	}
-	b.ReportMetric(ratio, "gpipe-mem-ratio")
-}
-
-// BenchmarkAblationExtendedPrimitives measures the effect of adding
-// the ZeRO extension primitives to the searched space on a
-// parameter-heavy workload.
-func BenchmarkAblationExtendedPrimitives(b *testing.B) {
-	benchAblation(b, func(o *Options) { o.ExtendedPrimitives = true })
 }

@@ -1,11 +1,16 @@
 package main
 
 import (
+	"errors"
+	"flag"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"aceso/internal/model"
+	"aceso/internal/planserver"
 )
 
 var binPath string
@@ -101,5 +106,81 @@ func TestCLIDeepModelAndErrors(t *testing.T) {
 	}
 	if out, err := run(t); err == nil {
 		t.Errorf("missing subcommand accepted:\n%s", out)
+	}
+}
+
+// TestOneZoo drives every sized family, under each spelling of its
+// name, through the three places a name is turned into a model — the
+// wire (planserver.ModelSpec.Build), this command's -model/-size flags
+// and model.ByName itself, which internal/exps calls — and requires the
+// same graph from each, and the same typed refusal of a name or size
+// none of them knows.
+func TestOneZoo(t *testing.T) {
+	entries := []struct {
+		name  string
+		build func(family, size string) (*model.Graph, error)
+	}{
+		{"model.ByName", model.ByName},
+		{"planserver.ModelSpec.Build", func(family, size string) (*model.Graph, error) {
+			return (&planserver.ModelSpec{Family: family, Size: size}).Build()
+		}},
+		{"aceso -model -size", func(family, size string) (*model.Graph, error) {
+			fs := flag.NewFlagSet("zoo", flag.ContinueOnError)
+			get := workload(fs)
+			if err := fs.Parse([]string{"-model", family, "-size", size}); err != nil {
+				return nil, err
+			}
+			g, _, err := get()
+			return g, err
+		}},
+	}
+	for _, tc := range []struct {
+		family string
+		sizes  []string
+		build  func(string) (*model.Graph, error)
+	}{
+		{"gpt3", model.GPT3Sizes, model.GPT3},
+		{"t5", model.T5Sizes, model.T5},
+		{"wresnet", model.WideResNetSizes, model.WideResNet},
+		{"wideresnet", model.WideResNetSizes, model.WideResNet},
+		{"llama", model.LlamaSizes, model.Llama},
+	} {
+		if sizes, err := model.Sizes(tc.family); err != nil || len(sizes) != len(tc.sizes) {
+			t.Errorf("model.Sizes(%q) = %v, %v; want %v", tc.family, sizes, err, tc.sizes)
+		}
+		for _, e := range entries {
+			for _, size := range tc.sizes {
+				want, err := tc.build(size)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := e.build(tc.family, size)
+				if err != nil {
+					t.Errorf("%s: %s %s: %v", e.name, tc.family, size, err)
+					continue
+				}
+				if got.Name != want.Name || len(got.Ops) != len(want.Ops) || got.TotalParams() != want.TotalParams() {
+					t.Errorf("%s: %s %s built %s (%d ops), want %s (%d ops)",
+						e.name, tc.family, size, got.Name, len(got.Ops), want.Name, len(want.Ops))
+				}
+			}
+			var unknownSize *model.UnknownSizeError
+			if _, err := e.build(tc.family, "nope"); !errors.As(err, &unknownSize) || unknownSize.Size != "nope" {
+				t.Errorf("%s: %s at size \"nope\": %v, want an *UnknownSizeError", e.name, tc.family, err)
+			}
+		}
+	}
+	for _, e := range entries {
+		_, err := e.build("resnext", "2B")
+		var unknownFamily *model.UnknownFamilyError
+		// The wire keeps its own wording for this refusal: its bytes are
+		// part of the API.
+		if e.name == "planserver.ModelSpec.Build" {
+			if err == nil || err.Error() != `planserver: unknown model family "resnext"` {
+				t.Errorf("%s: unknown family: %v", e.name, err)
+			}
+		} else if !errors.As(err, &unknownFamily) || unknownFamily.Family != "resnext" {
+			t.Errorf("%s: unknown family: %v, want an *UnknownFamilyError", e.name, err)
+		}
 	}
 }

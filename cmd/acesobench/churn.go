@@ -37,6 +37,27 @@ func recoveryJob(iters int, seed int64) (elastic.Job, error) {
 	return job, err
 }
 
+// supervise runs job through spec under the recovery targets' common
+// policy, checkpointing into a scratch directory (a file round trip);
+// tune sets what a run varies.
+func supervise(job elastic.Job, spec elastic.ChurnSpec, seed int64, tune func(*elastic.Options)) (*elastic.Report, error) {
+	dir, err := os.MkdirTemp("", "aceso-recovery-*")
+	if err != nil {
+		return nil, err
+	}
+	defer os.RemoveAll(dir)
+	opt := elastic.Options{
+		LR:           chaos.LR,
+		Dir:          dir,
+		SearchBudget: 300 * time.Millisecond,
+		Seed:         seed,
+		BackoffBase:  100 * time.Microsecond,
+		BackoffCap:   2 * time.Millisecond,
+	}
+	tune(&opt)
+	return elastic.Supervise(context.Background(), job, spec, opt)
+}
+
 const recoveryJobSetting = "MLP(6 layers, dim 16, batch 32), pp2×tp2×dp2 on 8 emulated V100s (2 nodes × 4)"
 
 // churnReport is the BENCH_churn.json schema: one deterministic
@@ -59,8 +80,6 @@ type churnReport struct {
 	Ladder            map[string]int `json:"ladder"`
 	Retries           int            `json:"retries"`
 	Pauses            int            `json:"pauses"`
-	RecoveryP50Ms     float64        `json:"recovery_p50_ms"`
-	RecoveryP99Ms     float64        `json:"recovery_p99_ms"`
 	Checkpoints       int            `json:"checkpoints"`
 	Reshards          int            `json:"reshards"`
 	ReshardBytesMoved int64          `json:"reshard_bytes_moved"`
@@ -69,7 +88,7 @@ type churnReport struct {
 	LossDeltaFinal    float64        `json:"loss_delta_final"`
 	MaxParamDiff      float64        `json:"max_param_diff"`
 	Transitions       []string       `json:"transitions"`
-	chaosVerdict
+	trialVerdict
 	Metrics *obs.Registry `json:"metrics"`
 }
 
@@ -121,23 +140,12 @@ func runChurn(e *env) (any, []string, error) {
 		return nil, nil, err
 	}
 
-	dir, err := os.MkdirTemp("", "aceso-churn-*")
-	if err != nil {
-		return nil, nil, err
-	}
-	defer os.RemoveAll(dir)
 	reg := obs.NewRegistry()
 	spec := churnSchedule()
-	rep, err := elastic.Supervise(context.Background(), job, spec, elastic.Options{
-		LR:               chaos.LR,
-		CheckpointEvery:  2,
-		Dir:              dir,
-		SearchBudget:     300 * time.Millisecond,
-		Seed:             e.set.Seed,
-		Metrics:          reg,
-		BackoffBase:      100 * time.Microsecond,
-		BackoffCap:       2 * time.Millisecond,
-		SimulateTimeouts: 1, // exercise the backoff policy once
+	rep, err := supervise(job, spec, e.set.Seed, func(o *elastic.Options) {
+		o.CheckpointEvery = 2
+		o.Metrics = reg
+		o.SimulateTimeouts = 1 // exercise the backoff policy once
 	})
 	if err != nil {
 		return nil, nil, err
@@ -158,8 +166,6 @@ func runChurn(e *env) (any, []string, error) {
 		Ladder:            rep.Ladder,
 		Retries:           rep.Retries,
 		Pauses:            rep.Pauses,
-		RecoveryP50Ms:     float64(rep.RecoveryPercentile(0.5).Nanoseconds()) / 1e6,
-		RecoveryP99Ms:     float64(rep.RecoveryPercentile(0.99).Nanoseconds()) / 1e6,
 		Checkpoints:       rep.Checkpoints,
 		Reshards:          rep.Reshards,
 		ReshardBytesMoved: rep.ReshardBytesMoved,
@@ -184,12 +190,13 @@ func runChurn(e *env) (any, []string, error) {
 	g.gate(rep.ReplansAvoided > 0, "hysteresis avoided no replans across %d events", rep.EventsApplied)
 	g.gate(rep.FaultsDetected > 0 && rep.Retries > 0, "schedule exercised too little: faults=%d retries=%d",
 		rep.FaultsDetected, rep.Retries)
-	fmt.Fprintf(e.w, "churn: survived %d events (%d faults) in %d iterations: availability %.1f%%, %d steps lost, %d replans (%d avoided), recovery p50 %.1fms p99 %.1fms\n",
+	fmt.Fprintf(e.w, "churn: survived %d events (%d faults) in %d iterations: availability %.1f%%, %d steps lost, %d replans (%d avoided), recovery p50 %v p99 %v\n",
 		rep.EventsApplied, rep.FaultsDetected, iters, out.AvailabilityPct, rep.StepsLost,
-		rep.Replans, rep.ReplansAvoided, out.RecoveryP50Ms, out.RecoveryP99Ms)
+		rep.Replans, rep.ReplansAvoided,
+		rep.RecoveryPercentile(0.5).Round(time.Microsecond), rep.RecoveryPercentile(0.99).Round(time.Microsecond))
 	fmt.Fprintf(e.w, "churn: final trajectory vs uninterrupted: loss delta %.3g, param diff %.3g (gate %g)\n",
 		out.LossDeltaFinal, out.MaxParamDiff, elasticTol)
 
-	out.chaosVerdict = runChaos(e, chaos.Options{Trials: e.trials}, chaos.OneFault, chaos.Churn)
-	return out, append(g.failed, out.ChaosViolations...), nil
+	out.trialVerdict = runTrials(e, chaos.OneFault, chaos.Churn)
+	return out, append(g.failed, out.Violations...), nil
 }

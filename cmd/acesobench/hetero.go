@@ -72,9 +72,6 @@ func awareVsBlind(g *model.Graph, truth, blind hardware.Cluster, opts core.Optio
 	return cmp, nil
 }
 
-// heteroDiffTrials is the hetero target's default diff-slice size.
-const heteroDiffTrials = 512
-
 // heteroReport is the BENCH_hetero.json schema. The search is fully
 // deterministic, so explored counts, plan shapes and iteration times
 // are all exact fingerprints.
@@ -162,18 +159,7 @@ func runHetero(e *env) (any, []string, error) {
 	g.gate(heteroTime < cmp.BlindCost, "hetero-aware plan (%.6fs) does not strictly beat the best class-blind plan (%.6fs)",
 		heteroTime, cmp.BlindCost)
 
-	trials := e.trials
-	if trials == 0 {
-		trials = heteroDiffTrials
-	}
-	rep := diffcheck.Run(diffcheck.Options{
-		Trials:    trials,
-		Seed:      e.set.Seed,
-		Generator: diffcheck.RandomHeteroTuple,
-		Log:       e.logf,
-	})
-	fmt.Fprint(e.w, rep.Summary())
-	g.gate(!rep.Failed(), "%d hetero diff violations", len(rep.Violations))
+	diff := runTrials(e, diffcheck.Hetero(nil).Scenario)
 
 	return &heteroReport{
 		Setting: fmt.Sprintf("GPT-3 1.3B on 8×A100-80GB + 8×V100-32GB, %d iterations, stage counts {2,4}, seed %d",
@@ -188,9 +174,9 @@ func runHetero(e *env) (any, []string, error) {
 		Speedup:        cmp.BlindCost / heteroTime,
 		AllA100Time:    a100Time,
 		AllV100Time:    v100Time,
-		DiffTrials:     rep.Trials,
-		DiffViolations: len(rep.Violations),
-	}, g.failed, nil
+		DiffTrials:     diff.Trials,
+		DiffViolations: len(diff.Violations),
+	}, append(g.failed, diff.Violations...), nil
 }
 
 func checkHetero(recorded, current any) []string {

@@ -27,6 +27,7 @@ import (
 	"strings"
 	"time"
 
+	"aceso/internal/chaos"
 	"aceso/internal/exps"
 )
 
@@ -48,38 +49,39 @@ type target struct {
 }
 
 // registry lists the targets in the order a multi-target invocation
-// runs them.
+// runs them. Every "trials" below is one chaos.Run per scenario under
+// -trials and -duration (runTrials).
 var registry = []target{
-	paper("fig1", "configuration-space size vs layers and mechanisms (analytic)", fig1),
+	figure("fig1", "configuration-space size vs layers and mechanisms (analytic)",
+		func(exps.Settings) ([]exps.Fig1Row, error) { return exps.Fig1(nil), nil }, exps.RenderFig1, exps.WriteFig1CSV),
 	e2e("fig7", "Exp#1: throughput of Aceso vs Megatron-grid vs Alpa-like", (*exps.E2E).RenderFig7),
 	e2e("fig8", "Exp#2: search cost of Aceso vs Alpa-like", (*exps.E2E).RenderFig8),
 	e2e("tables", "Tables 3-5: TFLOPS per GPU for GPT-3, Wide-ResNet, T5", (*exps.E2E).RenderTables),
 	e2e("fig15", "Exp#8: predicted vs simulated iteration time", (*exps.E2E).RenderFig15),
 	e2e("fig16", "Exp#9: predicted vs simulated peak memory", (*exps.E2E).RenderFig16),
-	paper("fig9", "Exp#3: scalability to 1K layers on 8 GPUs", fig9),
-	paper("fig10", "Exp#4: explored configurations and plan quality, pruned DP vs Aceso", fig10),
-	paper("fig11", "Exp#5: bottlenecks and hops tried per improving iteration", fig11),
+	figure("fig9", "Exp#3: scalability to 1K layers on 8 GPUs",
+		func(s exps.Settings) ([]exps.Fig9Row, error) { return exps.Fig9(s, nil) }, exps.RenderFig9, exps.WriteFig9CSV),
+	figure("fig10", "Exp#4: explored configurations and plan quality, pruned DP vs Aceso", exps.Fig10, exps.RenderFig10, exps.WriteFig10CSV),
+	figure("fig11", "Exp#5: bottlenecks and hops tried per improving iteration", exps.Fig11, exps.RenderFig11, exps.WriteFig11CSV),
 	curves("fig12", "Figure 12 (Exp#5): convergence with vs without Heuristic-2", exps.Fig12),
 	curves("fig13", "Figure 13 (Exp#6): convergence under different MaxHops", exps.Fig13),
 	curves("fig14", "Figure 14 (Exp#7): robustness to the initial configuration", exps.Fig14),
-	paper("ablations", "this implementation's own design ablations", ablations),
-	{name: "search", run: runSearch, check: checkSearch,
-		doc: "fixed-iteration GPT-3 2.6B/16-V100 search, -reps times: explored count and allocs/op"},
+	figure("ablations", "this implementation's own design ablations", exps.Ablations, exps.RenderAblations, nil),
 	{name: "scale", run: runScale, check: checkScale,
 		doc: "fixed-iteration searches on 1024/2048/4096 synthetic V100s: explored counts, allocation, 4096-vs-1024 linearity gate"},
-	paper("cases", "§5.4 case studies", cases),
+	figure("cases", "§5.4 case studies", exps.Cases, exps.RenderCases, nil),
 	{name: "trace", run: runTrace,
-		doc: "the search target's setting with the JSONL, convergence and breakdown-audit tracers and the metrics registry attached; also writes BENCH_trace.jsonl; fails on any audit violation"},
+		doc: "the fixed-iteration GPT-3 2.6B/16-V100 search with the JSONL, convergence and breakdown-audit tracers and the metrics registry attached; also writes BENCH_trace.jsonl; fails on any audit violation"},
 	{name: "diff", run: runDiff,
-		doc: "-trials randomized model-vs-simulator tuples per mode (effects off, effects on); shrunken repro files; fails on any invariant violation"},
+		doc: "randomized model-vs-simulator trials, effects off then effects on; a shrunken repro file per violation; fails on any invariant violation"},
 	{name: "hetero", run: runHetero, check: checkHetero,
-		doc: "GPT-3 1.3B on 8 A100 + 8 V100 vs the best class-blind plan re-priced there, plus a mixed-cluster diff slice of -trials tuples"},
+		doc: "GPT-3 1.3B on 8 A100 + 8 V100 vs the best class-blind plan re-priced there, then model-vs-simulator trials on mixed clusters"},
 	{name: "churn", run: runChurn,
-		doc: "elastic.Supervise through a seeded 22-event schedule, then -trials one-fault and churn chaos trials; fails unless it rejoins the uninterrupted run within 1e-9"},
+		doc: "elastic.Supervise through a seeded 22-event schedule, then one-fault and churn trials; fails unless it rejoins the uninterrupted run within 1e-9"},
 	{name: "spot", run: runSpot, check: checkSpot,
-		doc: "expected-time vs nominal-time planning and a replayed reclaim trace on spot capacity, then -trials spot chaos trials; fails under 1.2x achieved speedup; -guard pins explored counts, expected times, cadence, lost steps and drains"},
-	{name: "chaos", run: runChaosTarget,
-		doc: "fault-injection trials against the search for -duration (or -trials); fails on any panic, invalid plan or non-finite score"},
+		doc: "expected-time vs nominal-time planning and a replayed reclaim trace on spot capacity, then spot trials; fails under 1.2x achieved speedup; -guard pins explored counts, expected times, cadence, lost steps and drains"},
+	{name: "chaos", run: func(e *env) (any, []string, error) { return nil, runTrials(e, chaos.Search).Violations, nil },
+		doc: "fault-injection trials against the search; fails on any panic, invalid plan or non-finite score"},
 }
 
 // env is what the command line hands every target.
@@ -90,7 +92,6 @@ type env struct {
 	outDir   string
 	trials   int // 0: the target's own default
 	duration time.Duration
-	reps     int
 
 	e2eRun *exps.E2E // the end-to-end run fig7, fig8, fig15, fig16 and tables share
 }
@@ -101,7 +102,12 @@ func (e *env) csv(name string, write func(io.Writer) error) error {
 	if e.csvDir == "" {
 		return nil
 	}
-	f, err := os.Create(filepath.Join(e.csvDir, name))
+	return writeFile(filepath.Join(e.csvDir, name), write)
+}
+
+// writeFile creates path and fills it with what write produces.
+func writeFile(path string, write func(io.Writer) error) error {
+	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
@@ -134,17 +140,11 @@ func reportPath(outDir, name string) string {
 
 // writeReport writes v to path as indented JSON.
 func writeReport(path string, v any) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(v); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
+	return writeFile(path, func(w io.Writer) error {
+		enc := json.NewEncoder(w)
+		enc.SetIndent("", "  ")
+		return enc.Encode(v)
+	})
 }
 
 // readCommitted decodes the committed report at path into a new value
@@ -262,9 +262,8 @@ func main() {
 	flag.Int64Var(&e.set.Seed, "seed", 1, "deterministic seed")
 	flag.StringVar(&e.csvDir, "csv", "", "also write the paper targets' tables as CSV into this directory")
 	flag.StringVar(&e.outDir, "outdir", ".", "directory of the BENCH_<target>.json reports: written by a plain run, read by -guard")
-	flag.IntVar(&e.trials, "trials", 0, "randomized trials of the diff, hetero, churn, spot and chaos targets (0 = the target's own default)")
-	flag.DurationVar(&e.duration, "duration", 30*time.Second, "wall budget of the chaos target when -trials is 0")
-	flag.IntVar(&e.reps, "reps", 3, "repetitions of the search target's measurement")
+	flag.IntVar(&e.trials, "trials", 0, "randomized trials per scenario of the diff, hetero, churn, spot and chaos targets (0 = until -duration, or the scenario's own count)")
+	flag.DurationVar(&e.duration, "duration", 0, "wall budget per scenario of the same targets (0 = none)")
 	guard := flag.Bool("guard", false, "check each target against its committed report instead of rewriting it; exit 1 on drift")
 	list := flag.Bool("list", false, "print the targets and exit")
 	cpuProfile := flag.String("cpuprofile", "", "write a pprof CPU profile covering the selected targets to this file")

@@ -2,12 +2,17 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
+	"math/rand"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"aceso/internal/chaos"
+	"aceso/internal/diffcheck"
 )
 
 var binPath string
@@ -92,6 +97,7 @@ func TestCommandLine(t *testing.T) {
 	}{
 		{"unknown target", []string{"nosuchtarget"}, 2, append([]string{`unknown target "nosuchtarget"`}, names...)},
 		{"deleted serve target", []string{"fig1", "serve"}, 2, []string{`unknown target "serve"`}},
+		{"deleted search target", []string{"-guard", "search"}, 2, []string{`unknown target "search"`}},
 		{"guard without a check", []string{"-guard", "-outdir", dir, "churn"}, 2, []string{`"churn"`, "-guard"}},
 		{"list", []string{"-list"}, 0, names},
 	} {
@@ -119,5 +125,54 @@ func TestCommandLine(t *testing.T) {
 	}
 	if got, err := os.ReadFile(churnFile); err != nil || !bytes.Equal(got, committed) {
 		t.Errorf("-guard churn touched the committed report: %q, %v", got, err)
+	}
+}
+
+// TestRunTrialsWritesRepro forces violations through the one trial
+// path — a differential suite whose generator sometimes emits a tuple
+// Build refuses — and requires what the diff and hetero targets
+// promise: each violation fails the target, names its repro file, and
+// the file holds a shrunken tuple that diffcheck.ReplayTuple replays to
+// the same finding. -trials bounds the run like any other scenario.
+func TestRunTrialsWritesRepro(t *testing.T) {
+	gen := func(rng *rand.Rand) diffcheck.Tuple {
+		tup := diffcheck.RandomTuple(rng)
+		if rng.Intn(4) == 0 {
+			tup.Stages = 2 * tup.Ops
+		}
+		return tup
+	}
+	var out bytes.Buffer
+	e := &env{w: &out, outDir: t.TempDir(), trials: 40}
+	e.set.Seed = 1
+	v := runTrials(e, diffcheck.New("forced", gen, false, nil).Scenario, chaos.Search)
+	if v.Trials != 80 || v.Passed+v.TypedErrs+len(v.Violations) != 80 {
+		t.Fatalf("verdict %+v, want 40 trials of each of two scenarios accounted for\n%s", v, &out)
+	}
+	files, err := filepath.Glob(filepath.Join(e.outDir, "BENCH_forced_repro_*.json"))
+	if err != nil || len(files) == 0 || len(files) != len(v.Violations) {
+		t.Fatalf("%d repro files for %d violations (%v)\n%s", len(files), len(v.Violations), err, &out)
+	}
+	for i, name := range files {
+		if !strings.Contains(v.Violations[i], name) {
+			t.Errorf("violation %q does not name its repro %s", v.Violations[i], name)
+		}
+		raw, err := os.ReadFile(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var repro struct {
+			Kind        string          `json:"kind"`
+			Detail      string          `json:"detail"`
+			Repro       diffcheck.Tuple `json:"repro"`
+			ShrinkSteps int             `json:"shrink_steps"`
+		}
+		if err := json.Unmarshal(raw, &repro); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		f := diffcheck.ReplayTuple(repro.Repro, false)
+		if len(f) != 1 || f[0].Kind != repro.Kind || f[0].Detail != repro.Detail || repro.ShrinkSteps == 0 {
+			t.Errorf("%s replays to %+v, the file says %s: %s after %d shrink steps", name, f, repro.Kind, repro.Detail, repro.ShrinkSteps)
+		}
 	}
 }

@@ -38,66 +38,27 @@ func e2e(name, doc string, render func(*exps.E2E, io.Writer)) target {
 	})
 }
 
-// curves is a convergence-curve figure; its doc line is the figure's
-// title.
-func curves(name, doc string, run func(exps.Settings) (map[string][]exps.Curve, error)) target {
+// figure is a target computed in one call: run produces the rows,
+// render prints them and writeCSV, when the figure has a CSV form,
+// writes them as <name>.csv.
+func figure[R any](name, doc string, run func(exps.Settings) (R, error),
+	render func(io.Writer, R), writeCSV func(io.Writer, R) error) target {
 	return paper(name, doc, func(e *env) error {
-		groups, err := run(e.set)
+		rows, err := run(e.set)
 		if err != nil {
 			return err
 		}
-		exps.RenderCurves(e.w, doc, groups)
-		return e.csv(name+".csv", func(f io.Writer) error { return exps.WriteCurvesCSV(f, groups) })
+		render(e.w, rows)
+		if writeCSV == nil {
+			return nil
+		}
+		return e.csv(name+".csv", func(f io.Writer) error { return writeCSV(f, rows) })
 	})
 }
 
-func fig1(e *env) error {
-	rows := exps.Fig1(nil)
-	exps.RenderFig1(e.w, rows)
-	return e.csv("fig1.csv", func(f io.Writer) error { return exps.WriteFig1CSV(f, rows) })
-}
-
-func fig9(e *env) error {
-	rows, err := exps.Fig9(e.set, nil)
-	if err != nil {
-		return err
-	}
-	exps.RenderFig9(e.w, rows)
-	return e.csv("fig9.csv", func(f io.Writer) error { return exps.WriteFig9CSV(f, rows) })
-}
-
-func fig10(e *env) error {
-	rows, err := exps.Fig10(e.set)
-	if err != nil {
-		return err
-	}
-	exps.RenderFig10(e.w, rows)
-	return e.csv("fig10.csv", func(f io.Writer) error { return exps.WriteFig10CSV(f, rows) })
-}
-
-func fig11(e *env) error {
-	r, err := exps.Fig11(e.set)
-	if err != nil {
-		return err
-	}
-	exps.RenderFig11(e.w, r)
-	return e.csv("fig11.csv", func(f io.Writer) error { return exps.WriteFig11CSV(f, r) })
-}
-
-func ablations(e *env) error {
-	rows, memRatio, err := exps.Ablations(e.set)
-	if err != nil {
-		return err
-	}
-	exps.RenderAblations(e.w, rows, memRatio)
-	return nil
-}
-
-func cases(e *env) error {
-	cs, err := exps.Cases(e.set)
-	if err != nil {
-		return err
-	}
-	exps.RenderCases(e.w, cs)
-	return nil
+// curves is a convergence-curve figure; its doc line is the figure's
+// title.
+func curves(name, doc string, run func(exps.Settings) (map[string][]exps.Curve, error)) target {
+	return figure(name, doc, run,
+		func(w io.Writer, groups map[string][]exps.Curve) { exps.RenderCurves(w, doc, groups) }, exps.WriteCurvesCSV)
 }

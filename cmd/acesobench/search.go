@@ -1,14 +1,16 @@
 package main
 
-// The fixed-iteration search targets: search (one 16-GPU setting,
-// repeated), scale (three thousand-device settings) and trace (the
-// search setting with the observability stack attached). All are
-// iteration-bounded, never deadline-bounded, so the explored count is a
-// fingerprint of the search: the same on every run, at any size.
+// The fixed-iteration search targets: scale (three thousand-device
+// settings) and trace (the paper's 16-GPU setting with the
+// observability stack attached). Both are iteration-bounded, never
+// deadline-bounded, so the explored count is a fingerprint of the
+// search: the same on every run, at any size. The time and allocation
+// of the 16-GPU search are bench/'s search-deep workload, its
+// fingerprint is core's determinism table.
 
 import (
 	"fmt"
-	"os"
+	"io"
 	"path/filepath"
 	"runtime"
 	"time"
@@ -20,83 +22,21 @@ import (
 )
 
 // guardAllocTol is how far above the committed figure -guard lets
-// search's allocs/op and scale's alloc_mb rise (allocation is nearly
-// deterministic). No wall time is guarded: BENCHMARK.json is where a
-// time is claimed.
+// scale's alloc_mb rise (allocation is nearly deterministic). No wall
+// time is recorded or guarded: BENCHMARK.json is where a time is
+// claimed.
 const guardAllocTol = 0.1
-
-const searchSetting = "GPT-3 2.6B on 16xV100 (DGX1V100(2))"
-
-// searchMeasurement is one timed run of the fixed-iteration search.
-type searchMeasurement struct {
-	NsPerOp     int64 `json:"ns_per_op"`
-	Explored    int   `json:"explored"`
-	BytesPerOp  int64 `json:"bytes_per_op"`
-	AllocsPerOp int64 `json:"allocs_per_op"`
-}
-
-// searchReport is the BENCH_search.json schema.
-type searchReport struct {
-	Benchmark string            `json:"benchmark"`
-	Setting   string            `json:"setting"`
-	Current   searchMeasurement `json:"current"`
-}
-
-// runSearch mirrors BenchmarkSearchThroughput: GPT-3 2.6B on 16 V100s,
-// four iterations per stage count, so the cost tracks the machinery per
-// fixed amount of exploration.
-func runSearch(e *env) (any, []string, error) {
-	g, err := model.GPT3("2.6B")
-	if err != nil {
-		return nil, nil, err
-	}
-	cl := hardware.DGX1V100(2)
-	reps := max(e.reps, 1)
-	var m searchMeasurement
-	var before, after runtime.MemStats
-	runtime.GC()
-	runtime.ReadMemStats(&before)
-	start := time.Now()
-	for i := 0; i < reps; i++ {
-		res, err := core.Search(g, cl, core.Options{TimeBudget: time.Hour, MaxIterations: 4, Seed: 1})
-		if err != nil {
-			return nil, nil, err
-		}
-		m.Explored = res.Explored
-	}
-	elapsed := time.Since(start)
-	runtime.ReadMemStats(&after)
-	m.NsPerOp = elapsed.Nanoseconds() / int64(reps)
-	m.BytesPerOp = int64(after.TotalAlloc-before.TotalAlloc) / int64(reps)
-	m.AllocsPerOp = int64(after.Mallocs-before.Mallocs) / int64(reps)
-	fmt.Fprintf(e.w, "search throughput (%d reps): %d ns/op, %d explored, %d B/op, %d allocs/op\n",
-		reps, m.NsPerOp, m.Explored, m.BytesPerOp, m.AllocsPerOp)
-	return &searchReport{
-		Benchmark: "BenchmarkSearchThroughput",
-		Setting:   searchSetting + ", MaxIterations=4, Seed=1, fixed-iteration",
-		Current:   m,
-	}, nil, nil
-}
-
-func checkSearch(recorded, current any) []string {
-	rec, cur := recorded.(*searchReport).Current, current.(*searchReport).Current
-	var g gates
-	g.gate(cur.Explored == rec.Explored, "explored %d, recorded %d — the search is no longer bit-identical",
-		cur.Explored, rec.Explored)
-	g.gate(float64(cur.AllocsPerOp) <= float64(rec.AllocsPerOp)*(1+guardAllocTol),
-		"allocs/op %d exceeds recorded %d by more than %.0f%%", cur.AllocsPerOp, rec.AllocsPerOp, guardAllocTol*100)
-	return g.failed
-}
 
 // scaleRow is one cluster/graph point of the scale target.
 type scaleRow struct {
 	Devices     int     `json:"devices"`
 	Ops         int     `json:"ops"`
 	StageCounts []int   `json:"stage_counts"`
-	ElapsedMs   float64 `json:"elapsed_ms"`
 	Explored    int     `json:"explored"`
 	BestScore   float64 `json:"best_iter_time_seconds"`
 	AllocMB     float64 `json:"alloc_mb"`
+
+	elapsed time.Duration // compared within the run only, never recorded
 }
 
 func (r scaleRow) String() string { return fmt.Sprintf("%d devices / %d ops", r.Devices, r.Ops) }
@@ -158,7 +98,7 @@ func scaleSearch(g *model.Graph, cl hardware.Cluster, seed int64) (scaleRow, err
 		Devices:     cl.TotalDevices(),
 		Ops:         len(g.Ops),
 		StageCounts: scaleStageCounts,
-		ElapsedMs:   float64(elapsed.Nanoseconds()) / 1e6,
+		elapsed:     elapsed,
 		Explored:    res.Explored,
 		BestScore:   res.Best.Score,
 		AllocMB:     float64(after.TotalAlloc-before.TotalAlloc) / (1 << 20),
@@ -196,22 +136,22 @@ func runScale(e *env) (any, []string, error) {
 			if rep == 0 {
 				coldAllocMB = r.AllocMB
 			}
-			if rep == 0 || r.ElapsedMs < row.ElapsedMs {
+			if rep == 0 || r.elapsed < row.elapsed {
 				row = r
 			}
 		}
 		row.AllocMB = coldAllocMB
 		out.Rows = append(out.Rows, row)
 		fmt.Fprintf(e.w, "scale: %4d devices, %5d ops: %8.0fms, %d explored, best %.4fs, %.0f MB allocated\n",
-			row.Devices, row.Ops, row.ElapsedMs, row.Explored, row.BestScore, row.AllocMB)
+			row.Devices, row.Ops, row.elapsed.Seconds()*1e3, row.Explored, row.BestScore, row.AllocMB)
 	}
 	small, large := out.Rows[0], out.Rows[len(out.Rows)-1]
-	allocRatio, elapsedRatio := large.AllocMB/small.AllocMB, large.ElapsedMs/small.ElapsedMs
+	allocRatio, elapsedRatio := large.AllocMB/small.AllocMB, large.elapsed.Seconds()/small.elapsed.Seconds()
 	fmt.Fprintf(e.w, "scale: %d → %d devices costs %.1f× time, %.1f× allocation\n",
 		small.Devices, large.Devices, elapsedRatio, allocRatio)
 	g.gate(allocRatio <= scaleMaxAllocRatio, "alloc_mb at %d devices is %.1f× that at %d, gate %.0f×",
 		large.Devices, allocRatio, small.Devices, scaleMaxAllocRatio)
-	g.gate(elapsedRatio <= scaleMaxElapsedRatio, "elapsed_ms at %d devices is %.1f× that at %d, gate %.0f×",
+	g.gate(elapsedRatio <= scaleMaxElapsedRatio, "elapsed at %d devices is %.1f× that at %d, gate %.0f×",
 		large.Devices, elapsedRatio, small.Devices, scaleMaxElapsedRatio)
 	return out, g.failed, nil
 }
@@ -261,7 +201,7 @@ type traceReport struct {
 	Metrics     *obs.Registry          `json:"metrics"`
 }
 
-// runTrace runs the search target's setting with the JSONL tracer, the
+// runTrace runs the paper's 16-GPU setting with the JSONL tracer, the
 // metrics registry and the breakdown auditor all attached, and gates on
 // the auditor finding no resource-accounting violation.
 func runTrace(e *env) (any, []string, error) {
@@ -286,20 +226,12 @@ func runTrace(e *env) (any, []string, error) {
 	}
 
 	traceFile := filepath.Join(e.outDir, "BENCH_trace.jsonl")
-	tf, err := os.Create(traceFile)
-	if err != nil {
-		return nil, nil, err
-	}
-	if _, err := jsonl.WriteTo(tf); err != nil {
-		tf.Close()
-		return nil, nil, err
-	}
-	if err := tf.Close(); err != nil {
+	if err := writeFile(traceFile, func(w io.Writer) error { _, err := jsonl.WriteTo(w); return err }); err != nil {
 		return nil, nil, err
 	}
 
 	out := &traceReport{
-		Setting:     fmt.Sprintf("%s, MaxIterations=%d, Seed=%d", searchSetting, iters, e.set.Seed),
+		Setting:     fmt.Sprintf("GPT-3 2.6B on 16xV100 (DGX1V100(2)), MaxIterations=%d, Seed=%d", iters, e.set.Seed),
 		Iterations:  res.Iterations,
 		Explored:    res.Explored,
 		BestScore:   res.Best.Score,

@@ -10,10 +10,7 @@ package main
 // and recovery stalls — not the nominal iteration time.
 
 import (
-	"context"
 	"fmt"
-	"os"
-	"time"
 
 	"aceso/internal/chaos"
 	"aceso/internal/core"
@@ -81,7 +78,7 @@ type spotReport struct {
 	AchievedSpeedup  float64         `json:"achieved_speedup"`
 	SpeedupGate      float64         `json:"speedup_gate"`
 
-	chaosVerdict
+	trialVerdict
 
 	Metrics *obs.Registry `json:"metrics"`
 }
@@ -209,29 +206,16 @@ func runSpot(e *env) (any, []string, error) {
 
 	reg := obs.NewRegistry()
 	run := func(aware bool) (*elastic.Report, error) {
-		dir, err := os.MkdirTemp("", "aceso-spot-*")
-		if err != nil {
-			return nil, err
-		}
-		defer os.RemoveAll(dir)
 		j := job
 		j.Params = job.Params.Clone() // a supervised run consumes its parameters
-		sopt := elastic.Options{
-			LR:              chaos.LR,
-			CheckpointEvery: blindCadence,
-			Dir:             dir,
-			SearchBudget:    300 * time.Millisecond,
-			Seed:            e.set.Seed,
-			BackoffBase:     100 * time.Microsecond,
-			BackoffCap:      2 * time.Millisecond,
-			MaxCadence:      blindCadence,
-		}
-		if aware {
-			sopt.CheckpointEvery = awareCadence
-			sopt.CheckpointCost = 1
-			sopt.Metrics = reg
-		}
-		return elastic.Supervise(context.Background(), j, spotEvents(aware), sopt)
+		return supervise(j, spotEvents(aware), e.set.Seed, func(o *elastic.Options) {
+			o.CheckpointEvery, o.MaxCadence = blindCadence, blindCadence
+			if aware {
+				o.CheckpointEvery = awareCadence
+				o.CheckpointCost = 1
+				o.Metrics = reg
+			}
+		})
 	}
 
 	awareRep, err := run(true)
@@ -259,7 +243,7 @@ func runSpot(e *env) (any, []string, error) {
 		blindStats.AchievedThroughput, blindRep.StepsLost, blindRep.FaultsDetected, blindCadence,
 		speedup, spotSpeedupGate)
 
-	verdict := runChaos(e, chaos.Options{Trials: e.trials}, chaos.Spot)
+	verdict := runTrials(e, chaos.Spot)
 
 	return &spotReport{
 		Setting: fmt.Sprintf("planner: GPT-3 350M on 8 reserved + 8 spot V100s (6 reclaims/hour, 120s notice); replay: %s, %d-reclaim trace over %d iterations, seed %d",
@@ -279,9 +263,9 @@ func runSpot(e *env) (any, []string, error) {
 		Blind:                 blindStats,
 		AchievedSpeedup:       speedup,
 		SpeedupGate:           spotSpeedupGate,
-		chaosVerdict:          verdict,
+		trialVerdict:          verdict,
 		Metrics:               reg,
-	}, append(g.failed, verdict.ChaosViolations...), nil
+	}, append(g.failed, verdict.Violations...), nil
 }
 
 // checkSpot compares what a run decides, not what it times: both

@@ -1,9 +1,10 @@
 package main
 
-// The randomized validation targets: diff (performance model vs
-// simulator, internal/diffcheck) and chaos (fault injection against the
-// search, internal/chaos), plus the chaos pass the recovery targets
-// append to their reports.
+// The randomized targets — diff (performance model vs simulator,
+// internal/diffcheck) and chaos (fault injection against the search,
+// internal/chaos) — and runTrials, the one place a scenario of either
+// package meets the command line. The recovery and hetero targets
+// append its verdict to their reports.
 
 import (
 	"fmt"
@@ -14,81 +15,71 @@ import (
 	"aceso/internal/obs"
 )
 
-// diffReport is the BENCH_diff.json schema: one report per checked
-// mode, the metrics snapshot, and pointers to any repro files written
-// alongside.
-type diffReport struct {
-	Setting    string              `json:"setting"`
-	Reports    []*diffcheck.Report `json:"reports"`
-	ReproFiles []string            `json:"repro_files,omitempty"`
-	Metrics    *obs.Registry       `json:"metrics"`
+// trialVerdict is the randomized-trial block of a report, under the keys the committed reports carry.
+type trialVerdict struct {
+	Trials     int      `json:"chaos_trials"`
+	Passed     int      `json:"chaos_survived_runs"`
+	TypedErrs  int      `json:"chaos_typed_errors"`
+	Violations []string `json:"chaos_violations,omitempty"`
 }
 
-// runDiff cross-checks perfmodel.Estimate against pipesim on randomized
-// tuples, once with effects off (the hard invariants) and once with
-// effects on (the calibration band), and writes one repro file per
-// shrunken violation.
-func runDiff(e *env) (any, []string, error) {
-	reg := obs.NewRegistry()
-	out := &diffReport{Metrics: reg}
-	var g gates
-	for _, effectsOn := range []bool{false, true} {
-		rep := diffcheck.Run(diffcheck.Options{
-			Trials:    e.trials,
-			Seed:      e.set.Seed,
-			EffectsOn: effectsOn,
-			Metrics:   reg,
-			Log:       e.logf,
-		})
-		fmt.Fprint(e.w, rep.Summary())
-		out.Reports = append(out.Reports, rep)
-		for _, v := range rep.Violations {
-			name := filepath.Join(e.outDir, fmt.Sprintf("BENCH_diff_repro_%03d.json", len(out.ReproFiles)))
-			if err := writeReport(name, v); err != nil {
-				return nil, nil, err
-			}
-			out.ReproFiles = append(out.ReproFiles, name)
-			g.gate(false, "invariant violation, shrunken repro → %s", name)
-		}
-	}
-	out.Setting = fmt.Sprintf("randomized model-vs-simulator tuples, %d trials/mode, seed %d", out.Reports[0].Trials, e.set.Seed)
-	return out, g.failed, nil
-}
-
-// chaosVerdict is the randomized-chaos block of a recovery report.
-type chaosVerdict struct {
-	ChaosTrials       int      `json:"chaos_trials"`
-	ChaosSurvivedRuns int      `json:"chaos_survived_runs"`
-	ChaosTypedErrs    int      `json:"chaos_typed_errors"`
-	ChaosViolations   []string `json:"chaos_violations,omitempty"`
-}
-
-// runChaos runs each scenario under opts and sums the verdicts; every
-// violation is a failed gate of the calling target.
-func runChaos(e *env, opts chaos.Options, scenarios ...chaos.Scenario) chaosVerdict {
-	opts.Seed = e.set.Seed
-	opts.Log = e.logf
-	var out chaosVerdict
+// runTrials runs each scenario under -trials, -duration and -seed and
+// sums the verdicts; every violation is a failed gate of the calling
+// target, and one that carries a shrunken repro is written to
+// <outdir>/BENCH_<scenario>_repro_<trial>.json.
+func runTrials(e *env, scenarios ...chaos.Scenario) trialVerdict {
+	var out trialVerdict
 	for _, sc := range scenarios {
-		rep := chaos.Run(sc, opts)
+		rep := chaos.Run(sc, chaos.Options{Trials: e.trials, Duration: e.duration, Seed: e.set.Seed, Log: e.logf})
 		fmt.Fprint(e.w, rep.Summary())
-		out.ChaosTrials += rep.Trials
-		out.ChaosSurvivedRuns += rep.Plans
-		out.ChaosTypedErrs += rep.TypedErrs
+		out.Trials += rep.Trials
+		out.Passed += rep.Passed
+		out.TypedErrs += rep.TypedErrs
 		for _, v := range rep.Violations {
-			out.ChaosViolations = append(out.ChaosViolations,
-				fmt.Sprintf("%s trial %d seed %d [%s]: %s", sc, v.Trial, v.Seed, v.Kind, v.Detail))
+			msg := fmt.Sprintf("%s %s", sc.Name, v)
+			if v.Repro != nil {
+				name := filepath.Join(e.outDir, fmt.Sprintf("BENCH_%s_repro_%06d.json", sc.Name, v.Trial))
+				if err := writeReport(name, v); err != nil {
+					name = fmt.Sprintf("not written: %v", err)
+				}
+				msg += "; repro → " + name
+			}
+			out.Violations = append(out.Violations, msg)
 		}
 	}
 	return out
 }
 
-// runChaosTarget throws degraded and corrupted clusters at the search
-// for -duration, or for -trials trials when that is set.
-func runChaosTarget(e *env) (any, []string, error) {
-	opts := chaos.Options{Trials: e.trials}
-	if e.trials == 0 {
-		opts.Duration = e.duration
+// diffMode is one checked mode of the diff target.
+type diffMode struct {
+	Mode string `json:"mode"`
+	trialVerdict
+	Band diffcheck.BandStats `json:"band"`
+}
+
+// diffReport is the BENCH_diff.json schema: one verdict and band per
+// checked mode, and the metrics snapshot.
+type diffReport struct {
+	Setting string        `json:"setting"`
+	Modes   []diffMode    `json:"modes"`
+	Metrics *obs.Registry `json:"metrics"`
+}
+
+// runDiff cross-checks perfmodel.Estimate against pipesim on randomized
+// tuples, once with effects off (the hard invariants) and once with
+// effects on (the calibration band).
+func runDiff(e *env) (any, []string, error) {
+	reg := obs.NewRegistry()
+	out := &diffReport{Metrics: reg}
+	var failed []string
+	for _, suite := range []*diffcheck.Suite{diffcheck.EffectsOff(reg), diffcheck.EffectsOn(reg)} {
+		v := runTrials(e, suite.Scenario)
+		band := suite.Band()
+		fmt.Fprintf(e.w, "%s: band [%.4f, %.4f] p50 %.4f p95 %.4f over %d samples\n",
+			suite.Name, band.Min, band.Max, band.P50, band.P95, band.Samples)
+		out.Modes = append(out.Modes, diffMode{Mode: suite.Name, trialVerdict: v, Band: band})
+		failed = append(failed, v.Violations...)
 	}
-	return nil, runChaos(e, opts, chaos.Search).ChaosViolations, nil
+	out.Setting = fmt.Sprintf("randomized model-vs-simulator tuples, %d trials/mode, seed %d", out.Modes[0].Trials, e.set.Seed)
+	return out, failed, nil
 }

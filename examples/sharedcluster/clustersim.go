@@ -1,13 +1,14 @@
-// Package clustersim quantifies the paper's motivating scenario (§1):
-// "search overhead can be a huge burden when quick reconfiguration is
-// needed, e.g., in a shared cluster with frequent changes in
-// resources". It simulates a long-running training job whose GPU
+package main
+
+// The simulation behind main.go. It quantifies the paper's motivating
+// scenario (§1): "search overhead can be a huge burden when quick
+// reconfiguration is needed, e.g., in a shared cluster with frequent
+// changes in resources". It simulates a long-running training job whose GPU
 // allocation changes over time; after every change the job must plan a
 // new parallel configuration before it can train again, so planning
 // time directly eats training time. Different planning strategies
 // (Aceso, warm-started Aceso, the Alpa-like solver) can then be
 // compared on total samples trained.
-package clustersim
 
 import (
 	"fmt"

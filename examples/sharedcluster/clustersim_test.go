@@ -1,4 +1,4 @@
-package clustersim
+package main
 
 import (
 	"testing"

@@ -12,7 +12,6 @@ import (
 	"log"
 	"time"
 
-	"aceso/internal/clustersim"
 	"aceso/internal/hardware"
 	"aceso/internal/model"
 )
@@ -22,7 +21,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	trace := []clustersim.Event{
+	allocations := []Event{
 		{At: 0, GPUs: 16},
 		{At: 1 * time.Hour, GPUs: 8},
 		{At: 2 * time.Hour, GPUs: 16},
@@ -31,13 +30,13 @@ func main() {
 	}
 	const horizon = 5 * time.Hour
 	fmt.Printf("job: %s (batch %d) on a shared cluster, %d allocation changes over %v\n\n",
-		g.Name, g.GlobalBatch, len(trace)-1, horizon)
+		g.Name, g.GlobalBatch, len(allocations)-1, horizon)
 
-	results, err := clustersim.Run(g, hardware.DGX1V100(4), trace, horizon,
-		[]clustersim.Strategy{
-			clustersim.AcesoStrategy{Budget: 2 * time.Second, Seed: 1},
-			clustersim.AcesoStrategy{Budget: 2 * time.Second, Seed: 1, Warm: true},
-			clustersim.AlpaStrategy{Seed: 1},
+	results, err := Run(g, hardware.DGX1V100(4), allocations, horizon,
+		[]Strategy{
+			AcesoStrategy{Budget: 2 * time.Second, Seed: 1},
+			AcesoStrategy{Budget: 2 * time.Second, Seed: 1, Warm: true},
+			AlpaStrategy{Seed: 1},
 		}, 1)
 	if err != nil {
 		log.Fatal(err)

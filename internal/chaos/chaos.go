@@ -30,33 +30,43 @@ import (
 	"aceso/internal/perfmodel"
 )
 
-// Scenario selects what a trial hammers.
-type Scenario uint8
+// Scenario is one kind of randomized trial: what it is called, how many
+// trials make a run that was given neither a count nor a wall budget,
+// how often a run logs, and the trial itself. It is a value, so a
+// package that owns a property (internal/diffcheck) states it as a
+// Scenario and every property runs in the one loop below.
+type Scenario struct {
+	Name     string
+	Trials   int // a run's trial count when Options sets neither Trials nor Duration
+	LogEvery int // trials between progress lines
+	// Trial runs one trial, drawing everything from rng (seeded with
+	// seed, which a trial may hand on to what it runs). ok is a trial
+	// that held its property on a usable draw; not ok with a nil
+	// violation is an acceptable typed rejection.
+	Trial func(rng *rand.Rand, seed int64) (ok bool, v *Violation)
+}
 
-const (
+// The built-in scenarios. Search trials are cheap; a recovery trial
+// trains a model and usually runs several replan searches.
+var (
 	// Search runs SearchContext on hostile inputs.
-	Search Scenario = iota
+	Search = Scenario{Name: "search", Trials: 64, LogEvery: 1024, Trial: searchTrial}
 	// OneFault kills one in-plan device mid-run: the smallest churn
 	// schedule, train → kill → replan → reshard → resume.
-	OneFault
+	OneFault = recovery("one-fault", oneFault)
 	// Churn draws a mixed schedule of preemptions, re-additions,
 	// stragglers and link derates (RandomChurnSpec).
-	Churn
+	Churn = recovery("churn", churn)
 	// Spot draws a Poisson-hazard reclaim stream with a mix of noticed
 	// and unnoticed reclaims and a random checkpoint cost
 	// (RandomSpotSpec).
-	Spot
+	Spot = recovery("spot", spot)
 )
 
-// String implements fmt.Stringer.
-func (sc Scenario) String() string {
-	return [...]string{"search", "one-fault", "churn", "spot"}[sc]
-}
-
-// Options tunes a chaos run.
+// Options tunes a run.
 type Options struct {
 	// Trials is the number of randomized trials; 0 means run until
-	// Duration expires (or the scenario's default count when Duration is
+	// Duration expires (or the scenario's own count when Duration is
 	// also zero).
 	Trials int
 	// Duration bounds the wall time of the whole run; 0 means no bound.
@@ -67,29 +77,29 @@ type Options struct {
 	Log func(format string, args ...any)
 }
 
-// DefaultTrials is the Search trial count when neither Trials nor
-// Duration is set. DefaultRecoveryTrials is the same for the recovery
-// scenarios, whose trials each train a model and usually run several
-// replan searches.
-const (
-	DefaultTrials         = 64
-	DefaultRecoveryTrials = 12
-)
-
 // Violation is one broken invariant: a trial panicked, or the search
 // returned an unvalidated plan, let a non-finite value escape or
 // produced an estimate whose resource-accounting breakdown is
 // inconsistent, or a supervised run hung, lost steps or left the
-// uninterrupted trajectory.
+// uninterrupted trajectory, or the model and the simulator disagreed.
 type Violation struct {
-	Trial  int
-	Seed   int64  // per-trial seed: replays the exact trial
-	Kind   string // "panic", "invalid-plan", "non-finite", "diverged", ...
-	Detail string
+	Trial  int    `json:"trial"`
+	Seed   int64  `json:"seed"` // per-trial seed: replays the exact trial
+	Kind   string `json:"kind"` // "panic", "invalid-plan", "non-finite", "diverged", ...
+	Detail string `json:"detail"`
+	// Repro, when the scenario shrinks what it finds, is the minimal
+	// input that still breaks the invariant, reached in ShrinkSteps
+	// accepted reductions.
+	Repro       any `json:"repro,omitempty"`
+	ShrinkSteps int `json:"shrink_steps,omitempty"`
 }
 
 func (v Violation) String() string {
-	return fmt.Sprintf("trial %d (seed %d) %s: %s", v.Trial, v.Seed, v.Kind, v.Detail)
+	s := fmt.Sprintf("trial %d (seed %d) %s: %s", v.Trial, v.Seed, v.Kind, v.Detail)
+	if v.Repro != nil {
+		s += fmt.Sprintf(" (shrunk in %d steps)", v.ShrinkSteps)
+	}
+	return s
 }
 
 // violation builds a trial's verdict; Replay stamps trial and seed.
@@ -97,10 +107,11 @@ func violation(kind, format string, args ...any) *Violation {
 	return &Violation{Kind: kind, Detail: fmt.Sprintf(format, args...)}
 }
 
-// Report summarizes a chaos run.
+// Report summarizes a run.
 type Report struct {
+	Scenario   string
 	Trials     int
-	Plans      int // trials that produced a validated plan or a finished, faithful run
+	Passed     int // trials that held the property: a validated plan, a finished faithful run, an agreeing tuple
 	TypedErrs  int // trials rejected with a typed error (acceptable)
 	Violations []Violation
 	Elapsed    time.Duration
@@ -112,8 +123,8 @@ func (r *Report) Failed() bool { return len(r.Violations) > 0 }
 // Summary renders a one-paragraph human-readable outcome.
 func (r *Report) Summary() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "chaos: %d trials in %v: %d valid plans, %d typed rejections, %d violations\n",
-		r.Trials, r.Elapsed.Round(time.Millisecond), r.Plans, r.TypedErrs, len(r.Violations))
+	fmt.Fprintf(&b, "%s: %d trials in %v: %d passed, %d typed rejections, %d violations\n",
+		r.Scenario, r.Trials, r.Elapsed.Round(time.Millisecond), r.Passed, r.TypedErrs, len(r.Violations))
 	for i, v := range r.Violations {
 		if i == 10 {
 			fmt.Fprintf(&b, "  ... and %d more\n", len(r.Violations)-10)
@@ -127,18 +138,14 @@ func (r *Report) Summary() string {
 // Run executes the scenario's trials and returns the report.
 func Run(sc Scenario, o Options) *Report {
 	start := time.Now()
-	rep := &Report{}
+	rep := &Report{Scenario: sc.Name}
 	deadline := time.Time{}
 	if o.Duration > 0 {
 		deadline = start.Add(o.Duration)
 	}
-	defTrials, logEvery := DefaultRecoveryTrials, 4
-	if sc == Search {
-		defTrials, logEvery = DefaultTrials, 1024
-	}
 	trials := o.Trials
 	if trials <= 0 && o.Duration <= 0 {
-		trials = defTrials
+		trials = max(sc.Trials, 1) // a scenario that names no count still terminates
 	}
 	for i := 0; trials <= 0 || i < trials; i++ {
 		if !deadline.IsZero() && time.Now().After(deadline) {
@@ -150,24 +157,21 @@ func Run(sc Scenario, o Options) *Report {
 		case v != nil:
 			rep.Violations = append(rep.Violations, *v)
 		case ok:
-			rep.Plans++
+			rep.Passed++
 		default:
 			rep.TypedErrs++
 		}
-		if o.Log != nil && (i+1)%logEvery == 0 {
-			o.Log("chaos %s: %d trials, %d passed, %d typed errors, %d violations",
-				sc, rep.Trials, rep.Plans, rep.TypedErrs, len(rep.Violations))
+		if o.Log != nil && sc.LogEvery > 0 && (i+1)%sc.LogEvery == 0 {
+			o.Log("%s: %d trials, %d passed, %d typed errors, %d violations",
+				sc.Name, rep.Trials, rep.Passed, rep.TypedErrs, len(rep.Violations))
 		}
 	}
 	rep.Elapsed = time.Since(start)
 	return rep
 }
 
-// Replay runs one trial of a scenario with the given seed. It reports
-// ok when the trial produced a validated plan (Search) or a finished
-// run on the uninterrupted trajectory (recovery scenarios); not ok with
-// a nil violation is an acceptable typed rejection. Exported so a
-// violation found in a long run can be replayed under a debugger.
+// Replay runs one trial of a scenario with the given seed. Exported so
+// a violation found in a long run can be replayed under a debugger.
 func Replay(sc Scenario, trial int, seed int64) (ok bool, viol *Violation) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -177,15 +181,11 @@ func Replay(sc Scenario, trial int, seed int64) (ok bool, viol *Violation) {
 			viol.Trial, viol.Seed = trial, seed
 		}
 	}()
-	rng := rand.New(rand.NewSource(seed))
-	if sc == Search {
-		return searchTrial(rng)
-	}
-	return recoveryTrial(sc, rng, seed)
+	return sc.Trial(rand.New(rand.NewSource(seed)), seed)
 }
 
 // searchTrial is one Search trial.
-func searchTrial(rng *rand.Rand) (bool, *Violation) {
+func searchTrial(rng *rand.Rand, _ int64) (bool, *Violation) {
 	g := randomGraph(rng)
 	cl, degraded := randomCluster(rng)
 	opts := hostileOptions(rng)

@@ -1,6 +1,7 @@
 package chaos
 
 import (
+	"math/rand"
 	"testing"
 	"time"
 )
@@ -23,10 +24,10 @@ var scenarios = []struct {
 // acesobench chaos, churn and spot targets run the same harness.
 func TestRunClean(t *testing.T) {
 	for _, tc := range scenarios {
-		t.Run(tc.sc.String(), func(t *testing.T) {
+		t.Run(tc.sc.Name, func(t *testing.T) {
 			trials := tc.trials
 			if testing.Short() {
-				if tc.sc != Search {
+				if tc.sc.Name != Search.Name {
 					t.Skip("recovery trials train a model each: not short")
 				}
 				trials = 12
@@ -39,10 +40,10 @@ func TestRunClean(t *testing.T) {
 			if rep.Trials != trials {
 				t.Errorf("ran %d trials, want %d", rep.Trials, trials)
 			}
-			if rep.Plans == 0 {
+			if rep.Passed == 0 {
 				t.Error("no trial passed — the harness is only generating garbage")
 			}
-			if tc.sc == Search && rep.TypedErrs == 0 {
+			if tc.sc.Name == Search.Name && rep.TypedErrs == 0 {
 				t.Error("no trial was rejected — the harness is not generating hostile inputs")
 			}
 		})
@@ -52,9 +53,9 @@ func TestRunClean(t *testing.T) {
 // TestDurationBound pins that a duration-bounded run stops on time.
 func TestDurationBound(t *testing.T) {
 	for _, tc := range scenarios {
-		t.Run(tc.sc.String(), func(t *testing.T) {
+		t.Run(tc.sc.Name, func(t *testing.T) {
 			bound, limit := 300*time.Millisecond, 5*time.Second
-			if tc.sc != Search {
+			if tc.sc.Name != Search.Name {
 				bound, limit = 2*time.Second, 90*time.Second
 			}
 			start := time.Now()
@@ -73,7 +74,7 @@ func TestDurationBound(t *testing.T) {
 // same verdict — the property that makes violations debuggable.
 func TestReplayIsDeterministic(t *testing.T) {
 	for _, tc := range scenarios {
-		t.Run(tc.sc.String(), func(t *testing.T) {
+		t.Run(tc.sc.Name, func(t *testing.T) {
 			for _, seed := range []int64{3, 77, 9001, 12345} {
 				okA, a := Replay(tc.sc, 3, seed)
 				okB, b := Replay(tc.sc, 3, seed)
@@ -82,5 +83,17 @@ func TestReplayIsDeterministic(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestRunBareScenario: a Scenario value that names neither a trial
+// count nor a log interval — what a package stating a new property
+// writes first — still terminates and logs nothing, under any Options.
+func TestRunBareScenario(t *testing.T) {
+	ran := 0
+	sc := Scenario{Name: "bare", Trial: func(*rand.Rand, int64) (bool, *Violation) { ran++; return true, nil }}
+	rep := Run(sc, Options{Log: t.Logf})
+	if rep.Trials != 1 || ran != 1 || rep.Passed != 1 {
+		t.Errorf("bare scenario ran %d trials (%d calls, %d passed), want 1", rep.Trials, ran, rep.Passed)
 	}
 }

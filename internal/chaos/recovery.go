@@ -190,14 +190,31 @@ func RandomSpotSpec(rng *rand.Rand, devices, iters int, hazardPerIter, noticeFra
 	return spec
 }
 
-// recoveryTrial hammers the recovery path end to end: it draws a random
-// model, a random valid parallelization with per-operator split
-// dimensions and recomputation, the scenario's fault schedule and a
-// random checkpoint cadence, runs it through elastic.Supervise, and
-// checks the invariants of a finished run (checkRun). A typed error —
-// a rejected draw, a schedule that genuinely ran out of capacity — is
-// an acceptable outcome; a *comm.CollectiveTimeoutError is not.
-func recoveryTrial(sc Scenario, rng *rand.Rand, seed int64) (bool, *Violation) {
+// schedule is what tells the recovery scenarios apart: the fault
+// schedule a trial draws.
+type schedule uint8
+
+const (
+	oneFault schedule = iota
+	churn
+	spot
+)
+
+// recovery is the scenario that hammers the recovery path end to end
+// under the given kind of schedule: each trial draws a random model, a
+// random valid parallelization with per-operator split dimensions and
+// recomputation, the schedule and a random checkpoint cadence, runs it
+// through elastic.Supervise, and checks the invariants of a finished
+// run (checkRun). A typed error — a rejected draw, a schedule that
+// genuinely ran out of capacity — is an acceptable outcome; a
+// *comm.CollectiveTimeoutError is not.
+func recovery(name string, kind schedule) Scenario {
+	return Scenario{Name: name, Trials: 12, LogEvery: 4, Trial: func(rng *rand.Rand, seed int64) (bool, *Violation) {
+		return recoveryTrial(kind, rng, seed)
+	}}
+}
+
+func recoveryTrial(kind schedule, rng *rand.Rand, seed int64) (bool, *Violation) {
 	dim := 4 << rng.Intn(2)   // 4 or 8
 	layers := 2 + rng.Intn(3) // 2..4
 	batch := 8 << rng.Intn(2) // 8 or 16
@@ -231,19 +248,19 @@ func recoveryTrial(sc Scenario, rng *rand.Rand, seed int64) (bool, *Violation) {
 		MaxCadence:   maxCadence,
 	}
 	var spec elastic.ChurnSpec
-	switch sc {
-	case OneFault:
+	switch kind {
+	case oneFault:
 		job.Iters = 2 + rng.Intn(3) // 2..4
 		if total > 1 {              // killing the only device leaves nothing to replan onto
 			spec.Events = []elastic.ChurnEvent{{
 				Kind: elastic.Preempt, Device: rng.Intn(total), Iteration: rng.Intn(job.Iters),
 			}}
 		}
-	case Churn:
+	case churn:
 		job.Iters = 4 + rng.Intn(5) // 4..8
 		spec = RandomChurnSpec(rng, total, job.Iters, 2+rng.Intn(7))
 		opt.SimulateTimeouts = rng.Intn(2)
-	case Spot:
+	case spot:
 		job.Iters = 4 + rng.Intn(5)
 		spec = RandomSpotSpec(rng, total, job.Iters,
 			0.05+0.15*rng.Float64(), // per-device per-iteration hazard
@@ -268,7 +285,7 @@ func recoveryTrial(sc Scenario, rng *rand.Rand, seed int64) (bool, *Violation) {
 		}
 		return false, nil
 	}
-	if sc == OneFault && len(spec.Events) != rep.FaultsDetected {
+	if kind == oneFault && len(spec.Events) != rep.FaultsDetected {
 		return false, violation("lost-steps", "planned fault did not fire (detected=%d)", rep.FaultsDetected)
 	}
 	if v := checkRun(rep, refLosses, ref); v != nil {

@@ -25,6 +25,7 @@ const determinismFile = "testdata/determinism.json"
 type determinismRow struct {
 	Model      string   `json:"model"`
 	Fleet      string   `json:"fleet"`
+	Options    string   `json:"options,omitempty"` // "" = the defaults every zoo × fleet row runs under
 	GOMAXPROCS int      `json:"gomaxprocs"`
 	Explored   int      `json:"explored"`
 	Best       string   `json:"best"`
@@ -34,14 +35,17 @@ type determinismRow struct {
 // TestDeterminismTable is the first slice of the determinism matrix
 // (ROADMAP item 3): the exploration sequence — and with it every score
 // tie broken by canonical hash — must be the committed one on every
-// zoo model × fleet shape × GOMAXPROCS, not only on the GPT-3 2.6B /
-// 16 V100 setting BENCH_search.json pins. The table was generated
-// before configuration identity moved off Config.Hash, so a change to
-// what breaks ties, or to which configurations count as seen, shows up
-// here as a diff. Regenerate with -update-determinism.
+// zoo model × fleet shape × GOMAXPROCS, not only on the paper's GPT-3
+// 2.6B / 16 V100 setting (whose rows here are its one fingerprint:
+// explored 24 701). The table was generated before configuration
+// identity moved off Config.Hash, so a change to what breaks ties, or
+// to which configurations count as seen, shows up here as a diff. The
+// rows after the matrix pin an option that is on the wire and in chaos
+// but changes what is explored: the extension primitives. Regenerate
+// with -update-determinism.
 func TestDeterminismTable(t *testing.T) {
 	if testing.Short() {
-		t.Skip("50 searches")
+		t.Skip("54 searches")
 	}
 	models := []struct {
 		name  string
@@ -70,6 +74,24 @@ func TestDeterminismTable(t *testing.T) {
 	}
 
 	var got []determinismRow
+	pin := func(g *model.Graph, row determinismRow, cl hardware.Cluster, opts Options) {
+		t.Helper()
+		opts.TimeBudget = time.Hour // iterations are the binding limit
+		opts.MaxIterations = 4
+		opts.Seed = 1
+		prev := runtime.GOMAXPROCS(row.GOMAXPROCS)
+		res, err := Search(g, cl, opts)
+		runtime.GOMAXPROCS(prev)
+		if err != nil {
+			t.Fatalf("%s on %s: %v", row.Model, row.Fleet, err)
+		}
+		row.Explored = res.Explored
+		row.Best = fmt.Sprintf("%016x", res.Best.Config.Hash())
+		for _, c := range res.TopK {
+			row.TopK = append(row.TopK, fmt.Sprintf("%016x", c.Config.Hash()))
+		}
+		got = append(got, row)
+	}
 	for _, m := range models {
 		g, err := m.build()
 		if err != nil {
@@ -77,27 +99,33 @@ func TestDeterminismTable(t *testing.T) {
 		}
 		for _, f := range fleets {
 			for _, procs := range []int{1, 4} {
-				prev := runtime.GOMAXPROCS(procs)
-				res, err := Search(g, f.cl, Options{
-					TimeBudget:    time.Hour, // iterations are the binding limit
-					MaxIterations: 4,
-					Seed:          1,
-				})
-				runtime.GOMAXPROCS(prev)
-				if err != nil {
-					t.Fatalf("%s on %s: %v", m.name, f.name, err)
-				}
-				row := determinismRow{
-					Model: m.name, Fleet: f.name, GOMAXPROCS: procs,
-					Explored: res.Explored,
-					Best:     fmt.Sprintf("%016x", res.Best.Config.Hash()),
-				}
-				for _, c := range res.TopK {
-					row.TopK = append(row.TopK, fmt.Sprintf("%016x", c.Config.Hash()))
-				}
-				got = append(got, row)
+				pin(g, determinismRow{Model: m.name, Fleet: f.name, GOMAXPROCS: procs}, f.cl, Options{})
 			}
 		}
+	}
+	// gpt3-1.3B on one node explores exactly what it explores without
+	// the extension (1 579, the same plans); gpt3-2.6B there is the
+	// smallest zoo point the extension moves (2 823 → 2 827), so only
+	// the second pair would notice the option being ignored.
+	moved := false
+	for _, m := range models[1:3] {
+		g, err := m.build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, procs := range []int{1, 4} {
+			pin(g, determinismRow{Model: m.name, Fleet: fleets[0].name, Options: "extended-primitives", GOMAXPROCS: procs},
+				fleets[0].cl, Options{ExtendedPrimitives: true})
+			ext := got[len(got)-1]
+			for _, def := range got {
+				if def.Options == "" && def.Model == ext.Model && def.Fleet == ext.Fleet && def.GOMAXPROCS == procs {
+					moved = moved || def.Explored != ext.Explored
+				}
+			}
+		}
+	}
+	if !moved {
+		t.Error("no extended-primitives row differs from its default twin: the rows pin nothing about the option")
 	}
 
 	if *updateDeterminism {

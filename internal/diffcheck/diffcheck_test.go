@@ -2,22 +2,26 @@ package diffcheck
 
 import (
 	"encoding/json"
+	"fmt"
 	"math/rand"
 	"testing"
 
+	"aceso/internal/chaos"
 	"aceso/internal/obs"
 )
 
 func TestRunCleanEffectsOff(t *testing.T) {
 	reg := obs.NewRegistry()
-	rep := Run(Options{Trials: 1500, Seed: 1, Metrics: reg})
+	suite := EffectsOff(reg)
+	rep := chaos.Run(suite.Scenario, chaos.Options{Trials: 1500, Seed: 1})
 	if rep.Failed() {
 		t.Fatalf("effects-off invariants violated:\n%s", rep.Summary())
 	}
-	if rep.Trials != 1500 {
-		t.Errorf("Trials = %d, want 1500", rep.Trials)
+	if rep.Trials != 1500 || rep.Passed != 1500 {
+		t.Errorf("%d trials, %d passed, want 1500 of each", rep.Trials, rep.Passed)
 	}
-	if rep.Band.Samples == 0 {
+	band := suite.Band()
+	if band.Samples == 0 {
 		t.Error("no band samples collected")
 	}
 	if got := reg.Counter(obs.DiffTrialsTotal).Value(); got != 1500 {
@@ -27,29 +31,30 @@ func TestRunCleanEffectsOff(t *testing.T) {
 	// and over-shoot Eq. 2 across a corpus this size (a one-sided band
 	// would mean the closed form is secretly a bound, and the documented
 	// band rationale would be wrong).
-	if rep.Band.Min >= 0 {
-		t.Errorf("band min %v: simulator never beat the closed form", rep.Band.Min)
+	if band.Min >= 0 {
+		t.Errorf("band min %v: simulator never beat the closed form", band.Min)
 	}
-	if rep.Band.Max <= 0 {
-		t.Errorf("band max %v: simulator never exceeded the closed form", rep.Band.Max)
+	if band.Max <= 0 {
+		t.Errorf("band max %v: simulator never exceeded the closed form", band.Max)
 	}
 }
 
 func TestRunCleanEffectsOn(t *testing.T) {
-	rep := Run(Options{Trials: 800, Seed: 2, EffectsOn: true})
+	rep := chaos.Run(EffectsOn(nil).Scenario, chaos.Options{Trials: 800, Seed: 2})
 	if rep.Failed() {
 		t.Fatalf("effects-on calibration violated:\n%s", rep.Summary())
 	}
 }
 
 func TestRunDeterministic(t *testing.T) {
-	a := Run(Options{Trials: 300, Seed: 7})
-	b := Run(Options{Trials: 300, Seed: 7})
-	if a.Band != b.Band {
-		t.Errorf("band stats differ across identical runs: %+v vs %+v", a.Band, b.Band)
+	a, b := EffectsOff(nil), EffectsOff(nil)
+	ra := chaos.Run(a.Scenario, chaos.Options{Trials: 300, Seed: 7})
+	rb := chaos.Run(b.Scenario, chaos.Options{Trials: 300, Seed: 7})
+	if a.Band() != b.Band() {
+		t.Errorf("band stats differ across identical runs: %+v vs %+v", a.Band(), b.Band())
 	}
-	if len(a.Violations) != len(b.Violations) {
-		t.Errorf("violation counts differ: %d vs %d", len(a.Violations), len(b.Violations))
+	if len(ra.Violations) != len(rb.Violations) {
+		t.Errorf("violation counts differ: %d vs %d", len(ra.Violations), len(rb.Violations))
 	}
 }
 
@@ -74,16 +79,54 @@ func TestTupleJSONRoundTrip(t *testing.T) {
 	}
 }
 
+// TestReplayTupleMatchesRun pins the replay contract on a forced
+// violation (a generator that sometimes emits an unbuildable tuple): the
+// trial is exactly gen(rand(violation.Seed)) checked in the same mode,
+// and the repro the violation carries survives its JSON form and still
+// reproduces the finding under ReplayTuple.
 func TestReplayTupleMatchesRun(t *testing.T) {
-	// The replay contract: trial i of a run is exactly
-	// RandomTuple(rand(TrialSeed(seed, i))) checked in the same mode.
-	const base, trial = 11, 37
-	rng := rand.New(rand.NewSource(TrialSeed(base, trial)))
-	tup := RandomTuple(rng)
-	direct := ReplayTuple(tup, false)
-	again, _ := Check(&tup, false)
-	if len(direct) != len(again) {
-		t.Errorf("replay disagrees with direct check: %d vs %d findings", len(direct), len(again))
+	gen := func(rng *rand.Rand) Tuple {
+		tup := RandomTuple(rng)
+		if rng.Intn(8) == 0 {
+			tup.Stages = 2 * tup.Ops // more stages than operators: Build refuses
+		}
+		return tup
+	}
+	reg := obs.NewRegistry()
+	rep := chaos.Run(New("forced", gen, false, reg).Scenario, chaos.Options{Trials: 64, Seed: 11})
+	if !rep.Failed() || rep.Passed+len(rep.Violations) != 64 {
+		t.Fatalf("want some of 64 trials violated, the rest passed:\n%s", rep.Summary())
+	}
+	for _, v := range rep.Violations {
+		if v.Kind != KindBuild {
+			t.Fatalf("forced violation has kind %q, want %q", v.Kind, KindBuild)
+		}
+		drawn := gen(rand.New(rand.NewSource(v.Seed)))
+		if f := ReplayTuple(drawn, false); len(f) != 1 || f[0].Kind != KindBuild {
+			t.Errorf("trial %d: regenerating from seed %d gives findings %+v", v.Trial, v.Seed, f)
+		}
+		shrunk, steps := Shrink(drawn, KindBuild, false)
+		if shrunk.Ops != v.Repro.(Tuple).Ops || steps != v.ShrinkSteps || steps == 0 {
+			t.Errorf("trial %d: repro %+v in %d steps, shrinking the regenerated draw gives %+v in %d",
+				v.Trial, v.Repro, v.ShrinkSteps, shrunk, steps)
+		}
+		raw, err := json.Marshal(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var file struct {
+			Kind  string `json:"kind"`
+			Repro Tuple  `json:"repro"`
+		}
+		if err := json.Unmarshal(raw, &file); err != nil {
+			t.Fatal(err)
+		}
+		if f := ReplayTuple(file.Repro, false); len(f) != 1 || f[0].Kind != file.Kind || f[0].Detail != v.Detail {
+			t.Errorf("trial %d: the repro file replays to %+v, the violation says %s: %s", v.Trial, f, v.Kind, v.Detail)
+		}
+	}
+	if got := reg.Counter(fmt.Sprintf("%s{kind=%q}", obs.DiffViolationsTotal, KindBuild)).Value(); got != int64(len(rep.Violations)) {
+		t.Errorf("violation counter = %d, want %d", got, len(rep.Violations))
 	}
 }
 

@@ -4,7 +4,7 @@ package diffcheck
 // independently of Check (no shared helper on the assertion path) so a
 // bug in the harness itself cannot mask a model/simulator divergence.
 // The corpus is the same RandomTuple generator the differential runs
-// use — one generator, three consumers (Run, these tests, the
+// use — one generator, three consumers (the suites, these tests, the
 // acesobench diff target).
 
 import (

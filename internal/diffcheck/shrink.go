@@ -7,7 +7,7 @@ package diffcheck
 // repeat until none of the reductions apply — a local minimum, which
 // in practice is a tuple small enough to step through by hand. The
 // returned step count is the number of accepted reductions (mirrored
-// into the DiffShrinkStepsTotal metric by Run).
+// into the DiffShrinkStepsTotal metric by the suites).
 func Shrink(t Tuple, kind string, effectsOn bool) (Tuple, int) {
 	return shrinkWith(t, func(c Tuple) bool {
 		findings, _ := Check(&c, effectsOn)

@@ -9,8 +9,8 @@ import (
 	"aceso/internal/config"
 	"aceso/internal/core"
 	"aceso/internal/hardware"
+	"aceso/internal/model"
 	"aceso/internal/obs"
-	"aceso/internal/tablefmt"
 )
 
 // Fig11Result aggregates Heuristic-1/2 efficiency statistics across
@@ -56,17 +56,13 @@ func (f *Fig11Result) MultiHopRate() float64 {
 func Fig11(set Settings) (*Fig11Result, error) {
 	set = set.withDefaults()
 	trace := obs.NewConvergence()
-	cases := []struct {
-		family, size string
-		gpus         int
-	}{
-		{"gpt3", "1.3B", 4},
-		{"gpt3", "2.6B", 8},
-		{"wresnet", "2B", 4},
-		{"t5", "770M", 4},
-	}
-	for _, tc := range cases {
-		g, err := buildModel(tc.family, tc.size)
+	for _, tc := range []curveCase{
+		{family: "gpt3", size: "1.3B", gpus: 4},
+		{family: "gpt3", size: "2.6B", gpus: 8},
+		{family: "wresnet", size: "2B", gpus: 4},
+		{family: "t5", size: "770M", gpus: 4},
+	} {
+		g, err := model.ByName(tc.family, tc.size)
 		if err != nil {
 			return nil, err
 		}
@@ -84,22 +80,8 @@ func Fig11(set Settings) (*Fig11Result, error) {
 func RenderFig11(w io.Writer, r *Fig11Result) {
 	fmt.Fprintf(w, "Figure 11 (Exp#5): heuristic efficiency — first-try bottleneck rate %.0f%%, multi-hop rate %.0f%%\n",
 		100*r.FirstTryRate(), 100*r.MultiHopRate())
-	labels := func(n int) []string {
-		out := make([]string, n)
-		for i := range out {
-			out[i] = fmt.Sprint(i + 1)
-		}
-		return out
-	}
-	toF := func(v []int) []float64 {
-		out := make([]float64, len(v))
-		for i := range v {
-			out[i] = float64(v[i])
-		}
-		return out
-	}
-	tablefmt.Bars(w, "(a) bottlenecks tried before improvement", labels(len(r.Tries)), toF(r.Tries), "")
-	tablefmt.Bars(w, "(b) hops per improving reconfiguration", labels(len(r.Hops)), toF(r.Hops), "")
+	histogram(w, "(a) bottlenecks tried before improvement", r.Tries)
+	histogram(w, "(b) hops per improving reconfiguration", r.Hops)
 }
 
 // Curve is a convergence curve: the best estimated iteration time
@@ -130,7 +112,7 @@ func sampleCurve(points []obs.ConvergencePoint, budget time.Duration, samples in
 // convergenceRun executes one search with the convergence tracer
 // attached and samples its curve.
 func convergenceRun(family, size string, gpus int, set Settings, label string, samples int, mut func(*core.Options)) (Curve, error) {
-	g, err := buildModel(family, size)
+	g, err := model.ByName(family, size)
 	if err != nil {
 		return Curve{}, err
 	}
@@ -148,110 +130,88 @@ func convergenceRun(family, size string, gpus int, set Settings, label string, s
 
 const curveSamples = 8
 
-// Fig12 compares convergence with and without Heuristic-2 (3 random-
-// order runs), Exp#5 / Figure 12, on GPT-3 and Wide-ResNet.
-func Fig12(set Settings) (map[string][]Curve, error) {
+// curveCase is one panel of a convergence figure: a workload, and the
+// pipeline depths searched when a figure pins them.
+type curveCase struct {
+	key, family, size string
+	gpus              int
+	stages            []int
+}
+
+// curveVariant is one labeled curve of a panel: the search with mut
+// applied.
+type curveVariant struct {
+	label string
+	mut   func(*core.Options)
+}
+
+// curveFigure runs every variant on every case.
+func curveFigure(set Settings, cases []curveCase, variants func(curveCase) []curveVariant) (map[string][]Curve, error) {
 	set = set.withDefaults()
 	out := map[string][]Curve{}
-	cases := []struct {
-		key, family, size string
-		gpus              int
-	}{
-		{"GPT-3 1.3B, 4 GPUs", "gpt3", "1.3B", 4},
-		{"Wide-ResNet 2B, 4 GPUs", "wresnet", "2B", 4},
-	}
 	for _, tc := range cases {
-		var curves []Curve
-		c, err := convergenceRun(tc.family, tc.size, tc.gpus, set, "heuristic-2", curveSamples, nil)
-		if err != nil {
-			return nil, err
-		}
-		curves = append(curves, c)
-		for r := 0; r < 3; r++ {
-			seed := set.Seed + int64(r+1)*101
-			c, err := convergenceRun(tc.family, tc.size, tc.gpus, set,
-				fmt.Sprintf("random-%d", r+1), curveSamples, func(o *core.Options) {
-					o.DisableHeuristic2 = true
-					o.Seed = seed
-				})
+		for _, v := range variants(tc) {
+			c, err := convergenceRun(tc.family, tc.size, tc.gpus, set, v.label, curveSamples, v.mut)
 			if err != nil {
 				return nil, err
 			}
-			curves = append(curves, c)
+			out[tc.key] = append(out[tc.key], c)
 		}
-		out[tc.key] = curves
 	}
 	return out, nil
+}
+
+// Fig12 compares convergence with and without Heuristic-2 (3 random-
+// order runs), Exp#5 / Figure 12, on GPT-3 and Wide-ResNet.
+func Fig12(set Settings) (map[string][]Curve, error) {
+	return curveFigure(set, []curveCase{
+		{key: "GPT-3 1.3B, 4 GPUs", family: "gpt3", size: "1.3B", gpus: 4},
+		{key: "Wide-ResNet 2B, 4 GPUs", family: "wresnet", size: "2B", gpus: 4},
+	}, func(curveCase) []curveVariant {
+		vs := []curveVariant{{label: "heuristic-2"}}
+		for r := 1; r <= 3; r++ {
+			seed := set.Seed + int64(r)*101
+			vs = append(vs, curveVariant{fmt.Sprintf("random-%d", r), func(o *core.Options) {
+				o.DisableHeuristic2 = true
+				o.Seed = seed
+			}})
+		}
+		return vs
+	})
 }
 
 // Fig13 sweeps MaxHops ∈ {1, 3, 7, 11} (Exp#6 / Figure 13).
 func Fig13(set Settings) (map[string][]Curve, error) {
-	set = set.withDefaults()
-	out := map[string][]Curve{}
-	cases := []struct {
-		key, family, size string
-		gpus              int
-		stages            []int
-	}{
+	return curveFigure(set, []curveCase{
 		{"GPT-3 2.6B (6 stages)", "gpt3", "2.6B", 8, []int{6}},
 		{"GPT-3 2.6B (8 stages)", "gpt3", "2.6B", 8, []int{8}},
 		{"Wide-ResNet 4B (8 stages)", "wresnet", "4B", 8, []int{8}},
 		{"Wide-ResNet 4B (4 stages)", "wresnet", "4B", 8, []int{4}},
-	}
-	for _, tc := range cases {
-		var curves []Curve
+	}, func(tc curveCase) []curveVariant {
+		var vs []curveVariant
 		for _, hops := range []int{1, 3, 7, 11} {
 			hops := hops
-			c, err := convergenceRun(tc.family, tc.size, tc.gpus, set,
-				fmt.Sprintf("MaxHops=%d", hops), curveSamples, func(o *core.Options) {
-					o.MaxHops = hops
-					o.StageCounts = tc.stages
-				})
-			if err != nil {
-				return nil, err
-			}
-			curves = append(curves, c)
+			vs = append(vs, curveVariant{fmt.Sprintf("MaxHops=%d", hops), func(o *core.Options) {
+				o.MaxHops = hops
+				o.StageCounts = tc.stages
+			}})
 		}
-		out[tc.key] = curves
-	}
-	return out, nil
+		return vs
+	})
 }
 
 // Fig14 compares initial configurations (Exp#7 / Figure 14).
 func Fig14(set Settings) (map[string][]Curve, error) {
-	set = set.withDefaults()
-	out := map[string][]Curve{}
-	inits := []struct {
-		label string
-		fn    core.Initializer
-	}{
-		{"balanced", config.Balanced},
-		{"imbalance-op", config.ImbalancedOps},
-		{"imbalance-GPU", config.ImbalancedGPUs},
-	}
-	cases := []struct {
-		key, family, size string
-		gpus              int
-	}{
-		{"GPT-3 2.6B, 8 GPUs", "gpt3", "2.6B", 8},
-		{"Wide-ResNet 4B, 8 GPUs", "wresnet", "4B", 8},
-	}
-	for _, tc := range cases {
-		var curves []Curve
-		for _, in := range inits {
-			in := in
-			c, err := convergenceRun(tc.family, tc.size, tc.gpus, set,
-				in.label, curveSamples, func(o *core.Options) {
-					o.Initializer = in.fn
-				})
-			if err != nil {
-				return nil, err
-			}
-			curves = append(curves, c)
+	return curveFigure(set, []curveCase{
+		{key: "GPT-3 2.6B, 8 GPUs", family: "gpt3", size: "2.6B", gpus: 8},
+		{key: "Wide-ResNet 4B, 8 GPUs", family: "wresnet", size: "4B", gpus: 8},
+	}, func(curveCase) []curveVariant {
+		return []curveVariant{
+			{"balanced", func(o *core.Options) { o.Initializer = config.Balanced }},
+			{"imbalance-op", func(o *core.Options) { o.Initializer = config.ImbalancedOps }},
+			{"imbalance-GPU", func(o *core.Options) { o.Initializer = config.ImbalancedGPUs }},
 		}
-		out[tc.key] = curves
-	}
-	return out, nil
+	})
 }
 
 // RenderCurves prints convergence curves as a time-gridded table.
@@ -265,7 +225,7 @@ func RenderCurves(w io.Writer, title string, groups map[string][]Curve) {
 	for _, key := range keys {
 		curves := groups[key]
 		fmt.Fprintf(w, "\n[%s]  best estimated iteration time (s) over search time (- = nothing feasible yet)\n", key)
-		t := &tablefmt.Table{Header: []string{"variant"}}
+		t := &table{Header: []string{"variant"}}
 		if len(curves) > 0 {
 			for i := range curves[0].Best {
 				frac := float64(i+1) / float64(len(curves[0].Best))

@@ -6,8 +6,9 @@ import (
 
 	"aceso/internal/core"
 	"aceso/internal/hardware"
+	"aceso/internal/model"
+	"aceso/internal/perfmodel"
 	"aceso/internal/pipesim"
-	"aceso/internal/tablefmt"
 )
 
 // AblationRow is one search-design variant's outcome on the reference
@@ -18,17 +19,24 @@ type AblationRow struct {
 	Explored int
 }
 
+// AblationResult is the ablation table plus the 1F1B-vs-GPipe peak
+// memory ratio that justifies Eq. 1's scheduling premise (0 = not
+// measured).
+type AblationResult struct {
+	Rows          []AblationRow
+	GPipeMemRatio float64
+}
+
 // Ablations quantifies this implementation's own design choices —
 // beyond the paper's ablations — by re-running the reference search
 // with each knob flipped: branch factor of the multi-hop recursion,
 // the fine-tuning pass, Heuristic-2, and the extended (ZeRO) primitive
-// space. It also reports the 1F1B-vs-GPipe memory ratio that justifies
-// Eq. 1's scheduling premise.
-func Ablations(set Settings) ([]AblationRow, float64, error) {
+// space.
+func Ablations(set Settings) (*AblationResult, error) {
 	set = set.withDefaults()
-	g, err := buildModel("gpt3", "1.3B")
+	g, err := model.ByName("gpt3", "1.3B")
 	if err != nil {
-		return nil, 0, err
+		return nil, err
 	}
 	cl := hardware.DGX1V100(1).Restrict(4)
 
@@ -43,13 +51,13 @@ func Ablations(set Settings) ([]AblationRow, float64, error) {
 		{"no Heuristic-2 (random order)", func(o *core.Options) { o.DisableHeuristic2 = true }},
 		{"extended primitives (ZeRO)", func(o *core.Options) { o.ExtendedPrimitives = true }},
 	}
-	var rows []AblationRow
+	out := &AblationResult{}
 	for _, v := range variants {
 		run, err := runAceso(g, cl, set, v.mut)
 		if err != nil {
-			return nil, 0, fmt.Errorf("exps: ablation %q: %w", v.name, err)
+			return nil, fmt.Errorf("exps: ablation %q: %w", v.name, err)
 		}
-		rows = append(rows, AblationRow{
+		out.Rows = append(out.Rows, AblationRow{
 			Variant:  v.name,
 			BestIter: run.Predicted.IterTime,
 			Explored: run.Explored,
@@ -60,29 +68,28 @@ func Ablations(set Settings) ([]AblationRow, float64, error) {
 	// pipeline (the Eq. 1 premise).
 	pmRun, err := runAceso(g, cl, set, func(o *core.Options) { o.StageCounts = []int{4} })
 	if err != nil {
-		return nil, 0, err
+		return nil, err
 	}
-	memRatio := 0.0
 	if pmRun.Best != nil {
-		pm := pmModel(g, cl, set.Seed)
+		pm := perfmodel.New(g, cl, set.Seed)
 		if one, err := pipesim.Simulate(pm, pmRun.Best, set.Seed); err == nil {
 			if gp, err := pipesim.SimulateSchedule(pm, pmRun.Best, set.Seed, pipesim.GPipe); err == nil && one.PeakMem > 0 {
-				memRatio = gp.PeakMem / one.PeakMem
+				out.GPipeMemRatio = gp.PeakMem / one.PeakMem
 			}
 		}
 	}
-	return rows, memRatio, nil
+	return out, nil
 }
 
 // RenderAblations prints the design-choice table.
-func RenderAblations(w io.Writer, rows []AblationRow, gpipeMemRatio float64) {
+func RenderAblations(w io.Writer, r *AblationResult) {
 	fmt.Fprintln(w, "Search-design ablations (GPT-3 1.3B, 4 GPUs; lower iteration time is better)")
-	t := &tablefmt.Table{Header: []string{"variant", "best iter (s)", "configs explored"}}
-	for _, r := range rows {
-		t.Add(r.Variant, fmt.Sprintf("%.3f", r.BestIter), r.Explored)
+	t := &table{Header: []string{"variant", "best iter (s)", "configs explored"}}
+	for _, row := range r.Rows {
+		t.Add(row.Variant, fmt.Sprintf("%.3f", row.BestIter), row.Explored)
 	}
 	t.Render(w)
-	if gpipeMemRatio > 0 {
-		fmt.Fprintf(w, "\nscheduling: GPipe peak memory is %.2f× 1F1B's on the 4-stage plan (why Eq.1 assumes 1F1B)\n", gpipeMemRatio)
+	if r.GPipeMemRatio > 0 {
+		fmt.Fprintf(w, "\nscheduling: GPipe peak memory is %.2f× 1F1B's on the 4-stage plan (why Eq.1 assumes 1F1B)\n", r.GPipeMemRatio)
 	}
 }

@@ -7,6 +7,7 @@ import (
 
 	"aceso/internal/config"
 	"aceso/internal/hardware"
+	"aceso/internal/model"
 )
 
 // CaseStudy is the §5.4 qualitative analysis of one found config.
@@ -22,32 +23,23 @@ type CaseStudy struct {
 func Cases(set Settings) ([]CaseStudy, error) {
 	set = set.withDefaults()
 	var out []CaseStudy
-
-	{
-		g, err := buildModel("gpt3", "1.3B")
+	for _, tc := range []struct {
+		family, size string
+		cl           hardware.Cluster
+		title        string
+	}{
+		{"gpt3", "1.3B", hardware.DGX1V100(1).Restrict(4), "GPT-3 1.3B on 4 GPUs (§5.4: uneven pipeline stages)"},
+		{"wresnet", "6.8B", hardware.DGX1V100(2), "Wide-ResNet 6.8B on 16 GPUs (§5.4: per-op dp×tp mixes)"},
+	} {
+		g, err := model.ByName(tc.family, tc.size)
 		if err != nil {
 			return nil, err
 		}
-		run, err := runAceso(g, hardware.DGX1V100(1).Restrict(4), set)
+		run, err := runAceso(g, tc.cl, set)
 		if err != nil {
 			return nil, err
 		}
-		cs := CaseStudy{Title: "GPT-3 1.3B on 4 GPUs (§5.4: uneven pipeline stages)", Config: run.Best}
-		cs.Notes = describeStages(run.Best)
-		out = append(out, cs)
-	}
-	{
-		g, err := buildModel("wresnet", "6.8B")
-		if err != nil {
-			return nil, err
-		}
-		run, err := runAceso(g, hardware.DGX1V100(2), set)
-		if err != nil {
-			return nil, err
-		}
-		cs := CaseStudy{Title: "Wide-ResNet 6.8B on 16 GPUs (§5.4: per-op dp×tp mixes)", Config: run.Best}
-		cs.Notes = describeStages(run.Best)
-		out = append(out, cs)
+		out = append(out, CaseStudy{Title: tc.title, Config: run.Best, Notes: describeStages(run.Best)})
 	}
 	return out, nil
 }

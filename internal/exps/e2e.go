@@ -8,7 +8,7 @@ import (
 	"aceso/internal/baselines/alpa"
 	"aceso/internal/baselines/megatron"
 	"aceso/internal/hardware"
-	"aceso/internal/tablefmt"
+	"aceso/internal/model"
 )
 
 // E2ECell is one (family, size) point of the end-to-end comparison —
@@ -46,16 +46,8 @@ func (c *E2ECell) Throughputs(batch int) (aceso, megatron, alpaT float64) {
 
 // E2E bundles every end-to-end cell.
 type E2E struct {
-	Settings Settings
-	Cells    []E2ECell
-	batches  map[string]int // family → global batch
-}
-
-// familySizes maps families to their Table 2 size labels.
-var familySizes = map[string][]string{
-	"gpt3":    {"350M", "1.3B", "2.6B", "6.7B", "13B"},
-	"t5":      {"770M", "3B", "6B", "11B", "22B"},
-	"wresnet": {"0.5B", "2B", "4B", "6.8B", "13B"},
+	Cells   []E2ECell
+	batches map[string]int // family → global batch
 }
 
 // E2EFamilies is the canonical family order of Figure 7.
@@ -71,13 +63,13 @@ func RunE2E(set Settings, families []string) (*E2E, error) {
 	if len(families) == 0 {
 		families = E2EFamilies
 	}
-	out := &E2E{Settings: set, batches: map[string]int{}}
+	out := &E2E{batches: map[string]int{}}
 	for _, fam := range families {
-		sizes, ok := familySizes[fam]
-		if !ok {
-			return nil, errUnknownFamily(fam)
+		sizes, err := model.Sizes(fam)
+		if err != nil {
+			return nil, err
 		}
-		for si := 0; si < set.Sizes; si++ {
+		for si := 0; si < set.Sizes && si < len(sizes); si++ {
 			size := sizes[si]
 			gpus := GPUsForSize[si]
 			cell, err := runE2ECell(fam, size, gpus, set)
@@ -86,7 +78,7 @@ func RunE2E(set Settings, families []string) (*E2E, error) {
 			}
 			out.Cells = append(out.Cells, *cell)
 			if _, ok := out.batches[fam]; !ok {
-				g, _ := buildModel(fam, size)
+				g, _ := model.ByName(fam, size)
 				out.batches[fam] = g.GlobalBatch
 			}
 		}
@@ -95,7 +87,7 @@ func RunE2E(set Settings, families []string) (*E2E, error) {
 }
 
 func runE2ECell(fam, size string, gpus int, set Settings) (*E2ECell, error) {
-	g, err := buildModel(fam, size)
+	g, err := model.ByName(fam, size)
 	if err != nil {
 		return nil, err
 	}
@@ -108,32 +100,6 @@ func runE2ECell(fam, size string, gpus int, set Settings) (*E2ECell, error) {
 		return nil, err
 	}
 
-	// §5.1: "For the 1-GPU setting, we ran all the systems under the
-	// same configuration" — there is nothing to parallelize, so every
-	// system executes identically.
-	if gpus == 1 {
-		if run.Simulated != nil {
-			cell.AcesoIter = run.Simulated.IterTime
-			cell.MegatronIter = cell.AcesoIter
-			cell.AcesoTF = tflops(g, gpus, cell.AcesoIter)
-			cell.MegatronTF = cell.AcesoTF
-			if fam != "t5" {
-				cell.AlpaIter = cell.AcesoIter
-				cell.AlpaTF = cell.AcesoTF
-			}
-			cell.PredTime = run.Predicted.IterTime
-			cell.ActualTime = run.Simulated.IterTime
-			cell.PredMem = run.Predicted.PeakMem
-			cell.ActualMem = run.Simulated.PeakMem
-		}
-		cell.AcesoSearch = run.SearchTime.Seconds()
-		if fam != "t5" {
-			if al, err := alpa.Search(g, cl, alpa.Options{Seed: set.Seed}); err == nil {
-				cell.AlpaSearch = al.EmulatedSearchCost.Seconds()
-			}
-		}
-		return cell, nil
-	}
 	if run.Simulated != nil {
 		cell.AcesoIter = run.Simulated.IterTime
 		cell.AcesoTF = tflops(g, gpus, cell.AcesoIter)
@@ -144,21 +110,32 @@ func runE2ECell(fam, size string, gpus int, set Settings) (*E2ECell, error) {
 	}
 	cell.AcesoSearch = run.SearchTime.Seconds()
 
+	// §5.1: "For the 1-GPU setting, we ran all the systems under the
+	// same configuration" — there is nothing to parallelize, so every
+	// system executes identically (Alpa not on T5: the paper had no
+	// official T5 support).
+	if gpus == 1 {
+		cell.MegatronIter, cell.MegatronTF = cell.AcesoIter, cell.AcesoTF
+		if fam != "t5" {
+			cell.AlpaIter, cell.AlpaTF = cell.AcesoIter, cell.AcesoTF
+			if al, err := alpa.Search(g, cl, alpa.Options{Seed: set.Seed}); err == nil {
+				cell.AlpaSearch = al.EmulatedSearchCost.Seconds()
+			}
+		}
+		return cell, nil
+	}
+
 	// Megatron-LM grid.
 	if mg, err := megatron.Search(g, cl, megatron.Options{Seed: set.Seed}); err == nil {
-		if sim, _, err := simulate(g, cl, mg.Best, set.Seed); err == nil && !sim.OOM {
-			cell.MegatronIter = sim.IterTime
-			cell.MegatronTF = tflops(g, gpus, sim.IterTime)
-		}
+		cell.MegatronIter = simIter(g, cl, mg.Best, set.Seed)
+		cell.MegatronTF = tflops(g, gpus, cell.MegatronIter)
 	}
 
 	// Alpa-like (not for T5: the paper had no official T5 support).
 	if fam != "t5" {
 		if al, err := alpa.Search(g, cl, alpa.Options{Seed: set.Seed}); err == nil {
-			if sim, _, err := simulate(g, cl, al.Best, set.Seed); err == nil && !sim.OOM {
-				cell.AlpaIter = sim.IterTime
-				cell.AlpaTF = tflops(g, gpus, sim.IterTime)
-			}
+			cell.AlpaIter = simIter(g, cl, al.Best, set.Seed)
+			cell.AlpaTF = tflops(g, gpus, cell.AlpaIter)
 			cell.AlpaSearch = al.EmulatedSearchCost.Seconds()
 		}
 	}
@@ -173,7 +150,7 @@ func (e *E2E) RenderFig7(w io.Writer) {
 		if len(cells) == 0 {
 			continue
 		}
-		t := &tablefmt.Table{Header: []string{"size", "GPUs", "Megatron-LM", "Alpa", "Aceso", "Aceso speedup vs best baseline"}}
+		t := &table{Header: []string{"size", "GPUs", "Megatron-LM", "Alpa", "Aceso", "Aceso speedup vs best baseline"}}
 		for _, c := range cells {
 			a, m, al := c.Throughputs(e.batches[fam])
 			best := math.Max(a, math.Max(m, al))
@@ -209,7 +186,7 @@ func (e *E2E) RenderFig8(w io.Writer) {
 		if len(cells) == 0 {
 			continue
 		}
-		t := &tablefmt.Table{Header: []string{"size", "GPUs", "Alpa (s)", "Aceso (s)", "Aceso/Alpa"}}
+		t := &table{Header: []string{"size", "GPUs", "Alpa (s)", "Aceso (s)", "Aceso/Alpa"}}
 		for _, c := range cells {
 			if c.AlpaSearch <= 0 {
 				continue
@@ -235,7 +212,7 @@ func (e *E2E) RenderTables(w io.Writer) {
 			continue
 		}
 		fmt.Fprintf(w, "\n%s\n", titles[fam])
-		t := &tablefmt.Table{Header: []string{"system"}}
+		t := &table{Header: []string{"system"}}
 		for _, c := range cells {
 			t.Header = append(t.Header, c.Size)
 		}
@@ -264,50 +241,37 @@ func (e *E2E) RenderTables(w io.Writer) {
 // RenderFig15 prints predicted-vs-actual iteration time (Exp#8).
 func (e *E2E) RenderFig15(w io.Writer) {
 	fmt.Fprintln(w, "Figure 15 (Exp#8): predicted vs actual (simulated) iteration time")
-	for _, fam := range []string{"gpt3", "wresnet"} {
-		cells := e.family(fam)
-		if len(cells) == 0 {
-			continue
-		}
-		t := &tablefmt.Table{Header: []string{"size", "GPUs", "predicted (s)", "actual (s)", "error"}}
-		var sumErr float64
-		n := 0
-		for _, c := range cells {
-			if c.ActualTime <= 0 {
-				continue
-			}
-			err := math.Abs(c.PredTime-c.ActualTime) / c.ActualTime
-			sumErr += err
-			n++
-			t.Add(c.Size, c.GPUs, fmt.Sprintf("%.3f", c.PredTime),
-				fmt.Sprintf("%.3f", c.ActualTime), fmt.Sprintf("%.2f%%", 100*err))
-		}
-		fmt.Fprintf(w, "\n[%s]  avg error %.2f%%\n", fam, 100*sumErr/math.Max(1, float64(n)))
-		t.Render(w)
-	}
+	e.renderAccuracy(w, "s", "%.3f", 1, func(c *E2ECell) (float64, float64) { return c.PredTime, c.ActualTime })
 }
 
 // RenderFig16 prints predicted-vs-actual memory (Exp#9).
 func (e *E2E) RenderFig16(w io.Writer) {
 	fmt.Fprintln(w, "Figure 16 (Exp#9): predicted vs actual (simulated) peak memory")
-	const gib = 1 << 30
+	e.renderAccuracy(w, "GiB", "%.2f", 1<<30, func(c *E2ECell) (float64, float64) { return c.PredMem, c.ActualMem })
+}
+
+// renderAccuracy prints, per family, what the performance model
+// predicted for Aceso's chosen configuration beside what the simulator
+// observed (both printed in units of div), and the relative error.
+func (e *E2E) renderAccuracy(w io.Writer, unit, format string, div float64, pick func(*E2ECell) (pred, actual float64)) {
 	for _, fam := range []string{"gpt3", "wresnet"} {
 		cells := e.family(fam)
 		if len(cells) == 0 {
 			continue
 		}
-		t := &tablefmt.Table{Header: []string{"size", "GPUs", "predicted (GiB)", "actual (GiB)", "error"}}
+		t := &table{Header: []string{"size", "GPUs", "predicted (" + unit + ")", "actual (" + unit + ")", "error"}}
 		var sumErr float64
 		n := 0
-		for _, c := range cells {
-			if c.ActualMem <= 0 {
+		for i := range cells {
+			pred, actual := pick(&cells[i])
+			if actual <= 0 {
 				continue
 			}
-			err := math.Abs(c.PredMem-c.ActualMem) / c.ActualMem
+			err := math.Abs(pred-actual) / actual
 			sumErr += err
 			n++
-			t.Add(c.Size, c.GPUs, fmt.Sprintf("%.2f", c.PredMem/gib),
-				fmt.Sprintf("%.2f", c.ActualMem/gib), fmt.Sprintf("%.2f%%", 100*err))
+			t.Add(cells[i].Size, cells[i].GPUs, fmt.Sprintf(format, pred/div),
+				fmt.Sprintf(format, actual/div), fmt.Sprintf("%.2f%%", 100*err))
 		}
 		fmt.Fprintf(w, "\n[%s]  avg error %.2f%%\n", fam, 100*sumErr/math.Max(1, float64(n)))
 		t.Render(w)

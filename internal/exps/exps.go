@@ -29,8 +29,6 @@ type Settings struct {
 	Seed int64
 	// Sizes limits how many of the five model sizes run (default 5).
 	Sizes int
-	// MaxHops for the Aceso searches (default 7, as §5.1).
-	MaxHops int
 }
 
 func (s Settings) withDefaults() Settings {
@@ -40,38 +38,12 @@ func (s Settings) withDefaults() Settings {
 	if s.Sizes <= 0 || s.Sizes > 5 {
 		s.Sizes = 5
 	}
-	if s.MaxHops <= 0 {
-		s.MaxHops = 7
-	}
 	return s
 }
 
 // GPUsForSize is the paper's device scaling: 1, 4, 8, 16 and 32 GPUs
 // for the five model sizes.
 var GPUsForSize = []int{1, 4, 8, 16, 32}
-
-// buildModel dispatches the Table 2 model families.
-func buildModel(family, size string) (*model.Graph, error) {
-	switch family {
-	case "gpt3":
-		return model.GPT3(size)
-	case "t5":
-		return model.T5(size)
-	case "wresnet":
-		return model.WideResNet(size)
-	}
-	return nil, errUnknownFamily(family)
-}
-
-func errUnknownFamily(f string) error {
-	return &unknownFamilyError{f}
-}
-
-type unknownFamilyError struct{ f string }
-
-func (e *unknownFamilyError) Error() string {
-	return "exps: unknown model family " + e.f + " (want gpt3, t5 or wresnet)"
-}
 
 // AcesoRun is the outcome of one Aceso search plus the §5.1 protocol
 // of executing the top-5 candidates and keeping the fastest.
@@ -88,7 +60,7 @@ type AcesoRun struct {
 func runAceso(g *model.Graph, cl hardware.Cluster, set Settings, muts ...func(*core.Options)) (*AcesoRun, error) {
 	opts := core.Options{
 		TimeBudget: set.Budget,
-		MaxHops:    set.MaxHops,
+		MaxHops:    7, // as §5.1
 		Seed:       set.Seed,
 	}
 	for _, mut := range muts {
@@ -125,15 +97,15 @@ func runAceso(g *model.Graph, cl hardware.Cluster, set Settings, muts ...func(*c
 	return run, nil
 }
 
-// simulate executes a configuration in the runtime substrate.
-func simulate(g *model.Graph, cl hardware.Cluster, cfg *config.Config, seed int64) (*pipesim.Result, *perfmodel.Estimate, error) {
-	pm := perfmodel.New(g, cl, seed)
-	est := pm.Estimate(cfg)
-	sim, err := pipesim.Simulate(pm, cfg, seed)
-	if err != nil {
-		return nil, est, err
+// simIter executes a configuration in the runtime substrate and returns
+// its iteration time, 0 when the runtime rejects it or it runs out of
+// memory.
+func simIter(g *model.Graph, cl hardware.Cluster, cfg *config.Config, seed int64) float64 {
+	sim, err := pipesim.Simulate(perfmodel.New(g, cl, seed), cfg, seed)
+	if err != nil || sim.OOM {
+		return 0
 	}
-	return sim, est, nil
+	return sim.IterTime
 }
 
 // tflops computes effective TFLOPS/GPU from a simulated iteration.
@@ -148,9 +120,4 @@ func tflops(g *model.Graph, devices int, iterTime float64) float64 {
 	}
 	flops *= float64(g.GlobalBatch)
 	return flops / iterTime / float64(devices) / 1e12
-}
-
-// pmModel builds the shared performance model for ad-hoc simulation.
-func pmModel(g *model.Graph, cl hardware.Cluster, seed int64) *perfmodel.Model {
-	return perfmodel.New(g, cl, seed)
 }

@@ -290,10 +290,11 @@ func TestFig13MaxHopsCurves(t *testing.T) {
 }
 
 func TestAblations(t *testing.T) {
-	rows, memRatio, err := Ablations(fast())
+	res, err := Ablations(fast())
 	if err != nil {
 		t.Fatal(err)
 	}
+	rows, memRatio := res.Rows, res.GPipeMemRatio
 	if len(rows) != 6 {
 		t.Fatalf("rows = %d, want 6", len(rows))
 	}
@@ -306,7 +307,7 @@ func TestAblations(t *testing.T) {
 		t.Errorf("GPipe/1F1B memory ratio = %v, want > 1", memRatio)
 	}
 	var buf bytes.Buffer
-	RenderAblations(&buf, rows, memRatio)
+	RenderAblations(&buf, res)
 	if !strings.Contains(buf.String(), "GPipe peak memory") {
 		t.Error("render missing scheduling note")
 	}

@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-
-	"aceso/internal/tablefmt"
 )
 
 // Fig1Row is one point of Figure 1: the size of the configuration
@@ -49,7 +47,7 @@ func Fig1(layerCounts []int) []Fig1Row {
 // RenderFig1 prints the configuration-space table.
 func RenderFig1(w io.Writer, rows []Fig1Row) {
 	fmt.Fprintln(w, "Figure 1: possible configurations (log10) vs model layers, GPT on 16 devices")
-	t := &tablefmt.Table{Header: []string{"layers", "2 mechanisms", "3 mechanisms", "4 mechanisms"}}
+	t := &table{Header: []string{"layers", "2 mechanisms", "3 mechanisms", "4 mechanisms"}}
 	for _, r := range rows {
 		t.Add(r.Layers,
 			fmt.Sprintf("1e%.0f", r.Log10Two),

@@ -6,7 +6,7 @@ import (
 
 	"aceso/internal/baselines/dpsearch"
 	"aceso/internal/hardware"
-	"aceso/internal/tablefmt"
+	"aceso/internal/model"
 )
 
 // Fig10Row compares exploration cost and found-configuration quality
@@ -34,7 +34,7 @@ func Fig10(set Settings) ([]Fig10Row, error) {
 	}
 	var out []Fig10Row
 	for _, tc := range cases {
-		g, err := buildModel("gpt3", tc.size)
+		g, err := model.ByName("gpt3", tc.size)
 		if err != nil {
 			return nil, err
 		}
@@ -46,9 +46,7 @@ func Fig10(set Settings) ([]Fig10Row, error) {
 			return nil, fmt.Errorf("exps: fig10 dp %s: %w", tc.size, err)
 		}
 		row.DPExplored = dp.Explored
-		if sim, _, err := simulate(g, cl, dp.Best, set.Seed); err == nil && !sim.OOM {
-			row.DPIter = sim.IterTime
-		}
+		row.DPIter = simIter(g, cl, dp.Best, set.Seed)
 
 		run, err := runAceso(g, cl, set)
 		if err != nil {
@@ -66,7 +64,7 @@ func Fig10(set Settings) ([]Fig10Row, error) {
 // RenderFig10 prints the exploration-efficiency comparison.
 func RenderFig10(w io.Writer, rows []Fig10Row) {
 	fmt.Fprintln(w, "Figure 10 (Exp#4): configurations explored and found-config performance, DP vs Aceso")
-	t := &tablefmt.Table{Header: []string{
+	t := &table{Header: []string{
 		"model", "GPUs", "DP explored", "Aceso explored", "ratio",
 		"DP iter (s)", "Aceso iter (s)"}}
 	for _, r := range rows {

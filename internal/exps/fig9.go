@@ -1,14 +1,12 @@
 package exps
 
 import (
-	"errors"
 	"fmt"
 	"io"
 
 	"aceso/internal/baselines/alpa"
 	"aceso/internal/hardware"
 	"aceso/internal/model"
-	"aceso/internal/tablefmt"
 )
 
 // Fig9Row is one layer-count point of the Exp#3 scalability study on
@@ -57,16 +55,11 @@ func Fig9(set Settings, layerCounts []int) ([]Fig9Row, error) {
 			LayerGroupsGrid: []int{layers},
 			MaxMicroBatch:   8,
 		})
-		switch {
-		case errors.Is(err, alpa.ErrTooDeep):
+		if err != nil { // alpa.ErrTooDeep beyond 64 layers
 			row.AlpaFailed = true
-		case err != nil:
-			row.AlpaFailed = true
-		default:
+		} else {
 			row.AlpaSearch = al.EmulatedSearchCost.Seconds()
-			if sim, _, err := simulate(g, cl, al.Best, set.Seed); err == nil && !sim.OOM {
-				row.AlpaIter = sim.IterTime
-			}
+			row.AlpaIter = simIter(g, cl, al.Best, set.Seed)
 		}
 		out = append(out, row)
 	}
@@ -76,7 +69,7 @@ func Fig9(set Settings, layerCounts []int) ([]Fig9Row, error) {
 // RenderFig9 prints the scalability table.
 func RenderFig9(w io.Writer, rows []Fig9Row) {
 	fmt.Fprintln(w, "Figure 9 (Exp#3): scaling to 1K-layer transformers on 8 GPUs (x = failed)")
-	t := &tablefmt.Table{Header: []string{
+	t := &table{Header: []string{
 		"layers", "Alpa search (s)", "Aceso search (s)",
 		"Alpa iter (s)", "Aceso iter (s)", "Aceso speedup"}}
 	for _, r := range rows {

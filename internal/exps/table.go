@@ -1,7 +1,7 @@
-// Package tablefmt renders the experiment results as plain-text tables
-// and bar charts, so every figure and table of the paper regenerates
-// on a terminal without plotting dependencies.
-package tablefmt
+package exps
+
+// Plain-text tables and bar charts, so every figure and table of the
+// paper regenerates on a terminal without plotting dependencies.
 
 import (
 	"fmt"
@@ -9,14 +9,14 @@ import (
 	"strings"
 )
 
-// Table is a simple column-aligned text table.
-type Table struct {
+// table is a simple column-aligned text table.
+type table struct {
 	Header []string
 	Rows   [][]string
 }
 
 // Add appends a row; values are formatted with %v.
-func (t *Table) Add(cells ...any) {
+func (t *table) Add(cells ...any) {
 	row := make([]string, len(cells))
 	for i, c := range cells {
 		switch v := c.(type) {
@@ -32,7 +32,7 @@ func (t *Table) Add(cells ...any) {
 }
 
 // Render writes the table with aligned columns.
-func (t *Table) Render(w io.Writer) {
+func (t *table) Render(w io.Writer) {
 	widths := make([]int, len(t.Header))
 	for i, h := range t.Header {
 		widths[i] = len(h)
@@ -68,37 +68,23 @@ func (t *Table) Render(w io.Writer) {
 	}
 }
 
-// Bars renders a labeled horizontal bar chart scaled to maxWidth
-// characters; values must be non-negative.
-func Bars(w io.Writer, title string, labels []string, values []float64, unit string) {
+// histogram renders counts (bucket i is labeled i+1) as a horizontal
+// bar chart scaled to maxWidth characters.
+func histogram(w io.Writer, title string, counts []int) {
 	fmt.Fprintln(w, title)
-	max := 0.0
-	width := 0
-	for i, v := range values {
+	max := 0
+	for _, v := range counts {
 		if v > max {
 			max = v
 		}
-		if len(labels[i]) > width {
-			width = len(labels[i])
-		}
 	}
 	const maxWidth = 46
-	for i, v := range values {
+	width := len(fmt.Sprint(len(counts)))
+	for i, v := range counts {
 		n := 0
 		if max > 0 {
-			n = int(v / max * maxWidth)
+			n = int(float64(v) / float64(max) * maxWidth)
 		}
-		fmt.Fprintf(w, "  %-*s %s %.3g%s\n", width, labels[i], strings.Repeat("█", n), v, unit)
+		fmt.Fprintf(w, "  %-*d %s %.3g\n", width, i+1, strings.Repeat("█", n), float64(v))
 	}
-}
-
-// Series renders an (x, y) series as aligned columns — the text stand-
-// in for the paper's line plots (convergence curves, accuracy plots).
-func Series(w io.Writer, title, xName, yName string, xs []string, ys []float64) {
-	fmt.Fprintln(w, title)
-	t := &Table{Header: []string{xName, yName}}
-	for i := range xs {
-		t.Add(xs[i], ys[i])
-	}
-	t.Render(w)
 }

@@ -1,4 +1,4 @@
-package tablefmt
+package exps
 
 import (
 	"bytes"
@@ -7,7 +7,7 @@ import (
 )
 
 func TestTableAlignment(t *testing.T) {
-	tb := &Table{Header: []string{"name", "value"}}
+	tb := &table{Header: []string{"name", "value"}}
 	tb.Add("short", 1)
 	tb.Add("a-much-longer-name", 2.5)
 	var buf bytes.Buffer
@@ -34,7 +34,7 @@ func TestTableAlignment(t *testing.T) {
 
 func TestBars(t *testing.T) {
 	var buf bytes.Buffer
-	Bars(&buf, "demo", []string{"a", "bb"}, []float64{1, 2}, "s")
+	histogram(&buf, "demo", []int{1, 2})
 	out := buf.String()
 	if !strings.Contains(out, "demo") {
 		t.Error("missing title")
@@ -49,19 +49,8 @@ func TestBars(t *testing.T) {
 	}
 	// Zero-max edge case must not divide by zero.
 	buf.Reset()
-	Bars(&buf, "zeros", []string{"a"}, []float64{0}, "")
+	histogram(&buf, "zeros", []int{0})
 	if !strings.Contains(buf.String(), "0") {
 		t.Error("zero bars broken")
-	}
-}
-
-func TestSeries(t *testing.T) {
-	var buf bytes.Buffer
-	Series(&buf, "curve", "t", "y", []string{"1", "2"}, []float64{3.5, 2.25})
-	out := buf.String()
-	for _, want := range []string{"curve", "t", "y", "3.50", "2.25"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("output missing %q:\n%s", want, out)
-		}
 	}
 }

@@ -3,13 +3,7 @@ package model
 import (
 	"fmt"
 	"strconv"
-	"strings"
 )
-
-func errUnknownSize(family, size string, known []string) error {
-	return fmt.Errorf("model: unknown %s size %q (known: %s)",
-		family, size, strings.Join(known, ", "))
-}
 
 func errInvalidArg(builder, arg string, v int) error {
 	return fmt.Errorf("model: %s: invalid %s %d", builder, arg, v)

@@ -22,7 +22,7 @@ var llamaConfigs = map[string]llamaConfig{
 func Llama(size string) (*Graph, error) {
 	cfg, ok := llamaConfigs[size]
 	if !ok {
-		return nil, errUnknownSize("Llama", size, LlamaSizes)
+		return nil, &UnknownSizeError{"Llama", size, LlamaSizes}
 	}
 	const seq = 4096
 	g := &Graph{

@@ -30,7 +30,7 @@ var t5Configs = map[string]t5Config{
 func T5(size string) (*Graph, error) {
 	cfg, ok := t5Configs[size]
 	if !ok {
-		return nil, errUnknownSize("T5", size, T5Sizes)
+		return nil, &UnknownSizeError{"T5", size, T5Sizes}
 	}
 	const (
 		encSeq = 2048

@@ -151,7 +151,7 @@ var gptConfigs = map[string]gptConfig{
 func GPT3(size string) (*Graph, error) {
 	cfg, ok := gptConfigs[size]
 	if !ok {
-		return nil, errUnknownSize("GPT-3", size, GPT3Sizes)
+		return nil, &UnknownSizeError{"GPT-3", size, GPT3Sizes}
 	}
 	const seq = 2048
 	sp := transformerSpec{Hidden: cfg.hidden, Heads: cfg.heads, FFN: 4 * cfg.hidden, Vocab: 51200}

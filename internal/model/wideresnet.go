@@ -32,7 +32,7 @@ var (
 func WideResNet(size string) (*Graph, error) {
 	target, ok := wrnTargets[size]
 	if !ok {
-		return nil, errUnknownSize("Wide-ResNet", size, WideResNetSizes)
+		return nil, &UnknownSizeError{"Wide-ResNet", size, WideResNetSizes}
 	}
 	// Binary-search the width factor; params grow monotonically in k.
 	lo, hi := 1.0, 64.0

@@ -9,6 +9,7 @@ package planserver
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"time"
 
@@ -22,8 +23,8 @@ import (
 // ModelSpec names a model-zoo builder plus its parameters. Exactly the
 // fields the named family reads are consulted; the rest are ignored.
 type ModelSpec struct {
-	// Family selects the builder: gpt3 | t5 | wideresnet | llama |
-	// deep | tinygpt | mlp | mlpnorm | uniform.
+	// Family selects the builder: gpt3 | t5 | wideresnet (or wresnet) |
+	// llama | deep | tinygpt | mlp | mlpnorm | uniform.
 	Family string `json:"family"`
 	// Size is the named scale for gpt3/t5/wideresnet/llama
 	// (e.g. "1.3B", "large").
@@ -47,14 +48,6 @@ type ModelSpec struct {
 // Build constructs the model graph the spec describes.
 func (m *ModelSpec) Build() (*model.Graph, error) {
 	switch m.Family {
-	case "gpt3":
-		return model.GPT3(m.Size)
-	case "t5":
-		return model.T5(m.Size)
-	case "wideresnet":
-		return model.WideResNet(m.Size)
-	case "llama":
-		return model.Llama(m.Size)
 	case "deep":
 		return model.DeepTransformer(m.Layers)
 	case "tinygpt":
@@ -74,8 +67,13 @@ func (m *ModelSpec) Build() (*model.Graph, error) {
 		return g, nil
 	case "":
 		return nil, fmt.Errorf("planserver: model.family is required")
-	default:
-		return nil, fmt.Errorf("planserver: unknown model family %q", m.Family)
+	default: // the sized families: gpt3 | t5 | wideresnet (or wresnet) | llama
+		g, err := model.ByName(m.Family, m.Size)
+		var unknown *model.UnknownFamilyError
+		if errors.As(err, &unknown) {
+			return nil, fmt.Errorf("planserver: unknown model family %q", m.Family)
+		}
+		return g, err
 	}
 }
 
