@@ -72,9 +72,8 @@ func awareVsBlind(g *model.Graph, truth, blind hardware.Cluster, opts core.Optio
 	return cmp, nil
 }
 
-// heteroReport is the BENCH_hetero.json schema. The search is fully
-// deterministic, so explored counts, plan shapes and iteration times
-// are all exact fingerprints.
+// heteroReport is the BENCH_hetero.json schema. Both searches are rows
+// of core's determinism table.
 type heteroReport struct {
 	Setting        string  `json:"setting"`
 	Seed           int64   `json:"seed"`
@@ -91,9 +90,8 @@ type heteroReport struct {
 	DiffViolations int     `json:"diff_violations"`
 }
 
-// planFingerprint renders a configuration's shape as a stable string —
-// stage boundaries and device counts — so plan drift (as opposed to
-// mere cost drift) is directly visible in the guard's message.
+// planFingerprint renders a configuration's shape as a stable string:
+// stage boundaries and device counts.
 func planFingerprint(cfg *config.Config) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "mb%d", cfg.MicroBatch)
@@ -177,16 +175,4 @@ func runHetero(e *env) (any, []string, error) {
 		DiffTrials:     diff.Trials,
 		DiffViolations: len(diff.Violations),
 	}, append(g.failed, diff.Violations...), nil
-}
-
-func checkHetero(recorded, current any) []string {
-	rec, cur := recorded.(*heteroReport), current.(*heteroReport)
-	var g gates
-	g.gate(cur.HeteroExplored == rec.HeteroExplored, "hetero explored %d, recorded %d — the search is no longer bit-identical",
-		cur.HeteroExplored, rec.HeteroExplored)
-	g.gate(cur.BlindExplored == rec.BlindExplored, "class-blind explored %d, recorded %d — the homogeneous search drifted",
-		cur.BlindExplored, rec.BlindExplored)
-	g.gate(cur.HeteroPlan == rec.HeteroPlan, "hetero plan %q, recorded %q — the chosen plan drifted",
-		cur.HeteroPlan, rec.HeteroPlan)
-	return g.failed
 }

@@ -7,10 +7,10 @@
 //	acesobench [flags] [targets...]
 //
 // With no target, or "all", the paper's figures and tables run. A
-// target that produces a report writes it to <outdir>/BENCH_<name>.json.
-// With -guard nothing is written: the run is checked against the report
-// already there, and the exit status is 1 if it no longer holds. Exit
-// status 2 means the command line named no runnable target.
+// target that produces a report writes it to <outdir>/BENCH_<name>.json;
+// a failed gate exits 1. Exit status 2 means the command line named no
+// runnable target. The searches the gated targets run are pinned in
+// internal/core/testdata/determinism.json, not here.
 package main
 
 import (
@@ -20,7 +20,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"reflect"
 	"runtime"
 	"runtime/pprof"
 	"slices"
@@ -42,10 +41,6 @@ type target struct {
 	// every acceptance gate that did not hold; err is a run that could
 	// not finish.
 	run func(*env) (report any, failed []string, err error)
-	// check compares a run's report with the committed one (both of the
-	// type run returns) and names what drifted. Only targets whose
-	// report is reproducible have one; the others refuse -guard.
-	check func(recorded, current any) []string
 }
 
 // registry lists the targets in the order a multi-target invocation
@@ -67,19 +62,19 @@ var registry = []target{
 	curves("fig13", "Figure 13 (Exp#6): convergence under different MaxHops", exps.Fig13),
 	curves("fig14", "Figure 14 (Exp#7): robustness to the initial configuration", exps.Fig14),
 	figure("ablations", "this implementation's own design ablations", exps.Ablations, exps.RenderAblations, nil),
-	{name: "scale", run: runScale, check: checkScale,
+	{name: "scale", run: runScale,
 		doc: "fixed-iteration searches on 1024/2048/4096 synthetic V100s: explored counts, allocation, 4096-vs-1024 linearity gate"},
 	figure("cases", "§5.4 case studies", exps.Cases, exps.RenderCases, nil),
 	{name: "trace", run: runTrace,
 		doc: "the fixed-iteration GPT-3 2.6B/16-V100 search with the JSONL, convergence and breakdown-audit tracers and the metrics registry attached; also writes BENCH_trace.jsonl; fails on any audit violation"},
 	{name: "diff", run: runDiff,
 		doc: "randomized model-vs-simulator trials, effects off then effects on; a shrunken repro file per violation; fails on any invariant violation"},
-	{name: "hetero", run: runHetero, check: checkHetero,
+	{name: "hetero", run: runHetero,
 		doc: "GPT-3 1.3B on 8 A100 + 8 V100 vs the best class-blind plan re-priced there, then model-vs-simulator trials on mixed clusters"},
 	{name: "churn", run: runChurn,
 		doc: "elastic.Supervise through a seeded 22-event schedule, then one-fault and churn trials; fails unless it rejoins the uninterrupted run within 1e-9"},
-	{name: "spot", run: runSpot, check: checkSpot,
-		doc: "expected-time vs nominal-time planning and a replayed reclaim trace on spot capacity, then spot trials; fails under 1.2x achieved speedup; -guard pins explored counts, expected times, cadence, lost steps and drains"},
+	{name: "spot", run: runSpot,
+		doc: "expected-time vs nominal-time planning and a replayed reclaim trace on spot capacity, then spot trials; fails under 1.2x achieved speedup or on a lossy aware replay"},
 	{name: "chaos", run: func(e *env) (any, []string, error) { return nil, runTrials(e, chaos.Search).Violations, nil },
 		doc: "fault-injection trials against the search; fails on any panic, invalid plan or non-finite score"},
 }
@@ -132,12 +127,6 @@ func (g *gates) gate(ok bool, format string, args ...any) {
 	}
 }
 
-// reportPath is where a target's report lives: written by a plain run,
-// read by a -guard run.
-func reportPath(outDir, name string) string {
-	return filepath.Join(outDir, "BENCH_"+name+".json")
-}
-
 // writeReport writes v to path as indented JSON.
 func writeReport(path string, v any) error {
 	return writeFile(path, func(w io.Writer) error {
@@ -147,18 +136,14 @@ func writeReport(path string, v any) error {
 	})
 }
 
-// readCommitted decodes the committed report at path into a new value
-// of current's type.
-func readCommitted(path string, current any) (any, error) {
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		return nil, fmt.Errorf("no committed report to guard against: %w", err)
+// saveReport writes a target's report to <outdir>/BENCH_<name>.json.
+func saveReport(e *env, name string, report any) error {
+	path := filepath.Join(e.outDir, "BENCH_"+name+".json")
+	if err := writeReport(path, report); err != nil {
+		return err
 	}
-	recorded := reflect.New(reflect.TypeOf(current).Elem()).Interface()
-	if err := json.Unmarshal(raw, recorded); err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	return recorded, nil
+	fmt.Fprintf(e.w, "%s: report → %s\n", name, path)
+	return nil
 }
 
 // startProfiles starts the CPU profile and returns the function that
@@ -224,31 +209,6 @@ func selectTargets(names []string) ([]target, error) {
 	return sel, nil
 }
 
-// saveReport is what a plain run does with a target's report.
-func saveReport(e *env, t target, report any) ([]string, error) {
-	path := reportPath(e.outDir, t.name)
-	if err := writeReport(path, report); err != nil {
-		return nil, err
-	}
-	fmt.Fprintf(e.w, "%s: report → %s\n", t.name, path)
-	return nil, nil
-}
-
-// guardReport is what a -guard run does with it: nothing is written,
-// and whatever drifted from the committed report is a failed gate.
-func guardReport(e *env, t target, report any) ([]string, error) {
-	path := reportPath(e.outDir, t.name)
-	recorded, err := readCommitted(path, report)
-	if err != nil {
-		return nil, err
-	}
-	drift := t.check(recorded, report)
-	if len(drift) == 0 {
-		fmt.Fprintf(e.w, "guard: ok — %s matches %s\n", t.name, path)
-	}
-	return drift, nil
-}
-
 // usageError reports a command line that names nothing runnable.
 func usageError(err error) {
 	fmt.Fprintln(os.Stderr, "acesobench:", err)
@@ -261,10 +221,9 @@ func main() {
 	flag.IntVar(&e.set.Sizes, "sizes", 5, "how many of the 5 model sizes the paper targets run (1-5)")
 	flag.Int64Var(&e.set.Seed, "seed", 1, "deterministic seed")
 	flag.StringVar(&e.csvDir, "csv", "", "also write the paper targets' tables as CSV into this directory")
-	flag.StringVar(&e.outDir, "outdir", ".", "directory of the BENCH_<target>.json reports: written by a plain run, read by -guard")
+	flag.StringVar(&e.outDir, "outdir", ".", "directory the BENCH_<target>.json reports are written to")
 	flag.IntVar(&e.trials, "trials", 0, "randomized trials per scenario of the diff, hetero, churn, spot and chaos targets (0 = until -duration, or the scenario's own count)")
 	flag.DurationVar(&e.duration, "duration", 0, "wall budget per scenario of the same targets (0 = none)")
-	guard := flag.Bool("guard", false, "check each target against its committed report instead of rewriting it; exit 1 on drift")
 	list := flag.Bool("list", false, "print the targets and exit")
 	cpuProfile := flag.String("cpuprofile", "", "write a pprof CPU profile covering the selected targets to this file")
 	memProfile := flag.String("memprofile", "", "write a pprof allocation profile to this file on exit")
@@ -279,15 +238,6 @@ func main() {
 	targets, err := selectTargets(flag.Args())
 	if err != nil {
 		usageError(err)
-	}
-	settle := saveReport
-	if *guard {
-		for _, t := range targets {
-			if t.check == nil {
-				usageError(fmt.Errorf("target %q has no check against a committed report; -guard would have nothing to compare", t.name))
-			}
-		}
-		settle = guardReport
 	}
 	if e.csvDir != "" {
 		if err := os.MkdirAll(e.csvDir, 0o755); err != nil {
@@ -307,9 +257,7 @@ func main() {
 		}
 		report, failed, err := t.run(e)
 		if err == nil && report != nil {
-			var drift []string
-			drift, err = settle(e, t, report)
-			failed = append(failed, drift...)
+			err = saveReport(e, t.name, report)
 		}
 		if err != nil {
 			failed = append(failed, err.Error())

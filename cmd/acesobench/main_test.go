@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"io"
 	"math/rand"
 	"os"
 	"os/exec"
@@ -80,11 +81,6 @@ func TestBenchFig10(t *testing.T) {
 // -list names every registered target.
 func TestCommandLine(t *testing.T) {
 	dir := t.TempDir()
-	committed := []byte("{\"committed\": true}\n")
-	churnFile := filepath.Join(dir, "BENCH_churn.json")
-	if err := os.WriteFile(churnFile, committed, 0o644); err != nil {
-		t.Fatal(err)
-	}
 	var names []string
 	for _, tg := range registry {
 		names = append(names, tg.name)
@@ -97,8 +93,8 @@ func TestCommandLine(t *testing.T) {
 	}{
 		{"unknown target", []string{"nosuchtarget"}, 2, append([]string{`unknown target "nosuchtarget"`}, names...)},
 		{"deleted serve target", []string{"fig1", "serve"}, 2, []string{`unknown target "serve"`}},
-		{"deleted search target", []string{"-guard", "search"}, 2, []string{`unknown target "search"`}},
-		{"guard without a check", []string{"-guard", "-outdir", dir, "churn"}, 2, []string{`"churn"`, "-guard"}},
+		{"deleted search target", []string{"search"}, 2, []string{`unknown target "search"`}},
+		{"deleted guard flag", []string{"-guard", "-outdir", dir, "spot"}, 2, []string{"flag provided but not defined: -guard"}},
 		{"list", []string{"-list"}, 0, names},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -123,8 +119,25 @@ func TestCommandLine(t *testing.T) {
 			}
 		})
 	}
-	if got, err := os.ReadFile(churnFile); err != nil || !bytes.Equal(got, committed) {
-		t.Errorf("-guard churn touched the committed report: %q, %v", got, err)
+	if files, _ := os.ReadDir(dir); len(files) > 0 {
+		t.Errorf("a refused command line wrote %d files to -outdir", len(files))
+	}
+}
+
+// TestSpotReplayLedger pins the decisions of the spot target's replay:
+// lost steps and clean drains of the risk-aware run, then of the
+// risk-blind one. The searches the target runs are determinism rows.
+func TestSpotReplayLedger(t *testing.T) {
+	e := &env{w: io.Discard, outDir: t.TempDir(), trials: 1}
+	e.set.Seed = 1
+	report, failed, err := runSpot(e)
+	if err != nil || len(failed) > 0 {
+		t.Fatalf("spot: %v %v", err, failed)
+	}
+	r := report.(*spotReport)
+	got := [4]int{r.Aware.StepsLost, r.Aware.CleanDrains, r.Blind.StepsLost, r.Blind.CleanDrains}
+	if want := [4]int{0, 5, 15, 0}; got != want {
+		t.Errorf("replay lost steps and clean drains (aware, blind) %v, want %v", got, want)
 	}
 }
 

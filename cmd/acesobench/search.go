@@ -4,9 +4,9 @@ package main
 // settings) and trace (the paper's 16-GPU setting with the
 // observability stack attached). Both are iteration-bounded, never
 // deadline-bounded, so the explored count is a fingerprint of the
-// search: the same on every run, at any size. The time and allocation
-// of the 16-GPU search are bench/'s search-deep workload, its
-// fingerprint is core's determinism table.
+// search: the same on every run, at any size. Both searches' fingerprints
+// are rows of core's determinism table; the time and allocation of the
+// 16-GPU search are bench/'s search-deep workload.
 
 import (
 	"fmt"
@@ -20,12 +20,6 @@ import (
 	"aceso/internal/model"
 	"aceso/internal/obs"
 )
-
-// guardAllocTol is how far above the committed figure -guard lets
-// scale's alloc_mb rise (allocation is nearly deterministic). No wall
-// time is recorded or guarded: BENCHMARK.json is where a time is
-// claimed.
-const guardAllocTol = 0.1
 
 // scaleRow is one cluster/graph point of the scale target.
 type scaleRow struct {
@@ -43,10 +37,8 @@ func (r scaleRow) String() string { return fmt.Sprintf("%d devices / %d ops", r.
 
 // scaleReport is the BENCH_scale.json schema.
 type scaleReport struct {
-	Setting       string     `json:"setting"`
-	MaxIterations int        `json:"max_iterations"`
-	Seed          int64      `json:"seed"`
-	Rows          []scaleRow `json:"rows"`
+	Setting string     `json:"setting"`
+	Rows    []scaleRow `json:"rows"`
 }
 
 // scalePoints are the synthetic thousand-device settings: DGX-1-like
@@ -60,7 +52,8 @@ var scalePoints = []struct{ nodes, ops int }{
 
 // scaleStageCounts pins the pipeline depths searched per point. The
 // automatic set (§4.3) tops out at 32 stages anyway; pinning it keeps
-// the fingerprint independent of future auto-set changes.
+// the determinism rows of these searches independent of future auto-set
+// changes.
 var scaleStageCounts = []int{8, 16, 32}
 
 const (
@@ -112,8 +105,6 @@ func runScale(e *env) (any, []string, error) {
 	out := &scaleReport{
 		Setting: fmt.Sprintf("uniform synthetic graphs on DGX1V100 clusters, StageCounts=%v, MaxIterations=%d, Seed=%d, fixed-iteration, fastest of %d",
 			scaleStageCounts, scaleIters, e.set.Seed, scaleReps),
-		MaxIterations: scaleIters,
-		Seed:          e.set.Seed,
 	}
 	var g gates
 	for _, pt := range scalePoints {
@@ -154,36 +145,6 @@ func runScale(e *env) (any, []string, error) {
 	g.gate(elapsedRatio <= scaleMaxElapsedRatio, "elapsed at %d devices is %.1f× that at %d, gate %.0f×",
 		large.Devices, elapsedRatio, small.Devices, scaleMaxElapsedRatio)
 	return out, g.failed, nil
-}
-
-// checkScale requires a committed row for every point, measured under
-// the same iteration budget and seed, with the same explored count and
-// an allocation the run stays within guardAllocTol of.
-func checkScale(recorded, current any) []string {
-	rec, cur := recorded.(*scaleReport), current.(*scaleReport)
-	var g gates
-	if rec.MaxIterations != cur.MaxIterations || rec.Seed != cur.Seed {
-		g.gate(false, "committed rows are for MaxIterations=%d, Seed=%d; this run is MaxIterations=%d, Seed=%d",
-			rec.MaxIterations, rec.Seed, cur.MaxIterations, cur.Seed)
-		return g.failed
-	}
-	for _, row := range cur.Rows {
-		var match *scaleRow
-		for i := range rec.Rows {
-			if rec.Rows[i].Devices == row.Devices && rec.Rows[i].Ops == row.Ops {
-				match = &rec.Rows[i]
-			}
-		}
-		if match == nil {
-			g.gate(false, "%v: no recorded row", row)
-			continue
-		}
-		g.gate(row.Explored == match.Explored, "%v: explored %d, recorded %d — the search is no longer bit-identical",
-			row, row.Explored, match.Explored)
-		g.gate(row.AllocMB <= match.AllocMB*(1+guardAllocTol), "%v: %.1f MB allocated exceeds recorded %.1f MB by more than %.0f%%",
-			row, row.AllocMB, match.AllocMB, guardAllocTol*100)
-	}
-	return g.failed
 }
 
 // traceReport is the BENCH_trace.json schema: everything the trace run

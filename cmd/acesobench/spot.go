@@ -267,25 +267,3 @@ func runSpot(e *env) (any, []string, error) {
 		Metrics:               reg,
 	}, append(g.failed, verdict.Violations...), nil
 }
-
-// checkSpot compares what a run decides, not what it times: both
-// searches are iteration-bounded, so explored counts, expected times and
-// the cadence are exact fingerprints, and the replay's lost steps and
-// drains are decisions of the transition log.
-func checkSpot(recorded, current any) []string {
-	rec, cur := recorded.(*spotReport), current.(*spotReport)
-	var g gates
-	g.gate(cur.AwareExplored == rec.AwareExplored && cur.BlindExplored == rec.BlindExplored,
-		"explored aware %d / blind %d, recorded %d / %d — the search is no longer bit-identical",
-		cur.AwareExplored, cur.BlindExplored, rec.AwareExplored, rec.BlindExplored)
-	g.gate(cur.AwareExpectedIterTime == rec.AwareExpectedIterTime && cur.BlindExpectedIterTime == rec.BlindExpectedIterTime &&
-		cur.RecommendedCadence == rec.RecommendedCadence,
-		"expected iteration time aware %v / blind %v at cadence %d, recorded %v / %v at %d — the objective drifted",
-		cur.AwareExpectedIterTime, cur.BlindExpectedIterTime, cur.RecommendedCadence,
-		rec.AwareExpectedIterTime, rec.BlindExpectedIterTime, rec.RecommendedCadence)
-	lost := func(r *spotReport) [4]int {
-		return [4]int{r.Aware.StepsLost, r.Aware.CleanDrains, r.Blind.StepsLost, r.Blind.CleanDrains}
-	}
-	g.gate(lost(cur) == lost(rec), "replay lost steps and clean drains (aware, blind) %v, recorded %v", lost(cur), lost(rec))
-	return g.failed
-}

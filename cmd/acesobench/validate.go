@@ -15,7 +15,7 @@ import (
 	"aceso/internal/obs"
 )
 
-// trialVerdict is the randomized-trial block of a report, under the keys the committed reports carry.
+// trialVerdict is the randomized-trial block of a report.
 type trialVerdict struct {
 	Trials     int      `json:"chaos_trials"`
 	Passed     int      `json:"chaos_survived_runs"`

@@ -492,7 +492,7 @@ func (c *Config) Key() uint64 {
 
 // Hash returns the configuration's canonical hash: FNV-1a over the
 // canonical form, a frozen value — plan fingerprints, simulator seeds
-// and committed benchmark files carry it, and the search orders equal-
+// and the determinism table carry it, and the search orders equal-
 // scored candidates by it. It builds (and memoizes) every stage's
 // canonical segment, so it is the cold path: ask Key for identity and
 // call Hash only where the exact value matters. Memoized.

@@ -20,8 +20,10 @@ var updateDeterminism = flag.Bool("update-determinism", false,
 const determinismFile = "testdata/determinism.json"
 
 // determinismRow pins one seeded, iteration-bounded search: how many
-// configurations it explored, the canonical hash of its best plan and
-// the canonical hashes of its top-K in rank order.
+// configurations it explored, the canonical hash of its best plan, the
+// canonical hashes of its top-K in rank order, the best plan's score
+// (exact: JSON round-trips a float64) and the checkpoint cadence
+// recommended on a hazardous fleet.
 type determinismRow struct {
 	Model      string   `json:"model"`
 	Fleet      string   `json:"fleet"`
@@ -30,6 +32,8 @@ type determinismRow struct {
 	Explored   int      `json:"explored"`
 	Best       string   `json:"best"`
 	TopK       []string `json:"topk"`
+	Score      float64  `json:"score"`
+	Cadence    int      `json:"cadence,omitempty"`
 }
 
 // TestDeterminismTable is the first slice of the determinism matrix
@@ -41,11 +45,12 @@ type determinismRow struct {
 // identity moved off Config.Hash, so a change to what breaks ties, or
 // to which configurations count as seen, shows up here as a diff. The
 // rows after the matrix pin an option that is on the wire and in chaos
-// but changes what is explored: the extension primitives. Regenerate
-// with -update-determinism.
+// but changes what is explored: the extension primitives. The last rows
+// are the searches acesobench's scale, hetero and spot targets run.
+// Regenerate with -update-determinism.
 func TestDeterminismTable(t *testing.T) {
 	if testing.Short() {
-		t.Skip("54 searches")
+		t.Skip("68 searches")
 	}
 	models := []struct {
 		name  string
@@ -77,7 +82,9 @@ func TestDeterminismTable(t *testing.T) {
 	pin := func(g *model.Graph, row determinismRow, cl hardware.Cluster, opts Options) {
 		t.Helper()
 		opts.TimeBudget = time.Hour // iterations are the binding limit
-		opts.MaxIterations = 4
+		if opts.MaxIterations == 0 {
+			opts.MaxIterations = 4
+		}
 		opts.Seed = 1
 		prev := runtime.GOMAXPROCS(row.GOMAXPROCS)
 		res, err := Search(g, cl, opts)
@@ -90,6 +97,7 @@ func TestDeterminismTable(t *testing.T) {
 		for _, c := range res.TopK {
 			row.TopK = append(row.TopK, fmt.Sprintf("%016x", c.Config.Hash()))
 		}
+		row.Score, row.Cadence = res.Best.Score, res.RecommendedCadence
 		got = append(got, row)
 	}
 	for _, m := range models {
@@ -126,6 +134,42 @@ func TestDeterminismTable(t *testing.T) {
 	}
 	if !moved {
 		t.Error("no extended-primitives row differs from its default twin: the rows pin nothing about the option")
+	}
+
+	// acesobench scale: uniform graphs on 1 024/2 048/4 096 DGX-1 devices,
+	// pinned pipeline depths, two iterations.
+	for _, pt := range []struct{ nodes, ops int }{{128, 2560}, {256, 5120}, {512, 10240}} {
+		g := model.Uniform(pt.ops, 1e9, 1e6, 1e5, 1024)
+		for _, procs := range []int{1, 4} {
+			pin(g, determinismRow{Model: fmt.Sprintf("uniform-%d", pt.ops), Fleet: fmt.Sprintf("DGX1V100(%d)", pt.nodes),
+				Options: "scale", GOMAXPROCS: procs},
+				hardware.DGX1V100(pt.nodes), Options{MaxIterations: 2, StageCounts: []int{8, 16, 32}})
+		}
+	}
+	// acesobench hetero and spot: each case study's aware search and its
+	// blind twin on the fleet with the property stripped.
+	blind := fleets[2].cl
+	blind.Classes, blind.NodeClass = nil, nil
+	spot := fleets[4].cl
+	for _, cs := range []struct {
+		model int // index into models
+		fleet string
+		cl    hardware.Cluster
+	}{
+		{1, "A100V100(1,1)", fleets[2].cl},
+		{1, "A100V100(1,1)-class-blind", blind},
+		{0, "ReservedSpotV100(8,1,1)", spot},
+		{0, "ReservedSpotV100(8,1,1)-hazard-stripped", spot.StripHazard()},
+	} {
+		m := models[cs.model]
+		g, err := m.build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, procs := range []int{1, 4} {
+			pin(g, determinismRow{Model: m.name, Fleet: cs.fleet, Options: "case-study", GOMAXPROCS: procs},
+				cs.cl, Options{StageCounts: []int{2, 4}})
+		}
 	}
 
 	if *updateDeterminism {

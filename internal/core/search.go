@@ -446,7 +446,7 @@ type searchMeters struct {
 	prunes     *obs.Counter
 	prims      map[string]*obs.Counter
 	hopDepth   *obs.Histogram
-	iterTime   *obs.Timer
+	iterTime   *obs.Histogram
 }
 
 // newSearchMeters resolves the search's metrics in reg.
@@ -463,7 +463,7 @@ func newSearchMeters(reg *obs.Registry) *searchMeters {
 		prunes:     reg.Counter(obs.PoolPrunesTotal),
 		prims:      make(map[string]*obs.Counter),
 		hopDepth:   reg.Histogram(obs.MultiHopDepth, 1, 2, 3, 4, 5, 6, 7, 8),
-		iterTime:   reg.Timer(obs.IterationSeconds),
+		iterTime:   reg.Histogram(obs.IterationSeconds, obs.SecondsBuckets...),
 	}
 	for _, tbl := range [][]Primitive{Table, ExtensionTable} {
 		for i := range tbl {
@@ -812,7 +812,7 @@ func (s *searcher) observeIteration(stageCount, iter int, improved bool, bnStage
 	topK []Candidate, t0 time.Time) {
 	if s.met != nil {
 		s.met.iterations.Inc()
-		s.met.iterTime.Observe(time.Since(t0))
+		s.met.iterTime.Observe(time.Since(t0).Seconds())
 		if restarted {
 			s.met.restarts.Inc()
 		}

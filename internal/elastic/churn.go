@@ -19,7 +19,8 @@ const (
 	// removed at the segment boundary.
 	Preempt ChurnKind = iota
 	// Readd returns a previously-removed or derated physical device to
-	// full service (hardware.Restore; logical-rank re-expansion).
+	// full service (its logical rank re-expands when the active cluster
+	// is re-derived from the fleet state).
 	Readd
 	// SlowNode derates a device's throughput to Scale (thermal
 	// throttling, a noisy neighbor). Scale 1 restores full speed.

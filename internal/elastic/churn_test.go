@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math"
+	"reflect"
 	"testing"
 	"time"
 
@@ -147,8 +148,8 @@ func TestSuperviseSingleFault(t *testing.T) {
 			if got := reg.Counter(obs.ChurnFaultsTotal).Value(); got != int64(tc.faults) {
 				t.Errorf("%s = %d, want %d", obs.ChurnFaultsTotal, got, tc.faults)
 			}
-			// One recovery timer: each recovery is observed exactly once.
-			if got := reg.Timer(obs.ChurnRecovery).Count(); got != int64(tc.faults) {
+			// One recovery histogram: each recovery is observed exactly once.
+			if got := reg.Histogram(obs.ChurnRecovery).Count(); got != int64(tc.faults) {
 				t.Errorf("%s observed %d times, want %d", obs.ChurnRecovery, got, tc.faults)
 			}
 
@@ -239,26 +240,25 @@ func TestSupervisePreemptReaddEndToEnd(t *testing.T) {
 			t.Errorf("metric %s = 0, want > 0", name)
 		}
 	}
-	if reg.Timer(obs.ChurnRecovery).Count() == 0 {
-		t.Error("churn recovery timer has no observations")
+	if reg.Histogram(obs.ChurnRecovery).Count() == 0 {
+		t.Error("churn recovery histogram has no observations")
 	}
 }
 
 // TestSuperviseHysteresisDefersMildBlips: a transient derate below the
 // replan threshold is debounced — no search, no reshard, and because
-// the plan never changed the run stays bitwise identical.
+// the plan never changed the run stays bitwise identical. A 0.95 FLOPS
+// scale slows one stage's compute by 5 %, a third of replanThreshold.
 func TestSuperviseHysteresisDefersMildBlips(t *testing.T) {
 	const iters = 6
 	job := pp2tp2Job(t, iters)
 	refLosses, ref := refRun(t, job)
 
-	opt := superviseOpts(t)
-	opt.ReplanThreshold = 0.95 // nothing short of a collapse triggers
 	spec := ChurnSpec{Events: []ChurnEvent{
-		{Iteration: 1, Kind: SlowNode, Device: 0, Scale: 0.9},
+		{Iteration: 1, Kind: SlowNode, Device: 0, Scale: 0.95},
 		{Iteration: 4, Kind: SlowNode, Device: 0, Scale: 1},
 	}}
-	rep, err := Supervise(context.Background(), job, spec, opt)
+	rep, err := Supervise(context.Background(), job, spec, superviseOpts(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -282,12 +282,10 @@ func TestSuperviseForcedReplanOnHarshDegradation(t *testing.T) {
 	job := pp2tp2Job(t, iters)
 	refLosses, ref := refRun(t, job)
 
-	opt := superviseOpts(t)
-	opt.ReplanThreshold = 0.15
 	spec := ChurnSpec{Events: []ChurnEvent{
 		{Iteration: 2, Kind: SlowNode, Device: 0, Scale: 0.05},
 	}}
-	rep, err := Supervise(context.Background(), job, spec, opt)
+	rep, err := Supervise(context.Background(), job, spec, superviseOpts(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -302,21 +300,20 @@ func TestSuperviseForcedReplanOnHarshDegradation(t *testing.T) {
 }
 
 // TestSupervisePersistenceForcesReplan: each blip is individually below
-// threshold, but HysteresisEvents consecutive deferrals escalate.
+// threshold, but hysteresisEvents consecutive deferrals escalate.
 func TestSupervisePersistenceForcesReplan(t *testing.T) {
 	const iters = 8
 	job := pp2tp2Job(t, iters)
 
-	opt := superviseOpts(t)
-	opt.ReplanThreshold = 0.95
-	opt.HysteresisEvents = 2
 	spec := ChurnSpec{Events: []ChurnEvent{
-		{Iteration: 1, Kind: SlowNode, Device: 0, Scale: 0.9},
+		{Iteration: 1, Kind: SlowNode, Device: 0, Scale: 0.95},
 		// Device 2 lives on the other pipeline stage, so the second blip
-		// degrades a fresh bottleneck rather than hiding behind the first.
-		{Iteration: 3, Kind: SlowNode, Device: 2, Scale: 0.9},
+		// degrades a fresh bottleneck rather than hiding behind the first;
+		// the third deepens the first.
+		{Iteration: 3, Kind: SlowNode, Device: 2, Scale: 0.95},
+		{Iteration: 5, Kind: SlowNode, Device: 0, Scale: 0.9},
 	}}
-	rep, err := Supervise(context.Background(), job, spec, opt)
+	rep, err := Supervise(context.Background(), job, spec, superviseOpts(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -326,8 +323,8 @@ func TestSupervisePersistenceForcesReplan(t *testing.T) {
 	if !hasTransition(rep, TransReplanForced) {
 		t.Errorf("persistent degradation never escalated: %+v", rep.Transitions)
 	}
-	if rep.ReplansAvoided != 1 {
-		t.Errorf("replans avoided %d, want exactly 1 (second blip escalates)", rep.ReplansAvoided)
+	if rep.ReplansAvoided != hysteresisEvents-1 {
+		t.Errorf("replans avoided %d, want exactly %d (the last blip escalates)", rep.ReplansAvoided, hysteresisEvents-1)
 	}
 }
 
@@ -339,14 +336,13 @@ func TestSuperviseBackoffRetries(t *testing.T) {
 	refLosses, ref := refRun(t, job)
 
 	opt := superviseOpts(t)
-	opt.SimulateTimeouts = 2
-	opt.MaxRetries = 3
+	opt.SimulateTimeouts = maxRetries - 1
 	rep, err := Supervise(context.Background(), job, ChurnSpec{}, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Retries != 2 {
-		t.Errorf("retries %d, want 2", rep.Retries)
+	if rep.Retries != opt.SimulateTimeouts {
+		t.Errorf("retries %d, want %d", rep.Retries, opt.SimulateTimeouts)
 	}
 	if !hasTransition(rep, TransBackoffRetry) {
 		t.Errorf("no backoff-retry transition: %+v", rep.Transitions)
@@ -355,13 +351,12 @@ func TestSuperviseBackoffRetries(t *testing.T) {
 }
 
 // TestSuperviseBackoffExhausted: more consecutive timeouts than
-// MaxRetries surfaces the typed timeout error.
+// maxRetries surfaces the typed timeout error.
 func TestSuperviseBackoffExhausted(t *testing.T) {
 	job := pp2tp2Job(t, 4)
 
 	opt := superviseOpts(t)
-	opt.SimulateTimeouts = 5
-	opt.MaxRetries = 2
+	opt.SimulateTimeouts = maxRetries + 2
 	_, err := Supervise(context.Background(), job, ChurnSpec{}, opt)
 	var te *comm.CollectiveTimeoutError
 	if !errors.As(err, &te) {
@@ -507,6 +502,36 @@ func TestChurnSpecValidate(t *testing.T) {
 	}
 	if _, err := Supervise(context.Background(), job, ChurnSpec{}, superviseOpts(t)); err == nil {
 		t.Error("degraded input cluster accepted")
+	}
+}
+
+// TestEventsRederiveActive: every event re-derives the active cluster
+// from the composed fleet state, so a schedule that undoes itself
+// leaves the cluster the job started on, bitwise.
+func TestEventsRederiveActive(t *testing.T) {
+	job := pp2tp2Job(t, 1)
+	for _, tc := range []struct {
+		name   string
+		events []ChurnEvent
+	}{
+		{"preempt, readd, link restore", []ChurnEvent{
+			{Kind: Preempt, Device: 2}, {Kind: LinkDerate, Scale: 0.5},
+			{Kind: Readd, Device: 2}, {Kind: LinkDerate, Scale: 1},
+		}},
+		{"straggler and restore under a dead device", []ChurnEvent{
+			{Kind: Preempt, Device: 0}, {Kind: SlowNode, Device: 3, Scale: 0.5},
+			{Kind: SlowNode, Device: 3, Scale: 1}, {Kind: Readd, Device: 0},
+		}},
+	} {
+		s := newSupervisor(context.Background(), job, ChurnSpec{}, superviseOpts(t).withDefaults())
+		for _, ev := range tc.events {
+			if err := s.applyEvent(ev); err != nil {
+				t.Fatalf("%s: %v", tc.name, err)
+			}
+		}
+		if !reflect.DeepEqual(s.active, job.Cluster) {
+			t.Errorf("%s: active %+v, want the job's cluster %+v", tc.name, s.active, job.Cluster)
+		}
 	}
 }
 

@@ -31,6 +31,21 @@ type Job struct {
 	Iters  int
 }
 
+// The recovery policies' fixed thresholds.
+const (
+	// replanThreshold is the projected fractional throughput loss (or
+	// idle-capacity gain) above which a churn event triggers an
+	// immediate warm replan; smaller blips are debounced.
+	replanThreshold = 0.15
+	// hysteresisEvents is how many consecutive deferred degradations
+	// accumulate before the supervisor replans anyway — persistence
+	// beats the threshold.
+	hysteresisEvents = 3
+	// maxRetries caps consecutive timeout retries of one segment before
+	// the error is surfaced.
+	maxRetries = 3
+)
+
 // Options tunes the supervisor.
 type Options struct {
 	// LR is the learning rate passed through to the runtime.
@@ -56,23 +71,12 @@ type Options struct {
 	// aceso_churn_* and aceso_spot_* series.
 	Metrics *obs.Registry
 
-	// ReplanThreshold is the projected fractional throughput loss (or
-	// idle-capacity gain) above which a churn event triggers an
-	// immediate warm replan; smaller blips are debounced. Default 0.15.
-	ReplanThreshold float64
-	// HysteresisEvents is how many consecutive deferred degradations
-	// accumulate before the supervisor replans anyway — persistence
-	// beats the threshold. Default 3.
-	HysteresisEvents int
 	// BackoffBase/BackoffCap bound the capped exponential backoff
 	// between retries of a segment that failed with
 	// *comm.CollectiveTimeoutError. Defaults 2ms / 50ms; jitter is
 	// deterministic from Seed.
 	BackoffBase time.Duration
 	BackoffCap  time.Duration
-	// MaxRetries caps consecutive timeout retries of one segment
-	// before the error is surfaced. Default 3.
-	MaxRetries int
 	// MaxCadence caps the adaptive checkpoint cadence (iterations per
 	// checkpoint); the floor is 1. Default 4.
 	MaxCadence int
@@ -106,20 +110,11 @@ func (o Options) withDefaults() Options {
 	if o.SearchBudget <= 0 {
 		o.SearchBudget = 200 * time.Millisecond
 	}
-	if o.ReplanThreshold <= 0 {
-		o.ReplanThreshold = 0.15
-	}
-	if o.HysteresisEvents <= 0 {
-		o.HysteresisEvents = 3
-	}
 	if o.BackoffBase <= 0 {
 		o.BackoffBase = 2 * time.Millisecond
 	}
 	if o.BackoffCap <= 0 {
 		o.BackoffCap = 50 * time.Millisecond
-	}
-	if o.MaxRetries <= 0 {
-		o.MaxRetries = 3
 	}
 	if o.MaxCadence <= 0 {
 		o.MaxCadence = 4
@@ -234,7 +229,7 @@ type meters struct {
 	retries        *obs.Counter
 	pauses         *obs.Counter
 	stepsLost      *obs.Counter
-	recovery       *obs.Timer
+	recovery       *obs.Histogram
 	notices        *obs.Counter
 	cleanDrains    *obs.Counter
 	noticesMissed  *obs.Counter
@@ -259,7 +254,7 @@ func newMeters(reg *obs.Registry) meters {
 		retries:        reg.Counter(obs.ChurnBackoffRetriesTotal),
 		pauses:         reg.Counter(obs.ChurnPausesTotal),
 		stepsLost:      reg.Counter(obs.ChurnStepsLostTotal),
-		recovery:       reg.Timer(obs.ChurnRecovery),
+		recovery:       reg.Histogram(obs.ChurnRecovery, obs.SecondsBuckets...),
 		notices:        reg.Counter(obs.SpotNoticesTotal),
 		cleanDrains:    reg.Counter(obs.SpotCleanDrainsTotal),
 		noticesMissed:  reg.Counter(obs.SpotNoticesMissedTotal),

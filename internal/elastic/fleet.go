@@ -94,9 +94,9 @@ func (s *supervisor) inPlanPreempt(ev *ChurnEvent) bool {
 	return ev.Kind == Preempt && !s.fl.dead[ev.Device] && s.inUse(ev.Device)
 }
 
-// syncActive re-derives active from the composed fleet state. An
-// all-dead fleet only flags staleness — the caller's pause rung takes
-// over.
+// syncActive re-derives active from the composed fleet state — the one
+// derivation, after every event. An all-dead fleet only flags
+// staleness — the caller's pause rung takes over.
 func (s *supervisor) syncActive() error {
 	if s.fl.alive() == 0 {
 		s.activeStale = true
@@ -110,24 +110,9 @@ func (s *supervisor) syncActive() error {
 	return nil
 }
 
-// restoreDevice returns one device of active to full service through
-// Restore, the incremental inverse of Degrade (re-expanding logical
-// ranks in place) — or resyncs from the composed state when active
-// cannot be patched: it is stale, or carries no fault spec to undo.
-func (s *supervisor) restoreDevice(phys int) error {
-	if s.activeStale || s.active.Faults == nil {
-		return s.syncActive()
-	}
-	next, err := s.active.Restore(phys)
-	if err != nil {
-		return err
-	}
-	s.active = next
-	return nil
-}
-
 // applyEvent folds one schedule event into the fleet state at a point
-// where no segment is running. It does not decide policy.
+// where no segment is running, then re-derives the active cluster. It
+// does not decide policy.
 func (s *supervisor) applyEvent(ev ChurnEvent) error {
 	s.countEvent(ev)
 	fl, step := &s.fl, s.curP.Step
@@ -148,7 +133,6 @@ func (s *supervisor) applyEvent(ev ChurnEvent) error {
 		} else {
 			s.emit(step, TransEvent, "preempt-notice device %d folded as immediate preempt while paused (%d alive)", ev.Device, fl.alive())
 		}
-		return s.syncActive()
 	case Readd:
 		if !fl.dead[ev.Device] && fl.slow[ev.Device] == 0 {
 			s.emit(step, TransEvent, "readd device %d (already healthy)", ev.Device)
@@ -156,53 +140,32 @@ func (s *supervisor) applyEvent(ev ChurnEvent) error {
 		}
 		delete(fl.dead, ev.Device)
 		delete(fl.slow, ev.Device)
-		if err := s.restoreDevice(ev.Device); err != nil {
-			return err
-		}
 		s.emit(step, TransEvent, "readd device %d (%d alive)", ev.Device, fl.alive())
-		return nil
 	case SlowNode:
-		if fl.dead[ev.Device] {
+		switch {
+		case fl.dead[ev.Device]:
 			s.emit(step, TransEvent, "slow-node device %d ignored (dead)", ev.Device)
 			return nil
-		}
-		if ev.Scale == 1 {
-			if fl.slow[ev.Device] == 0 {
-				s.emit(step, TransEvent, "slow-node device %d restored (was healthy)", ev.Device)
-				return nil
-			}
-			delete(fl.slow, ev.Device)
-			if err := s.restoreDevice(ev.Device); err != nil {
-				return err
-			}
-			s.emit(step, TransEvent, "slow-node device %d restored to full speed", ev.Device)
+		case ev.Scale == 1 && fl.slow[ev.Device] == 0:
+			s.emit(step, TransEvent, "slow-node device %d restored (was healthy)", ev.Device)
 			return nil
+		case ev.Scale == 1:
+			delete(fl.slow, ev.Device)
+			s.emit(step, TransEvent, "slow-node device %d restored to full speed", ev.Device)
+		default:
+			fl.slow[ev.Device] = ev.Scale
+			s.emit(step, TransEvent, "slow-node device %d derated to %.2f", ev.Device, ev.Scale)
 		}
-		fl.slow[ev.Device] = ev.Scale
-		if err := s.syncActive(); err != nil {
-			return err
-		}
-		s.emit(step, TransEvent, "slow-node device %d derated to %.2f", ev.Device, ev.Scale)
-		return nil
 	case LinkDerate:
 		if ev.Scale == 1 {
 			fl.linkBW = 0
-			if !s.activeStale {
-				next, err := s.active.RestoreLinks()
-				if err != nil {
-					return err
-				}
-				s.active = next
-			}
 			s.emit(step, TransEvent, "links restored to full bandwidth")
-			return nil
+		} else {
+			fl.linkBW = ev.Scale
+			s.emit(step, TransEvent, "links derated to %.2f bandwidth", ev.Scale)
 		}
-		fl.linkBW = ev.Scale
-		if err := s.syncActive(); err != nil {
-			return err
-		}
-		s.emit(step, TransEvent, "links derated to %.2f bandwidth", ev.Scale)
-		return nil
+	default:
+		return fmt.Errorf("elastic: unknown churn kind %d", uint8(ev.Kind))
 	}
-	return fmt.Errorf("elastic: unknown churn kind %d", uint8(ev.Kind))
+	return s.syncActive()
 }

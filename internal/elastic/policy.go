@@ -120,7 +120,7 @@ func (s *supervisor) ladder(preT float64) (bool, error) {
 	escalate := next == nil
 	if next != nil {
 		projT := s.estimate(&s.active, next)
-		if !math.IsInf(preT, 1) && preT > 0 && (projT-preT)/preT >= s.opt.ReplanThreshold {
+		if !math.IsInf(preT, 1) && preT > 0 && (projT-preT)/preT >= replanThreshold {
 			escalate = true
 		} else {
 			// The projection is within tolerance of the pre-fault plan:
@@ -171,7 +171,6 @@ func (s *supervisor) committed(rung string) {
 // projected throughput loss (or idle capacity) crosses the threshold or
 // persists.
 func (s *supervisor) hysteresis(before hardware.Cluster) error {
-	opt := &s.opt
 	oldT := s.estimate(&before, s.cur)
 	newT := s.estimate(&s.active, s.cur)
 	lossFrac := 0.0
@@ -190,20 +189,20 @@ func (s *supervisor) hysteresis(before hardware.Cluster) error {
 		// Things got faster (a restore): degradation pressure is gone.
 		s.pendingDefer = 0
 	}
-	trigger := lossFrac >= opt.ReplanThreshold || gainFrac >= opt.ReplanThreshold
+	trigger := lossFrac >= replanThreshold || gainFrac >= replanThreshold
 	forced := ""
 	if trigger {
 		forced = fmt.Sprintf("projected loss %.1f%%, idle capacity %.1f%% over threshold %.0f%%",
-			100*lossFrac, 100*gainFrac, 100*opt.ReplanThreshold)
+			100*lossFrac, 100*gainFrac, 100*replanThreshold)
 	} else if lossFrac > eps || gainFrac > eps {
 		s.pendingDefer++
-		if s.pendingDefer >= opt.HysteresisEvents {
+		if s.pendingDefer >= hysteresisEvents {
 			trigger = true
 			forced = fmt.Sprintf("degradation persisted across %d deferred events", s.pendingDefer)
 		} else {
 			s.avoidedReplan()
 			s.emit(s.curP.Step, TransReplanDeferred, "projected loss %.1f%%, idle capacity %.1f%% below threshold %.0f%% (%d/%d deferred)",
-				100*lossFrac, 100*gainFrac, 100*opt.ReplanThreshold, s.pendingDefer, opt.HysteresisEvents)
+				100*lossFrac, 100*gainFrac, 100*replanThreshold, s.pendingDefer, hysteresisEvents)
 		}
 	}
 	if !trigger {

@@ -109,7 +109,7 @@ func (s *supervisor) countEvent(ev ChurnEvent) {
 func (s *supervisor) recovered(began time.Time) {
 	d := time.Since(began)
 	s.rep.Recoveries = append(s.rep.Recoveries, d)
-	s.m.recovery.Observe(d)
+	s.m.recovery.Observe(d.Seconds())
 }
 
 // saveCkpt makes the running state the durable one.
@@ -368,11 +368,11 @@ func (s *supervisor) retryTimeout(te *comm.CollectiveTimeoutError, cause error) 
 	s.retries++
 	s.rep.Retries++
 	s.m.retries.Inc()
-	if s.retries > s.opt.MaxRetries {
-		return fmt.Errorf("elastic: segment failed after %d timeout retries: %w", s.opt.MaxRetries, cause)
+	if s.retries > maxRetries {
+		return fmt.Errorf("elastic: segment failed after %d timeout retries: %w", maxRetries, cause)
 	}
 	delay := backoffDelay(s.opt.BackoffBase, s.opt.BackoffCap, s.retries, s.opt.Seed)
-	s.emit(s.ckpt.Step, TransBackoffRetry, "timeout (%s); retry %d/%d after %v", te.Op, s.retries, s.opt.MaxRetries, delay)
+	s.emit(s.ckpt.Step, TransBackoffRetry, "timeout (%s); retry %d/%d after %v", te.Op, s.retries, maxRetries, delay)
 	if delay > 0 {
 		time.Sleep(delay)
 	}

@@ -116,16 +116,12 @@ func (f *FaultSpec) Validate(c Cluster) error {
 	return nil
 }
 
-// refitFaults rebuilds a normalized fault spec for a cluster reshaped
-// to total physical devices: entries for ranks ≥ total are dropped
-// (those devices no longer exist), in-range entries and link derates
-// are kept. The result is freshly normalized — never the old pointer —
-// so Restrict can't leak a spec whose private index structures were
-// built for the old grid. Returns nil when nothing survives.
-func refitFaults(f *FaultSpec, total int) *FaultSpec {
-	if f == nil {
-		return nil
-	}
+// normalized returns a copy of the spec holding the device entries
+// whose physical rank is below total, with the private indexes the
+// accessors read (sorted dead ranks, derated entries by rank) built
+// for that grid — never the receiver's, so a reshaped cluster cannot
+// inherit indexes built for another.
+func (f *FaultSpec) normalized(total int) FaultSpec {
 	norm := FaultSpec{
 		IntraBWScale:  f.IntraBWScale,
 		InterBWScale:  f.InterBWScale,
@@ -145,6 +141,18 @@ func refitFaults(f *FaultSpec, total int) *FaultSpec {
 		}
 	}
 	sort.Ints(norm.dead)
+	return norm
+}
+
+// refitFaults rebuilds a normalized fault spec for a cluster reshaped
+// to total physical devices: entries for ranks ≥ total are dropped
+// (those devices no longer exist), in-range entries and link derates
+// are kept. Returns nil when nothing survives.
+func refitFaults(f *FaultSpec, total int) *FaultSpec {
+	if f == nil {
+		return nil
+	}
+	norm := f.normalized(total)
 	if len(norm.Devices) == 0 && norm.IntraBWScale == 0 && norm.InterBWScale == 0 &&
 		norm.IntraLatScale == 0 && norm.InterLatScale == 0 {
 		return nil
@@ -166,84 +174,10 @@ func (c *Cluster) Degrade(f FaultSpec) (Cluster, error) {
 	if err := f.Validate(*c); err != nil {
 		return *c, err
 	}
-	norm := FaultSpec{
-		IntraBWScale:  f.IntraBWScale,
-		InterBWScale:  f.InterBWScale,
-		IntraLatScale: f.IntraLatScale,
-		InterLatScale: f.InterLatScale,
-		derated:       make(map[int]DeviceFault),
-	}
-	for _, d := range f.Devices {
-		norm.Devices = append(norm.Devices, d)
-		if d.Dead {
-			norm.dead = append(norm.dead, d.Device)
-		} else if d.FLOPSScale < 1 || d.MemScale < 1 {
-			norm.derated[d.Device] = d
-		}
-	}
-	sort.Ints(norm.dead)
+	norm := f.normalized(c.physTotal()) // Validate kept every entry in range
 	out := *c
 	out.Faults = &norm
 	return out, nil
-}
-
-// Restore returns a copy of the cluster with the fault on physical
-// device phys cleared — the inverse of one Degrade entry. A restored
-// dead device rejoins the logical numbering (logical-rank
-// re-expansion: survivors above it shift up by one); a derated device
-// returns to full throughput and memory. Cluster-wide link derates are
-// untouched — clear those with RestoreLinks. When the last device
-// entry is removed and no link derate remains, the returned cluster is
-// healthy (Faults == nil), bitwise equal to the pre-Degrade value.
-func (c *Cluster) Restore(phys int) (Cluster, error) {
-	if c.Faults == nil {
-		return *c, fmt.Errorf("hardware: restore device %d: cluster is not degraded", phys)
-	}
-	remaining := make([]DeviceFault, 0, len(c.Faults.Devices))
-	found := false
-	for _, d := range c.Faults.Devices {
-		if d.Device == phys {
-			found = true
-			continue
-		}
-		remaining = append(remaining, d)
-	}
-	if !found {
-		return *c, fmt.Errorf("hardware: restore device %d: no fault recorded for it", phys)
-	}
-	return c.reapply(FaultSpec{
-		Devices:       remaining,
-		IntraBWScale:  c.Faults.IntraBWScale,
-		InterBWScale:  c.Faults.InterBWScale,
-		IntraLatScale: c.Faults.IntraLatScale,
-		InterLatScale: c.Faults.InterLatScale,
-	})
-}
-
-// RestoreLinks returns a copy of the cluster with the cluster-wide
-// link derates cleared (the fabric healed); per-device faults are
-// kept. Calling it on a cluster without link derates — including a
-// healthy one — is a no-op, so a "link restored" event needs no
-// state check at the call site.
-func (c *Cluster) RestoreLinks() (Cluster, error) {
-	if c.Faults == nil {
-		return *c, nil
-	}
-	return c.reapply(FaultSpec{Devices: append([]DeviceFault(nil), c.Faults.Devices...)})
-}
-
-// reapply degrades a healthy copy of c with spec, or returns the
-// healthy copy itself when spec is empty — the shared tail of the
-// Restore paths, which guarantees a fully-restored cluster compares
-// bitwise equal to the original.
-func (c *Cluster) reapply(spec FaultSpec) (Cluster, error) {
-	healthy := *c
-	healthy.Faults = nil
-	if len(spec.Devices) == 0 && spec.IntraBWScale == 0 && spec.InterBWScale == 0 &&
-		spec.IntraLatScale == 0 && spec.InterLatScale == 0 {
-		return healthy, nil
-	}
-	return healthy.Degrade(spec)
 }
 
 // DeadDevices returns how many devices the fault spec removed.

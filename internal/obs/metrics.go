@@ -11,7 +11,6 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // Metric names used by the search plumbing (core.SearchContext). The
@@ -29,9 +28,8 @@ const (
 	StageCacheHitsTotal      = "aceso_perfmodel_stage_cache_hits_total"
 	StageCacheMissesTotal    = "aceso_perfmodel_stage_cache_misses_total"
 	MultiHopDepth            = "aceso_search_multihop_depth"
-	// IterationSeconds is a Timer; the snapshot suffixes it with
-	// _seconds_total and _count.
-	IterationSeconds = "aceso_search_iteration"
+	// IterationSeconds is a Histogram over SecondsBuckets.
+	IterationSeconds = "aceso_search_iteration_seconds"
 
 	// Differential-validation harness (internal/diffcheck). Violations
 	// carry a `{kind="..."}` label per invariant.
@@ -46,7 +44,7 @@ const (
 	ElasticReshardBytesMovedTotal = "aceso_elastic_reshard_bytes_moved_total"
 
 	// Recovery policy of elastic.Supervise: ChurnFaultsTotal is the one
-	// fault counter and ChurnRecovery the one recovery timer. Events
+	// fault counter and ChurnRecovery the one recovery histogram. Events
 	// carry a `{kind="..."}` label per ChurnKind, ladder commits a
 	// `{rung="..."}` label per degradation rung, and transitions a
 	// `{kind="..."}` label per TransitionKind.
@@ -59,9 +57,8 @@ const (
 	ChurnPausesTotal         = "aceso_churn_pauses_total"
 	ChurnTransitionsTotal    = "aceso_churn_transitions_total"
 	ChurnStepsLostTotal      = "aceso_churn_steps_lost_total"
-	// ChurnRecovery is a Timer; the snapshot suffixes it with
-	// _seconds_total and _count.
-	ChurnRecovery = "aceso_churn_recovery"
+	// ChurnRecovery is a Histogram over SecondsBuckets.
+	ChurnRecovery = "aceso_churn_recovery_seconds"
 
 	// Spot-capacity supervision (elastic.PreemptNotice drains): notices
 	// received, drains completed with zero lost steps, notices whose
@@ -85,10 +82,13 @@ const (
 	ServeInflight     = "aceso_serve_inflight"
 	ServeQueueDepth   = "aceso_serve_queue_depth"
 	ServeCacheEntries = "aceso_serve_cache_entries"
-	// ServeRequestSeconds is a Timer; the snapshot suffixes it with
-	// _seconds_total and _count.
-	ServeRequestSeconds = "aceso_serve_request"
+	// ServeRequestSeconds is a Histogram over SecondsBuckets.
+	ServeRequestSeconds = "aceso_serve_request_seconds"
 )
+
+// SecondsBuckets are the upper bounds of every duration histogram, in
+// seconds: decades from 100 µs to 100 s.
+var SecondsBuckets = []float64{1e-4, 1e-3, 1e-2, 0.1, 1, 10, 100}
 
 // Counter is a monotonic (or Set-overwritten snapshot) integer metric.
 type Counter struct {
@@ -131,24 +131,6 @@ func (g *Gauge) Add(d float64) {
 // Value returns the current value.
 func (g *Gauge) Value() float64 { return math.Float64frombits(g.v.Load()) }
 
-// Timer accumulates durations: total time and observation count.
-type Timer struct {
-	totalNS atomic.Int64
-	count   atomic.Int64
-}
-
-// Observe records one duration.
-func (t *Timer) Observe(d time.Duration) {
-	t.totalNS.Add(int64(d))
-	t.count.Add(1)
-}
-
-// Total returns the accumulated duration.
-func (t *Timer) Total() time.Duration { return time.Duration(t.totalNS.Load()) }
-
-// Count returns the number of observations.
-func (t *Timer) Count() int64 { return t.count.Load() }
-
 // Histogram counts observations into cumulative ≤-bound buckets
 // (Prometheus semantics), plus a +Inf overflow, a sum and a count.
 type Histogram struct {
@@ -177,7 +159,7 @@ func (h *Histogram) Observe(v float64) {
 // Count returns the number of observations.
 func (h *Histogram) Count() int64 { return h.count.Load() }
 
-// Registry is a named collection of counters, timers and histograms.
+// Registry is a named collection of counters, gauges and histograms.
 // Metric creation takes a lock; updates are lock-free atomics, so a
 // hot path that pre-resolves its metric pointers once pays only an
 // atomic add per event.
@@ -185,7 +167,6 @@ type Registry struct {
 	mu       sync.Mutex
 	counters map[string]*Counter
 	gauges   map[string]*Gauge
-	timers   map[string]*Timer
 	hists    map[string]*Histogram
 }
 
@@ -194,7 +175,6 @@ func NewRegistry() *Registry {
 	return &Registry{
 		counters: make(map[string]*Counter),
 		gauges:   make(map[string]*Gauge),
-		timers:   make(map[string]*Timer),
 		hists:    make(map[string]*Histogram),
 	}
 }
@@ -221,18 +201,6 @@ func (r *Registry) Gauge(name string) *Gauge {
 		r.gauges[name] = g
 	}
 	return g
-}
-
-// Timer returns the named timer, creating it on first use.
-func (r *Registry) Timer(name string) *Timer {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	t, ok := r.timers[name]
-	if !ok {
-		t = &Timer{}
-		r.timers[name] = t
-	}
-	return t
 }
 
 // Histogram returns the named histogram, creating it on first use with
@@ -294,10 +262,6 @@ func (r *Registry) families() []promFamily {
 	}
 	for n, g := range r.gauges {
 		add(baseName(n), "gauge", n, g.Value())
-	}
-	for n, t := range r.timers {
-		add(n+"_seconds_total", "counter", n+"_seconds_total", t.Total().Seconds())
-		add(n+"_count", "counter", n+"_count", float64(t.Count()))
 	}
 	for n, h := range r.hists {
 		cum := int64(0)
@@ -384,8 +348,7 @@ func (r *Registry) WriteJSON(w io.Writer) error {
 // exposition format: one TYPE line per family, families contiguous and
 // sorted by name, histograms typed as such with their buckets in
 // ascending `le` order, and label values re-escaped per the format
-// (`\\`, `\"`, `\n`). Timers flatten to two counter families
-// (_seconds_total and _count — both cumulative).
+// (`\\`, `\"`, `\n`).
 func (r *Registry) WritePrometheus(w io.Writer) error {
 	for _, f := range r.families() {
 		if _, err := fmt.Fprintf(w, "# TYPE %s %s\n", f.name, f.typ); err != nil {

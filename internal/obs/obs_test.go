@@ -7,7 +7,6 @@ import (
 	"reflect"
 	"strings"
 	"testing"
-	"time"
 
 	"aceso/internal/config"
 	"aceso/internal/perfmodel"
@@ -55,7 +54,7 @@ func TestRegistryExports(t *testing.T) {
 	r := NewRegistry()
 	r.Counter(CandidatesEstimatedTotal).Add(42)
 	r.Counter(PrimitiveAppliedTotal + `{primitive="inc-dp"}`).Inc()
-	r.Timer(IterationSeconds).Observe(1500 * time.Millisecond)
+	r.Histogram(IterationSeconds, SecondsBuckets...).Observe(1.5)
 	h := r.Histogram(MultiHopDepth, 1, 2, 4, 8)
 	h.Observe(1)
 	h.Observe(3)
@@ -72,7 +71,9 @@ func TestRegistryExports(t *testing.T) {
 	for name, want := range map[string]float64{
 		CandidatesEstimatedTotal:                       42,
 		PrimitiveAppliedTotal + `{primitive="inc-dp"}`: 1,
-		IterationSeconds + "_seconds_total":            1.5,
+		IterationSeconds + `_bucket{le="1"}`:           0,
+		IterationSeconds + `_bucket{le="10"}`:          1,
+		IterationSeconds + "_sum":                      1.5,
 		IterationSeconds + "_count":                    1,
 		MultiHopDepth + `_bucket{le="1"}`:              1,
 		MultiHopDepth + `_bucket{le="4"}`:              2,

@@ -8,7 +8,6 @@ import (
 	"strconv"
 	"strings"
 	"testing"
-	"time"
 )
 
 // ---------------------------------------------------------------------------
@@ -301,7 +300,7 @@ func TestPrometheusBucketOrder(t *testing.T) {
 // TestPrometheusStrictRoundTrip builds a registry that exercises every
 // historical exposition bug at once — a labeled family whose base name
 // is a strict prefix of another metric (interleaving under lexical
-// sort), histograms and timers (mis-typed as counters), label values
+// sort), histograms (mis-typed as counters), label values
 // needing escaping — and round-trips the output through the strict
 // parser.
 func TestPrometheusStrictRoundTrip(t *testing.T) {
@@ -314,7 +313,7 @@ func TestPrometheusStrictRoundTrip(t *testing.T) {
 	r.Counter("aceso_x_extra").Add(7)
 	r.Counter(CandidatesEstimatedTotal).Add(41)
 	r.Gauge(ServeInflight).Set(2)
-	r.Timer(IterationSeconds).Observe(250 * time.Millisecond)
+	r.Histogram(IterationSeconds, SecondsBuckets...).Observe(0.25)
 	h := r.Histogram(MultiHopDepth, 1, 2, 4, 8)
 	h.Observe(1)
 	h.Observe(3)
@@ -347,8 +346,10 @@ func TestPrometheusStrictRoundTrip(t *testing.T) {
 	if f := byName[ServeInflight]; f.typ != "gauge" || f.samples[0].value != 2 {
 		t.Errorf("%s = %+v, want gauge 2", ServeInflight, f)
 	}
-	if f := byName[IterationSeconds+"_seconds_total"]; f.typ != "counter" || f.samples[0].value != 0.25 {
-		t.Errorf("timer total family = %+v", f)
+	if f := byName[IterationSeconds]; f.typ != "histogram" || len(f.samples) != len(SecondsBuckets)+3 {
+		t.Errorf("%s family = %+v, want a histogram of %d buckets, +Inf, _sum and _count", IterationSeconds, f, len(SecondsBuckets))
+	} else if last := f.samples[len(f.samples)-2]; last.value != 0.25 {
+		t.Errorf("%s_sum = %v, want 0.25", IterationSeconds, last.value)
 	}
 	esc := byName["aceso_escape_total"]
 	if len(esc.samples) != 1 {

@@ -119,7 +119,7 @@ type DeviceClassSpec struct {
 }
 
 // ClusterSpec describes the target cluster. Faults, when present,
-// route the request through core.Replan against the degraded cluster.
+// degrade it: the request is planned on the degraded cluster.
 type ClusterSpec struct {
 	// Preset names the parametric cluster: "dgx1v100" (the default) or
 	// "a100v100" (a mixed fleet — A100 nodes first; node_classes may
@@ -137,9 +137,10 @@ type ClusterSpec struct {
 	NodeClasses []int             `json:"node_classes,omitempty"`
 }
 
-// Build returns the healthy cluster plus the fault spec to apply (nil
-// when the request targets healthy hardware). The faults are returned
-// unapplied because the Replan path wants (healthy cluster, spec).
+// Build returns the healthy cluster plus the validated fault spec to
+// apply to it with Cluster.Degrade (nil when the request targets
+// healthy hardware) — the (healthy cluster, spec) pair core.Replan
+// also takes.
 func (c *ClusterSpec) Build() (hardware.Cluster, *hardware.FaultSpec, error) {
 	if c.Nodes <= 0 {
 		return hardware.Cluster{}, nil, fmt.Errorf("planserver: cluster.nodes must be > 0")

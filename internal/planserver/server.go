@@ -76,6 +76,8 @@ type Server struct {
 	reg   *obs.Registry
 	trace *obs.JSONLTracer // rolling bounded window for /v1/trace
 
+	requestSeconds *obs.Histogram // resolved once: the hit path looks nothing up
+
 	sem    chan struct{} // search slots
 	queued atomic.Int64  // requests waiting for a slot
 
@@ -97,6 +99,7 @@ func New(cfg Config) *Server {
 		sem:   make(chan struct{}, cfg.Concurrency),
 		mux:   http.NewServeMux(),
 	}
+	s.requestSeconds = s.reg.Histogram(obs.ServeRequestSeconds, obs.SecondsBuckets...)
 	s.mux.HandleFunc("/v1/plan", s.handlePlan)
 	s.mux.HandleFunc("/v1/stats", s.handleStats)
 	s.mux.HandleFunc("/v1/trace", s.handleTrace)
@@ -201,16 +204,15 @@ func (s *Server) handleTrace(w http.ResponseWriter, _ *http.Request) {
 
 // request carries one plan request through admission and search.
 type request struct {
-	req     PlanRequest
-	graph   *model.Graph
-	healthy hardware.Cluster // pre-fault cluster
-	target  hardware.Cluster // degraded when faults present, else healthy
-	faults  *hardware.FaultSpec
-	opts    SearchOptions // normalized
-	key     plancache.Key
+	req    PlanRequest
+	graph  *model.Graph
+	target hardware.Cluster // degraded when the request carries faults
+	opts   SearchOptions    // normalized
+	key    plancache.Key
 }
 
-// prepare validates and hashes the request.
+// prepare validates the request, degrades its cluster by its faults and
+// hashes it.
 func (s *Server) prepare(pr PlanRequest) (*request, error) {
 	g, err := pr.Model.Build()
 	if err != nil {
@@ -229,12 +231,10 @@ func (s *Server) prepare(pr PlanRequest) (*request, error) {
 	}
 	opts := pr.Options.normalize(s.cfg.DefaultBudget, s.cfg.MaxBudget)
 	return &request{
-		req:     pr,
-		graph:   g,
-		healthy: healthy,
-		target:  target,
-		faults:  faults,
-		opts:    opts,
+		req:    pr,
+		graph:  g,
+		target: target,
+		opts:   opts,
 		key: plancache.Key{
 			Graph:   plancache.GraphHash(g),
 			Cluster: plancache.ClusterHash(&target),
@@ -260,7 +260,7 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 	defer s.endRequest()
 
 	start := time.Now()
-	defer func() { s.reg.Timer(obs.ServeRequestSeconds).Observe(time.Since(start)) }()
+	defer func() { s.requestSeconds.Observe(time.Since(start).Seconds()) }()
 
 	var pr PlanRequest
 	if err := json.NewDecoder(r.Body).Decode(&pr); err != nil {
@@ -360,20 +360,10 @@ func (s *Server) runSearch(ctx context.Context, rq *request, extraTracer obs.Tra
 		}
 	}
 
-	var res *core.Result
-	var err error
-	if rq.faults != nil {
-		var prev *config.Config
-		if donor != nil {
-			prev = donor.Config
-		}
-		res, err = core.Replan(ctx, rq.graph, rq.healthy, *rq.faults, prev, opts)
-	} else {
-		if donor != nil {
-			opts = core.WarmOptions(rq.graph, donor.Config, rq.target.TotalDevices(), opts)
-		}
-		res, err = core.SearchContext(ctx, rq.graph, rq.target, opts)
+	if donor != nil {
+		opts = core.WarmOptions(rq.graph, donor.Config, rq.target.TotalDevices(), opts)
 	}
+	res, err := core.SearchContext(ctx, rq.graph, rq.target, opts)
 	if err != nil {
 		return nil, http.StatusUnprocessableEntity, err
 	}

@@ -2,6 +2,7 @@ package planserver
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"io"
 	"net/http"
@@ -13,6 +14,7 @@ import (
 	"time"
 
 	"aceso/internal/config"
+	"aceso/internal/core"
 	"aceso/internal/plancache"
 )
 
@@ -148,6 +150,54 @@ func TestWarmNearMissOnDegradedCluster(t *testing.T) {
 	}
 	if !bytes.Equal(out2.Plan, out3.Plan) {
 		t.Fatal("degraded cached plan differs")
+	}
+}
+
+// TestFaultedRequestPlansLikeReplan pins the one search path of a miss:
+// a request with a dead device plans, byte for byte, what core.Replan
+// plans for the same graph, healthy cluster, faults and options —
+// warm-started from the healthy twin's cached plan, and from cold.
+func TestFaultedRequestPlansLikeReplan(t *testing.T) {
+	s, ts := testServer(t, Config{})
+	degraded := tinyRequest()
+	degraded.Cluster.Faults = &FaultsSpec{Dead: []int{3}}
+	g, err := degraded.Model.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	healthy, faults, err := degraded.Cluster.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := degraded.Options.normalize(s.cfg.DefaultBudget, s.cfg.MaxBudget).core()
+	replan := func(prev *config.Config) []byte {
+		t.Helper()
+		res, err := core.Replan(context.Background(), g, healthy, *faults, prev, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw, err := json.Marshal(buildPlan(res))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return raw
+	}
+
+	postPlan(t, ts.URL, tinyRequest())
+	rq, err := s.prepare(tinyRequest())
+	if err != nil {
+		t.Fatal(err)
+	}
+	donor, ok := s.Cache().Get(rq.key)
+	if !ok {
+		t.Fatal("healthy twin not cached")
+	}
+	if _, out := postPlan(t, ts.URL, degraded); out.Cache != "warm" || !bytes.Equal(out.Plan, replan(donor.Config)) {
+		t.Errorf("warm dead-device plan (cache %q) differs from core.Replan's from the same donor", out.Cache)
+	}
+	degraded.NoCache = true
+	if _, out := postPlan(t, ts.URL, degraded); out.Cache != "miss" || !bytes.Equal(out.Plan, replan(nil)) {
+		t.Errorf("cold dead-device plan (cache %q) differs from core.Replan's", out.Cache)
 	}
 }
 
@@ -340,7 +390,8 @@ func TestMetricsAndStatsEndpoints(t *testing.T) {
 		`aceso_serve_requests_total{code="200"} 2`,
 		`aceso_serve_cache_hits_total{kind="exact"} 1`,
 		"# TYPE aceso_serve_cache_entries gauge",
-		"# TYPE aceso_serve_request_seconds_total counter",
+		"# TYPE aceso_serve_request_seconds histogram",
+		`aceso_serve_request_seconds_count 2`,
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("/metrics missing %q\n%s", want, text)
