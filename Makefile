@@ -1,7 +1,7 @@
 GO ?= go
 BENCH = $(GO) run ./cmd/acesobench
 
-.PHONY: build test ci paper fmt-check bench-smoke fuzz-smoke recover-smoke serve-smoke loc
+.PHONY: build test ci paper fmt-check bench-smoke fuzz-smoke recover-smoke loc
 
 build:
 	$(GO) build ./...
@@ -46,7 +46,6 @@ ci: build fmt-check
 	$(GO) test -run xxx -bench . -benchtime 1x ./internal/config ./internal/profiler
 	out=$$(mktemp -d) && $(BENCH) -outdir $$out scale && $(BENCH) -outdir $$out trace diff hetero spot && \
 		$(BENCH) -duration 10s chaos && $(MAKE) recover-smoke OUT=$$out
-	$(MAKE) serve-smoke
 
 # fmt-check fails when gofmt would change any file of either module.
 fmt-check:
@@ -80,12 +79,6 @@ recover-smoke:
 	$(BENCH) -outdir $(OUT) churn
 	$(GO) test -count=1 -run 'TestRunClean/spot' ./internal/chaos
 	$(GO) test -count=1 -run 'TestSuperviseNoticeDrainZeroLostSteps|TestSuperviseNoticeMissedFallsBack' ./internal/elastic
-
-# serve-smoke boots the planning daemon in self-test mode on an
-# ephemeral port: cold plan → exact cache hit (bytes must match) →
-# SSE stream → /metrics scrape → /healthz → SIGTERM drain.
-serve-smoke:
-	$(GO) run ./cmd/acesod -smoke
 
 # loc prints what ROADMAP item 7 budgets: the non-test Go lines of the
 # root module (bench/ is a module of its own) and of cmd/acesobench,

@@ -178,8 +178,10 @@ func runChurn(e *env) (any, []string, error) {
 	if rep.FaultsDetected > 0 {
 		out.StepsLostPerFault = float64(rep.StepsLost) / float64(rep.FaultsDetected)
 	}
+	fmt.Fprintln(e.w, "churn: supervisor decisions:")
 	for _, tr := range rep.Transitions {
 		out.Transitions = append(out.Transitions, fmt.Sprintf("step %d [%s] %s", tr.Step, tr.Kind, tr.Detail))
+		fmt.Fprintf(e.w, "  %s\n", out.Transitions[len(out.Transitions)-1])
 	}
 
 	var g gates

@@ -65,6 +65,8 @@ var registry = []target{
 	{name: "scale", run: runScale,
 		doc: "fixed-iteration searches on 1024/2048/4096 synthetic V100s: explored counts, allocation, 4096-vs-1024 linearity gate"},
 	figure("cases", "§5.4 case studies", exps.Cases, exps.RenderCases, nil),
+	figure("shared", "§1: samples a job trains on a shared cluster whose allocation keeps changing, cold vs warm Aceso vs Alpa-like",
+		exps.SharedCluster, exps.RenderShared, nil),
 	{name: "trace", run: runTrace,
 		doc: "the fixed-iteration GPT-3 2.6B/16-V100 search with the JSONL, convergence and breakdown-audit tracers and the metrics registry attached; also writes BENCH_trace.jsonl; fails on any audit violation"},
 	{name: "diff", run: runDiff,

@@ -1,9 +1,10 @@
 package main
 
 // The paper targets: Figure 1, Exp#1-9 (Figures 7-16, Tables 3-5), the
-// §5.4 case studies and this implementation's ablations. Each renders
-// its table to stdout and, under -csv, writes the same rows as CSV;
-// none has a report or a gate. internal/exps does the work.
+// §5.4 case studies, the §1 shared-cluster scenario and this
+// implementation's ablations. Each renders its table to stdout and,
+// under -csv, writes the same rows as CSV; none has a report or a gate.
+// internal/exps does the work.
 
 import (
 	"fmt"

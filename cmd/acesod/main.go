@@ -8,28 +8,32 @@
 // Usage:
 //
 //	acesod -addr :7433 -concurrency 8 -queue 64 -cache 256
-//	acesod -smoke    # self-test: start, plan, cache-hit, scrape, drain
 package main
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
-	"io"
 	"log"
 	"net"
 	"net/http"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 	"time"
 
 	"aceso/internal/obs"
 	"aceso/internal/planserver"
+)
+
+// A client gets readHeaderTimeout to send its request headers and an
+// idle keep-alive connection is closed after idleTimeout. There is no
+// write timeout: an SSE stream or a search under the 30 s -max-budget
+// must outlive any fixed bound on the response.
+const (
+	readHeaderTimeout = 5 * time.Second
+	idleTimeout       = 2 * time.Minute
 )
 
 func main() {
@@ -41,7 +45,6 @@ func main() {
 		defaultBudget = flag.Duration("default-budget", 2*time.Second, "search budget when a request omits budget_ms")
 		maxBudget     = flag.Duration("max-budget", 30*time.Second, "upper clamp on requested budgets")
 		traceCap      = flag.Int("trace-cap", 4096, "rolling iteration-trace window served at /v1/trace")
-		smoke         = flag.Bool("smoke", false, "self-test: plan, cache-hit, scrape /metrics, drain, exit")
 	)
 	flag.Parse()
 
@@ -54,15 +57,15 @@ func main() {
 		TraceCap:      *traceCap,
 	})
 
-	listenAddr := *addr
-	if *smoke {
-		listenAddr = "127.0.0.1:0" // never collide with a real daemon
-	}
-	ln, err := net.Listen("tcp", listenAddr)
+	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
-		log.Fatalf("acesod: listen %s: %v", listenAddr, err)
+		log.Fatalf("acesod: listen %s: %v", *addr, err)
 	}
-	hs := &http.Server{Handler: srv.Handler()}
+	hs := &http.Server{
+		Handler:           srv.Handler(),
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
+	}
 
 	serveDone := make(chan error, 1)
 	go func() { serveDone <- hs.Serve(ln) }()
@@ -84,23 +87,12 @@ func main() {
 
 	log.Printf("acesod: serving on %s (concurrency=%d queue=%d cache=%d)", ln.Addr(), *concurrency, *queue, *cacheSize)
 
-	if *smoke {
-		if err := runSmoke(fmt.Sprintf("http://%s", ln.Addr())); err != nil {
-			log.Fatalf("acesod: smoke FAIL: %v", err)
-		}
-		// Exercise the real drain path end to end.
-		sigc <- syscall.SIGTERM
-	}
-
 	err = <-serveDone
 	if err != nil && !errors.Is(err, http.ErrServerClosed) {
 		log.Fatalf("acesod: serve: %v", err)
 	}
 	<-drained
 	flushMetrics(srv.Registry())
-	if *smoke {
-		log.Printf("acesod: smoke OK")
-	}
 	log.Printf("acesod: drained, bye")
 }
 
@@ -109,98 +101,4 @@ func main() {
 func flushMetrics(reg *obs.Registry) {
 	fmt.Fprintln(os.Stderr, "# acesod final metrics snapshot")
 	_ = reg.WritePrometheus(os.Stderr)
-}
-
-// runSmoke drives one of everything against the live daemon: a cold
-// plan, an exact cache hit that must replay the identical bytes, an
-// SSE stream, a /metrics scrape, and /healthz.
-func runSmoke(base string) error {
-	req := map[string]any{
-		"model":   map[string]any{"family": "tinygpt", "layers": 2, "seq": 64, "hidden": 128, "heads": 4, "batch": 8},
-		"cluster": map[string]any{"nodes": 1, "restrict": 4},
-		"options": map[string]any{"budget_ms": 10000, "max_iterations": 2, "stage_counts": []int{1, 2}, "seed": 7},
-	}
-	post := func(body map[string]any) (planserver.PlanResponse, error) {
-		var out planserver.PlanResponse
-		raw, err := json.Marshal(body)
-		if err != nil {
-			return out, err
-		}
-		resp, err := http.Post(base+"/v1/plan", "application/json", bytes.NewReader(raw))
-		if err != nil {
-			return out, err
-		}
-		defer resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			b, _ := io.ReadAll(resp.Body)
-			return out, fmt.Errorf("POST /v1/plan: status %d: %s", resp.StatusCode, b)
-		}
-		return out, json.NewDecoder(resp.Body).Decode(&out)
-	}
-
-	first, err := post(req)
-	if err != nil {
-		return err
-	}
-	if first.Cache != "miss" {
-		return fmt.Errorf("first plan: cache=%q, want miss", first.Cache)
-	}
-	second, err := post(req)
-	if err != nil {
-		return err
-	}
-	if second.Cache != "hit" {
-		return fmt.Errorf("second plan: cache=%q, want hit", second.Cache)
-	}
-	if !bytes.Equal(first.Plan, second.Plan) {
-		return fmt.Errorf("cache hit returned different plan bytes")
-	}
-
-	// SSE stream.
-	sreq := map[string]any{}
-	for k, v := range req {
-		sreq[k] = v
-	}
-	sreq["stream"] = true
-	sreq["no_cache"] = true
-	raw, _ := json.Marshal(sreq)
-	resp, err := http.Post(base+"/v1/plan", "application/json", bytes.NewReader(raw))
-	if err != nil {
-		return err
-	}
-	stream, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if !strings.Contains(string(stream), "event: result") {
-		return fmt.Errorf("SSE stream missing result frame")
-	}
-
-	// Metrics scrape: correct content type, the serve families present.
-	mresp, err := http.Get(base + "/metrics")
-	if err != nil {
-		return err
-	}
-	mtext, _ := io.ReadAll(mresp.Body)
-	mresp.Body.Close()
-	if mresp.StatusCode != http.StatusOK {
-		return fmt.Errorf("GET /metrics: status %d", mresp.StatusCode)
-	}
-	for _, want := range []string{
-		"# TYPE aceso_serve_requests_total counter",
-		`aceso_serve_cache_hits_total{kind="exact"} 1`,
-	} {
-		if !strings.Contains(string(mtext), want) {
-			return fmt.Errorf("/metrics missing %q", want)
-		}
-	}
-
-	hresp, err := http.Get(base + "/healthz")
-	if err != nil {
-		return err
-	}
-	io.Copy(io.Discard, hresp.Body)
-	hresp.Body.Close()
-	if hresp.StatusCode != http.StatusOK {
-		return fmt.Errorf("GET /healthz: status %d", hresp.StatusCode)
-	}
-	return nil
 }

@@ -55,7 +55,7 @@ var (
 	// schedule, train → kill → replan → reshard → resume.
 	OneFault = recovery("one-fault", oneFault)
 	// Churn draws a mixed schedule of preemptions, re-additions,
-	// stragglers and link derates (RandomChurnSpec).
+	// stragglers and link derates (randomChurnSpec).
 	Churn = recovery("churn", churn)
 	// Spot draws a Poisson-hazard reclaim stream with a mix of noticed
 	// and unnoticed reclaims and a random checkpoint cost

@@ -90,12 +90,12 @@ func drawShape(rng *rand.Rand, dim int) Shape {
 	}
 }
 
-// RandomChurnSpec draws a random churn schedule for a cluster of the
+// randomChurnSpec draws a random churn schedule for a cluster of the
 // given size: preemptions, re-additions (biased toward dead devices so
 // runs tend to regain capacity), stragglers with later restores, and
 // link derates. Iterations may land past iters — a paused run consumes
 // the remaining schedule while it waits for capacity.
-func RandomChurnSpec(rng *rand.Rand, devices, iters, maxEvents int) elastic.ChurnSpec {
+func randomChurnSpec(rng *rand.Rand, devices, iters, maxEvents int) elastic.ChurnSpec {
 	var spec elastic.ChurnSpec
 	dead := map[int]bool{}
 	derated := map[int]bool{}
@@ -258,7 +258,7 @@ func recoveryTrial(kind schedule, rng *rand.Rand, seed int64) (bool, *Violation)
 		}
 	case churn:
 		job.Iters = 4 + rng.Intn(5) // 4..8
-		spec = RandomChurnSpec(rng, total, job.Iters, 2+rng.Intn(7))
+		spec = randomChurnSpec(rng, total, job.Iters, 2+rng.Intn(7))
 		opt.SimulateTimeouts = rng.Intn(2)
 	case spot:
 		job.Iters = 4 + rng.Intn(5)

@@ -14,7 +14,7 @@ func TestRandomSpecsAlwaysValid(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	for i := 0; i < 500; i++ {
 		devices := 1 + rng.Intn(8)
-		churn := RandomChurnSpec(rng, devices, 2+rng.Intn(8), rng.Intn(12))
+		churn := randomChurnSpec(rng, devices, 2+rng.Intn(8), rng.Intn(12))
 		if err := churn.Validate(devices); err != nil {
 			t.Fatalf("generated churn spec invalid (iteration %d, devices %d): %v", i, devices, err)
 		}
@@ -31,7 +31,7 @@ func TestRandomChurnSpecMixesKinds(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	seen := map[elastic.ChurnKind]bool{}
 	for i := 0; i < 200; i++ {
-		spec := RandomChurnSpec(rng, 8, 8, 8)
+		spec := randomChurnSpec(rng, 8, 8, 8)
 		for _, ev := range spec.Events {
 			seen[ev.Kind] = true
 		}

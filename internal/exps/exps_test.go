@@ -6,6 +6,8 @@ import (
 	"testing"
 	"time"
 
+	"aceso/internal/hardware"
+	"aceso/internal/model"
 	"aceso/internal/obs"
 )
 
@@ -59,6 +61,12 @@ func TestE2ESmall(t *testing.T) {
 		}
 		if c.PredTime <= 0 || c.ActualTime <= 0 || c.PredMem <= 0 || c.ActualMem <= 0 {
 			t.Errorf("%s-%s: accuracy fields missing", c.Family, c.Size)
+		}
+		// V100 fp16 peak is 125 TFLOPS: effective must be positive and below it.
+		for _, tf := range []float64{c.AcesoTF, c.MegatronTF, c.AlpaTF} {
+			if tf <= 0 || tf >= 125 {
+				t.Errorf("%s-%s: TFLOPS/GPU %v, want (0, 125)", c.Family, c.Size, tf)
+			}
 		}
 	}
 	var buf bytes.Buffer
@@ -274,6 +282,61 @@ func TestCSVWriters(t *testing.T) {
 	}
 	if !strings.Contains(buf.String(), "g,v,0.5,0.5,2") {
 		t.Errorf("curves csv = %s", buf.String())
+	}
+}
+
+// TestSharedClusterComparesPlanners plays GPT-3 1.3B through 8 → 4 → 8
+// GPUs: the Alpa-like solver's emulated compile time must cost real
+// training time against Aceso's — the paper's §1 motivation.
+func TestSharedClusterComparesPlanners(t *testing.T) {
+	g, err := model.GPT3("1.3B")
+	if err != nil {
+		t.Fatal(err)
+	}
+	trace := []allocation{{0, 8}, {30 * time.Minute, 4}, {60 * time.Minute, 8}}
+	rows, err := sharedCluster(g, hardware.DGX1V100(1), trace, 90*time.Minute,
+		Settings{Budget: 300 * time.Millisecond, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rows) != 3 {
+		t.Fatalf("rows = %d, want 3", len(rows))
+	}
+	byName := map[string]SharedRow{}
+	for _, r := range rows {
+		byName[r.Planner] = r
+		if r.Samples <= 0 {
+			t.Errorf("%s trained no samples", r.Planner)
+		}
+		if len(r.Windows) != 3 {
+			t.Errorf("%s: %d windows, want 3", r.Planner, len(r.Windows))
+		}
+		if r.Utilization <= 0 || r.Utilization > 1 {
+			t.Errorf("%s: utilization %v", r.Planner, r.Utilization)
+		}
+	}
+	if byName["alpa"].PlanOverhead <= byName["aceso"].PlanOverhead {
+		t.Error("alpa plan overhead should exceed aceso's")
+	}
+	if byName["alpa"].Utilization >= byName["aceso"].Utilization {
+		t.Error("aceso should utilize the cluster better under churn")
+	}
+	var buf bytes.Buffer
+	RenderShared(&buf, rows)
+	if !strings.Contains(buf.String(), "aceso-warm") {
+		t.Errorf("render missing the warm planner:\n%s", buf.String())
+	}
+}
+
+// TestPlanningTimeEatsTraining: a window shorter than its planning
+// time trains nothing; the rest of a longer one trains at the plan's
+// rate.
+func TestPlanningTimeEatsTraining(t *testing.T) {
+	if got := samples(200*time.Millisecond, 400*time.Millisecond, 0.5, 64); got != 0 {
+		t.Errorf("window shorter than planning trained %v samples, want 0", got)
+	}
+	if got := samples(10*time.Second, 4*time.Second, 0.5, 64); got != 6/0.5*64 {
+		t.Errorf("6 s of training at 0.5 s/iter × 64 = %v samples, want 768", got)
 	}
 }
 

@@ -203,15 +203,6 @@ func (g *Graph) TotalParams() float64 {
 	return sum
 }
 
-// TotalFwdFLOPs returns the per-sample forward FLOPs of the model.
-func (g *Graph) TotalFwdFLOPs() float64 {
-	var sum float64
-	for i := range g.Ops {
-		sum += g.Ops[i].FwdFLOPs
-	}
-	return sum
-}
-
 // Layers returns the number of distinct non-negative layer indices.
 func (g *Graph) Layers() int {
 	max := -1

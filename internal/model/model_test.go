@@ -207,8 +207,12 @@ func TestUniformAndSkewed(t *testing.T) {
 	if err := u.Validate(); err != nil {
 		t.Fatalf("Uniform.Validate(): %v", err)
 	}
-	if got, want := u.TotalFwdFLOPs(), 1e10; got != want {
-		t.Errorf("Uniform FLOPs = %v, want %v", got, want)
+	var flops float64
+	for i := range u.Ops {
+		flops += u.Ops[i].FwdFLOPs
+	}
+	if want := 1e10; flops != want {
+		t.Errorf("Uniform FLOPs = %v, want %v", flops, want)
 	}
 	s := Skewed(10, 1e9, 1e6, 1e5, 0.5, 64)
 	if err := s.Validate(); err != nil {

@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -117,16 +116,6 @@ type Gauge struct {
 
 // Set overwrites the value.
 func (g *Gauge) Set(v float64) { g.v.Store(math.Float64bits(v)) }
-
-// Add adjusts the value by d (d may be negative).
-func (g *Gauge) Add(d float64) {
-	for {
-		old := g.v.Load()
-		if g.v.CompareAndSwap(old, math.Float64bits(math.Float64frombits(old)+d)) {
-			return
-		}
-	}
-}
 
 // Value returns the current value.
 func (g *Gauge) Value() float64 { return math.Float64frombits(g.v.Load()) }
@@ -327,21 +316,6 @@ func (r *Registry) MarshalJSON() ([]byte, error) {
 	}
 	b.WriteByte('}')
 	return []byte(b.String()), nil
-}
-
-// WriteJSON writes the snapshot as indented JSON.
-func (r *Registry) WriteJSON(w io.Writer) error {
-	raw, err := r.MarshalJSON()
-	if err != nil {
-		return err
-	}
-	var buf bytes.Buffer
-	if err := json.Indent(&buf, raw, "", "  "); err != nil {
-		return err
-	}
-	buf.WriteByte('\n')
-	_, err = w.Write(buf.Bytes())
-	return err
 }
 
 // WritePrometheus writes the snapshot in the Prometheus text

@@ -60,13 +60,13 @@ func TestRegistryExports(t *testing.T) {
 	h.Observe(3)
 	h.Observe(100) // overflow → +Inf only
 
-	var js bytes.Buffer
-	if err := r.WriteJSON(&js); err != nil {
+	js, err := json.Marshal(r)
+	if err != nil {
 		t.Fatal(err)
 	}
 	var got map[string]float64
-	if err := json.Unmarshal(js.Bytes(), &got); err != nil {
-		t.Fatalf("WriteJSON output is not valid JSON: %v\n%s", err, js.String())
+	if err := json.Unmarshal(js, &got); err != nil {
+		t.Fatalf("MarshalJSON output is not valid JSON: %v\n%s", err, js)
 	}
 	for name, want := range map[string]float64{
 		CandidatesEstimatedTotal:                       42,

@@ -89,37 +89,3 @@ func TestReshardCommBucket(t *testing.T) {
 		t.Errorf("uniform stage has ReshardComm = %v, want 0", ue.Stages[0].ReshardComm)
 	}
 }
-
-// Regression for EffectiveTFLOPS dividing by the cluster's total
-// device count even when the estimated configuration spans fewer
-// devices (core.ProjectConfig shrink paths): the per-GPU figure must
-// use the configuration's own span.
-func TestEffectiveTFLOPSPartialSpan(t *testing.T) {
-	g, _ := model.GPT3("350M")
-	m := newModel(t, g, 16)
-	c := balanced(t, g, 8, 2, 1) // spans half the 16-device cluster
-	e := m.Estimate(c)
-	if !e.Feasible {
-		t.Fatal("expected feasible")
-	}
-	if e.Devices != 8 {
-		t.Fatalf("Estimate.Devices = %d, want 8", e.Devices)
-	}
-	var flops float64
-	for i := range g.Ops {
-		o := &g.Ops[i]
-		flops += o.FwdFLOPs * (1 + o.BwdFLOPsFactor)
-	}
-	want := flops * float64(g.GlobalBatch) / e.IterTime / 8 / 1e12
-	got := m.EffectiveTFLOPS(e)
-	if diff := got/want - 1; math.Abs(diff) > 1e-9 {
-		t.Errorf("EffectiveTFLOPS = %v, want %v (divide by the 8 devices spanned, not the 16-device cluster)",
-			got, want)
-	}
-
-	// Full-span estimates are unchanged: Devices == cluster total.
-	fe := m.Estimate(balanced(t, g, 16, 2, 1))
-	if fe.Devices != 16 {
-		t.Errorf("full-span Estimate.Devices = %d, want 16", fe.Devices)
-	}
-}

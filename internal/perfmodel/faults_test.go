@@ -63,7 +63,7 @@ func TestEstimateCheckedCatchesPoison(t *testing.T) {
 	cl := hardware.DGX1V100(1).Restrict(4)
 	m := New(g, cl, 1)
 	cfg := balanced(t, g, 4, 2, 1)
-	if _, err := m.EstimateChecked(cfg); err != nil {
+	if err := ValidateEstimate(m.Estimate(cfg)); err != nil {
 		t.Fatalf("clean estimate rejected: %v", err)
 	}
 	// Hand-poison an estimate and check ValidateEstimate flags it.

@@ -535,62 +535,3 @@ func ValidateEstimate(e *Estimate) error {
 	}
 	return nil
 }
-
-// NoMicrobatchesError reports a degenerate configuration whose
-// microbatch size (times data parallelism) exceeds the global batch:
-// it would execute zero microbatches per iteration, i.e. no work.
-// Estimate marks such configs infeasible; EstimateChecked surfaces
-// this typed error so tooling can distinguish "cannot fit" from
-// "does nothing".
-type NoMicrobatchesError struct {
-	MicroBatch  int
-	GlobalBatch int
-}
-
-func (e *NoMicrobatchesError) Error() string {
-	return fmt.Sprintf("perfmodel: zero microbatches per iteration (micro-batch %d exceeds global batch %d)",
-		e.MicroBatch, e.GlobalBatch)
-}
-
-// EstimateChecked is Estimate followed by ValidateEstimate — the entry
-// point for callers that consume untrusted graphs, clusters or
-// profiler databases (the chaos harness, external tooling). A
-// zero-work configuration returns a *NoMicrobatchesError.
-func (m *Model) EstimateChecked(cfg *config.Config) (*Estimate, error) {
-	est := m.Estimate(cfg)
-	if est.Microbatches <= 0 {
-		return nil, &NoMicrobatchesError{
-			MicroBatch:  cfg.MicroBatch,
-			GlobalBatch: m.Graph.GlobalBatch,
-		}
-	}
-	if err := ValidateEstimate(est); err != nil {
-		return nil, err
-	}
-	return est, nil
-}
-
-// EffectiveTFLOPS returns the per-GPU effective TFLOPS of an estimate:
-// useful model FLOPs (forward + backward, excluding recomputation) per
-// second per device — the metric of Tables 3–5.
-func (m *Model) EffectiveTFLOPS(est *Estimate) float64 {
-	if !est.Feasible || est.IterTime <= 0 {
-		return 0
-	}
-	var flops float64
-	for i := range m.Graph.Ops {
-		o := &m.Graph.Ops[i]
-		flops += o.FwdFLOPs * (1 + o.BwdFLOPsFactor)
-	}
-	flops *= float64(m.Graph.GlobalBatch)
-	// Per-GPU means per GPU the configuration actually uses: elastic
-	// shrink/projection paths produce estimates spanning less than the
-	// full cluster, and dividing by the cluster total would understate
-	// their efficiency. Fall back to the cluster only for estimates
-	// built before Devices was recorded (hand-assembled metrics).
-	devices := est.Devices
-	if devices <= 0 {
-		devices = m.Cluster.TotalDevices()
-	}
-	return flops / est.IterTime / float64(devices) / 1e12
-}
