@@ -42,7 +42,7 @@ ci: build fmt-check
 	$(MAKE) bench-smoke
 	$(GO) test -race ./...
 	$(MAKE) fuzz-smoke
-	$(GO) test -run xxx -bench BenchmarkSearchThroughput -benchtime 1x .
+	$(GO) test -run xxx -bench BenchmarkSearchThroughput -benchtime 1x -benchmem .
 	$(GO) test -run xxx -bench . -benchtime 1x ./internal/config ./internal/profiler
 	out=$$(mktemp -d) && $(BENCH) -outdir $$out scale && $(BENCH) -outdir $$out trace diff hetero spot && \
 		$(BENCH) -duration 10s chaos && $(MAKE) recover-smoke OUT=$$out

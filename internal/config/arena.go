@@ -97,26 +97,14 @@ func (c *Config) CloneIn(a *Arena) *Config {
 	// Reuse the recycled config's flat ops backing (see Config.flat);
 	// per-stage windows get cap==len exactly like Clone, so appends on
 	// one stage's Ops never clobber a neighbor.
-	total := 0
-	for i := range c.Stages {
-		total += len(c.Stages[i].Ops)
-	}
+	total := c.numOps()
 	flat := out.flat
 	if cap(flat) >= total {
 		flat = flat[:total]
 	} else {
 		flat = make([]OpSetting, total)
 	}
-	out.flat = flat
 	copy(out.Stages, c.Stages)
-	off := 0
-	for i := range out.Stages {
-		st := &out.Stages[i]
-		n := len(st.Ops)
-		dst := flat[off : off+n : off+n]
-		copy(dst, st.Ops)
-		st.Ops = dst
-		off += n
-	}
+	out.tile(flat)
 	return out
 }

@@ -67,6 +67,20 @@ func BenchmarkHashCanonicalCold(b *testing.B) {
 	}
 }
 
+// BenchmarkShiftBoundary is what moving an op across a boundary costs a
+// clone: two windows re-cut in its own backing and both stages
+// invalidated — no setting copied, nothing allocated. Each pair of
+// iterations moves one op into a stage and back.
+func BenchmarkShiftBoundary(b *testing.B) {
+	c := benchConfig(b).Clone()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		si := i / 2 % (len(c.Stages) - 1)
+		sinkHash += uint64(len(c.ShiftBoundary(si, 1-2*(i&1))))
+	}
+}
+
 // scaleConfigs returns search-scale's deepest start (10 240 ops in 32
 // stages on 4 096 devices) and a neighbor with one op of one stage
 // rewritten — what a fine-tune candidate is to the best so far.

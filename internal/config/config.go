@@ -230,7 +230,8 @@ type Config struct {
 	// clamping each window's capacity — which hides the backing's true
 	// capacity from the arena). Total op count is invariant within one
 	// search, so a recycled config's flat always fits the next clone and
-	// CloneIn reuses it instead of allocating.
+	// CloneIn reuses it instead of allocating; ShiftBoundary re-cuts two
+	// neighbouring windows of it.
 	flat []OpSetting
 }
 
@@ -391,23 +392,83 @@ func (c *Config) Clone() *Config {
 		hash:       c.hash,
 		hashOK:     c.hashOK,
 	}
-	total := 0
+	copy(out.Stages, c.Stages)
+	out.tile(make([]OpSetting, c.numOps()))
+	return out
+}
+
+// numOps returns the number of op settings across all stages.
+func (c *Config) numOps() int {
+	n := 0
 	for i := range c.Stages {
-		total += len(c.Stages[i].Ops)
+		n += len(c.Stages[i].Ops)
 	}
-	flat := make([]OpSetting, total)
-	out.flat = flat
+	return n
+}
+
+// tile copies every stage's settings into flat, back to back in stage
+// order, re-points the stages' Ops windows there and makes flat the
+// config's backing. flat holds exactly numOps() settings and shares no
+// memory with the windows it is copied from.
+func (c *Config) tile(flat []OpSetting) {
 	off := 0
 	for i := range c.Stages {
-		s := c.Stages[i]
-		n := len(s.Ops)
+		st := &c.Stages[i]
+		n := len(st.Ops)
 		dst := flat[off : off+n : off+n]
-		copy(dst, s.Ops)
-		s.Ops = dst
-		out.Stages[i] = s
+		copy(dst, st.Ops)
+		st.Ops = dst
 		off += n
 	}
-	return out
+	c.flat = flat
+}
+
+// tiled reports whether the stages' Ops windows lie back to back, in
+// stage order, over the whole of c.flat — what tile leaves behind.
+func (c *Config) tiled() bool {
+	off := 0
+	for i := range c.Stages {
+		ops := c.Stages[i].Ops
+		if len(ops) > 0 && (off+len(ops) > len(c.flat) || &ops[0] != &c.flat[off]) {
+			return false
+		}
+		off += len(ops)
+	}
+	return off == len(c.flat)
+}
+
+// ShiftBoundary moves the boundary between stages i and i+1 by k
+// operators: k > 0 hands the first k operators of stage i+1 to stage i,
+// k < 0 the last -k operators of stage i to stage i+1. The donor must
+// keep at least one. No setting moves: the two stages' Ops windows are
+// re-cut from the config's flat backing, which every Clone and CloneIn
+// result tiles in stage order, so a shift writes no setting and
+// allocates nothing; a config that does not tile its backing (one built
+// from literals) is first repacked into a fresh one. The moved
+// operators keep their settings. The result is their window in the
+// receiving stage: both stages are invalidated, so the caller may
+// rewrite it before the next Key, Hash or SubHash.
+func (c *Config) ShiftBoundary(i, k int) []OpSetting {
+	if !c.tiled() {
+		c.tile(make([]OpSetting, c.numOps()))
+	}
+	lo := 0
+	for j := 0; j < i; j++ {
+		lo += len(c.Stages[j].Ops)
+	}
+	a, b := &c.Stages[i], &c.Stages[i+1]
+	mid := lo + len(a.Ops) + k
+	hi := lo + len(a.Ops) + len(b.Ops)
+	a.Ops = c.flat[lo:mid:mid]
+	b.Ops = c.flat[mid:hi:hi]
+	a.End += k
+	b.Start += k
+	c.InvalidateStage(i)
+	c.InvalidateStage(i + 1)
+	if k > 0 {
+		return a.Ops[len(a.Ops)-k:]
+	}
+	return b.Ops[:-k]
 }
 
 // ---------- mutation helpers (the cache-invalidation contract) ----------

@@ -1,8 +1,11 @@
 package core
 
 import (
+	"math"
 	"math/rand"
 	"reflect"
+	"runtime"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 	"time"
@@ -162,6 +165,125 @@ func TestArenaAliasing(t *testing.T) {
 	}
 	if err := quick.Check(walk, &quick.Config{MaxCount: 20}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestReleasedEstimatesAreDead pins release's liveness contract (see
+// searcher.release): nothing reads an estimate after it goes back to the
+// arena. Each released estimate is scribbled over the moment it is
+// released — NaN in every float, garbage in every int, every flag
+// flipped — so a live reference would read that, or, once the slot is
+// reused, another configuration's estimate. The zoo rows of the
+// determinism table, the pinned search among them, must still explore,
+// rank and score as committed, and every estimate a result carries must
+// be the one a fresh model computes for its configuration.
+func TestReleasedEstimatesAreDead(t *testing.T) {
+	if testing.Short() {
+		t.Skip("50 searches")
+	}
+	var released, again atomic.Int64
+	estimateHook = func(e *perfmodel.Estimate, recomputed bool) {
+		if recomputed {
+			again.Add(1)
+			return
+		}
+		released.Add(1)
+		scribble(reflect.ValueOf(e).Elem())
+	}
+	t.Cleanup(func() { estimateHook = nil })
+
+	committed := committedRows(t)
+	models, fleets := determinismZoo(t)
+	row := 0
+	for _, m := range models {
+		g, err := m.build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, f := range fleets {
+			fresh := perfmodel.New(g, f.cl, 1)
+			for _, procs := range []int{1, 4} {
+				r0, a0 := released.Load(), again.Load()
+				got, res := pinnedSearch(t, g, determinismRow{Model: m.name, Fleet: f.name, GOMAXPROCS: procs}, f.cl, Options{})
+				if !reflect.DeepEqual(got, committed[row]) {
+					t.Errorf("row %d drifted with released estimates scribbled:\n got %+v\nwant %+v", row, got, committed[row])
+				}
+				row++
+				for i, c := range res.TopK {
+					if want := fresh.Estimate(c.Config); !reflect.DeepEqual(c.Estimate, want) {
+						t.Errorf("%s on %s: TopK[%d] carries an estimate that is not its config's", m.name, f.name, i)
+					}
+				}
+				if m.name == "gpt3-2.6B" && f.name == "DGX1V100(2)" {
+					t.Logf("pinned search, GOMAXPROCS %d: %d estimates released, %d released keys estimated again",
+						procs, released.Load()-r0, again.Load()-a0)
+				}
+			}
+		}
+	}
+	if released.Load() == 0 || again.Load() == 0 {
+		t.Errorf("%d estimates released, %d estimated again: the test exercises nothing", released.Load(), again.Load())
+	}
+}
+
+// scribble overwrites every field of v, through slices but never their
+// headers (a released estimate keeps its Stages window for reuse).
+func scribble(v reflect.Value) {
+	switch v.Kind() {
+	case reflect.Float64:
+		v.SetFloat(math.NaN())
+	case reflect.Int:
+		v.SetInt(-7777)
+	case reflect.Bool:
+		v.SetBool(!v.Bool())
+	case reflect.Struct:
+		for i := 0; i < v.NumField(); i++ {
+			scribble(v.Field(i))
+		}
+	case reflect.Slice:
+		for i := 0; i < v.Len(); i++ {
+			scribble(v.Index(i))
+		}
+	default:
+		panic("scribble: no garbage for a " + v.Kind().String())
+	}
+}
+
+// TestPinnedSearchAllocBudget bounds what the paper's pinned search
+// allocates (GPT-3 2.6B on 16 V100s, four iterations, seed 1): the
+// least of three consecutive searches at GOMAXPROCS 2 must stay within
+// 32 MB. The later two clone into the arenas the one before handed over;
+// the least of three survives -race, under which sync.Pool drops
+// hand-overs at random. (15.3 MB when the budget was set; 67 MB before
+// the estimates of dead recompute trials were released.)
+func TestPinnedSearchAllocBudget(t *testing.T) {
+	if testing.Short() {
+		t.Skip("three pinned searches")
+	}
+	g, err := model.GPT3("2.6B")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cl := hardware.DGX1V100(2)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	const budget = 32e6
+	least := uint64(math.MaxUint64)
+	var ms runtime.MemStats
+	for i := 0; i < 3; i++ {
+		runtime.ReadMemStats(&ms)
+		before := ms.TotalAlloc
+		res, err := Search(g, cl, Options{TimeBudget: time.Hour, MaxIterations: 4, Seed: 1})
+		runtime.ReadMemStats(&ms)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Explored != 24701 {
+			t.Fatalf("explored %d, the pinned search explores 24 701", res.Explored)
+		}
+		least = min(least, ms.TotalAlloc-before)
+	}
+	if least > budget {
+		t.Errorf("the pinned search allocated %.1f MB at best of three, budget %.0f MB", float64(least)/1e6, budget/1e6)
 	}
 }
 

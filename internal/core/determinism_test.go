@@ -52,52 +52,12 @@ func TestDeterminismTable(t *testing.T) {
 	if testing.Short() {
 		t.Skip("68 searches")
 	}
-	models := []struct {
-		name  string
-		build func() (*model.Graph, error)
-	}{
-		{"gpt3-350M", func() (*model.Graph, error) { return model.GPT3("350M") }},
-		{"gpt3-1.3B", func() (*model.Graph, error) { return model.GPT3("1.3B") }},
-		{"gpt3-2.6B", func() (*model.Graph, error) { return model.GPT3("2.6B") }},
-		{"t5-770M", func() (*model.Graph, error) { return model.T5("770M") }},
-		{"wresnet-0.5B", func() (*model.Graph, error) { return model.WideResNet("0.5B") }},
-	}
-	healthy := hardware.DGX1V100(2)
-	dead15, err := healthy.Degrade(hardware.FaultSpec{Devices: []hardware.DeviceFault{{Device: 15, Dead: true}}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	fleets := []struct {
-		name string
-		cl   hardware.Cluster
-	}{
-		{"DGX1V100(1)", hardware.DGX1V100(1)},
-		{"DGX1V100(2)", hardware.DGX1V100(2)},
-		{"A100V100(1,1)", hardware.A100V100(1, 1)},
-		{"DGX1V100(2)-dead15", dead15},
-		{"ReservedSpotV100(8,1,1)", hardware.ReservedSpotV100(8, 1, 1, 6, 120)},
-	}
+	models, fleets := determinismZoo(t)
 
 	var got []determinismRow
 	pin := func(g *model.Graph, row determinismRow, cl hardware.Cluster, opts Options) {
 		t.Helper()
-		opts.TimeBudget = time.Hour // iterations are the binding limit
-		if opts.MaxIterations == 0 {
-			opts.MaxIterations = 4
-		}
-		opts.Seed = 1
-		prev := runtime.GOMAXPROCS(row.GOMAXPROCS)
-		res, err := Search(g, cl, opts)
-		runtime.GOMAXPROCS(prev)
-		if err != nil {
-			t.Fatalf("%s on %s: %v", row.Model, row.Fleet, err)
-		}
-		row.Explored = res.Explored
-		row.Best = fmt.Sprintf("%016x", res.Best.Config.Hash())
-		for _, c := range res.TopK {
-			row.TopK = append(row.TopK, fmt.Sprintf("%016x", c.Config.Hash()))
-		}
-		row.Score, row.Cadence = res.Best.Score, res.RecommendedCadence
+		row, _ = pinnedSearch(t, g, row, cl, opts)
 		got = append(got, row)
 	}
 	for _, m := range models {
@@ -182,14 +142,7 @@ func TestDeterminismTable(t *testing.T) {
 		}
 		return
 	}
-	b, err := os.ReadFile(determinismFile)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var want []determinismRow
-	if err := json.Unmarshal(b, &want); err != nil {
-		t.Fatal(err)
-	}
+	want := committedRows(t)
 	if len(got) != len(want) {
 		t.Fatalf("%d searches ran, %s has %d rows", len(got), determinismFile, len(want))
 	}
@@ -198,4 +151,79 @@ func TestDeterminismTable(t *testing.T) {
 			t.Errorf("row %d drifted:\n got %+v\nwant %+v", i, got[i], want[i])
 		}
 	}
+}
+
+type zooModel struct {
+	name  string
+	build func() (*model.Graph, error)
+}
+
+type zooFleet struct {
+	name string
+	cl   hardware.Cluster
+}
+
+// determinismZoo returns the models and fleets whose product, at
+// GOMAXPROCS 1 and 4, is the first 50 rows of the table.
+func determinismZoo(t *testing.T) ([]zooModel, []zooFleet) {
+	t.Helper()
+	models := []zooModel{
+		{"gpt3-350M", func() (*model.Graph, error) { return model.GPT3("350M") }},
+		{"gpt3-1.3B", func() (*model.Graph, error) { return model.GPT3("1.3B") }},
+		{"gpt3-2.6B", func() (*model.Graph, error) { return model.GPT3("2.6B") }},
+		{"t5-770M", func() (*model.Graph, error) { return model.T5("770M") }},
+		{"wresnet-0.5B", func() (*model.Graph, error) { return model.WideResNet("0.5B") }},
+	}
+	healthy := hardware.DGX1V100(2)
+	dead15, err := healthy.Degrade(hardware.FaultSpec{Devices: []hardware.DeviceFault{{Device: 15, Dead: true}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fleets := []zooFleet{
+		{"DGX1V100(1)", hardware.DGX1V100(1)},
+		{"DGX1V100(2)", hardware.DGX1V100(2)},
+		{"A100V100(1,1)", hardware.A100V100(1, 1)},
+		{"DGX1V100(2)-dead15", dead15},
+		{"ReservedSpotV100(8,1,1)", hardware.ReservedSpotV100(8, 1, 1, 6, 120)},
+	}
+	return models, fleets
+}
+
+// pinnedSearch runs one row's search — seed 1, four iterations unless
+// opts says otherwise, at the row's GOMAXPROCS — and fills in what the
+// row pins.
+func pinnedSearch(t *testing.T, g *model.Graph, row determinismRow, cl hardware.Cluster, opts Options) (determinismRow, *Result) {
+	t.Helper()
+	opts.TimeBudget = time.Hour // iterations are the binding limit
+	if opts.MaxIterations == 0 {
+		opts.MaxIterations = 4
+	}
+	opts.Seed = 1
+	prev := runtime.GOMAXPROCS(row.GOMAXPROCS)
+	res, err := Search(g, cl, opts)
+	runtime.GOMAXPROCS(prev)
+	if err != nil {
+		t.Fatalf("%s on %s: %v", row.Model, row.Fleet, err)
+	}
+	row.Explored = res.Explored
+	row.Best = fmt.Sprintf("%016x", res.Best.Config.Hash())
+	for _, c := range res.TopK {
+		row.TopK = append(row.TopK, fmt.Sprintf("%016x", c.Config.Hash()))
+	}
+	row.Score, row.Cadence = res.Best.Score, res.RecommendedCadence
+	return row, res
+}
+
+// committedRows reads the table.
+func committedRows(t *testing.T) []determinismRow {
+	t.Helper()
+	b, err := os.ReadFile(determinismFile)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rows []determinismRow
+	if err := json.Unmarshal(b, &rows); err != nil {
+		t.Fatal(err)
+	}
+	return rows
 }

@@ -226,42 +226,26 @@ func moveOps(s *searcher, cfg *config.Config, from, dir, k int) *config.Config {
 		return nil // donor must keep at least one op
 	}
 	out := s.clone(cfg)
-	src := &out.Stages[from]
-	dst := &out.Stages[to]
 	// Transferred ops adopt the receiving stage's tp/dp (nearest
 	// existing op as template) but keep their own sharding dim, which
-	// is op-specific and stays valid.
-	adopt := func(tpl, orig config.OpSetting) config.OpSetting {
-		tpl.Dim = orig.Dim
-		return tpl
-	}
+	// is op-specific and stays valid. Recompute flags do not transfer
+	// across stages: the template's recompute choice applies (the
+	// rc-attachment pass re-optimizes).
+	dst := out.Stages[to].Ops
+	var tpl config.OpSetting
+	var moved []config.OpSetting
 	if dir < 0 {
-		tpl := dst.Ops[len(dst.Ops)-1]
-		moved := src.Ops[:k]
-		add := make([]config.OpSetting, k)
-		for i := range add {
-			add[i] = adopt(tpl, moved[i])
-		}
-		src.Start += k
-		dst.End += k
-		src.Ops = src.Ops[k:]
-		dst.Ops = append(dst.Ops, add...)
+		tpl = dst[len(dst)-1]
+		moved = out.ShiftBoundary(to, k)
 	} else {
-		tpl := dst.Ops[0]
-		moved := src.Ops[len(src.Ops)-k:]
-		add := make([]config.OpSetting, k, k+len(dst.Ops))
-		for i := range add {
-			add[i] = adopt(tpl, moved[i])
-		}
-		src.End -= k
-		dst.Start -= k
-		src.Ops = src.Ops[:len(src.Ops)-k]
-		dst.Ops = append(add, dst.Ops...)
+		tpl = dst[0]
+		moved = out.ShiftBoundary(from, -k)
 	}
-	// Recompute flags do not transfer across stages: the template's
-	// recompute choice applies (the rc-attachment pass re-optimizes).
-	out.InvalidateStage(from)
-	out.InvalidateStage(to)
+	for i := range moved {
+		dim := moved[i].Dim
+		moved[i] = tpl
+		moved[i].Dim = dim
+	}
 	return out
 }
 

@@ -323,6 +323,9 @@ func SearchContext(ctx context.Context, g *model.Graph, cl hardware.Cluster, opt
 		*ap = append(*ap, config.Arena{})
 	}
 	arenas := *ap
+	// Estimates are carved per worker too, but never outlive the search
+	// in a pool: the estimates a Result carries point into the chunks.
+	estArenas := make([]perfmodel.EstArena, workers)
 	runWorkStealing(workers, order, func(w, wi int) {
 		p := stageCounts[wi]
 		// Panic isolation: one buggy searcher (a bad primitive, a
@@ -358,6 +361,7 @@ func SearchContext(ctx context.Context, g *model.Graph, cl hardware.Cluster, opt
 			pool:     make(map[uint64]Candidate, 1024),
 			cache:    make(map[uint64]*perfmodel.Estimate, 1024),
 			arena:    &arenas[w],
+			estArena: &estArenas[w],
 			rng:      rand.New(rand.NewSource(opts.Seed + int64(p)*7919)),
 			tracer:   opts.Tracer,
 			met:      met,
@@ -495,8 +499,10 @@ type searcher struct {
 	deadline time.Time
 	done     <-chan struct{} // context cancellation, shared with the deadline
 
-	// All three are keyed by Config.Key.
-	visited  map[uint64]bool                // every config ever estimated (dedup, §4.3)
+	// All three are keyed by Config.Key. cache holds every key ever
+	// estimated; a nil estimate marks a released key (see release),
+	// which stays explored and is computed again, uncounted, on demand.
+	visited  map[uint64]bool                // every candidate taken up, kept or not (dedup, §4.3)
 	pool     map[uint64]Candidate           // unexplored configs (Algorithm 1)
 	cache    map[uint64]*perfmodel.Estimate // estimate memo
 	explored int
@@ -521,10 +527,10 @@ type searcher struct {
 	batches []perfmodel.Batch
 	batch   *perfmodel.Batch
 
-	// estArena bump-allocates the estimates memoized in cache: they
-	// live exactly as long as this searcher, so they are carved from
-	// chunks instead of allocated one by one (see perfmodel.EstArena).
-	estArena perfmodel.EstArena
+	// estArena carves the estimates memoized in cache out of chunks
+	// (see perfmodel.EstArena); it is the worker's, shared by the
+	// searchers run serially on it, and takes back what release frees.
+	estArena *perfmodel.EstArena
 
 	// Reusable scratch, hoisted out of the hot path: candsAt[hop] backs
 	// multiHop's per-resource candidate list at recursion depth hop,
@@ -619,7 +625,7 @@ func (s *searcher) pushBatch(cfg *config.Config, est *perfmodel.Estimate) {
 		s.batches = append(s.batches, perfmodel.Batch{})
 	}
 	b := &s.batches[len(s.batches)-1]
-	s.pm.BeginBatch(b, cfg, est, &s.estArena)
+	s.pm.BeginBatch(b, cfg, est, s.estArena)
 	s.batch = b
 }
 
@@ -637,19 +643,26 @@ func (s *searcher) popBatch() {
 // and counts unique explored configurations. Inside a multiHop/fineTune
 // node the active batch estimator serves the call, sharing the base
 // configuration's per-stage metrics; the resulting estimate is
-// bitwise identical to the full path (see perfmodel.Batch).
+// bitwise identical to the full path (see perfmodel.Batch). A released
+// key is computed again — to the same bits — and not counted again.
 func (s *searcher) estimate(cfg *config.Config) *perfmodel.Estimate {
 	k := cfg.Key()
-	if e, ok := s.cache[k]; ok {
+	e, seen := s.cache[k]
+	if e != nil {
 		return e
 	}
-	var e *perfmodel.Estimate
 	if s.batch != nil {
 		e = s.batch.Estimate(cfg)
 	} else {
-		e = s.pm.EstimateIn(cfg, &s.estArena)
+		e = s.pm.EstimateIn(cfg, s.estArena)
 	}
 	s.cache[k] = e
+	if seen {
+		if estimateHook != nil {
+			estimateHook(e, true)
+		}
+		return e
+	}
 	s.explored++
 	s.itEstimated++
 	if s.met != nil {
@@ -660,6 +673,34 @@ func (s *searcher) estimate(cfg *config.Config) *perfmodel.Estimate {
 	}
 	return e
 }
+
+// release hands the estimate of c — a configuration that dies here with
+// nothing retaining it — back to the arena, and leaves its key in the
+// memo with a nil estimate. keep is the configuration the caller goes on
+// with. Two guards keep a live estimate from being reused: a visited key
+// (which every multiHop and fineTune base is) may be held by the pool,
+// the top-K list, a candidate slice or a batch base; and a trial may
+// share keep's key, whose estimate the caller still holds (applyIncRC
+// ends with the recompute-everything rung, which its doubling ladder
+// has already built when the op count is a power of two).
+func (s *searcher) release(c, keep *config.Config) {
+	k := c.Key()
+	e := s.cache[k]
+	if e == nil || s.visited[k] || k == keep.Key() {
+		return
+	}
+	s.cache[k] = nil
+	if estimateHook != nil {
+		estimateHook(e, false)
+	}
+	s.estArena.Release(e)
+}
+
+// estimateHook, when a test sets it, sees what no counter shows: each
+// estimate release hands back, before the arena can reuse it (again
+// false), and each estimate of a released key computed again (again
+// true).
+var estimateHook func(e *perfmodel.Estimate, again bool)
 
 // score maps an estimate to a single comparable figure: the objective's
 // value when feasible (iteration time; hazard-adjusted expected time on
@@ -908,6 +949,7 @@ func (s *searcher) multiHop(cfg *config.Config, est *perfmodel.Estimate, bn Bott
 				if rc := s.attachRecompute(c); rc != c {
 					// The candidate was superseded by its recompute
 					// variant before anything retained it.
+					s.release(c, rc)
 					s.discard(c)
 					c = rc
 				}
@@ -1013,11 +1055,11 @@ func (s *searcher) attachRecompute(cfg *config.Config) *config.Config {
 		}
 		// applyIncRC's candidates grow greedily; take the first that
 		// fixes this stage, else the most aggressive.
-		pick := cands[len(cands)-1]
+		var pick *config.Config
+		var pickEst *perfmodel.Estimate
 		for _, c := range cands {
-			ce := s.estimate(c)
-			if ce.Stages[si].PeakMem <= ce.Stages[si].CapMem {
-				pick = c
+			pick, pickEst = c, s.estimate(c)
+			if pickEst.Stages[si].PeakMem <= pickEst.Stages[si].CapMem {
 				break
 			}
 		}
@@ -1025,14 +1067,15 @@ func (s *searcher) attachRecompute(cfg *config.Config) *config.Config {
 		// never pooled, never returned.
 		for _, c := range cands {
 			if c != pick {
+				s.release(c, pick)
 				s.discard(c)
 			}
 		}
 		if out != cfg && out != pick {
+			s.release(out, pick)
 			s.discard(out)
 		}
-		out = pick
-		e = s.estimate(out)
+		out, e = pick, pickEst
 		if e.Feasible {
 			break
 		}

@@ -87,8 +87,10 @@ type Tracer interface {
 	// OnIteration is called once per top-level search iteration.
 	OnIteration(ev IterationEvent)
 	// OnEstimate is called for every configuration newly estimated in
-	// the search hot path. est must be treated as read-only; cfg may be
-	// nil for callers that audit bare estimates.
+	// the search hot path. est must be treated as read-only, is valid
+	// only for the duration of the call and must not be retained: the
+	// search may hand its memory to a later estimate. cfg may be nil for
+	// callers that audit bare estimates.
 	OnEstimate(cfg *config.Config, est *perfmodel.Estimate)
 }
 

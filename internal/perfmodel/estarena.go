@@ -1,21 +1,24 @@
 package perfmodel
 
 // EstArena bump-allocates Estimates and their StageMetrics backing for
-// one search. The searcher memoizes every estimate by config hash and
-// never releases one individually (eviction would re-count explored
-// configurations), so the natural allocator is a bump arena: carve
-// each Estimate and its Stages window out of chunks, drop everything
-// at end of search. This collapses the search's two largest remaining
-// allocation sites (≈45% of allocated objects: one Estimate plus one
-// StageMetrics slice per unique candidate) into a handful of chunk
-// allocations.
+// the searches one worker runs in turn. Each searcher memoizes its
+// estimates by config key, so most live as long as the search: they
+// are carved out of chunks instead of allocated one by one, which
+// collapses the search's two largest allocation sites (one Estimate
+// plus one StageMetrics slice per unique candidate) into a handful of
+// chunk allocations. An estimate whose configuration died without
+// anything retaining it (a recompute trial attachRecompute did not
+// pick) goes back through Release, and the next estimate with the same
+// stage count reuses its slot.
 //
-// An EstArena is single-goroutine state owned by one searcher; chunks
-// are never reused within a lifetime, so carved memory starts zeroed
-// and escapes safely into the searcher's estimate cache.
+// An EstArena is single-goroutine state. Chunks are never shared
+// between arenas or reused for another search: estimates a search
+// returns point into them.
 type EstArena struct {
 	ests []Estimate
 	sm   []StageMetrics
+	// free[p] holds released estimates with p stages.
+	free [][]*Estimate
 }
 
 const (
@@ -23,13 +26,19 @@ const (
 	smChunk  = 8192
 )
 
-// alloc returns a zeroed *Estimate with a zeroed p-entry Stages slice
-// (cap==len, so an append would reallocate rather than clobber the
-// next carve). A nil receiver degrades to plain allocation, keeping
-// every non-search caller of the model allocation-compatible.
+// alloc returns an *Estimate whose header is zeroed and whose Stages
+// slice has p entries (cap==len, so an append would reallocate rather
+// than clobber the next carve). A reused slot's stage entries still
+// hold their previous life: both estimators overwrite every entry. A
+// nil receiver degrades to plain allocation, keeping every non-search
+// caller of the model allocation-compatible.
 func (a *EstArena) alloc(p int) *Estimate {
 	if a == nil {
 		return &Estimate{Stages: make([]StageMetrics, p)}
+	}
+	if e := a.Get(p); e != nil {
+		*e = Estimate{Stages: e.Stages}
+		return e
 	}
 	if len(a.ests) == cap(a.ests) {
 		a.ests = make([]Estimate, 0, estChunk)
@@ -46,5 +55,33 @@ func (a *EstArena) alloc(p int) *Estimate {
 	lo := len(a.sm)
 	a.sm = a.sm[:lo+p]
 	e.Stages = a.sm[lo : lo+p : lo+p]
+	return e
+}
+
+// Release hands e back for reuse by a later estimate with as many
+// stages. The caller guarantees that nothing reads e afterwards. A nil
+// arena or estimate is ignored.
+func (a *EstArena) Release(e *Estimate) {
+	if a == nil || e == nil {
+		return
+	}
+	p := len(e.Stages)
+	for len(a.free) <= p {
+		a.free = append(a.free, nil)
+	}
+	a.free[p] = append(a.free[p], e)
+}
+
+// Get pops a released estimate with p stages, or nil when there is
+// none, leaving its contents as they were released. Exposed for tests
+// that scribble on released memory; alloc is the production consumer.
+func (a *EstArena) Get(p int) *Estimate {
+	if a == nil || p >= len(a.free) || len(a.free[p]) == 0 {
+		return nil
+	}
+	l := a.free[p]
+	e := l[len(l)-1]
+	l[len(l)-1] = nil
+	a.free[p] = l[:len(l)-1]
 	return e
 }
