@@ -30,8 +30,10 @@ paper:
 	mkdir -p $(OUT)/csv
 	$(BENCH) $(ARGS) -csv $(OUT)/csv all > $(OUT)/results_full.txt
 
-# ci is the pre-merge gate. Every package is raced. The two -bench
-# lines run one iteration so the benchmarks cannot rot. The acesobench
+# ci is the pre-merge gate. Every package is raced. The -bench line
+# runs one iteration of every benchmark of the packages that have any,
+# so none can rot, and prints B/op (BenchmarkSearchThroughput's is the
+# pinned search's allocation). The acesobench
 # gates write their reports into one scratch directory; scale runs in
 # a process of its own, because its allocation ratio assumes cold
 # arenas; chaos runs for its -duration, the other randomized targets
@@ -42,8 +44,7 @@ ci: build fmt-check
 	$(MAKE) bench-smoke
 	$(GO) test -race ./...
 	$(MAKE) fuzz-smoke
-	$(GO) test -run xxx -bench BenchmarkSearchThroughput -benchtime 1x -benchmem .
-	$(GO) test -run xxx -bench . -benchtime 1x ./internal/config ./internal/profiler
+	$(GO) test -run xxx -bench . -benchtime 1x -benchmem . ./internal/config ./internal/memo ./internal/perfmodel ./internal/profiler
 	out=$$(mktemp -d) && $(BENCH) -outdir $$out scale && $(BENCH) -outdir $$out trace diff hetero spot && \
 		$(BENCH) -duration 10s chaos && $(MAKE) recover-smoke OUT=$$out
 

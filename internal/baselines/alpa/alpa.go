@@ -236,28 +236,14 @@ func partitionDP(pm *perfmodel.Model, g *model.Graph, groups [][2]int,
 		i = k
 	}
 	cfg := &config.Config{MicroBatch: mbs, Stages: make([]config.Stage, s)}
-	for j := 0; j < s; j++ {
-		st := config.Stage{Start: plans[j].from, End: plans[j].to, Devices: devs[j]}
-		tp := plans[j].tp
-		dp := devs[j] / tp
-		st.Ops = make([]config.OpSetting, st.NumOps())
-		for x := range st.Ops {
-			st.Ops[x] = config.OpSetting{TP: tp, DP: dp, Recompute: recomp}
-		}
-		cfg.Stages[j] = st
+	for j, pl := range plans {
+		set := config.OpSetting{TP: pl.tp, DP: devs[j] / pl.tp, Recompute: recomp}
+		cfg.Stages[j] = config.UniformStage(pl.from, pl.to, devs[j], set)
 	}
-	if err := cfg.Validate(g, devsSum(devs)); err != nil {
+	if err := cfg.Validate(g, cfg.TotalDevices()); err != nil {
 		return nil, 0
 	}
 	return cfg, f[l][s]
-}
-
-func devsSum(devs []int) int {
-	n := 0
-	for _, d := range devs {
-		n += d
-	}
-	return n
 }
 
 // stageCost evaluates one candidate stage the way Alpa does: the

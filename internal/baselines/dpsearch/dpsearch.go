@@ -208,24 +208,11 @@ func run(pm *perfmodel.Model, g *model.Graph, devs []int, mbs, slack int, explor
 	i := n
 	for j := s; j >= 1; j-- {
 		c := f[i][j]
-		st := config.Stage{Start: c.cut, End: i, Devices: devs[j-1]}
-		st.Ops = make([]config.OpSetting, st.NumOps())
-		for x := range st.Ops {
-			st.Ops[x] = config.OpSetting{TP: c.tp, DP: c.dp, Recompute: c.rc}
-		}
-		cfg.Stages[j-1] = st
+		cfg.Stages[j-1] = config.UniformStage(c.cut, i, devs[j-1], config.OpSetting{TP: c.tp, DP: c.dp, Recompute: c.rc})
 		i = c.cut
 	}
-	if err := cfg.Validate(g, devsSum(devs)); err != nil {
+	if err := cfg.Validate(g, cfg.TotalDevices()); err != nil {
 		return nil
 	}
 	return cfg
-}
-
-func devsSum(devs []int) int {
-	n := 0
-	for _, d := range devs {
-		n += d
-	}
-	return n
 }

@@ -108,15 +108,8 @@ func build(g *model.Graph, devices, pp, tp, dp, mbs int, recomp bool) (*config.C
 	}
 	c := &config.Config{MicroBatch: mbs, Stages: make([]config.Stage, pp)}
 	perStage := devices / pp
-	for s := 0; s < pp; s++ {
-		startOp := s * n / pp
-		endOp := (s + 1) * n / pp
-		st := config.Stage{Start: startOp, End: endOp, Devices: perStage}
-		st.Ops = make([]config.OpSetting, st.NumOps())
-		for j := range st.Ops {
-			st.Ops[j] = config.OpSetting{TP: tp, DP: dp, Recompute: recomp}
-		}
-		c.Stages[s] = st
+	for s := range c.Stages {
+		c.Stages[s] = config.UniformStage(s*n/pp, (s+1)*n/pp, perStage, config.OpSetting{TP: tp, DP: dp, Recompute: recomp})
 	}
 	if err := c.Validate(g, devices); err != nil {
 		return nil, err

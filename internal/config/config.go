@@ -69,6 +69,14 @@ type OpSetting struct {
 	SeqPar bool
 }
 
+// SetTiling gives the op the tp × dp tiling and drops the flags the
+// new tiling cannot carry: ZeRO needs dp > 1, SeqPar tp > 1.
+func (o *OpSetting) SetTiling(tp, dp int) {
+	o.TP, o.DP = tp, dp
+	o.ZeRO = o.ZeRO && dp > 1
+	o.SeqPar = o.SeqPar && tp > 1
+}
+
 // Stage is one pipeline stage: the contiguous operator range
 // [Start, End) executed on Devices GPUs.
 //

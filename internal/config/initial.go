@@ -104,6 +104,16 @@ func OpSplit(g *model.Graph, weights []float64) ([][2]int, error) {
 	return out, nil
 }
 
+// UniformStage returns the stage that runs operators [start, end) on
+// the given number of devices, every operator with setting set.
+func UniformStage(start, end, devices int, set OpSetting) Stage {
+	st := Stage{Start: start, End: end, Devices: devices, Ops: make([]OpSetting, end-start)}
+	for j := range st.Ops {
+		st.Ops[j] = set
+	}
+	return st
+}
+
 // Weighted builds a pipeline's starting configuration — the one
 // constructor every fresh start goes through. Stage s runs on devs[s]
 // devices (a DeviceSplit), takes the contiguous operator range holding
@@ -127,16 +137,11 @@ func Weighted(g *model.Graph, devs []int, microBatch int, weights []float64, rep
 	}
 	c := &Config{MicroBatch: microBatch, Stages: make([]Stage, len(devs))}
 	for s, n := range devs {
-		st := Stage{Start: ranges[s][0], End: ranges[s][1], Devices: n}
-		st.Ops = make([]OpSetting, st.NumOps())
 		tp, dp := n, 1
 		if replicate != nil && replicate[s] && n%2 == 0 && microBatch%2 == 0 {
 			tp, dp = n/2, 2
 		}
-		for j := range st.Ops {
-			st.Ops[j] = OpSetting{TP: tp, DP: dp, Dim: 0}
-		}
-		c.Stages[s] = st
+		c.Stages[s] = UniformStage(ranges[s][0], ranges[s][1], n, OpSetting{TP: tp, DP: dp})
 	}
 	if err := c.Validate(g, c.TotalDevices()); err != nil {
 		return nil, err
@@ -186,13 +191,9 @@ func ImbalancedOps(g *model.Graph, totalDevices, stages, microBatch int) (*Confi
 		return nil, fmt.Errorf("config: model too small for %d imbalanced stages", stages)
 	}
 	bounds[stages] = n
-	for s := 0; s < stages; s++ {
-		st := &c.Stages[s]
-		st.Start, st.End = bounds[s], bounds[s+1]
-		st.Ops = make([]OpSetting, st.NumOps())
-		for j := range st.Ops {
-			st.Ops[j] = OpSetting{TP: st.Devices, DP: 1, Dim: 0}
-		}
+	for s := range c.Stages {
+		n := c.Stages[s].Devices
+		c.Stages[s] = UniformStage(bounds[s], bounds[s+1], n, OpSetting{TP: n, DP: 1})
 	}
 	return c, c.Validate(g, totalDevices)
 }

@@ -50,7 +50,7 @@ func mutMoveOps(c *Config, from, dir, k int) *Config {
 }
 
 // mutMoveDevices halves stage from and doubles stage to, each through
-// dp or tp (core.applyGrow/applyShrink with a partner).
+// dp or tp (core.tradeDevices).
 func mutMoveDevices(c *Config, from, to int, useDP bool) *Config {
 	if from == to || c.Stages[from].Devices < 2 {
 		return nil

@@ -12,9 +12,9 @@ import "aceso/internal/config"
 // space stays the default.
 var ExtensionTable = []Primitive{
 	{Name: "inc-zr", Mechanism: "zero", Comp: Flat, Comm: Up, Mem: Down,
-		apply: applyIncZR},
+		apply: toggle(true, true)},
 	{Name: "dec-zr", Mechanism: "zero", Comp: Flat, Comm: Down, Mem: Up,
-		apply: applyDecZR},
+		apply: toggle(true, false)},
 	// Sequence parallelism is close to a free lunch on the tp-heavy
 	// stages it applies to (Korthikanti et al. 2022): replicated-region
 	// activations and compute shrink by tp at equal communication
@@ -22,9 +22,9 @@ var ExtensionTable = []Primitive{
 	// memory bottlenecks and dec-sp for neither (it exists as the
 	// inverse for completeness).
 	{Name: "inc-sp", Mechanism: "sequence", Comp: Down, Comm: Flat, Mem: Down,
-		apply: applyIncSP},
+		apply: toggle(false, true)},
 	{Name: "dec-sp", Mechanism: "sequence", Comp: Up, Comm: Flat, Mem: Up,
-		apply: applyDecSP},
+		apply: toggle(false, false)},
 }
 
 // extendedByResource memoizes EligibleExtended per resource. Built as
@@ -49,66 +49,39 @@ func EligibleExtended(r Resource) []*Primitive {
 	return extendedByResource[r]
 }
 
-func applyIncZR(s *searcher, cfg *config.Config, stage int) []*config.Config {
-	return toggleZeRO(s, cfg, stage, true)
-}
-
-func applyIncSP(s *searcher, cfg *config.Config, stage int) []*config.Config {
-	return toggleSeqPar(s, cfg, stage, true)
-}
-
-func applyDecSP(s *searcher, cfg *config.Config, stage int) []*config.Config {
-	return toggleSeqPar(s, cfg, stage, false)
-}
-
-// toggleSeqPar flips sequence parallelism for every eligible op
-// (tp > 1) in the stage. Returns nil when nothing would change.
-func toggleSeqPar(s *searcher, cfg *config.Config, stage int, on bool) []*config.Config {
-	st := &cfg.Stages[stage]
-	changed := false
-	for j := range st.Ops {
-		if st.Ops[j].TP > 1 && st.Ops[j].SeqPar != on {
-			changed = true
+// toggle returns the apply function that sets ZeRO (zero) or sequence
+// parallelism to on for every op of the stage that can carry the flag
+// (dp > 1 for ZeRO, tp > 1 for sequence parallelism). It yields nothing
+// when no op would change.
+func toggle(zero, on bool) func(s *searcher, cfg *config.Config, stage int) []*config.Config {
+	flag := func(op *config.OpSetting) *bool {
+		switch {
+		case zero && op.DP > 1:
+			return &op.ZeRO
+		case !zero && op.TP > 1:
+			return &op.SeqPar
 		}
-	}
-	if !changed {
 		return nil
 	}
-	c := s.clone(cfg)
-	c.MutStage(stage, func(st *config.Stage) {
+	return func(s *searcher, cfg *config.Config, stage int) []*config.Config {
+		st := &cfg.Stages[stage]
+		changed := false
 		for j := range st.Ops {
-			if st.Ops[j].TP > 1 {
-				st.Ops[j].SeqPar = on
+			if f := flag(&st.Ops[j]); f != nil && *f != on {
+				changed = true
 			}
 		}
-	})
-	return s.keepOut(append(s.applyOut(), c))
-}
-
-func applyDecZR(s *searcher, cfg *config.Config, stage int) []*config.Config {
-	return toggleZeRO(s, cfg, stage, false)
-}
-
-// toggleZeRO flips optimizer-state sharding for every eligible op
-// (dp > 1) in the stage. Returns nil when nothing would change.
-func toggleZeRO(s *searcher, cfg *config.Config, stage int, on bool) []*config.Config {
-	st := &cfg.Stages[stage]
-	changed := false
-	for j := range st.Ops {
-		if st.Ops[j].DP > 1 && st.Ops[j].ZeRO != on {
-			changed = true
+		if !changed {
+			return nil
 		}
-	}
-	if !changed {
-		return nil
-	}
-	c := s.clone(cfg)
-	c.MutStage(stage, func(st *config.Stage) {
-		for j := range st.Ops {
-			if st.Ops[j].DP > 1 {
-				st.Ops[j].ZeRO = on
+		c := s.clone(cfg)
+		c.MutStage(stage, func(st *config.Stage) {
+			for j := range st.Ops {
+				if f := flag(&st.Ops[j]); f != nil {
+					*f = on
+				}
 			}
-		}
-	})
-	return s.keepOut(append(s.applyOut(), c))
+		})
+		return s.keepOut(append(s.applyOut(), c))
+	}
 }

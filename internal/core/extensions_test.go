@@ -59,7 +59,7 @@ func TestToggleZeRO(t *testing.T) {
 	for j := range cfg.Stages[0].Ops {
 		cfg.Stages[0].Ops[j] = config.OpSetting{TP: 1, DP: 4, Dim: 0}
 	}
-	on := applyIncZR(s, cfg, 0)
+	on := toggle(true, true)(s, cfg, 0)
 	if len(on) != 1 {
 		t.Fatal("inc-zr produced nothing")
 	}
@@ -72,17 +72,17 @@ func TestToggleZeRO(t *testing.T) {
 		}
 	}
 	// Idempotent: inc-zr on an all-ZeRO stage yields nothing.
-	if got := applyIncZR(s, on[0], 0); got != nil {
+	if got := toggle(true, true)(s, on[0], 0); got != nil {
 		t.Error("inc-zr on sharded stage should be nil")
 	}
 	// dec restores the original hash (invariant 3).
-	off := applyDecZR(s, on[0], 0)
+	off := toggle(true, false)(s, on[0], 0)
 	if len(off) != 1 || off[0].Hash() != cfg.Hash() {
 		t.Error("dec-zr does not invert inc-zr")
 	}
 	// tp-only stage: nothing to shard.
 	tpOnly := mustBalanced(t, g, 4, 1, 8)
-	if got := applyIncZR(s, tpOnly, 0); got != nil {
+	if got := toggle(true, true)(s, tpOnly, 0); got != nil {
 		t.Error("inc-zr with dp=1 should be nil")
 	}
 }
@@ -94,7 +94,7 @@ func TestZeROCutsOptimizerMemory(t *testing.T) {
 	for j := range cfg.Stages[0].Ops {
 		cfg.Stages[0].Ops[j] = config.OpSetting{TP: 1, DP: 4, Dim: 0}
 	}
-	zr := applyIncZR(s, cfg, 0)[0]
+	zr := toggle(true, true)(s, cfg, 0)[0]
 	base := s.estimate(cfg)
 	sharded := s.estimate(zr)
 	if sharded.Stages[0].OptMem >= base.Stages[0].OptMem/2 {
@@ -176,7 +176,7 @@ func TestSeqParCutsActivationMemory(t *testing.T) {
 	g, _ := model.GPT3("1.3B")
 	s := newSearcher(t, g, 4)
 	cfg := mustBalanced(t, g, 4, 1, 4) // tp=4
-	sp := applyIncSP(s, cfg, 0)
+	sp := toggle(false, true)(s, cfg, 0)
 	if len(sp) != 1 {
 		t.Fatal("inc-sp produced nothing")
 	}
@@ -193,7 +193,7 @@ func TestSeqParCutsActivationMemory(t *testing.T) {
 		t.Error("sequence parallelism must not slow the forward pass")
 	}
 	// dec inverts (invariant 3).
-	back := applyDecSP(s, sp[0], 0)
+	back := toggle(false, false)(s, sp[0], 0)
 	if len(back) != 1 || back[0].Hash() != cfg.Hash() {
 		t.Error("dec-sp does not invert inc-sp")
 	}
@@ -202,7 +202,7 @@ func TestSeqParCutsActivationMemory(t *testing.T) {
 	for j := range dpOnly.Stages[0].Ops {
 		dpOnly.Stages[0].Ops[j] = config.OpSetting{TP: 1, DP: 4, Dim: 0}
 	}
-	if got := applyIncSP(s, dpOnly, 0); got != nil {
+	if got := toggle(false, true)(s, dpOnly, 0); got != nil {
 		t.Error("inc-sp with tp=1 should be nil")
 	}
 }

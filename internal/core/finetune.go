@@ -120,45 +120,3 @@ func (s *searcher) fineTune(cfg *config.Config) *config.Config {
 	}
 	return best
 }
-
-// retileRange converts ops [stage.Start+from, stage.End) between tp-
-// and dp-heavier tilings of the same device count. Returns nil when
-// illegal.
-func retileRange(s *searcher, cfg *config.Config, stage, from int, toDP bool) *config.Config {
-	st := &cfg.Stages[stage]
-	any := false
-	for j := from; j < st.NumOps(); j++ {
-		op := &st.Ops[j]
-		if toDP {
-			if op.TP < 2 || cfg.MicroBatch%(op.DP*2) != 0 {
-				return nil
-			}
-		} else if op.DP < 2 {
-			return nil
-		}
-		any = true
-	}
-	if !any {
-		return nil
-	}
-	c := s.clone(cfg)
-	c.MutStage(stage, func(nst *config.Stage) {
-		for j := from; j < nst.NumOps(); j++ {
-			op := &nst.Ops[j]
-			if toDP {
-				op.TP /= 2
-				op.DP *= 2
-				if op.TP < 2 {
-					op.SeqPar = false
-				}
-			} else {
-				op.DP /= 2
-				op.TP *= 2
-				if op.DP < 2 {
-					op.ZeRO = false
-				}
-			}
-		}
-	})
-	return c
-}

@@ -92,13 +92,13 @@ var Table = []Primitive{
 	{Name: "dec-mbs", Mechanism: "pipeline", Comp: Up, Comm: Flat, Mem: Down,
 		apply: applyDecMBS},
 	{Name: "inc-dp", Mechanism: "data", Comp: Down, Comm: Up, Mem: Down, Partner: true,
-		apply: applyIncDP},
+		apply: resize(true, true)},
 	{Name: "dec-dp", Mechanism: "data", Comp: Up, Comm: Down, Mem: Up, Partner: true,
-		apply: applyDecDP},
+		apply: resize(false, true)},
 	{Name: "inc-tp", Mechanism: "tensor", Comp: Down, Comm: Up, Mem: Down, Partner: true,
-		apply: applyIncTP},
+		apply: resize(true, false)},
 	{Name: "dec-tp", Mechanism: "tensor", Comp: Up, Comm: Down, Mem: Up, Partner: true,
-		apply: applyDecTP},
+		apply: resize(false, false)},
 	{Name: "inc-rc", Mechanism: "recompute", Comp: Up, Comm: Flat, Mem: Down,
 		apply: applyIncRC},
 	{Name: "dec-rc", Mechanism: "recompute", Comp: Down, Comm: Flat, Mem: Up,
@@ -153,62 +153,48 @@ func idlestStage(est *perfmodel.Estimate, exclude int) int {
 	return best
 }
 
-// halveStageDevices halves a stage's device count by halving either
-// every op's DP (preferDP) or every op's TP. Returns false when the
-// halving is not possible.
-func halveStageDevices(st *config.Stage, preferDP bool) bool {
-	// All ops must be able to halve the chosen mechanism.
+// rescale doubles (grow) or halves stage i's device count through every
+// op's dp (useDP) or tp. A doubled dp must still divide the microbatch;
+// a halving the chosen mechanism cannot make on every op is made by the
+// other one. Returns false, with the stage untouched, when no resize is
+// possible.
+func rescale(c *config.Config, i int, grow, useDP bool) bool {
+	st := &c.Stages[i]
 	canDP, canTP := true, true
 	for j := range st.Ops {
-		if st.Ops[j].DP < 2 {
-			canDP = false
-		}
-		if st.Ops[j].TP < 2 {
-			canTP = false
+		op := &st.Ops[j]
+		if grow {
+			canDP = canDP && c.MicroBatch%(op.DP*2) == 0
+		} else {
+			canDP = canDP && op.DP >= 2
+			canTP = canTP && op.TP >= 2
 		}
 	}
-	useDP := preferDP && canDP || !preferDP && !canTP && canDP
-	useTP := !preferDP && canTP || preferDP && !canDP && canTP
-	switch {
-	case useDP:
-		for j := range st.Ops {
-			st.Ops[j].DP /= 2
-			if st.Ops[j].DP < 2 {
-				st.Ops[j].ZeRO = false
-			}
-		}
-	case useTP:
-		for j := range st.Ops {
-			st.Ops[j].TP /= 2
-			if st.Ops[j].TP < 2 {
-				st.Ops[j].SeqPar = false
-			}
-		}
-	default:
+	if !grow && (useDP && !canDP || !useDP && !canTP) {
+		useDP = !useDP
+	}
+	if useDP && !canDP || !useDP && !canTP {
 		return false
 	}
-	st.Devices /= 2
-	return true
-}
-
-// doubleStageDevices doubles a stage's device count by doubling either
-// every op's DP or TP. mbs constrains DP (dp must divide mbs).
-func doubleStageDevices(st *config.Stage, useDP bool, mbs int) bool {
-	if useDP {
-		for j := range st.Ops {
-			if mbs%(st.Ops[j].DP*2) != 0 {
-				return false
-			}
-		}
-		for j := range st.Ops {
-			st.Ops[j].DP *= 2
-		}
-	} else {
-		for j := range st.Ops {
-			st.Ops[j].TP *= 2
+	for j := range st.Ops {
+		op := &st.Ops[j]
+		switch {
+		case grow && useDP:
+			op.SetTiling(op.TP, op.DP*2)
+		case grow:
+			op.SetTiling(op.TP*2, op.DP)
+		case useDP:
+			op.SetTiling(op.TP, op.DP/2)
+		default:
+			op.SetTiling(op.TP/2, op.DP)
 		}
 	}
-	st.Devices *= 2
+	if grow {
+		st.Devices *= 2
+	} else {
+		st.Devices /= 2
+	}
+	c.InvalidateStage(i)
 	return true
 }
 
@@ -363,87 +349,65 @@ func applyDecMBS(s *searcher, cfg *config.Config, _ int) []*config.Config {
 	return s.keepOut(append(s.applyOut(), c))
 }
 
-// applyGrow doubles the bottleneck stage's devices via dp or tp
-// (Figure 5(c)/(d)). Device counts must balance exactly: doubling a
-// d-device stage consumes d devices, which a partner frees by halving
-// only when it holds 2d — so eligible partners are the stages with
-// exactly twice the bottleneck's devices, the idlest first (§3.2.1).
-func applyGrow(s *searcher, cfg *config.Config, stage int, useDP bool) []*config.Config {
-	if cfg.NumStages() < 2 {
-		return nil
-	}
-	est := s.estimate(cfg)
-	need := cfg.Stages[stage].Devices * 2
-	out := s.applyOut()
-	for _, partner := range partnersBySlack(est, cfg, stage, need) {
-		for _, partnerDP := range []bool{true, false} { // dec-dp or dec-tp partner primitive
-			c := s.clone(cfg)
-			grew := false
-			c.MutStage(stage, func(st *config.Stage) {
-				grew = doubleStageDevices(st, useDP, c.MicroBatch)
-			})
-			if !grew {
-				s.discard(c)
-				return s.keepOut(out)
-			}
-			halved := false
-			c.MutStage(partner, func(st *config.Stage) {
-				halved = halveStageDevices(st, partnerDP)
-			})
-			if !halved {
-				s.discard(c)
-				continue
-			}
+// resize returns the apply function of the inc/dec-dp/tp rows: the
+// stage trades devices with a partner (tradeDevices) and, besides,
+// retiles in place at the same device count — dp-heavier under inc-dp
+// and dec-tp, tp-heavier under dec-dp and inc-tp.
+func resize(grow, useDP bool) func(s *searcher, cfg *config.Config, stage int) []*config.Config {
+	return func(s *searcher, cfg *config.Config, stage int) []*config.Config {
+		out := tradeDevices(s, cfg, stage, grow, useDP, s.applyOut())
+		if c := retileRange(s, cfg, stage, 0, grow == useDP); c != nil {
 			out = append(out, c)
 		}
-		if len(out) > 0 {
-			break // one partner is enough; multi-hop explores the rest
-		}
+		return s.keepOut(out)
 	}
-	return s.keepOut(out)
 }
 
-// applyShrink halves the bottleneck stage's devices via dp or tp; the
-// freed devices double a partner holding exactly half the bottleneck's
-// count. The slowest such partner benefits most, so it goes first.
-func applyShrink(s *searcher, cfg *config.Config, stage int, useDP bool) []*config.Config {
-	if cfg.NumStages() < 2 || cfg.Stages[stage].Devices < 2 {
-		return nil
+// tradeDevices doubles (grow) or halves the bottleneck stage's devices
+// via dp (useDP) or tp (Figure 5(c)/(d)) and appends the results to
+// out. Device counts must balance exactly: a partner halves to free
+// what a growing stage takes, or doubles to take what a shrinking one
+// frees, so eligible partners hold exactly twice (grow) or half the
+// stage's devices. A growing stage borrows from the idlest partner
+// first, a shrinking one gives to the busiest, which benefits most
+// (§3.2.1); the partner halves or doubles via dp, then via tp, and one
+// partner that yields a candidate is enough — multi-hop explores the
+// rest.
+func tradeDevices(s *searcher, cfg *config.Config, stage int, grow, useDP bool, out []*config.Config) []*config.Config {
+	devs := cfg.Stages[stage].Devices
+	if cfg.NumStages() < 2 || !grow && devs < 2 {
+		return out
 	}
 	est := s.estimate(cfg)
-	want := cfg.Stages[stage].Devices / 2
-	partners := partnersBySlack(est, cfg, stage, want)
-	// Reverse: give devices to the busiest eligible stage.
-	for i, j := 0, len(partners)-1; i < j; i, j = i+1, j-1 {
-		partners[i], partners[j] = partners[j], partners[i]
+	want := devs / 2
+	if grow {
+		want = devs * 2
 	}
-	out := s.applyOut()
+	partners := partnersBySlack(est, cfg, stage, want)
+	if !grow {
+		for i, j := 0, len(partners)-1; i < j; i, j = i+1, j-1 {
+			partners[i], partners[j] = partners[j], partners[i]
+		}
+	}
+	n := len(out)
 	for _, partner := range partners {
-		for _, partnerDP := range []bool{true, false} { // inc-dp or inc-tp partner primitive
+		for _, partnerDP := range []bool{true, false} {
 			c := s.clone(cfg)
-			halved := false
-			c.MutStage(stage, func(st *config.Stage) {
-				halved = halveStageDevices(st, useDP)
-			})
-			if !halved {
+			if !rescale(c, stage, grow, useDP) {
 				s.discard(c)
-				return s.keepOut(out)
+				return out
 			}
-			doubled := false
-			c.MutStage(partner, func(st *config.Stage) {
-				doubled = doubleStageDevices(st, partnerDP, c.MicroBatch)
-			})
-			if !doubled {
+			if !rescale(c, partner, !grow, partnerDP) {
 				s.discard(c)
 				continue
 			}
 			out = append(out, c)
 		}
-		if len(out) > 0 {
+		if len(out) > n {
 			break
 		}
 	}
-	return s.keepOut(out)
+	return out
 }
 
 // partnersBySlack returns the stages (≠ stage) with exactly `devices`
@@ -461,80 +425,28 @@ func partnersBySlack(est *perfmodel.Estimate, cfg *config.Config, stage, devices
 	return out
 }
 
-func applyIncDP(s *searcher, cfg *config.Config, stage int) []*config.Config {
-	// Besides borrowing devices, dp can grow in place by trading tp
-	// for dp within the stage (same device count).
-	out := applyGrow(s, cfg, stage, true)
-	if c := retile(s, cfg, stage, true); c != nil {
-		out = appendCand(s, out, c)
-	}
-	return out
-}
-
-func applyDecDP(s *searcher, cfg *config.Config, stage int) []*config.Config {
-	out := applyShrink(s, cfg, stage, true)
-	if c := retile(s, cfg, stage, false); c != nil {
-		out = appendCand(s, out, c)
-	}
-	return out
-}
-
-func applyIncTP(s *searcher, cfg *config.Config, stage int) []*config.Config {
-	out := applyGrow(s, cfg, stage, false)
-	if c := retile(s, cfg, stage, false); c != nil {
-		out = appendCand(s, out, c)
-	}
-	return out
-}
-
-func applyDecTP(s *searcher, cfg *config.Config, stage int) []*config.Config {
-	out := applyShrink(s, cfg, stage, false)
-	if c := retile(s, cfg, stage, true); c != nil {
-		out = appendCand(s, out, c)
-	}
-	return out
-}
-
-// appendCand appends c to an apply result that may be nil (the helper
-// bailed out before claiming the shared buffer) and re-registers the
-// buffer so growth is retained.
-func appendCand(s *searcher, out []*config.Config, c *config.Config) []*config.Config {
-	if out == nil {
-		out = s.applyOut()
-	}
-	return s.keepOut(append(out, c))
-}
-
-// retile converts tp↔dp within a stage without changing its device
-// count: toDP doubles dp and halves tp (or the reverse).
-func retile(s *searcher, cfg *config.Config, stage int, toDP bool) *config.Config {
+// retileRange converts ops [stage.Start+from, stage.End) between tp-
+// and dp-heavier tilings of the same device count: toDP doubles dp and
+// halves tp, or the reverse. Returns nil when illegal.
+func retileRange(s *searcher, cfg *config.Config, stage, from int, toDP bool) *config.Config {
 	st := &cfg.Stages[stage]
-	for j := range st.Ops {
+	if from >= st.NumOps() {
+		return nil
+	}
+	for j := from; j < st.NumOps(); j++ {
 		op := &st.Ops[j]
-		if toDP {
-			if op.TP < 2 || cfg.MicroBatch%(op.DP*2) != 0 {
-				return nil
-			}
-		} else if op.DP < 2 {
+		if toDP && (op.TP < 2 || cfg.MicroBatch%(op.DP*2) != 0) || !toDP && op.DP < 2 {
 			return nil
 		}
 	}
 	c := s.clone(cfg)
 	c.MutStage(stage, func(nst *config.Stage) {
-		for j := range nst.Ops {
+		for j := from; j < nst.NumOps(); j++ {
 			op := &nst.Ops[j]
 			if toDP {
-				op.TP /= 2
-				op.DP *= 2
-				if op.TP < 2 {
-					op.SeqPar = false
-				}
+				op.SetTiling(op.TP/2, op.DP*2)
 			} else {
-				op.DP /= 2
-				op.TP *= 2
-				if op.DP < 2 {
-					op.ZeRO = false
-				}
+				op.SetTiling(op.TP*2, op.DP/2)
 			}
 		}
 	})

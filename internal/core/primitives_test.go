@@ -237,9 +237,9 @@ func TestGrowShrinkMoveDevices(t *testing.T) {
 	s := newSearcher(t, g, 16)
 	cfg := mustBalanced(t, g, 16, 3, 4) // devices 4,4,8
 
-	grown := applyGrow(s, cfg, 0, false) // inc-tp on stage 0: partner must hold 8
+	grown := tradeDevices(s, cfg, 0, true, false, nil) // inc-tp on stage 0: partner must hold 8
 	if len(grown) == 0 {
-		t.Fatal("applyGrow produced nothing")
+		t.Fatal("growing produced nothing")
 	}
 	for _, c := range grown {
 		if c.Stages[0].Devices != 8 || c.Stages[2].Devices != 4 {
@@ -250,9 +250,9 @@ func TestGrowShrinkMoveDevices(t *testing.T) {
 			t.Error(err)
 		}
 	}
-	shrunk := applyShrink(s, cfg, 2, false) // dec-tp on stage 2: partner must hold 4
+	shrunk := tradeDevices(s, cfg, 2, false, false, nil) // dec-tp on stage 2: partner must hold 4
 	if len(shrunk) == 0 {
-		t.Fatal("applyShrink produced nothing")
+		t.Fatal("shrinking produced nothing")
 	}
 	for _, c := range shrunk {
 		if c.Stages[2].Devices != 4 {
@@ -268,12 +268,12 @@ func TestGrowShrinkMoveDevices(t *testing.T) {
 	}
 	// No eligible partner: even 4,4 split has no stage with 8 devices.
 	even := mustBalanced(t, g, 8, 2, 4)
-	if got := applyGrow(s, even, 0, false); got != nil {
+	if got := tradeDevices(s, even, 0, true, false, nil); got != nil {
 		t.Error("grow without an exactly-double partner should fail")
 	}
 	// Single-stage configs cannot trade devices.
 	solo := mustBalanced(t, g, 8, 1, 4)
-	if got := applyGrow(s, solo, 0, false); got != nil {
+	if got := tradeDevices(s, solo, 0, true, false, nil); got != nil {
 		t.Error("grow on a 1-stage pipeline should fail")
 	}
 }
@@ -283,7 +283,7 @@ func TestRetile(t *testing.T) {
 	s := newSearcher(t, g, 8)
 	cfg := mustBalanced(t, g, 8, 1, 8) // tp=8, dp=1
 
-	c := retile(s, cfg, 0, true) // toward dp
+	c := retileRange(s, cfg, 0, 0, true) // toward dp
 	if c == nil {
 		t.Fatal("retile toDP failed")
 	}
@@ -295,7 +295,7 @@ func TestRetile(t *testing.T) {
 		t.Error("retile changed device count")
 	}
 	// Reverse restores the original (inc∘dec identity, invariant 3).
-	back := retile(s, c, 0, false)
+	back := retileRange(s, c, 0, 0, false)
 	if back == nil {
 		t.Fatal("reverse retile failed")
 	}
@@ -307,7 +307,7 @@ func TestRetile(t *testing.T) {
 	for j := range flat.Stages[0].Ops {
 		flat.Stages[0].Ops[j] = config.OpSetting{TP: 1, DP: 8, Dim: 0}
 	}
-	if got := retile(s, flat, 0, true); got != nil {
+	if got := retileRange(s, flat, 0, 0, true); got != nil {
 		t.Error("retile toDP with tp=1 should fail")
 	}
 }

@@ -73,7 +73,7 @@ func Ablations(set Settings) (*AblationResult, error) {
 	if pmRun.Best != nil {
 		pm := perfmodel.New(g, cl, set.Seed)
 		if one, err := pipesim.Simulate(pm, pmRun.Best, set.Seed); err == nil {
-			if gp, err := pipesim.SimulateSchedule(pm, pmRun.Best, set.Seed, pipesim.GPipe); err == nil && one.PeakMem > 0 {
+			if gp, err := pipesim.SimulateEffects(pm, pmRun.Best, set.Seed, pipesim.GPipe, pipesim.DefaultEffects()); err == nil && one.PeakMem > 0 {
 				out.GPipeMemRatio = gp.PeakMem / one.PeakMem
 			}
 		}

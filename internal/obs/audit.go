@@ -25,7 +25,8 @@ const auditRelTol = 1e-9
 //
 // The invariants (DESIGN.md §5d):
 //
-//  1. Every time and memory bucket is finite and non-negative.
+//  1. Every time and memory bucket is finite and non-negative
+//     (perfmodel.ValidateEstimate; the first bad bucket is reported).
 //  2. Per stage, CompTime + TPComm + P2P + Recomp + ReshardComm equals
 //     FwdTime + BwdTime: the communication shares never exceed the
 //     total they are shares of (CompTime ≥ 0), so per-resource
@@ -52,26 +53,14 @@ func AuditEstimate(cfg *config.Config, est *perfmodel.Estimate) []string {
 		cfg = nil // stage-wise config checks would misindex
 	}
 
+	if err := perfmodel.ValidateEstimate(est); err != nil {
+		violate("%v", err)
+	}
+
 	var maxPeak, maxStageTime float64
 	devices := 0
 	for i := range est.Stages {
 		s := &est.Stages[i]
-		for _, f := range [...]struct {
-			name string
-			v    float64
-		}{
-			{"FwdTime", s.FwdTime}, {"BwdTime", s.BwdTime},
-			{"TPComm", s.TPComm}, {"P2P", s.P2P}, {"Recomp", s.Recomp},
-			{"ReshardComm", s.ReshardComm}, {"DPSync", s.DPSync},
-			{"StageTime", s.StageTime}, {"ParamMem", s.ParamMem},
-			{"OptMem", s.OptMem}, {"ActPerMB", s.ActPerMB},
-			{"ExtraMem", s.ExtraMem}, {"PeakMem", s.PeakMem},
-		} {
-			if math.IsNaN(f.v) || math.IsInf(f.v, 0) || f.v < 0 {
-				violate("stage %d: %s = %v, want finite and ≥ 0", i, f.name, f.v)
-			}
-		}
-
 		fb := s.FwdTime + s.BwdTime
 		tol := auditRelTol * fb
 		if shares := s.TPComm + s.P2P + s.Recomp + s.ReshardComm; shares > fb+tol {

@@ -9,6 +9,9 @@ import (
 // EvalStage evaluates a hypothetical pipeline stage with uniform
 // settings — the building block of the dynamic-programming baselines,
 // which enumerate stages without materializing full configurations.
+// The result is what Estimate holds for the same stage in the same
+// pipeline context, except StageTime, which Eq. 2 composes across the
+// whole pipeline and EvalStage leaves zero.
 //
 //	start, end  operator range [start, end)
 //	devices     devices assigned to the stage (power of two)
@@ -31,51 +34,10 @@ func (m *Model) EvalStage(start, end, devices, tp, dp int, recompute bool,
 	case inflight < 1:
 		return StageMetrics{}, fmt.Errorf("perfmodel: inflight %d < 1", inflight)
 	}
-	st := config.Stage{Start: start, End: end, Devices: devices}
-	st.Ops = make([]config.OpSetting, end-start)
-	for j := range st.Ops {
-		st.Ops[j] = config.OpSetting{TP: tp, DP: dp, Recompute: recompute}
-	}
+	st := config.UniformStage(start, end, devices, config.OpSetting{TP: tp, DP: dp, Recompute: recompute})
 	// Route through the shared stage memo: the DP baselines enumerate
 	// the same (range, tp, dp) stages under many pipeline contexts.
-	sm := m.stageMetrics(&st, microBatch, firstDev, inflight, prevDevices)
-	// CapMem depends on the device range, not the stage contents, so
-	// it is filled outside the memoized value (exactly as Estimate
-	// does).
+	sm := m.stageMetrics(&st, stageKey{st.SubHash(), microBatch, firstDev, inflight, prevDevices})
 	sm.CapMem = m.Cluster.RangeMemory(firstDev, devices)
 	return sm, nil
-}
-
-// ComposePipeline turns per-stage metrics into an Estimate for a
-// pipeline executing n microbatches per iteration: Eq. 2 timing plus
-// the per-stage memory-feasibility verdicts of Estimate.
-func (m *Model) ComposePipeline(stages []StageMetrics, n int) *Estimate {
-	est := &Estimate{
-		Stages:       append([]StageMetrics(nil), stages...),
-		OOMStage:     -1,
-		Feasible:     true,
-		Microbatches: n,
-	}
-	firstDev := 0
-	for i := range est.Stages {
-		sm := &est.Stages[i]
-		est.Devices += sm.Devices
-		if sm.CapMem == 0 {
-			// Capacity of the devices this stage lands on — the class
-			// floor, not the cluster-wide envelope.
-			sm.CapMem = m.Cluster.RangeMemory(firstDev, sm.Devices)
-		}
-		firstDev += sm.Devices
-		if sm.PeakMem > sm.CapMem {
-			est.Feasible = false
-			if est.OOMStage < 0 || sm.PeakMem > est.Stages[est.OOMStage].PeakMem {
-				est.OOMStage = i
-			}
-		}
-		if sm.PeakMem > est.PeakMem {
-			est.PeakMem = sm.PeakMem
-		}
-	}
-	m.composeIterTime(est, n)
-	return est
 }

@@ -62,33 +62,6 @@ func TestEvalStageRejectsBadArgs(t *testing.T) {
 	}
 }
 
-func TestComposePipelineMatchesEstimate(t *testing.T) {
-	g, _ := model.GPT3("350M")
-	m := New(g, hardware.DGX1V100(1).Restrict(8), 1)
-	cfg, err := config.Balanced(g, 8, 4, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	est := m.Estimate(cfg)
-	re := m.ComposePipeline(est.Stages, est.Microbatches)
-	if re.IterTime != est.IterTime {
-		t.Errorf("ComposePipeline IterTime %v != Estimate %v", re.IterTime, est.IterTime)
-	}
-	if re.Feasible != est.Feasible || re.PeakMem != est.PeakMem {
-		t.Error("feasibility/memory mismatch")
-	}
-}
-
-func TestComposePipelineFlagsOOM(t *testing.T) {
-	g, _ := model.GPT3("350M")
-	m := New(g, hardware.DGX1V100(1).Restrict(4), 1)
-	sm := StageMetrics{FwdTime: 1, BwdTime: 2, PeakMem: 2 * m.Cluster.MemoryBytes}
-	est := m.ComposePipeline([]StageMetrics{sm}, 4)
-	if est.Feasible || est.OOMStage != 0 {
-		t.Errorf("OOM not flagged: %+v", est)
-	}
-}
-
 func TestEvalStageRecomputeCutsActivation(t *testing.T) {
 	g, _ := model.GPT3("350M")
 	m := New(g, hardware.DGX1V100(1).Restrict(4), 1)

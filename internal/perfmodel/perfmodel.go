@@ -186,11 +186,6 @@ func New(g *model.Graph, c hardware.Cluster, seed int64) *Model {
 	}
 }
 
-// StageCacheEntries returns the number of memoized stage evaluations.
-func (m *Model) StageCacheEntries() int {
-	return m.scache.Len()
-}
-
 // StageCacheStats returns the cumulative stage-cache hit and miss
 // counts over the model's lifetime (both zero while DisableStageCache
 // bypasses the cache).
@@ -198,21 +193,20 @@ func (m *Model) StageCacheStats() (hits, misses uint64) {
 	return m.scHits.Load(), m.scMisses.Load()
 }
 
-// stageMetrics returns the metrics for st under the given pipeline
-// context, consulting the shared memo keyed by the stage's sub-hash.
-// An Estimate of a Clone-plus-one-mutation neighbor therefore
-// recomputes only the mutated stage; every other stage is a lookup.
-func (m *Model) stageMetrics(st *config.Stage, microBatch, firstDev, inflight, prevDevices int) StageMetrics {
+// stageMetrics returns the metrics of st under key, its pipeline
+// context, consulting the shared memo. An Estimate of a
+// Clone-plus-one-mutation neighbor therefore recomputes only the
+// mutated stage; every other stage is a lookup.
+func (m *Model) stageMetrics(st *config.Stage, key stageKey) StageMetrics {
 	if m.DisableStageCache {
-		return m.evalStage(st, microBatch, firstDev, inflight, prevDevices)
+		return m.evalStage(st, key)
 	}
-	key := stageKey{st.SubHash(), microBatch, firstDev, inflight, prevDevices}
 	if sm, ok := m.scache.Load(key); ok {
 		m.scHits.Add(1)
 		return sm
 	}
 	m.scMisses.Add(1)
-	sm := m.evalStage(st, microBatch, firstDev, inflight, prevDevices)
+	sm := m.evalStage(st, key)
 	if m.scache.Len() >= stageCacheCap {
 		// Values are pure functions of keys, so a wholesale reset on
 		// overflow changes no results, only recomputation counts.
@@ -240,43 +234,50 @@ func (m *Model) Estimate(cfg *config.Config) *Estimate {
 // degrades to plain allocation). The search hot path passes its
 // per-searcher arena; every other caller goes through Estimate.
 func (m *Model) EstimateIn(cfg *config.Config, a *EstArena) *Estimate {
-	g := m.Graph
+	return m.walk(cfg, a, nil, nil)
+}
+
+// walk is the one stage walk behind every estimate. It builds each
+// stage's memo key, copies the stage from base when baseKeys holds the
+// same key at its index and evaluates it through stageMetrics
+// otherwise, folds feasibility, the OOM stage, peak memory and devices,
+// and composes Eq. 2. Copying is exact: StageMetrics is a pure function
+// of the key, and CapMem one of (firstDev, Devices), which the key
+// pins. base is nil outside a Batch; DisableStageCache copies nothing.
+func (m *Model) walk(cfg *config.Config, a *EstArena, base *Estimate, baseKeys []stageKey) *Estimate {
 	p := cfg.NumStages()
-	n := cfg.NumMicrobatches(g.GlobalBatch)
+	n := cfg.NumMicrobatches(m.Graph.GlobalBatch)
+	if base == nil || m.DisableStageCache || len(baseKeys) != p {
+		baseKeys = nil
+	}
 
 	est := a.alloc(p)
 	est.OOMStage = -1
-	est.Feasible = true
-	est.Microbatches = n
 	// A degenerate configuration whose microbatch (times dp) exceeds the
 	// global batch performs zero microbatches — zero work. Historically
 	// this returned a finite-IterTime Feasible estimate (all-warm-up, no
 	// steady state) that the search could score as a "win" while the
 	// simulator rejected the same config outright. Zero work is not a
 	// plan; mark it infeasible so no consumer ranks it.
-	if n <= 0 {
-		est.Feasible = false
-	}
+	est.Feasible = n > 0
+	est.Microbatches = n
 
-	firstDev := 0
+	firstDev, prevDevices := 0, 0
 	for si := range cfg.Stages {
 		st := &cfg.Stages[si]
 		// Eq. 1: earlier stages stash more in-flight microbatches.
-		inflight := p - si
-		if inflight > n {
-			inflight = n
-		}
-		prevDevices := 0
-		if si > 0 {
-			prevDevices = cfg.Stages[si-1].Devices
-		}
-		est.Stages[si] = m.stageMetrics(st, cfg.MicroBatch, firstDev, inflight, prevDevices)
-		cap := m.Cluster.RangeMemory(firstDev, st.Devices)
-		firstDev += st.Devices
-		est.Devices += st.Devices
+		key := stageKey{st.SubHash(), cfg.MicroBatch, firstDev, min(p-si, n), prevDevices}
 		sm := &est.Stages[si]
-		sm.CapMem = cap
-		if sm.PeakMem > cap {
+		if baseKeys != nil && key == baseKeys[si] {
+			*sm = base.Stages[si]
+		} else {
+			*sm = m.stageMetrics(st, key)
+			sm.CapMem = m.Cluster.RangeMemory(firstDev, st.Devices)
+		}
+		firstDev += st.Devices
+		prevDevices = st.Devices
+		est.Devices += st.Devices
+		if sm.PeakMem > sm.CapMem {
 			est.Feasible = false
 			if est.OOMStage < 0 || sm.PeakMem > est.Stages[est.OOMStage].PeakMem {
 				est.OOMStage = si
@@ -292,10 +293,11 @@ func (m *Model) EstimateIn(cfg *config.Config, a *EstArena) *Estimate {
 }
 
 // evalStage predicts one pipeline stage's per-microbatch times and
-// memory. firstDev is the stage's first global device rank, inflight
-// the number of stashed microbatches (Eq. 1's p−i), prevDevices the
+// memory under the pipeline context of k: the stage's first global
+// device rank, the number of stashed microbatches (Eq. 1's p−i) and the
 // preceding stage's device count (0 for the first stage).
-func (m *Model) evalStage(st *config.Stage, microBatch, firstDev, inflight, prevDevices int) StageMetrics {
+func (m *Model) evalStage(st *config.Stage, k stageKey) StageMetrics {
+	microBatch, firstDev, prevDevices := k.microBatch, k.firstDev, k.prevDevices
 	g := m.Graph
 	prec := g.Precision
 	bpe := prec.BytesPerElem()
@@ -464,7 +466,7 @@ func (m *Model) evalStage(st *config.Stage, microBatch, firstDev, inflight, prev
 		}
 	}
 
-	sm.PeakMem = sm.ParamMem + sm.OptMem + sm.ActPerMB*float64(inflight) + sm.ExtraMem
+	sm.PeakMem = sm.ParamMem + sm.OptMem + sm.ActPerMB*float64(k.inflight) + sm.ExtraMem
 	sm.Devices = st.Devices
 	return sm
 }

@@ -348,6 +348,7 @@ func BenchmarkStageMetricsMiss(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sink += m.stageMetrics(st, cfg.MicroBatch, cfg.FirstDev(1), 8+i, cfg.Stages[0].Devices).StageTime
+		key := stageKey{st.SubHash(), cfg.MicroBatch, cfg.FirstDev(1), 8 + i, cfg.Stages[0].Devices}
+		sink += m.stageMetrics(st, key).StageTime
 	}
 }

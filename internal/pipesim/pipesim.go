@@ -205,17 +205,13 @@ func ExpectedStageMem(sm *perfmodel.StageMetrics, peakInflight int, fx Effects, 
 // observed time and memory. The configuration must be valid for pm's
 // graph and cluster.
 func Simulate(pm *perfmodel.Model, cfg *config.Config, seed int64) (*Result, error) {
-	return SimulateSchedule(pm, cfg, seed, OneFOneB)
+	return SimulateEffects(pm, cfg, seed, OneFOneB, DefaultEffects())
 }
 
-// SimulateSchedule is Simulate with an explicit pipeline schedule.
-func SimulateSchedule(pm *perfmodel.Model, cfg *config.Config, seed int64, sched Schedule) (*Result, error) {
-	return SimulateEffects(pm, cfg, seed, sched, DefaultEffects())
-}
-
-// SimulateEffects is SimulateSchedule with an explicit effects knob —
-// the entry point of the differential-validation harness, which runs
-// the simulator in ModelFaithful mode against the analytic model.
+// SimulateEffects is Simulate with an explicit pipeline schedule and
+// effects knob — the entry point of the differential-validation
+// harness, which runs the simulator in ModelFaithful mode against the
+// analytic model.
 func SimulateEffects(pm *perfmodel.Model, cfg *config.Config, seed int64, sched Schedule, fx Effects) (*Result, error) {
 	if err := fx.validate(); err != nil {
 		return nil, err

@@ -208,7 +208,7 @@ func TestGPipeStashesAllMicrobatches(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rgpipe, err := SimulateSchedule(pm, c, 1, GPipe)
+	rgpipe, err := SimulateEffects(pm, c, 1, GPipe, DefaultEffects())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -312,7 +312,7 @@ func TestGPipePeakMemAtLeast1F1B(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		b, err := SimulateSchedule(pm, c, int64(seed), GPipe)
+		b, err := SimulateEffects(pm, c, int64(seed), GPipe, DefaultEffects())
 		if err != nil {
 			return false
 		}
