@@ -45,7 +45,7 @@ ci: build fmt-check
 	$(GO) test -race ./...
 	$(MAKE) fuzz-smoke
 	$(GO) test -run xxx -bench . -benchtime 1x -benchmem . ./internal/config ./internal/memo ./internal/perfmodel ./internal/profiler
-	out=$$(mktemp -d) && $(BENCH) -outdir $$out scale && $(BENCH) -outdir $$out trace diff hetero spot && \
+	out=$$(mktemp -d) && $(BENCH) -outdir $$out scale && $(BENCH) -outdir $$out trace diff hetero && \
 		$(BENCH) -duration 10s chaos && $(MAKE) recover-smoke OUT=$$out
 
 # fmt-check fails when gofmt would change any file of either module.
@@ -72,12 +72,12 @@ fuzz-smoke:
 	$(GO) test -fuzz=FuzzPreemptNoticeNeverPanics -fuzztime=5s ./internal/elastic
 
 # recover-smoke gates the one recovery path, elastic.Supervise: the
-# churn target, then the spot half uncached — randomized Poisson-hazard
-# reclaim streams with and without notices, and the notice drain end to
-# end (a window at least as long as the checkpoint cost must drain with
-# zero lost steps).
+# churn and spot targets, then the spot half uncached — randomized
+# Poisson-hazard reclaim streams with and without notices, and the
+# notice drain end to end (a window at least as long as the checkpoint
+# cost must drain with zero lost steps).
 recover-smoke:
-	$(BENCH) -outdir $(OUT) churn
+	$(BENCH) -outdir $(OUT) churn spot
 	$(GO) test -count=1 -run 'TestRunClean/spot' ./internal/chaos
 	$(GO) test -count=1 -run 'TestSuperviseNoticeDrainZeroLostSteps|TestSuperviseNoticeMissedFallsBack' ./internal/elastic
 

@@ -51,8 +51,6 @@ func supervise(job elastic.Job, spec elastic.ChurnSpec, seed int64, tune func(*e
 		Dir:          dir,
 		SearchBudget: 300 * time.Millisecond,
 		Seed:         seed,
-		BackoffBase:  100 * time.Microsecond,
-		BackoffCap:   2 * time.Millisecond,
 	}
 	tune(&opt)
 	return elastic.Supervise(context.Background(), job, spec, opt)
@@ -61,33 +59,20 @@ func supervise(job elastic.Job, spec elastic.ChurnSpec, seed int64, tune func(*e
 const recoveryJobSetting = "MLP(6 layers, dim 16, batch 32), pp2×tp2×dp2 on 8 emulated V100s (2 nodes × 4)"
 
 // churnReport is the BENCH_churn.json schema: one deterministic
-// 20+-event churn schedule survived end to end, with the recovery
-// policies' ledger (availability, work lost, replans avoided by
-// hysteresis, recovery percentiles), plus the verdict of the
+// 20+-event churn schedule survived end to end, with the supervisor's
+// ledger (work lost, replans avoided by hysteresis, recoveries, the
+// decision log) and what derives from it, plus the verdict of the
 // randomized churn chaos pass.
 type churnReport struct {
-	Setting           string         `json:"setting"`
-	Iterations        int            `json:"iterations"`
-	ScheduledEvents   int            `json:"scheduled_events"`
-	EventsApplied     int            `json:"events_applied"`
-	EventCounts       map[string]int `json:"event_counts"`
-	FaultsDetected    int            `json:"faults_detected"`
-	AvailabilityPct   float64        `json:"availability_pct"`
-	StepsLost         int            `json:"steps_lost"`
-	StepsLostPerFault float64        `json:"steps_lost_per_fault"`
-	Replans           int            `json:"replans"`
-	ReplansAvoided    int            `json:"replans_avoided"`
-	Ladder            map[string]int `json:"ladder"`
-	Retries           int            `json:"retries"`
-	Pauses            int            `json:"pauses"`
-	Checkpoints       int            `json:"checkpoints"`
-	Reshards          int            `json:"reshards"`
-	ReshardBytesMoved int64          `json:"reshard_bytes_moved"`
-	FinalCadence      int            `json:"final_cadence"`
-	FinalDevices      int            `json:"final_devices"`
-	LossDeltaFinal    float64        `json:"loss_delta_final"`
-	MaxParamDiff      float64        `json:"max_param_diff"`
-	Transitions       []string       `json:"transitions"`
+	Setting         string `json:"setting"`
+	Iterations      int    `json:"iterations"`
+	ScheduledEvents int    `json:"scheduled_events"`
+	*elastic.Report
+	AvailabilityPct   float64 `json:"availability_pct"`
+	StepsLostPerFault float64 `json:"steps_lost_per_fault"`
+	FinalDevices      int     `json:"final_devices"`
+	LossDeltaFinal    float64 `json:"loss_delta_final"`
+	MaxParamDiff      float64 `json:"max_param_diff"`
 	trialVerdict
 	Metrics *obs.Registry `json:"metrics"`
 }
@@ -154,34 +139,21 @@ func runChurn(e *env) (any, []string, error) {
 	out := &churnReport{
 		Setting: fmt.Sprintf("%s, %d-event churn schedule, checkpoint every 2, seed %d",
 			recoveryJobSetting, len(spec.Events), e.set.Seed),
-		Iterations:        iters,
-		ScheduledEvents:   len(spec.Events),
-		EventsApplied:     rep.EventsApplied,
-		EventCounts:       rep.EventCounts,
-		FaultsDetected:    rep.FaultsDetected,
-		AvailabilityPct:   100 * rep.Availability(),
-		StepsLost:         rep.StepsLost,
-		Replans:           rep.Replans,
-		ReplansAvoided:    rep.ReplansAvoided,
-		Ladder:            rep.Ladder,
-		Retries:           rep.Retries,
-		Pauses:            rep.Pauses,
-		Checkpoints:       rep.Checkpoints,
-		Reshards:          rep.Reshards,
-		ReshardBytesMoved: rep.ReshardBytesMoved,
-		FinalCadence:      rep.FinalCadence,
-		FinalDevices:      rep.Config.TotalDevices(),
-		LossDeltaFinal:    math.Abs(refLosses[iters-1] - rep.Losses[iters-1]),
-		MaxParamDiff:      ref.MaxDiff(rep.Params),
-		Metrics:           reg,
+		Iterations:      iters,
+		ScheduledEvents: len(spec.Events),
+		Report:          rep,
+		AvailabilityPct: 100 * rep.Availability(),
+		FinalDevices:    rep.Config.TotalDevices(),
+		LossDeltaFinal:  math.Abs(refLosses[iters-1] - rep.Losses[iters-1]),
+		MaxParamDiff:    ref.MaxDiff(rep.Params),
+		Metrics:         reg,
 	}
 	if rep.FaultsDetected > 0 {
 		out.StepsLostPerFault = float64(rep.StepsLost) / float64(rep.FaultsDetected)
 	}
 	fmt.Fprintln(e.w, "churn: supervisor decisions:")
 	for _, tr := range rep.Transitions {
-		out.Transitions = append(out.Transitions, fmt.Sprintf("step %d [%s] %s", tr.Step, tr.Kind, tr.Detail))
-		fmt.Fprintf(e.w, "  %s\n", out.Transitions[len(out.Transitions)-1])
+		fmt.Fprintf(e.w, "  step %d [%s] %s\n", tr.Step, tr.Kind, tr.Detail)
 	}
 
 	var g gates

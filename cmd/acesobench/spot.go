@@ -38,17 +38,10 @@ const (
 	spotNoticeIters = 2 // advance warning, in iterations
 )
 
-// spotReplayStats is one supervised replay's achieved-throughput ledger.
+// spotReplayStats is one supervised replay's ledger and the achieved
+// throughput priced from it.
 type spotReplayStats struct {
-	StepsDone          int     `json:"steps_done"`
-	IterationsExecuted int     `json:"iterations_executed"`
-	StepsLost          int     `json:"steps_lost"`
-	Checkpoints        int     `json:"checkpoints"`
-	FaultsDetected     int     `json:"faults_detected"`
-	Notices            int     `json:"notices"`
-	CleanDrains        int     `json:"clean_drains"`
-	NoticesMissed      int     `json:"notices_missed"`
-	Replans            int     `json:"replans"`
+	*elastic.Report
 	CheckpointCadence  int     `json:"checkpoint_cadence"`
 	WallIters          float64 `json:"wall_iters"`
 	AchievedThroughput float64 `json:"achieved_throughput"`
@@ -141,15 +134,7 @@ func spotStats(rep *elastic.Report, cadence, iters int) spotReplayStats {
 		spotFaultCost*float64(rep.FaultsDetected) +
 		spotDrainCost*float64(rep.CleanDrains)
 	return spotReplayStats{
-		StepsDone:          rep.FinalStep,
-		IterationsExecuted: rep.IterationsExecuted,
-		StepsLost:          rep.StepsLost,
-		Checkpoints:        rep.Checkpoints,
-		FaultsDetected:     rep.FaultsDetected,
-		Notices:            rep.Notices,
-		CleanDrains:        rep.CleanDrains,
-		NoticesMissed:      rep.NoticesMissed,
-		Replans:            rep.Replans,
+		Report:             rep,
 		CheckpointCadence:  cadence,
 		WallIters:          wall,
 		AchievedThroughput: float64(iters) / wall,

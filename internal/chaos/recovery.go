@@ -71,7 +71,7 @@ func MLPJob(rng *rand.Rand, cl hardware.Cluster, layers, dim, batch int, shape S
 // returns the trajectory a supervised run of it must rejoin.
 func Reference(job elastic.Job) ([]float64, *runtime.Params, error) {
 	p := job.Params.Clone()
-	losses, err := runtime.Parallel(job.Graph, job.Config, p, job.X, job.Y, LR, job.Iters)
+	losses, err := runtime.Parallel(job.Graph, job.Config, p, job.X, job.Y, LR, job.Iters, runtime.RunOptions{})
 	return losses, p, err
 }
 
@@ -243,8 +243,6 @@ func recoveryTrial(kind schedule, rng *rand.Rand, seed int64) (bool, *Violation)
 		CommDeadline: 20 * time.Second,
 		SearchBudget: 100 * time.Millisecond,
 		Seed:         seed,
-		BackoffBase:  time.Microsecond,
-		BackoffCap:   4 * time.Microsecond,
 		MaxCadence:   maxCadence,
 	}
 	var spec elastic.ChurnSpec

@@ -26,7 +26,6 @@ import (
 // or the collective deadlocks (as a real NCCL communicator would) —
 // bounded by the per-op deadline when one is set.
 type World struct {
-	n        int
 	deadline time.Duration
 
 	mu sync.Mutex
@@ -68,7 +67,7 @@ func (e *InvalidWorldSizeError) Error() string {
 // World's per-op deadline for a peer that never arrived — the fail-fast
 // replacement for an indefinitely blocked collective.
 type CollectiveTimeoutError struct {
-	Op     string // "all-reduce" | "all-gather" | "send" | "recv"
+	Op     string // "all-reduce" | "send" | "recv"
 	Rank   int    // the rank that timed out
 	Waited time.Duration
 }
@@ -102,16 +101,12 @@ func NewWorld(n int) (*World, error) {
 		return nil, &InvalidWorldSizeError{Size: n}
 	}
 	return &World{
-		n:      n,
 		points: make(map[string]*rendezvous),
 		mail:   make(map[mailKey]chan *tensor.Mat),
 		dead:   make(map[int]bool),
 		failCh: make(chan struct{}),
 	}, nil
 }
-
-// Size returns the number of ranks.
-func (w *World) Size() int { return w.n }
 
 // SetDeadline bounds every subsequent collective/p2p wait: an operation
 // that blocks longer returns *CollectiveTimeoutError. Zero (the
@@ -138,13 +133,6 @@ func (w *World) FailRange(first, size int) {
 		ranks = append(ranks, r)
 	}
 	w.Fail(ranks...)
-}
-
-// Alive reports whether rank has not been marked dead.
-func (w *World) Alive(rank int) bool {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return !w.dead[rank]
 }
 
 // deadPeer returns the first dead rank among peers (or -1) and the
@@ -265,33 +253,6 @@ func (w *World) AllReduceSum(group []int, rank int, in *tensor.Mat) (*tensor.Mat
 		}
 		for _, rk := range r.ranks {
 			r.outputs[rk] = sum
-		}
-		close(r.done)
-	}
-	<-r.done
-	return r.outputs[rank].Clone(), nil
-}
-
-// AllGatherCols concatenates each rank's column shard in group-rank
-// order and returns the full matrix to every caller.
-func (w *World) AllGatherCols(group []int, rank int, in *tensor.Mat) (*tensor.Mat, error) {
-	r, err := w.enter("all-gather", group, rank, in)
-	if err != nil {
-		return nil, err
-	}
-	if r.entered == r.want && !closed(r.done) {
-		// Order contributions by position within the group.
-		byRank := map[int]*tensor.Mat{}
-		for i, rk := range r.ranks {
-			byRank[rk] = r.inputs[i]
-		}
-		parts := make([]*tensor.Mat, 0, len(group))
-		for _, rk := range group {
-			parts = append(parts, byRank[rk])
-		}
-		full := tensor.ConcatCols(parts...)
-		for _, rk := range r.ranks {
-			r.outputs[rk] = full
 		}
 		close(r.done)
 	}

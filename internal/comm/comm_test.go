@@ -97,34 +97,6 @@ func TestConsecutiveCollectivesDoNotCollide(t *testing.T) {
 	}
 }
 
-func TestAllGatherColsOrdering(t *testing.T) {
-	w := mustWorld(t, 3)
-	group := []int{0, 1, 2}
-	results := make([]*tensor.Mat, 3)
-	var wg sync.WaitGroup
-	// Ranks enter in arbitrary order; the gather must still be in
-	// group-rank order.
-	for _, r := range []int{2, 0, 1} {
-		wg.Add(1)
-		go func(r int) {
-			defer wg.Done()
-			out, err := w.AllGatherCols(group, r, vec(float64(r)))
-			if err != nil {
-				t.Errorf("AllGatherCols rank %d: %v", r, err)
-				return
-			}
-			results[r] = out
-		}(r)
-	}
-	wg.Wait()
-	for r := 0; r < 3; r++ {
-		got := results[r].Data
-		if got[0] != 0 || got[1] != 1 || got[2] != 2 {
-			t.Errorf("rank %d gathered %v, want [0 1 2]", r, got)
-		}
-	}
-}
-
 func TestSendRecv(t *testing.T) {
 	w := mustWorld(t, 2)
 	if err := w.Send(0, 1, "fwd:0", vec(42)); err != nil {
@@ -278,8 +250,8 @@ func TestFailWakesBlockedWaiters(t *testing.T) {
 func TestOpsOnDeadRankFailImmediately(t *testing.T) {
 	w := mustWorld(t, 4)
 	w.FailRange(2, 2) // ranks 2 and 3 die
-	if w.Alive(2) || w.Alive(3) || !w.Alive(0) {
-		t.Fatal("FailRange marked the wrong ranks")
+	if err := w.Send(0, 1, "t", vec(1)); err != nil {
+		t.Fatalf("Send between live ranks: err = %v", err)
 	}
 	var de *DeadRankError
 	if err := w.Send(0, 2, "t", vec(1)); !errors.As(err, &de) {

@@ -357,7 +357,7 @@ func syncDir(dir string) error {
 
 // SweepTemps removes orphaned checkpoint temp files left in dir by a
 // crash between Save's write and rename. It returns how many were
-// removed. Call it before training starts (Train and Supervise do) —
+// removed. Call it before training starts (Supervise does) —
 // it must not run concurrently with an in-flight Save in the same
 // directory, or it could unlink a temp file about to be renamed.
 func SweepTemps(dir string) (int, error) {

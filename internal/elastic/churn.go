@@ -136,9 +136,9 @@ const (
 // Transition is one supervisor decision, stamped with the optimizer
 // step it was taken at.
 type Transition struct {
-	Step   int
-	Kind   TransitionKind
-	Detail string
+	Step   int            `json:"step"`
+	Kind   TransitionKind `json:"kind"`
+	Detail string         `json:"detail"`
 }
 
 // StalledError reports a supervised run that ran out of capacity with
@@ -159,8 +159,8 @@ func (e *StalledError) Error() string {
 // absorb a checkpoint (Window < CheckpointCost): the proactive drain
 // is impossible and the reclaim falls back to the in-plan Preempt
 // path, where the partial segment at the deadline is lost. Recorded in
-// Report.NoticeMisses and counted in aceso_spot_* metrics rather
-// than returned — the supervisor still recovers.
+// Report.NoticeMisses and counted in Report.NoticesMissed rather than
+// returned — the supervisor still recovers.
 type NoticeMissedError struct {
 	Device   int
 	Window   int // iterations of advance warning the notice gave

@@ -16,8 +16,8 @@ import (
 
 const tol = 1e-9
 
-// superviseOpts returns fast-test defaults: file round trip, tiny
-// backoff, short search budget.
+// superviseOpts returns fast-test defaults: file round trip, short
+// search budget.
 func superviseOpts(t *testing.T) Options {
 	t.Helper()
 	return Options{
@@ -26,14 +26,12 @@ func superviseOpts(t *testing.T) Options {
 		Dir:             t.TempDir(),
 		CommDeadline:    10 * time.Second,
 		SearchBudget:    300 * time.Millisecond,
-		BackoffBase:     time.Microsecond,
-		BackoffCap:      8 * time.Microsecond,
 	}
 }
 
 // testJob is the tests' workload on cl: the MLP under a balanced plan
 // of stages × devPerStage devices with every operator at tp, the fixed
-// batch, and fresh Adam parameters.
+// batch, and fresh Adam state.
 func testJob(t testing.TB, cl hardware.Cluster, stages, devPerStage, tp, iters int) Job {
 	t.Helper()
 	g := buildMLP(t)
@@ -53,11 +51,11 @@ func pp2tp2Job(t testing.TB, iters int) Job {
 }
 
 // refRun trains job's uninterrupted reference trajectory on a copy of
-// its parameters.
+// its Params.
 func refRun(t *testing.T, job Job) ([]float64, *runtime.Params) {
 	t.Helper()
 	p := job.Params.Clone()
-	losses, err := runtime.Parallel(job.Graph, job.Config, p, job.X, job.Y, lr, job.Iters)
+	losses, err := runtime.Parallel(job.Graph, job.Config, p, job.X, job.Y, lr, job.Iters, runtime.RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +102,7 @@ func hasTransition(rep *Report, kind TransitionKind) bool {
 // in-plan preempt is the end-to-end acceptance case: train, lose a
 // device at iteration 3, replan on the degraded cluster, reshard the
 // last checkpoint through the file round trip, resume — and the
-// stitched trajectory plus the final parameters match an uninterrupted
+// stitched trajectory plus the final state match an uninterrupted
 // run on the original plan. No event, or one the run never reaches, is
 // segmented training: bitwise identical to one Parallel call. A device
 // outside the cluster is refused before any training happens.
@@ -355,12 +353,31 @@ func TestSuperviseBackoffRetries(t *testing.T) {
 func TestSuperviseBackoffExhausted(t *testing.T) {
 	job := pp2tp2Job(t, 4)
 
+	reg := obs.NewRegistry()
 	opt := superviseOpts(t)
 	opt.SimulateTimeouts = maxRetries + 2
-	_, err := Supervise(context.Background(), job, ChurnSpec{}, opt)
+	opt.Metrics = reg
+	rep, err := Supervise(context.Background(), job, ChurnSpec{}, opt)
 	var te *comm.CollectiveTimeoutError
 	if !errors.As(err, &te) {
 		t.Fatalf("error %v, want wrapped *comm.CollectiveTimeoutError", err)
+	}
+	checkErrorReport(t, rep)
+	// The error path publishes the ledger too.
+	if got := reg.Counter(obs.ChurnBackoffRetriesTotal).Value(); got != maxRetries+1 {
+		t.Errorf("%s = %d, want %d", obs.ChurnBackoffRetriesTotal, got, maxRetries+1)
+	}
+}
+
+// checkErrorReport asserts that a run that returned an error still
+// closed its ledger on the state it reached.
+func checkErrorReport(t *testing.T, rep *Report) {
+	t.Helper()
+	if rep == nil || rep.Params == nil {
+		t.Fatalf("error return without a report of the state reached: %+v", rep)
+	}
+	if rep.FinalStep != rep.Params.Step {
+		t.Errorf("final step %d, want the reached state's step %d", rep.FinalStep, rep.Params.Step)
 	}
 }
 
@@ -420,13 +437,19 @@ func TestSuperviseStallsWithoutCapacity(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			job := testJob(t, tc.cl, 2, 1, 1, 4)
 			spec := ChurnSpec{Events: allDevices(tc.cl.TotalDevices(), 1, Preempt)}
-			_, err := Supervise(context.Background(), job, spec, superviseOpts(t))
+			opt := superviseOpts(t)
+			opt.CheckpointEvery = 1 // the stall keeps the step-1 checkpoint
+			rep, err := Supervise(context.Background(), job, spec, opt)
 			var stalled *StalledError
 			if !errors.As(err, &stalled) {
 				t.Fatalf("error %v, want *StalledError", err)
 			}
 			if stalled.Alive != 0 {
 				t.Errorf("stalled with %d alive, want 0", stalled.Alive)
+			}
+			checkErrorReport(t, rep)
+			if rep.FinalStep != 1 || stalled.Step != 1 {
+				t.Errorf("final step %d, stalled at step %d; want 1 and 1", rep.FinalStep, stalled.Step)
 			}
 		})
 	}

@@ -57,13 +57,11 @@ func (s *supervisor) beginDrain(ev ChurnEvent) error {
 		}
 	}
 	s.rep.Notices++
-	s.m.notices.Inc()
 	cost := s.opt.CheckpointCost
 	deadline := ev.Iteration + ev.Notice
 	if ev.Notice < cost {
 		nm := &NoticeMissedError{Device: ev.Device, Window: ev.Notice, Cost: cost, Deadline: deadline}
 		s.rep.NoticesMissed++
-		s.m.noticesMissed.Inc()
 		s.rep.NoticeMisses = append(s.rep.NoticeMisses, nm)
 		s.emit(s.curP.Step, TransNoticeMissed, "%v", nm)
 		s.insertEvent(ChurnEvent{Iteration: deadline, Kind: Preempt, Device: ev.Device})
@@ -85,7 +83,7 @@ func (s *supervisor) beginDrain(ev ChurnEvent) error {
 		s.fl.dead[ev.Device] = true
 		postSpec := s.fl.spec()
 		delete(s.fl.dead, ev.Device)
-		s.m.prewarms.Inc()
+		s.rep.PrewarmReplans++
 		if post, derr := s.fl.healthy.Degrade(postSpec); derr == nil {
 			plan, _ = s.replan(postSpec, &post, s.curP) // a failed search leaves the ladder fallback
 		}
@@ -114,7 +112,7 @@ func (s *supervisor) fireSwitch(d *pendingDrain) error {
 		return err
 	}
 	if !wasInUse {
-		s.cleanDrain()
+		s.rep.CleanDrains++
 		s.emit(s.curP.Step, TransDrain, "device %d drained at iteration %d (idle spare, %d alive)", d.device, s.done, s.fl.alive())
 		return nil
 	}
@@ -125,8 +123,8 @@ func (s *supervisor) fireSwitch(d *pendingDrain) error {
 		if err := s.saveCkpt(); err != nil { // re-anchor on the new layout
 			return err
 		}
-		s.cleanDrain()
-		s.committed("drain")
+		s.rep.CleanDrains++
+		s.rep.Ladder["drain"]++
 		s.recovered(began)
 		s.emit(s.curP.Step, TransDrain, "device %d drained at iteration %d: switched to pre-warmed plan (%d devices, %d stages), zero lost steps",
 			d.device, s.done, s.cur.TotalDevices(), s.cur.NumStages())
@@ -140,7 +138,7 @@ func (s *supervisor) fireSwitch(d *pendingDrain) error {
 		return err
 	}
 	if ok {
-		s.cleanDrain()
+		s.rep.CleanDrains++
 		s.recovered(began)
 		s.emit(s.curP.Step, TransDrain, "device %d drained at iteration %d via ladder, zero lost steps", d.device, s.done)
 		return nil
@@ -148,12 +146,6 @@ func (s *supervisor) fireSwitch(d *pendingDrain) error {
 	// The segment loop's runnability check pauses.
 	s.emit(s.curP.Step, TransDrain, "device %d drained at iteration %d; no runnable plan on %d survivors — pausing", d.device, s.done, s.fl.alive())
 	return nil
-}
-
-// cleanDrain books one notice-driven drain that lost no steps.
-func (s *supervisor) cleanDrain() {
-	s.rep.CleanDrains++
-	s.m.cleanDrains.Inc()
 }
 
 // settleDrains cancels drains of devices that died by other means and

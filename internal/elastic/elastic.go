@@ -44,6 +44,11 @@ const (
 	// maxRetries caps consecutive timeout retries of one segment before
 	// the error is surfaced.
 	maxRetries = 3
+	// backoffBase and backoffCap bound the capped exponential backoff
+	// between retries of a segment that failed with
+	// *comm.CollectiveTimeoutError; jitter is deterministic from Seed.
+	backoffBase = 2 * time.Millisecond
+	backoffCap  = 50 * time.Millisecond
 )
 
 // Options tunes the supervisor.
@@ -67,16 +72,10 @@ type Options struct {
 	SearchBudget time.Duration
 	// Seed drives the replan searches and the backoff jitter.
 	Seed int64
-	// Metrics, when non-nil, receives the aceso_elastic_*,
-	// aceso_churn_* and aceso_spot_* series.
+	// Metrics, when non-nil, receives the Report as the aceso_elastic_*,
+	// aceso_churn_* and aceso_spot_* series when Supervise returns.
 	Metrics *obs.Registry
 
-	// BackoffBase/BackoffCap bound the capped exponential backoff
-	// between retries of a segment that failed with
-	// *comm.CollectiveTimeoutError. Defaults 2ms / 50ms; jitter is
-	// deterministic from Seed.
-	BackoffBase time.Duration
-	BackoffCap  time.Duration
 	// MaxCadence caps the adaptive checkpoint cadence (iterations per
 	// checkpoint); the floor is 1. Default 4.
 	MaxCadence int
@@ -94,9 +93,6 @@ type Options struct {
 	// falls back to the in-plan Preempt path. Default 0: checkpoints
 	// are instantaneous and every window fits.
 	CheckpointCost int
-	// OnTransition, when non-nil, observes every supervisor transition
-	// as it happens (they are also collected in Report).
-	OnTransition func(Transition)
 }
 
 // withDefaults fills every unset knob.
@@ -110,12 +106,6 @@ func (o Options) withDefaults() Options {
 	if o.SearchBudget <= 0 {
 		o.SearchBudget = 200 * time.Millisecond
 	}
-	if o.BackoffBase <= 0 {
-		o.BackoffBase = 2 * time.Millisecond
-	}
-	if o.BackoffCap <= 0 {
-		o.BackoffCap = 50 * time.Millisecond
-	}
 	if o.MaxCadence <= 0 {
 		o.MaxCadence = 4
 	}
@@ -125,68 +115,75 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// Report is the outcome of a supervised run.
+// Report is the outcome of a supervised run and its only ledger: the
+// metrics Supervise publishes and the recovery targets' reports are
+// views of it.
 type Report struct {
 	// Losses holds one loss per completed iteration, stitched across
 	// every recovery: Losses only grows at segment boundaries, which is
 	// where checkpoints are, so a rolled-back segment leaves no trace.
-	Losses []float64
+	Losses []float64 `json:"losses"`
 	// Steps records the optimizer step counter after every successful
 	// segment — the chaos harness asserts it is strictly monotone.
-	Steps []int
+	Steps []int `json:"steps"`
 	// Params and Config are the state and plan training ended on;
 	// FinalStep is Params.Step at exit.
-	Params    *runtime.Params
-	Config    *config.Config
-	FinalStep int
+	Params    *runtime.Params `json:"-"`
+	Config    *config.Config  `json:"config"`
+	FinalStep int             `json:"final_step"`
 
 	// EventsApplied counts schedule events consumed; EventCounts
 	// breaks them down by ChurnKind string.
-	EventsApplied int
-	EventCounts   map[string]int
+	EventsApplied int            `json:"events_applied"`
+	EventCounts   map[string]int `json:"event_counts"`
 	// FaultsDetected counts in-plan device losses surfaced by the
 	// runtime (a subset of the preempt events).
-	FaultsDetected int
-	// Checkpoints and Reshards count recovery events;
+	FaultsDetected int `json:"faults_detected"`
+	// Checkpoints, Restores and Reshards count recovery events: a
+	// restore resumes training from a durable state (resharded or not);
 	// ReshardBytesMoved is the physical data movement the reshards
 	// implied (shard overlap that changed devices).
-	Checkpoints       int
-	Reshards          int
-	ReshardBytesMoved int64
-	// Replans counts replan searches run; ReplansAvoided counts the
-	// searches hysteresis (or a good-enough projection) avoided.
-	Replans        int
-	ReplansAvoided int
+	Checkpoints       int   `json:"checkpoints"`
+	Restores          int   `json:"restores"`
+	Reshards          int   `json:"reshards"`
+	ReshardBytesMoved int64 `json:"reshard_bytes_moved"`
+	// Replans counts replan searches run, PrewarmReplans the subset run
+	// for a notice drain while the doomed device still served;
+	// ReplansAvoided counts the searches hysteresis (or a good-enough
+	// projection) avoided.
+	Replans        int `json:"replans"`
+	PrewarmReplans int `json:"prewarm_replans"`
+	ReplansAvoided int `json:"replans_avoided"`
 	// Ladder counts recovery commits per rung ("project", "replan",
 	// "shrink", "drain").
-	Ladder map[string]int
+	Ladder map[string]int `json:"ladder"`
 	// Retries counts timeout retries; Pauses counts pause-and-wait
 	// episodes.
-	Retries int
-	Pauses  int
+	Retries int `json:"retries"`
+	Pauses  int `json:"pauses"`
 	// Recoveries holds the wall time of each recovery (detection →
 	// resumed training: replan + reshard + restore).
-	Recoveries []time.Duration
+	Recoveries []time.Duration `json:"recoveries_ns"`
 	// IterationsExecuted counts every iteration the fleet ran,
 	// including partial segments discarded by a rollback; StepsLost is
 	// the discarded portion. Availability derives from the two.
-	IterationsExecuted int
-	StepsLost          int
+	IterationsExecuted int `json:"iterations_executed"`
+	StepsLost          int `json:"steps_lost"`
 	// FinalCadence is the adaptive checkpoint cadence at exit.
-	FinalCadence int
+	FinalCadence int `json:"final_cadence"`
 	// Notices counts preempt notices received; CleanDrains the
 	// notice-driven drains completed with zero lost steps (proactive
 	// switchover or idle reclaim inside the window); NoticesMissed the
 	// notices whose window could not absorb a checkpoint, so the
 	// reclaim fell back to the Preempt path.
-	Notices       int
-	CleanDrains   int
-	NoticesMissed int
+	Notices       int `json:"notices"`
+	CleanDrains   int `json:"clean_drains"`
+	NoticesMissed int `json:"notices_missed"`
 	// NoticeMisses holds the typed error recorded for each missed
 	// notice, in schedule order.
-	NoticeMisses []*NoticeMissedError
+	NoticeMisses []*NoticeMissedError `json:"notice_misses"`
 	// Transitions is the full supervisor decision log.
-	Transitions []Transition
+	Transitions []Transition `json:"transitions"`
 }
 
 // Availability is the fraction of executed iterations that counted
@@ -216,55 +213,42 @@ func (r *Report) RecoveryPercentile(q float64) time.Duration {
 	return sorted[idx]
 }
 
-// meters holds the supervisor's pre-resolved metric handles.
-type meters struct {
-	reg            *obs.Registry
-	checkpoints    *obs.Counter
-	restores       *obs.Counter
-	reshards       *obs.Counter
-	bytesMoved     *obs.Counter
-	faults         *obs.Counter
-	replans        *obs.Counter
-	replansAvoided *obs.Counter
-	retries        *obs.Counter
-	pauses         *obs.Counter
-	stepsLost      *obs.Counter
-	recovery       *obs.Histogram
-	notices        *obs.Counter
-	cleanDrains    *obs.Counter
-	noticesMissed  *obs.Counter
-	prewarms       *obs.Counter
-}
-
-// newMeters resolves the handles. An unmetered run counts into a
-// registry nobody reads, so no call site tests for one.
-func newMeters(reg *obs.Registry) meters {
-	if reg == nil {
-		reg = obs.NewRegistry()
+// publish adds the ledger to reg: each series is the Report field it
+// is named after, the labelled families one series per map key (or
+// transition kind), and the recovery histogram one observation per
+// recovery. Runs published into one registry sum.
+func (r *Report) publish(reg *obs.Registry) {
+	for name, v := range map[string]int64{
+		obs.ElasticCheckpointsTotal:       int64(r.Checkpoints),
+		obs.ElasticRestoresTotal:          int64(r.Restores),
+		obs.ElasticReshardsTotal:          int64(r.Reshards),
+		obs.ElasticReshardBytesMovedTotal: r.ReshardBytesMoved,
+		obs.ChurnFaultsTotal:              int64(r.FaultsDetected),
+		obs.ChurnReplansTotal:             int64(r.Replans),
+		obs.ChurnReplansAvoidedTotal:      int64(r.ReplansAvoided),
+		obs.ChurnBackoffRetriesTotal:      int64(r.Retries),
+		obs.ChurnPausesTotal:              int64(r.Pauses),
+		obs.ChurnStepsLostTotal:           int64(r.StepsLost),
+		obs.SpotNoticesTotal:              int64(r.Notices),
+		obs.SpotCleanDrainsTotal:          int64(r.CleanDrains),
+		obs.SpotNoticesMissedTotal:        int64(r.NoticesMissed),
+		obs.SpotPrewarmReplansTotal:       int64(r.PrewarmReplans),
+	} {
+		reg.Counter(name).Add(v)
 	}
-	return meters{
-		reg:            reg,
-		checkpoints:    reg.Counter(obs.ElasticCheckpointsTotal),
-		restores:       reg.Counter(obs.ElasticRestoresTotal),
-		reshards:       reg.Counter(obs.ElasticReshardsTotal),
-		bytesMoved:     reg.Counter(obs.ElasticReshardBytesMovedTotal),
-		faults:         reg.Counter(obs.ChurnFaultsTotal),
-		replans:        reg.Counter(obs.ChurnReplansTotal),
-		replansAvoided: reg.Counter(obs.ChurnReplansAvoidedTotal),
-		retries:        reg.Counter(obs.ChurnBackoffRetriesTotal),
-		pauses:         reg.Counter(obs.ChurnPausesTotal),
-		stepsLost:      reg.Counter(obs.ChurnStepsLostTotal),
-		recovery:       reg.Histogram(obs.ChurnRecovery, obs.SecondsBuckets...),
-		notices:        reg.Counter(obs.SpotNoticesTotal),
-		cleanDrains:    reg.Counter(obs.SpotCleanDrainsTotal),
-		noticesMissed:  reg.Counter(obs.SpotNoticesMissedTotal),
-		prewarms:       reg.Counter(obs.SpotPrewarmReplansTotal),
+	for kind, n := range r.EventCounts {
+		reg.Counter(obs.ChurnEventsTotal + `{kind="` + kind + `"}`).Add(int64(n))
 	}
-}
-
-// labelled bumps the series of a counter family selected by one label.
-func (m *meters) labelled(family, label, value string) {
-	m.reg.Counter(family + `{` + label + `="` + value + `"}`).Inc()
+	for rung, n := range r.Ladder {
+		reg.Counter(obs.ChurnLadderTotal + `{rung="` + rung + `"}`).Add(int64(n))
+	}
+	for _, tr := range r.Transitions {
+		reg.Counter(obs.ChurnTransitionsTotal + `{kind="` + string(tr.Kind) + `"}`).Inc()
+	}
+	h := reg.Histogram(obs.ChurnRecovery, obs.SecondsBuckets...)
+	for _, d := range r.Recoveries {
+		h.Observe(d.Seconds())
+	}
 }
 
 // Supervise runs job.Iters iterations of training under a churn
@@ -291,6 +275,15 @@ func Supervise(ctx context.Context, job Job, spec ChurnSpec, opt Options) (*Repo
 		return nil, err
 	}
 	s := newSupervisor(ctx, job, spec, opt.withDefaults())
+	// The ledger closes once, on every return: the state reached and
+	// its counts, published when a registry is configured.
+	defer func() {
+		s.rep.Params, s.rep.Config = s.curP, s.cur
+		s.rep.FinalStep, s.rep.FinalCadence = s.curP.Step, s.cadence
+		if s.opt.Metrics != nil {
+			s.rep.publish(s.opt.Metrics)
+		}
+	}()
 	// Clear temp files orphaned by a crash mid-Save before the lineage
 	// starts growing again.
 	if s.opt.Dir != "" {
@@ -303,13 +296,7 @@ func Supervise(ctx context.Context, job Job, spec ChurnSpec, opt Options) (*Repo
 	if err := s.saveCkpt(); err != nil {
 		return nil, err
 	}
-	if err := s.run(); err != nil {
-		return s.rep, err
-	}
-	s.rep.FinalStep = s.curP.Step
-	s.rep.Params, s.rep.Config = s.curP, s.cur
-	s.rep.FinalCadence = s.cadence
-	return s.rep, nil
+	return s.rep, s.run()
 }
 
 // ckptPath is the single-lineage checkpoint file under dir.

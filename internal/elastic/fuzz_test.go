@@ -142,8 +142,6 @@ func FuzzChurnEventsNeverPanic(f *testing.F) {
 			LR:           0.05,
 			CommDeadline: 5 * time.Second,
 			SearchBudget: 10 * time.Millisecond,
-			BackoffBase:  time.Microsecond,
-			BackoffCap:   2 * time.Microsecond,
 		}
 		job := Job{Graph: g, Cluster: cl, Config: cfg, Params: p, X: x, Y: y, Iters: 2}
 		rep, err := Supervise(context.Background(), job, spec, opt)
@@ -227,8 +225,6 @@ func FuzzPreemptNoticeNeverPanics(f *testing.F) {
 			LR:             0.05,
 			CommDeadline:   5 * time.Second,
 			SearchBudget:   10 * time.Millisecond,
-			BackoffBase:    time.Microsecond,
-			BackoffCap:     2 * time.Microsecond,
 			CheckpointCost: int(ckptCost) % 7,
 		}
 		job := Job{Graph: g, Cluster: cl, Config: cfg, Params: p, X: x, Y: y, Iters: 4}

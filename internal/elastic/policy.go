@@ -9,42 +9,30 @@ import (
 	"aceso/internal/core"
 	"aceso/internal/hardware"
 	"aceso/internal/model"
-	"aceso/internal/obs"
 	"aceso/internal/perfmodel"
 	"aceso/internal/runtime"
 )
 
-// runnableOn checks a candidate against the config validator and the
-// runtime's executability preflight. The candidate need not fill the
-// cluster: a shrunken plan validates against its own device count and
-// merely has to fit within the survivors.
+// runnableOn checks a candidate against the runtime's preflight. The
+// candidate need not fill the cluster: a shrunken plan validates
+// against its own device count and merely has to fit within the
+// survivors.
 func runnableOn(g *model.Graph, cl *hardware.Cluster, c *config.Config, p *runtime.Params) bool {
-	if c == nil || c.TotalDevices() > cl.TotalDevices() {
-		return false
-	}
-	if c.Validate(g, c.TotalDevices()) != nil {
-		return false
-	}
-	if c.MicroBatch <= 0 || g.GlobalBatch%c.MicroBatch != 0 {
-		return false
-	}
-	return runtime.CheckRunnable(g, c, p) == nil
+	return c != nil && c.TotalDevices() <= cl.TotalDevices() && runtime.CheckRunnable(g, c, p) == nil
 }
 
 // backoffDelay is the capped exponential backoff with deterministic
-// jitter: attempt n waits base·2^(n-1), capped, plus up to half of
-// that again, derived from (seed, attempt) by a splitmix-style hash so
-// retries are reproducible yet de-synchronized across seeds.
-func backoffDelay(base, cap time.Duration, attempt int, seed int64) time.Duration {
-	if base <= 0 {
-		return 0
-	}
-	d := base
-	for i := 1; i < attempt && d < cap; i++ {
+// jitter: attempt n waits backoffBase·2^(n-1), capped at backoffCap,
+// plus up to half of that again, derived from (seed, attempt) by a
+// splitmix-style hash so retries are reproducible yet de-synchronized
+// across seeds.
+func backoffDelay(attempt int, seed int64) time.Duration {
+	d := backoffBase
+	for i := 1; i < attempt && d < backoffCap; i++ {
 		d *= 2
 	}
-	if d > cap {
-		d = cap
+	if d > backoffCap {
+		d = backoffCap
 	}
 	z := uint64(seed) + uint64(attempt)*0x9e3779b97f4a7c15
 	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
@@ -73,7 +61,6 @@ func (s *supervisor) estimate(cl *hardware.Cluster, c *config.Config) float64 {
 // can execute with p on cl, or nil.
 func (s *supervisor) replan(spec hardware.FaultSpec, cl *hardware.Cluster, p *runtime.Params) (*config.Config, error) {
 	s.rep.Replans++
-	s.m.replans.Inc()
 	res, err := core.Replan(s.ctx, s.job.Graph, s.fl.healthy, spec, s.cur, core.Options{
 		TimeBudget: s.opt.SearchBudget,
 		Seed:       s.opt.Seed,
@@ -89,12 +76,6 @@ func (s *supervisor) replan(spec hardware.FaultSpec, cl *hardware.Cluster, p *ru
 	return nil, nil
 }
 
-// avoidedReplan books a search hysteresis made unnecessary.
-func (s *supervisor) avoidedReplan() {
-	s.rep.ReplansAvoided++
-	s.m.replansAvoided.Inc()
-}
-
 // ladder walks the graceful-degradation rungs after capacity changed:
 // reuse the projection when its projected slowdown against preT is
 // tolerable, otherwise pay for a warm replan, otherwise shrink to the
@@ -104,17 +85,13 @@ func (s *supervisor) ladder(preT float64) (bool, error) {
 	if s.fl.alive() == 0 {
 		return false, nil
 	}
-	// Restore once up front: candidate filtering needs the weights to
-	// check runnability (tp divisibility against actual tensor shapes).
-	_, restored, err := s.restore()
-	if err != nil {
-		return false, err
-	}
+	// Candidates are filtered against curP: a fault tears its values,
+	// never its shapes.
 	g, survivors := s.job.Graph, s.active.TotalDevices()
 
 	var next *config.Config
 	rung := ""
-	if proj, perr := core.ProjectConfig(g, s.cur, survivors); perr == nil && runnableOn(g, &s.active, proj, restored) {
+	if proj, perr := core.ProjectConfig(g, s.cur, survivors); perr == nil && runnableOn(g, &s.active, proj, s.curP) {
 		next, rung = proj, "project"
 	}
 	escalate := next == nil
@@ -125,18 +102,18 @@ func (s *supervisor) ladder(preT float64) (bool, error) {
 		} else {
 			// The projection is within tolerance of the pre-fault plan:
 			// hysteresis just avoided a replan search.
-			s.avoidedReplan()
+			s.rep.ReplansAvoided++
 		}
 	}
 	if escalate {
-		if cand, rerr := s.replan(s.fl.spec(), &s.active, restored); rerr == nil && cand != nil &&
+		if cand, rerr := s.replan(s.fl.spec(), &s.active, s.curP); rerr == nil && cand != nil &&
 			(next == nil || s.estimate(&s.active, cand) < s.estimate(&s.active, next)) {
 			next, rung = cand, "replan"
 		}
 	}
 	if next == nil {
 		for n := survivors - 1; n >= 1; n-- {
-			if proj, perr := core.ProjectConfig(g, s.cur, n); perr == nil && runnableOn(g, &s.active, proj, restored) {
+			if proj, perr := core.ProjectConfig(g, s.cur, n); perr == nil && runnableOn(g, &s.active, proj, s.curP) {
 				next, rung = proj, "shrink"
 				break
 			}
@@ -148,7 +125,7 @@ func (s *supervisor) ladder(preT float64) (bool, error) {
 	if err := s.commit(next); err != nil {
 		return false, err
 	}
-	s.committed(rung)
+	s.rep.Ladder[rung]++
 	switch rung {
 	case "project":
 		s.emit(s.curP.Step, TransLadderProject, "projected plan onto %d survivors (search avoided)", survivors)
@@ -158,12 +135,6 @@ func (s *supervisor) ladder(preT float64) (bool, error) {
 		s.emit(s.curP.Step, TransLadderShrink, "shrunk to %d of %d survivors", s.cur.TotalDevices(), survivors)
 	}
 	return true, nil
-}
-
-// committed books one recovery commit on a ladder rung.
-func (s *supervisor) committed(rung string) {
-	s.rep.Ladder[rung]++
-	s.m.labelled(obs.ChurnLadderTotal, "rung", rung)
 }
 
 // hysteresis is the replan decision after a boundary event changed the
@@ -200,7 +171,7 @@ func (s *supervisor) hysteresis(before hardware.Cluster) error {
 			trigger = true
 			forced = fmt.Sprintf("degradation persisted across %d deferred events", s.pendingDefer)
 		} else {
-			s.avoidedReplan()
+			s.rep.ReplansAvoided++
 			s.emit(s.curP.Step, TransReplanDeferred, "projected loss %.1f%%, idle capacity %.1f%% below threshold %.0f%% (%d/%d deferred)",
 				100*lossFrac, 100*gainFrac, 100*replanThreshold, s.pendingDefer, hysteresisEvents)
 		}
@@ -267,7 +238,6 @@ func (s *supervisor) adaptCadence(at int) {
 // the ladder finds a plan.
 func (s *supervisor) pauseAndWait() error {
 	s.rep.Pauses++
-	s.m.pauses.Inc()
 	s.emit(s.ckpt.Step, TransLadderPause, "paused: %d devices alive, no runnable plan; waiting for capacity", s.fl.alive())
 	for s.ei < len(s.events) {
 		ev := s.events[s.ei]

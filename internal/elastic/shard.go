@@ -165,7 +165,7 @@ func ShardState(g *model.Graph, cfg *config.Config, p *runtime.Params) (*State, 
 		for j := stage.Start; j < stage.End; j++ {
 			w := p.W[j]
 			if w == nil {
-				continue // op carries no parameters
+				continue // op carries no weights
 			}
 			set := stage.Setting(j)
 			b := p.B[j]

@@ -10,7 +10,6 @@ import (
 	"aceso/internal/comm"
 	"aceso/internal/config"
 	"aceso/internal/hardware"
-	"aceso/internal/obs"
 	"aceso/internal/runtime"
 )
 
@@ -22,7 +21,6 @@ type supervisor struct {
 	ctx context.Context
 	job Job
 	opt Options
-	m   meters
 	rep *Report
 
 	// The schedule, sorted by iteration; events[:ei] are consumed.
@@ -69,12 +67,7 @@ func newSupervisor(ctx context.Context, job Job, spec ChurnSpec, opt Options) *s
 	}
 	return &supervisor{
 		ctx: ctx, job: job, opt: opt,
-		m: newMeters(opt.Metrics),
-		rep: &Report{
-			Params: job.Params, Config: job.Config,
-			EventCounts: map[string]int{},
-			Ladder:      map[string]int{},
-		},
+		rep:         &Report{EventCounts: map[string]int{}, Ladder: map[string]int{}},
 		events:      events,
 		fl:          fleet{healthy: job.Cluster, dead: map[int]bool{}, slow: map[int]float64{}},
 		active:      job.Cluster,
@@ -90,26 +83,18 @@ func newSupervisor(ctx context.Context, job Job, spec ChurnSpec, opt Options) *s
 
 // emit records one transition at an optimizer step.
 func (s *supervisor) emit(step int, kind TransitionKind, format string, args ...any) {
-	tr := Transition{Step: step, Kind: kind, Detail: fmt.Sprintf(format, args...)}
-	s.rep.Transitions = append(s.rep.Transitions, tr)
-	s.m.labelled(obs.ChurnTransitionsTotal, "kind", string(kind))
-	if s.opt.OnTransition != nil {
-		s.opt.OnTransition(tr)
-	}
+	s.rep.Transitions = append(s.rep.Transitions, Transition{Step: step, Kind: kind, Detail: fmt.Sprintf(format, args...)})
 }
 
 // countEvent books one consumed schedule event.
 func (s *supervisor) countEvent(ev ChurnEvent) {
 	s.rep.EventsApplied++
 	s.rep.EventCounts[ev.Kind.String()]++
-	s.m.labelled(obs.ChurnEventsTotal, "kind", ev.Kind.String())
 }
 
 // recovered books one recovery that began at began.
 func (s *supervisor) recovered(began time.Time) {
-	d := time.Since(began)
-	s.rep.Recoveries = append(s.rep.Recoveries, d)
-	s.m.recovery.Observe(d.Seconds())
+	s.rep.Recoveries = append(s.rep.Recoveries, time.Since(began))
 }
 
 // saveCkpt makes the running state the durable one.
@@ -122,7 +107,6 @@ func (s *supervisor) saveCkpt() error {
 		return err
 	}
 	s.ckpt, s.ckptAt = st, s.active
-	s.m.checkpoints.Inc()
 	s.rep.Checkpoints++
 	return nil
 }
@@ -140,18 +124,18 @@ func (s *supervisor) loadCkpt() (*State, error) {
 	return s.ckpt, nil
 }
 
-// restore assembles the durable state into runnable parameters.
-func (s *supervisor) restore() (*State, *runtime.Params, error) {
-	st, err := s.loadCkpt()
-	if err != nil {
-		return nil, nil, err
-	}
+// resume makes a durable state the running one: assembled into
+// runtime.Params, with progress rolled back to its step.
+func (s *supervisor) resume(st *State) error {
 	p, err := AssembleState(st)
 	if err != nil {
-		return nil, nil, err
+		return err
 	}
 	p.Arch = s.curP.Arch
-	return st, p, nil
+	s.curP = p
+	s.done = st.Step - s.stepZero
+	s.rep.Restores++
+	return nil
 }
 
 // commit reshards the durable checkpoint onto next and makes it the
@@ -167,22 +151,14 @@ func (s *supervisor) commit(next *config.Config) error {
 	if err != nil {
 		return err
 	}
+	s.rep.Reshards++
 	// Bytes moved compares physical devices: the checkpoint's ranks are
 	// logical on the cluster it was taken on, the new plan's on active.
-	bytes := BytesMoved(st, resharded, physMap(s.ckptAt), physMap(s.active))
-	s.m.reshards.Inc()
-	s.m.bytesMoved.Add(bytes)
-	s.rep.Reshards++
-	s.rep.ReshardBytesMoved += bytes
-	newP, err := AssembleState(resharded)
-	if err != nil {
+	s.rep.ReshardBytesMoved += BytesMoved(st, resharded, physMap(s.ckptAt), physMap(s.active))
+	if err := s.resume(resharded); err != nil {
 		return err
 	}
-	newP.Arch = s.curP.Arch
-	s.m.restores.Inc()
-	s.cur, s.curP = next, newP
-	s.rep.Config, s.rep.Params = s.cur, s.curP
-	s.done = st.Step - s.stepZero
+	s.cur = next
 	return nil
 }
 
@@ -318,7 +294,7 @@ func (s *supervisor) train(seg int, fp *runtime.FaultPlan) ([]float64, error) {
 		s.simLeft--
 		return nil, &comm.CollectiveTimeoutError{Op: "all-reduce", Rank: 0, Waited: s.opt.CommDeadline}
 	}
-	return runtime.ParallelOpts(s.job.Graph, s.cur, s.curP, s.job.X, s.job.Y, s.opt.LR, seg,
+	return runtime.Parallel(s.job.Graph, s.cur, s.curP, s.job.X, s.job.Y, s.opt.LR, seg,
 		runtime.RunOptions{CommDeadline: s.opt.CommDeadline, Fault: fp})
 }
 
@@ -330,11 +306,9 @@ func (s *supervisor) recoverLoss(lost *runtime.DeviceLostError) error {
 	s.ei++
 	s.countEvent(ev)
 	s.rep.FaultsDetected++
-	s.m.faults.Inc()
 	wasted := lost.Iteration
 	s.rep.IterationsExecuted += wasted
 	s.rep.StepsLost += wasted
-	s.m.stepsLost.Add(int64(wasted))
 	at := s.done + wasted
 	s.emit(s.ckpt.Step, TransFault, "device %d (stage %d) lost mid-iteration %d; rolling back %d steps",
 		ev.Device, lost.Stage, at, wasted)
@@ -367,22 +341,15 @@ func (s *supervisor) recoverLoss(lost *runtime.DeviceLostError) error {
 func (s *supervisor) retryTimeout(te *comm.CollectiveTimeoutError, cause error) error {
 	s.retries++
 	s.rep.Retries++
-	s.m.retries.Inc()
 	if s.retries > maxRetries {
 		return fmt.Errorf("elastic: segment failed after %d timeout retries: %w", maxRetries, cause)
 	}
-	delay := backoffDelay(s.opt.BackoffBase, s.opt.BackoffCap, s.retries, s.opt.Seed)
+	delay := backoffDelay(s.retries, s.opt.Seed)
 	s.emit(s.ckpt.Step, TransBackoffRetry, "timeout (%s); retry %d/%d after %v", te.Op, s.retries, maxRetries, delay)
-	if delay > 0 {
-		time.Sleep(delay)
-	}
-	st, restored, err := s.restore()
+	time.Sleep(delay)
+	st, err := s.loadCkpt()
 	if err != nil {
 		return err
 	}
-	s.m.restores.Inc()
-	s.curP = restored
-	s.rep.Params = s.curP
-	s.done = st.Step - s.stepZero
-	return nil
+	return s.resume(st)
 }

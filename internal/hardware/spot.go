@@ -10,7 +10,7 @@
 // capacity is a property of a DeviceClass, so a homogeneous cluster
 // (len(Classes) == 0) is hazard-free by construction and every accessor
 // below has the same fast path that keeps hazard-free searches
-// bit-identical (the explored=24701 pin in BENCH_search.json).
+// bit-identical (the explored=24701 rows of core's determinism.json).
 package hardware
 
 import "fmt"

@@ -2,6 +2,7 @@ package runtime
 
 import (
 	"fmt"
+	"math/rand"
 
 	"aceso/internal/model"
 	"aceso/internal/tensor"
@@ -66,7 +67,7 @@ func InitParamsArch(g *model.Graph, arch Arch, seed int64) (*Params, error) {
 	}
 	p := InitParams(g, seed) // square defaults, replaced below
 	p.Arch = &arch
-	rng := newRNG(seed + 1)
+	rng := rand.New(rand.NewSource(seed + 1))
 	cur := arch.Hidden
 	for i := range g.Ops {
 		op := &g.Ops[i]

@@ -95,7 +95,7 @@ func TestFaultInjectionReturnsTypedError(t *testing.T) {
 		p := InitParams(g, 7)
 		p.Opt = Adam
 		start := time.Now()
-		losses, err := ParallelOpts(g, cfg, p, x, y, lr, iters, RunOptions{
+		losses, err := Parallel(g, cfg, p, x, y, lr, iters, RunOptions{
 			Fault:        &FaultPlan{Rank: rank, Iteration: 1},
 			CommDeadline: 2 * time.Second,
 		})
@@ -125,7 +125,7 @@ func TestFaultOnLastStageStillUnblocksFirst(t *testing.T) {
 	p := InitParams(g, 7)
 	done := make(chan error, 1)
 	go func() {
-		_, err := ParallelOpts(g, cfg, p, x, y, lr, iters, RunOptions{
+		_, err := Parallel(g, cfg, p, x, y, lr, iters, RunOptions{
 			Fault: &FaultPlan{Rank: 3, Iteration: 0}, // no deadline: cascade only
 		})
 		done <- err
@@ -149,13 +149,13 @@ func TestFaultPlanValidation(t *testing.T) {
 	p := InitParams(g, 7)
 	for _, f := range []FaultPlan{{Rank: -1, Iteration: 0}, {Rank: 9, Iteration: 0}, {Rank: 0, Iteration: iters}} {
 		f := f
-		if _, err := ParallelOpts(g, cfg, p, x, y, lr, iters, RunOptions{Fault: &f}); err == nil {
+		if _, err := Parallel(g, cfg, p, x, y, lr, iters, RunOptions{Fault: &f}); err == nil {
 			t.Errorf("fault %+v accepted", f)
 		}
 	}
 }
 
-// TestResumeMatchesUninterrupted: a run split into two ParallelOpts
+// TestResumeMatchesUninterrupted: a run split into two Parallel
 // segments (the checkpoint/resume pattern, Adam bias correction resuming
 // from Step+1) must reproduce the single uninterrupted run exactly.
 func TestResumeMatchesUninterrupted(t *testing.T) {
@@ -165,14 +165,14 @@ func TestResumeMatchesUninterrupted(t *testing.T) {
 
 	whole := InitParams(g, 7)
 	whole.Opt = Adam
-	wholeLosses, err := Parallel(g, cfg, whole, x, y, lr, 6)
+	wholeLosses, err := Parallel(g, cfg, whole, x, y, lr, 6, RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	split := InitParams(g, 7)
 	split.Opt = Adam
-	l1, err := Parallel(g, cfg, split, x, y, lr, 3)
+	l1, err := Parallel(g, cfg, split, x, y, lr, 3, RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +180,7 @@ func TestResumeMatchesUninterrupted(t *testing.T) {
 		t.Fatalf("Step = %d after first segment, want 3", split.Step)
 	}
 	resumed := split.Clone() // the checkpoint
-	l2, err := Parallel(g, cfg, resumed, x, y, lr, 3)
+	l2, err := Parallel(g, cfg, resumed, x, y, lr, 3, RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,31 +192,6 @@ func TestResumeMatchesUninterrupted(t *testing.T) {
 	}
 	if d := whole.MaxDiff(resumed); d > tol {
 		t.Errorf("final state differs by %g between whole and segmented runs", d)
-	}
-}
-
-// TestCommDeadlineZeroValueUnbounded: RunOptions zero value must behave
-// exactly like Parallel (regression guard on the delegation).
-func TestCommDeadlineZeroValueUnbounded(t *testing.T) {
-	g := buildMLP(t)
-	cfg := uniform(t, g, 2, 1, 1, 1, 4)
-	x, y := data(42)
-	a, b := InitParams(g, 7), InitParams(g, 7)
-	la, err := Parallel(g, cfg, a, x, y, lr, iters)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lb, err := ParallelOpts(g, cfg, b, x, y, lr, iters, RunOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range la {
-		if la[i] != lb[i] {
-			t.Fatalf("iter %d: Parallel %v vs ParallelOpts{} %v", i, la[i], lb[i])
-		}
-	}
-	if d := a.MaxDiff(b); d != 0 {
-		t.Fatalf("states differ by %g", d)
 	}
 }
 

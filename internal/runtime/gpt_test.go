@@ -61,7 +61,7 @@ func checkGPTEquivalence(t *testing.T, g *model.Graph, arch Arch, cfg *config.Co
 	if err != nil {
 		t.Fatal(err)
 	}
-	parLosses, err := Parallel(g, cfg, par, x, y, lr, iters)
+	parLosses, err := Parallel(g, cfg, par, x, y, lr, iters, RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +148,7 @@ func TestGPTRejectsBadHeads(t *testing.T) {
 		t.Fatal(err)
 	}
 	x, y := gptData(1)
-	if _, err := Parallel(g, cfg, p, x, y, lr, 1); err == nil {
+	if _, err := Parallel(g, cfg, p, x, y, lr, 1, RunOptions{}); err == nil {
 		t.Fatal("tp=8 over 4 heads accepted")
 	}
 }
@@ -257,7 +257,7 @@ func checkGPTEquivalenceArch(t *testing.T, g *model.Graph, arch Arch, cfg *confi
 	if err != nil {
 		t.Fatal(err)
 	}
-	parLosses, err := Parallel(g, cfg, par, x, y, lr, iters)
+	parLosses, err := Parallel(g, cfg, par, x, y, lr, iters, RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

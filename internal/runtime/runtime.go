@@ -109,9 +109,6 @@ func (p *Params) EnsureOptState() {
 	}
 }
 
-// newRNG returns a deterministic generator.
-func newRNG(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }
-
 // InitParams initializes deterministic weights for every linear op.
 func InitParams(g *model.Graph, seed int64) *Params {
 	rng := rand.New(rand.NewSource(seed))
@@ -151,21 +148,12 @@ func InitParams(g *model.Graph, seed int64) *Params {
 // keep training along with the live parameters, silently corrupting
 // every checkpoint built from it.
 func (p *Params) Clone() *Params {
-	out := &Params{
-		W: map[int]*tensor.Mat{}, B: map[int]*tensor.Mat{},
+	return &Params{
+		W: cloneMatMap(p.W), B: cloneMatMap(p.B),
 		Arch: p.Arch, Opt: p.Opt, Step: p.Step, Seed: p.Seed,
+		MW: cloneMatMap(p.MW), VW: cloneMatMap(p.VW),
+		MB: cloneMatMap(p.MB), VB: cloneMatMap(p.VB),
 	}
-	for k, v := range p.W {
-		out.W[k] = v.Clone()
-	}
-	for k, v := range p.B {
-		out.B[k] = v.Clone()
-	}
-	out.MW = cloneMatMap(p.MW)
-	out.VW = cloneMatMap(p.VW)
-	out.MB = cloneMatMap(p.MB)
-	out.VB = cloneMatMap(p.VB)
-	return out
 }
 
 func cloneMatMap(m map[int]*tensor.Mat) map[int]*tensor.Mat {
@@ -330,7 +318,7 @@ func updateTensor(p *Params, id int, w, g *tensor.Mat, ms, vs map[int]*tensor.Ma
 		v.Data[i] = adamBeta2*v.Data[i] + (1-adamBeta2)*grad*grad
 		mhat := m.Data[i] / c1
 		vhat := v.Data[i] / c2
-		w.Data[i] -= lr * mhat / (sqrtf(vhat) + adamEps)
+		w.Data[i] -= lr * mhat / (math.Sqrt(vhat) + adamEps)
 	}
 }
 
@@ -341,8 +329,6 @@ func pow(b float64, n int) float64 {
 	}
 	return out
 }
-
-func sqrtf(v float64) float64 { return math.Sqrt(v) }
 
 func checkData(g *model.Graph, x, y *tensor.Mat, microBatch, rowsPerSample int) error {
 	if x.Rows != g.GlobalBatch*rowsPerSample {
@@ -358,7 +344,7 @@ func checkData(g *model.Graph, x, y *tensor.Mat, microBatch, rowsPerSample int) 
 	return nil
 }
 
-// FaultPlan injects a device failure into a ParallelOpts run: the
+// FaultPlan injects a device failure into a Parallel run: the
 // device with global rank Rank dies at the start of iteration
 // Iteration (0-based, counted within the run). The stage hosting the
 // device surfaces a typed *DeviceLostError at that iteration boundary
@@ -369,8 +355,8 @@ type FaultPlan struct {
 	Iteration int
 }
 
-// RunOptions tunes a ParallelOpts execution beyond the core training
-// arguments. The zero value reproduces Parallel exactly.
+// RunOptions tunes a Parallel execution beyond the core training
+// arguments. The zero value runs fault-free with unbounded waits.
 type RunOptions struct {
 	// Fault, when non-nil, kills a device mid-run (see FaultPlan).
 	Fault *FaultPlan
@@ -397,11 +383,16 @@ func (e *DeviceLostError) Error() string {
 }
 
 // CheckRunnable verifies that the numeric runtime can execute cfg with
-// the given parameters: every op kind is supported, weights exist and
-// divide by their tensor-parallel degrees. Exported so elastic
-// replanning can filter searched candidates down to executable ones
-// before committing a resharded state to one of them.
+// the given parameters: cfg is valid on its own device count (which
+// includes the microbatch dividing the batch), every op kind is
+// supported, weights exist and divide by their tensor-parallel
+// degrees. Exported so elastic replanning can filter searched
+// candidates down to executable ones before committing a resharded
+// state to one of them.
 func CheckRunnable(g *model.Graph, cfg *config.Config, p *Params) error {
+	if err := cfg.Validate(g, cfg.TotalDevices()); err != nil {
+		return fmt.Errorf("runtime: %w", err)
+	}
 	for si := range cfg.Stages {
 		st := &cfg.Stages[si]
 		for j := st.Start; j < st.End; j++ {
@@ -442,12 +433,8 @@ func CheckRunnable(g *model.Graph, cfg *config.Config, p *Params) error {
 // column/row tensor parallelism, data-parallel row sharding,
 // microbatching and recomputation — and returns per-iteration losses.
 // The final parameters are written back into p; they must match
-// Serial's up to floating-point summation order.
-func Parallel(g *model.Graph, cfg *config.Config, p *Params, x, y *tensor.Mat, lr float64, iters int) ([]float64, error) {
-	return ParallelOpts(g, cfg, p, x, y, lr, iters, RunOptions{})
-}
-
-// ParallelOpts is Parallel with fault injection and comm deadlines.
+// Serial's up to floating-point summation order. opt adds fault
+// injection and comm deadlines.
 //
 // On a device loss (injected via opt.Fault, or any comm-layer failure)
 // it returns the losses of the iterations the last stage completed
@@ -455,13 +442,9 @@ func Parallel(g *model.Graph, cfg *config.Config, p *Params, x, y *tensor.Mat, l
 // The parameter state p is torn in that case (stages stop at
 // different iterations) and must be restored from a checkpoint; that
 // is exactly the contract the elastic layer is built around.
-func ParallelOpts(g *model.Graph, cfg *config.Config, p *Params, x, y *tensor.Mat, lr float64, iters int, opt RunOptions) ([]float64, error) {
-	rps := p.rowsPerSample()
-	if err := checkData(g, x, y, cfg.MicroBatch, rps); err != nil {
+func Parallel(g *model.Graph, cfg *config.Config, p *Params, x, y *tensor.Mat, lr float64, iters int, opt RunOptions) ([]float64, error) {
+	if err := checkData(g, x, y, cfg.MicroBatch, p.rowsPerSample()); err != nil {
 		return nil, err
-	}
-	if err := cfg.Validate(g, cfg.TotalDevices()); err != nil {
-		return nil, fmt.Errorf("runtime: %w", err)
 	}
 	if err := CheckRunnable(g, cfg, p); err != nil {
 		return nil, err
@@ -578,11 +561,6 @@ type stageExec struct {
 	firstDev int
 	baseStep int        // optimizer steps completed before this run
 	fault    *FaultPlan // nil unless a failure is scheduled
-}
-
-// ownsRank reports whether the fault's rank lives on this stage.
-func (e *stageExec) ownsRank(rank int) bool {
-	return rank >= e.firstDev && rank < e.firstDev+e.st.Devices
 }
 
 // tpGroup returns the global ranks of replica d's tensor-parallel
@@ -719,7 +697,7 @@ func (e *stageExec) forwardOp(j int, a *acts) (*acts, error) {
 			out.layout = model.Replicated
 		}
 		for d := 0; d < set.DP; d++ {
-			parts := headParts(a, d, set.TP)
+			parts := splitCols(a, d, set.TP)
 			outParts := make([]*tensor.Mat, len(parts))
 			for t, qkv := range parts {
 				outParts[t] = attnForward(qkv, arch.Seq, dh, arch.Causal)
@@ -852,8 +830,8 @@ func (e *stageExec) backwardOp(j int, in, d *acts, acc *grads) (*acts, error) {
 			out.layout = model.Replicated
 		}
 		for dp := 0; dp < set.DP; dp++ {
-			qkvParts := headParts(in, dp, set.TP)
-			dyParts := ctxParts(d, dp, set.TP)
+			qkvParts := splitCols(in, dp, set.TP)
+			dyParts := splitCols(d, dp, set.TP)
 			dParts := make([]*tensor.Mat, len(qkvParts))
 			for t := range qkvParts {
 				dParts[t] = attnBackward(dyParts[t], qkvParts[t], arch.Seq, dh, arch.Causal)
@@ -884,27 +862,9 @@ func (e *stageExec) backwardOp(j int, in, d *acts, acc *grads) (*acts, error) {
 	}
 }
 
-// headParts views replica dp's QKV activation as tp head-aligned
-// column shards (width = total/tp, whole heads per shard).
-func headParts(a *acts, dp, tp int) []*tensor.Mat {
-	if a.layout == model.Split && a.tp == tp {
-		return a.parts[dp]
-	}
-	full := replicaFull(a, dp)
-	shard := full.Cols / tp
-	out := make([]*tensor.Mat, tp)
-	for t := 0; t < tp; t++ {
-		out[t] = tensor.ColSlice(full, t*shard, (t+1)*shard)
-	}
-	return out
-}
-
-// ctxParts is headParts for the context-gradient side (same slicing).
-func ctxParts(a *acts, dp, tp int) []*tensor.Mat {
-	return headParts(a, dp, tp)
-}
-
-// splitCols views replica dp's gradient as tp column shards.
+// splitCols views replica dp's activation or gradient as tp column
+// shards of width total/tp — for attention's QKV and context, whole
+// heads per shard.
 func splitCols(a *acts, dp, tp int) []*tensor.Mat {
 	if a.layout == model.Split && a.tp == tp {
 		return a.parts[dp]
@@ -966,7 +926,7 @@ func (e *stageExec) run(x, y *tensor.Mat, lr float64, iters, numMB int) ([]float
 		// Planned fault: the owning stage dies at the top of iteration
 		// `it`, before any traffic for it. Marking the stage's ranks dead
 		// first makes every peer blocked on them fail fast through comm.
-		if f := e.fault; f != nil && it == f.Iteration && e.ownsRank(f.Rank) {
+		if f := e.fault; f != nil && it == f.Iteration && f.Rank >= e.firstDev && f.Rank < e.firstDev+e.st.Devices {
 			e.world.FailRange(e.firstDev, e.st.Devices)
 			return losses, &DeviceLostError{
 				Rank: f.Rank, Stage: e.si, Iteration: it, Step: e.baseStep + it,

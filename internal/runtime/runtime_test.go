@@ -59,7 +59,7 @@ func checkEquivalence(t *testing.T, g *model.Graph, cfg *config.Config) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	parLosses, err := Parallel(g, cfg, par, x, y, lr, iters)
+	parLosses, err := Parallel(g, cfg, par, x, y, lr, iters, RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,15 +239,15 @@ func TestParallelRejectsBadInputs(t *testing.T) {
 	p := InitParams(g, 1)
 
 	short := tensor.New(batch-1, dim)
-	if _, err := Parallel(g, cfg, p, short, y, lr, 1); err == nil {
+	if _, err := Parallel(g, cfg, p, short, y, lr, 1, RunOptions{}); err == nil {
 		t.Error("short X accepted")
 	}
-	if _, err := Parallel(g, cfg, p, x, short, lr, 1); err == nil {
+	if _, err := Parallel(g, cfg, p, x, short, lr, 1, RunOptions{}); err == nil {
 		t.Error("short Y accepted")
 	}
 	bad := uniform(t, g, 1, 1, 1, 1, 4)
 	bad.MicroBatch = 3 // does not divide 16
-	if _, err := Parallel(g, bad, p, x, y, lr, 1); err == nil {
+	if _, err := Parallel(g, bad, p, x, y, lr, 1, RunOptions{}); err == nil {
 		t.Error("non-dividing microbatch accepted")
 	}
 	// tp that does not divide dim.
@@ -261,7 +261,7 @@ func TestParallelRejectsBadInputs(t *testing.T) {
 	}
 	x2 := tensor.New(8, 6)
 	y2 := tensor.New(8, 6)
-	if _, err := Parallel(g2, cfg2, InitParams(g2, 1), x2, y2, lr, 1); err == nil {
+	if _, err := Parallel(g2, cfg2, InitParams(g2, 1), x2, y2, lr, 1, RunOptions{}); err == nil {
 		t.Error("tp=4 on dim 6 accepted")
 	}
 }
@@ -347,7 +347,7 @@ func TestAdamSerialMatchesParallel(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		parLosses, err := Parallel(g, cfg, par, x, y, lr, iters)
+		parLosses, err := Parallel(g, cfg, par, x, y, lr, iters, RunOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
