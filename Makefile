@@ -44,7 +44,8 @@ ci: build fmt-check
 	$(MAKE) bench-smoke
 	$(GO) test -race ./...
 	$(MAKE) fuzz-smoke
-	$(GO) test -run xxx -bench . -benchtime 1x -benchmem . ./internal/config ./internal/memo ./internal/perfmodel ./internal/profiler
+	$(GO) test -run xxx -bench . -benchtime 1x -benchmem . ./internal/config ./internal/memo ./internal/perfmodel \
+		./internal/planserver ./internal/profiler
 	out=$$(mktemp -d) && $(BENCH) -outdir $$out scale && $(BENCH) -outdir $$out trace diff hetero && \
 		$(BENCH) -duration 10s chaos && $(MAKE) recover-smoke OUT=$$out
 
@@ -70,6 +71,7 @@ fuzz-smoke:
 	$(GO) test -fuzz=FuzzCheckpointLoadNeverPanics -fuzztime=5s ./internal/elastic
 	$(GO) test -fuzz=FuzzChurnEventsNeverPanic -fuzztime=5s ./internal/elastic
 	$(GO) test -fuzz=FuzzPreemptNoticeNeverPanics -fuzztime=5s ./internal/elastic
+	$(GO) test -fuzz=FuzzPlanRequestNeverPanics -fuzztime=5s ./internal/planserver
 
 # recover-smoke gates the one recovery path, elastic.Supervise: the
 # churn and spot targets, then the spot half uncached — randomized

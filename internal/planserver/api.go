@@ -321,6 +321,54 @@ type PlanRequest struct {
 	NoCache bool `json:"no_cache,omitempty"`
 }
 
+// Wire limits. A body over maxBodyBytes is refused with a 413 before it
+// is decoded; a request whose shape exceeds a cap is refused with a 400
+// before anything is built, so no request makes prepare allocate more
+// than a graph of maxLayers transformer layers or maxOps operators on a
+// fleet of maxNodes nodes. The largest shape a test, a paper target or
+// the benchmark sends is 10 240 uniform operators on 512 nodes.
+const (
+	maxBodyBytes = 1 << 20
+	maxLayers    = 1 << 12
+	maxOps       = 1 << 15
+	maxWidth     = 1 << 16 // seq, dim, hidden, heads, batch
+	maxNodes     = 1 << 10
+	maxDevices   = 8 * maxNodes // restrict, and each fault list
+	maxClasses   = 64
+)
+
+// checkShape applies the wire's shape caps.
+func (pr *PlanRequest) checkShape() error {
+	m, c := &pr.Model, &pr.Cluster
+	var dead, derates int
+	if c.Faults != nil {
+		dead, derates = len(c.Faults.Dead), len(c.Faults.Derates)
+	}
+	for _, l := range [...]struct {
+		field  string
+		n, max int
+	}{
+		{"model.layers", m.Layers, maxLayers},
+		{"model.ops", m.Ops, maxOps},
+		{"model.seq", m.Seq, maxWidth},
+		{"model.dim", m.Dim, maxWidth},
+		{"model.hidden", m.Hidden, maxWidth},
+		{"model.heads", m.Heads, maxWidth},
+		{"model.batch", m.Batch, maxWidth},
+		{"cluster.nodes", c.Nodes, maxNodes},
+		{"cluster.restrict", c.Restrict, maxDevices},
+		{"cluster.faults.dead", dead, maxDevices},
+		{"cluster.faults.derates", derates, maxDevices},
+		{"cluster.classes", len(c.Classes), maxClasses},
+		{"cluster.node_classes", len(c.NodeClasses), maxNodes},
+	} {
+		if l.n > l.max {
+			return fmt.Errorf("planserver: %s = %d exceeds the limit of %d", l.field, l.n, l.max)
+		}
+	}
+	return nil
+}
+
 // StagePlan is the per-stage slice of the estimate breakdown.
 type StagePlan struct {
 	Start   int `json:"start"`

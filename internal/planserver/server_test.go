@@ -419,11 +419,20 @@ func TestMetricsAndStatsEndpoints(t *testing.T) {
 }
 
 func TestBadRequests(t *testing.T) {
-	_, ts := testServer(t, Config{})
+	s, ts := testServer(t, Config{})
+	mlp := ModelSpec{Family: "mlp", Layers: 2, Dim: 64, Batch: 8}
 	cases := []PlanRequest{
 		{Model: ModelSpec{Family: "nope"}, Cluster: ClusterSpec{Nodes: 1}},
-		{Model: ModelSpec{Family: "mlp", Layers: 2, Dim: 64, Batch: 8}, Cluster: ClusterSpec{Nodes: 0}},
-		{Model: ModelSpec{Family: "mlp", Layers: 2, Dim: 64, Batch: 8}, Cluster: ClusterSpec{Nodes: 1, Faults: &FaultsSpec{Dead: []int{99}}}},
+		{Model: mlp, Cluster: ClusterSpec{Nodes: 0}},
+		{Model: mlp, Cluster: ClusterSpec{Nodes: 1, Faults: &FaultsSpec{Dead: []int{99}}}},
+		// Shapes over the wire's caps are refused before anything is built.
+		{Model: ModelSpec{Family: "deep", Layers: maxLayers + 1}, Cluster: ClusterSpec{Nodes: 1}},
+		{Model: ModelSpec{Family: "uniform", Ops: maxOps + 1, Batch: 8}, Cluster: ClusterSpec{Nodes: 1}},
+		{Model: ModelSpec{Family: "mlp", Layers: 2, Dim: maxWidth + 1, Batch: 8}, Cluster: ClusterSpec{Nodes: 1}},
+		{Model: mlp, Cluster: ClusterSpec{Nodes: maxNodes + 1}},
+		{Model: mlp, Cluster: ClusterSpec{Nodes: 1, Restrict: maxDevices + 1}},
+		{Model: mlp, Cluster: ClusterSpec{Nodes: 1, Faults: &FaultsSpec{Dead: make([]int, maxDevices+1)}}},
+		{Model: mlp, Cluster: ClusterSpec{Nodes: 1, Classes: make([]DeviceClassSpec, maxClasses+1)}},
 	}
 	for i, pr := range cases {
 		resp, _ := postPlan(t, ts.URL, pr)
@@ -431,6 +440,28 @@ func TestBadRequests(t *testing.T) {
 			t.Errorf("case %d: status %d, want 400", i, resp.StatusCode)
 		}
 	}
+	// The caps admit the largest shape the benchmark sends.
+	if _, err := s.prepare(PlanRequest{
+		Model:   ModelSpec{Family: "uniform", Ops: 10240, FLOPs: 1e9, Params: 1e6, Act: 1e5, Batch: 1024},
+		Cluster: ClusterSpec{Nodes: 512},
+	}); err != nil {
+		t.Errorf("10 240 ops on 512 nodes: %v", err)
+	}
+
+	// A body over the limit is a typed 413, counted under its code. It is
+	// sent in process: over a socket the server's early close may reset
+	// the connection before the client has read the answer.
+	big := `{"model":{"family":"` + strings.Repeat("x", maxBodyBytes) + `"}}`
+	rec := httptest.NewRecorder()
+	s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/plan", strings.NewReader(big)))
+	var e ErrorResponse
+	if err := json.Unmarshal(rec.Body.Bytes(), &e); rec.Code != http.StatusRequestEntityTooLarge || err != nil || e.Error == "" {
+		t.Errorf("oversize body: status %d, body %s, want a 413 ErrorResponse", rec.Code, rec.Body.Bytes())
+	}
+	if n := s.Registry().Counter(requestsSeries(http.StatusRequestEntityTooLarge)).Value(); n != 1 {
+		t.Errorf(`requests{code="413"} = %d, want 1`, n)
+	}
+
 	resp, err := http.Get(ts.URL + "/v1/plan")
 	if err != nil {
 		t.Fatal(err)
