@@ -1,7 +1,7 @@
 GO ?= go
 BENCH = $(GO) run ./cmd/acesobench
 
-.PHONY: build test ci paper fmt-check bench-smoke fuzz-smoke recover-smoke loc
+.PHONY: build test ci paper fmt-check bench-smoke fuzz-smoke recover-smoke loc layout
 
 build:
 	$(GO) build ./...
@@ -90,3 +90,18 @@ loc:
 	@find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' | xargs cat | wc -l
 	@find cmd/acesobench -name '*.go' -not -name '*_test.go' | xargs cat | wc -l
 	@ls -d internal/*/ | wc -l
+
+# layout builds the benchmark binary into $(OUT) and prints where its
+# link put three functions, and that address mod 64: the search entry,
+# the stage walk, and the HTTP connection loop. A change to any package
+# linked before them moves them; a shift that is not a multiple of 64
+# moves timings with no line of the timed path changed. Run it on both
+# sides of a change before reading a benchmark difference as the code's.
+layout:
+	$(GO) build -C bench -o $(abspath $(OUT))/bench-layout .
+	@$(GO) tool nm -n $(abspath $(OUT))/bench-layout | while read addr kind name; do \
+		case "$$name" in \
+		'aceso/internal/core.SearchContext'|'aceso/internal/perfmodel.(*Model).walk'|'net/http.(*conn).serve') \
+			echo "$$name 0x$$addr mod 64 = $$((0x$$addr % 64))";; \
+		esac; \
+	done

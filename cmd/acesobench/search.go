@@ -114,7 +114,7 @@ func runScale(e *env) (any, []string, error) {
 		// is a ratio of two short wall times, and the minimum is the
 		// figure a busy host disturbs least. Its allocation is the first
 		// search's, whichever was fastest: the later ones clone into the
-		// arenas the first left behind (core's arenaPool) and allocate
+		// arenas the first left behind (core's stores) and allocate
 		// less, and the gate is on what a point costs from cold.
 		var row scaleRow
 		var coldAllocMB float64

@@ -10,80 +10,41 @@ package config
 // An Arena is deliberately dumb: it does not track liveness. The
 // caller must guarantee that a Put config is no longer referenced
 // anywhere — CloneIn overwrites every field of a recycled Config, so a
-// stale reference would silently read another candidate's data. In
-// the searcher this discipline is: only configs that were never
-// inserted into the pool, the top-K list, or returned as the current/
-// found configuration are recycled directly; pool-pruned configs park
-// in a limbo list until the top-level iteration boundary (see
-// core.searcher). The aliasing property test in internal/core pins
-// this contract.
+// stale reference would silently read another candidate's data. The
+// search's candidate store (core.store) is the one caller that decides
+// when that holds.
 //
-// Not safe for concurrent use; each searcher owns one.
+// Not safe for concurrent use.
 type Arena struct {
-	free []*Config
-
-	// gets/puts/reuses are lifetime counters for observability and
-	// tests: reuses counts CloneIn calls served from the free list.
-	gets, puts, reuses int
+	free   []*Config
+	reuses int // CloneIn calls served from the free list
 }
 
-// Put returns a dead Config to the arena. A nil config — and a nil
-// arena — are ignored, so callers without an arena degrade to plain
-// garbage collection.
+// Put returns a dead Config to the arena. A nil config is ignored.
 func (a *Arena) Put(c *Config) {
-	if a == nil || c == nil {
-		return
+	if c != nil {
+		a.free = append(a.free, c)
 	}
-	a.puts++
-	a.free = append(a.free, c)
 }
 
-// Get pops a recycled Config, or nil when the free list is empty (or
-// the arena itself is nil). Exposed for tests that scribble on
-// recycled memory; CloneIn is the production consumer.
-func (a *Arena) Get() *Config {
-	if a == nil {
-		return nil
-	}
-	n := len(a.free)
-	if n == 0 {
-		return nil
-	}
-	c := a.free[n-1]
-	a.free[n-1] = nil
-	a.free = a.free[:n-1]
-	a.gets++
-	return c
-}
-
-// Len returns the current free-list size.
-func (a *Arena) Len() int { return len(a.free) }
-
-// Stats returns lifetime counters: configs handed out from the free
-// list (gets), configs returned (puts), and CloneIn calls that reused
-// recycled memory instead of allocating (reuses).
-func (a *Arena) Stats() (gets, puts, reuses int) { return a.gets, a.puts, a.reuses }
+// Reuses returns how many CloneIn calls reused recycled memory instead
+// of allocating.
+func (a *Arena) Reuses() int { return a.reuses }
 
 // CloneIn is Clone backed by an arena: when a recycled Config with
 // enough capacity is available its Stage and OpSetting slices are
 // reused, otherwise it falls back to fresh allocation. The result is
 // indistinguishable from Clone(): every field — including the
-// memoized canonical segments, sub-hashes, key and hash — is copied or
-// overwritten, so no state of the recycled config's previous life
-// survives.
-// (Stage value copies share the source's canon string; that is safe
-// because a canonical segment is immutable once built — mutation
-// helpers replace it rather than writing into it.)
-//
-// A nil arena degrades to Clone.
+// memoized sub-hashes, key and hash — is copied or overwritten, so no
+// state of the recycled config's previous life survives.
 func (c *Config) CloneIn(a *Arena) *Config {
-	if a == nil {
+	n := len(a.free)
+	if n == 0 {
 		return c.Clone()
 	}
-	out := a.Get()
-	if out == nil {
-		return c.Clone()
-	}
+	out := a.free[n-1]
+	a.free[n-1] = nil
+	a.free = a.free[:n-1]
 	a.reuses++
 	out.MicroBatch = c.MicroBatch
 	out.key = c.key

@@ -27,14 +27,6 @@ const (
 // golden-ratio constant: memo.Mix maps an all-zero state to zero).
 const mixSeed = 0x9e3779b97f4a7c15
 
-// fnvString folds s into an FNV-1a state.
-func fnvString(h uint64, s string) uint64 {
-	for i := 0; i < len(s); i++ {
-		h = (h ^ uint64(s[i])) * fnvPrime64
-	}
-	return h
-}
-
 // fnvBytes folds b into an FNV-1a state.
 func fnvBytes(h uint64, b []byte) uint64 {
 	for _, c := range b {
@@ -81,22 +73,18 @@ func (o *OpSetting) SetTiling(tp, dp int) {
 // [Start, End) executed on Devices GPUs.
 //
 // Stages memoize their semantic sub-hash (asked for every candidate
-// the search builds) and, separately, their canonical segment (built
-// only when a Config.Hash is actually needed). Both memos are
-// invalidated by the Config mutation helpers (MutStage, MutOp,
-// InvalidateStage, Invalidate); code that writes the exported fields
-// directly after a Key/Hash/SubHash call must invalidate by hand or
-// the memos go stale (DESIGN.md §5b).
+// the search builds). The memo is invalidated by the Config mutation
+// helpers (MutStage, MutOp, InvalidateStage, Invalidate); code that
+// writes the exported fields directly after a Key/Hash/SubHash call
+// must invalidate by hand or the memos go stale (DESIGN.md §5b).
 type Stage struct {
 	Start, End int
 	Devices    int
 	Ops        []OpSetting // len == End-Start, indexed by op - Start
 
-	// canon memoizes the stage's canonical segment ("" = not yet
-	// computed; a valid segment is never empty). sub memoizes SubHash
-	// (0 = not yet computed; SubHash never returns 0).
-	canon string
-	sub   uint64
+	// sub memoizes SubHash (0 = not yet computed; SubHash never
+	// returns 0).
+	sub uint64
 }
 
 // NumOps returns the number of operators in the stage.
@@ -107,11 +95,10 @@ func (s *Stage) NumOps() int { return s.End - s.Start }
 // use Config.MutOp (or invalidate explicitly) on hashed configs.
 func (s *Stage) Setting(op int) *OpSetting { return &s.Ops[op-s.Start] }
 
-// invalidate drops the stage's memoized segment and sub-hash.
-func (s *Stage) invalidate() { s.canon, s.sub = "", 0 }
+// invalidate drops the stage's memoized sub-hash.
+func (s *Stage) invalidate() { s.sub = 0 }
 
-// segScratch recycles segment()'s build buffer: only the memoized
-// string needs to outlive the call.
+// segScratch recycles Hash's segment buffer.
 var segScratch = sync.Pool{New: func() any { b := make([]byte, 0, 256); return &b }}
 
 // appendDec is strconv.AppendInt specialized for the small
@@ -129,41 +116,32 @@ func appendDec(b []byte, v int) []byte {
 	return strconv.AppendInt(b, int64(v), 10)
 }
 
-// segment returns the stage's canonical segment, computing and
-// memoizing it on first use. The byte format is identical to what
-// Config.canonical historically produced.
-func (s *Stage) segment() string {
-	if s.canon == "" {
-		bp := segScratch.Get().(*[]byte)
-		b := (*bp)[:0]
-		b = append(b, "s["...)
-		b = appendDec(b, s.Start)
+// appendSegment appends the stage's canonical segment to b. The byte
+// format is frozen: Hash folds it, and committed hashes must not move.
+func (s *Stage) appendSegment(b []byte) []byte {
+	b = append(b, "s["...)
+	b = appendDec(b, s.Start)
+	b = append(b, ',')
+	b = appendDec(b, s.End)
+	b = append(b, ")x"...)
+	b = appendDec(b, s.Devices)
+	b = append(b, ':')
+	for j := range s.Ops {
+		op := &s.Ops[j]
+		b = appendDec(b, op.TP)
+		b = append(b, '.')
+		b = appendDec(b, op.DP)
+		b = append(b, '.')
+		b = appendDec(b, op.Dim)
+		b = append(b, '.')
+		b = appendBit(b, op.Recompute)
+		b = append(b, '.')
+		b = appendBit(b, op.ZeRO)
+		b = append(b, '.')
+		b = appendBit(b, op.SeqPar)
 		b = append(b, ',')
-		b = appendDec(b, s.End)
-		b = append(b, ")x"...)
-		b = appendDec(b, s.Devices)
-		b = append(b, ':')
-		for j := range s.Ops {
-			op := &s.Ops[j]
-			b = appendDec(b, op.TP)
-			b = append(b, '.')
-			b = appendDec(b, op.DP)
-			b = append(b, '.')
-			b = appendDec(b, op.Dim)
-			b = append(b, '.')
-			b = appendBit(b, op.Recompute)
-			b = append(b, '.')
-			b = appendBit(b, op.ZeRO)
-			b = append(b, '.')
-			b = appendBit(b, op.SeqPar)
-			b = append(b, ',')
-		}
-		b = append(b, ';')
-		s.canon = string(b)
-		*bp = b
-		segScratch.Put(bp)
 	}
-	return s.canon
+	return append(b, ';')
 }
 
 // word packs the setting into one 64-bit word: 20 bits each for TP, DP
@@ -188,7 +166,7 @@ func (o *OpSetting) word() uint64 {
 // SubHash returns the stage's semantic sub-hash: two stages have equal
 // sub-hashes iff their canonical segments (op range, device count and
 // every op setting) are byte-identical, up to 64-bit collisions. It
-// folds exactly the fields segment() writes, a word at a time, and
+// folds exactly the fields appendSegment writes, a word at a time, and
 // builds no string. Memoized; see Stage. Never 0.
 func (s *Stage) SubHash() uint64 {
 	if s.sub == 0 {
@@ -525,18 +503,6 @@ func (c *Config) Invalidate() {
 	c.key, c.hashOK = 0, false
 }
 
-// canonical writes the semantic content of the configuration in a
-// canonical form. Two configurations are semantically identical iff
-// their canonical forms are byte-identical.
-func (c *Config) canonical(sb *strings.Builder) {
-	sb.WriteString("mb=")
-	sb.WriteString(strconv.Itoa(c.MicroBatch))
-	sb.WriteByte(';')
-	for i := range c.Stages {
-		sb.WriteString(c.Stages[i].segment())
-	}
-}
-
 // Key returns the configuration's structural identity: two
 // configurations have equal keys iff their canonical forms are
 // byte-identical, up to 64-bit collisions. It mixes the microbatch and
@@ -562,39 +528,46 @@ func (c *Config) Key() uint64 {
 // Hash returns the configuration's canonical hash: FNV-1a over the
 // canonical form, a frozen value — plan fingerprints, simulator seeds
 // and the determinism table carry it, and the search orders equal-
-// scored candidates by it. It builds (and memoizes) every stage's
-// canonical segment, so it is the cold path: ask Key for identity and
-// call Hash only where the exact value matters. Memoized.
+// scored candidates by it. It encodes every stage's canonical segment,
+// so it is the cold path: ask Key for identity and call Hash only where
+// the exact value matters. Memoized.
 func (c *Config) Hash() uint64 {
 	if c.hashOK {
 		return c.hash
 	}
-	var buf [20]byte
-	h := fnvString(fnvOffset64, "mb=")
-	h = fnvBytes(h, strconv.AppendInt(buf[:0], int64(c.MicroBatch), 10))
-	h = fnvString(h, ";")
+	bp := segScratch.Get().(*[]byte)
+	b := strconv.AppendInt(append((*bp)[:0], "mb="...), int64(c.MicroBatch), 10)
+	h := fnvBytes(fnvOffset64, append(b, ';'))
 	for i := range c.Stages {
-		h = fnvString(h, c.Stages[i].segment())
+		b = c.Stages[i].appendSegment(b[:0])
+		h = fnvBytes(h, b)
 	}
+	*bp = b
+	segScratch.Put(bp)
 	c.hash, c.hashOK = h, true
 	return h
 }
 
-// Freeze fills every memo — Key, Hash, each stage's sub-hash and
-// canonical segment — so that no accessor writes afterwards and the
-// configuration can be shared read-only across goroutines (and cloned
-// from several at once). A later mutation helper thaws it.
+// Freeze fills every memo — Key, Hash and each stage's sub-hash — so
+// that no accessor writes afterwards and the configuration can be
+// shared read-only across goroutines (and cloned from several at
+// once). A later mutation helper thaws it.
 func (c *Config) Freeze() {
 	c.Key()
 	c.Hash()
 }
 
-// Canonical returns the canonical string form (exposed for tests of
-// the hash ⇔ string equivalence invariant).
+// Canonical returns the canonical string form, whose FNV-1a is Hash:
+// two configurations are semantically identical iff their canonical
+// forms are byte-identical (exposed for tests of the hash ⇔ string
+// equivalence invariant).
 func (c *Config) Canonical() string {
-	var sb strings.Builder
-	c.canonical(&sb)
-	return sb.String()
+	b := strconv.AppendInt([]byte("mb="), int64(c.MicroBatch), 10)
+	b = append(b, ';')
+	for i := range c.Stages {
+		b = c.Stages[i].appendSegment(b)
+	}
+	return string(b)
 }
 
 // String renders a compact human-readable summary, collapsing runs of

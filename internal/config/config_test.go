@@ -286,7 +286,7 @@ func checkMemos(t *testing.T, what string, c *Config) {
 		}
 	}
 	if got, want := c.Canonical(), fresh.Canonical(); got != want {
-		t.Errorf("%s: memoized segments give %q, rebuilt %q", what, got, want)
+		t.Errorf("%s: canonical form %q, rebuilt %q", what, got, want)
 	}
 }
 
@@ -429,7 +429,7 @@ func TestHashCanonicalEquivalence(t *testing.T) {
 // a field therefore forces folding it into both — or listing it here as
 // a memo — so the two identities cannot drift apart.
 func TestIdentityCoversEveryField(t *testing.T) {
-	memos := map[string]bool{"canon": true, "sub": true}
+	memos := map[string]bool{"sub": true}
 	stageMuts := map[string]func(*Stage){
 		"Start":   func(s *Stage) { s.Start++ },
 		"End":     func(s *Stage) { s.End++ },
@@ -458,7 +458,7 @@ func TestIdentityCoversEveryField(t *testing.T) {
 			}
 			mut, ok := tc.muts[name]
 			if !ok {
-				t.Errorf("%s.%s is not covered: fold it into segment() and SubHash and add it to this test's perturbation table",
+				t.Errorf("%s.%s is not covered: fold it into appendSegment and SubHash and add it to this test's perturbation table",
 					tc.typ.Name(), name)
 				continue
 			}
@@ -467,9 +467,9 @@ func TestIdentityCoversEveryField(t *testing.T) {
 				st.Ops[j] = OpSetting{TP: 2, DP: 2}
 			}
 			fresh := st // no memo yet
-			seg, sub := st.segment(), st.SubHash()
+			seg, sub := string(st.appendSegment(nil)), st.SubHash()
 			mut(&fresh)
-			if fresh.segment() == seg {
+			if string(fresh.appendSegment(nil)) == seg {
 				t.Errorf("perturbing %s.%s did not change the canonical segment", tc.typ.Name(), name)
 			}
 			if fresh.SubHash() == sub {

@@ -18,7 +18,7 @@ func TestBottleneckRankingByTime(t *testing.T) {
 	// heaviest ops (the end) in the last stage; Heuristic-1 must rank
 	// it first when everything fits in memory.
 	g := model.Skewed(16, 5e10, 1e6, 1e5, 2.0, 64)
-	s := newSearcher(t, g, 4)
+	s := testSearcher(t, g, 4)
 	cfg := mustBalanced(t, g, 4, 2, 4)
 	// Force an op-count-balanced (not FLOPs-balanced) split.
 	cfg.Stages[0].End = 8
@@ -50,7 +50,7 @@ func TestBottleneckRankingByTime(t *testing.T) {
 
 func TestBottleneckOOMPrioritizesMemory(t *testing.T) {
 	g, _ := model.GPT3("13B")
-	s := newSearcher(t, g, 4)
+	s := testSearcher(t, g, 4)
 	cfg := mustBalanced(t, g, 4, 2, 1)
 	est := s.estimate(cfg)
 	if est.Feasible {
@@ -71,7 +71,7 @@ func TestBottleneckOOMPrioritizesMemory(t *testing.T) {
 
 func TestBottleneckResourceOrderByProportion(t *testing.T) {
 	g, _ := model.GPT3("350M")
-	s := newSearcher(t, g, 4)
+	s := testSearcher(t, g, 4)
 	cfg := mustBalanced(t, g, 4, 2, 1)
 	est := s.estimate(cfg)
 	bns := Bottlenecks(est, s.cluster.MemoryBytes)

@@ -5,7 +5,6 @@ import (
 	"reflect"
 	"testing"
 	"testing/quick"
-	"time"
 
 	"aceso/internal/config"
 	"aceso/internal/hardware"
@@ -55,16 +54,7 @@ func TestIncrementalEstimateEquivalence(t *testing.T) {
 		Prof:              pmCached.Prof, // shared database: identical op times
 		DisableStageCache: true,
 	}
-	s := &searcher{
-		graph:    g,
-		cluster:  cl,
-		pm:       pmCached,
-		opts:     Options{ExtendedPrimitives: true}.withDefaults(),
-		deadline: time.Now().Add(time.Hour),
-		visited:  make(map[uint64]bool),
-		pool:     make(map[uint64]Candidate),
-		cache:    make(map[uint64]*perfmodel.Estimate),
-	}
+	s := newSearcher(g, cl, pmCached, Options{ExtendedPrimitives: true}.withDefaults(), 0, new(store))
 
 	check := func(cfg *config.Config, step int) bool {
 		if got, want := cfg.Hash(), strippedClone(cfg).Hash(); got != want {
@@ -96,7 +86,7 @@ func TestIncrementalEstimateEquivalence(t *testing.T) {
 		for step := 0; step < 6; step++ {
 			prim := &prims[rng.Intn(len(prims))]
 			stage := rng.Intn(cfg.NumStages())
-			cands := prim.apply(s, cfg, stage)
+			cands := prim.apply(s, cfg, stage, nil)
 			// Keep only valid candidates; primitives may return nil or
 			// configs the cluster cannot host.
 			var valid []*config.Config

@@ -53,7 +53,7 @@ func EligibleExtended(r Resource) []*Primitive {
 // parallelism to on for every op of the stage that can carry the flag
 // (dp > 1 for ZeRO, tp > 1 for sequence parallelism). It yields nothing
 // when no op would change.
-func toggle(zero, on bool) func(s *searcher, cfg *config.Config, stage int) []*config.Config {
+func toggle(zero, on bool) func(s *searcher, cfg *config.Config, stage int, out []*config.Config) []*config.Config {
 	flag := func(op *config.OpSetting) *bool {
 		switch {
 		case zero && op.DP > 1:
@@ -63,7 +63,7 @@ func toggle(zero, on bool) func(s *searcher, cfg *config.Config, stage int) []*c
 		}
 		return nil
 	}
-	return func(s *searcher, cfg *config.Config, stage int) []*config.Config {
+	return func(s *searcher, cfg *config.Config, stage int, out []*config.Config) []*config.Config {
 		st := &cfg.Stages[stage]
 		changed := false
 		for j := range st.Ops {
@@ -72,9 +72,9 @@ func toggle(zero, on bool) func(s *searcher, cfg *config.Config, stage int) []*c
 			}
 		}
 		if !changed {
-			return nil
+			return out
 		}
-		c := s.clone(cfg)
+		c := s.st.clone(cfg)
 		c.MutStage(stage, func(st *config.Stage) {
 			for j := range st.Ops {
 				if f := flag(&st.Ops[j]); f != nil {
@@ -82,6 +82,6 @@ func toggle(zero, on bool) func(s *searcher, cfg *config.Config, stage int) []*c
 				}
 			}
 		})
-		return s.keepOut(append(s.applyOut(), c))
+		return append(out, c)
 	}
 }

@@ -54,12 +54,12 @@ func TestExtensionTableShape(t *testing.T) {
 
 func TestToggleZeRO(t *testing.T) {
 	g := model.Uniform(8, 1e10, 1e8, 1e5, 64)
-	s := newSearcher(t, g, 4)
+	s := testSearcher(t, g, 4)
 	cfg := mustBalanced(t, g, 4, 1, 8)
 	for j := range cfg.Stages[0].Ops {
 		cfg.Stages[0].Ops[j] = config.OpSetting{TP: 1, DP: 4, Dim: 0}
 	}
-	on := toggle(true, true)(s, cfg, 0)
+	on := toggle(true, true)(s, cfg, 0, nil)
 	if len(on) != 1 {
 		t.Fatal("inc-zr produced nothing")
 	}
@@ -72,29 +72,29 @@ func TestToggleZeRO(t *testing.T) {
 		}
 	}
 	// Idempotent: inc-zr on an all-ZeRO stage yields nothing.
-	if got := toggle(true, true)(s, on[0], 0); got != nil {
+	if got := toggle(true, true)(s, on[0], 0, nil); got != nil {
 		t.Error("inc-zr on sharded stage should be nil")
 	}
 	// dec restores the original hash (invariant 3).
-	off := toggle(true, false)(s, on[0], 0)
+	off := toggle(true, false)(s, on[0], 0, nil)
 	if len(off) != 1 || off[0].Hash() != cfg.Hash() {
 		t.Error("dec-zr does not invert inc-zr")
 	}
 	// tp-only stage: nothing to shard.
 	tpOnly := mustBalanced(t, g, 4, 1, 8)
-	if got := toggle(true, true)(s, tpOnly, 0); got != nil {
+	if got := toggle(true, true)(s, tpOnly, 0, nil); got != nil {
 		t.Error("inc-zr with dp=1 should be nil")
 	}
 }
 
 func TestZeROCutsOptimizerMemory(t *testing.T) {
 	g := model.Uniform(8, 1e10, 1e8, 1e5, 64) // parameter-heavy ops
-	s := newSearcher(t, g, 4)
+	s := testSearcher(t, g, 4)
 	cfg := mustBalanced(t, g, 4, 1, 8)
 	for j := range cfg.Stages[0].Ops {
 		cfg.Stages[0].Ops[j] = config.OpSetting{TP: 1, DP: 4, Dim: 0}
 	}
-	zr := toggle(true, true)(s, cfg, 0)[0]
+	zr := toggle(true, true)(s, cfg, 0, nil)[0]
 	base := s.estimate(cfg)
 	sharded := s.estimate(zr)
 	if sharded.Stages[0].OptMem >= base.Stages[0].OptMem/2 {
@@ -123,7 +123,7 @@ func TestZeROValidation(t *testing.T) {
 func TestDeviceMovesClearDanglingZeRO(t *testing.T) {
 	// Halving dp to 1 must drop the ZeRO flag, or the result is invalid.
 	g := model.Uniform(16, 1e10, 1e8, 1e5, 64)
-	s := newSearcher(t, g, 16)
+	s := testSearcher(t, g, 16)
 	cfg := mustBalanced(t, g, 16, 3, 8) // devices 4,4,8
 	for i := range cfg.Stages {
 		for j := range cfg.Stages[i].Ops {
@@ -135,7 +135,7 @@ func TestDeviceMovesClearDanglingZeRO(t *testing.T) {
 	}
 	for _, prim := range []string{"inc-tp", "dec-tp", "inc-dp", "dec-dp"} {
 		p := PrimitiveByName(prim)
-		for _, c := range p.apply(s, cfg, 1) {
+		for _, c := range p.apply(s, cfg, 1, nil) {
 			if c == nil {
 				continue
 			}
@@ -174,9 +174,9 @@ func TestSeqParCutsActivationMemory(t *testing.T) {
 	// GPT-3 has layer norms whose activations are replicated across the
 	// tp group; sequence parallelism shards them.
 	g, _ := model.GPT3("1.3B")
-	s := newSearcher(t, g, 4)
+	s := testSearcher(t, g, 4)
 	cfg := mustBalanced(t, g, 4, 1, 4) // tp=4
-	sp := toggle(false, true)(s, cfg, 0)
+	sp := toggle(false, true)(s, cfg, 0, nil)
 	if len(sp) != 1 {
 		t.Fatal("inc-sp produced nothing")
 	}
@@ -193,7 +193,7 @@ func TestSeqParCutsActivationMemory(t *testing.T) {
 		t.Error("sequence parallelism must not slow the forward pass")
 	}
 	// dec inverts (invariant 3).
-	back := toggle(false, false)(s, sp[0], 0)
+	back := toggle(false, false)(s, sp[0], 0, nil)
 	if len(back) != 1 || back[0].Hash() != cfg.Hash() {
 		t.Error("dec-sp does not invert inc-sp")
 	}
@@ -202,7 +202,7 @@ func TestSeqParCutsActivationMemory(t *testing.T) {
 	for j := range dpOnly.Stages[0].Ops {
 		dpOnly.Stages[0].Ops[j] = config.OpSetting{TP: 1, DP: 4, Dim: 0}
 	}
-	if got := toggle(false, true)(s, dpOnly, 0); got != nil {
+	if got := toggle(false, true)(s, dpOnly, 0, nil); got != nil {
 		t.Error("inc-sp with tp=1 should be nil")
 	}
 }

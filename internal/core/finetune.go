@@ -36,35 +36,33 @@ func (s *searcher) fineTune(cfg *config.Config) *config.Config {
 			return
 		}
 		if budget <= 0 {
-			s.discard(c)
+			s.st.recycle(c)
 			return
 		}
 		budget--
-		k := c.Key()
-		if s.visited[k] {
-			s.discard(c)
+		if !s.st.visit(c) {
 			return
 		}
 		// Every candidate is a clone of the best so far with one stage
 		// rewritten, and best is valid: cfg passed multiHop's check, a
-		// successor passed this one.
+		// successor passed this one. An invalid key stays visited, which
+		// only skips its next copy (validity goes with the key).
 		if err := c.ValidateDelta(s.graph, s.cluster.TotalDevices(), best); err != nil {
-			s.discard(c)
+			s.st.recycle(c)
 			return
 		}
-		s.visited[k] = true
 		e := s.estimate(c)
 		sc := s.score(c, e)
 		if sc < bestScore {
 			// The superseded best is dead unless it is the caller's
 			// input configuration.
 			if best != cfg {
-				s.discard(best)
+				s.st.recycle(best)
 			}
 			best, bestScore = c, sc
 			improved = true
 		} else {
-			s.discard(c)
+			s.st.recycle(c)
 		}
 	}
 
@@ -108,7 +106,7 @@ func (s *searcher) fineTune(cfg *config.Config) *config.Config {
 				if d == cur {
 					continue
 				}
-				c := s.clone(best)
+				c := s.st.clone(best)
 				c.MutOp(bn.Stage, j, func(op *config.OpSetting) { op.Dim = d })
 				consider(c)
 			}

@@ -10,7 +10,7 @@ import (
 
 func TestAttachRecomputeFixesOOM(t *testing.T) {
 	g, _ := model.GPT3("2.6B")
-	s := newSearcher(t, g, 8)
+	s := testSearcher(t, g, 8)
 	// A 1-stage full-dp config on 8 GPUs is far over memory.
 	cfg := mustBalanced(t, g, 8, 1, 8)
 	for j := range cfg.Stages[0].Ops {
@@ -34,7 +34,7 @@ func TestAttachRecomputeFixesOOM(t *testing.T) {
 
 func TestAttachRecomputeNoopWhenFeasible(t *testing.T) {
 	g, _ := model.GPT3("350M")
-	s := newSearcher(t, g, 4)
+	s := testSearcher(t, g, 4)
 	cfg := mustBalanced(t, g, 4, 2, 1)
 	if !s.estimate(cfg).Feasible {
 		t.Fatal("setup should be feasible")
@@ -46,7 +46,7 @@ func TestAttachRecomputeNoopWhenFeasible(t *testing.T) {
 
 func TestPopBestUnexploredDeterministic(t *testing.T) {
 	g := model.Uniform(8, 1e10, 1e6, 1e5, 64)
-	s := newSearcher(t, g, 4)
+	s := testSearcher(t, g, 4)
 	mk := func(mbs int, score float64) {
 		c, err := config.Balanced(g, 4, 2, mbs)
 		if err != nil {
@@ -74,7 +74,7 @@ func TestMultiHopFindsImprovement(t *testing.T) {
 	// Start from a deliberately imbalanced 2-stage split; the
 	// bottleneck stage should be improvable within a hop or two.
 	g := model.Uniform(32, 5e11, 1e7, 1e6, 64)
-	s := newSearcher(t, g, 4)
+	s := testSearcher(t, g, 4)
 	cfg := mustBalanced(t, g, 4, 2, 4)
 	// Skew: stage 0 gets 26 ops, stage 1 only 6.
 	cfg.Stages[0].End = 26
@@ -112,7 +112,7 @@ func TestMultiHopFindsImprovement(t *testing.T) {
 
 func TestMultiHopRespectsMaxHops(t *testing.T) {
 	g := model.Uniform(16, 1e10, 1e6, 1e5, 64)
-	s := newSearcher(t, g, 4)
+	s := testSearcher(t, g, 4)
 	s.opts.MaxHops = 0 // no hops allowed at all
 	cfg := mustBalanced(t, g, 4, 2, 4)
 	bns := Bottlenecks(s.estimate(cfg), s.cluster.MemoryBytes)
@@ -123,7 +123,7 @@ func TestMultiHopRespectsMaxHops(t *testing.T) {
 
 func TestMultiHopDeadlineCutoff(t *testing.T) {
 	g, _ := model.GPT3("350M")
-	s := newSearcher(t, g, 4)
+	s := testSearcher(t, g, 4)
 	s.deadline = time.Now().Add(-time.Second) // already expired
 	cfg := mustBalanced(t, g, 4, 2, 1)
 	bns := Bottlenecks(s.estimate(cfg), s.cluster.MemoryBytes)
@@ -133,14 +133,16 @@ func TestMultiHopDeadlineCutoff(t *testing.T) {
 }
 
 func TestVisitedDedupAcrossHops(t *testing.T) {
-	// Every estimated config during a short search must have a unique
-	// hash (invariant 7: the search never revisits).
+	// Every config estimated as new during a short search has a key of
+	// its own, and explored counts each once (invariant 7: the search
+	// never revisits).
 	g, _ := model.GPT3("350M")
-	s := newSearcher(t, g, 4)
+	s := testSearcher(t, g, 4)
 	s.opts.MaxIterations = 3
-	init := mustBalanced(t, g, 4, 2, 1)
-	s.run(init)
-	if len(s.cache) != s.explored {
-		t.Errorf("estimate cache has %d entries but explored counted %d", len(s.cache), s.explored)
+	audit := newEstimateAuditor(t, g, 4)
+	s.tracer = audit
+	s.run(mustBalanced(t, g, 4, 2, 1))
+	if audit.estimated != s.explored || s.explored == 0 {
+		t.Errorf("audited %d estimates but explored counted %d", audit.estimated, s.explored)
 	}
 }

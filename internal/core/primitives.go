@@ -49,10 +49,11 @@ const (
 
 // Primitive is one row of the reconfiguration-primitive table. Each
 // primitive adjusts exactly one mechanism, which keeps its resource
-// impact analyzable; Apply realizes it as a set of candidate
+// impact analyzable; apply realizes it as a set of candidate
 // configurations (a primitive's argument — how many ops, which
 // partner, which halving — yields several concrete candidates that the
-// multi-hop search ranks by estimated performance).
+// multi-hop search ranks by estimated performance), appended to a slice
+// the caller owns.
 type Primitive struct {
 	Name      string
 	Mechanism string
@@ -63,7 +64,7 @@ type Primitive struct {
 	// stage (inc/dec-op#, inc/dec-dp, inc/dec-tp; §3.2.1).
 	Partner bool
 
-	apply func(s *searcher, cfg *config.Config, stage int) []*config.Config
+	apply func(s *searcher, cfg *config.Config, stage int, out []*config.Config) []*config.Config
 }
 
 // effect returns the primitive's trend on a resource.
@@ -211,7 +212,7 @@ func moveOps(s *searcher, cfg *config.Config, from, dir, k int) *config.Config {
 	if cfg.Stages[from].NumOps() <= k {
 		return nil // donor must keep at least one op
 	}
-	out := s.clone(cfg)
+	out := s.st.clone(cfg)
 	// Transferred ops adopt the receiving stage's tp/dp (nearest
 	// existing op as template) but keep their own sharding dim, which
 	// is op-specific and stays valid. Recompute flags do not transfer
@@ -253,17 +254,16 @@ func opKs(buf []int, n int) []int {
 
 // ---------- primitive applications ----------
 
-func applyDecOps(s *searcher, cfg *config.Config, stage int) []*config.Config {
+func applyDecOps(s *searcher, cfg *config.Config, stage int, out []*config.Config) []*config.Config {
 	est := s.estimate(cfg)
 	idle := idlestStage(est, stage)
 	if idle < 0 {
-		return nil
+		return out
 	}
 	dir := +1
 	if idle < stage {
 		dir = -1
 	}
-	out := s.applyOut()
 	ks := opKs(s.opksBuf, cfg.Stages[stage].NumOps())
 	s.opksBuf = ks
 	for _, k := range ks {
@@ -280,7 +280,7 @@ func applyDecOps(s *searcher, cfg *config.Config, stage int) []*config.Config {
 			for cur := stage; cur != idle; cur += dir {
 				next := moveOps(s, c, cur, dir, k)
 				if c != cfg {
-					s.discard(c)
+					s.st.recycle(c)
 				}
 				if next == nil {
 					ok = false
@@ -299,12 +299,11 @@ func applyDecOps(s *searcher, cfg *config.Config, stage int) []*config.Config {
 			}
 		}
 	}
-	return s.keepOut(out)
+	return out
 }
 
-func applyIncOps(s *searcher, cfg *config.Config, stage int) []*config.Config {
+func applyIncOps(s *searcher, cfg *config.Config, stage int, out []*config.Config) []*config.Config {
 	// Pull ops into this stage from whichever neighbor is busier.
-	out := s.applyOut()
 	for _, dir := range []int{-1, +1} {
 		nb := stage + dir
 		if nb < 0 || nb >= cfg.NumStages() {
@@ -318,48 +317,48 @@ func applyIncOps(s *searcher, cfg *config.Config, stage int) []*config.Config {
 			}
 		}
 	}
-	return s.keepOut(out)
+	return out
 }
 
-func applyIncMBS(s *searcher, cfg *config.Config, _ int) []*config.Config {
+func applyIncMBS(s *searcher, cfg *config.Config, _ int, out []*config.Config) []*config.Config {
 	mbs := cfg.MicroBatch * 2
 	if s.graph.GlobalBatch%mbs != 0 {
-		return nil
+		return out
 	}
-	c := s.clone(cfg)
+	c := s.st.clone(cfg)
 	c.SetMicroBatch(mbs)
-	return s.keepOut(append(s.applyOut(), c))
+	return append(out, c)
 }
 
-func applyDecMBS(s *searcher, cfg *config.Config, _ int) []*config.Config {
+func applyDecMBS(s *searcher, cfg *config.Config, _ int, out []*config.Config) []*config.Config {
 	if cfg.MicroBatch%2 != 0 {
-		return nil
+		return out
 	}
 	mbs := cfg.MicroBatch / 2
 	// Every op's dp must still divide the microbatch.
 	for i := range cfg.Stages {
 		for j := range cfg.Stages[i].Ops {
 			if mbs%cfg.Stages[i].Ops[j].DP != 0 {
-				return nil
+				return out
 			}
 		}
 	}
-	c := s.clone(cfg)
+	c := s.st.clone(cfg)
 	c.SetMicroBatch(mbs)
-	return s.keepOut(append(s.applyOut(), c))
+	return append(out, c)
 }
 
 // resize returns the apply function of the inc/dec-dp/tp rows: the
 // stage trades devices with a partner (tradeDevices) and, besides,
 // retiles in place at the same device count — dp-heavier under inc-dp
 // and dec-tp, tp-heavier under dec-dp and inc-tp.
-func resize(grow, useDP bool) func(s *searcher, cfg *config.Config, stage int) []*config.Config {
-	return func(s *searcher, cfg *config.Config, stage int) []*config.Config {
-		out := tradeDevices(s, cfg, stage, grow, useDP, s.applyOut())
+func resize(grow, useDP bool) func(s *searcher, cfg *config.Config, stage int, out []*config.Config) []*config.Config {
+	return func(s *searcher, cfg *config.Config, stage int, out []*config.Config) []*config.Config {
+		out = tradeDevices(s, cfg, stage, grow, useDP, out)
 		if c := retileRange(s, cfg, stage, 0, grow == useDP); c != nil {
 			out = append(out, c)
 		}
-		return s.keepOut(out)
+		return out
 	}
 }
 
@@ -392,13 +391,13 @@ func tradeDevices(s *searcher, cfg *config.Config, stage int, grow, useDP bool, 
 	n := len(out)
 	for _, partner := range partners {
 		for _, partnerDP := range []bool{true, false} {
-			c := s.clone(cfg)
+			c := s.st.clone(cfg)
 			if !rescale(c, stage, grow, useDP) {
-				s.discard(c)
+				s.st.recycle(c)
 				return out
 			}
 			if !rescale(c, partner, !grow, partnerDP) {
-				s.discard(c)
+				s.st.recycle(c)
 				continue
 			}
 			out = append(out, c)
@@ -439,7 +438,7 @@ func retileRange(s *searcher, cfg *config.Config, stage, from int, toDP bool) *c
 			return nil
 		}
 	}
-	c := s.clone(cfg)
+	c := s.st.clone(cfg)
 	c.MutStage(stage, func(nst *config.Stage) {
 		for j := from; j < nst.NumOps(); j++ {
 			op := &nst.Ops[j]
@@ -472,7 +471,7 @@ type rcCand struct {
 	bytes float64
 }
 
-func applyIncRC(s *searcher, cfg *config.Config, stage int) []*config.Config {
+func applyIncRC(s *searcher, cfg *config.Config, stage int, out []*config.Config) []*config.Config {
 	st := &cfg.Stages[stage]
 	// Rank non-recomputed ops by descending saved activation.
 	cands := s.rcBuf[:0]
@@ -483,12 +482,12 @@ func applyIncRC(s *searcher, cfg *config.Config, stage int) []*config.Config {
 	}
 	s.rcBuf = cands
 	if len(cands) == 0 {
-		return nil
+		return out
 	}
 	sortCands(cands, func(a, b rcCand) bool { return a.bytes > b.bytes })
 
 	mark := func(k int) *config.Config {
-		c := s.clone(cfg)
+		c := s.st.clone(cfg)
 		c.MutStage(stage, func(st *config.Stage) {
 			for i := 0; i < k && i < len(cands); i++ {
 				st.Setting(cands[i].op).Recompute = true
@@ -496,7 +495,6 @@ func applyIncRC(s *searcher, cfg *config.Config, stage int) []*config.Config {
 		})
 		return c
 	}
-	out := s.applyOut()
 	// Minimal k that brings the stage under the memory limit (greedy
 	// goal of §4.1), plus a quarter step and "recompute everything".
 	for k := 1; k <= len(cands); k *= 2 {
@@ -509,10 +507,10 @@ func applyIncRC(s *searcher, cfg *config.Config, stage int) []*config.Config {
 	if k := len(cands); k > 1 {
 		out = append(out, mark(k))
 	}
-	return s.keepOut(out)
+	return out
 }
 
-func applyDecRC(s *searcher, cfg *config.Config, stage int) []*config.Config {
+func applyDecRC(s *searcher, cfg *config.Config, stage int, out []*config.Config) []*config.Config {
 	st := &cfg.Stages[stage]
 	cands := s.rcBuf[:0]
 	for j := st.Start; j < st.End; j++ {
@@ -522,12 +520,12 @@ func applyDecRC(s *searcher, cfg *config.Config, stage int) []*config.Config {
 	}
 	s.rcBuf = cands
 	if len(cands) == 0 {
-		return nil
+		return out
 	}
 	// Un-recompute the cheapest stashes first.
 	sortCands(cands, func(a, b rcCand) bool { return a.bytes < b.bytes })
 	clear := func(k int) *config.Config {
-		c := s.clone(cfg)
+		c := s.st.clone(cfg)
 		c.MutStage(stage, func(st *config.Stage) {
 			for i := 0; i < k && i < len(cands); i++ {
 				st.Setting(cands[i].op).Recompute = false
@@ -535,12 +533,10 @@ func applyDecRC(s *searcher, cfg *config.Config, stage int) []*config.Config {
 		})
 		return c
 	}
-	out := s.applyOut()
 	for k := 1; k < len(cands); k *= 2 {
 		out = append(out, clear(k))
 	}
-	out = append(out, clear(len(cands)))
-	return s.keepOut(out)
+	return append(out, clear(len(cands)))
 }
 
 // sortCands is a tiny insertion sort to keep the apply functions free

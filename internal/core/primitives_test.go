@@ -11,21 +11,12 @@ import (
 	"aceso/internal/perfmodel"
 )
 
-// newSearcher builds a searcher suitable for exercising primitive
-// applications directly.
-func newSearcher(t *testing.T, g *model.Graph, devices int) *searcher {
+// testSearcher builds a searcher on a store of its own, suitable for
+// exercising primitive applications directly.
+func testSearcher(t *testing.T, g *model.Graph, devices int) *searcher {
 	t.Helper()
 	cl := hardware.DGX1V100(4).Restrict(devices)
-	return &searcher{
-		graph:    g,
-		cluster:  cl,
-		pm:       perfmodel.New(g, cl, 1),
-		opts:     Options{}.withDefaults(),
-		deadline: time.Now().Add(time.Minute),
-		visited:  make(map[uint64]bool),
-		pool:     make(map[uint64]Candidate),
-		cache:    make(map[uint64]*perfmodel.Estimate),
-	}
+	return newSearcher(g, cl, perfmodel.New(g, cl, 1), Options{TimeBudget: time.Minute}.withDefaults(), 0, new(store))
 }
 
 func mustBalanced(t *testing.T, g *model.Graph, devices, stages, mbs int) *config.Config {
@@ -126,7 +117,7 @@ func checkPreserved(t *testing.T, s *searcher, before *config.Config, after []*c
 
 func TestAllPrimitivesPreserveSemantics(t *testing.T) {
 	g, _ := model.GPT3("350M")
-	s := newSearcher(t, g, 8)
+	s := testSearcher(t, g, 8)
 	cfg := mustBalanced(t, g, 8, 4, 4)
 	// Give the config some dp so dec-dp/retile paths activate.
 	for i := range cfg.Stages {
@@ -139,14 +130,14 @@ func TestAllPrimitivesPreserveSemantics(t *testing.T) {
 	}
 	for i := range Table {
 		prim := &Table[i]
-		got := prim.apply(s, cfg, 1)
+		got := prim.apply(s, cfg, 1, nil)
 		checkPreserved(t, s, cfg, got, prim.Name)
 	}
 }
 
 func TestMoveOps(t *testing.T) {
 	g := model.Uniform(20, 1e10, 1e6, 1e5, 64)
-	s := newSearcher(t, g, 4)
+	s := testSearcher(t, g, 4)
 	cfg := mustBalanced(t, g, 4, 2, 2)
 
 	// Move 3 ops from stage 1 back to stage 0.
@@ -186,7 +177,7 @@ func TestMoveOpsPreservesDims(t *testing.T) {
 	// op is a matmul must keep Dim 0 — the bug class where templates
 	// carried out-of-range dims.
 	g, _ := model.GPT3("350M")
-	s := newSearcher(t, g, 4)
+	s := testSearcher(t, g, 4)
 	cfg := mustBalanced(t, g, 4, 2, 1)
 	for k := 1; k < 16; k++ {
 		for _, dir := range []int{-1, +1} {
@@ -205,14 +196,14 @@ func TestMoveOpsPreservesDims(t *testing.T) {
 
 func TestIncDecMBS(t *testing.T) {
 	g := model.Uniform(8, 1e10, 1e6, 1e5, 64)
-	s := newSearcher(t, g, 4)
+	s := testSearcher(t, g, 4)
 	cfg := mustBalanced(t, g, 4, 2, 4)
 
-	up := applyIncMBS(s, cfg, 0)
+	up := applyIncMBS(s, cfg, 0, nil)
 	if len(up) != 1 || up[0].MicroBatch != 8 {
 		t.Fatalf("inc-mbs: got %v", up)
 	}
-	down := applyDecMBS(s, cfg, 0)
+	down := applyDecMBS(s, cfg, 0, nil)
 	if len(down) != 1 || down[0].MicroBatch != 2 {
 		t.Fatalf("dec-mbs: got %v", down)
 	}
@@ -221,20 +212,20 @@ func TestIncDecMBS(t *testing.T) {
 	for j := range c.Stages[0].Ops {
 		c.Stages[0].Ops[j] = config.OpSetting{TP: 1, DP: 4, Dim: 0} // dp=4 == mbs
 	}
-	if got := applyDecMBS(s, c, 0); got != nil {
+	if got := applyDecMBS(s, c, 0, nil); got != nil {
 		t.Error("dec-mbs below max dp should be rejected")
 	}
 	// inc-mbs cannot exceed global batch divisibility.
 	c2 := cfg.Clone()
 	c2.MicroBatch = g.GlobalBatch
-	if got := applyIncMBS(s, c2, 0); got != nil {
+	if got := applyIncMBS(s, c2, 0, nil); got != nil {
 		t.Error("inc-mbs beyond global batch should be rejected")
 	}
 }
 
 func TestGrowShrinkMoveDevices(t *testing.T) {
 	g := model.Uniform(16, 1e10, 1e6, 1e5, 64)
-	s := newSearcher(t, g, 16)
+	s := testSearcher(t, g, 16)
 	cfg := mustBalanced(t, g, 16, 3, 4) // devices 4,4,8
 
 	grown := tradeDevices(s, cfg, 0, true, false, nil) // inc-tp on stage 0: partner must hold 8
@@ -280,7 +271,7 @@ func TestGrowShrinkMoveDevices(t *testing.T) {
 
 func TestRetile(t *testing.T) {
 	g := model.Uniform(8, 1e10, 1e6, 1e5, 64)
-	s := newSearcher(t, g, 8)
+	s := testSearcher(t, g, 8)
 	cfg := mustBalanced(t, g, 8, 1, 8) // tp=8, dp=1
 
 	c := retileRange(s, cfg, 0, 0, true) // toward dp
@@ -314,10 +305,10 @@ func TestRetile(t *testing.T) {
 
 func TestIncDecRC(t *testing.T) {
 	g, _ := model.GPT3("350M")
-	s := newSearcher(t, g, 4)
+	s := testSearcher(t, g, 4)
 	cfg := mustBalanced(t, g, 4, 2, 1)
 
-	inc := applyIncRC(s, cfg, 0)
+	inc := applyIncRC(s, cfg, 0, nil)
 	if len(inc) == 0 {
 		t.Fatal("inc-rc produced nothing")
 	}
@@ -342,7 +333,7 @@ func TestIncDecRC(t *testing.T) {
 	for j := range full.Stages[0].Ops {
 		full.Stages[0].Ops[j].Recompute = true
 	}
-	dec := applyDecRC(s, full, 0)
+	dec := applyDecRC(s, full, 0, nil)
 	if len(dec) == 0 {
 		t.Fatal("dec-rc produced nothing")
 	}
@@ -352,7 +343,7 @@ func TestIncDecRC(t *testing.T) {
 		}
 	}
 	// dec-rc with nothing to clear.
-	if got := applyDecRC(s, cfg, 0); got != nil {
+	if got := applyDecRC(s, cfg, 0, nil); got != nil {
 		t.Error("dec-rc on rc-free stage should be nil")
 	}
 }
@@ -361,9 +352,9 @@ func TestIncRCPicksLargestActivations(t *testing.T) {
 	// With skewed activations, the first recompute target must be the
 	// op with the largest stash (§4.1 greedy).
 	g := model.Skewed(8, 1e10, 1e6, 1e6, 1.0, 64)
-	s := newSearcher(t, g, 4)
+	s := testSearcher(t, g, 4)
 	cfg := mustBalanced(t, g, 4, 1, 4)
-	cands := applyIncRC(s, cfg, 0)
+	cands := applyIncRC(s, cfg, 0, nil)
 	if len(cands) == 0 {
 		t.Fatal("no candidates")
 	}
@@ -403,7 +394,7 @@ func TestOpKs(t *testing.T) {
 // config is itself valid (invariant 1), for varied stage counts.
 func TestPrimitiveValidityProperty(t *testing.T) {
 	g, _ := model.GPT3("350M")
-	s := newSearcher(t, g, 8)
+	s := testSearcher(t, g, 8)
 	f := func(stRaw, mbsRaw, primRaw, stageRaw uint8) bool {
 		stages := int(stRaw%4) + 1
 		mbs := 1 << (mbsRaw % 3)
@@ -413,7 +404,7 @@ func TestPrimitiveValidityProperty(t *testing.T) {
 		}
 		prim := &Table[int(primRaw)%len(Table)]
 		stage := int(stageRaw) % stages
-		for _, c := range prim.apply(s, cfg, stage) {
+		for _, c := range prim.apply(s, cfg, stage, nil) {
 			if c == nil {
 				continue
 			}

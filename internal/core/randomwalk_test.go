@@ -39,7 +39,7 @@ func TestRandomPrimitiveWalk(t *testing.T) {
 		wl := wl
 		t.Run(wl.name, func(t *testing.T) {
 			g := wl.g()
-			s := newSearcher(t, g, wl.dev)
+			s := testSearcher(t, g, wl.dev)
 			rng := rand.New(rand.NewSource(99))
 			for _, stages := range []int{1, 2, 4} {
 				cfg := mustBalanced(t, g, wl.dev, stages, 4)
@@ -48,7 +48,7 @@ func TestRandomPrimitiveWalk(t *testing.T) {
 					steps++
 					prim := prims[rng.Intn(len(prims))]
 					stage := rng.Intn(cfg.NumStages())
-					cands := prim.apply(s, cfg, stage)
+					cands := prim.apply(s, cfg, stage, nil)
 					if len(cands) == 0 {
 						continue
 					}

@@ -8,7 +8,6 @@ import (
 	"runtime"
 	"runtime/debug"
 	"sort"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -136,10 +135,9 @@ func (c *Candidate) less(o *Candidate) bool {
 // on which of two equal-scored candidates goes first. Hash is the cold
 // path — it builds canonical segments — so it is asked only here, on an
 // actual tie: a few hundred times a search against tens of thousands of
-// Key calls. Both configs must still be alive (not recycled through the
-// arena), which the limbo discipline guarantees for every pool entry
-// and per-depth candidate slice. tieBreaks counts the calls for
-// TestTieBreaksPerSearch.
+// Key calls. Both configs must still be alive, which the store
+// guarantees for every pool entry and per-depth candidate slice (see
+// store.evict). tieBreaks counts the calls for TestTieBreaksPerSearch.
 func hashLess(a, b *config.Config) bool {
 	tieBreaks.Add(1)
 	return a.Hash() < b.Hash()
@@ -214,21 +212,6 @@ func defaultStageCounts(devices, ops int) []int {
 	return out
 }
 
-// arenaPool hands the per-worker config arenas of a finished search to
-// the next one. When a search ends its arenas hold only dead candidates
-// (run recycles its pool and limbo; nothing a Result carries was ever
-// Put), a few thousand of them, and CloneIn overwrites every field of
-// what it reuses — so the next search clones into that memory instead of
-// allocating, zeroing and faulting in the same amount again. Without the
-// hand-over a process that searches in a loop has a heap that swings by
-// the candidate memory of one search per call: a collection every third
-// of a search and, for the pages the runtime returns in between and
-// takes back, some 180 cross-CPU interrupts a search (TLB shoot-downs,
-// wake-ups) that on a shared host cost whatever the host charges at that
-// moment (DESIGN.md §5g). An idle process keeps nothing: sync.Pool drops
-// the arenas at the second collection.
-var arenaPool sync.Pool // of *[]config.Arena
-
 // Search runs Aceso's iterative bottleneck-alleviation search for
 // graph g over cluster cl (Algorithm 1), with one goroutine per
 // candidate pipeline depth (§4.3), and returns the merged result.
@@ -258,6 +241,32 @@ func SearchContext(ctx context.Context, g *model.Graph, cl hardware.Cluster, opt
 		return nil, err
 	}
 	opts = opts.withDefaults()
+	stageCounts := opts.StageCounts
+	if len(stageCounts) == 0 {
+		stageCounts = defaultStageCounts(cl.TotalDevices(), len(g.Ops))
+	}
+	workers := runtime.GOMAXPROCS(0)
+	if workers > len(stageCounts) {
+		workers = len(stageCounts)
+	}
+	if workers < 1 {
+		workers = 1
+	}
+	// One store per worker, not per task: a worker runs its tasks
+	// serially, so consecutive stage-count searches on the same worker
+	// recycle each other's candidate memory (see store). The stores are
+	// taken before anything else is built and handed over on the way
+	// out, so that a loop of searches meets them again (see stores).
+	ss := takeStores(workers)
+	panicked := false
+	defer func() {
+		// A searcher that panicked may have died between recycling a
+		// config and dropping its last reference: its stores are not
+		// used again.
+		if !panicked {
+			handOver(ss)
+		}
+	}()
 	pm := opts.Model
 	if pm == nil {
 		pm = perfmodel.New(g, cl, opts.Seed)
@@ -273,10 +282,6 @@ func SearchContext(ctx context.Context, g *model.Graph, cl hardware.Cluster, opt
 	}
 	ctx, cancel := context.WithDeadline(ctx, deadline)
 	defer cancel()
-	stageCounts := opts.StageCounts
-	if len(stageCounts) == 0 {
-		stageCounts = defaultStageCounts(cl.TotalDevices(), len(g.Ops))
-	}
 
 	type workerOut struct {
 		topK       []Candidate
@@ -286,7 +291,6 @@ func SearchContext(ctx context.Context, g *model.Graph, cl hardware.Cluster, opt
 		err        *SearchError
 	}
 	outs := make([]workerOut, len(stageCounts))
-	memNorm := cl.MinDeviceMemory()
 	met := newSearchMeters(opts.Metrics)
 	// Each task is one independent, deterministic per-stage-count
 	// search; the work-stealing pool schedules the deepest pipelines
@@ -302,30 +306,6 @@ func SearchContext(ctx context.Context, g *model.Graph, cl hardware.Cluster, opt
 	sort.SliceStable(order, func(a, b int) bool {
 		return stageCounts[order[a]] > stageCounts[order[b]]
 	})
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(order) {
-		workers = len(order)
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	// One arena per worker, not per searcher: a worker runs its tasks
-	// serially, so consecutive stage-count searches on the same worker
-	// recycle each other's candidate memory instead of re-allocating
-	// their whole working set from a cold free list.
-	// The arenas outlive the search (see arenaPool); worker 0 runs the
-	// deepest pipeline first, so it meets the arena that search left.
-	ap, _ := arenaPool.Get().(*[]config.Arena)
-	if ap == nil {
-		ap = new([]config.Arena)
-	}
-	for len(*ap) < workers {
-		*ap = append(*ap, config.Arena{})
-	}
-	arenas := *ap
-	// Estimates are carved per worker too, but never outlive the search
-	// in a pool: the estimates a Result carries point into the chunks.
-	estArenas := make([]perfmodel.EstArena, workers)
 	runWorkStealing(workers, order, func(w, wi int) {
 		p := stageCounts[wi]
 		// Panic isolation: one buggy searcher (a bad primitive, a
@@ -349,36 +329,14 @@ func SearchContext(ctx context.Context, g *model.Graph, cl hardware.Cluster, opt
 			outs[wi] = workerOut{err: &SearchError{StageCount: p, Err: err}}
 			return
 		}
-		s := &searcher{
-			graph:    g,
-			cluster:  cl,
-			memNorm:  memNorm,
-			pm:       pm,
-			opts:     opts,
-			deadline: deadline,
-			done:     ctx.Done(),
-			visited:  make(map[uint64]bool, 1024),
-			pool:     make(map[uint64]Candidate, 1024),
-			cache:    make(map[uint64]*perfmodel.Estimate, 1024),
-			arena:    &arenas[w],
-			estArena: &estArenas[w],
-			rng:      rand.New(rand.NewSource(opts.Seed + int64(p)*7919)),
-			tracer:   opts.Tracer,
-			met:      met,
-			obj:      obj,
-		}
+		s := newSearcher(g, cl, pm, opts, p, &(*ss)[w])
+		s.deadline, s.done, s.met = deadline, ctx.Done(), met
 		topK, iters, converged := s.run(init)
 		outs[wi] = workerOut{topK: topK, explored: s.explored, iterations: iters, converged: converged}
 	})
 
-	// A searcher that panicked may have died between recycling a config
-	// and dropping its last reference: its arenas are not used again.
-	panicked := false
 	for i := range outs {
 		panicked = panicked || outs[i].err != nil && outs[i].err.PanicValue != nil
-	}
-	if !panicked {
-		arenaPool.Put(ap)
 	}
 
 	if opts.Metrics != nil {
@@ -429,6 +387,7 @@ func SearchContext(ctx context.Context, g *model.Graph, cl hardware.Cluster, opt
 	if len(res.TopK) == 0 {
 		return nil, fmt.Errorf("core: search produced no candidates")
 	}
+	publish(res.TopK)
 	res.Best = res.TopK[0]
 	if res.Best.Estimate != nil && res.Best.Estimate.Feasible {
 		_, res.RecommendedCadence = obj.assess(res.Best.Config, res.Best.Estimate.IterTime)
@@ -499,26 +458,14 @@ type searcher struct {
 	deadline time.Time
 	done     <-chan struct{} // context cancellation, shared with the deadline
 
-	// All three are keyed by Config.Key. cache holds every key ever
-	// estimated; a nil estimate marks a released key (see release),
-	// which stays explored and is computed again, uncounted, on demand.
-	visited  map[uint64]bool                // every candidate taken up, kept or not (dedup, §4.3)
-	pool     map[uint64]Candidate           // unexplored configs (Algorithm 1)
-	cache    map[uint64]*perfmodel.Estimate // estimate memo
+	pool     map[uint64]Candidate // unexplored configs by Config.Key (Algorithm 1)
 	explored int
 	rng      *rand.Rand
 
-	// arena recycles rejected candidate clones (DESIGN.md §5g). Shared
-	// by every searcher run serially on one worker. The discipline: a
-	// config goes back via discard() only when nothing retains its
-	// pointer — never the current/found config, never a pool or top-K
-	// entry. Pool-pruned configs park in limbo until the top-level
-	// iteration boundary, because candidate slices of active multiHop
-	// frames may still alias them; the whole pool is recycled when
-	// run() finishes (pool and top-K never share configs: multiHop
-	// returns an improving candidate before pooling it).
-	arena *config.Arena
-	limbo []*config.Config
+	// st owns every candidate's memory and the task's memo of visited
+	// keys and estimates (see store); it is the worker's, shared by the
+	// searchers run serially on it.
+	st *store
 
 	// batches is the stack of batched estimators, one per active
 	// multiHop/fineTune base; batch is its top (nil = full path). The
@@ -527,32 +474,22 @@ type searcher struct {
 	batches []perfmodel.Batch
 	batch   *perfmodel.Batch
 
-	// estArena carves the estimates memoized in cache out of chunks
-	// (see perfmodel.EstArena); it is the worker's, shared by the
-	// searchers run serially on it, and takes back what release frees.
-	estArena *perfmodel.EstArena
-
 	// Reusable scratch, hoisted out of the hot path: candsAt[hop] backs
 	// multiHop's per-resource candidate list at recursion depth hop,
 	// bnBufAt[hop] the Bottleneck resource list built for depth hop+1,
 	// pruneBuf prunePool's sort buffer, rcBuf the saved-activation
 	// ranking of applyIncRC/applyDecRC (never live across nested apply
-	// calls: estimates do not re-enter the apply functions).
+	// calls: estimates do not re-enter the apply functions). trials
+	// receives multiHop's apply results, each consumed before the next
+	// apply; rcTrials attachRecompute's, which it applies while multiHop
+	// is still iterating trials.
 	candsAt  [][]Candidate
 	bnBufAt  [][]Resource
 	pruneBuf poolEntries
 	rcBuf    []rcCand
 	opksBuf  []int
-
-	// applyBufs backs the candidate slices returned by the primitive
-	// apply functions; each result is fully consumed before the next
-	// apply call at the same level, so the buffer is recycled instead
-	// of allocated per call. Two levels exist because attachRecompute
-	// runs applyIncRC while multiHop is still iterating another apply
-	// result: attachRecompute bumps applyDepth so the nested call uses
-	// the second buffer, and it never nests inside itself.
-	applyBufs  [2][]*config.Config
-	applyDepth int
+	trials   []*config.Config
+	rcTrials []*config.Config
 
 	// obj scores feasible candidates: nominal iteration time, or
 	// expected time on spot capacity (objective.go).
@@ -570,23 +507,27 @@ type searcher struct {
 	itBacktracks int
 }
 
-// applyOut returns the recycled, emptied candidate buffer for the
-// current apply nesting level. Apply functions build their result in
-// it and hand it back through keepOut.
-func (s *searcher) applyOut() []*config.Config {
-	return s.applyBufs[s.applyDepth][:0]
-}
-
-// keepOut retains the (possibly regrown) buffer for reuse by the next
-// apply call at this level and returns it to the caller. An empty
-// result comes back as nil so callers keep the historical "nil means
-// no candidates" contract.
-func (s *searcher) keepOut(out []*config.Config) []*config.Config {
-	s.applyBufs[s.applyDepth] = out
-	if len(out) == 0 {
-		return nil
+// newSearcher builds the searcher of one stage-count task: what every
+// task shares (graph, cluster, model, options), the task's own pool and
+// RNG, and the store of the worker it runs on, which begins the task.
+// The deadline is TimeBudget from now; SearchContext replaces it with
+// the search's own, with the context's cancellation and the meters.
+func newSearcher(g *model.Graph, cl hardware.Cluster, pm *perfmodel.Model, opts Options, stages int, st *store) *searcher {
+	s := &searcher{
+		graph:    g,
+		cluster:  cl,
+		memNorm:  cl.MinDeviceMemory(),
+		pm:       pm,
+		opts:     opts,
+		deadline: time.Now().Add(opts.TimeBudget),
+		pool:     make(map[uint64]Candidate, 1024),
+		rng:      rand.New(rand.NewSource(opts.Seed + int64(stages)*7919)),
+		st:       st,
+		tracer:   opts.Tracer,
 	}
-	return out
+	s.obj = newObjective(&s.cluster)
+	st.begin()
+	return s
 }
 
 // expired reports whether the search must stop: the context was
@@ -604,17 +545,6 @@ func (s *searcher) expired() bool {
 	return time.Now().After(s.deadline)
 }
 
-// clone copies cfg through the searcher's arena, reusing the slices of
-// previously discarded candidates.
-func (s *searcher) clone(cfg *config.Config) *config.Config {
-	return cfg.CloneIn(s.arena)
-}
-
-// discard recycles a candidate clone that nothing references anymore.
-func (s *searcher) discard(c *config.Config) {
-	s.arena.Put(c)
-}
-
 // pushBatch makes (cfg, est) the base for batched estimation until the
 // matching popBatch. Stack slots are reused, so steady-state pushes
 // allocate nothing.
@@ -625,7 +555,7 @@ func (s *searcher) pushBatch(cfg *config.Config, est *perfmodel.Estimate) {
 		s.batches = append(s.batches, perfmodel.Batch{})
 	}
 	b := &s.batches[len(s.batches)-1]
-	s.pm.BeginBatch(b, cfg, est, s.estArena)
+	s.pm.BeginBatch(b, cfg, est, &s.st.ests)
 	s.batch = b
 }
 
@@ -640,26 +570,30 @@ func (s *searcher) popBatch() {
 }
 
 // estimate memoizes performance-model evaluations by configuration key
-// and counts unique explored configurations. Inside a multiHop/fineTune
-// node the active batch estimator serves the call, sharing the base
-// configuration's per-stage metrics; the resulting estimate is
-// bitwise identical to the full path (see perfmodel.Batch). A released
-// key is computed again — to the same bits — and not counted again.
+// in the task's memo and counts unique explored configurations. Inside a
+// multiHop/fineTune node the active batch estimator serves the call,
+// sharing the base configuration's per-stage metrics; the resulting
+// estimate is bitwise identical to the full path (see perfmodel.Batch).
+// A released key is computed again — to the same bits — and not counted
+// again.
 func (s *searcher) estimate(cfg *config.Config) *perfmodel.Estimate {
 	k := cfg.Key()
-	e, seen := s.cache[k]
-	if e != nil {
-		return e
+	en := s.st.memo[k]
+	if en.est != nil {
+		return en.est
 	}
+	var e *perfmodel.Estimate
 	if s.batch != nil {
 		e = s.batch.Estimate(cfg)
 	} else {
-		e = s.pm.EstimateIn(cfg, s.estArena)
+		e = s.pm.EstimateIn(cfg, &s.st.ests)
 	}
-	s.cache[k] = e
-	if seen {
-		if estimateHook != nil {
-			estimateHook(e, true)
+	again := en.explored
+	en.est, en.explored = e, true
+	s.st.memo[k] = en
+	if again {
+		if storeHooks.again != nil {
+			storeHooks.again(e)
 		}
 		return e
 	}
@@ -673,34 +607,6 @@ func (s *searcher) estimate(cfg *config.Config) *perfmodel.Estimate {
 	}
 	return e
 }
-
-// release hands the estimate of c — a configuration that dies here with
-// nothing retaining it — back to the arena, and leaves its key in the
-// memo with a nil estimate. keep is the configuration the caller goes on
-// with. Two guards keep a live estimate from being reused: a visited key
-// (which every multiHop and fineTune base is) may be held by the pool,
-// the top-K list, a candidate slice or a batch base; and a trial may
-// share keep's key, whose estimate the caller still holds (applyIncRC
-// ends with the recompute-everything rung, which its doubling ladder
-// has already built when the op count is a power of two).
-func (s *searcher) release(c, keep *config.Config) {
-	k := c.Key()
-	e := s.cache[k]
-	if e == nil || s.visited[k] || k == keep.Key() {
-		return
-	}
-	s.cache[k] = nil
-	if estimateHook != nil {
-		estimateHook(e, false)
-	}
-	s.estArena.Release(e)
-}
-
-// estimateHook, when a test sets it, sees what no counter shows: each
-// estimate release hands back, before the arena can reuse it (again
-// false), and each estimate of a released key computed again (again
-// true).
-var estimateHook func(e *perfmodel.Estimate, again bool)
 
 // score maps an estimate to a single comparable figure: the objective's
 // value when feasible (iteration time; hazard-adjusted expected time on
@@ -738,7 +644,7 @@ const poisonedPenalty = 1e6
 // contract rests on.
 func (s *searcher) run(init *config.Config) ([]Candidate, int, bool) {
 	cur := init
-	s.visited[init.Key()] = true
+	s.st.visit(init)
 	var topK []Candidate
 	record := func(cfg *config.Config) {
 		e := s.estimate(cfg)
@@ -760,7 +666,7 @@ func (s *searcher) run(init *config.Config) ([]Candidate, int, bool) {
 		// Iteration boundary: every multiHop frame of the previous
 		// iteration is gone, so configs evicted from the pool during it
 		// can no longer be aliased by candidate slices — recycle them.
-		s.flushLimbo()
+		s.st.settle()
 		var t0 time.Time
 		if s.met != nil {
 			t0 = time.Now()
@@ -780,9 +686,9 @@ func (s *searcher) run(init *config.Config) ([]Candidate, int, bool) {
 			found, hops, prim = s.multiHop(cur, curEst, bn, 0, initScore)
 			// Top-level multiHop frames are gone and an improving
 			// candidate is returned before it is ever pooled, so
-			// nothing in limbo can be aliased here — recycle eagerly
+			// nothing evicted can be aliased here — settle eagerly
 			// instead of waiting for the iteration boundary.
-			s.flushLimbo()
+			s.st.settle()
 			if found != nil || s.expired() {
 				break
 			}
@@ -794,7 +700,7 @@ func (s *searcher) run(init *config.Config) ([]Candidate, int, bool) {
 				if ft := s.fineTune(found); ft != nil {
 					// The pre-fine-tune config is dead: multiHop returned
 					// it before pooling it, and it is not yet in topK.
-					s.discard(found)
+					s.st.recycle(found)
 					found = ft
 				}
 			}
@@ -822,27 +728,8 @@ func (s *searcher) run(init *config.Config) ([]Candidate, int, bool) {
 		}
 		cur = next
 	}
-	// The searcher is done: everything still in the pool or limbo is
-	// garbage (pool and top-K are disjoint — see the arena field doc),
-	// so recycle it for the next stage-count search on this worker.
-	for _, cand := range s.pool {
-		s.discard(cand.Config)
-	}
-	s.flushLimbo()
+	s.st.end(s.pool)
 	return topK, iters, converged
-}
-
-// flushLimbo recycles every pool-evicted config parked in limbo. Only
-// call at points where no multiHop frame is active and the current/
-// found configs are known not to be limbo residents (popBestUnexplored
-// deletes from the pool, so the current config can never be pruned
-// into limbo).
-func (s *searcher) flushLimbo() {
-	for i, c := range s.limbo {
-		s.arena.Put(c)
-		s.limbo[i] = nil
-	}
-	s.limbo = s.limbo[:0]
 }
 
 // observeIteration flushes one top-level iteration into the Tracer and
@@ -928,7 +815,8 @@ func (s *searcher) multiHop(cfg *config.Config, est *perfmodel.Estimate, bn Bott
 			if s.met != nil {
 				pc = s.met.prim(prim.Name)
 			}
-			batch := prim.apply(s, cfg, bn.Stage)
+			batch := prim.apply(s, cfg, bn.Stage, s.trials[:0])
+			s.trials = batch
 			for ci, c := range batch {
 				// A deadline or cancellation that fires mid-hop must
 				// abort promptly, not after this primitive's whole
@@ -943,26 +831,23 @@ func (s *searcher) multiHop(cfg *config.Config, est *perfmodel.Estimate, bn Bott
 				// here or in fineTune, give or take Recompute flags, which
 				// no invariant reads — so only rewritten stages are checked.
 				if err := c.ValidateDelta(s.graph, s.cluster.TotalDevices(), cfg); err != nil {
-					s.discard(c)
+					s.st.recycle(c)
 					continue
 				}
 				if rc := s.attachRecompute(c); rc != c {
 					// The candidate was superseded by its recompute
 					// variant before anything retained it.
-					s.release(c, rc)
-					s.discard(c)
+					s.st.drop(c, rc)
 					c = rc
 				}
-				k := c.Key()
-				if s.visited[k] {
+				if !s.st.visit(c) {
 					s.itDedup++
 					if s.met != nil {
 						s.met.dedup.Inc()
 					}
-					s.discard(c)
 					continue
 				}
-				s.visited[k] = true
+				k := c.Key()
 				if pc != nil {
 					pc.Inc()
 				}
@@ -972,9 +857,7 @@ func (s *searcher) multiHop(cfg *config.Config, est *perfmodel.Estimate, bn Bott
 					// The rest of the batch was never pooled or
 					// estimated — recycle it on the way out.
 					for _, rest := range batch[ci+1:] {
-						if rest != nil {
-							s.discard(rest)
-						}
+						s.st.recycle(rest)
 					}
 					return c, hop + 1, prim.Name
 				}
@@ -1039,17 +922,13 @@ func (s *searcher) attachRecompute(cfg *config.Config) *config.Config {
 	if e.Feasible {
 		return cfg
 	}
-	// The applyIncRC calls below run while the caller may still be
-	// iterating another apply function's result — switch to the nested
-	// apply buffer so they don't clobber it (see applyBufs).
-	s.applyDepth++
-	defer func() { s.applyDepth-- }()
 	out := cfg
 	for si := range out.Stages {
 		if e.Stages[si].PeakMem <= e.Stages[si].CapMem {
 			continue
 		}
-		cands := applyIncRC(s, out, si)
+		cands := applyIncRC(s, out, si, s.rcTrials[:0])
+		s.rcTrials = cands
 		if len(cands) == 0 {
 			continue
 		}
@@ -1067,13 +946,11 @@ func (s *searcher) attachRecompute(cfg *config.Config) *config.Config {
 		// never pooled, never returned.
 		for _, c := range cands {
 			if c != pick {
-				s.release(c, pick)
-				s.discard(c)
+				s.st.drop(c, pick)
 			}
 		}
 		if out != cfg && out != pick {
-			s.release(out, pick)
-			s.discard(out)
+			s.st.drop(out, pick)
 		}
 		out, e = pick, pickEst
 		if e.Feasible {
@@ -1112,8 +989,8 @@ func (p *poolEntries) Swap(a, b int) {
 // prunePool drops the worst-scoring entries of an oversized pool,
 // keeping the best poolCap/2 (deterministic: ties broken by hash). The
 // half-cap target leaves insert headroom so the pool is not re-pruned
-// on nearly every insert once it first fills. Evicted configs go to
-// limbo, not straight back to the arena: candidate slices of multiHop
+// on nearly every insert once it first fills. Evicted configs are not
+// recycled at once (see store.evict): candidate slices of multiHop
 // frames still on the stack may alias them until the iteration ends.
 func (s *searcher) prunePool() {
 	keep := poolCap / 2
@@ -1129,7 +1006,7 @@ func (s *searcher) prunePool() {
 	all = s.pruneBuf
 	for _, e := range all[keep:] {
 		delete(s.pool, e.key)
-		s.limbo = append(s.limbo, e.cfg)
+		s.st.evict(e.cfg)
 	}
 	if s.met != nil {
 		s.met.prunes.Inc()

@@ -115,7 +115,7 @@ func TestSearchBestConfigValid(t *testing.T) {
 		t.Fatalf("best config invalid: %v", err)
 	}
 	// And executable by the simulator.
-	if _, err := pipesim.Simulate(newSearcher(t, g, 4).pm, res.Best.Config, 1); err != nil {
+	if _, err := pipesim.Simulate(testSearcher(t, g, 4).pm, res.Best.Config, 1); err != nil {
 		t.Fatalf("best config not simulatable: %v", err)
 	}
 }
@@ -347,7 +347,7 @@ func TestFineTuneFindsDimOrTilingImprovements(t *testing.T) {
 	// where small ops shard poorly; fine-tuning should find a better
 	// mixed tiling or dim assignment.
 	g, _ := model.WideResNet("0.5B")
-	s := newSearcher(t, g, 8)
+	s := testSearcher(t, g, 8)
 	cfg := mustBalanced(t, g, 8, 1, 8) // tp=8 everywhere
 	before := s.score(cfg, s.estimate(cfg))
 	ft := s.fineTune(cfg)
@@ -365,7 +365,7 @@ func TestFineTuneFindsDimOrTilingImprovements(t *testing.T) {
 
 func TestPoolPruneKeepsBest(t *testing.T) {
 	g := model.Uniform(32, 1e9, 1e6, 1e5, 1<<20)
-	s := newSearcher(t, g, 4)
+	s := testSearcher(t, g, 4)
 	base, err := config.Balanced(g, 4, 2, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -440,7 +440,7 @@ func TestPrunePoolKeepsBestHalf(t *testing.T) {
 	// half" but truncated only to poolCap, so a pool at its trigger size
 	// re-pruned after nearly every subsequent insert. It must prune to
 	// poolCap/2 (deterministic, hash-tiebroken).
-	s := &searcher{pool: make(map[uint64]Candidate)}
+	s := &searcher{pool: make(map[uint64]Candidate), st: new(store)}
 	// Two-valued scores exercise the hash tiebreak across the cut: 2049
 	// entries score 0, so exactly one of them — the highest canonical
 	// hash — must go, with every score-1 entry.
@@ -502,7 +502,7 @@ func TestTieBreakIsCanonicalHash(t *testing.T) {
 
 	// prunePool keeps the poolCap/2 lowest hashes of an all-tied pool.
 	big := tiedCandidates(t, poolCap+1)
-	s := &searcher{pool: make(map[uint64]Candidate)}
+	s := &searcher{pool: make(map[uint64]Candidate), st: new(store)}
 	for _, c := range big {
 		s.pool[c.key] = c
 	}
@@ -515,7 +515,7 @@ func TestTieBreakIsCanonicalHash(t *testing.T) {
 	}
 
 	// popBestUnexplored drains an all-tied pool in ascending hash order.
-	s = &searcher{pool: make(map[uint64]Candidate)}
+	s = &searcher{pool: make(map[uint64]Candidate), st: new(store)}
 	for _, c := range cands {
 		s.pool[c.key] = c
 	}

@@ -1,0 +1,158 @@
+package core
+
+import (
+	"sync"
+
+	"aceso/internal/config"
+	"aceso/internal/perfmodel"
+)
+
+// store owns the memory of the candidates one worker's tasks make, and
+// is the only code that decides when it is reused (DESIGN.md §5b,
+// *Candidate lifetime*). A candidate — a config and, once estimated, its
+// estimate — is scratch (cloned, maybe estimated, not yet taken up),
+// visited (its key was taken up, so the pool, the top-K list, a
+// candidate slice or a batch base may hold it) or published (in a
+// Result). Only scratch memory is released. Each task has its own memo
+// (begin … end); the config arena carries dead candidates to the
+// worker's next task and, through handOver, to the next search. Not safe
+// for concurrent use.
+type store struct {
+	arena config.Arena
+	ests  perfmodel.EstArena
+	limbo []*config.Config // evicted, recycled at settle
+	memo  map[uint64]entry // the running task's keys
+}
+
+// entry is what a task knows of one key.
+type entry struct {
+	est      *perfmodel.Estimate // nil until estimated, and again once released
+	visited  bool                // taken up: its estimate is never released
+	explored bool                // estimated, and counted, once
+}
+
+// storeHooks, when a test sets them, see each config recycle hands to
+// the arena and each estimate drop releases, before either can be
+// reused, and each estimate of a released key computed again.
+var storeHooks struct {
+	recycled func(*config.Config)
+	released func(*perfmodel.Estimate)
+	again    func(*perfmodel.Estimate)
+}
+
+func (st *store) begin() { st.memo = make(map[uint64]entry, 1024) }
+
+// end closes a task: what is left in its pool dies — pool and top-K
+// never share a config — with what evict parked, and the memo goes.
+func (st *store) end(pool map[uint64]Candidate) {
+	for _, c := range pool {
+		st.recycle(c.Config)
+	}
+	st.settle()
+	st.memo = nil
+}
+
+// clone copies cfg into a scratch candidate, reusing recycled memory.
+func (st *store) clone(cfg *config.Config) *config.Config {
+	return cfg.CloneIn(&st.arena)
+}
+
+// visit takes c up: it reports whether c's key is new to the task and
+// marks it visited. A duplicate is recycled on the spot.
+func (st *store) visit(c *config.Config) bool {
+	k := c.Key()
+	e := st.memo[k]
+	if e.visited {
+		st.recycle(c)
+		return false
+	}
+	e.visited = true
+	st.memo[k] = e
+	return true
+}
+
+// drop ends scratch trial c, which keep superseded, and releases its
+// estimate for reuse — unless its key is visited, or is keep's, whose
+// estimate the caller goes on with (applyIncRC's last rung may repeat
+// one its doubling ladder built). The memo keeps the key: it stays
+// explored and is estimated again, to the same bits, when asked.
+func (st *store) drop(c, keep *config.Config) {
+	k := c.Key()
+	if e := st.memo[k]; e.est != nil && !e.visited && k != keep.Key() {
+		if storeHooks.released != nil {
+			storeHooks.released(e.est)
+		}
+		st.ests.Release(e.est)
+		e.est = nil
+		st.memo[k] = e
+	}
+	st.recycle(c)
+}
+
+// recycle takes back a config nothing references: never estimated, or
+// with its key's estimate left in the memo.
+func (st *store) recycle(c *config.Config) {
+	if storeHooks.recycled != nil && c != nil {
+		storeHooks.recycled(c)
+	}
+	st.arena.Put(c)
+}
+
+// evict parks a config a prune let go: until the top-level iteration
+// ends, a multiHop frame's candidate slice may alias it and a tie may
+// Hash it.
+func (st *store) evict(c *config.Config) {
+	st.limbo = append(st.limbo, c)
+}
+
+// settle recycles what evict parked. Call it only where no multiHop
+// frame is active.
+func (st *store) settle() {
+	for i, c := range st.limbo {
+		st.recycle(c)
+		st.limbo[i] = nil
+	}
+	st.limbo = st.limbo[:0]
+}
+
+// publish freezes the configs a Result hands out (config.Config.Freeze),
+// so a caller may key, hash and clone them from several goroutines at
+// once, as a plan cache serving warm starts does.
+func publish(topK []Candidate) {
+	for i := range topK {
+		topK[i].Config.Freeze()
+	}
+}
+
+// stores hands the stores of a finished search to the next, which clones
+// into the dead candidates their arenas hold instead of allocating and
+// faulting in as much again: a process that searches in a loop keeps a
+// steady heap. An idle process keeps nothing: sync.Pool drops the stores
+// at the second collection. A Put lands on the putting goroutine's P,
+// where a Get from another P cannot see it, so SearchContext takes the
+// stores first and hands them over last: the less a caller does between
+// two searches, the less often its goroutine has moved between them.
+var stores sync.Pool // of *[]store
+
+// takeStores returns one store per worker, an earlier search's where the
+// pool still has them.
+func takeStores(workers int) *[]store {
+	ss, _ := stores.Get().(*[]store)
+	if ss == nil {
+		ss = new([]store)
+	}
+	for len(*ss) < workers {
+		*ss = append(*ss, store{})
+	}
+	return ss
+}
+
+// handOver gives a finished search's stores to the next one with only
+// their config arenas: a Result's estimates point into the estimate
+// arenas' chunks.
+func handOver(ss *[]store) {
+	for i := range *ss {
+		(*ss)[i].ests = perfmodel.EstArena{}
+	}
+	stores.Put(ss)
+}

@@ -1,0 +1,395 @@
+package core
+
+import (
+	"math"
+	"reflect"
+	"runtime"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"aceso/internal/config"
+	"aceso/internal/hardware"
+	"aceso/internal/model"
+	"aceso/internal/perfmodel"
+)
+
+// deadMemory scribbles over every configuration the moment the store
+// recycles it — garbage in every field, memos dropped — and over every
+// estimate the moment drop releases it — NaN in every float, garbage in
+// every int, every flag flipped — so a live reference would read that
+// or, once the memory is reused, another candidate's. It counts what it
+// scribbled and which released keys were estimated again.
+type deadMemory struct {
+	recycled, released, again atomic.Int64
+}
+
+// scribbling turns the hooks on; the test's cleanup turns them off.
+func (d *deadMemory) scribbling(t *testing.T) {
+	storeHooks.recycled = func(c *config.Config) {
+		d.recycled.Add(1)
+		scribbleConfig(c)
+	}
+	storeHooks.released = func(e *perfmodel.Estimate) {
+		d.released.Add(1)
+		scribble(reflect.ValueOf(e).Elem())
+	}
+	storeHooks.again = func(*perfmodel.Estimate) { d.again.Add(1) }
+	t.Cleanup(func() { storeHooks.recycled, storeHooks.released, storeHooks.again = nil, nil, nil })
+}
+
+// TestReleasedEstimatesAreDead pins the store's one rule (see store):
+// only scratch memory is reused, and nothing reads it afterwards. With
+// dead memory scribbled (deadMemory), on every zoo row of the
+// determinism table — the pinned search among them — and on its
+// extended-primitives rows, whose ZeRO and sequence-parallel toggles
+// clone and drop through the same store:
+//
+//   - the search explores, ranks and scores as committed, so no visited
+//     candidate's config or estimate changed under it;
+//   - every configuration it estimates passes the full Validate and is
+//     estimated as new once (estimateAuditor);
+//   - every published candidate is as it was returned — settings, Key,
+//     Hash and rank — after the next row's search recycled through the
+//     same stores, and carries the estimate a fresh model computes for
+//     its configuration.
+func TestReleasedEstimatesAreDead(t *testing.T) {
+	if testing.Short() {
+		t.Skip("54 searches")
+	}
+	var d deadMemory
+	d.scribbling(t)
+
+	committed := committedRows(t)
+	n := 0
+	var last published
+	search := func(g *model.Graph, row determinismRow, cl hardware.Cluster, opts Options) {
+		t.Helper()
+		audit := newEstimateAuditor(t, g, cl.TotalDevices())
+		opts.Tracer = audit
+		r0, a0 := d.released.Load(), d.again.Load()
+		got, res := pinnedSearch(t, g, row, cl, opts)
+		if !reflect.DeepEqual(got, committed[n]) {
+			t.Errorf("row %d drifted with dead memory scribbled:\n got %+v\nwant %+v", n, got, committed[n])
+		}
+		n++
+		if audit.estimated != res.Explored {
+			t.Errorf("%s on %s: audited %d of %d explored configurations", row.Model, row.Fleet, audit.estimated, res.Explored)
+		}
+		last.check(t)
+		last = snapshot(row.Model+" on "+row.Fleet, res, perfmodel.New(g, cl, 1))
+		if row.Model == "gpt3-2.6B" && row.Fleet == "DGX1V100(2)" {
+			t.Logf("pinned search, GOMAXPROCS %d: %d estimates released, %d released keys estimated again",
+				row.GOMAXPROCS, d.released.Load()-r0, d.again.Load()-a0)
+		}
+	}
+
+	models, fleets := determinismZoo(t)
+	for _, m := range models {
+		g, err := m.build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, f := range fleets {
+			for _, procs := range []int{1, 4} {
+				search(g, determinismRow{Model: m.name, Fleet: f.name, GOMAXPROCS: procs}, f.cl, Options{})
+			}
+		}
+	}
+	for _, m := range models[1:3] {
+		g, err := m.build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, procs := range []int{1, 4} {
+			search(g, determinismRow{Model: m.name, Fleet: fleets[0].name, Options: "extended-primitives", GOMAXPROCS: procs},
+				fleets[0].cl, Options{ExtendedPrimitives: true})
+		}
+	}
+	last.check(t)
+	if d.recycled.Load() == 0 || d.released.Load() == 0 || d.again.Load() == 0 {
+		t.Errorf("%d configs recycled, %d estimates released, %d estimated again: the test exercises nothing",
+			d.recycled.Load(), d.released.Load(), d.again.Load())
+	}
+}
+
+// TestArenaAliasing pins evict's half of the rule: a config a prune
+// lets go is recycled only at settle, because until the top-level
+// iteration ends a multiHop frame's candidate slice may still alias it.
+// A pool one past its cap is pruned while a slice — as a frame holds
+// its candidates — aliases every pooled config. With dead memory
+// scribbled (deadMemory) and the store cloning into its arena in
+// between, every held config must keep its settings, Key and Hash until
+// settle, and settle must then recycle exactly the evicted ones.
+func TestArenaAliasing(t *testing.T) {
+	var d deadMemory
+	d.scribbling(t)
+	s := &searcher{pool: make(map[uint64]Candidate, 2*poolCap), st: new(store)}
+	held := tiedCandidates(t, poolCap+1)
+	canon := make([]string, len(held))
+	hashes := make([]uint64, len(held))
+	for i, c := range held {
+		s.pool[c.key] = c
+		canon[i], hashes[i] = c.Config.Canonical(), c.Config.Hash()
+	}
+	s.prunePool()
+	if len(s.pool) == len(held) {
+		t.Fatal("the prune evicted nothing: the test exercises nothing")
+	}
+
+	// The rest of the iteration clones into the store: with nothing
+	// recycled yet, no clone may take an evicted config's memory.
+	src := held[0].Config.Clone()
+	for range held {
+		s.st.clone(src)
+	}
+	for i, c := range held {
+		if c.Config.Canonical() != canon[i] || c.Config.Key() != c.key || c.Config.Hash() != hashes[i] {
+			t.Fatalf("held config %d changed before settle: the store reused what a frame still aliases", i)
+		}
+	}
+	s.st.settle()
+	for i, c := range held {
+		_, pooled := s.pool[c.key]
+		if recycled := c.Config.MicroBatch == -1; recycled == pooled {
+			t.Fatalf("held config %d: pooled %v, recycled at settle %v", i, pooled, recycled)
+		}
+	}
+}
+
+// published is a Result's top-K as the search returned it.
+type published struct {
+	name   string
+	res    *Result
+	fresh  *perfmodel.Model
+	canon  []string
+	keys   []uint64
+	hashes []uint64
+}
+
+func snapshot(name string, res *Result, fresh *perfmodel.Model) published {
+	p := published{name: name, res: res, fresh: fresh}
+	for _, c := range res.TopK {
+		p.canon = append(p.canon, c.Config.Canonical())
+		p.keys = append(p.keys, c.Config.Key())
+		p.hashes = append(p.hashes, c.Config.Hash())
+	}
+	return p
+}
+
+// check requires every published candidate unchanged since snapshot —
+// settings, Key and Hash memos, rank — and carrying its own
+// configuration's estimate.
+func (p *published) check(t *testing.T) {
+	t.Helper()
+	if p.res == nil {
+		return
+	}
+	for i, c := range p.res.TopK {
+		if got := c.Config.Canonical(); got != p.canon[i] {
+			t.Errorf("%s: TopK[%d] changed after it was published:\n got %.80s…\nwant %.80s…", p.name, i, got, p.canon[i])
+		}
+		if c.Config.Key() != p.keys[i] || c.Config.Hash() != p.hashes[i] {
+			t.Errorf("%s: TopK[%d]'s Key or Hash changed after it was published", p.name, i)
+		}
+		if i > 0 && c.less(&p.res.TopK[i-1]) {
+			t.Errorf("%s: TopK[%d] now ranks before TopK[%d]", p.name, i, i-1)
+		}
+		if want := p.fresh.Estimate(c.Config); !reflect.DeepEqual(c.Estimate, want) {
+			t.Errorf("%s: TopK[%d] carries an estimate that is not its config's", p.name, i)
+		}
+	}
+}
+
+// scribbleConfig overwrites every setting of c and drops its memos, as
+// if another candidate had been cloned into it.
+func scribbleConfig(c *config.Config) {
+	c.MicroBatch = -1
+	for i := range c.Stages {
+		st := &c.Stages[i]
+		st.Start, st.End, st.Devices = -1, -1, -1
+		for j := range st.Ops {
+			st.Ops[j] = config.OpSetting{TP: -7, DP: -7, Dim: -7, Recompute: true, ZeRO: true, SeqPar: true}
+		}
+	}
+	c.Invalidate()
+}
+
+// scribble overwrites every field of v, through slices but never their
+// headers (a released estimate keeps its Stages window for reuse).
+func scribble(v reflect.Value) {
+	switch v.Kind() {
+	case reflect.Float64:
+		v.SetFloat(math.NaN())
+	case reflect.Int:
+		v.SetInt(-7777)
+	case reflect.Bool:
+		v.SetBool(!v.Bool())
+	case reflect.Struct:
+		for i := 0; i < v.NumField(); i++ {
+			scribble(v.Field(i))
+		}
+	case reflect.Slice:
+		for i := 0; i < v.Len(); i++ {
+			scribble(v.Index(i))
+		}
+	default:
+		panic("scribble: no garbage for a " + v.Kind().String())
+	}
+}
+
+// TestPinnedSearchAllocBudget bounds what the paper's pinned search
+// allocates (GPT-3 2.6B on 16 V100s, four iterations, seed 1): the
+// least of three consecutive searches at GOMAXPROCS 2 must stay within
+// 32 MB. The later two clone into the arenas of the stores the one
+// before handed over; the least of three survives -race, under which
+// sync.Pool drops hand-overs at random. (15.3 MB when the budget was
+// set; 67 MB before the estimates of dead recompute trials were
+// released.)
+func TestPinnedSearchAllocBudget(t *testing.T) {
+	if testing.Short() {
+		t.Skip("three pinned searches")
+	}
+	g, err := model.GPT3("2.6B")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cl := hardware.DGX1V100(2)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	const budget = 32e6
+	least := uint64(math.MaxUint64)
+	var ms runtime.MemStats
+	for i := 0; i < 3; i++ {
+		runtime.ReadMemStats(&ms)
+		before := ms.TotalAlloc
+		res, err := Search(g, cl, Options{TimeBudget: time.Hour, MaxIterations: 4, Seed: 1})
+		runtime.ReadMemStats(&ms)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Explored != 24701 {
+			t.Fatalf("explored %d, the pinned search explores 24 701", res.Explored)
+		}
+		least = min(least, ms.TotalAlloc-before)
+	}
+	if least > budget {
+		t.Errorf("the pinned search allocated %.1f MB at best of three, budget %.0f MB", float64(least)/1e6, budget/1e6)
+	}
+}
+
+// TestPruneInsertAllocs pins the zero-allocation steady state of the
+// pool maintenance path: with pruneBuf hoisted into the searcher and
+// poolEntries sorted through a pointer receiver, a prune (and the
+// settle that follows at the iteration boundary) allocates nothing, and
+// insertTopK splices into its retained backing array.
+func TestPruneInsertAllocs(t *testing.T) {
+	s := &searcher{pool: make(map[uint64]Candidate, 2*poolCap), st: new(store)}
+	fill := func() {
+		for i := 0; i < poolCap+1; i++ {
+			h := uint64(i)*2654435761 + 1
+			s.pool[h] = Candidate{Score: float64(i), key: h}
+		}
+	}
+	// Warm-up: grow pruneBuf, the store's limbo and the map to
+	// steady-state capacity.
+	fill()
+	s.prunePool()
+	s.st.settle()
+
+	if got := testing.AllocsPerRun(10, func() {
+		fill()
+		s.prunePool()
+		s.st.settle()
+	}); got > 0 {
+		t.Errorf("prunePool+settle: %.0f allocs/op in steady state, want 0", got)
+	}
+
+	const k = 5
+	list := make([]Candidate, 0, k+1)
+	n := 0
+	if got := testing.AllocsPerRun(100, func() {
+		// Each insert is a fresh key ranking first, so it takes the
+		// splice path (append + copy) every time.
+		n++
+		list = insertTopK(list, Candidate{Score: -float64(n), key: uint64(n)}, k)
+	}); got > 0 {
+		t.Errorf("insertTopK: %.0f allocs/op in steady state, want 0", got)
+	}
+}
+
+// TestArenasOutliveSearch pins the hand-over of stores: the search
+// after this one clones into the memory this one recycled, and nothing
+// this one published is in that memory. Every config of the first
+// result must read afterwards as it read when it was returned, although
+// later searches — of another model, so that every recycled slice is
+// re-cut — have overwritten the arenas; and a repeated search must find
+// its clones in the arena it is handed.
+func TestArenasOutliveSearch(t *testing.T) {
+	small, err := model.GPT3("350M")
+	if err != nil {
+		t.Fatal(err)
+	}
+	large, err := model.GPT3("1.3B")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cl := hardware.DGX1V100(1)
+	opts := Options{MaxIterations: 3, Seed: 1}
+
+	first, err := Search(small, cl, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := make([]string, len(first.TopK))
+	for i, c := range first.TopK {
+		want[i] = c.Config.Canonical()
+	}
+	for _, g := range []*model.Graph{large, small} {
+		if _, err := Search(g, cl, opts); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i, c := range first.TopK {
+		if got := c.Config.Canonical(); got != want[i] {
+			t.Errorf("TopK[%d] of the first search was overwritten by a later one:\n got %.80s…\nwant %.80s…", i, got, want[i])
+		}
+	}
+
+	// Same search twice on stores this test put into the emptied pool:
+	// the second run's clones all come out of the first run's leavings.
+	// sync.Pool may drop what it is given (a collection, the race
+	// detector's sampling), so a lost hand-over is tried again.
+	reuses := func(ss *[]store) (n int) {
+		for w := range *ss {
+			n += (*ss)[w].arena.Reuses()
+		}
+		return n
+	}
+	for try := 0; try < 10; try++ {
+		for stores.Get() != nil {
+		}
+		ss := &[]store{}
+		var reused [2]int
+		held := true
+		for i := range reused {
+			stores.Put(ss)
+			before := reuses(ss)
+			if _, err := Search(small, cl, opts); err != nil {
+				t.Fatal(err)
+			}
+			if got, _ := stores.Get().(*[]store); got != ss {
+				held = false
+				break
+			}
+			reused[i] = reuses(ss) - before
+		}
+		if !held {
+			continue
+		}
+		if reused[1] <= reused[0] {
+			t.Errorf("second search reused %d recycled configs, first %d: the stores were not handed over", reused[1], reused[0])
+		}
+		return
+	}
+	t.Skip("sync.Pool never handed the stores back in ten tries")
+}

@@ -14,7 +14,8 @@ import (
 )
 
 // estimateAuditor re-checks with the public, full Validate every
-// configuration the search hands to the performance model.
+// configuration the search hands to the performance model, and that
+// none is estimated as new twice.
 type estimateAuditor struct {
 	t       *testing.T
 	g       *model.Graph
@@ -23,6 +24,11 @@ type estimateAuditor struct {
 	mu        sync.Mutex
 	estimated int
 	perDepth  map[int]int
+	keys      map[uint64]bool
+}
+
+func newEstimateAuditor(t *testing.T, g *model.Graph, devices int) *estimateAuditor {
+	return &estimateAuditor{t: t, g: g, devices: devices, perDepth: map[int]int{}, keys: map[uint64]bool{}}
 }
 
 func (a *estimateAuditor) OnIteration(obs.IterationEvent) {}
@@ -32,6 +38,11 @@ func (a *estimateAuditor) OnEstimate(cfg *config.Config, _ *perfmodel.Estimate) 
 	defer a.mu.Unlock()
 	a.estimated++
 	a.perDepth[cfg.NumStages()]++
+	if k := cfg.Key(); a.keys[k] {
+		a.t.Errorf("estimated %016x as new twice", k)
+	} else {
+		a.keys[k] = true
+	}
 	if err := cfg.Validate(a.g, a.devices); err != nil {
 		a.t.Errorf("estimated an invalid configuration: %v\n%s", err, cfg)
 	}
@@ -43,7 +54,7 @@ func (a *estimateAuditor) OnEstimate(cfg *config.Config, _ *perfmodel.Estimate) 
 func TestSeedIsValidatedOnce(t *testing.T) {
 	g, _ := model.GPT3("350M")
 	cl := hardware.DGX1V100(1)
-	audit := &estimateAuditor{t: t, g: g, devices: 8, perDepth: map[int]int{}}
+	audit := newEstimateAuditor(t, g, 8)
 	opts := Options{TimeBudget: time.Hour, MaxIterations: 2, Seed: 1, StageCounts: []int{2, 4}, Tracer: audit}
 	opts.Initializer = func(g *model.Graph, devices, stages, mbs int) (*config.Config, error) {
 		c, err := config.Balanced(g, devices, stages, mbs)
@@ -94,7 +105,7 @@ func TestEveryEstimatedConfigValidates(t *testing.T) {
 		"imbalance-op":  config.ImbalancedOps,
 		"imbalance-gpu": config.ImbalancedGPUs,
 	} {
-		audit := &estimateAuditor{t: t, g: g, devices: 8, perDepth: map[int]int{}}
+		audit := newEstimateAuditor(t, g, 8)
 		// Depths 1–5: ImbalancedGPUs cannot split 8 devices any deeper.
 		res, err := Search(g, cl, Options{TimeBudget: time.Hour, MaxIterations: 4, Seed: 1,
 			StageCounts: []int{1, 2, 3, 4, 5}, ExtendedPrimitives: true, Initializer: init, Tracer: audit})

@@ -87,10 +87,10 @@ type Tracer interface {
 	// OnIteration is called once per top-level search iteration.
 	OnIteration(ev IterationEvent)
 	// OnEstimate is called for every configuration newly estimated in
-	// the search hot path. est must be treated as read-only, is valid
-	// only for the duration of the call and must not be retained: the
-	// search may hand its memory to a later estimate. cfg may be nil for
-	// callers that audit bare estimates.
+	// the search hot path. cfg and est are read-only and must not be
+	// retained past the call: the search's candidate store decides when
+	// their memory is reused (core.store). cfg may be nil for callers
+	// that audit bare estimates.
 	OnEstimate(cfg *config.Config, est *perfmodel.Estimate)
 }
 

@@ -6,10 +6,9 @@ package perfmodel
 // are carved out of chunks instead of allocated one by one, which
 // collapses the search's two largest allocation sites (one Estimate
 // plus one StageMetrics slice per unique candidate) into a handful of
-// chunk allocations. An estimate whose configuration died without
-// anything retaining it (a recompute trial attachRecompute did not
-// pick) goes back through Release, and the next estimate with the same
-// stage count reuses its slot.
+// chunk allocations. An estimate goes back through Release when the
+// search's candidate store (core.store) says nothing can read it, and
+// the next estimate with the same stage count reuses its slot.
 //
 // An EstArena is single-goroutine state. Chunks are never shared
 // between arenas or reused for another search: estimates a search

@@ -12,9 +12,7 @@
 // failure), the most recent such entry seeds the new search via
 // core.Replan's warm-start path instead of starting cold.
 //
-// Concurrency contract: entries are immutable after Put. Callers must
-// fill the stored config's memos (config.Config.Freeze) before
-// inserting so concurrent readers never race on lazy memoization.
+// Concurrency contract: entries are immutable after Put.
 package plancache
 
 import (
@@ -47,8 +45,9 @@ type warmKey struct {
 
 // Entry is one cached plan. Plan holds the marshaled response body
 // exactly as first produced, so cache hits are bit-identical to the
-// original miss. Config is the winning configuration (frozen,
-// read-only) retained for warm-starting related searches.
+// original miss. Config is the winning configuration (read-only; a
+// search publishes it frozen) retained for warm-starting related
+// searches.
 type Entry struct {
 	Key      Key
 	Plan     json.RawMessage

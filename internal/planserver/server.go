@@ -442,9 +442,6 @@ func (s *Server) runSearch(ctx context.Context, rq *request, extraTracer obs.Tra
 	if err != nil {
 		return nil, http.StatusInternalServerError, fmt.Errorf("marshal plan: %w", err)
 	}
-	// Fill every memo of the config before publishing it to the cache:
-	// cached configs are read and cloned concurrently by warm starts.
-	plan.Config.Freeze()
 	s.cache.Put(&plancache.Entry{
 		Key:      rq.key,
 		Plan:     raw,

@@ -15,7 +15,6 @@ import (
 
 	"aceso/internal/config"
 	"aceso/internal/core"
-	"aceso/internal/plancache"
 )
 
 func testServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
@@ -492,14 +491,16 @@ func TestOptionsNormalizationSharesCacheKey(t *testing.T) {
 	}
 }
 
-// TestCachedDonorIsFrozen pins the freeze contract between runSearch and
-// plancache: the config of a cached entry has every memo filled before
-// Put, so concurrent warm starts may key, hash and clone it without a
-// write; under -race an unfilled memo (Key's, a stage's sub-hash, the
-// canonical hash or a segment) is a reported race. Two donors: the one
-// the miss cached — the search itself asked for its Key but not
-// necessarily its Hash — and a rebuild of it from exported fields, whose
-// memos only Freeze ever filled.
+// TestCachedDonorIsFrozen pins the freeze contract between the search
+// and plancache: a configuration a Result hands out has every memo
+// filled, so concurrent warm starts may key, hash and clone it without a
+// write; under -race an unfilled memo (Key's, a stage's sub-hash or the
+// canonical hash) is a reported race. The donors are the one the miss
+// cached, every top-K configuration of a search run here, straight
+// from its Result — the search itself asked for their Keys but not
+// necessarily their Hashes — and a rebuild of the cached one from
+// exported fields, frozen as the search freezes what it publishes,
+// whose memos only Freeze ever filled.
 func TestCachedDonorIsFrozen(t *testing.T) {
 	s, ts := testServer(t, Config{})
 	if resp, out := postPlan(t, ts.URL, tinyRequest()); resp.StatusCode != http.StatusOK || out.Cache != "miss" {
@@ -513,7 +514,6 @@ func TestCachedDonorIsFrozen(t *testing.T) {
 	if !ok || cached.Config == nil {
 		t.Fatal("no cached donor")
 	}
-
 	bare := &config.Config{MicroBatch: cached.Config.MicroBatch}
 	for _, st := range cached.Config.Stages {
 		bare.Stages = append(bare.Stages, config.Stage{
@@ -522,15 +522,17 @@ func TestCachedDonorIsFrozen(t *testing.T) {
 		})
 	}
 	bare.Freeze()
-	other := rq.key
-	other.Cluster++
-	s.Cache().Put(&plancache.Entry{Key: other, Config: bare})
-	rebuilt, ok := s.Cache().Get(other)
-	if !ok {
-		t.Fatal("rebuilt donor not cached")
+
+	res, err := core.Search(rq.graph, rq.target, core.Options{TimeBudget: time.Minute, MaxIterations: 2, Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	donors := []*config.Config{cached.Config, bare}
+	for _, c := range res.TopK {
+		donors = append(donors, c.Config)
 	}
 
-	for _, donor := range []*config.Config{cached.Config, rebuilt.Config} {
+	for _, donor := range donors {
 		want := donor.Canonical()
 		var wg sync.WaitGroup
 		for i := 0; i < 8; i++ {
