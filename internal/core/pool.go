@@ -1,111 +1,41 @@
 package core
 
-import "sync"
+import (
+	"sync"
+	"sync/atomic"
+)
 
-// stealQueue is one worker's task deque. A mutex-guarded slice is
-// enough here: tasks are whole per-stage-count searches (milliseconds
-// to seconds each), so queue operations are nowhere near contended —
-// the point of the structure is the stealing policy, not lock-free
-// throughput.
-type stealQueue struct {
-	mu    sync.Mutex
-	tasks []int
-}
-
-// popFront takes the owner's next task: queues are filled in priority
-// order (most expensive first), so the owner always works on its most
-// expensive remaining task.
-func (q *stealQueue) popFront() (int, bool) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	if len(q.tasks) == 0 {
-		return 0, false
-	}
-	t := q.tasks[0]
-	q.tasks = q.tasks[1:]
-	return t, true
-}
-
-// stealBack takes a task from the opposite end — the victim's cheapest
-// remaining work — so a thief never races the owner for the expensive
-// task the owner is about to start.
-func (q *stealQueue) stealBack() (int, bool) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	n := len(q.tasks)
-	if n == 0 {
-		return 0, false
-	}
-	t := q.tasks[n-1]
-	q.tasks = q.tasks[:n-1]
-	return t, true
-}
-
-// runWorkStealing executes run(w, t) exactly once for every t in
-// tasks, using at most `workers` goroutines with per-worker deques and
-// work stealing, and returns when all tasks have completed. w is the
-// worker index (0 ≤ w < workers) executing the task; tasks run by the
-// same worker run strictly serially, so per-worker state (such as a
-// config arena) needs no locking.
+// runInOrder executes run(w, t) exactly once for every t in tasks,
+// using at most `workers` goroutines, and returns when all tasks have
+// completed. w is the worker index (0 ≤ w < workers) executing the task;
+// tasks run by the same worker run strictly serially, so per-worker
+// state (such as a candidate store) needs no locking.
 //
-// Worker 0 is the calling goroutine: the first — most expensive — task
-// sets the makespan, and it starts at once on the thread that is already
-// running instead of waiting for an idle one to wake and steal it.
-//
-// tasks must be given in scheduling-priority order (most expensive
-// first); they are dealt round-robin so every worker starts on an
-// expensive task, and idle workers steal the cheapest remaining task
-// of a busy sibling. Compared with the previous
-// one-goroutine-per-stage-count layout this keeps deep-pipeline
-// searches from straggling: on a machine with fewer cores than
-// pipeline depths, the deepest (slowest) searches begin immediately
-// instead of time-slicing against every cheap shallow search.
-//
-// The task set is static — run() must not add tasks — which makes
-// termination trivial: once a worker finds every deque empty, no task
-// can ever appear again, so it exits.
-func runWorkStealing(workers int, tasks []int, run func(worker, task int)) {
-	if workers > len(tasks) {
-		workers = len(tasks)
-	}
-	if workers <= 1 {
-		for _, t := range tasks {
-			run(0, t)
-		}
+// tasks must be given in priority order (most expensive first). Worker
+// 0, the calling goroutine, runs tasks[0] at once; every idle worker
+// then takes the next unstarted task from one shared cursor, so the
+// most expensive remaining task always starts first. With one worker
+// the tasks run in the given order.
+func runInOrder(workers int, tasks []int, run func(worker, task int)) {
+	if len(tasks) == 0 {
 		return
 	}
-	queues := make([]stealQueue, workers)
-	for i, t := range tasks {
-		q := &queues[i%workers]
-		q.tasks = append(q.tasks, t)
-	}
-	work := func(self int) {
-		for {
-			if t, ok := queues[self].popFront(); ok {
-				run(self, t)
-				continue
-			}
-			stolen := false
-			for off := 1; off < workers; off++ {
-				if t, ok := queues[(self+off)%workers].stealBack(); ok {
-					run(self, t)
-					stolen = true
-					break
-				}
-			}
-			if !stolen {
-				return
-			}
+	var next atomic.Int64
+	next.Store(1) // tasks[0] is worker 0's
+	work := func(w int) {
+		for i := int(next.Add(1)) - 1; i < len(tasks); i = int(next.Add(1)) - 1 {
+			run(w, tasks[i])
 		}
 	}
 	var wg sync.WaitGroup
-	for w := 1; w < workers; w++ {
+	for w := 1; w < min(workers, len(tasks)); w++ {
 		wg.Add(1)
-		go func(self int) {
+		go func() {
 			defer wg.Done()
-			work(self)
-		}(w)
+			work(w)
+		}()
 	}
+	run(0, tasks[0])
 	work(0)
 	wg.Wait()
 }

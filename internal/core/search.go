@@ -293,12 +293,13 @@ func SearchContext(ctx context.Context, g *model.Graph, cl hardware.Cluster, opt
 	outs := make([]workerOut, len(stageCounts))
 	met := newSearchMeters(opts.Metrics)
 	// Each task is one independent, deterministic per-stage-count
-	// search; the work-stealing pool schedules the deepest pipelines
-	// first so a straggling deep search starts early instead of
-	// serializing behind its cheap siblings. Scheduling order cannot
-	// change any task's result (tasks share only thread-safe caches
-	// whose values are pure functions of their keys), so the merged
-	// outcome is identical under any schedule.
+	// search. Tasks are handed out deepest first: the deepest pipeline
+	// sets the makespan, so it starts at once on worker 0 (whose store
+	// it therefore clones into on every search in a loop), and each
+	// idle worker takes the deepest task not yet started. Scheduling
+	// cannot change any task's result (tasks share only thread-safe
+	// caches whose values are pure functions of their keys), so the
+	// merged outcome is identical under any schedule.
 	order := make([]int, len(stageCounts))
 	for i := range order {
 		order[i] = i
@@ -306,7 +307,7 @@ func SearchContext(ctx context.Context, g *model.Graph, cl hardware.Cluster, opt
 	sort.SliceStable(order, func(a, b int) bool {
 		return stageCounts[order[a]] > stageCounts[order[b]]
 	})
-	runWorkStealing(workers, order, func(w, wi int) {
+	runInOrder(workers, order, func(w, wi int) {
 		p := stageCounts[wi]
 		// Panic isolation: one buggy searcher (a bad primitive, a
 		// poisoned estimate) must not take down its siblings.
@@ -401,13 +402,12 @@ func SearchContext(ctx context.Context, g *model.Graph, cl hardware.Cluster, opt
 // per search when Options.Metrics is set; a nil *searchMeters disables
 // metering.
 type searchMeters struct {
-	reg        *obs.Registry
 	estimated  *obs.Counter
 	dedup      *obs.Counter
 	iterations *obs.Counter
 	restarts   *obs.Counter
 	prunes     *obs.Counter
-	prims      map[string]*obs.Counter
+	prims      map[string]*obs.Counter // every Table and ExtensionTable row; read-only, so workers share it
 	hopDepth   *obs.Histogram
 	iterTime   *obs.Histogram
 }
@@ -418,7 +418,6 @@ func newSearchMeters(reg *obs.Registry) *searchMeters {
 		return nil
 	}
 	m := &searchMeters{
-		reg:        reg,
 		estimated:  reg.Counter(obs.CandidatesEstimatedTotal),
 		dedup:      reg.Counter(obs.DedupHitsTotal),
 		iterations: reg.Counter(obs.IterationsTotal),
@@ -435,17 +434,6 @@ func newSearchMeters(reg *obs.Registry) *searchMeters {
 		}
 	}
 	return m
-}
-
-// prim returns the applied-candidates counter for a primitive name.
-// The map is read-only after newSearchMeters, so concurrent workers
-// share it without locking; a name outside the tables (impossible
-// today) still resolves through the registry's own lock.
-func (m *searchMeters) prim(name string) *obs.Counter {
-	if c, ok := m.prims[name]; ok {
-		return c
-	}
-	return m.reg.Counter(fmt.Sprintf("%s{primitive=%q}", obs.PrimitiveAppliedTotal, name))
 }
 
 // searcher is the per-stage-count search state.
@@ -813,7 +801,7 @@ func (s *searcher) multiHop(cfg *config.Config, est *perfmodel.Estimate, bn Bott
 		for _, prim := range prims {
 			var pc *obs.Counter
 			if s.met != nil {
-				pc = s.met.prim(prim.Name)
+				pc = s.met.prims[prim.Name]
 			}
 			batch := prim.apply(s, cfg, bn.Stage, s.trials[:0])
 			s.trials = batch

@@ -103,19 +103,24 @@ func (c *Cache) Get(k Key) (*Entry, bool) {
 	return el.Value.(*Entry), true
 }
 
-// Warm returns the most recently inserted entry for the same (graph,
-// options) under any cluster — the seed for a warm-started search
-// after an exact miss. It does not bump recency (the warm donor is
-// not the requested plan) and counts a warm hit only when found.
-func (c *Cache) Warm(graph, options uint64) (*Entry, bool) {
+// Warm returns the warm-start donor for k after an exact miss: the
+// most recently inserted entry for the same (graph, options), when it
+// was planned for a cluster other than k's and holds a config. It does
+// not bump recency (the donor is not the requested plan) and counts a
+// warm hit only when it returns one.
+func (c *Cache) Warm(k Key) (*Entry, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	el, ok := c.warm[warmKey{Graph: graph, Options: options}]
+	el, ok := c.warm[warmKey{Graph: k.Graph, Options: k.Options}]
 	if !ok {
 		return nil, false
 	}
+	e := el.Value.(*Entry)
+	if e.Key.Cluster == k.Cluster || e.Config == nil {
+		return nil, false
+	}
 	c.stats.WarmHits++
-	return el.Value.(*Entry), true
+	return e, true
 }
 
 // Put inserts or replaces the entry for e.Key, evicting the least

@@ -5,14 +5,16 @@ import (
 	"fmt"
 	"testing"
 
+	"aceso/internal/config"
 	"aceso/internal/hardware"
 	"aceso/internal/model"
 )
 
 func entry(g, c, o uint64) *Entry {
 	return &Entry{
-		Key:  Key{Graph: g, Cluster: c, Options: o},
-		Plan: json.RawMessage(fmt.Sprintf(`{"g":%d,"c":%d,"o":%d}`, g, c, o)),
+		Key:    Key{Graph: g, Cluster: c, Options: o},
+		Plan:   json.RawMessage(fmt.Sprintf(`{"g":%d,"c":%d,"o":%d}`, g, c, o)),
+		Config: &config.Config{},
 	}
 }
 
@@ -46,7 +48,7 @@ func TestCacheWarmIndex(t *testing.T) {
 	if _, ok := c.Get(Key{1, 300, 3}); ok {
 		t.Fatal("unexpected exact hit")
 	}
-	w, ok := c.Warm(1, 3)
+	w, ok := c.Warm(Key{1, 300, 3})
 	if !ok {
 		t.Fatal("no warm donor")
 	}
@@ -54,8 +56,17 @@ func TestCacheWarmIndex(t *testing.T) {
 		t.Fatalf("warm donor cluster = %d, want most recent 200", w.Key.Cluster)
 	}
 	// Different options: no donor.
-	if _, ok := c.Warm(1, 4); ok {
+	if _, ok := c.Warm(Key{1, 300, 4}); ok {
 		t.Fatal("warm hit across different options")
+	}
+	// The family's entry is the request's own plan: no donor.
+	if _, ok := c.Warm(Key{1, 200, 3}); ok {
+		t.Fatal("warm hit on the requested key's own entry")
+	}
+	// An entry without a config cannot seed a search: no donor.
+	c.Put(&Entry{Key: Key{1, 400, 3}})
+	if _, ok := c.Warm(Key{1, 300, 3}); ok {
+		t.Fatal("warm hit on an entry without a config")
 	}
 	if s := c.Stats(); s.WarmHits != 1 {
 		t.Fatalf("stats = %+v", s)
@@ -74,7 +85,7 @@ func TestCacheLRUEvictionClearsWarmPointer(t *testing.T) {
 	if _, ok := c.Get(Key{2, 20, 0}); ok {
 		t.Fatal("evicted entry still present")
 	}
-	if _, ok := c.Warm(2, 0); ok {
+	if _, ok := c.Warm(Key{2, 0, 0}); ok {
 		t.Fatal("warm pointer survived eviction")
 	}
 	if _, ok := c.Get(Key{1, 10, 0}); !ok {

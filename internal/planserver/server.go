@@ -24,9 +24,10 @@ import (
 
 // Config parameterizes a Server. Zero values take defaults.
 type Config struct {
-	// Concurrency caps searches running simultaneously (arenas and
-	// estimation pools are per-request, so this bounds peak memory).
-	// Default: GOMAXPROCS.
+	// Concurrency caps searches running simultaneously, each holding
+	// its candidate stores and estimate arenas while it runs; stores
+	// pass from one search to the next (DESIGN §5b, Candidate
+	// lifetime). Default: GOMAXPROCS.
 	Concurrency int
 	// Queue bounds requests waiting for a search slot; the queue full
 	// → 429 + Retry-After. Default 64.
@@ -417,7 +418,7 @@ func (s *Server) runSearch(ctx context.Context, rq *request, extraTracer obs.Tra
 	kind := "miss"
 	var donor *plancache.Entry
 	if !rq.req.NoCache {
-		if e, ok := s.cache.Warm(rq.key.Graph, rq.key.Options); ok && e.Key.Cluster != rq.key.Cluster && e.Config != nil {
+		if e, ok := s.cache.Warm(rq.key); ok {
 			donor = e
 			kind = "warm"
 		}

@@ -15,6 +15,7 @@ import (
 
 	"aceso/internal/config"
 	"aceso/internal/core"
+	"aceso/internal/obs"
 )
 
 func testServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
@@ -369,6 +370,46 @@ func TestSSEStreamsIterationsAndResult(t *testing.T) {
 	}
 }
 
+// TestWarmHitsCountDonorsUsed pins that the cache's warm-hit count and
+// the served warm-hit metric count the same thing, a donor a search was
+// seeded from: an SSE request for a cached key (SSE skips the exact
+// lookup, so its search finds its own plan as the family's entry) counts
+// in neither, and a near miss on another cluster counts once in each.
+func TestWarmHitsCountDonorsUsed(t *testing.T) {
+	s, ts := testServer(t, Config{})
+	warm := func() (cache, served int64) {
+		return s.Cache().Stats().WarmHits, s.Registry().Counter(obs.ServeCacheHitsTotal + `{kind="warm"}`).Value()
+	}
+	if resp, out := postPlan(t, ts.URL, tinyRequest()); resp.StatusCode != http.StatusOK || out.Cache != "miss" {
+		t.Fatalf("seed request: status %d cache %q", resp.StatusCode, out.Cache)
+	}
+
+	pr := tinyRequest()
+	pr.Stream = true
+	body, _ := json.Marshal(pr)
+	resp, err := http.Post(ts.URL+"/v1/plan", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil || !strings.Contains(string(raw), "event: result\n") {
+		t.Fatalf("SSE request: %v\n%s", err, raw)
+	}
+	if c, m := warm(); c != 0 || m != 0 {
+		t.Fatalf("after an SSE request for a cached key: cache warm hits %d, served %d; want 0, 0", c, m)
+	}
+
+	degraded := tinyRequest()
+	degraded.Cluster.Faults = &FaultsSpec{Dead: []int{3}}
+	if resp, out := postPlan(t, ts.URL, degraded); resp.StatusCode != http.StatusOK || out.Cache != "warm" {
+		t.Fatalf("near miss: status %d cache %q", resp.StatusCode, out.Cache)
+	}
+	if c, m := warm(); c != 1 || m != 1 {
+		t.Fatalf("after one near miss: cache warm hits %d, served %d; want 1, 1", c, m)
+	}
+}
+
 func TestMetricsAndStatsEndpoints(t *testing.T) {
 	_, ts := testServer(t, Config{})
 	postPlan(t, ts.URL, tinyRequest())
@@ -510,7 +551,7 @@ func TestCachedDonorIsFrozen(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cached, ok := s.Cache().Warm(rq.key.Graph, rq.key.Options)
+	cached, ok := s.Cache().Get(rq.key)
 	if !ok || cached.Config == nil {
 		t.Fatal("no cached donor")
 	}
