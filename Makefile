@@ -44,7 +44,7 @@ ci: build fmt-check
 	$(MAKE) bench-smoke
 	$(GO) test -race ./...
 	$(MAKE) fuzz-smoke
-	$(GO) test -run xxx -bench . -benchtime 1x -benchmem . ./internal/config ./internal/memo ./internal/perfmodel \
+	$(GO) test -run xxx -bench . -benchtime 1x -benchmem . ./internal/config ./internal/core ./internal/memo ./internal/perfmodel \
 		./internal/planserver ./internal/profiler
 	out=$$(mktemp -d) && $(BENCH) -outdir $$out scale && $(BENCH) -outdir $$out trace diff hetero && \
 		$(BENCH) -duration 10s chaos && $(MAKE) recover-smoke OUT=$$out

@@ -26,8 +26,8 @@ func (s *searcher) fineTune(cfg *config.Config) *config.Config {
 	improved := false
 	budget := fineTuneCandidateCap
 
-	// Fine-tuning candidates differ from cfg in a single stage, so the
-	// batched estimator recycles every other stage's metrics.
+	// Every candidate is a clone of best with one stage rewritten, so
+	// best is the batch base: the estimate copies every other stage.
 	s.pushBatch(cfg, curEst)
 	defer s.popBatch()
 
@@ -54,6 +54,8 @@ func (s *searcher) fineTune(cfg *config.Config) *config.Config {
 		e := s.estimate(c)
 		sc := s.score(c, e)
 		if sc < bestScore {
+			s.popBatch()
+			s.pushBatch(c, e)
 			// The superseded best is dead unless it is the caller's
 			// input configuration.
 			if best != cfg {

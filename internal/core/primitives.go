@@ -471,72 +471,82 @@ type rcCand struct {
 	bytes float64
 }
 
-func applyIncRC(s *searcher, cfg *config.Config, stage int, out []*config.Config) []*config.Config {
+// rcRank ranks the ops of stage whose Recompute flag is recomputed in
+// the order the rc primitives flip them: the largest stash is
+// recomputed first, the cheapest un-recomputed first.
+func rcRank(s *searcher, cfg *config.Config, stage int, recomputed bool) []rcCand {
 	st := &cfg.Stages[stage]
-	// Rank non-recomputed ops by descending saved activation.
 	cands := s.rcBuf[:0]
 	for j := st.Start; j < st.End; j++ {
-		if !st.Setting(j).Recompute {
+		if st.Setting(j).Recompute == recomputed {
 			cands = append(cands, rcCand{j, savedActBytes(s.graph, cfg, stage, j)})
 		}
 	}
 	s.rcBuf = cands
-	if len(cands) == 0 {
-		return out
-	}
-	sortCands(cands, func(a, b rcCand) bool { return a.bytes > b.bytes })
-
-	mark := func(k int) *config.Config {
-		c := s.st.clone(cfg)
-		c.MutStage(stage, func(st *config.Stage) {
-			for i := 0; i < k && i < len(cands); i++ {
-				st.Setting(cands[i].op).Recompute = true
-			}
-		})
-		return c
-	}
-	// Minimal k that brings the stage under the memory limit (greedy
-	// goal of §4.1), plus a quarter step and "recompute everything".
-	for k := 1; k <= len(cands); k *= 2 {
-		c := mark(k)
-		out = append(out, c)
-		if e := s.estimate(c); e.Feasible {
-			break
-		}
-	}
-	if k := len(cands); k > 1 {
-		out = append(out, mark(k))
-	}
-	return out
+	sortCands(cands, func(a, b rcCand) bool { return recomputed && a.bytes < b.bytes || !recomputed && a.bytes > b.bytes })
+	return cands
 }
 
-func applyDecRC(s *searcher, cfg *config.Config, stage int, out []*config.Config) []*config.Config {
-	st := &cfg.Stages[stage]
-	cands := s.rcBuf[:0]
-	for j := st.Start; j < st.End; j++ {
-		if st.Setting(j).Recompute {
-			cands = append(cands, rcCand{j, savedActBytes(s.graph, cfg, stage, j)})
+// setRC sets the Recompute flag of ops in stage of c.
+func setRC(c *config.Config, stage int, ops []rcCand, on bool) {
+	c.MutStage(stage, func(st *config.Stage) {
+		for _, o := range ops {
+			st.Setting(o.op).Recompute = on
+		}
+	})
+}
+
+// climbRC walks stage's recompute ladder on c, marking its rungs in
+// place: rung k recomputes the first k ops of rank, for k = 1, 2, 4, …
+// ≤ len(rank), and the walk stops at the first rung that makes c
+// feasible (§4.1's greedy goal). Rungs only add flags, so c at rung k
+// equals a fresh clone marked to k. at sees each rung's estimate and
+// whether the walk climbs past it. climbRC returns the last rung's k;
+// the ladder's top, all of rank, is the caller's to take.
+func climbRC(s *searcher, c *config.Config, stage int, rank []rcCand, at func(e *perfmodel.Estimate, more bool)) int {
+	for k := 1; k <= len(rank); k *= 2 {
+		setRC(c, stage, rank[k/2:k], true)
+		e := s.estimate(c)
+		more := !e.Feasible && 2*k <= len(rank)
+		if at(e, more); !more {
+			return k
 		}
 	}
-	s.rcBuf = cands
-	if len(cands) == 0 {
+	return 0
+}
+
+// applyIncRC offers each rung of the stage's recompute ladder as a
+// clone, then the ladder's top, "recompute everything", as the scratch
+// config the ladder climbed.
+func applyIncRC(s *searcher, cfg *config.Config, stage int, out []*config.Config) []*config.Config {
+	rank := rcRank(s, cfg, stage, false)
+	if len(rank) == 0 {
 		return out
 	}
-	// Un-recompute the cheapest stashes first.
-	sortCands(cands, func(a, b rcCand) bool { return a.bytes < b.bytes })
-	clear := func(k int) *config.Config {
-		c := s.st.clone(cfg)
-		c.MutStage(stage, func(st *config.Stage) {
-			for i := 0; i < k && i < len(cands); i++ {
-				st.Setting(cands[i].op).Recompute = false
-			}
-		})
-		return c
+	c := s.st.clone(cfg)
+	k := climbRC(s, c, stage, rank, func(*perfmodel.Estimate, bool) {
+		if len(rank) > 1 {
+			out = append(out, s.st.clone(c))
+		}
+	})
+	setRC(c, stage, rank[k:], true)
+	return append(out, c)
+}
+
+// applyDecRC un-recomputes the first k ops of the ranking, for k = 1,
+// 2, 4, … < n, then all n.
+func applyDecRC(s *searcher, cfg *config.Config, stage int, out []*config.Config) []*config.Config {
+	rank := rcRank(s, cfg, stage, true)
+	if len(rank) == 0 {
+		return out
 	}
-	for k := 1; k < len(cands); k *= 2 {
-		out = append(out, clear(k))
+	c, k := s.st.clone(cfg), 1
+	for ; k < len(rank); k *= 2 {
+		setRC(c, stage, rank[k/2:k], false)
+		out = append(out, s.st.clone(c))
 	}
-	return append(out, clear(len(cands)))
+	setRC(c, stage, rank[k/2:], false)
+	return append(out, c)
 }
 
 // sortCands is a tiny insertion sort to keep the apply functions free

@@ -466,18 +466,17 @@ type searcher struct {
 	// multiHop's per-resource candidate list at recursion depth hop,
 	// bnBufAt[hop] the Bottleneck resource list built for depth hop+1,
 	// pruneBuf prunePool's sort buffer, rcBuf the saved-activation
-	// ranking of applyIncRC/applyDecRC (never live across nested apply
-	// calls: estimates do not re-enter the apply functions). trials
-	// receives multiHop's apply results, each consumed before the next
-	// apply; rcTrials attachRecompute's, which it applies while multiHop
-	// is still iterating trials.
+	// ranking of the rc primitives and attachRecompute (never live
+	// across nested calls: estimates do not re-enter them), rcKeys the
+	// keys of attachRecompute's rungs. trials receives multiHop's apply
+	// results, each consumed before the next apply.
 	candsAt  [][]Candidate
 	bnBufAt  [][]Resource
 	pruneBuf poolEntries
 	rcBuf    []rcCand
+	rcKeys   []uint64
 	opksBuf  []int
 	trials   []*config.Config
-	rcTrials []*config.Config
 
 	// obj scores feasible candidates: nominal iteration time, or
 	// expected time on spot capacity (objective.go).
@@ -766,8 +765,8 @@ func (s *searcher) observeIteration(stageCount, iter int, improved bool, bnStage
 // primitive that produced it (the final hop's primitive).
 //
 // est must be cfg's estimate; it anchors the node's batched estimator,
-// which every candidate of this node (including attachRecompute's
-// inner trials) is evaluated against.
+// which every candidate of this node is evaluated against
+// (attachRecompute's rungs against the candidate they extend).
 func (s *searcher) multiHop(cfg *config.Config, est *perfmodel.Estimate, bn Bottleneck, hop int, initScore float64) (*config.Config, int, string) {
 	if hop >= s.opts.MaxHops || s.expired() {
 		return nil, 0, ""
@@ -825,7 +824,8 @@ func (s *searcher) multiHop(cfg *config.Config, est *perfmodel.Estimate, bn Bott
 				if rc := s.attachRecompute(c); rc != c {
 					// The candidate was superseded by its recompute
 					// variant before anything retained it.
-					s.st.drop(c, rc)
+					s.st.release(c.Key())
+					s.st.recycle(c)
 					c = rc
 				}
 				if !s.st.visit(c) {
@@ -905,6 +905,11 @@ func (s *searcher) multiHop(cfg *config.Config, est *perfmodel.Estimate, bn Bott
 // recomputation in over-memory stages (largest activations first)
 // until they fit. Under-used recomputation removal is left to explicit
 // dec-rc hops.
+//
+// Each over-memory stage climbs its ladder (climbRC) on one scratch
+// clone, estimated against the config it extends, and keeps the first
+// rung that fits the stage (a clone if the walk climbs on), else the
+// ladder's top.
 func (s *searcher) attachRecompute(cfg *config.Config) *config.Config {
 	e := s.estimate(cfg)
 	if e.Feasible {
@@ -915,33 +920,45 @@ func (s *searcher) attachRecompute(cfg *config.Config) *config.Config {
 		if e.Stages[si].PeakMem <= e.Stages[si].CapMem {
 			continue
 		}
-		cands := applyIncRC(s, out, si, s.rcTrials[:0])
-		s.rcTrials = cands
-		if len(cands) == 0 {
+		rank := rcRank(s, out, si, false)
+		if len(rank) == 0 {
 			continue
 		}
-		// applyIncRC's candidates grow greedily; take the first that
-		// fixes this stage, else the most aggressive.
+		s.pushBatch(out, e)
+		c := s.st.clone(out)
+		keys := s.rcKeys[:0]
 		var pick *config.Config
-		var pickEst *perfmodel.Estimate
-		for _, c := range cands {
-			pick, pickEst = c, s.estimate(c)
-			if pickEst.Stages[si].PeakMem <= pickEst.Stages[si].CapMem {
-				break
+		k := climbRC(s, c, si, rank, func(re *perfmodel.Estimate, more bool) {
+			keys = append(keys, c.Key())
+			if pick == nil && re.Stages[si].PeakMem <= re.Stages[si].CapMem {
+				if pick = c; more {
+					pick = s.st.clone(c)
+				}
 			}
+		})
+		if pick == nil {
+			setRC(c, si, rank[k:], true)
+			pick = c
 		}
-		// Unpicked trials and the superseded intermediate are dead —
+		e = s.estimate(pick)
+		s.popBatch()
+		s.rcKeys = keys
+		// Unpicked rungs and the superseded intermediate are dead —
 		// never pooled, never returned.
-		for _, c := range cands {
-			if c != pick {
-				s.st.drop(c, pick)
+		pk := pick.Key()
+		for _, key := range keys {
+			if key != pk {
+				s.st.release(key)
 			}
 		}
-		if out != cfg && out != pick {
-			s.st.drop(out, pick)
+		if c != pick {
+			s.st.recycle(c)
 		}
-		out, e = pick, pickEst
-		if e.Feasible {
+		if out != cfg {
+			s.st.release(out.Key())
+			s.st.recycle(out)
+		}
+		if out = pick; e.Feasible {
 			break
 		}
 	}

@@ -32,11 +32,11 @@ type entry struct {
 }
 
 // storeHooks, when a test sets them, see each config recycle hands to
-// the arena and each estimate drop releases, before either can be
-// reused, and each estimate of a released key computed again.
+// the arena and each estimate release frees, with its key, before either
+// can be reused, and each estimate of a released key computed again.
 var storeHooks struct {
 	recycled func(*config.Config)
-	released func(*perfmodel.Estimate)
+	released func(uint64, *perfmodel.Estimate)
 	again    func(*perfmodel.Estimate)
 }
 
@@ -71,22 +71,19 @@ func (st *store) visit(c *config.Config) bool {
 	return true
 }
 
-// drop ends scratch trial c, which keep superseded, and releases its
-// estimate for reuse — unless its key is visited, or is keep's, whose
-// estimate the caller goes on with (applyIncRC's last rung may repeat
-// one its doubling ladder built). The memo keeps the key: it stays
-// explored and is estimated again, to the same bits, when asked.
-func (st *store) drop(c, keep *config.Config) {
-	k := c.Key()
-	if e := st.memo[k]; e.est != nil && !e.visited && k != keep.Key() {
+// release frees key k's estimate for reuse, unless k is visited. The
+// memo keeps the key: it stays explored and is estimated again, to the
+// same bits, when asked. Release only the keys of scratch candidates,
+// and never the key of one the caller goes on with.
+func (st *store) release(k uint64) {
+	if e := st.memo[k]; e.est != nil && !e.visited {
 		if storeHooks.released != nil {
-			storeHooks.released(e.est)
+			storeHooks.released(k, e.est)
 		}
 		st.ests.Release(e.est)
 		e.est = nil
 		st.memo[k] = e
 	}
-	st.recycle(c)
 }
 
 // recycle takes back a config nothing references: never estimated, or

@@ -16,7 +16,7 @@ import (
 
 // deadMemory scribbles over every configuration the moment the store
 // recycles it — garbage in every field, memos dropped — and over every
-// estimate the moment drop releases it — NaN in every float, garbage in
+// estimate the moment release frees it — NaN in every float, garbage in
 // every int, every flag flipped — so a live reference would read that
 // or, once the memory is reused, another candidate's. It counts what it
 // scribbled and which released keys were estimated again.
@@ -30,7 +30,7 @@ func (d *deadMemory) scribbling(t *testing.T) {
 		d.recycled.Add(1)
 		scribbleConfig(c)
 	}
-	storeHooks.released = func(e *perfmodel.Estimate) {
+	storeHooks.released = func(_ uint64, e *perfmodel.Estimate) {
 		d.released.Add(1)
 		scribble(reflect.ValueOf(e).Elem())
 	}
@@ -43,7 +43,7 @@ func (d *deadMemory) scribbling(t *testing.T) {
 // dead memory scribbled (deadMemory), on every zoo row of the
 // determinism table — the pinned search among them — and on its
 // extended-primitives rows, whose ZeRO and sequence-parallel toggles
-// clone and drop through the same store:
+// clone and release through the same store:
 //
 //   - the search explores, ranks and scores as committed, so no visited
 //     candidate's config or estimate changed under it;
@@ -110,6 +110,22 @@ func TestReleasedEstimatesAreDead(t *testing.T) {
 	if d.recycled.Load() == 0 || d.released.Load() == 0 || d.again.Load() == 0 {
 		t.Errorf("%d configs recycled, %d estimates released, %d estimated again: the test exercises nothing",
 			d.recycled.Load(), d.released.Load(), d.again.Load())
+	}
+}
+
+// TestReleaseSparesVisited pins release's guard: the estimate of a
+// visited key may be held by the pool, the top-K list, a candidate slice
+// or a batch base, so release leaves it. The pinned search never asks
+// release for a visited key, so no search test holds the guard.
+func TestReleaseSparesVisited(t *testing.T) {
+	s, cfg := deepRecomputeStart(t, nil)
+	e := s.estimate(cfg)
+	s.st.visit(cfg)
+	storeHooks.released = func(uint64, *perfmodel.Estimate) { t.Error("release freed a visited key's estimate") }
+	defer func() { storeHooks.released = nil }()
+	s.st.release(cfg.Key())
+	if s.st.memo[cfg.Key()].est != e {
+		t.Error("release dropped a visited key's estimate from the memo")
 	}
 }
 
