@@ -66,6 +66,7 @@ fuzz-smoke:
 	$(GO) test -fuzz=FuzzDeviceSplit -fuzztime=5s ./internal/config
 	$(GO) test -fuzz=FuzzParseOpKey -fuzztime=5s ./internal/profiler
 	$(GO) test -fuzz=FuzzOpKeyRoundTrip -fuzztime=5s ./internal/profiler
+	$(GO) test -fuzz=FuzzTermReuseMatchesFresh -fuzztime=5s ./internal/perfmodel
 	$(GO) test -fuzz=FuzzSearchNeverPanics -fuzztime=5s ./internal/core
 	$(GO) test -fuzz=FuzzRestrictExact -fuzztime=5s ./internal/hardware
 	$(GO) test -fuzz=FuzzCheckpointLoadNeverPanics -fuzztime=5s ./internal/elastic

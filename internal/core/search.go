@@ -293,13 +293,16 @@ func SearchContext(ctx context.Context, g *model.Graph, cl hardware.Cluster, opt
 	outs := make([]workerOut, len(stageCounts))
 	met := newSearchMeters(opts.Metrics)
 	// Each task is one independent, deterministic per-stage-count
-	// search. Tasks are handed out deepest first: the deepest pipeline
-	// sets the makespan, so it starts at once on worker 0 (whose store
-	// it therefore clones into on every search in a loop), and each
-	// idle worker takes the deepest task not yet started. Scheduling
-	// cannot change any task's result (tasks share only thread-safe
-	// caches whose values are pure functions of their keys), so the
-	// merged outcome is identical under any schedule.
+	// search. Tasks are handed out deepest first: the deepest starts at
+	// once on worker 0 (whose store it therefore clones into on every
+	// search in a loop), and each idle worker takes the deepest task not
+	// yet started. The deepest pipeline sets the makespan of GPT-3
+	// 2.6B's search, not of a cold GPT-3 350M one on 16 V100s: there p=1
+	// is the longest task (median 3.0 of 9.1 ms on 2 vCPUs; p=16 takes
+	// 0.9) and is handed out last (DESIGN.md §5b, Scheduling).
+	// Scheduling cannot change any task's result (tasks share only
+	// thread-safe caches whose values are pure functions of their keys),
+	// so the merged outcome is identical under any schedule.
 	order := make([]int, len(stageCounts))
 	for i := range order {
 		order[i] = i

@@ -145,11 +145,11 @@ func takeStores(workers int) *[]store {
 }
 
 // handOver gives a finished search's stores to the next one with only
-// their config arenas: a Result's estimates point into the estimate
-// arenas' chunks.
+// their config arenas and operator records: a Result's estimates point
+// into the estimate arenas' chunks.
 func handOver(ss *[]store) {
 	for i := range *ss {
-		(*ss)[i].ests = perfmodel.EstArena{}
+		(*ss)[i].ests.Reset()
 	}
 	stores.Put(ss)
 }

@@ -18,7 +18,38 @@ type EstArena struct {
 	sm   []StageMetrics
 	// free[p] holds released estimates with p stages.
 	free [][]*Estimate
+	// ops holds one record per graph operator; they outlive Reset.
+	ops []opRecord
 }
+
+// opRecord is one operator's last pricing in an arena: the seven
+// profiler and collective prices of evalStage and the inputs they came
+// from. A price is a pure function of those inputs, so evalStage reuses
+// a record whose inputs match instead of making its lookups again.
+type opRecord struct {
+	in                                        opInputs
+	relayout, reshard, fwd, bwd, tp, dp, zero float64
+}
+
+// opInputs is what an operator's prices read besides the operator: the
+// model (Model.ident), the stage's first device, device count and
+// microbatch, the setting but Recompute (which selects no lookup), and
+// the incoming tp, dp (0 at the stage's first operator) and layout.
+// Validity bounds tp and dp by the device count, which evalStage checks
+// against int32, and dim by the operator's dims.
+type opInputs struct {
+	model                                                  uint64
+	firstDev, devices, microBatch, tp, dp, dim, inTP, inDP int32
+	zero, seqPar, inSplit                                  bool
+}
+
+// priceHook, when a test sets it, is called for each operator evalStage
+// prices.
+var priceHook func()
+
+// Reset forgets every estimate the arena carved — their chunks belong
+// to whoever holds them now — and keeps the operator records.
+func (a *EstArena) Reset() { *a = EstArena{ops: a.ops} }
 
 const (
 	estChunk = 1024

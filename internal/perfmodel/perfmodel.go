@@ -175,6 +175,22 @@ type Model struct {
 	// adds are noise next to the map+lock they instrument.
 	scHits   atomic.Uint64
 	scMisses atomic.Uint64
+
+	id atomic.Uint64 // see ident
+}
+
+// models numbers Models on first use (Model.ident).
+var models atomic.Uint64
+
+// ident returns m's number, assigned on first use. Operator records
+// name their model by it rather than by pointer, so that a pooled arena
+// keeps no finished search's model, stage cache or database reachable.
+func (m *Model) ident() uint64 {
+	if id := m.id.Load(); id != 0 {
+		return id
+	}
+	m.id.CompareAndSwap(0, models.Add(1))
+	return m.id.Load()
 }
 
 // New builds a performance model backed by a profiler database.
@@ -196,17 +212,18 @@ func (m *Model) StageCacheStats() (hits, misses uint64) {
 // stageMetrics returns the metrics of st under key, its pipeline
 // context, consulting the shared memo. An Estimate of a
 // Clone-plus-one-mutation neighbor therefore recomputes only the
-// mutated stage; every other stage is a lookup.
-func (m *Model) stageMetrics(st *config.Stage, key stageKey) StageMetrics {
+// mutated stage; every other stage is a lookup. A miss is evaluated
+// with a's operator records (nil prices every operator).
+func (m *Model) stageMetrics(st *config.Stage, key stageKey, a *EstArena) StageMetrics {
 	if m.DisableStageCache {
-		return m.evalStage(st, key)
+		return m.evalStage(st, key, nil)
 	}
 	if sm, ok := m.scache.Load(key); ok {
 		m.scHits.Add(1)
 		return sm
 	}
 	m.scMisses.Add(1)
-	sm := m.evalStage(st, key)
+	sm := m.evalStage(st, key, a)
 	if m.scache.Len() >= stageCacheCap {
 		// Values are pure functions of keys, so a wholesale reset on
 		// overflow changes no results, only recomputation counts.
@@ -271,7 +288,7 @@ func (m *Model) walk(cfg *config.Config, a *EstArena, base *Estimate, baseKeys [
 		if baseKeys != nil && key == baseKeys[si] {
 			*sm = base.Stages[si]
 		} else {
-			*sm = m.stageMetrics(st, key)
+			*sm = m.stageMetrics(st, key, a)
 			sm.CapMem = m.Cluster.RangeMemory(firstDev, st.Devices)
 		}
 		firstDev += st.Devices
@@ -295,8 +312,12 @@ func (m *Model) walk(cfg *config.Config, a *EstArena, base *Estimate, baseKeys [
 // evalStage predicts one pipeline stage's per-microbatch times and
 // memory under the pipeline context of k: the stage's first global
 // device rank, the number of stashed microbatches (Eq. 1's p−i) and the
-// preceding stage's device count (0 for the first stage).
-func (m *Model) evalStage(st *config.Stage, k stageKey) StageMetrics {
+// preceding stage's device count (0 for the first stage). Each operator
+// is priced — its profiler and collective lookups — and then
+// accumulated. With an arena, an operator whose record in a holds the
+// same inputs is not priced again; the sums read the same prices in the
+// same order either way.
+func (m *Model) evalStage(st *config.Stage, k stageKey, a *EstArena) StageMetrics {
 	microBatch, firstDev, prevDevices := k.microBatch, k.firstDev, k.prevDevices
 	g := m.Graph
 	prec := g.Precision
@@ -305,165 +326,202 @@ func (m *Model) evalStage(st *config.Stage, k stageKey) StageMetrics {
 	// so every kernel runs at the pace of the range's slowest device
 	// (1 on a healthy cluster).
 	derate := m.Cluster.RangeFLOPSScale(firstDev, st.Devices, prec)
+	var recs []opRecord
+	var id uint64
+	if a != nil && firstDev+st.Devices <= math.MaxInt32 && microBatch <= math.MaxInt32 {
+		if len(a.ops) < len(g.Ops) {
+			a.ops = make([]opRecord, len(g.Ops))
+		}
+		id, recs = m.ident(), a.ops
+	}
+	var fresh opRecord
 	var sm StageMetrics
-	{
-		// Layout tracking across the stage for relayout collectives.
-		curLayout := model.Replicated
-		curTP := 1
-		prevDP := 0
-		var prevActBytes float64 // per-sample output bytes of previous op
+	// Layout tracking across the stage for relayout collectives.
+	curLayout := model.Replicated
+	curTP := 1
+	prevDP := 0
+	var prevActBytes float64 // per-sample output bytes of previous op
 
-		for j := st.Start; j < st.End; j++ {
-			op := &g.Ops[j]
-			set := st.Setting(j)
-			dim := op.Dims[set.Dim]
-			samples := microBatch / set.DP
-			tpPlace := collective.PlacementFor(&m.Cluster, firstDev, set.TP)
+	for j := st.Start; j < st.End; j++ {
+		op := &g.Ops[j]
+		set := st.Setting(j)
+		dim := op.Dims[set.Dim]
+		samples := microBatch / set.DP
 
-			// Effective compute sharding.
-			shards := 1
-			outLayout := dim.Out
-			switch dim.Name {
-			case model.DimNone.Name:
-				shards = 1
-				outLayout = model.Replicated
-				if set.SeqPar && set.TP > 1 {
-					// Sequence parallelism splits the replicated
-					// region's tokens across the tp group.
-					shards = set.TP
-				}
-			case model.DimPass.Name:
-				// Layout-polymorphic: follows the incoming layout.
-				if curLayout == model.Split && set.TP == curTP {
-					shards = set.TP
-					outLayout = model.Split
-				} else {
-					shards = 1
-					outLayout = curLayout
-				}
-			default:
-				if set.TP > 1 {
-					shards = set.TP
-				}
-				// Relayout: a Split activation feeding an op that
-				// expects Replicated input costs an all-gather.
-				if dim.In == model.Replicated && curLayout == model.Split && curTP > 1 {
-					t := m.Prof.AllGather(prevActBytes*float64(samples)*bpe, firstDev, curTP, tpPlace)
-					sm.FwdTime += t
-					sm.BwdTime += t // mirrored reduce-scatter in backward
-					sm.TPComm += 2 * t
-				}
+		// Effective compute sharding.
+		shards := 1
+		outLayout := dim.Out
+		relayout := false
+		switch dim.Name {
+		case model.DimNone.Name:
+			outLayout = model.Replicated
+			if set.SeqPar && set.TP > 1 {
+				// Sequence parallelism splits the replicated
+				// region's tokens across the tp group.
+				shards = set.TP
 			}
-			// Changing the dp degree mid-stage redistributes samples
-			// across the whole stage group. This is data-parallel
-			// reshard traffic, not a tensor-parallel collective.
-			if prevDP != 0 && set.DP != prevDP {
-				t := m.Prof.AllGather(prevActBytes*float64(microBatch)*bpe/float64(st.Devices), firstDev, st.Devices,
-					collective.PlacementFor(&m.Cluster, firstDev, st.Devices))
-				sm.FwdTime += t
-				sm.BwdTime += t
-				sm.ReshardComm += 2 * t
+		case model.DimPass.Name:
+			// Layout-polymorphic: follows the incoming layout.
+			if curLayout == model.Split && set.TP == curTP {
+				shards = set.TP
+				outLayout = model.Split
+			} else {
+				outLayout = curLayout
 			}
-
-			fwd := m.Prof.OpTime(op, set.TP, set.Dim, samples, shards, false, prec) / derate
-			bwd := m.Prof.OpTime(op, set.TP, set.Dim, samples, shards, true, prec) / derate
-			sm.FwdTime += fwd
-			sm.BwdTime += bwd
-			if set.Recompute {
-				sm.BwdTime += fwd
-				sm.Recomp += fwd
-			}
-
-			// Tensor-parallel collectives (Megatron f/g conjugates):
-			// row-parallel all-reduces its output in forward; the
-			// paired column-parallel all-reduces gradients in backward.
+		default:
 			if set.TP > 1 {
-				arBytes := op.ActElems * float64(samples) * bpe
-				switch {
-				case dim.AllReduceOut:
-					t := m.Prof.AllReduce(arBytes, firstDev, set.TP, tpPlace)
-					sm.FwdTime += t
-					sm.TPComm += t
-					if set.Recompute {
-						sm.BwdTime += t
-						sm.Recomp += t
-					}
-				case dim.In == model.Replicated && dim.Out == model.Split:
-					// Column-parallel: backward all-reduces the input
-					// gradient (per-sample size = previous activation).
-					t := m.Prof.AllReduce(prevActBytes*float64(samples)*bpe, firstDev, set.TP, tpPlace)
-					sm.BwdTime += t
-					sm.TPComm += t
+				shards = set.TP
+			}
+			// Relayout: a Split activation feeding an op that
+			// expects Replicated input costs an all-gather.
+			relayout = dim.In == model.Replicated && curLayout == model.Split && curTP > 1
+		}
+		// Changing the dp degree mid-stage redistributes samples
+		// across the whole stage group. This is data-parallel
+		// reshard traffic, not a tensor-parallel collective.
+		reshard := prevDP != 0 && set.DP != prevDP
+		// Tensor-parallel collectives (Megatron f/g conjugates):
+		// row-parallel all-reduces its output in forward; the
+		// paired column-parallel all-reduces gradients in backward.
+		tpOut := set.TP > 1 && dim.AllReduceOut
+		tpIn := set.TP > 1 && !dim.AllReduceOut && dim.In == model.Replicated && dim.Out == model.Split
+		paramBytes := op.Params * bpe / float64(set.TP)
+		dpSync := set.DP > 1 && op.Params > 0
+
+		// Pricing: every lookup the operator makes, read from its
+		// record when the record holds the same inputs.
+		in := opInputs{id, int32(firstDev), int32(st.Devices), int32(microBatch), int32(set.TP), int32(set.DP), int32(set.Dim),
+			int32(curTP), int32(prevDP), set.ZeRO, set.SeqPar, curLayout == model.Split}
+		r := &fresh
+		if recs != nil {
+			r = &recs[j]
+		}
+		if recs == nil || r.in != in {
+			r.in = in
+			if priceHook != nil {
+				priceHook()
+			}
+			tpPlace := collective.PlacementFor(&m.Cluster, firstDev, set.TP)
+			if relayout {
+				r.relayout = m.Prof.AllGather(prevActBytes*float64(samples)*bpe, firstDev, curTP, tpPlace)
+			}
+			if reshard {
+				r.reshard = m.Prof.AllGather(prevActBytes*float64(microBatch)*bpe/float64(st.Devices), firstDev, st.Devices,
+					collective.PlacementFor(&m.Cluster, firstDev, st.Devices))
+			}
+			r.fwd = m.Prof.OpTime(op, set.TP, set.Dim, samples, shards, false, prec) / derate
+			r.bwd = m.Prof.OpTime(op, set.TP, set.Dim, samples, shards, true, prec) / derate
+			if tpOut || tpIn {
+				// Column-parallel all-reduces the input gradient,
+				// whose per-sample size is the previous activation.
+				elems := op.ActElems
+				if tpIn {
+					elems = prevActBytes
 				}
+				r.tp = m.Prof.AllReduce(elems*float64(samples)*bpe, firstDev, set.TP, tpPlace)
 			}
-
-			// Memory.
-			paramBytes := op.Params * bpe / float64(set.TP)
-			sm.ParamMem += paramBytes
-			opt := op.Params * optBytes(prec) / float64(set.TP)
-			if set.ZeRO {
-				// ZeRO-1: optimizer states shard across the dp group.
-				opt /= float64(set.DP)
-			}
-			sm.OptMem += opt
-
-			actShare := 1.0
-			if outLayout == model.Split {
-				actShare = float64(shards)
-			} else if set.SeqPar && set.TP > 1 {
-				// Sequence-parallel regions stash 1/tp of the tokens.
-				actShare = float64(set.TP)
-			}
-			saved := actStashFactor*op.ActElems*float64(samples)*bpe/actShare +
-				op.WorkElems*float64(samples)*bpe/float64(shards)
-			if set.Recompute {
-				saved = 0
-			}
-			sm.ActPerMB += saved
-			working := (op.ActElems/actShare + op.WorkElems/float64(shards)) * float64(samples) * bpe
-			if working > sm.ExtraMem {
-				sm.ExtraMem = working
-			}
-
-			// Data-parallel gradient sync (per iteration).
-			if set.DP > 1 && op.Params > 0 {
+			if dpSync {
 				dpPlace := collective.PlacementFor(&m.Cluster, firstDev, st.Devices)
-				sm.DPSync += m.Prof.AllReduce(paramBytes, firstDev, set.DP, dpPlace)
+				r.dp = m.Prof.AllReduce(paramBytes, firstDev, set.DP, dpPlace)
 				if set.ZeRO {
 					// Each rank updates its optimizer shard; the
 					// refreshed parameters all-gather back.
-					sm.DPSync += m.Prof.AllGather(paramBytes, firstDev, set.DP, dpPlace)
+					r.zero = m.Prof.AllGather(paramBytes, firstDev, set.DP, dpPlace)
 				}
 			}
-
-			curLayout = outLayout
-			curTP = set.TP
-			prevActBytes = op.ActElems
-			prevDP = set.DP
 		}
 
-		// Stage input stash: the boundary activation is always kept so
-		// recomputation can restart from it.
-		if st.Start > 0 {
-			in := &g.Ops[st.Start-1]
-			firstSet := st.Setting(st.Start)
-			sm.ActPerMB += in.ActElems * float64(microBatch/firstSet.DP) * bpe
+		// Accumulation, in the order the lookups were made.
+		if relayout {
+			sm.FwdTime += r.relayout
+			sm.BwdTime += r.relayout // mirrored reduce-scatter in backward
+			sm.TPComm += 2 * r.relayout
 		}
-
-		// Stage-boundary transfer from the previous stage.
-		if prevDevices > 0 {
-			in := &g.Ops[st.Start-1]
-			lanes := prevDevices
-			if st.Devices < lanes {
-				lanes = st.Devices
+		if reshard {
+			sm.FwdTime += r.reshard
+			sm.BwdTime += r.reshard
+			sm.ReshardComm += 2 * r.reshard
+		}
+		sm.FwdTime += r.fwd
+		sm.BwdTime += r.bwd
+		if set.Recompute {
+			sm.BwdTime += r.fwd
+			sm.Recomp += r.fwd
+		}
+		if tpOut {
+			sm.FwdTime += r.tp
+			sm.TPComm += r.tp
+			if set.Recompute {
+				sm.BwdTime += r.tp
+				sm.Recomp += r.tp
 			}
-			bytes := in.ActElems * float64(microBatch) * bpe / float64(lanes)
-			pl := collective.PlacementFor(&m.Cluster, firstDev-1, 2)
-			t := m.Prof.P2P(bytes, firstDev-1, pl)
-			sm.FwdTime += t
-			sm.BwdTime += t
-			sm.P2P += 2 * t
+		} else if tpIn {
+			sm.BwdTime += r.tp
+			sm.TPComm += r.tp
 		}
+
+		// Memory.
+		sm.ParamMem += paramBytes
+		opt := op.Params * optBytes(prec) / float64(set.TP)
+		if set.ZeRO {
+			// ZeRO-1: optimizer states shard across the dp group.
+			opt /= float64(set.DP)
+		}
+		sm.OptMem += opt
+
+		actShare := 1.0
+		if outLayout == model.Split {
+			actShare = float64(shards)
+		} else if set.SeqPar && set.TP > 1 {
+			// Sequence-parallel regions stash 1/tp of the tokens.
+			actShare = float64(set.TP)
+		}
+		saved := actStashFactor*op.ActElems*float64(samples)*bpe/actShare +
+			op.WorkElems*float64(samples)*bpe/float64(shards)
+		if set.Recompute {
+			saved = 0
+		}
+		sm.ActPerMB += saved
+		working := (op.ActElems/actShare + op.WorkElems/float64(shards)) * float64(samples) * bpe
+		if working > sm.ExtraMem {
+			sm.ExtraMem = working
+		}
+
+		// Data-parallel gradient sync (per iteration).
+		if dpSync {
+			sm.DPSync += r.dp
+			if set.ZeRO {
+				sm.DPSync += r.zero
+			}
+		}
+
+		curLayout = outLayout
+		curTP = set.TP
+		prevActBytes = op.ActElems
+		prevDP = set.DP
+	}
+
+	// Stage input stash: the boundary activation is always kept so
+	// recomputation can restart from it.
+	if st.Start > 0 {
+		in := &g.Ops[st.Start-1]
+		firstSet := st.Setting(st.Start)
+		sm.ActPerMB += in.ActElems * float64(microBatch/firstSet.DP) * bpe
+	}
+
+	// Stage-boundary transfer from the previous stage.
+	if prevDevices > 0 {
+		in := &g.Ops[st.Start-1]
+		lanes := prevDevices
+		if st.Devices < lanes {
+			lanes = st.Devices
+		}
+		bytes := in.ActElems * float64(microBatch) * bpe / float64(lanes)
+		pl := collective.PlacementFor(&m.Cluster, firstDev-1, 2)
+		t := m.Prof.P2P(bytes, firstDev-1, pl)
+		sm.FwdTime += t
+		sm.BwdTime += t
+		sm.P2P += 2 * t
 	}
 
 	sm.PeakMem = sm.ParamMem + sm.OptMem + sm.ActPerMB*float64(k.inflight) + sm.ExtraMem

@@ -349,6 +349,6 @@ func BenchmarkStageMetricsMiss(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		key := stageKey{st.SubHash(), cfg.MicroBatch, cfg.FirstDev(1), 8 + i, cfg.Stages[0].Devices}
-		sink += m.stageMetrics(st, key).StageTime
+		sink += m.stageMetrics(st, key, nil).StageTime
 	}
 }
