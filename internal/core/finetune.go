@@ -2,6 +2,13 @@ package core
 
 import "aceso/internal/config"
 
+// trialHooks, when a test sets them: exact sends every fine-tune trial
+// to the exact estimate, and won sees each trial that beat the best.
+var trialHooks struct {
+	exact bool
+	won   func(*config.Config)
+}
+
 // fineTuneCandidateCap bounds the op-level candidates evaluated per
 // fine-tuning pass so that fine-tuning on 1K-layer models cannot
 // starve the outer search.
@@ -51,9 +58,20 @@ func (s *searcher) fineTune(cfg *config.Config) *config.Config {
 			s.st.recycle(c)
 			return
 		}
+		lost := s.loses(c, bestScore)
+		if s.met != nil {
+			s.met.trials[lost].Inc()
+		}
+		if lost {
+			s.st.recycle(c)
+			return
+		}
 		e := s.estimate(c)
 		sc := s.score(c, e)
 		if sc < bestScore {
+			if trialHooks.won != nil {
+				trialHooks.won(c)
+			}
 			s.popBatch()
 			s.pushBatch(c, e)
 			// The superseded best is dead unless it is the caller's

@@ -68,12 +68,40 @@ func (o *objective) assess(cfg *config.Config, t float64) (expected float64, cad
 		return t, 0
 	}
 	lam, lamRB := o.hazards(cfg)
-	rec, ck := recoveryIters*t, checkpointIters*t
-	k := perfmodel.RecommendedCadence(lamRB, t, ck, maxRecommendedCadence)
+	k := perfmodel.RecommendedCadence(lamRB, t, checkpointIters*t, maxRecommendedCadence)
 	if lam <= 0 {
 		return t, k
 	}
-	return perfmodel.ExpectedIterTime(t, lamRB, k, rec, ck) + t*(lam-lamRB)*rec, k
+	return expectedAt(t, lam, lamRB, k), k
+}
+
+// expectedAt is assess's expected iteration time at nominal time t,
+// hazards lam and lamRB, and cadence k. With k fixed it is monotone
+// non-decreasing in t: every operation of it is, on nonnegative inputs.
+func expectedAt(t, lam, lamRB float64, k int) float64 {
+	rec, ck := recoveryIters*t, checkpointIters*t
+	return perfmodel.ExpectedIterTime(t, lamRB, k, rec, ck) + t*(lam-lamRB)*rec
+}
+
+// floor is a lower bound of score(cfg, t') over every t' ≥ t, for a
+// finite t ≥ 0. On a hazard-free fleet that is t. On spot capacity
+// score is not monotone in t — the recommended cadence steps down as t
+// grows, and a step can lower the expected time within an ulp — so
+// floor is the least expected time over every cadence score can
+// recommend (1 … maxRecommendedCadence), each of which is monotone in t.
+func (o *objective) floor(cfg *config.Config, t float64) float64 {
+	if !o.spot {
+		return t
+	}
+	lam, lamRB := o.hazards(cfg)
+	if lam <= 0 {
+		return t
+	}
+	f := math.Inf(1)
+	for k := 1; k <= maxRecommendedCadence; k++ {
+		f = min(f, expectedAt(t, lam, lamRB, k))
+	}
+	return f
 }
 
 // hazards returns the plan's total preemption rate and its

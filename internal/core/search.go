@@ -75,10 +75,11 @@ type Options struct {
 	// Tracer receives structured observability events: one
 	// obs.IterationEvent per top-level iteration (bottleneck stage and
 	// resource proportions, accepted primitive, hops, backtracks,
-	// dedup hits, pool restarts) and one OnEstimate call per newly
-	// estimated configuration (the breakdown auditor's hook). nil —
-	// the default — disables tracing; the hot path then pays one
-	// pointer check per event site (DESIGN.md §5d).
+	// dedup hits, pool restarts) and, when it is an obs.EstimateTracer,
+	// one OnEstimate call per newly estimated configuration (the
+	// breakdown auditor's hook). nil — the default — disables tracing;
+	// the hot path then pays one pointer check per event site (DESIGN.md
+	// §5d).
 	Tracer obs.Tracer
 	// Metrics, when non-nil, accumulates search counters in the given
 	// registry: candidates estimated, dedup hits, primitives applied
@@ -297,9 +298,10 @@ func SearchContext(ctx context.Context, g *model.Graph, cl hardware.Cluster, opt
 	// once on worker 0 (whose store it therefore clones into on every
 	// search in a loop), and each idle worker takes the deepest task not
 	// yet started. The deepest pipeline sets the makespan of GPT-3
-	// 2.6B's search, not of a cold GPT-3 350M one on 16 V100s: there p=1
-	// is the longest task (median 3.0 of 9.1 ms on 2 vCPUs; p=16 takes
-	// 0.9) and is handed out last (DESIGN.md §5b, Scheduling).
+	// 2.6B's search. In a cold GPT-3 350M one on 16 V100s, no task
+	// dominates: p=7, 8 and 12 take 1.5–1.8 ms of 6.5–6.9 ms on 2 vCPUs,
+	// and p=1, handed out last, 1.4 ms since fine-tuning bounds its
+	// losing trials (DESIGN.md §5b, Scheduling).
 	// Scheduling cannot change any task's result (tasks share only
 	// thread-safe caches whose values are pure functions of their keys),
 	// so the merged outcome is identical under any schedule.
@@ -411,6 +413,7 @@ type searchMeters struct {
 	restarts   *obs.Counter
 	prunes     *obs.Counter
 	prims      map[string]*obs.Counter // every Table and ExtensionTable row; read-only, so workers share it
+	trials     map[bool]*obs.Counter   // fine-tune trials, by whether their bound rejected them; read-only
 	hopDepth   *obs.Histogram
 	iterTime   *obs.Histogram
 }
@@ -429,6 +432,10 @@ func newSearchMeters(reg *obs.Registry) *searchMeters {
 		prims:      make(map[string]*obs.Counter),
 		hopDepth:   reg.Histogram(obs.MultiHopDepth, 1, 2, 3, 4, 5, 6, 7, 8),
 		iterTime:   reg.Histogram(obs.IterationSeconds, obs.SecondsBuckets...),
+	}
+	m.trials = map[bool]*obs.Counter{
+		false: reg.Counter(obs.FineTuneTrialsTotal + `{decided="exact"}`),
+		true:  reg.Counter(obs.FineTuneTrialsTotal + `{decided="bound"}`),
 	}
 	for _, tbl := range [][]Primitive{Table, ExtensionTable} {
 		for i := range tbl {
@@ -587,15 +594,50 @@ func (s *searcher) estimate(cfg *config.Config) *perfmodel.Estimate {
 		}
 		return e
 	}
+	s.count()
+	if t, ok := s.tracer.(obs.EstimateTracer); ok {
+		t.OnEstimate(cfg, e)
+	}
+	return e
+}
+
+// count counts one newly explored key.
+func (s *searcher) count() {
 	s.explored++
 	s.itEstimated++
 	if s.met != nil {
 		s.met.estimated.Inc()
 	}
-	if s.tracer != nil {
-		s.tracer.OnEstimate(cfg, e)
+}
+
+// loses reports whether the fine-tune trial c certainly scores no
+// better than best, by the batch base's bound (perfmodel.Batch.Bound)
+// on c's iteration time or peak memory, through the objective's floor.
+// A poisoned score is never below an honest best. A losing key is
+// counted as estimate counts it and left explored with no estimate, as
+// a released key is; an obs.EstimateTracer still sees it estimated.
+func (s *searcher) loses(c *config.Config, best float64) bool {
+	k := c.Key()
+	en := s.st.memo[k]
+	var lo, hi perfmodel.Estimate
+	lost := !trialHooks.exact && en.est == nil && best <= infeasibleScore*poisonedPenalty &&
+		s.batch.Bound(c, &lo, &hi) && lo.Feasible == hi.Feasible
+	if lost && lo.Feasible {
+		lost = s.obj.floor(c, lo.IterTime) >= best
+	} else if lost {
+		lost = s.score(c, &lo) >= best
 	}
-	return e
+	if !lost {
+		return false
+	}
+	if _, ok := s.tracer.(obs.EstimateTracer); ok {
+		s.estimate(c)
+	} else if !en.explored {
+		en.explored = true
+		s.st.memo[k] = en
+		s.count()
+	}
+	return true
 }
 
 // score maps an estimate to a single comparable figure: the objective's

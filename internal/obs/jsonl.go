@@ -5,9 +5,6 @@ import (
 	"io"
 	"sort"
 	"sync"
-
-	"aceso/internal/config"
-	"aceso/internal/perfmodel"
 )
 
 // JSONLTracer collects iteration events and renders them as JSON Lines
@@ -71,12 +68,6 @@ func (t *JSONLTracer) Dropped() int64 {
 	defer t.mu.Unlock()
 	return t.dropped
 }
-
-// OnEstimate implements Tracer. Per-estimate events are not logged —
-// a search estimates tens of thousands of configurations and the
-// trace is an iteration-level artifact; the Auditor is the
-// per-estimate consumer.
-func (t *JSONLTracer) OnEstimate(*config.Config, *perfmodel.Estimate) {}
 
 // Events returns the collected events in the deterministic emission
 // order (stage count, then iteration index). In bounded mode only the

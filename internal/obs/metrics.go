@@ -29,6 +29,9 @@ const (
 	MultiHopDepth            = "aceso_search_multihop_depth"
 	// IterationSeconds is a Histogram over SecondsBuckets.
 	IterationSeconds = "aceso_search_iteration_seconds"
+	// FineTuneTrialsTotal carries a `{decided="bound"|"exact"}` label:
+	// fine-tune trials rejected by their bound, and those estimated.
+	FineTuneTrialsTotal = "aceso_search_finetune_trials_total"
 
 	// Differential-validation harness (internal/diffcheck). Violations
 	// carry a `{kind="..."}` label per invariant.

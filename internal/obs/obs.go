@@ -86,6 +86,13 @@ type IterationEvent struct {
 type Tracer interface {
 	// OnIteration is called once per top-level search iteration.
 	OnIteration(ev IterationEvent)
+}
+
+// EstimateTracer is a Tracer that also observes every estimate. The
+// search estimates exactly what it would otherwise decide by a bound,
+// so that an EstimateTracer sees every configuration it counts.
+type EstimateTracer interface {
+	Tracer
 	// OnEstimate is called for every configuration newly estimated in
 	// the search hot path. cfg and est are read-only and must not be
 	// retained past the call: the search's candidate store decides when
@@ -103,15 +110,19 @@ func (m multiTracer) OnIteration(ev IterationEvent) {
 	}
 }
 
+// OnEstimate forwards to the tracers that observe estimates.
 func (m multiTracer) OnEstimate(cfg *config.Config, est *perfmodel.Estimate) {
 	for _, t := range m {
-		t.OnEstimate(cfg, est)
+		if e, ok := t.(EstimateTracer); ok {
+			e.OnEstimate(cfg, est)
+		}
 	}
 }
 
-// MultiTracer combines tracers into one; nil entries are dropped.
-// Returns nil when every entry is nil, preserving the zero-overhead
-// nil guard downstream.
+// MultiTracer combines tracers into one; nil entries are dropped, and
+// one tracer left is returned as it is, so the result observes
+// estimates when that tracer does. Returns nil when every entry is nil,
+// preserving the zero-overhead nil guard downstream.
 func MultiTracer(ts ...Tracer) Tracer {
 	var out multiTracer
 	for _, t := range ts {
@@ -119,8 +130,11 @@ func MultiTracer(ts ...Tracer) Tracer {
 			out = append(out, t)
 		}
 	}
-	if len(out) == 0 {
+	switch len(out) {
+	case 0:
 		return nil
+	case 1:
+		return out[0]
 	}
 	return out
 }

@@ -193,10 +193,16 @@ func TestMultiTracerNilCollapse(t *testing.T) {
 		t.Error("MultiTracer of nils should be nil (zero-overhead guard)")
 	}
 	a := NewAuditor()
-	mt := MultiTracer(nil, a)
+	mt, ok := MultiTracer(nil, a, NewJSONLTracer()).(EstimateTracer)
+	if !ok {
+		t.Fatal("MultiTracer with an Auditor does not observe estimates")
+	}
 	mt.OnEstimate(nil, soundEstimate())
 	if a.Checked() != 1 {
 		t.Error("MultiTracer did not forward to the non-nil tracer")
+	}
+	if _, ok := MultiTracer(NewJSONLTracer(), nil).(EstimateTracer); ok {
+		t.Error("MultiTracer of tracers that observe no estimate observes estimates")
 	}
 }
 

@@ -176,7 +176,8 @@ type Model struct {
 	scHits   atomic.Uint64
 	scMisses atomic.Uint64
 
-	id atomic.Uint64 // see ident
+	id    atomic.Uint64 // see ident
+	terms atomic.Int32  // 0 unchecked, 1 sound, 2 not: see termsSound
 }
 
 // models numbers Models on first use (Model.ident).
@@ -313,125 +314,182 @@ func (m *Model) walk(cfg *config.Config, a *EstArena, base *Estimate, baseKeys [
 // memory under the pipeline context of k: the stage's first global
 // device rank, the number of stashed microbatches (Eq. 1's p−i) and the
 // preceding stage's device count (0 for the first stage). Each operator
-// is priced — its profiler and collective lookups — and then
-// accumulated. With an arena, an operator whose record in a holds the
-// same inputs is not priced again; the sums read the same prices in the
-// same order either way.
+// adds its terms through addOps, in operator order. With an arena, an
+// operator whose record in a holds the same inputs is not priced again;
+// the sums read the same prices in the same order either way.
 func (m *Model) evalStage(st *config.Stage, k stageKey, a *EstArena) StageMetrics {
-	microBatch, firstDev, prevDevices := k.microBatch, k.firstDev, k.prevDevices
-	g := m.Graph
-	prec := g.Precision
-	bpe := prec.BytesPerElem()
+	x := m.pricer(k.firstDev, st.Devices, k.microBatch, a)
+	var sm StageMetrics
+	x.addOps(&sm, st, st.Start, st.End, stageEntry)
+	x.stash(&sm, st)
+	// Stage-boundary transfer from the previous stage.
+	if k.prevDevices > 0 {
+		in := &m.Graph.Ops[st.Start-1]
+		lanes := min(k.prevDevices, st.Devices)
+		bytes := in.ActElems * float64(k.microBatch) * x.bpe / float64(lanes)
+		pl := collective.PlacementFor(&m.Cluster, k.firstDev-1, 2)
+		t := m.Prof.P2P(bytes, k.firstDev-1, pl)
+		m.checkTerms(t)
+		sm.FwdTime += t
+		sm.BwdTime += t
+		sm.P2P += 2 * t
+	}
+	sm.PeakMem = peakMem(&sm, k.inflight)
+	sm.Devices = st.Devices
+	return sm
+}
+
+// peakMem is Eq. 1 over a stage's memory terms.
+func peakMem(sm *StageMetrics, inflight int) float64 {
+	return sm.ParamMem + sm.OptMem + sm.ActPerMB*float64(inflight) + sm.ExtraMem
+}
+
+// pricer is what the operators of one stage evaluation read besides
+// themselves: the model, the stage's first device, device count and
+// microbatch, the precision and straggler derate, and the arena's
+// operator records under the model's number (nil prices every operator).
+type pricer struct {
+	m                             *Model
+	firstDev, devices, microBatch int
+	prec                          hardware.Precision
+	bpe, derate                   float64
+	id                            uint64
+	recs                          []opRecord
+	fresh                         opRecord // the record of an operator priced without an arena
+	// borrow reads the records but prices a mismatch into fresh, so a
+	// trial's window leaves the records of its base as they were.
+	borrow bool
+}
+
+func (m *Model) pricer(firstDev, devices, microBatch int, a *EstArena) pricer {
+	prec := m.Graph.Precision
 	// Straggler semantics: the stage's SPMD ranks advance in lockstep,
 	// so every kernel runs at the pace of the range's slowest device
 	// (1 on a healthy cluster).
-	derate := m.Cluster.RangeFLOPSScale(firstDev, st.Devices, prec)
-	var recs []opRecord
-	var id uint64
-	if a != nil && firstDev+st.Devices <= math.MaxInt32 && microBatch <= math.MaxInt32 {
-		if len(a.ops) < len(g.Ops) {
-			a.ops = make([]opRecord, len(g.Ops))
+	x := pricer{m: m, firstDev: firstDev, devices: devices, microBatch: microBatch, prec: prec,
+		bpe: prec.BytesPerElem(), derate: m.Cluster.RangeFLOPSScale(firstDev, devices, prec)}
+	if a != nil && firstDev+devices <= math.MaxInt32 && microBatch <= math.MaxInt32 {
+		if len(a.ops) < len(m.Graph.Ops) {
+			a.ops = make([]opRecord, len(m.Graph.Ops))
 		}
-		id, recs = m.ident(), a.ops
+		x.id, x.recs = m.ident(), a.ops
 	}
-	var fresh opRecord
-	var sm StageMetrics
-	// Layout tracking across the stage for relayout collectives.
-	curLayout := model.Replicated
-	curTP := 1
-	prevDP := 0
-	var prevActBytes float64 // per-sample output bytes of previous op
+	return x
+}
 
-	for j := st.Start; j < st.End; j++ {
-		op := &g.Ops[j]
-		set := st.Setting(j)
-		dim := op.Dims[set.Dim]
-		samples := microBatch / set.DP
+// opChain is what an operator's terms read of the operator before it in
+// its stage: the layout, tp and dp of that operator's output (dp 0 at
+// the stage's first operator) and its per-sample output bytes.
+type opChain struct {
+	layout model.Layout
+	tp, dp int
+	act    float64
+}
 
-		// Effective compute sharding.
-		shards := 1
-		outLayout := dim.Out
-		relayout := false
-		switch dim.Name {
-		case model.DimNone.Name:
-			outLayout = model.Replicated
-			if set.SeqPar && set.TP > 1 {
-				// Sequence parallelism splits the replicated
-				// region's tokens across the tp group.
-				shards = set.TP
-			}
-		case model.DimPass.Name:
-			// Layout-polymorphic: follows the incoming layout.
-			if curLayout == model.Split && set.TP == curTP {
-				shards = set.TP
-				outLayout = model.Split
-			} else {
-				outLayout = curLayout
-			}
-		default:
-			if set.TP > 1 {
-				shards = set.TP
-			}
-			// Relayout: a Split activation feeding an op that
-			// expects Replicated input costs an all-gather.
-			relayout = dim.In == model.Replicated && curLayout == model.Split && curTP > 1
+// stageEntry is the chain a stage's first operator reads.
+var stageEntry = opChain{layout: model.Replicated, tp: 1}
+
+// flow is operator op's control flow under set and incoming chain in:
+// its compute shards, whether its input needs an all-gather relayout,
+// and the chain its successor reads.
+func flow(op *model.Op, set *config.OpSetting, in opChain) (shards int, relayout bool, out opChain) {
+	dim := op.Dims[set.Dim]
+	shards, out = 1, opChain{dim.Out, set.TP, set.DP, op.ActElems}
+	switch dim.Name {
+	case model.DimNone.Name:
+		out.layout = model.Replicated
+		if set.SeqPar && set.TP > 1 {
+			// Sequence parallelism splits the replicated region's
+			// tokens across the tp group.
+			shards = set.TP
 		}
-		// Changing the dp degree mid-stage redistributes samples
-		// across the whole stage group. This is data-parallel
-		// reshard traffic, not a tensor-parallel collective.
-		reshard := prevDP != 0 && set.DP != prevDP
+	case model.DimPass.Name:
+		// Layout-polymorphic: follows the incoming layout.
+		if in.layout == model.Split && set.TP == in.tp {
+			shards, out.layout = set.TP, model.Split
+		} else {
+			out.layout = in.layout
+		}
+	default:
+		if set.TP > 1 {
+			shards = set.TP
+		}
+		// Relayout: a Split activation feeding an op that expects
+		// Replicated input costs an all-gather.
+		relayout = dim.In == model.Replicated && in.layout == model.Split && in.tp > 1
+	}
+	return shards, relayout, out
+}
+
+// addOps adds the terms of st's operators [from, to), entered with
+// chain in, to sm in operator order, and returns the chain operator to
+// reads. It is the one per-operator body of the model: evalStage and
+// Batch.Bound both add through it. Pricing — every lookup an operator
+// makes — is read from its record when the record holds the same
+// inputs; the terms are then added in the order the lookups were made.
+func (x *pricer) addOps(sm *StageMetrics, st *config.Stage, from, to int, in opChain) opChain {
+	m, prec, bpe := x.m, x.prec, x.bpe
+	for j := from; j < to; j++ {
+		set := st.Setting(j)
+		op := &m.Graph.Ops[j]
+		dim := op.Dims[set.Dim]
+		samples := x.microBatch / set.DP
+		shards, relayout, out := flow(op, set, in)
+		// Changing the dp degree mid-stage redistributes samples across the
+		// whole stage group. This is data-parallel reshard traffic, not a
+		// tensor-parallel collective.
+		reshard := in.dp != 0 && set.DP != in.dp
 		// Tensor-parallel collectives (Megatron f/g conjugates):
-		// row-parallel all-reduces its output in forward; the
-		// paired column-parallel all-reduces gradients in backward.
+		// row-parallel all-reduces its output in forward; the paired
+		// column-parallel all-reduces gradients in backward.
 		tpOut := set.TP > 1 && dim.AllReduceOut
 		tpIn := set.TP > 1 && !dim.AllReduceOut && dim.In == model.Replicated && dim.Out == model.Split
 		paramBytes := op.Params * bpe / float64(set.TP)
 		dpSync := set.DP > 1 && op.Params > 0
 
-		// Pricing: every lookup the operator makes, read from its
-		// record when the record holds the same inputs.
-		in := opInputs{id, int32(firstDev), int32(st.Devices), int32(microBatch), int32(set.TP), int32(set.DP), int32(set.Dim),
-			int32(curTP), int32(prevDP), set.ZeRO, set.SeqPar, curLayout == model.Split}
-		r := &fresh
-		if recs != nil {
-			r = &recs[j]
+		key := opInputs{x.id, int32(x.firstDev), int32(x.devices), int32(x.microBatch), int32(set.TP), int32(set.DP), int32(set.Dim),
+			int32(in.tp), int32(in.dp), set.ZeRO, set.SeqPar, in.layout == model.Split}
+		r := &x.fresh
+		if x.recs != nil && (!x.borrow || x.recs[j].in == key) {
+			r = &x.recs[j]
 		}
-		if recs == nil || r.in != in {
-			r.in = in
+		if r == &x.fresh || r.in != key {
+			r.in = key
 			if priceHook != nil {
 				priceHook()
 			}
+			firstDev := x.firstDev
 			tpPlace := collective.PlacementFor(&m.Cluster, firstDev, set.TP)
 			if relayout {
-				r.relayout = m.Prof.AllGather(prevActBytes*float64(samples)*bpe, firstDev, curTP, tpPlace)
+				r.relayout = m.Prof.AllGather(in.act*float64(samples)*bpe, firstDev, in.tp, tpPlace)
 			}
 			if reshard {
-				r.reshard = m.Prof.AllGather(prevActBytes*float64(microBatch)*bpe/float64(st.Devices), firstDev, st.Devices,
-					collective.PlacementFor(&m.Cluster, firstDev, st.Devices))
+				r.reshard = m.Prof.AllGather(in.act*float64(x.microBatch)*bpe/float64(x.devices), firstDev, x.devices,
+					collective.PlacementFor(&m.Cluster, firstDev, x.devices))
 			}
-			r.fwd = m.Prof.OpTime(op, set.TP, set.Dim, samples, shards, false, prec) / derate
-			r.bwd = m.Prof.OpTime(op, set.TP, set.Dim, samples, shards, true, prec) / derate
+			r.fwd = m.Prof.OpTime(op, set.TP, set.Dim, samples, shards, false, prec) / x.derate
+			r.bwd = m.Prof.OpTime(op, set.TP, set.Dim, samples, shards, true, prec) / x.derate
 			if tpOut || tpIn {
-				// Column-parallel all-reduces the input gradient,
-				// whose per-sample size is the previous activation.
+				// Column-parallel all-reduces the input gradient, whose
+				// per-sample size is the previous activation.
 				elems := op.ActElems
 				if tpIn {
-					elems = prevActBytes
+					elems = in.act
 				}
 				r.tp = m.Prof.AllReduce(elems*float64(samples)*bpe, firstDev, set.TP, tpPlace)
 			}
 			if dpSync {
-				dpPlace := collective.PlacementFor(&m.Cluster, firstDev, st.Devices)
+				dpPlace := collective.PlacementFor(&m.Cluster, firstDev, x.devices)
 				r.dp = m.Prof.AllReduce(paramBytes, firstDev, set.DP, dpPlace)
 				if set.ZeRO {
-					// Each rank updates its optimizer shard; the
-					// refreshed parameters all-gather back.
+					// Each rank updates its optimizer shard; the refreshed
+					// parameters all-gather back.
 					r.zero = m.Prof.AllGather(paramBytes, firstDev, set.DP, dpPlace)
 				}
 			}
+			m.checkTerms(r.relayout, r.reshard, r.fwd, r.bwd, r.tp, r.dp, r.zero)
 		}
 
-		// Accumulation, in the order the lookups were made.
 		if relayout {
 			sm.FwdTime += r.relayout
 			sm.BwdTime += r.relayout // mirrored reduce-scatter in backward
@@ -470,7 +528,7 @@ func (m *Model) evalStage(st *config.Stage, k stageKey, a *EstArena) StageMetric
 		sm.OptMem += opt
 
 		actShare := 1.0
-		if outLayout == model.Split {
+		if out.layout == model.Split {
 			actShare = float64(shards)
 		} else if set.SeqPar && set.TP > 1 {
 			// Sequence-parallel regions stash 1/tp of the tokens.
@@ -494,39 +552,43 @@ func (m *Model) evalStage(st *config.Stage, k stageKey, a *EstArena) StageMetric
 				sm.DPSync += r.zero
 			}
 		}
-
-		curLayout = outLayout
-		curTP = set.TP
-		prevActBytes = op.ActElems
-		prevDP = set.DP
+		in = out
 	}
+	return in
+}
 
-	// Stage input stash: the boundary activation is always kept so
-	// recomputation can restart from it.
+// stash adds the stage's input stash: the boundary activation is always
+// kept so recomputation can restart from it.
+func (x *pricer) stash(sm *StageMetrics, st *config.Stage) {
 	if st.Start > 0 {
-		in := &g.Ops[st.Start-1]
-		firstSet := st.Setting(st.Start)
-		sm.ActPerMB += in.ActElems * float64(microBatch/firstSet.DP) * bpe
+		in := &x.m.Graph.Ops[st.Start-1]
+		sm.ActPerMB += in.ActElems * float64(x.microBatch/st.Ops[0].DP) * x.bpe
 	}
+}
 
-	// Stage-boundary transfer from the previous stage.
-	if prevDevices > 0 {
-		in := &g.Ops[st.Start-1]
-		lanes := prevDevices
-		if st.Devices < lanes {
-			lanes = st.Devices
+// checkTerms marks the model's terms unsound when a price is negative or
+// not finite. Prices are made rarely: records and the stage cache reuse
+// them.
+func (m *Model) checkTerms(prices ...float64) {
+	for _, v := range prices {
+		if !(v >= 0 && v <= math.MaxFloat64) {
+			m.terms.Store(2)
 		}
-		bytes := in.ActElems * float64(microBatch) * bpe / float64(lanes)
-		pl := collective.PlacementFor(&m.Cluster, firstDev-1, 2)
-		t := m.Prof.P2P(bytes, firstDev-1, pl)
-		sm.FwdTime += t
-		sm.BwdTime += t
-		sm.P2P += 2 * t
 	}
+}
 
-	sm.PeakMem = sm.ParamMem + sm.OptMem + sm.ActPerMB*float64(k.inflight) + sm.ExtraMem
-	sm.Devices = st.Devices
-	return sm
+// termsSound reports whether every term the model adds is finite and
+// nonnegative, as Batch.Bound's rounding argument needs: its graph
+// validates and no price it made was negative or not finite.
+func (m *Model) termsSound() bool {
+	if m.terms.Load() == 0 {
+		v := int32(1)
+		if m.Graph.Validate() != nil {
+			v = 2
+		}
+		m.terms.CompareAndSwap(0, v)
+	}
+	return m.terms.Load() == 1
 }
 
 // composeIterTime fills StageTime and IterTime from the per-stage

@@ -13,12 +13,10 @@ import (
 	"sync/atomic"
 	"time"
 
-	"aceso/internal/config"
 	"aceso/internal/core"
 	"aceso/internal/hardware"
 	"aceso/internal/model"
 	"aceso/internal/obs"
-	"aceso/internal/perfmodel"
 	"aceso/internal/plancache"
 )
 
@@ -478,8 +476,6 @@ func (t *sseTracer) OnIteration(ev obs.IterationEvent) {
 		t.fl.Flush()
 	}
 }
-
-func (t *sseTracer) OnEstimate(*config.Config, *perfmodel.Estimate) {}
 
 // servePlanSSE streams progress frames followed by a final result
 // frame. SSE responses are never cache hits (the point is watching the
