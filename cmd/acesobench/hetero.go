@@ -27,8 +27,8 @@ func caseStudyOptions(seed int64) core.Options {
 // the fleet (its device classes, its reclaim hazard).
 type blindComparison struct {
 	Aware, Blind *core.Result
-	// BlindBest is the plan of the blind search — its best or one of its
-	// top-K — that is cheapest once priced under the truth, BlindCost
+	// BlindBest is the plan of the blind search's top-K (its best
+	// first) that is cheapest once priced under the truth, BlindCost
 	// that price, and Feasible how many of those plans the truth accepts.
 	BlindBest core.Candidate
 	BlindCost float64
@@ -53,7 +53,7 @@ func awareVsBlind(g *model.Graph, truth, blind hardware.Cluster, opts core.Optio
 		return nil, err
 	}
 	cmp := &blindComparison{Aware: aware, Blind: blindRes}
-	for _, cand := range append([]core.Candidate{blindRes.Best}, blindRes.TopK...) {
+	for _, cand := range blindRes.TopK {
 		if cand.Config == nil {
 			continue
 		}
@@ -151,7 +151,7 @@ func runHetero(e *env) (any, []string, error) {
 	fmt.Fprintf(e.w, "hetero: mixed-aware %.4fs (explored %d, plan %s)\n",
 		heteroTime, cmp.Aware.Explored, heteroPlan)
 	fmt.Fprintf(e.w, "hetero: class-blind %.4fs re-priced (explored %d, %d/%d plans feasible) — speedup %.3fx\n",
-		cmp.BlindCost, cmp.Blind.Explored, cmp.Feasible, 1+len(cmp.Blind.TopK), cmp.BlindCost/heteroTime)
+		cmp.BlindCost, cmp.Blind.Explored, cmp.Feasible, len(cmp.Blind.TopK), cmp.BlindCost/heteroTime)
 	fmt.Fprintf(e.w, "hetero: homogeneous baselines: all-A100 %.4fs, all-V100 %.4fs\n", a100Time, v100Time)
 	var g gates
 	g.gate(heteroTime < cmp.BlindCost, "hetero-aware plan (%.6fs) does not strictly beat the best class-blind plan (%.6fs)",

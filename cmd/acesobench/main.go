@@ -47,26 +47,26 @@ type target struct {
 // runs them. Every "trials" below is one chaos.Run per scenario under
 // -trials and -duration (runTrials).
 var registry = []target{
-	figure("fig1", "configuration-space size vs layers and mechanisms (analytic)",
-		func(exps.Settings) ([]exps.Fig1Row, error) { return exps.Fig1(nil), nil }, exps.RenderFig1, exps.WriteFig1CSV),
-	e2e("fig7", "Exp#1: throughput of Aceso vs Megatron-grid vs Alpa-like", (*exps.E2E).RenderFig7),
-	e2e("fig8", "Exp#2: search cost of Aceso vs Alpa-like", (*exps.E2E).RenderFig8),
-	e2e("tables", "Tables 3-5: TFLOPS per GPU for GPT-3, Wide-ResNet, T5", (*exps.E2E).RenderTables),
-	e2e("fig15", "Exp#8: predicted vs simulated iteration time", (*exps.E2E).RenderFig15),
-	e2e("fig16", "Exp#9: predicted vs simulated peak memory", (*exps.E2E).RenderFig16),
-	figure("fig9", "Exp#3: scalability to 1K layers on 8 GPUs",
-		func(s exps.Settings) ([]exps.Fig9Row, error) { return exps.Fig9(s, nil) }, exps.RenderFig9, exps.WriteFig9CSV),
-	figure("fig10", "Exp#4: explored configurations and plan quality, pruned DP vs Aceso", exps.Fig10, exps.RenderFig10, exps.WriteFig10CSV),
-	figure("fig11", "Exp#5: bottlenecks and hops tried per improving iteration", exps.Fig11, exps.RenderFig11, exps.WriteFig11CSV),
-	curves("fig12", "Figure 12 (Exp#5): convergence with vs without Heuristic-2", exps.Fig12),
-	curves("fig13", "Figure 13 (Exp#6): convergence under different MaxHops", exps.Fig13),
-	curves("fig14", "Figure 14 (Exp#7): robustness to the initial configuration", exps.Fig14),
-	figure("ablations", "this implementation's own design ablations", exps.Ablations, exps.RenderAblations, nil),
+	paper("fig1", "configuration-space size vs layers and mechanisms (analytic)",
+		func(*env) ([]exps.Table, error) { return exps.Fig1(nil), nil }),
+	paper("fig7", "Exp#1: throughput of Aceso vs Megatron-grid vs Alpa-like", e2e((*exps.E2E).Fig7)),
+	paper("fig8", "Exp#2: search cost of Aceso vs Alpa-like", e2e((*exps.E2E).Fig8)),
+	paper("tables", "Tables 3-5: TFLOPS per GPU for GPT-3, Wide-ResNet, T5", e2e((*exps.E2E).TFLOPS)),
+	paper("fig15", "Exp#8: predicted vs simulated iteration time", e2e((*exps.E2E).Fig15)),
+	paper("fig16", "Exp#9: predicted vs simulated peak memory", e2e((*exps.E2E).Fig16)),
+	paper("fig9", "Exp#3: scalability to 1K layers on 8 GPUs",
+		tabled(func(s exps.Settings) (exps.Fig9Rows, error) { return exps.Fig9(s, nil) })),
+	paper("fig10", "Exp#4: explored configurations and plan quality, pruned DP vs Aceso", tabled(exps.Fig10)),
+	paper("fig11", "Exp#5: bottlenecks and hops tried per improving iteration", tabled(exps.Fig11)),
+	paper("fig12", "Exp#5: convergence with vs without Heuristic-2", tabled(exps.Fig12)),
+	paper("fig13", "Exp#6: convergence under different MaxHops", tabled(exps.Fig13)),
+	paper("fig14", "Exp#7: robustness to the initial configuration", tabled(exps.Fig14)),
+	paper("ablations", "this implementation's own design ablations", tabled(exps.Ablations)),
 	{name: "scale", run: runScale,
 		doc: "fixed-iteration searches on 1024/2048/4096 synthetic V100s: explored counts, allocation, 4096-vs-1024 linearity gate"},
-	figure("cases", "§5.4 case studies", exps.Cases, exps.RenderCases, nil),
-	figure("shared", "§1: samples a job trains on a shared cluster whose allocation keeps changing, cold vs warm Aceso vs Alpa-like",
-		exps.SharedCluster, exps.RenderShared, nil),
+	paper("cases", "§5.4 case studies", tabled(exps.Cases)),
+	paper("shared", "§1: samples a job trains on a shared cluster whose allocation keeps changing, cold vs warm Aceso vs Alpa-like",
+		tabled(exps.SharedCluster)),
 	{name: "trace", run: runTrace,
 		doc: "the fixed-iteration GPT-3 2.6B/16-V100 search with the JSONL, convergence and breakdown-audit tracers and the metrics registry attached; also writes BENCH_trace.jsonl; fails on any audit violation"},
 	{name: "diff", run: runDiff,
@@ -91,15 +91,6 @@ type env struct {
 	duration time.Duration
 
 	e2eRun *exps.E2E // the end-to-end run fig7, fig8, fig15, fig16 and tables share
-}
-
-// csv writes one machine-readable table into the -csv directory, if
-// one was given.
-func (e *env) csv(name string, write func(io.Writer) error) error {
-	if e.csvDir == "" {
-		return nil
-	}
-	return writeFile(filepath.Join(e.csvDir, name), write)
 }
 
 // writeFile creates path and fills it with what write produces.

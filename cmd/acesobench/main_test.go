@@ -61,6 +61,12 @@ func TestBenchFig7WithCSV(t *testing.T) {
 	if !strings.Contains(string(csv), "family,size,gpus") {
 		t.Errorf("csv header missing:\n%s", csv)
 	}
+	// Each target writes its own tables: one file per family, per case.
+	for _, name := range []string{"fig7_gpt3", "fig7_wresnet", "fig7_t5", "cases_gpt3-1.3B", "cases_wresnet-6.8B"} {
+		if _, err := os.Stat(filepath.Join(dir, name+".csv")); err != nil {
+			t.Errorf("%s.csv missing: %v", name, err)
+		}
+	}
 }
 
 func TestBenchFig10(t *testing.T) {

@@ -2,64 +2,80 @@ package main
 
 // The paper targets: Figure 1, Exp#1-9 (Figures 7-16, Tables 3-5), the
 // §5.4 case studies, the §1 shared-cluster scenario and this
-// implementation's ablations. Each renders its table to stdout and,
-// under -csv, writes the same rows as CSV; none has a report or a gate.
-// internal/exps does the work.
+// implementation's ablations. Each computes a list of tables, prints
+// them to stdout and, under -csv, writes the same rows as CSV; none has
+// a report or a gate. internal/exps does the work.
 
 import (
 	"fmt"
-	"io"
+	"path/filepath"
+	"strings"
 
 	"aceso/internal/exps"
 )
 
-// paper wraps a render-only experiment as a target of "all".
-func paper(name, doc string, run func(*env) error) target {
-	return target{name: name, doc: doc, inAll: true,
-		run: func(e *env) (any, []string, error) { return nil, nil, run(e) }}
+// paper is a paper target: a member of "all" whose run computes the
+// tables it prints and writes.
+func paper(name, doc string, run func(*env) ([]exps.Table, error)) target {
+	return target{name: name, doc: doc, inAll: true, run: func(e *env) (any, []string, error) {
+		tables, err := run(e)
+		if err != nil {
+			return nil, nil, err
+		}
+		exps.Print(e.w, tables)
+		return nil, nil, e.csv(name, tables)
+	}}
 }
 
-// e2e is a target rendered from the end-to-end comparison, which runs
-// once per invocation however many of its five views are selected.
-func e2e(name, doc string, render func(*exps.E2E, io.Writer)) target {
-	return paper(name, doc, func(e *env) error {
+// tabled is an experiment run under the command line's settings.
+func tabled[R interface{ Tables() []exps.Table }](run func(exps.Settings) (R, error)) func(*env) ([]exps.Table, error) {
+	return func(e *env) ([]exps.Table, error) {
+		r, err := run(e.set)
+		if err != nil {
+			return nil, err
+		}
+		return r.Tables(), nil
+	}
+}
+
+// e2e is a view of the end-to-end comparison, which runs the first time
+// one of its five views is asked for and writes its cells as e2e.csv;
+// later views reuse the run.
+func e2e(view func(*exps.E2E) []exps.Table) func(*env) ([]exps.Table, error) {
+	return func(e *env) ([]exps.Table, error) {
 		if e.e2eRun == nil {
 			fmt.Fprintf(e.w, "running end-to-end comparison (budget %v/search, %d sizes)...\n", e.set.Budget, e.set.Sizes)
 			run, err := exps.RunE2E(e.set, nil)
 			if err != nil {
-				return err
+				return nil, err
 			}
-			if err := e.csv("e2e.csv", run.WriteCSV); err != nil {
-				return err
+			if err := e.csv("e2e", run.Raw()); err != nil {
+				return nil, err
 			}
 			e.e2eRun = run
 		}
-		render(e.e2eRun, e.w)
-		return nil
-	})
+		return view(e.e2eRun), nil
+	}
 }
 
-// figure is a target computed in one call: run produces the rows,
-// render prints them and writeCSV, when the figure has a CSV form,
-// writes them as <name>.csv.
-func figure[R any](name, doc string, run func(exps.Settings) (R, error),
-	render func(io.Writer, R), writeCSV func(io.Writer, R) error) target {
-	return paper(name, doc, func(e *env) error {
-		rows, err := run(e.set)
-		if err != nil {
+// csv writes every table that has columns into the -csv directory, if
+// one was given: <name>.csv, or <name>_<key>.csv for a keyed table, its
+// key's spaces made '-' and its commas and parentheses dropped.
+func (e *env) csv(name string, tables []exps.Table) error {
+	if e.csvDir == "" {
+		return nil
+	}
+	for _, t := range tables {
+		if len(t.Cols) == 0 {
+			continue
+		}
+		file := name
+		if t.Key != "" {
+			file += "_" + strings.NewReplacer(" ", "-", ",", "", "(", "", ")", "").Replace(t.Key)
+		}
+		if err := writeFile(filepath.Join(e.csvDir, file+".csv"), t.WriteCSV); err != nil {
 			return err
 		}
-		render(e.w, rows)
-		if writeCSV == nil {
-			return nil
-		}
-		return e.csv(name+".csv", func(f io.Writer) error { return writeCSV(f, rows) })
-	})
-}
-
-// curves is a convergence-curve figure; its doc line is the figure's
-// title.
-func curves(name, doc string, run func(exps.Settings) (map[string][]exps.Curve, error)) target {
-	return figure(name, doc, run,
-		func(w io.Writer, groups map[string][]exps.Curve) { exps.RenderCurves(w, doc, groups) }, exps.WriteCurvesCSV)
+	}
+	return nil
 }

@@ -234,7 +234,7 @@ func searchTrial(rng *rand.Rand, _ int64) (bool, *Violation) {
 	if verr := res.Best.Config.Validate(g, cl.TotalDevices()); verr != nil {
 		return false, violation("invalid-plan", "best config fails Validate: %v (degraded=%v)", verr, degraded)
 	}
-	for _, c := range append([]core.Candidate{res.Best}, res.TopK...) {
+	for _, c := range res.TopK {
 		if math.IsNaN(c.Score) || math.IsInf(c.Score, 0) {
 			return false, violation("non-finite", "candidate score %v", c.Score)
 		}

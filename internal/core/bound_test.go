@@ -52,6 +52,54 @@ func runBounded(t *testing.T, g *model.Graph, cl hardware.Cluster, opts Options,
 	return r
 }
 
+// bothTrialPaths runs check twice: with fine-tune trials decided by
+// their bound, as every search decides them, and with every trial sent
+// to the exact estimate, so that an estimate tracer sees every
+// configuration counted. reg is a fresh registry for Options.Metrics.
+func bothTrialPaths(t *testing.T, check func(exact bool, reg *obs.Registry)) {
+	t.Cleanup(func() { trialHooks.exact = false })
+	for _, exact := range []bool{false, true} {
+		trialHooks.exact = exact
+		check(exact, obs.NewRegistry())
+	}
+	trialHooks.exact = false
+}
+
+// rejectedByBound is how many fine-tune trials the bound rejected in the
+// searches that reported to reg: counted as explored, never estimated.
+func rejectedByBound(reg *obs.Registry) int {
+	return int(reg.Counter(obs.FineTuneTrialsTotal + `{decided="bound"}`).Value())
+}
+
+// TestEstimateTracerChangesNoWork: attaching a tracer that observes
+// estimates changes nothing a search computes — the same configurations
+// explored and the same stage-cache hits and misses on a fresh model.
+// One worker runs the stage-count tasks in turn, so two lookups of one
+// key never race to count a miss each.
+func TestEstimateTracerChangesNoWork(t *testing.T) {
+	g, _ := model.GPT3("350M")
+	cl := hardware.DGX1V100(2)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	run := func(tr obs.Tracer) (int, [2]uint64) {
+		pm := perfmodel.New(g, cl, 1)
+		res, err := Search(g, cl, Options{TimeBudget: time.Hour, MaxIterations: 2, Seed: 1, Model: pm, Tracer: tr})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var stats [2]uint64
+		stats[0], stats[1] = pm.StageCacheStats()
+		return res.Explored, stats
+	}
+	explored, stats := run(nil)
+	auditor := obs.NewAuditor()
+	if e, s := run(auditor); e != explored || s != stats {
+		t.Errorf("with an auditor: explored %d, stage cache (hits, misses) %v; bare: %d, %v", e, s, explored, stats)
+	}
+	if auditor.Checked() == 0 || auditor.Err() != nil {
+		t.Errorf("auditor checked %d estimates: %v", auditor.Checked(), auditor.Err())
+	}
+}
+
 // TestBoundedTrialsMatchExact: a fine-tune trial rejected by its bound
 // is one the exact comparison rejects. Over the determinism zoo and the
 // extended-primitives rows (spot fleets included), a search whose

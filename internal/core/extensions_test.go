@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -10,12 +11,18 @@ import (
 )
 
 func TestExtensionTableShape(t *testing.T) {
-	if len(ExtensionTable) != 4 {
-		t.Fatalf("ExtensionTable has %d primitives, want 4", len(ExtensionTable))
+	var ext []*Primitive
+	for i := range Table {
+		if Table[i].Extended {
+			ext = append(ext, &Table[i])
+		}
+	}
+	if len(ext) != 4 {
+		t.Fatalf("Table has %d extended primitives, want 4", len(ext))
 	}
 	pairs := [][2]string{{"inc-zr", "dec-zr"}, {"inc-sp", "dec-sp"}}
 	for pi, pr := range pairs {
-		inc, dec := &ExtensionTable[2*pi], &ExtensionTable[2*pi+1]
+		inc, dec := ext[2*pi], ext[2*pi+1]
 		if inc.Name != pr[0] || dec.Name != pr[1] {
 			t.Fatalf("extension primitive names wrong: %s/%s", inc.Name, dec.Name)
 		}
@@ -25,9 +32,17 @@ func TestExtensionTableShape(t *testing.T) {
 			}
 		}
 	}
+	// The extended query lists Table 1's eligible primitives first, in
+	// the paper-faithful order.
+	for _, r := range []Resource{Comp, Comm, Mem} {
+		base, all := names(Eligible(r, false)), names(Eligible(r, true))
+		if len(all) < len(base) || !slices.Equal(all[:len(base)], base) {
+			t.Errorf("%v: extended eligibility %v does not start with %v", r, all, base)
+		}
+	}
 	// inc-zr must be eligible for memory bottlenecks (and only there).
 	found := false
-	for _, p := range EligibleExtended(Mem) {
+	for _, p := range Eligible(Mem, true) {
 		if p.Name == "inc-zr" {
 			found = true
 		}
@@ -35,14 +50,14 @@ func TestExtensionTableShape(t *testing.T) {
 	if !found {
 		t.Error("inc-zr not eligible for Mem")
 	}
-	for _, p := range Eligible(Mem) {
+	for _, p := range Eligible(Mem, false) {
 		if p.Name == "inc-zr" {
 			t.Error("inc-zr leaked into the paper-faithful table")
 		}
 	}
 	// dec-zr relieves communication.
 	found = false
-	for _, p := range EligibleExtended(Comm) {
+	for _, p := range Eligible(Comm, true) {
 		if p.Name == "dec-zr" {
 			found = true
 		}
@@ -133,14 +148,13 @@ func TestDeviceMovesClearDanglingZeRO(t *testing.T) {
 	if err := cfg.Validate(g, 16); err != nil {
 		t.Fatal(err)
 	}
-	for _, prim := range []string{"inc-tp", "dec-tp", "inc-dp", "dec-dp"} {
-		p := PrimitiveByName(prim)
+	for _, p := range Table[4:8] { // inc-dp, dec-dp, inc-tp, dec-tp
 		for _, c := range p.apply(s, cfg, 1, nil) {
 			if c == nil {
 				continue
 			}
 			if err := c.Validate(g, 16); err != nil {
-				t.Errorf("%s left an invalid config: %v", prim, err)
+				t.Errorf("%s left an invalid config: %v", p.Name, err)
 			}
 		}
 	}

@@ -58,7 +58,7 @@ func TestHeteroSearchBeatsClassBlind(t *testing.T) {
 	// planner could actually deploy.
 	truth := perfmodel.New(g, mixed, opts.Seed)
 	bestBlind := 0.0
-	for _, cand := range append([]Candidate{blindRes.Best}, blindRes.TopK...) {
+	for _, cand := range blindRes.TopK {
 		if cand.Config == nil {
 			continue
 		}

@@ -2,10 +2,10 @@ package core
 
 import (
 	"testing"
-	"time"
 
 	"aceso/internal/config"
 	"aceso/internal/model"
+	"aceso/internal/obs"
 )
 
 func TestAttachRecomputeFixesOOM(t *testing.T) {
@@ -124,7 +124,9 @@ func TestMultiHopRespectsMaxHops(t *testing.T) {
 func TestMultiHopDeadlineCutoff(t *testing.T) {
 	g, _ := model.GPT3("350M")
 	s := testSearcher(t, g, 4)
-	s.deadline = time.Now().Add(-time.Second) // already expired
+	done := make(chan struct{})
+	close(done)
+	s.done = done // already expired
 	cfg := mustBalanced(t, g, 4, 2, 1)
 	bns := Bottlenecks(s.estimate(cfg), s.cluster.MemoryBytes)
 	if found, _, _ := s.multiHop(cfg, s.estimate(cfg), bns[0], 0, 1e30); found != nil {
@@ -134,15 +136,19 @@ func TestMultiHopDeadlineCutoff(t *testing.T) {
 
 func TestVisitedDedupAcrossHops(t *testing.T) {
 	// Every config estimated as new during a short search has a key of
-	// its own, and explored counts each once (invariant 7: the search
-	// never revisits).
+	// its own, and explored counts each once with the trials a bound
+	// rejected unestimated (invariant 7: the search never revisits).
 	g, _ := model.GPT3("350M")
-	s := testSearcher(t, g, 4)
-	s.opts.MaxIterations = 3
-	audit := newEstimateAuditor(t, g, 4)
-	s.tracer = audit
-	s.run(mustBalanced(t, g, 4, 2, 1))
-	if audit.estimated != s.explored || s.explored == 0 {
-		t.Errorf("audited %d estimates but explored counted %d", audit.estimated, s.explored)
-	}
+	bothTrialPaths(t, func(exact bool, reg *obs.Registry) {
+		s := testSearcher(t, g, 4)
+		s.opts.MaxIterations = 3
+		s.met = newSearchMeters(reg)
+		audit := newEstimateAuditor(t, g, 4)
+		s.tracer = audit
+		s.run(mustBalanced(t, g, 4, 2, 1))
+		if rejected := rejectedByBound(reg); audit.estimated+rejected != s.explored || s.explored == 0 {
+			t.Errorf("exact trials %v: audited %d estimates and the bound rejected %d, but explored counted %d",
+				exact, audit.estimated, rejected, s.explored)
+		}
+	})
 }

@@ -55,14 +55,13 @@ const (
 // multi-hop search ranks by estimated performance), appended to a slice
 // the caller owns.
 type Primitive struct {
-	Name      string
-	Mechanism string
-	Comp      Trend
-	Comm      Trend
-	Mem       Trend
-	// Partner is true for primitives that necessarily modify a second
-	// stage (inc/dec-op#, inc/dec-dp, inc/dec-tp; §3.2.1).
-	Partner bool
+	Name string
+	Comp Trend
+	Comm Trend
+	Mem  Trend
+	// Extended marks a primitive beyond the paper's Table 1, eligible
+	// only under Options.ExtendedPrimitives.
+	Extended bool
 
 	apply func(s *searcher, cfg *config.Config, stage int, out []*config.Config) []*config.Config
 }
@@ -79,62 +78,77 @@ func (p *Primitive) effect(r Resource) Trend {
 	}
 }
 
-// Table is the reconfiguration-primitive table (Table 1). Trends
-// describe the bottleneck stage's consumption: e.g. inc-dp halves the
-// stage's per-device compute and activation memory at the price of
-// data-parallel synchronization traffic.
+// Table is the reconfiguration-primitive table: Table 1, then the
+// extended primitives. Trends describe the bottleneck stage's
+// consumption: e.g. inc-dp halves the stage's per-device compute and
+// activation memory at the price of data-parallel synchronization
+// traffic.
 var Table = []Primitive{
-	{Name: "inc-op#", Mechanism: "pipeline", Comp: Up, Comm: Flat, Mem: Up, Partner: true,
+	{Name: "inc-op#", Comp: Up, Comm: Flat, Mem: Up,
 		apply: applyIncOps},
-	{Name: "dec-op#", Mechanism: "pipeline", Comp: Down, Comm: Flat, Mem: Down, Partner: true,
+	{Name: "dec-op#", Comp: Down, Comm: Flat, Mem: Down,
 		apply: applyDecOps},
-	{Name: "inc-mbs", Mechanism: "pipeline", Comp: Down, Comm: Flat, Mem: Up,
+	{Name: "inc-mbs", Comp: Down, Comm: Flat, Mem: Up,
 		apply: applyIncMBS},
-	{Name: "dec-mbs", Mechanism: "pipeline", Comp: Up, Comm: Flat, Mem: Down,
+	{Name: "dec-mbs", Comp: Up, Comm: Flat, Mem: Down,
 		apply: applyDecMBS},
-	{Name: "inc-dp", Mechanism: "data", Comp: Down, Comm: Up, Mem: Down, Partner: true,
+	{Name: "inc-dp", Comp: Down, Comm: Up, Mem: Down,
 		apply: resize(true, true)},
-	{Name: "dec-dp", Mechanism: "data", Comp: Up, Comm: Down, Mem: Up, Partner: true,
+	{Name: "dec-dp", Comp: Up, Comm: Down, Mem: Up,
 		apply: resize(false, true)},
-	{Name: "inc-tp", Mechanism: "tensor", Comp: Down, Comm: Up, Mem: Down, Partner: true,
+	{Name: "inc-tp", Comp: Down, Comm: Up, Mem: Down,
 		apply: resize(true, false)},
-	{Name: "dec-tp", Mechanism: "tensor", Comp: Up, Comm: Down, Mem: Up, Partner: true,
+	{Name: "dec-tp", Comp: Up, Comm: Down, Mem: Up,
 		apply: resize(false, false)},
-	{Name: "inc-rc", Mechanism: "recompute", Comp: Up, Comm: Flat, Mem: Down,
+	{Name: "inc-rc", Comp: Up, Comm: Flat, Mem: Down,
 		apply: applyIncRC},
-	{Name: "dec-rc", Mechanism: "recompute", Comp: Down, Comm: Flat, Mem: Up,
+	{Name: "dec-rc", Comp: Down, Comm: Flat, Mem: Up,
 		apply: applyDecRC},
+	// The extended primitives follow §3.2.1's note that "Aceso can be
+	// extended with new primitives for future research". inc-zr/dec-zr
+	// toggle ZeRO-1 optimizer-state sharding across a stage's
+	// data-parallel groups: memory drops by (dp−1)/dp of the optimizer
+	// states at the cost of a parameter all-gather per iteration.
+	{Name: "inc-zr", Comp: Flat, Comm: Up, Mem: Down, Extended: true,
+		apply: toggle(true, true)},
+	{Name: "dec-zr", Comp: Flat, Comm: Down, Mem: Up, Extended: true,
+		apply: toggle(true, false)},
+	// Sequence parallelism is close to a free lunch on the tp-heavy
+	// stages it applies to (Korthikanti et al. 2022): replicated-region
+	// activations and compute shrink by tp at equal communication
+	// volume — which is why inc-sp is eligible for both compute and
+	// memory bottlenecks and dec-sp for neither (it exists as the
+	// inverse for completeness).
+	{Name: "inc-sp", Comp: Down, Comm: Flat, Mem: Down, Extended: true,
+		apply: toggle(false, true)},
+	{Name: "dec-sp", Comp: Up, Comm: Flat, Mem: Up, Extended: true,
+		apply: toggle(false, false)},
 }
 
-// eligibleByResource memoizes Eligible per resource: the table is
-// immutable after init and the multi-hop search queries it at every
-// node, so the query must not allocate.
-var eligibleByResource = func() (m [3][]*Primitive) {
-	for _, r := range []Resource{Comp, Comm, Mem} {
-		for i := range Table {
-			if Table[i].effect(r) == Down {
-				m[r] = append(m[r], &Table[i])
+// eligible memoizes Eligible by (extended, resource), in table order:
+// the table is immutable after init and the multi-hop search queries it
+// at every node, so the query must not allocate.
+var eligible = func() (m [2][3][]*Primitive) {
+	for ext := range m {
+		for r := range m[ext] {
+			for i := range Table {
+				if Table[i].effect(Resource(r)) == Down && (ext == 1 || !Table[i].Extended) {
+					m[ext][r] = append(m[ext][r], &Table[i])
+				}
 			}
 		}
 	}
 	return m
 }()
 
-// Eligible returns the primitives that decrease consumption of r —
-// the table query of §3.2.2. The returned slice is shared and must
-// not be mutated.
-func Eligible(r Resource) []*Primitive {
-	return eligibleByResource[r]
-}
-
-// PrimitiveByName returns the table row with the given name, or nil.
-func PrimitiveByName(name string) *Primitive {
-	for i := range Table {
-		if Table[i].Name == name {
-			return &Table[i]
-		}
+// Eligible returns the primitives that decrease consumption of r — the
+// table query of §3.2.2 — among Table 1's, or among all when extended.
+// The returned slice is shared and must not be mutated.
+func Eligible(r Resource, extended bool) []*Primitive {
+	if extended {
+		return eligible[1][r]
 	}
-	return nil
+	return eligible[0][r]
 }
 
 // ---------- helpers shared by the apply functions ----------
@@ -556,5 +570,42 @@ func sortCands[T any](s []T, less func(a, b T) bool) {
 		for j := i; j > 0 && less(s[j], s[j-1]); j-- {
 			s[j], s[j-1] = s[j-1], s[j]
 		}
+	}
+}
+
+// toggle returns the apply function that sets ZeRO (zero) or sequence
+// parallelism to on for every op of the stage that can carry the flag
+// (dp > 1 for ZeRO, tp > 1 for sequence parallelism). It yields nothing
+// when no op would change.
+func toggle(zero, on bool) func(s *searcher, cfg *config.Config, stage int, out []*config.Config) []*config.Config {
+	flag := func(op *config.OpSetting) *bool {
+		switch {
+		case zero && op.DP > 1:
+			return &op.ZeRO
+		case !zero && op.TP > 1:
+			return &op.SeqPar
+		}
+		return nil
+	}
+	return func(s *searcher, cfg *config.Config, stage int, out []*config.Config) []*config.Config {
+		st := &cfg.Stages[stage]
+		changed := false
+		for j := range st.Ops {
+			if f := flag(&st.Ops[j]); f != nil && *f != on {
+				changed = true
+			}
+		}
+		if !changed {
+			return out
+		}
+		c := s.st.clone(cfg)
+		c.MutStage(stage, func(st *config.Stage) {
+			for j := range st.Ops {
+				if f := flag(&st.Ops[j]); f != nil {
+					*f = on
+				}
+			}
+		})
+		return append(out, c)
 	}
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -29,18 +30,20 @@ func mustBalanced(t *testing.T, g *model.Graph, devices, stages, mbs int) *confi
 }
 
 func TestTableShape(t *testing.T) {
-	if len(Table) != 10 {
-		t.Fatalf("Table has %d primitives, want 10 (Table 1)", len(Table))
+	if len(Table) != 14 {
+		t.Fatalf("Table has %d primitives, want 14 (Table 1's 10, then 4 extended)", len(Table))
 	}
-	// Each inc/dec pair must have opposite non-flat trends.
-	pairs := [][2]string{
-		{"inc-op#", "dec-op#"}, {"inc-mbs", "dec-mbs"},
-		{"inc-dp", "dec-dp"}, {"inc-tp", "dec-tp"}, {"inc-rc", "dec-rc"},
+	for i := range Table {
+		if Table[i].Extended != (i >= 10) {
+			t.Errorf("%s: Extended %v, want Table 1's 10 rows first", Table[i].Name, Table[i].Extended)
+		}
 	}
-	for _, pr := range pairs {
-		a, b := PrimitiveByName(pr[0]), PrimitiveByName(pr[1])
-		if a == nil || b == nil {
-			t.Fatalf("missing primitive pair %v", pr)
+	// Rows come in inc/dec pairs of one knob, with opposite non-flat
+	// trends.
+	for i := 0; i < len(Table); i += 2 {
+		a, b := &Table[i], &Table[i+1]
+		if !strings.HasPrefix(a.Name, "inc-") || b.Name != "dec-"+a.Name[len("inc-"):] {
+			t.Fatalf("rows %d, %d are %s, %s: not an inc/dec pair", i, i+1, a.Name, b.Name)
 		}
 		for _, r := range []Resource{Comp, Comm, Mem} {
 			ea, eb := a.effect(r), b.effect(r)
@@ -52,26 +55,23 @@ func TestTableShape(t *testing.T) {
 			}
 		}
 	}
-	if PrimitiveByName("nonsense") != nil {
-		t.Error("PrimitiveByName(nonsense) should be nil")
-	}
 }
 
 func TestEligibleMatchesPaperExample(t *testing.T) {
 	// §1's example: a compute- and memory-intensive bottleneck with
 	// spare communication should surface inc-tp as eligible.
-	memDown := names(Eligible(Mem))
+	memDown := names(Eligible(Mem, false))
 	if !contains(memDown, "inc-tp") || !contains(memDown, "inc-dp") ||
 		!contains(memDown, "inc-rc") || !contains(memDown, "dec-op#") ||
 		!contains(memDown, "dec-mbs") {
 		t.Errorf("Eligible(Mem) = %v, missing expected primitives", memDown)
 	}
-	compDown := names(Eligible(Comp))
+	compDown := names(Eligible(Comp, false))
 	if !contains(compDown, "inc-tp") || !contains(compDown, "dec-rc") ||
 		!contains(compDown, "inc-mbs") {
 		t.Errorf("Eligible(Comp) = %v, missing expected primitives", compDown)
 	}
-	commDown := names(Eligible(Comm))
+	commDown := names(Eligible(Comm, false))
 	if !contains(commDown, "dec-tp") || !contains(commDown, "dec-dp") {
 		t.Errorf("Eligible(Comm) = %v, missing expected primitives", commDown)
 	}

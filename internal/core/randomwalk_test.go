@@ -27,12 +27,9 @@ func TestRandomPrimitiveWalk(t *testing.T) {
 		{"wrn", func() *model.Graph { g, _ := model.WideResNet("0.5B"); return g }, 8},
 		{"uniform", func() *model.Graph { return model.Uniform(24, 1e11, 1e7, 1e6, 64) }, 4},
 	}
-	prims := make([]*Primitive, 0, len(Table)+len(ExtensionTable))
+	prims := make([]*Primitive, 0, len(Table))
 	for i := range Table {
 		prims = append(prims, &Table[i])
-	}
-	for i := range ExtensionTable {
-		prims = append(prims, &ExtensionTable[i])
 	}
 
 	for _, wl := range workloads {

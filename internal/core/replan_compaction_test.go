@@ -62,7 +62,7 @@ func TestReplanCompactsDeviceRanks(t *testing.T) {
 			}
 		}
 		survivors := degraded.TotalDevices()
-		for ci, cand := range append([]core.Candidate{res.Best}, res.TopK...) {
+		for ci, cand := range res.TopK {
 			c := cand.Config
 			if c == nil {
 				continue

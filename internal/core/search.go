@@ -277,11 +277,7 @@ func SearchContext(ctx context.Context, g *model.Graph, cl hardware.Cluster, opt
 	obj := newObjective(&cl)
 	seed := obj.seeds(g, pm, opts.Initializer)
 	start := time.Now()
-	deadline := start.Add(opts.TimeBudget)
-	if d, ok := ctx.Deadline(); ok && d.Before(deadline) {
-		deadline = d
-	}
-	ctx, cancel := context.WithDeadline(ctx, deadline)
+	ctx, cancel := context.WithTimeout(ctx, opts.TimeBudget)
 	defer cancel()
 
 	type workerOut struct {
@@ -336,7 +332,7 @@ func SearchContext(ctx context.Context, g *model.Graph, cl hardware.Cluster, opt
 			return
 		}
 		s := newSearcher(g, cl, pm, opts, p, &(*ss)[w])
-		s.deadline, s.done, s.met = deadline, ctx.Done(), met
+		s.done, s.met = ctx.Done(), met
 		topK, iters, converged := s.run(init)
 		outs[wi] = workerOut{topK: topK, explored: s.explored, iterations: iters, converged: converged}
 	})
@@ -412,7 +408,7 @@ type searchMeters struct {
 	iterations *obs.Counter
 	restarts   *obs.Counter
 	prunes     *obs.Counter
-	prims      map[string]*obs.Counter // every Table and ExtensionTable row; read-only, so workers share it
+	prims      map[string]*obs.Counter // every Table row; read-only, so workers share it
 	trials     map[bool]*obs.Counter   // fine-tune trials, by whether their bound rejected them; read-only
 	hopDepth   *obs.Histogram
 	iterTime   *obs.Histogram
@@ -437,24 +433,21 @@ func newSearchMeters(reg *obs.Registry) *searchMeters {
 		false: reg.Counter(obs.FineTuneTrialsTotal + `{decided="exact"}`),
 		true:  reg.Counter(obs.FineTuneTrialsTotal + `{decided="bound"}`),
 	}
-	for _, tbl := range [][]Primitive{Table, ExtensionTable} {
-		for i := range tbl {
-			name := tbl[i].Name
-			m.prims[name] = reg.Counter(fmt.Sprintf("%s{primitive=%q}", obs.PrimitiveAppliedTotal, name))
-		}
+	for i := range Table {
+		name := Table[i].Name
+		m.prims[name] = reg.Counter(fmt.Sprintf("%s{primitive=%q}", obs.PrimitiveAppliedTotal, name))
 	}
 	return m
 }
 
 // searcher is the per-stage-count search state.
 type searcher struct {
-	graph    *model.Graph
-	cluster  hardware.Cluster
-	memNorm  float64 // min per-device memory (infeasibility normalizer)
-	pm       *perfmodel.Model
-	opts     Options
-	deadline time.Time
-	done     <-chan struct{} // context cancellation, shared with the deadline
+	graph   *model.Graph
+	cluster hardware.Cluster
+	memNorm float64 // min per-device memory (infeasibility normalizer)
+	pm      *perfmodel.Model
+	opts    Options
+	done    <-chan struct{} // the search context's: cancellation or its deadline
 
 	pool     map[uint64]Candidate // unexplored configs by Config.Key (Algorithm 1)
 	explored int
@@ -507,39 +500,35 @@ type searcher struct {
 // newSearcher builds the searcher of one stage-count task: what every
 // task shares (graph, cluster, model, options), the task's own pool and
 // RNG, and the store of the worker it runs on, which begins the task.
-// The deadline is TimeBudget from now; SearchContext replaces it with
-// the search's own, with the context's cancellation and the meters.
+// SearchContext hands it the search context's done channel and the
+// meters; a searcher without one never expires.
 func newSearcher(g *model.Graph, cl hardware.Cluster, pm *perfmodel.Model, opts Options, stages int, st *store) *searcher {
 	s := &searcher{
-		graph:    g,
-		cluster:  cl,
-		memNorm:  cl.MinDeviceMemory(),
-		pm:       pm,
-		opts:     opts,
-		deadline: time.Now().Add(opts.TimeBudget),
-		pool:     make(map[uint64]Candidate, 1024),
-		rng:      rand.New(rand.NewSource(opts.Seed + int64(stages)*7919)),
-		st:       st,
-		tracer:   opts.Tracer,
+		graph:   g,
+		cluster: cl,
+		memNorm: cl.MinDeviceMemory(),
+		pm:      pm,
+		opts:    opts,
+		pool:    make(map[uint64]Candidate, 1024),
+		rng:     rand.New(rand.NewSource(opts.Seed + int64(stages)*7919)),
+		st:      st,
+		tracer:  opts.Tracer,
 	}
 	s.obj = newObjective(&s.cluster)
 	st.begin()
 	return s
 }
 
-// expired reports whether the search must stop: the context was
-// canceled (or its deadline — which already folds in the TimeBudget —
-// fired), or the wall clock passed the budget. Both checks are cheap
-// enough for the per-candidate hot path.
+// expired reports whether the search must stop: its context was
+// canceled or passed its deadline, which folds in the TimeBudget. A
+// non-blocking receive, cheap enough for the per-candidate hot path.
 func (s *searcher) expired() bool {
-	if s.done != nil {
-		select {
-		case <-s.done:
-			return true
-		default:
-		}
+	select {
+	case <-s.done:
+		return true
+	default:
+		return false
 	}
-	return time.Now().After(s.deadline)
 }
 
 // pushBatch makes (cfg, est) the base for batched estimation until the
@@ -615,7 +604,7 @@ func (s *searcher) count() {
 // on c's iteration time or peak memory, through the objective's floor.
 // A poisoned score is never below an honest best. A losing key is
 // counted as estimate counts it and left explored with no estimate, as
-// a released key is; an obs.EstimateTracer still sees it estimated.
+// a released key is, whoever observes the search.
 func (s *searcher) loses(c *config.Config, best float64) bool {
 	k := c.Key()
 	en := s.st.memo[k]
@@ -630,9 +619,7 @@ func (s *searcher) loses(c *config.Config, best float64) bool {
 	if !lost {
 		return false
 	}
-	if _, ok := s.tracer.(obs.EstimateTracer); ok {
-		s.estimate(c)
-	} else if !en.explored {
+	if !en.explored {
 		en.explored = true
 		s.st.memo[k] = en
 		s.count()
@@ -829,10 +816,7 @@ func (s *searcher) multiHop(cfg *config.Config, est *perfmodel.Estimate, bn Bott
 		s.candsAt = append(s.candsAt, nil)
 	}
 	for _, res := range resources {
-		prims := Eligible(res)
-		if s.opts.ExtendedPrimitives {
-			prims = EligibleExtended(res)
-		}
+		prims := Eligible(res, s.opts.ExtendedPrimitives)
 		if s.opts.DisableHeuristic2 {
 			prims = append([]*Primitive(nil), prims...)
 			s.rng.Shuffle(len(prims), func(i, j int) {

@@ -11,6 +11,7 @@ import (
 	"aceso/internal/config"
 	"aceso/internal/hardware"
 	"aceso/internal/model"
+	"aceso/internal/obs"
 	"aceso/internal/perfmodel"
 )
 
@@ -48,40 +49,50 @@ func (d *deadMemory) scribbling(t *testing.T) {
 //   - the search explores, ranks and scores as committed, so no visited
 //     candidate's config or estimate changed under it;
 //   - every configuration it estimates passes the full Validate and is
-//     estimated as new once (estimateAuditor);
+//     estimated as new once (estimateAuditor), and every configuration
+//     it explores is estimated or rejected by a fine-tune trial's bound;
 //   - every published candidate is as it was returned — settings, Key,
 //     Hash and rank — after the next row's search recycled through the
 //     same stores, and carries the estimate a fresh model computes for
 //     its configuration.
+//
+// Each row runs on both trial paths (bothTrialPaths): the bounded one
+// reads the batch base's sums, chains and operator records under the
+// scribbling, and the exact one estimates what the bound would reject.
 func TestReleasedEstimatesAreDead(t *testing.T) {
 	if testing.Short() {
-		t.Skip("54 searches")
+		t.Skip("108 searches")
 	}
 	var d deadMemory
 	d.scribbling(t)
 
 	committed := committedRows(t)
-	n := 0
+	n, bounded := 0, 0
 	var last published
 	search := func(g *model.Graph, row determinismRow, cl hardware.Cluster, opts Options) {
 		t.Helper()
-		audit := newEstimateAuditor(t, g, cl.TotalDevices())
-		opts.Tracer = audit
-		r0, a0 := d.released.Load(), d.again.Load()
-		got, res := pinnedSearch(t, g, row, cl, opts)
-		if !reflect.DeepEqual(got, committed[n]) {
-			t.Errorf("row %d drifted with dead memory scribbled:\n got %+v\nwant %+v", n, got, committed[n])
-		}
+		bothTrialPaths(t, func(exact bool, reg *obs.Registry) {
+			audit := newEstimateAuditor(t, g, cl.TotalDevices())
+			opts.Tracer, opts.Metrics = audit, reg
+			r0, a0 := d.released.Load(), d.again.Load()
+			got, res := pinnedSearch(t, g, row, cl, opts)
+			if !reflect.DeepEqual(got, committed[n]) {
+				t.Errorf("row %d (exact trials %v) drifted with dead memory scribbled:\n got %+v\nwant %+v", n, exact, got, committed[n])
+			}
+			rejected := rejectedByBound(reg)
+			bounded += rejected
+			if audit.estimated+rejected != res.Explored {
+				t.Errorf("%s on %s (exact trials %v): audited %d and the bound rejected %d of %d explored configurations",
+					row.Model, row.Fleet, exact, audit.estimated, rejected, res.Explored)
+			}
+			last.check(t)
+			last = snapshot(row.Model+" on "+row.Fleet, res, perfmodel.New(g, cl, 1))
+			if row.Model == "gpt3-2.6B" && row.Fleet == "DGX1V100(2)" {
+				t.Logf("pinned search, GOMAXPROCS %d, exact trials %v: %d estimates released, %d released keys estimated again",
+					row.GOMAXPROCS, exact, d.released.Load()-r0, d.again.Load()-a0)
+			}
+		})
 		n++
-		if audit.estimated != res.Explored {
-			t.Errorf("%s on %s: audited %d of %d explored configurations", row.Model, row.Fleet, audit.estimated, res.Explored)
-		}
-		last.check(t)
-		last = snapshot(row.Model+" on "+row.Fleet, res, perfmodel.New(g, cl, 1))
-		if row.Model == "gpt3-2.6B" && row.Fleet == "DGX1V100(2)" {
-			t.Logf("pinned search, GOMAXPROCS %d: %d estimates released, %d released keys estimated again",
-				row.GOMAXPROCS, d.released.Load()-r0, d.again.Load()-a0)
-		}
 	}
 
 	models, fleets := determinismZoo(t)
@@ -107,9 +118,9 @@ func TestReleasedEstimatesAreDead(t *testing.T) {
 		}
 	}
 	last.check(t)
-	if d.recycled.Load() == 0 || d.released.Load() == 0 || d.again.Load() == 0 {
-		t.Errorf("%d configs recycled, %d estimates released, %d estimated again: the test exercises nothing",
-			d.recycled.Load(), d.released.Load(), d.again.Load())
+	if d.recycled.Load() == 0 || d.released.Load() == 0 || d.again.Load() == 0 || bounded == 0 {
+		t.Errorf("%d configs recycled, %d estimates released, %d estimated again, %d trials rejected by a bound: the test exercises nothing",
+			d.recycled.Load(), d.released.Load(), d.again.Load(), bounded)
 	}
 }
 

@@ -95,7 +95,8 @@ func TestSeedIsValidatedOnce(t *testing.T) {
 // search: nothing ValidateDelta let through in multiHop or fineTune —
 // and nothing attachRecompute built on top — fails the full check. The
 // starts are the default, the one bench/ hands core inside a span, and
-// Exp#7's imbalanced ones.
+// Exp#7's imbalanced ones. The exact trial path (bothTrialPaths) also
+// checks the fine-tune trials a bound would reject unestimated.
 func TestEveryEstimatedConfigValidates(t *testing.T) {
 	g, _ := model.GPT3("350M")
 	cl := hardware.DGX1V100(1)
@@ -105,18 +106,21 @@ func TestEveryEstimatedConfigValidates(t *testing.T) {
 		"imbalance-op":  config.ImbalancedOps,
 		"imbalance-gpu": config.ImbalancedGPUs,
 	} {
-		audit := newEstimateAuditor(t, g, 8)
-		// Depths 1–5: ImbalancedGPUs cannot split 8 devices any deeper.
-		res, err := Search(g, cl, Options{TimeBudget: time.Hour, MaxIterations: 4, Seed: 1,
-			StageCounts: []int{1, 2, 3, 4, 5}, ExtendedPrimitives: true, Initializer: init, Tracer: audit})
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if len(res.Diagnostics) != 0 {
-			t.Errorf("%s: a start was rejected: %v", name, res.Diagnostics)
-		}
-		if audit.estimated != res.Explored || res.Explored < 1000 {
-			t.Errorf("%s: audited %d of %d explored configurations", name, audit.estimated, res.Explored)
-		}
+		bothTrialPaths(t, func(exact bool, reg *obs.Registry) {
+			audit := newEstimateAuditor(t, g, 8)
+			// Depths 1–5: ImbalancedGPUs cannot split 8 devices any deeper.
+			res, err := Search(g, cl, Options{TimeBudget: time.Hour, MaxIterations: 4, Seed: 1, StageCounts: []int{1, 2, 3, 4, 5},
+				ExtendedPrimitives: true, Initializer: init, Tracer: audit, Metrics: reg})
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			if len(res.Diagnostics) != 0 {
+				t.Errorf("%s: a start was rejected: %v", name, res.Diagnostics)
+			}
+			if rejected := rejectedByBound(reg); audit.estimated+rejected != res.Explored || res.Explored < 1000 {
+				t.Errorf("%s, exact trials %v: audited %d and the bound rejected %d of %d explored configurations",
+					name, exact, audit.estimated, rejected, res.Explored)
+			}
+		})
 	}
 }

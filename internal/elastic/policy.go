@@ -68,7 +68,7 @@ func (s *supervisor) replan(spec hardware.FaultSpec, cl *hardware.Cluster, p *ru
 	if err != nil {
 		return nil, err
 	}
-	for _, cand := range append([]core.Candidate{res.Best}, res.TopK...) {
+	for _, cand := range res.TopK {
 		if runnableOn(s.job.Graph, cl, cand.Config, p) {
 			return cand.Config, nil
 		}

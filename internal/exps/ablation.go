@@ -2,7 +2,6 @@ package exps
 
 import (
 	"fmt"
-	"io"
 	"sort"
 	"time"
 
@@ -23,31 +22,26 @@ type Fig11Result struct {
 
 // FirstTryRate returns the fraction of improving iterations that
 // found the right bottleneck on the first attempt (≈90% in the paper).
-func (f *Fig11Result) FirstTryRate() float64 {
-	total := 0
-	for _, v := range f.Tries {
-		total += v
-	}
-	if total == 0 {
-		return 0
-	}
-	return float64(f.Tries[0]) / float64(total)
-}
+func (f *Fig11Result) FirstTryRate() float64 { return share(f.Tries, 0, 1) }
 
 // MultiHopRate returns the fraction of improving iterations that
 // needed more than one hop (≈68% in the paper).
-func (f *Fig11Result) MultiHopRate() float64 {
-	total, multi := 0, 0
-	for k, v := range f.Hops {
+func (f *Fig11Result) MultiHopRate() float64 { return share(f.Hops, 1, len(f.Hops)) }
+
+// share is the fraction of the counts' total in buckets [lo, hi), 0
+// when there are none.
+func share(counts []int, lo, hi int) float64 {
+	total, in := 0, 0
+	for k, v := range counts {
 		total += v
-		if k > 0 {
-			multi += v
+		if lo <= k && k < hi {
+			in += v
 		}
 	}
 	if total == 0 {
 		return 0
 	}
-	return float64(multi) / float64(total)
+	return float64(in) / float64(total)
 }
 
 // Fig11 runs searches over a sample of the Exp#1 workloads with one
@@ -76,20 +70,29 @@ func Fig11(set Settings) (*Fig11Result, error) {
 	return out, nil
 }
 
-// RenderFig11 prints the two distributions.
-func RenderFig11(w io.Writer, r *Fig11Result) {
-	fmt.Fprintf(w, "Figure 11 (Exp#5): heuristic efficiency — first-try bottleneck rate %.0f%%, multi-hop rate %.0f%%\n",
-		100*r.FirstTryRate(), 100*r.MultiHopRate())
-	histogram(w, "(a) bottlenecks tried before improvement", r.Tries)
-	histogram(w, "(b) hops per improving reconfiguration", r.Hops)
+// Tables is Figure 11's two distributions, each a bar chart.
+func (f *Fig11Result) Tables() []Table {
+	out := []Table{
+		{Title: fmt.Sprintf("Figure 11 (Exp#5): heuristic efficiency — first-try bottleneck rate %.0f%%, multi-hop rate %.0f%%",
+			100*f.FirstTryRate(), 100*f.MultiHopRate())},
+		{Key: "bottleneck_tries", Title: "(a) bottlenecks tried before improvement"},
+		{Key: "hops", Title: "(b) hops per improving reconfiguration"},
+	}
+	for i, counts := range [][]int{f.Tries, f.Hops} {
+		t := &out[1+i]
+		t.Cols, t.View = []Col{{Head: t.Key}, {Head: "iterations"}}, Bars
+		for k, v := range counts {
+			t.Rows = append(t.Rows, []any{k + 1, v})
+		}
+	}
+	return out
 }
 
 // Curve is a convergence curve: the best estimated iteration time
 // sampled on a uniform wall-time grid.
 type Curve struct {
-	Label  string
-	Budget time.Duration
-	Best   []float64 // len == samples; 0 marks "no feasible config yet"
+	Label string
+	Best  []float64 // len == samples; 0 marks "no feasible config yet"
 }
 
 // sampleCurve resamples trace convergence points onto `samples`
@@ -109,25 +112,6 @@ func sampleCurve(points []obs.ConvergencePoint, budget time.Duration, samples in
 	return out
 }
 
-// convergenceRun executes one search with the convergence tracer
-// attached and samples its curve.
-func convergenceRun(family, size string, gpus int, set Settings, label string, samples int, mut func(*core.Options)) (Curve, error) {
-	g, err := model.ByName(family, size)
-	if err != nil {
-		return Curve{}, err
-	}
-	trace := obs.NewConvergence()
-	_, err = runAceso(g, hardware.DGX1V100(4).Restrict(gpus), set, mut, func(o *core.Options) { o.Tracer = trace })
-	if err != nil {
-		return Curve{}, err
-	}
-	return Curve{
-		Label:  label,
-		Budget: set.Budget,
-		Best:   sampleCurve(trace.Curve(), set.Budget, samples),
-	}, nil
-}
-
 const curveSamples = 8
 
 // curveCase is one panel of a convergence figure: a workload, and the
@@ -145,17 +129,31 @@ type curveVariant struct {
 	mut   func(*core.Options)
 }
 
-// curveFigure runs every variant on every case.
-func curveFigure(set Settings, cases []curveCase, variants func(curveCase) []curveVariant) (map[string][]Curve, error) {
+// Curves is a convergence figure: its title and, per panel, one curve
+// per variant.
+type Curves struct {
+	Title  string
+	Groups map[string][]Curve
+}
+
+// curveFigure runs every variant on every case, each search with the
+// convergence tracer attached and its curve sampled.
+func curveFigure(set Settings, title string, cases []curveCase, variants func(curveCase) []curveVariant) (*Curves, error) {
 	set = set.withDefaults()
-	out := map[string][]Curve{}
+	out := &Curves{Title: title, Groups: map[string][]Curve{}}
 	for _, tc := range cases {
+		g, err := model.ByName(tc.family, tc.size)
+		if err != nil {
+			return nil, err
+		}
+		cl := hardware.DGX1V100(4).Restrict(tc.gpus)
 		for _, v := range variants(tc) {
-			c, err := convergenceRun(tc.family, tc.size, tc.gpus, set, v.label, curveSamples, v.mut)
-			if err != nil {
+			trace := obs.NewConvergence()
+			if _, err := runAceso(g, cl, set, v.mut, func(o *core.Options) { o.Tracer = trace }); err != nil {
 				return nil, err
 			}
-			out[tc.key] = append(out[tc.key], c)
+			curve := Curve{Label: v.label, Best: sampleCurve(trace.Curve(), set.Budget, curveSamples)}
+			out.Groups[tc.key] = append(out.Groups[tc.key], curve)
 		}
 	}
 	return out, nil
@@ -163,17 +161,16 @@ func curveFigure(set Settings, cases []curveCase, variants func(curveCase) []cur
 
 // Fig12 compares convergence with and without Heuristic-2 (3 random-
 // order runs), Exp#5 / Figure 12, on GPT-3 and Wide-ResNet.
-func Fig12(set Settings) (map[string][]Curve, error) {
-	return curveFigure(set, []curveCase{
+func Fig12(set Settings) (*Curves, error) {
+	return curveFigure(set, "Figure 12 (Exp#5): convergence with vs without Heuristic-2", []curveCase{
 		{key: "GPT-3 1.3B, 4 GPUs", family: "gpt3", size: "1.3B", gpus: 4},
 		{key: "Wide-ResNet 2B, 4 GPUs", family: "wresnet", size: "2B", gpus: 4},
 	}, func(curveCase) []curveVariant {
 		vs := []curveVariant{{label: "heuristic-2"}}
 		for r := 1; r <= 3; r++ {
-			seed := set.Seed + int64(r)*101
 			vs = append(vs, curveVariant{fmt.Sprintf("random-%d", r), func(o *core.Options) {
 				o.DisableHeuristic2 = true
-				o.Seed = seed
+				o.Seed = set.Seed + int64(r)*101
 			}})
 		}
 		return vs
@@ -181,8 +178,8 @@ func Fig12(set Settings) (map[string][]Curve, error) {
 }
 
 // Fig13 sweeps MaxHops ∈ {1, 3, 7, 11} (Exp#6 / Figure 13).
-func Fig13(set Settings) (map[string][]Curve, error) {
-	return curveFigure(set, []curveCase{
+func Fig13(set Settings) (*Curves, error) {
+	return curveFigure(set, "Figure 13 (Exp#6): convergence under different MaxHops", []curveCase{
 		{"GPT-3 2.6B (6 stages)", "gpt3", "2.6B", 8, []int{6}},
 		{"GPT-3 2.6B (8 stages)", "gpt3", "2.6B", 8, []int{8}},
 		{"Wide-ResNet 4B (8 stages)", "wresnet", "4B", 8, []int{8}},
@@ -190,7 +187,6 @@ func Fig13(set Settings) (map[string][]Curve, error) {
 	}, func(tc curveCase) []curveVariant {
 		var vs []curveVariant
 		for _, hops := range []int{1, 3, 7, 11} {
-			hops := hops
 			vs = append(vs, curveVariant{fmt.Sprintf("MaxHops=%d", hops), func(o *core.Options) {
 				o.MaxHops = hops
 				o.StageCounts = tc.stages
@@ -201,8 +197,8 @@ func Fig13(set Settings) (map[string][]Curve, error) {
 }
 
 // Fig14 compares initial configurations (Exp#7 / Figure 14).
-func Fig14(set Settings) (map[string][]Curve, error) {
-	return curveFigure(set, []curveCase{
+func Fig14(set Settings) (*Curves, error) {
+	return curveFigure(set, "Figure 14 (Exp#7): robustness to the initial configuration", []curveCase{
 		{key: "GPT-3 2.6B, 8 GPUs", family: "gpt3", size: "2.6B", gpus: 8},
 		{key: "Wide-ResNet 4B, 8 GPUs", family: "wresnet", size: "4B", gpus: 8},
 	}, func(curveCase) []curveVariant {
@@ -214,35 +210,35 @@ func Fig14(set Settings) (map[string][]Curve, error) {
 	})
 }
 
-// RenderCurves prints convergence curves as a time-gridded table.
-func RenderCurves(w io.Writer, title string, groups map[string][]Curve) {
-	fmt.Fprintln(w, title)
-	keys := make([]string, 0, len(groups))
-	for key := range groups {
+// Tables is one time-gridded table per panel, panels in key order.
+func (c *Curves) Tables() []Table {
+	out := []Table{{Title: c.Title}}
+	keys := make([]string, 0, len(c.Groups))
+	for key := range c.Groups {
 		keys = append(keys, key)
 	}
 	sort.Strings(keys)
 	for _, key := range keys {
-		curves := groups[key]
-		fmt.Fprintf(w, "\n[%s]  best estimated iteration time (s) over search time (- = nothing feasible yet)\n", key)
-		t := &table{Header: []string{"variant"}}
+		curves := c.Groups[key]
+		t := Table{Key: key, Title: "\n[" + key + "]  best estimated iteration time (s) over search time (- = nothing feasible yet)",
+			Cols: []Col{{Head: "variant"}}}
 		if len(curves) > 0 {
 			for i := range curves[0].Best {
-				frac := float64(i+1) / float64(len(curves[0].Best))
-				t.Header = append(t.Header, fmt.Sprintf("%.0f%%", 100*frac))
+				t.Cols = append(t.Cols, Col{Head: fmt.Sprintf("%.0f%%", 100*(float64(i+1)/float64(len(curves[0].Best))))})
 			}
 		}
-		for _, c := range curves {
-			row := []any{c.Label}
-			for _, v := range c.Best {
+		for _, cv := range curves {
+			row := []any{cv.Label}
+			for _, v := range cv.Best {
 				if v == 0 {
 					row = append(row, "-")
 				} else {
-					row = append(row, fmt.Sprintf("%.2f", v))
+					row = append(row, v)
 				}
 			}
-			t.Add(row...)
+			t.Rows = append(t.Rows, row)
 		}
-		t.Render(w)
+		out = append(out, t)
 	}
+	return out
 }

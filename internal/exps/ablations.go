@@ -2,7 +2,6 @@ package exps
 
 import (
 	"fmt"
-	"io"
 
 	"aceso/internal/core"
 	"aceso/internal/hardware"
@@ -81,15 +80,18 @@ func Ablations(set Settings) (*AblationResult, error) {
 	return out, nil
 }
 
-// RenderAblations prints the design-choice table.
-func RenderAblations(w io.Writer, r *AblationResult) {
-	fmt.Fprintln(w, "Search-design ablations (GPT-3 1.3B, 4 GPUs; lower iteration time is better)")
-	t := &table{Header: []string{"variant", "best iter (s)", "configs explored"}}
+// Tables is the design-choice table, with the scheduling note when
+// the GPipe ratio was measured.
+func (r *AblationResult) Tables() []Table {
+	t := Table{
+		Title: "Search-design ablations (GPT-3 1.3B, 4 GPUs; lower iteration time is better)",
+		Cols:  []Col{{Head: "variant"}, {Head: "best iter (s)", Fmt: "%.3f"}, {Head: "configs explored"}},
+	}
 	for _, row := range r.Rows {
-		t.Add(row.Variant, fmt.Sprintf("%.3f", row.BestIter), row.Explored)
+		t.Rows = append(t.Rows, []any{row.Variant, row.BestIter, row.Explored})
 	}
-	t.Render(w)
 	if r.GPipeMemRatio > 0 {
-		fmt.Fprintf(w, "\nscheduling: GPipe peak memory is %.2f× 1F1B's on the 4-stage plan (why Eq.1 assumes 1F1B)\n", r.GPipeMemRatio)
+		t.Notes = []string{fmt.Sprintf("\nscheduling: GPipe peak memory is %.2f× 1F1B's on the 4-stage plan (why Eq.1 assumes 1F1B)", r.GPipeMemRatio)}
 	}
+	return []Table{t}
 }

@@ -1,9 +1,10 @@
 package exps
 
 import (
+	"cmp"
 	"fmt"
-	"io"
-	"sort"
+	"slices"
+	"strings"
 
 	"aceso/internal/config"
 	"aceso/internal/hardware"
@@ -12,17 +13,20 @@ import (
 
 // CaseStudy is the §5.4 qualitative analysis of one found config.
 type CaseStudy struct {
+	Key    string // the workload, e.g. "gpt3-1.3B"
 	Title  string
 	Config *config.Config
-	Notes  []string
 }
+
+// CaseStudies are the §5.4 case studies.
+type CaseStudies []CaseStudy
 
 // Cases reproduces the two §5.4 case studies: GPT-3 1.3B on 4 GPUs
 // (uneven pipeline stages with partial recomputation) and Wide-ResNet
 // 6.8B on 16 GPUs (mixed per-op dp×tp inside a stage).
-func Cases(set Settings) ([]CaseStudy, error) {
+func Cases(set Settings) (CaseStudies, error) {
 	set = set.withDefaults()
-	var out []CaseStudy
+	var out CaseStudies
 	for _, tc := range []struct {
 		family, size string
 		cl           hardware.Cluster
@@ -39,58 +43,44 @@ func Cases(set Settings) ([]CaseStudy, error) {
 		if err != nil {
 			return nil, err
 		}
-		out = append(out, CaseStudy{Title: tc.title, Config: run.Best, Notes: describeStages(run.Best)})
+		out = append(out, CaseStudy{Key: tc.family + "-" + tc.size, Title: tc.title, Config: run.Best})
 	}
 	return out, nil
 }
 
-// describeStages summarizes stage shapes, recompute counts and
-// distinct tp×dp mixes.
-func describeStages(c *config.Config) []string {
-	var notes []string
-	notes = append(notes, fmt.Sprintf("pipeline stages: %d, microbatch %d", c.NumStages(), c.MicroBatch))
-	evenOps := true
-	n0 := c.Stages[0].NumOps()
-	for i := range c.Stages {
-		st := &c.Stages[i]
-		if st.NumOps() != n0 {
-			evenOps = false
-		}
-		mixes := map[[2]int]int{}
-		for j := range st.Ops {
-			mixes[[2]int{st.Ops[j].TP, st.Ops[j].DP}]++
-		}
-		keys := make([][2]int, 0, len(mixes))
-		for k := range mixes {
-			keys = append(keys, k)
-		}
-		sort.Slice(keys, func(a, b int) bool {
-			if keys[a][0] != keys[b][0] {
-				return keys[a][0] < keys[b][0]
-			}
-			return keys[a][1] < keys[b][1]
-		})
-		mixDesc := ""
-		for _, k := range keys {
-			mixDesc += fmt.Sprintf(" tp%d×dp%d(%d ops)", k[0], k[1], mixes[k])
-		}
-		notes = append(notes, fmt.Sprintf(
-			"stage %d: %d ops on %d GPUs, %d recomputed,%s",
-			i, st.NumOps(), st.Devices, c.RecomputedOps(i), mixDesc))
-	}
-	if !evenOps {
-		notes = append(notes, "stages are UNEVEN op partitions (outside Megatron-LM/Alpa's space)")
-	}
-	return notes
-}
-
-// RenderCases prints the case studies.
-func RenderCases(w io.Writer, cases []CaseStudy) {
-	fmt.Fprintln(w, "§5.4 case studies: configurations found by Aceso")
+// Tables describes each case's plan: one line per stage with its shape,
+// recompute count and distinct tp×dp mixes.
+func (cases CaseStudies) Tables() []Table {
+	out := []Table{{Title: "§5.4 case studies: configurations found by Aceso"}}
 	for _, cs := range cases {
-		fmt.Fprintf(w, "\n%s\n", cs.Title)
-		for _, n := range cs.Notes {
-			fmt.Fprintf(w, "  %s\n", n)
+		c := cs.Config
+		t := Table{Key: cs.Key, View: Lines,
+			Title: fmt.Sprintf("\n%s\n  pipeline stages: %d, microbatch %d", cs.Title, c.NumStages(), c.MicroBatch),
+			Cols: []Col{{Head: "stage", Fmt: "stage %d:"}, {Head: "ops", Fmt: "%d ops"}, {Head: "GPUs", Fmt: "on %d GPUs,"},
+				{Head: "recomputed", Fmt: "%d recomputed,"}, {Head: "tp×dp mixes"}}}
+		evenOps := true
+		for i := range c.Stages {
+			st := &c.Stages[i]
+			evenOps = evenOps && st.NumOps() == c.Stages[0].NumOps()
+			mixes := map[[2]int]int{}
+			for j := range st.Ops {
+				mixes[[2]int{st.Ops[j].TP, st.Ops[j].DP}]++
+			}
+			keys := make([][2]int, 0, len(mixes))
+			for k := range mixes {
+				keys = append(keys, k)
+			}
+			slices.SortFunc(keys, func(a, b [2]int) int { return cmp.Or(a[0]-b[0], a[1]-b[1]) })
+			desc := make([]string, len(keys))
+			for k, key := range keys {
+				desc[k] = fmt.Sprintf("tp%d×dp%d(%d ops)", key[0], key[1], mixes[key])
+			}
+			t.Rows = append(t.Rows, []any{i, st.NumOps(), st.Devices, c.RecomputedOps(i), strings.Join(desc, " ")})
 		}
+		if !evenOps {
+			t.Notes = []string{"  stages are UNEVEN op partitions (outside Megatron-LM/Alpa's space)"}
+		}
+		out = append(out, t)
 	}
+	return out
 }

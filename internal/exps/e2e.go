@@ -2,7 +2,6 @@ package exps
 
 import (
 	"fmt"
-	"io"
 	"math"
 
 	"aceso/internal/baselines/alpa"
@@ -32,22 +31,9 @@ type E2ECell struct {
 	PredMem, ActualMem   float64 // bytes
 }
 
-// Throughputs returns the per-system throughput of the cell in
-// samples/second, zero for missing systems.
-func (c *E2ECell) Throughputs(batch int) (aceso, megatron, alpaT float64) {
-	conv := func(t float64) float64 {
-		if t <= 0 {
-			return 0
-		}
-		return float64(batch) / t
-	}
-	return conv(c.AcesoIter), conv(c.MegatronIter), conv(c.AlpaIter)
-}
-
 // E2E bundles every end-to-end cell.
 type E2E struct {
-	Cells   []E2ECell
-	batches map[string]int // family → global batch
+	Cells []E2ECell
 }
 
 // E2EFamilies is the canonical family order of Figure 7.
@@ -63,7 +49,7 @@ func RunE2E(set Settings, families []string) (*E2E, error) {
 	if len(families) == 0 {
 		families = E2EFamilies
 	}
-	out := &E2E{batches: map[string]int{}}
+	out := &E2E{}
 	for _, fam := range families {
 		sizes, err := model.Sizes(fam)
 		if err != nil {
@@ -77,10 +63,6 @@ func RunE2E(set Settings, families []string) (*E2E, error) {
 				return nil, fmt.Errorf("exps: %s-%s on %d GPUs: %w", fam, size, gpus, err)
 			}
 			out.Cells = append(out.Cells, *cell)
-			if _, ok := out.batches[fam]; !ok {
-				g, _ := model.ByName(fam, size)
-				out.batches[fam] = g.GlobalBatch
-			}
 		}
 	}
 	return out, nil
@@ -142,140 +124,158 @@ func runE2ECell(fam, size string, gpus int, set Settings) (*E2ECell, error) {
 	return cell, nil
 }
 
-// RenderFig7 prints normalized training throughput per family (Exp#1).
-func (e *E2E) RenderFig7(w io.Writer) {
-	fmt.Fprintln(w, "Figure 7 (Exp#1): normalized training throughput (higher is better; - = not run, x = failed)")
-	for _, fam := range E2EFamilies {
+// Raw is every end-to-end cell, the data behind Figure 7, Figure 8,
+// Tables 3–5 and Figures 15–16.
+func (e *E2E) Raw() []Table {
+	t := Table{Cols: []Col{{Head: "family"}, {Head: "size"}, {Head: "gpus"},
+		{Head: "aceso_iter_s"}, {Head: "megatron_iter_s"}, {Head: "alpa_iter_s"},
+		{Head: "aceso_tflops"}, {Head: "megatron_tflops"}, {Head: "alpa_tflops"},
+		{Head: "aceso_search_s"}, {Head: "alpa_search_s"},
+		{Head: "pred_time_s"}, {Head: "actual_time_s"}, {Head: "pred_mem_bytes"}, {Head: "actual_mem_bytes"}}}
+	for _, c := range e.Cells {
+		t.Rows = append(t.Rows, []any{c.Family, c.Size, c.GPUs,
+			c.AcesoIter, c.MegatronIter, c.AlpaIter,
+			c.AcesoTF, c.MegatronTF, c.AlpaTF,
+			c.AcesoSearch, c.AlpaSearch,
+			c.PredTime, c.ActualTime, c.PredMem, c.ActualMem})
+	}
+	return []Table{t}
+}
+
+// byFamily is a caption, then one table per family that has cells,
+// titled [family], of the rows row makes of its cells; row returns nil
+// for a cell it skips.
+func (e *E2E) byFamily(caption string, families []string, cols []Col, row func(*E2ECell) []any) []Table {
+	out := []Table{{Title: caption}}
+	for _, fam := range families {
 		cells := e.family(fam)
 		if len(cells) == 0 {
 			continue
 		}
-		t := &table{Header: []string{"size", "GPUs", "Megatron-LM", "Alpa", "Aceso", "Aceso speedup vs best baseline"}}
-		for _, c := range cells {
-			a, m, al := c.Throughputs(e.batches[fam])
-			best := math.Max(a, math.Max(m, al))
-			if best == 0 {
-				continue
+		t := Table{Key: fam, Title: "\n[" + fam + "]", Cols: cols}
+		for i := range cells {
+			if r := row(&cells[i]); r != nil {
+				t.Rows = append(t.Rows, r)
 			}
-			norm := func(v float64, ran bool) string {
+		}
+		out = append(out, t)
+	}
+	return out
+}
+
+// fastest is the least positive iteration time, 0 when none ran.
+func fastest(iters ...float64) (least float64) {
+	for _, t := range iters {
+		if t > 0 && (least == 0 || t < least) {
+			least = t
+		}
+	}
+	return least
+}
+
+// Fig7 is normalized training throughput per family (Exp#1): each
+// system's throughput over the fastest system's, which is the fastest
+// iteration time over the system's.
+func (e *E2E) Fig7() []Table {
+	return e.byFamily("Figure 7 (Exp#1): normalized training throughput (higher is better; - = not run, x = failed)",
+		E2EFamilies, []Col{{Head: "size"}, {Head: "GPUs"}, {Head: "Megatron-LM"}, {Head: "Alpa"}, {Head: "Aceso"},
+			{Head: "Aceso speedup vs best baseline", Fmt: "%.2fx"}},
+		func(c *E2ECell) []any {
+			best := fastest(c.AcesoIter, c.MegatronIter, c.AlpaIter)
+			if best == 0 {
+				return nil
+			}
+			norm := func(iter float64, ran bool) any {
 				if !ran {
 					return "-"
 				}
-				if v == 0 {
+				if iter == 0 {
 					return "x"
 				}
-				return fmt.Sprintf("%.2f", v/best)
+				return best / iter
 			}
-			baseline := math.Max(m, al)
-			speedup := "-"
-			if baseline > 0 && a > 0 {
-				speedup = fmt.Sprintf("%.2fx", a/baseline)
+			var speedup any = "-"
+			if baseline := fastest(c.MegatronIter, c.AlpaIter); baseline > 0 && c.AcesoIter > 0 {
+				speedup = baseline / c.AcesoIter
 			}
-			t.Add(c.Size, c.GPUs, norm(m, true), norm(al, fam != "t5"), norm(a, true), speedup)
-		}
-		fmt.Fprintf(w, "\n[%s]\n", fam)
-		t.Render(w)
-	}
+			return []any{c.Size, c.GPUs, norm(c.MegatronIter, true), norm(c.AlpaIter, c.Family != "t5"), norm(c.AcesoIter, true), speedup}
+		})
 }
 
-// RenderFig8 prints the search-cost comparison (Exp#2).
-func (e *E2E) RenderFig8(w io.Writer) {
-	fmt.Fprintln(w, "Figure 8 (Exp#2): configuration search cost (seconds; Alpa includes emulated compile+profile charges)")
-	for _, fam := range []string{"gpt3", "wresnet"} {
-		cells := e.family(fam)
-		if len(cells) == 0 {
-			continue
-		}
-		t := &table{Header: []string{"size", "GPUs", "Alpa (s)", "Aceso (s)", "Aceso/Alpa"}}
-		for _, c := range cells {
+// Fig8 is the search-cost comparison (Exp#2).
+func (e *E2E) Fig8() []Table {
+	return e.byFamily("Figure 8 (Exp#2): configuration search cost (seconds; Alpa includes emulated compile+profile charges)",
+		[]string{"gpt3", "wresnet"}, []Col{{Head: "size"}, {Head: "GPUs"}, {Head: "Alpa (s)"}, {Head: "Aceso (s)"}, {Head: "Aceso/Alpa", Fmt: "%.1f%%"}},
+		func(c *E2ECell) []any {
 			if c.AlpaSearch <= 0 {
-				continue
+				return nil
 			}
-			t.Add(c.Size, c.GPUs, c.AlpaSearch, c.AcesoSearch,
-				fmt.Sprintf("%.1f%%", 100*c.AcesoSearch/c.AlpaSearch))
-		}
-		fmt.Fprintf(w, "\n[%s]\n", fam)
-		t.Render(w)
-	}
+			return []any{c.Size, c.GPUs, c.AlpaSearch, c.AcesoSearch, 100 * c.AcesoSearch / c.AlpaSearch}
+		})
 }
 
-// RenderTables prints Tables 3–5: effective TFLOPS per GPU.
-func (e *E2E) RenderTables(w io.Writer) {
+// TFLOPS is Tables 3–5: effective TFLOPS per GPU.
+func (e *E2E) TFLOPS() []Table {
 	titles := map[string]string{
 		"gpt3":    "Table 3: GPT-3 TFLOPS per GPU",
 		"wresnet": "Table 4: Wide-Resnet TFLOPS per GPU",
 		"t5":      "Table 5: T5 TFLOPS per GPU",
 	}
+	var out []Table
 	for _, fam := range E2EFamilies {
 		cells := e.family(fam)
 		if len(cells) == 0 {
 			continue
 		}
-		fmt.Fprintf(w, "\n%s\n", titles[fam])
-		t := &table{Header: []string{"system"}}
+		t := Table{Key: fam, Title: "\n" + titles[fam], Cols: []Col{{Head: "system"}},
+			Rows: [][]any{{"Megatron-LM"}, {"Alpa"}, {"Aceso"}}}
 		for _, c := range cells {
-			t.Header = append(t.Header, c.Size)
-		}
-		systems := []struct {
-			name string
-			get  func(*E2ECell) float64
-		}{
-			{"Megatron-LM", func(c *E2ECell) float64 { return c.MegatronTF }},
-			{"Alpa", func(c *E2ECell) float64 { return c.AlpaTF }},
-			{"Aceso", func(c *E2ECell) float64 { return c.AcesoTF }},
-		}
-		for _, sys := range systems {
-			if fam == "t5" && sys.name == "Alpa" {
-				continue
+			t.Cols = append(t.Cols, Col{Head: c.Size})
+			for i, tf := range []float64{c.MegatronTF, c.AlpaTF, c.AcesoTF} {
+				t.Rows[i] = append(t.Rows[i], tf)
 			}
-			row := []any{sys.name}
-			for i := range cells {
-				row = append(row, sys.get(&cells[i]))
-			}
-			t.Add(row...)
 		}
-		t.Render(w)
+		if fam == "t5" { // no Alpa-like run
+			t.Rows = append(t.Rows[:1], t.Rows[2])
+		}
+		out = append(out, t)
 	}
+	return out
 }
 
-// RenderFig15 prints predicted-vs-actual iteration time (Exp#8).
-func (e *E2E) RenderFig15(w io.Writer) {
-	fmt.Fprintln(w, "Figure 15 (Exp#8): predicted vs actual (simulated) iteration time")
-	e.renderAccuracy(w, "s", "%.3f", 1, func(c *E2ECell) (float64, float64) { return c.PredTime, c.ActualTime })
+// Fig15 is predicted-vs-actual iteration time (Exp#8).
+func (e *E2E) Fig15() []Table {
+	return e.accuracy("Figure 15 (Exp#8): predicted vs actual (simulated) iteration time", "s", "%.3f", 1,
+		func(c *E2ECell) (float64, float64) { return c.PredTime, c.ActualTime })
 }
 
-// RenderFig16 prints predicted-vs-actual memory (Exp#9).
-func (e *E2E) RenderFig16(w io.Writer) {
-	fmt.Fprintln(w, "Figure 16 (Exp#9): predicted vs actual (simulated) peak memory")
-	e.renderAccuracy(w, "GiB", "%.2f", 1<<30, func(c *E2ECell) (float64, float64) { return c.PredMem, c.ActualMem })
+// Fig16 is predicted-vs-actual peak memory (Exp#9).
+func (e *E2E) Fig16() []Table {
+	return e.accuracy("Figure 16 (Exp#9): predicted vs actual (simulated) peak memory", "GiB", "%.2f", 1<<30,
+		func(c *E2ECell) (float64, float64) { return c.PredMem, c.ActualMem })
 }
 
-// renderAccuracy prints, per family, what the performance model
-// predicted for Aceso's chosen configuration beside what the simulator
-// observed (both printed in units of div), and the relative error.
-func (e *E2E) renderAccuracy(w io.Writer, unit, format string, div float64, pick func(*E2ECell) (pred, actual float64)) {
-	for _, fam := range []string{"gpt3", "wresnet"} {
-		cells := e.family(fam)
-		if len(cells) == 0 {
-			continue
-		}
-		t := &table{Header: []string{"size", "GPUs", "predicted (" + unit + ")", "actual (" + unit + ")", "error"}}
-		var sumErr float64
-		n := 0
-		for i := range cells {
-			pred, actual := pick(&cells[i])
+// accuracy is, per family, what the performance model predicted for
+// Aceso's chosen configuration beside what the simulator observed (both
+// in units of div), and the relative error in percent.
+func (e *E2E) accuracy(title, unit, format string, div float64, pick func(*E2ECell) (pred, actual float64)) []Table {
+	sumErr := map[string]float64{}
+	out := e.byFamily(title, []string{"gpt3", "wresnet"}, []Col{{Head: "size"}, {Head: "GPUs"},
+		{Head: "predicted (" + unit + ")", Fmt: format}, {Head: "actual (" + unit + ")", Fmt: format}, {Head: "error", Fmt: "%.2f%%"}},
+		func(c *E2ECell) []any {
+			pred, actual := pick(c)
 			if actual <= 0 {
-				continue
+				return nil
 			}
 			err := math.Abs(pred-actual) / actual
-			sumErr += err
-			n++
-			t.Add(cells[i].Size, cells[i].GPUs, fmt.Sprintf(format, pred/div),
-				fmt.Sprintf(format, actual/div), fmt.Sprintf("%.2f%%", 100*err))
-		}
-		fmt.Fprintf(w, "\n[%s]  avg error %.2f%%\n", fam, 100*sumErr/math.Max(1, float64(n)))
-		t.Render(w)
+			sumErr[c.Family] += err
+			return []any{c.Size, c.GPUs, pred / div, actual / div, 100 * err}
+		})
+	for i := range out[1:] {
+		t := &out[1+i]
+		t.Title += fmt.Sprintf("  avg error %.2f%%", 100*sumErr[t.Key]/math.Max(1, float64(len(t.Rows))))
 	}
+	return out
 }
 
 func (e *E2E) family(fam string) []E2ECell {

@@ -1,6 +1,9 @@
 // Package exps drives the paper's evaluation: one function per figure
 // or table (Figure 1, Exp#1–9 → Figures 7–16, Tables 3–5, and the §5.4
-// case studies), each returning structured rows plus a text rendering.
+// case studies). Every artifact is a list of tables — the Tables method
+// of an experiment's rows, a view of the end-to-end run, or Figure 1's
+// analytic table — which Print renders as plain text on a terminal and
+// Table.WriteCSV writes at full precision for re-plotting.
 //
 // The per-experiment index in DESIGN.md §4 maps every function here to
 // the paper artifact it regenerates. Search budgets are scaled down

@@ -17,25 +17,26 @@ func fast() Settings {
 }
 
 func TestFig1Growth(t *testing.T) {
-	rows := Fig1(nil)
+	tables := Fig1(nil)
+	rows := tables[0].Rows
 	if len(rows) == 0 {
 		t.Fatal("no rows")
 	}
 	for i, r := range rows {
-		if r.Log10Two >= r.Log10Three || r.Log10Three >= r.Log10Four {
-			t.Errorf("row %d: mechanism counts not increasing: %+v", i, r)
+		two, three, four := r[1].(float64), r[2].(float64), r[3].(float64)
+		if two >= three || three >= four {
+			t.Errorf("row %d: mechanism counts not increasing: %v", i, r)
 		}
-		if i > 0 && rows[i].Log10Four <= rows[i-1].Log10Four {
+		if i > 0 && four <= rows[i-1][3].(float64) {
 			t.Errorf("row %d: space must grow with layers", i)
 		}
 	}
 	// Sanity: 2-layer, 2-mech on 16 devices = 5² = 25 → log10 ≈ 1.4.
-	r := ConfigSpaceSize(2, 16)
-	if r.Log10Two < 1.3 || r.Log10Two > 1.5 {
-		t.Errorf("ConfigSpaceSize(2,16).Log10Two = %v, want ≈1.4", r.Log10Two)
+	if two, _, _ := ConfigSpaceSize(2, 16); two < 1.3 || two > 1.5 {
+		t.Errorf("ConfigSpaceSize(2,16) 2 mechanisms = %v, want ≈1.4", two)
 	}
 	var buf bytes.Buffer
-	RenderFig1(&buf, rows)
+	Print(&buf, tables)
 	if !strings.Contains(buf.String(), "Figure 1") {
 		t.Error("render missing title")
 	}
@@ -70,11 +71,9 @@ func TestE2ESmall(t *testing.T) {
 		}
 	}
 	var buf bytes.Buffer
-	e.RenderFig7(&buf)
-	e.RenderFig8(&buf)
-	e.RenderTables(&buf)
-	e.RenderFig15(&buf)
-	e.RenderFig16(&buf)
+	for _, tables := range [][]Table{e.Fig7(), e.Fig8(), e.TFLOPS(), e.Fig15(), e.Fig16()} {
+		Print(&buf, tables)
+	}
 	out := buf.String()
 	for _, want := range []string{"Figure 7", "Figure 8", "Table 3", "Figure 15", "Figure 16"} {
 		if !strings.Contains(out, want) {
@@ -107,7 +106,7 @@ func TestFig9Small(t *testing.T) {
 		t.Error("Aceso must still handle 128 layers")
 	}
 	var buf bytes.Buffer
-	RenderFig9(&buf, rows)
+	Print(&buf, rows.Tables())
 	if !strings.Contains(buf.String(), "x") {
 		t.Error("render should mark the Alpa failure with x")
 	}
@@ -125,7 +124,7 @@ func TestFig11Stats(t *testing.T) {
 		t.Errorf("FirstTryRate = %v", rate)
 	}
 	var buf bytes.Buffer
-	RenderFig11(&buf, r)
+	Print(&buf, r.Tables())
 	if !strings.Contains(buf.String(), "bottlenecks tried") {
 		t.Error("render missing histogram (a)")
 	}
@@ -137,7 +136,7 @@ func TestFig12Curves(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for key, cs := range curves {
+	for key, cs := range curves.Groups {
 		if len(cs) != 4 { // heuristic-2 + 3 random runs
 			t.Errorf("%s: %d curves, want 4", key, len(cs))
 		}
@@ -158,7 +157,7 @@ func TestFig12Curves(t *testing.T) {
 		}
 	}
 	var buf bytes.Buffer
-	RenderCurves(&buf, "Figure 12", curves)
+	Print(&buf, curves.Tables())
 	if !strings.Contains(buf.String(), "heuristic-2") {
 		t.Error("render missing heuristic-2 curve")
 	}
@@ -169,7 +168,7 @@ func TestFig14Initializers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for key, cs := range curves {
+	for key, cs := range curves.Groups {
 		if len(cs) != 3 {
 			t.Errorf("%s: %d curves, want 3", key, len(cs))
 		}
@@ -185,12 +184,18 @@ func TestCases(t *testing.T) {
 		t.Fatalf("cases = %d, want 2", len(cases))
 	}
 	for _, cs := range cases {
-		if cs.Config == nil || len(cs.Notes) < 2 {
-			t.Errorf("%s: incomplete case study", cs.Title)
+		if cs.Config == nil {
+			t.Errorf("%s: no plan", cs.Title)
+		}
+	}
+	tables := cases.Tables()
+	for i, tb := range tables[1:] {
+		if n := cases[i].Config.NumStages(); len(tb.Rows) != n {
+			t.Errorf("%s: %d stage rows for %d stages", tb.Key, len(tb.Rows), n)
 		}
 	}
 	var buf bytes.Buffer
-	RenderCases(&buf, cases)
+	Print(&buf, tables)
 	if !strings.Contains(buf.String(), "GPT-3 1.3B") {
 		t.Error("render missing GPT case")
 	}
@@ -228,60 +233,47 @@ func toConv(ps []corePoint) []obs.ConvergencePoint {
 	return out
 }
 
+// TestCSVWriters: every artifact's CSV is its tables' header and rows,
+// numbers at full precision and markers as printed.
 func TestCSVWriters(t *testing.T) {
-	var buf bytes.Buffer
-	if err := WriteFig1CSV(&buf, Fig1([]int{2, 4})); err != nil {
-		t.Fatal(err)
+	csvOf := func(tb Table) string {
+		var buf bytes.Buffer
+		if err := tb.WriteCSV(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.String()
 	}
-	if lines := strings.Count(buf.String(), "\n"); lines != 3 {
-		t.Errorf("fig1 csv has %d lines, want 3", lines)
+	if got := csvOf(Fig1([]int{2, 4})[0]); strings.Count(got, "\n") != 3 ||
+		!strings.Contains(got, "2,1.3979400086720375,") {
+		t.Errorf("fig1 csv = %s", got)
 	}
 
 	e, err := RunE2E(Settings{Budget: 150 * time.Millisecond, Seed: 1, Sizes: 1}, []string{"gpt3"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	buf.Reset()
-	if err := e.WriteCSV(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), "gpt3,350M,1,") {
-		t.Errorf("e2e csv missing row: %s", buf.String())
+	if got := csvOf(e.Raw()[0]); !strings.HasPrefix(got, "family,size,gpus,") || !strings.Contains(got, "gpt3,350M,1,") {
+		t.Errorf("e2e csv = %s", got)
 	}
 
-	buf.Reset()
-	if err := WriteFig9CSV(&buf, []Fig9Row{{Layers: 8, AcesoSearch: 1, AlpaFailed: true}}); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), "8,1,0,0,0,true") {
-		t.Errorf("fig9 csv = %s", buf.String())
+	rows := Fig9Rows{{Layers: 8, AcesoSearch: 1.0000000001, AlpaFailed: true}}
+	if got := csvOf(rows.Tables()[0]); !strings.Contains(got, "8,x,1.0000000001,x,0,-") {
+		t.Errorf("fig9 csv = %s", got)
 	}
 
-	buf.Reset()
-	if err := WriteFig10CSV(&buf, []Fig10Row{{Model: "m", GPUs: 8, DPExplored: 10, AcesoExplored: 1}}); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), "m,8,10,1,") {
-		t.Errorf("fig10 csv = %s", buf.String())
+	if got := csvOf((&Fig11Result{Tries: []int{5}, Hops: []int{3, 2}}).Tables()[2]); got != "hops,iterations\n1,3\n2,2\n" {
+		t.Errorf("fig11 hops csv = %q", got)
 	}
 
-	buf.Reset()
-	if err := WriteFig11CSV(&buf, &Fig11Result{Tries: []int{5}, Hops: []int{3, 2}}); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), "bottleneck_tries,1,5") || !strings.Contains(buf.String(), "hops,2,2") {
-		t.Errorf("fig11 csv = %s", buf.String())
+	curves := &Curves{Groups: map[string][]Curve{"g": {{Label: "v", Best: []float64{0, 1.0 / 3}}}}}
+	if got := csvOf(curves.Tables()[1]); got != "variant,50%,100%\nv,-,0.3333333333333333\n" {
+		t.Errorf("curves csv = %q", got)
 	}
 
-	buf.Reset()
-	groups := map[string][]Curve{
-		"g": {{Label: "v", Budget: time.Second, Best: []float64{2, 1}}},
-	}
-	if err := WriteCurvesCSV(&buf, groups); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), "g,v,0.5,0.5,2") {
-		t.Errorf("curves csv = %s", buf.String())
+	shared := SharedRows{{Planner: "aceso", Samples: 10, PlanOverhead: 1500 * time.Millisecond,
+		Windows: []SharedWindow{{GPUs: 8, Duration: time.Hour, PlanTime: time.Millisecond}}}}
+	if got := csvOf(shared.Tables()[1]); !strings.Contains(got, "0,8,3600,0.001,0,0") {
+		t.Errorf("shared windows csv = %q", got)
 	}
 }
 
@@ -322,7 +314,7 @@ func TestSharedClusterComparesPlanners(t *testing.T) {
 		t.Error("aceso should utilize the cluster better under churn")
 	}
 	var buf bytes.Buffer
-	RenderShared(&buf, rows)
+	Print(&buf, rows.Tables())
 	if !strings.Contains(buf.String(), "aceso-warm") {
 		t.Errorf("render missing the warm planner:\n%s", buf.String())
 	}
@@ -345,7 +337,7 @@ func TestFig13MaxHopsCurves(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for key, cs := range curves {
+	for key, cs := range curves.Groups {
 		if len(cs) != 4 { // MaxHops 1, 3, 7, 11
 			t.Errorf("%s: %d curves, want 4", key, len(cs))
 		}
@@ -370,7 +362,7 @@ func TestAblations(t *testing.T) {
 		t.Errorf("GPipe/1F1B memory ratio = %v, want > 1", memRatio)
 	}
 	var buf bytes.Buffer
-	RenderAblations(&buf, res)
+	Print(&buf, res.Tables())
 	if !strings.Contains(buf.String(), "GPipe peak memory") {
 		t.Error("render missing scheduling note")
 	}

@@ -2,7 +2,6 @@ package exps
 
 import (
 	"fmt"
-	"io"
 
 	"aceso/internal/baselines/dpsearch"
 	"aceso/internal/hardware"
@@ -21,9 +20,12 @@ type Fig10Row struct {
 	AcesoIter float64
 }
 
+// Fig10Rows are Figure 10's workloads.
+type Fig10Rows []Fig10Row
+
 // Fig10 runs the Exp#4 comparison on GPT-3 2.6B (8 GPUs) and 6.7B
 // (16 GPUs).
-func Fig10(set Settings) ([]Fig10Row, error) {
+func Fig10(set Settings) (Fig10Rows, error) {
 	set = set.withDefaults()
 	cases := []struct {
 		size string
@@ -32,7 +34,7 @@ func Fig10(set Settings) ([]Fig10Row, error) {
 		{"2.6B", 8},
 		{"6.7B", 16},
 	}
-	var out []Fig10Row
+	var out Fig10Rows
 	for _, tc := range cases {
 		g, err := model.ByName("gpt3", tc.size)
 		if err != nil {
@@ -61,19 +63,19 @@ func Fig10(set Settings) ([]Fig10Row, error) {
 	return out, nil
 }
 
-// RenderFig10 prints the exploration-efficiency comparison.
-func RenderFig10(w io.Writer, rows []Fig10Row) {
-	fmt.Fprintln(w, "Figure 10 (Exp#4): configurations explored and found-config performance, DP vs Aceso")
-	t := &table{Header: []string{
-		"model", "GPUs", "DP explored", "Aceso explored", "ratio",
-		"DP iter (s)", "Aceso iter (s)"}}
-	for _, r := range rows {
-		ratio := "-"
-		if r.DPExplored > 0 {
-			ratio = fmt.Sprintf("%.1f%%", 100*float64(r.AcesoExplored)/float64(r.DPExplored))
-		}
-		t.Add(r.Model, r.GPUs, r.DPExplored, r.AcesoExplored, ratio,
-			fmt.Sprintf("%.2f", r.DPIter), fmt.Sprintf("%.2f", r.AcesoIter))
+// Tables is the exploration-efficiency table.
+func (rows Fig10Rows) Tables() []Table {
+	t := Table{
+		Title: "Figure 10 (Exp#4): configurations explored and found-config performance, DP vs Aceso",
+		Cols: []Col{{Head: "model"}, {Head: "GPUs"}, {Head: "DP explored"}, {Head: "Aceso explored"},
+			{Head: "ratio", Fmt: "%.1f%%"}, {Head: "DP iter (s)"}, {Head: "Aceso iter (s)"}},
 	}
-	t.Render(w)
+	for _, r := range rows {
+		var ratio any = "-"
+		if r.DPExplored > 0 {
+			ratio = 100 * float64(r.AcesoExplored) / float64(r.DPExplored)
+		}
+		t.Rows = append(t.Rows, []any{r.Model, r.GPUs, r.DPExplored, r.AcesoExplored, ratio, r.DPIter, r.AcesoIter})
+	}
+	return []Table{t}
 }

@@ -2,7 +2,6 @@ package exps
 
 import (
 	"fmt"
-	"io"
 
 	"aceso/internal/baselines/alpa"
 	"aceso/internal/hardware"
@@ -21,17 +20,20 @@ type Fig9Row struct {
 	AlpaFailed  bool
 }
 
+// Fig9Rows are Figure 9's layer counts.
+type Fig9Rows []Fig9Row
+
 // Fig9 searches DeepNet-style transformers of increasing depth over 8
 // GPUs (Exp#3). Aceso must always return within budget; the Alpa-like
 // baseline's layer-group DP grows with depth and fails compilation
 // beyond 64 layers.
-func Fig9(set Settings, layerCounts []int) ([]Fig9Row, error) {
+func Fig9(set Settings, layerCounts []int) (Fig9Rows, error) {
 	set = set.withDefaults()
 	if len(layerCounts) == 0 {
 		layerCounts = []int{8, 16, 32, 64, 128, 256, 512, 1024}
 	}
 	cl := hardware.DGX1V100(1)
-	var out []Fig9Row
+	var out Fig9Rows
 	for _, layers := range layerCounts {
 		g, err := model.DeepTransformer(layers)
 		if err != nil {
@@ -66,25 +68,25 @@ func Fig9(set Settings, layerCounts []int) ([]Fig9Row, error) {
 	return out, nil
 }
 
-// RenderFig9 prints the scalability table.
-func RenderFig9(w io.Writer, rows []Fig9Row) {
-	fmt.Fprintln(w, "Figure 9 (Exp#3): scaling to 1K-layer transformers on 8 GPUs (x = failed)")
-	t := &table{Header: []string{
-		"layers", "Alpa search (s)", "Aceso search (s)",
-		"Alpa iter (s)", "Aceso iter (s)", "Aceso speedup"}}
+// Tables is the scalability table; x marks a failed Alpa-like run.
+func (rows Fig9Rows) Tables() []Table {
+	t := Table{
+		Title: "Figure 9 (Exp#3): scaling to 1K-layer transformers on 8 GPUs (x = failed)",
+		Cols: []Col{{Head: "layers"}, {Head: "Alpa search (s)", Fmt: "%.1f"}, {Head: "Aceso search (s)", Fmt: "%.1f"},
+			{Head: "Alpa iter (s)"}, {Head: "Aceso iter (s)"}, {Head: "Aceso speedup", Fmt: "%.2fx"}},
+	}
 	for _, r := range rows {
-		alpaSearch, alpaIter, speedup := "x", "x", "-"
+		var alpaSearch, alpaIter, speedup any = "x", "x", "-"
 		if !r.AlpaFailed {
-			alpaSearch = fmt.Sprintf("%.1f", r.AlpaSearch)
+			alpaSearch = r.AlpaSearch
 			if r.AlpaIter > 0 {
-				alpaIter = fmt.Sprintf("%.2f", r.AlpaIter)
+				alpaIter = r.AlpaIter
 				if r.AcesoIter > 0 {
-					speedup = fmt.Sprintf("%.2fx", r.AlpaIter/r.AcesoIter)
+					speedup = r.AlpaIter / r.AcesoIter
 				}
 			}
 		}
-		t.Add(r.Layers, alpaSearch, fmt.Sprintf("%.1f", r.AcesoSearch),
-			alpaIter, fmt.Sprintf("%.2f", r.AcesoIter), speedup)
+		t.Rows = append(t.Rows, []any{r.Layers, alpaSearch, r.AcesoSearch, alpaIter, r.AcesoIter, speedup})
 	}
-	t.Render(w)
+	return []Table{t}
 }

@@ -2,7 +2,6 @@ package exps
 
 import (
 	"fmt"
-	"io"
 	"time"
 
 	"aceso/internal/baselines/alpa"
@@ -37,6 +36,9 @@ type SharedRow struct {
 	Windows      []SharedWindow
 }
 
+// SharedRows are the shared-cluster scenario's planners.
+type SharedRows []SharedRow
+
 // SharedCluster quantifies the paper's §1 motivation: "search overhead
 // can be a huge burden when quick reconfiguration is needed, e.g., in a
 // shared cluster with frequent changes in resources". A GPT-3 2.6B job
@@ -45,7 +47,7 @@ type SharedRow struct {
 // training time lost. It compares a cold Aceso search, Aceso seeded
 // from the previous plan, and the Alpa-like solver, whose emulated
 // compile and profile cost is its planning time (Figure 8).
-func SharedCluster(set Settings) ([]SharedRow, error) {
+func SharedCluster(set Settings) (SharedRows, error) {
 	g, err := model.ByName("gpt3", "2.6B")
 	if err != nil {
 		return nil, err
@@ -56,7 +58,7 @@ func SharedCluster(set Settings) ([]SharedRow, error) {
 
 // sharedCluster plays trace, which starts at 0 and ends before horizon,
 // for each planner and executes every window's plan in the runtime.
-func sharedCluster(g *model.Graph, base hardware.Cluster, trace []allocation, horizon time.Duration, set Settings) ([]SharedRow, error) {
+func sharedCluster(g *model.Graph, base hardware.Cluster, trace []allocation, horizon time.Duration, set Settings) (SharedRows, error) {
 	// plan answers one window for a planner: the configuration and the
 	// time the job waited for it. The warm planner starts from its own
 	// previous plan, as Replan and the plan server's near misses do.
@@ -78,7 +80,7 @@ func sharedCluster(g *model.Graph, base hardware.Cluster, trace []allocation, ho
 		}
 		return run.Best, run.SearchTime, nil
 	}
-	var rows []SharedRow
+	var rows SharedRows
 	for _, planner := range []string{"aceso", "aceso-warm", "alpa"} {
 		row := SharedRow{Planner: planner}
 		var prev *config.Config
@@ -115,20 +117,21 @@ func samples(window, planTime time.Duration, iterTime float64, batch int) float6
 	return train.Seconds() / iterTime * float64(batch)
 }
 
-// RenderShared prints each planner's totals, then the cold Aceso run's
-// windows.
-func RenderShared(w io.Writer, rows []SharedRow) {
-	fmt.Fprintln(w, "Shared cluster (§1): samples trained when every allocation change forces a replan")
-	t := &table{Header: []string{"planner", "samples trained", "plan overhead", "utilization", "vs aceso"}}
+// Tables is each planner's totals, then the first (cold Aceso)
+// planner's windows.
+func (rows SharedRows) Tables() []Table {
+	totals := Table{Key: "planners",
+		Title: "Shared cluster (§1): samples trained when every allocation change forces a replan",
+		Cols: []Col{{Head: "planner"}, {Head: "samples trained", Fmt: "%.0f"}, {Head: "plan overhead", Round: time.Second},
+			{Head: "utilization", Fmt: "%.1f%%"}, {Head: "vs aceso", Fmt: "%.2fx"}}}
 	for _, r := range rows {
-		t.Add(r.Planner, fmt.Sprintf("%.0f", r.Samples), r.PlanOverhead.Round(time.Second),
-			fmt.Sprintf("%.1f%%", 100*r.Utilization), fmt.Sprintf("%.2fx", r.Samples/rows[0].Samples))
+		totals.Rows = append(totals.Rows, []any{r.Planner, r.Samples, r.PlanOverhead, 100 * r.Utilization, r.Samples / rows[0].Samples})
 	}
-	t.Render(w)
-	fmt.Fprintf(w, "\nper-window detail (%s):\n", rows[0].Planner)
-	t = &table{Header: []string{"window", "GPUs", "duration", "plan", "iter (s)", "samples"}}
+	windows := Table{Key: "windows", Title: fmt.Sprintf("\nper-window detail (%s):", rows[0].Planner),
+		Cols: []Col{{Head: "window"}, {Head: "GPUs"}, {Head: "duration"}, {Head: "plan", Round: time.Millisecond},
+			{Head: "iter (s)"}, {Head: "samples", Fmt: "%.0f"}}}
 	for i, win := range rows[0].Windows {
-		t.Add(i, win.GPUs, win.Duration, win.PlanTime.Round(time.Millisecond), win.IterTime, fmt.Sprintf("%.0f", win.Samples))
+		windows.Rows = append(windows.Rows, []any{i, win.GPUs, win.Duration, win.PlanTime, win.IterTime, win.Samples})
 	}
-	t.Render(w)
+	return []Table{totals, windows}
 }

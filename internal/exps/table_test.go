@@ -7,11 +7,11 @@ import (
 )
 
 func TestTableAlignment(t *testing.T) {
-	tb := &table{Header: []string{"name", "value"}}
-	tb.Add("short", 1)
-	tb.Add("a-much-longer-name", 2.5)
+	tb := Table{Cols: []Col{{Head: "name"}, {Head: "value"}}}
+	tb.Rows = append(tb.Rows, []any{"short", 1})
+	tb.Rows = append(tb.Rows, []any{"a-much-longer-name", 2.5})
 	var buf bytes.Buffer
-	tb.Render(&buf)
+	Print(&buf, []Table{tb})
 	lines := strings.Split(strings.TrimRight(buf.String(), "\n"), "\n")
 	if len(lines) != 4 {
 		t.Fatalf("got %d lines, want 4 (header, separator, 2 rows)", len(lines))
@@ -33,8 +33,15 @@ func TestTableAlignment(t *testing.T) {
 }
 
 func TestBars(t *testing.T) {
+	bars := func(title string, counts ...int) []Table {
+		tb := Table{Title: title, Cols: []Col{{Head: "bucket"}, {Head: "count"}}, View: Bars}
+		for i, v := range counts {
+			tb.Rows = append(tb.Rows, []any{i + 1, v})
+		}
+		return []Table{tb}
+	}
 	var buf bytes.Buffer
-	histogram(&buf, "demo", []int{1, 2})
+	Print(&buf, bars("demo", 1, 2))
 	out := buf.String()
 	if !strings.Contains(out, "demo") {
 		t.Error("missing title")
@@ -49,7 +56,7 @@ func TestBars(t *testing.T) {
 	}
 	// Zero-max edge case must not divide by zero.
 	buf.Reset()
-	histogram(&buf, "zeros", []int{0})
+	Print(&buf, bars("zeros", 0))
 	if !strings.Contains(buf.String(), "0") {
 		t.Error("zero bars broken")
 	}

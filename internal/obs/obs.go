@@ -88,9 +88,10 @@ type Tracer interface {
 	OnIteration(ev IterationEvent)
 }
 
-// EstimateTracer is a Tracer that also observes every estimate. The
-// search estimates exactly what it would otherwise decide by a bound,
-// so that an EstimateTracer sees every configuration it counts.
+// EstimateTracer is a Tracer that also observes every estimate the
+// search makes. Observing changes nothing the search computes: a
+// fine-tune trial its bound rejects is counted as explored and never
+// estimated, so an EstimateTracer does not see it.
 type EstimateTracer interface {
 	Tracer
 	// OnEstimate is called for every configuration newly estimated in
