@@ -28,6 +28,7 @@ package alpa
 import (
 	"errors"
 	"fmt"
+	"math"
 	"time"
 
 	"aceso/internal/config"
@@ -183,67 +184,22 @@ func partitionDP(pm *perfmodel.Model, g *model.Graph, groups [][2]int,
 	devs []int, mbs int, recomp bool, kernels map[kernelKey]bool) (*config.Config, float64) {
 
 	l := len(groups)
-	s := len(devs)
-	if l < s {
+	cuts, sets, cost := config.MinMaxPartition(l, len(devs), 1, l, func(k, i, j int, offer func(float64, config.OpSetting)) {
+		if cost, tp := stageCost(pm, g, groups[k][0], groups[i-1][1], devs[j], mbs, recomp, k, i, kernels); tp != 0 {
+			offer(cost, config.OpSetting{TP: tp, DP: devs[j] / tp, Recompute: recomp})
+		}
+	})
+	if cuts == nil {
 		return nil, 0
 	}
-	const inf = 1e30
-	// f[i][j]: groups[0..i) assigned to stages[0..j); value = max cost.
-	f := make([][]float64, l+1)
-	cut := make([][]int, l+1)
-	tpOf := make([][]int, l+1) // chosen tp for the stage ending the prefix
-	for i := range f {
-		f[i] = make([]float64, s+1)
-		cut[i] = make([]int, s+1)
-		tpOf[i] = make([]int, s+1)
-		for j := range f[i] {
-			f[i][j] = inf
-		}
-	}
-	f[0][0] = 0
-	for j := 1; j <= s; j++ {
-		for i := j; i <= l-(s-j); i++ {
-			for k := j - 1; k < i; k++ {
-				if f[k][j-1] >= inf {
-					continue
-				}
-				cost, tp := stageCost(pm, g, groups[k][0], groups[i-1][1], devs[j-1], mbs, recomp, k, i, kernels)
-				if cost >= inf {
-					continue
-				}
-				v := f[k][j-1]
-				if cost > v {
-					v = cost
-				}
-				if v < f[i][j] {
-					f[i][j] = v
-					cut[i][j] = k
-					tpOf[i][j] = tp
-				}
-			}
-		}
-	}
-	if f[l][s] >= inf {
-		return nil, 0
-	}
-	// Reconstruct.
-	type stagePlan struct{ from, to, tp int }
-	plans := make([]stagePlan, s)
-	i := l
-	for j := s; j >= 1; j-- {
-		k := cut[i][j]
-		plans[j-1] = stagePlan{groups[k][0], groups[i-1][1], tpOf[i][j]}
-		i = k
-	}
-	cfg := &config.Config{MicroBatch: mbs, Stages: make([]config.Stage, s)}
-	for j, pl := range plans {
-		set := config.OpSetting{TP: pl.tp, DP: devs[j] / pl.tp, Recompute: recomp}
-		cfg.Stages[j] = config.UniformStage(pl.from, pl.to, devs[j], set)
+	cfg := &config.Config{MicroBatch: mbs, Stages: make([]config.Stage, len(devs))}
+	for j, set := range sets {
+		cfg.Stages[j] = config.UniformStage(groups[cuts[j]][0], groups[cuts[j+1]-1][1], devs[j], set)
 	}
 	if err := cfg.Validate(g, cfg.TotalDevices()); err != nil {
 		return nil, 0
 	}
-	return cfg, f[l][s]
+	return cfg, cost
 }
 
 // stageCost evaluates one candidate stage the way Alpa does: the
@@ -253,14 +209,12 @@ func partitionDP(pm *perfmodel.Model, g *model.Graph, groups [][2]int,
 // ignored (the §5.1 simplification that makes Alpa miss compute-
 // efficiency-driven mixes). The inter-op DP, however, balances stages
 // on their full per-microbatch latency, which Alpa's stage model does
-// capture; that latency of the comm-chosen sharding is returned.
+// capture; that latency of the comm-chosen sharding is returned, with
+// its tp (0 when no sharding fits in memory).
 func stageCost(pm *perfmodel.Model, g *model.Graph, from, to, devices, mbs int,
 	recomp bool, gFrom, gTo int, kernels map[kernelKey]bool) (float64, int) {
 
-	const inf = 1e30
-	bestComm := inf
-	bestTime := inf
-	bestTP := 0
+	bestComm, bestTime, bestTP := math.Inf(1), 0.0, 0
 	for tp := 1; tp <= devices; tp *= 2 {
 		dp := devices / tp
 		if tp*dp != devices || mbs%dp != 0 {
@@ -274,24 +228,14 @@ func stageCost(pm *perfmodel.Model, g *model.Graph, from, to, devices, mbs int,
 		if sm.ParamMem+sm.OptMem+sm.ActPerMB+sm.ExtraMem > pm.Cluster.MemoryBytes {
 			continue
 		}
-		comm := sm.TPComm + sm.DPSync/float64(maxInt(1, g.GlobalBatch/mbs))
+		comm := sm.TPComm + sm.DPSync/float64(max(1, g.GlobalBatch/mbs))
 		if comm < bestComm {
 			bestComm = comm
 			bestTime = sm.FwdTime + sm.BwdTime
 			bestTP = tp
 		}
 	}
-	if bestTP == 0 {
-		return inf, 0
-	}
 	return bestTime, bestTP
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // evenGroups clusters n operators into l contiguous, op-count-even

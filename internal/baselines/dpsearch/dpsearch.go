@@ -146,70 +146,33 @@ func run(pm *perfmodel.Model, g *model.Graph, devs []int, mbs, slack int, explor
 		return c
 	}
 
-	const inf = 1e30
-	type cell struct {
-		cost   float64
-		cut    int
-		tp, dp int
-		rc     bool
-	}
-	// f[i][j]: ops[0..i) in stages[0..j).
-	f := make([][]cell, n+1)
-	for i := range f {
-		f[i] = make([]cell, s+1)
-		for j := range f[i] {
-			f[i][j].cost = inf
-		}
-	}
-	f[0][0].cost = 0
-	for j := 1; j <= s; j++ {
-		inflight := s - (j - 1) // Eq. 1 position term for stage j-1
-		for i := j; i <= n-(s-j); i++ {
-			lo := i - maxOps
-			if lo < j-1 {
-				lo = j - 1
+	cuts, sets, _ := config.MinMaxPartition(n, s, minOps, maxOps, func(from, to, j int, offer func(float64, config.OpSetting)) {
+		inflight := s - j // Eq. 1 position term for stage j
+		d := devs[j]
+		for tp := 1; tp <= d; tp *= 2 {
+			dp := d / tp
+			if tp*dp != d || mbs%dp != 0 {
+				continue
 			}
-			hi := i - minOps
-			for k := lo; k <= hi; k++ {
-				if f[k][j-1].cost >= inf {
+			for _, rc := range []bool{false, true} {
+				*explored++
+				c := eval(from, to, d, tp, dp, rc)
+				if !c.ok {
 					continue
 				}
-				d := devs[j-1]
-				for tp := 1; tp <= d; tp *= 2 {
-					dp := d / tp
-					if tp*dp != d || mbs%dp != 0 {
-						continue
-					}
-					for _, rc := range []bool{false, true} {
-						*explored++
-						c := eval(k, i, d, tp, dp, rc)
-						if !c.ok {
-							continue
-						}
-						if c.mem+c.act*float64(inflight) > pm.Cluster.MemoryBytes {
-							continue
-						}
-						v := f[k][j-1].cost
-						if c.cost > v {
-							v = c.cost
-						}
-						if v < f[i][j].cost {
-							f[i][j] = cell{cost: v, cut: k, tp: tp, dp: dp, rc: rc}
-						}
-					}
+				if c.mem+c.act*float64(inflight) > pm.Cluster.MemoryBytes {
+					continue
 				}
+				offer(c.cost, config.OpSetting{TP: tp, DP: dp, Recompute: rc})
 			}
 		}
-	}
-	if f[n][s].cost >= inf {
+	})
+	if cuts == nil {
 		return nil
 	}
 	cfg := &config.Config{MicroBatch: mbs, Stages: make([]config.Stage, s)}
-	i := n
-	for j := s; j >= 1; j-- {
-		c := f[i][j]
-		cfg.Stages[j-1] = config.UniformStage(c.cut, i, devs[j-1], config.OpSetting{TP: c.tp, DP: c.dp, Recompute: c.rc})
-		i = c.cut
+	for j, set := range sets {
+		cfg.Stages[j] = config.UniformStage(cuts[j], cuts[j+1], devs[j], set)
 	}
 	if err := cfg.Validate(g, cfg.TotalDevices()); err != nil {
 		return nil

@@ -137,6 +137,49 @@ func TestOpSplitErrors(t *testing.T) {
 	}
 }
 
+// TestMinMaxPartition checks the DP on unit costs it can be worked by
+// hand: a range costs the sum of its units, offered twice at one cost.
+func TestMinMaxPartition(t *testing.T) {
+	units := []float64{1, 2, 3, 4, 5}
+	calls := 0
+	sum := func(from, to, _ int, offer func(float64, OpSetting)) {
+		calls++
+		c := 0.0
+		for _, u := range units[from:to] {
+			c += u
+		}
+		offer(c, OpSetting{TP: 1})
+		offer(c, OpSetting{TP: 2}) // a tie: the first offer stays
+	}
+	tp1 := []OpSetting{{TP: 1}, {TP: 1}}
+	cuts, sets, cost := MinMaxPartition(len(units), 2, 1, 5, sum)
+	if cost != 9 || !reflect.DeepEqual(cuts, []int{0, 3, 5}) || !reflect.DeepEqual(sets, tp1) {
+		t.Errorf("MinMaxPartition = %v, %v, %v; want [0 3 5], %v, 9", cuts, sets, cost, tp1)
+	}
+	// Stage 0 is asked about [0,1)…[0,4); stage 1 about every [k, i)
+	// with 1 ≤ k < i ≤ 5, those ending before 5 too.
+	if calls != 4+10 {
+		t.Errorf("eval called %d times, want 14", calls)
+	}
+	// No range of 3…5 units splits 5 units in two.
+	if cuts, _, _ := MinMaxPartition(len(units), 2, 3, 5, sum); cuts != nil {
+		t.Errorf("infeasible lengths partitioned: %v", cuts)
+	}
+	// A stage that offers nothing leaves its prefix infeasible, and the
+	// next stage is not asked about it.
+	calls = 0
+	cuts, sets, _ = MinMaxPartition(len(units), 2, 1, 5, func(from, to, s int, offer func(float64, OpSetting)) {
+		if s == 0 && to < 4 {
+			calls++
+			return
+		}
+		sum(from, to, s, offer)
+	})
+	if !reflect.DeepEqual(cuts, []int{0, 4, 5}) || !reflect.DeepEqual(sets, tp1) || calls != 3+2 {
+		t.Errorf("MinMaxPartition = %v, %v after %d calls; want [0 4 5], %v after 5", cuts, sets, calls, tp1)
+	}
+}
+
 func TestBalancedValidates(t *testing.T) {
 	g := model.Uniform(32, 1e9, 1e6, 1e5, 64)
 	for _, tc := range []struct{ dev, st int }{{16, 4}, {16, 3}, {8, 1}, {4, 4}, {1, 1}} {

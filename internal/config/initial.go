@@ -2,6 +2,7 @@ package config
 
 import (
 	"fmt"
+	"math"
 
 	"aceso/internal/model"
 )
@@ -102,6 +103,63 @@ func OpSplit(g *model.Graph, weights []float64) ([][2]int, error) {
 		start = end
 	}
 	return out, nil
+}
+
+// MinMaxPartition is the linear-partition DP of the comparators
+// (PipeDream's layer-to-stage DP): it cuts n units into stages
+// contiguous ranges of minLen…maxLen units, minimising the largest
+// stage cost. For every range stage s can take after a feasible
+// prefix, eval(from, to, s, offer) offers that stage's settings with
+// their costs; only a strictly lower value replaces a cell, so the
+// first offer wins ties. It returns the stage boundaries (stage s runs
+// units [cuts[s], cuts[s+1])), each stage's setting and the largest
+// stage cost, or nil cuts when no partition is feasible.
+func MinMaxPartition(n, stages, minLen, maxLen int, eval func(from, to, stage int, offer func(cost float64, set OpSetting))) (cuts []int, sets []OpSetting, cost float64) {
+	type cell struct {
+		cost float64
+		cut  int
+		set  OpSetting
+	}
+	inf, w := math.Inf(1), stages+1
+	f := make([]cell, (n+1)*w) // f[i*w+j]: units [0, i) in stages [0, j)
+	for c := range f {
+		f[c].cost = inf
+	}
+	f[0].cost = 0
+	// One offer for the whole DP: it fills the cell at, reached from the
+	// cut k whose prefix costs prev, without a closure per range.
+	var prev float64
+	var k int
+	var at *cell
+	offer := func(c float64, set OpSetting) {
+		v := prev
+		if c > v {
+			v = c
+		}
+		if v < at.cost {
+			*at = cell{v, k, set}
+		}
+	}
+	for j := 1; j <= stages; j++ {
+		for i := j; i <= n-(stages-j); i++ {
+			at = &f[i*w+j]
+			for k = max(i-maxLen, j-1); k <= i-minLen; k++ {
+				if prev = f[k*w+j-1].cost; prev < inf {
+					eval(k, i, j-1, offer)
+				}
+			}
+		}
+	}
+	if cost = f[n*w+stages].cost; cost == inf {
+		return nil, nil, 0
+	}
+	cuts, sets = make([]int, stages+1), make([]OpSetting, stages)
+	cuts[stages] = n
+	for j := stages; j > 0; j-- {
+		c := f[cuts[j]*w+j]
+		cuts[j-1], sets[j-1] = c.cut, c.set
+	}
+	return cuts, sets, cost
 }
 
 // UniformStage returns the stage that runs operators [start, end) on

@@ -430,12 +430,12 @@ func newSearchMeters(reg *obs.Registry) *searchMeters {
 		iterTime:   reg.Histogram(obs.IterationSeconds, obs.SecondsBuckets...),
 	}
 	m.trials = map[bool]*obs.Counter{
-		false: reg.Counter(obs.FineTuneTrialsTotal + `{decided="exact"}`),
-		true:  reg.Counter(obs.FineTuneTrialsTotal + `{decided="bound"}`),
+		false: reg.Counter(obs.Labeled(obs.FineTuneTrialsTotal, "decided", "exact")),
+		true:  reg.Counter(obs.Labeled(obs.FineTuneTrialsTotal, "decided", "bound")),
 	}
 	for i := range Table {
 		name := Table[i].Name
-		m.prims[name] = reg.Counter(fmt.Sprintf("%s{primitive=%q}", obs.PrimitiveAppliedTotal, name))
+		m.prims[name] = reg.Counter(obs.Labeled(obs.PrimitiveAppliedTotal, "primitive", name))
 	}
 	return m
 }

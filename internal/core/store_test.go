@@ -395,9 +395,15 @@ func TestArenasOutliveSearch(t *testing.T) {
 	}
 
 	// Same search twice on stores this test put into the emptied pool:
-	// the second run's clones all come out of the first run's leavings.
-	// sync.Pool may drop what it is given (a collection, the race
-	// detector's sampling), so a lost hand-over is tried again.
+	// the second run starts with the first run's leavings in its arena,
+	// so it reuses more recycled configs than the first. sync.Pool may
+	// drop what it is given (a collection, the race detector's
+	// sampling), so a lost hand-over is tried again. The searches run on
+	// one worker: with two, which store a task clones into depends on
+	// which worker is idle first, and on GPT-3 350M / 8 V100s that moves
+	// a search's reuses by ±20, more than the ~6 configs the hand-over
+	// carries from one search to the next.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	reuses := func(ss *[]store) (n int) {
 		for w := range *ss {
 			n += (*ss)[w].arena.Reuses()

@@ -1,7 +1,6 @@
 package diffcheck
 
 import (
-	"fmt"
 	"math"
 	"math/rand"
 	"sort"
@@ -75,7 +74,7 @@ func New(name string, gen func(*rand.Rand) Tuple, effectsOn bool, reg *obs.Regis
 				break
 			}
 		}
-		reg.Counter(fmt.Sprintf("%s{kind=%q}", obs.DiffViolationsTotal, f.Kind)).Inc()
+		reg.Counter(obs.Labeled(obs.DiffViolationsTotal, "kind", f.Kind)).Inc()
 		shrinks.Add(int64(steps))
 		return false, &chaos.Violation{Kind: f.Kind, Detail: f.Detail, Repro: shrunk, ShrinkSteps: steps}
 	}

@@ -237,13 +237,13 @@ func (r *Report) publish(reg *obs.Registry) {
 		reg.Counter(name).Add(v)
 	}
 	for kind, n := range r.EventCounts {
-		reg.Counter(obs.ChurnEventsTotal + `{kind="` + kind + `"}`).Add(int64(n))
+		reg.Counter(obs.Labeled(obs.ChurnEventsTotal, "kind", kind)).Add(int64(n))
 	}
 	for rung, n := range r.Ladder {
-		reg.Counter(obs.ChurnLadderTotal + `{rung="` + rung + `"}`).Add(int64(n))
+		reg.Counter(obs.Labeled(obs.ChurnLadderTotal, "rung", rung)).Add(int64(n))
 	}
 	for _, tr := range r.Transitions {
-		reg.Counter(obs.ChurnTransitionsTotal + `{kind="` + string(tr.Kind) + `"}`).Inc()
+		reg.Counter(obs.Labeled(obs.ChurnTransitionsTotal, "kind", string(tr.Kind))).Inc()
 	}
 	h := reg.Histogram(obs.ChurnRecovery, obs.SecondsBuckets...)
 	for _, d := range r.Recoveries {

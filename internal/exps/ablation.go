@@ -224,7 +224,7 @@ func (c *Curves) Tables() []Table {
 			Cols: []Col{{Head: "variant"}}}
 		if len(curves) > 0 {
 			for i := range curves[0].Best {
-				t.Cols = append(t.Cols, Col{Head: fmt.Sprintf("%.0f%%", 100*(float64(i+1)/float64(len(curves[0].Best))))})
+				t.Cols = append(t.Cols, Col{Head: fmt.Sprintf("%g%%", 100*(float64(i+1)/float64(len(curves[0].Best))))})
 			}
 		}
 		for _, cv := range curves {

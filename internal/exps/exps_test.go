@@ -265,9 +265,14 @@ func TestCSVWriters(t *testing.T) {
 		t.Errorf("fig11 hops csv = %q", got)
 	}
 
-	curves := &Curves{Groups: map[string][]Curve{"g": {{Label: "v", Best: []float64{0, 1.0 / 3}}}}}
+	curves := &Curves{Groups: map[string][]Curve{"g": {{Label: "v", Best: []float64{0, 1.0 / 3}}},
+		"h": {{Label: "w", Best: []float64{0, 0, 0, 0, 0, 0, 0, 2}}}}}
 	if got := csvOf(curves.Tables()[1]); got != "variant,50%,100%\nv,-,0.3333333333333333\n" {
 		t.Errorf("curves csv = %q", got)
+	}
+	// An 8-sample grid heads its columns with the exact share.
+	if got := csvOf(curves.Tables()[2]); got != "variant,12.5%,25%,37.5%,50%,62.5%,75%,87.5%,100%\nw,-,-,-,-,-,-,-,2\n" {
+		t.Errorf("8-sample curves csv = %q", got)
 	}
 
 	shared := SharedRows{{Planner: "aceso", Samples: 10, PlanOverhead: 1500 * time.Millisecond,

@@ -6,7 +6,6 @@ import (
 	"io"
 	"math"
 	"sort"
-	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -14,9 +13,9 @@ import (
 
 // Metric names used by the search plumbing (core.SearchContext). The
 // `{...}` suffix convention carries Prometheus labels through the
-// registry: the writer emits names verbatim, so a name like
-// PrimitiveAppliedTotal + `{primitive="inc-dp"}` renders as a labeled
-// series.
+// registry: the writer emits names verbatim, so
+// Labeled(PrimitiveAppliedTotal, "primitive", "inc-dp") renders as a
+// labeled series.
 const (
 	CandidatesEstimatedTotal = "aceso_search_candidates_estimated_total"
 	DedupHitsTotal           = "aceso_search_dedup_hits_total"
@@ -259,9 +258,9 @@ func (r *Registry) families() []promFamily {
 		cum := int64(0)
 		for i := range h.bounds {
 			cum += h.buckets[i].Load()
-			add(n, "histogram", fmt.Sprintf("%s_bucket{le=%q}", n, formatFloat(h.bounds[i])), float64(cum))
+			add(n, "histogram", Labeled(n+"_bucket", "le", formatFloat(h.bounds[i])), float64(cum))
 		}
-		add(n, "histogram", n+`_bucket{le="+Inf"}`, float64(h.count.Load()))
+		add(n, "histogram", Labeled(n+"_bucket", "le", "+Inf"), float64(h.count.Load()))
 		add(n, "histogram", n+"_sum", float64(h.sum.Load())/histScale)
 		add(n, "histogram", n+"_count", float64(h.count.Load()))
 	}
@@ -332,7 +331,7 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 			return err
 		}
 		for _, s := range f.samples {
-			if _, err := fmt.Fprintf(w, "%s %g\n", normalizeSeries(s.name), s.val); err != nil {
+			if _, err := fmt.Fprintf(w, "%s %g\n", s.name, s.val); err != nil {
 				return err
 			}
 		}
@@ -340,85 +339,12 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 	return nil
 }
 
-// normalizeSeries re-escapes the label values of a series name for the
-// exposition format. Series names are built by callers with %q (Go
-// string quoting), which agrees with Prometheus escaping for `\\`,
-// `\"` and `\n` but diverges on other control and non-ASCII bytes
-// (Go writes \xNN / \uNNNN escapes the exposition format does not
-// interpret). Unparsable label blocks pass through verbatim — a
-// malformed name should surface in the scrape, not be silently
-// dropped.
-func normalizeSeries(name string) string {
-	i := strings.IndexByte(name, '{')
-	if i < 0 {
-		return name
-	}
-	if !strings.HasSuffix(name, "}") {
-		return name
-	}
-	block := name[i+1 : len(name)-1]
-	var b strings.Builder
-	b.WriteString(name[:i])
-	b.WriteByte('{')
-	first := true
-	for block != "" {
-		eq := strings.IndexByte(block, '=')
-		if eq <= 0 {
-			return name
-		}
-		key := block[:eq]
-		rest := block[eq+1:]
-		val, tail, err := unquoteLabelValue(rest)
-		if err != nil {
-			return name
-		}
-		if !first {
-			b.WriteByte(',')
-		}
-		first = false
-		b.WriteString(key)
-		b.WriteString(`="`)
-		b.WriteString(escapeLabelValue(val))
-		b.WriteByte('"')
-		block = tail
-		if strings.HasPrefix(block, ",") {
-			block = block[1:]
-		} else if block != "" {
-			return name
-		}
-	}
-	b.WriteByte('}')
-	return b.String()
+// Labeled renders the series name{key="value"}, escaping value the way
+// the exposition format does; every labeled series is named through
+// it, so the writers emit names verbatim.
+func Labeled(name, key, value string) string {
+	return name + "{" + key + `="` + labelEscaper.Replace(value) + `"}`
 }
 
-// unquoteLabelValue consumes one double-quoted (Go-quoted) value from
-// the front of s and returns the decoded value and the remainder.
-func unquoteLabelValue(s string) (val, tail string, err error) {
-	prefix, err := strconv.QuotedPrefix(s)
-	if err != nil {
-		return "", "", err
-	}
-	val, err = strconv.Unquote(prefix)
-	if err != nil {
-		return "", "", err
-	}
-	return val, s[len(prefix):], nil
-}
-
-// escapeLabelValue applies the exposition format's label escaping.
-func escapeLabelValue(s string) string {
-	var b strings.Builder
-	for _, r := range s {
-		switch r {
-		case '\\':
-			b.WriteString(`\\`)
-		case '"':
-			b.WriteString(`\"`)
-		case '\n':
-			b.WriteString(`\n`)
-		default:
-			b.WriteRune(r)
-		}
-	}
-	return b.String()
-}
+// labelEscaper applies the exposition format's label escaping.
+var labelEscaper = strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`)

@@ -319,7 +319,7 @@ func TestPrometheusStrictRoundTrip(t *testing.T) {
 	h.Observe(3)
 	h.Observe(99)
 	// Label values with every escape-worthy byte.
-	r.Counter(`aceso_escape_total{kind="quote\"backslash\\newline\n"}`).Inc()
+	r.Counter(Labeled("aceso_escape_total", "kind", "quote\"backslash\\newline\n")).Inc()
 
 	var buf bytes.Buffer
 	if err := r.WritePrometheus(&buf); err != nil {

@@ -104,8 +104,8 @@ func New(cfg Config) *Server {
 	}
 	s.requestSeconds = s.reg.Histogram(obs.ServeRequestSeconds, obs.SecondsBuckets...)
 	s.requestsOK = s.reg.Counter(requestsSeries(http.StatusOK))
-	s.hitsExact = s.reg.Counter(obs.ServeCacheHitsTotal + `{kind="exact"}`)
-	s.hitsWarm = s.reg.Counter(obs.ServeCacheHitsTotal + `{kind="warm"}`)
+	s.hitsExact = s.reg.Counter(obs.Labeled(obs.ServeCacheHitsTotal, "kind", "exact"))
+	s.hitsWarm = s.reg.Counter(obs.Labeled(obs.ServeCacheHitsTotal, "kind", "warm"))
 	s.misses = s.reg.Counter(obs.ServeCacheMissesTotal)
 	s.mux.HandleFunc("/v1/plan", s.handlePlan)
 	s.mux.HandleFunc("/v1/stats", s.handleStats)
@@ -163,7 +163,7 @@ func (s *Server) endRequest() { s.inflight.Done() }
 
 // requestsSeries names the request counter of one HTTP status.
 func requestsSeries(code int) string {
-	return fmt.Sprintf("%s{code=%q}", obs.ServeRequestsTotal, strconv.Itoa(code))
+	return obs.Labeled(obs.ServeRequestsTotal, "code", strconv.Itoa(code))
 }
 
 func (s *Server) writeError(w http.ResponseWriter, code int, format string, args ...any) {
