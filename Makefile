@@ -9,17 +9,18 @@ build:
 test:
 	$(GO) test ./...
 
-# bench-<target> runs one acesobench target, which fails on a gate
-# that does not hold and writes its report to BENCH_<target>.json.
-# `$(BENCH) -list` says what each target does and gates on; ARGS passes
-# flags, e.g. `make bench-chaos ARGS='-duration 120s'`. No report is
-# committed: the searches the gates run are rows of
+# bench-<target> runs one acesobench target, which prints its tables
+# and fails on a gate that does not hold. `$(BENCH) -list` says what
+# each target does and gates on; ARGS passes flags, e.g.
+# `make bench-chaos ARGS='-duration 120s'` or `ARGS='-csv <dir>'` to
+# write the tables as CSV. Nothing a gate prints is committed: the
+# searches the gates run are rows of
 # internal/core/testdata/determinism.json.
 bench-%:
 	$(BENCH) $(ARGS) $*
 
 # OUT receives what is regenerated rather than committed: the gates'
-# reports and the paper's evaluation.
+# tables and files and the paper's evaluation.
 OUT ?= /tmp
 
 # paper regenerates every figure and table of the paper (DESIGN.md §4):
@@ -34,7 +35,8 @@ paper:
 # runs one iteration of every benchmark of the packages that have any,
 # so none can rot, and prints B/op (BenchmarkSearchThroughput's is the
 # pinned search's allocation). The acesobench
-# gates write their reports into one scratch directory; scale runs in
+# gates write their files and their tables' CSV into one scratch
+# directory, so a table that cannot be written fails ci; scale runs in
 # a process of its own, because its allocation ratio assumes cold
 # arenas; chaos runs for its -duration, the other randomized targets
 # their scenarios' own trial counts.
@@ -46,8 +48,8 @@ ci: build fmt-check
 	$(MAKE) fuzz-smoke
 	$(GO) test -run xxx -bench . -benchtime 1x -benchmem . ./internal/config ./internal/core ./internal/memo ./internal/perfmodel \
 		./internal/planserver ./internal/profiler
-	out=$$(mktemp -d) && $(BENCH) -outdir $$out scale && $(BENCH) -outdir $$out trace diff hetero && \
-		$(BENCH) -duration 10s chaos && $(MAKE) recover-smoke OUT=$$out
+	out=$$(mktemp -d) && $(BENCH) -outdir $$out -csv $$out scale && $(BENCH) -outdir $$out -csv $$out trace diff hetero && \
+		$(BENCH) -duration 10s -csv $$out chaos && $(MAKE) recover-smoke OUT=$$out
 
 # fmt-check fails when gofmt would change any file of either module.
 fmt-check:
@@ -81,7 +83,7 @@ fuzz-smoke:
 # notice drain end to end (a window at least as long as the checkpoint
 # cost must drain with zero lost steps).
 recover-smoke:
-	$(BENCH) -outdir $(OUT) churn spot
+	$(BENCH) -outdir $(OUT) -csv $(OUT) churn spot
 	$(GO) test -count=1 -run 'TestRunClean/spot' ./internal/chaos
 	$(GO) test -count=1 -run 'TestSuperviseNoticeDrainZeroLostSteps|TestSuperviseNoticeMissedFallsBack' ./internal/elastic
 

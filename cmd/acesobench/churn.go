@@ -13,8 +13,8 @@ import (
 
 	"aceso/internal/chaos"
 	"aceso/internal/elastic"
+	"aceso/internal/exps"
 	"aceso/internal/hardware"
-	"aceso/internal/obs"
 )
 
 // elasticTol is the acceptance bound on the supervised-vs-uninterrupted
@@ -58,23 +58,38 @@ func supervise(job elastic.Job, spec elastic.ChurnSpec, seed int64, tune func(*e
 
 const recoveryJobSetting = "MLP(6 layers, dim 16, batch 32), pp2×tp2×dp2 on 8 emulated V100s (2 nodes × 4)"
 
-// churnReport is the BENCH_churn.json schema: one deterministic
-// 20+-event churn schedule survived end to end, with the supervisor's
-// ledger (work lost, replans avoided by hysteresis, recoveries, the
-// decision log) and what derives from it, plus the verdict of the
-// randomized churn chaos pass.
-type churnReport struct {
-	Setting         string `json:"setting"`
-	Iterations      int    `json:"iterations"`
-	ScheduledEvents int    `json:"scheduled_events"`
-	*elastic.Report
-	AvailabilityPct   float64 `json:"availability_pct"`
-	StepsLostPerFault float64 `json:"steps_lost_per_fault"`
-	FinalDevices      int     `json:"final_devices"`
-	LossDeltaFinal    float64 `json:"loss_delta_final"`
-	MaxParamDiff      float64 `json:"max_param_diff"`
-	trialVerdict
-	Metrics *obs.Registry `json:"metrics"`
+// ledgerCols head the figures of a supervised run's elastic.Report as
+// ledgerCells lays them out; a Lines view of them reads as a sentence.
+var ledgerCols = []exps.Col{
+	{Head: "run"},
+	{Head: "final step", Fmt: "reached step %d,"},
+	{Head: "iterations executed", Fmt: "ran %d iterations,"},
+	{Head: "steps lost", Fmt: "lost %d steps;"},
+	{Head: "events applied", Fmt: "%d events"},
+	{Head: "faults", Fmt: "(%d faults),"},
+	{Head: "notices", Fmt: "%d notices"},
+	{Head: "clean drains", Fmt: "(%d drained clean,"},
+	{Head: "notices missed", Fmt: "%d missed),"},
+	{Head: "checkpoints", Fmt: "%d checkpoints,"},
+	{Head: "restores", Fmt: "%d restores,"},
+	{Head: "reshards", Fmt: "%d reshards"},
+	{Head: "reshard bytes", Fmt: "(%d B moved),"},
+	{Head: "replans", Fmt: "%d replans"},
+	{Head: "prewarm replans", Fmt: "(%d prewarmed,"},
+	{Head: "replans avoided", Fmt: "%d avoided),"},
+	{Head: "retries", Fmt: "%d retries,"},
+	{Head: "pauses", Fmt: "%d pauses,"},
+	{Head: "final cadence", Fmt: "cadence %d at exit;"},
+	{Head: "availability %", Fmt: "availability %.1f%%,"},
+	{Head: "recovery p50", Fmt: "recovery p50 %v", Round: time.Microsecond},
+	{Head: "recovery p99", Fmt: "p99 %v;", Round: time.Microsecond},
+}
+
+func ledgerCells(run string, r *elastic.Report) []any {
+	return []any{run, r.FinalStep, r.IterationsExecuted, r.StepsLost, r.EventsApplied, r.FaultsDetected,
+		r.Notices, r.CleanDrains, r.NoticesMissed, r.Checkpoints, r.Restores, r.Reshards, r.ReshardBytesMoved,
+		r.Replans, r.PrewarmReplans, r.ReplansAvoided, r.Retries, r.Pauses, r.FinalCadence,
+		100 * r.Availability(), r.RecoveryPercentile(0.5), r.RecoveryPercentile(0.99)}
 }
 
 // churnSchedule is the deterministic 22-event acceptance schedule: two
@@ -114,7 +129,7 @@ func churnSchedule() elastic.ChurnSpec {
 // the final trajectory matching an uninterrupted run within elasticTol,
 // and hysteresis having avoided at least one replan search. It then
 // runs the randomized one-fault and churn chaos passes.
-func runChurn(e *env) (any, []string, error) {
+func runChurn(e *env) ([]exps.Table, []string, error) {
 	const iters = 28
 	job, err := recoveryJob(iters, e.set.Seed)
 	if err != nil {
@@ -125,52 +140,43 @@ func runChurn(e *env) (any, []string, error) {
 		return nil, nil, err
 	}
 
-	reg := obs.NewRegistry()
 	spec := churnSchedule()
 	rep, err := supervise(job, spec, e.set.Seed, func(o *elastic.Options) {
 		o.CheckpointEvery = 2
-		o.Metrics = reg
 		o.SimulateTimeouts = 1 // exercise the backoff policy once
 	})
 	if err != nil {
 		return nil, nil, err
 	}
-
-	out := &churnReport{
-		Setting: fmt.Sprintf("%s, %d-event churn schedule, checkpoint every 2, seed %d",
-			recoveryJobSetting, len(spec.Events), e.set.Seed),
-		Iterations:      iters,
-		ScheduledEvents: len(spec.Events),
-		Report:          rep,
-		AvailabilityPct: 100 * rep.Availability(),
-		FinalDevices:    rep.Config.TotalDevices(),
-		LossDeltaFinal:  math.Abs(refLosses[iters-1] - rep.Losses[iters-1]),
-		MaxParamDiff:    ref.MaxDiff(rep.Params),
-		Metrics:         reg,
-	}
+	lossDelta, paramDiff := math.Abs(refLosses[iters-1]-rep.Losses[iters-1]), ref.MaxDiff(rep.Params)
+	perFault := 0.0
 	if rep.FaultsDetected > 0 {
-		out.StepsLostPerFault = float64(rep.StepsLost) / float64(rep.FaultsDetected)
+		perFault = float64(rep.StepsLost) / float64(rep.FaultsDetected)
 	}
-	fmt.Fprintln(e.w, "churn: supervisor decisions:")
+	ledger := exps.Table{
+		Title: fmt.Sprintf("churn: %s, %d-event churn schedule over %d iterations, checkpoint every 2, seed %d; trajectory gate %g",
+			recoveryJobSetting, len(spec.Events), iters, e.set.Seed, elasticTol),
+		Cols: append(ledgerCols, exps.Col{Head: "steps lost per fault", Fmt: "%.2f lost per fault,"},
+			exps.Col{Head: "final devices", Fmt: "ends on %d devices;"},
+			exps.Col{Head: "loss delta", Fmt: "vs uninterrupted: loss delta %.3g,"}, exps.Col{Head: "param diff", Fmt: "param diff %.3g"}),
+		Rows: [][]any{append(ledgerCells("churn", rep), perFault, rep.Config.TotalDevices(), lossDelta, paramDiff)},
+		View: exps.Lines,
+	}
+	decisions := exps.Table{Key: "transitions", Title: "\nsupervisor decisions", View: exps.Lines,
+		Cols: []exps.Col{{Head: "step", Fmt: "step %d"}, {Head: "kind", Fmt: "[%s]"}, {Head: "detail"}}}
 	for _, tr := range rep.Transitions {
-		fmt.Fprintf(e.w, "  step %d [%s] %s\n", tr.Step, tr.Kind, tr.Detail)
+		decisions.Rows = append(decisions.Rows, []any{tr.Step, tr.Kind, tr.Detail})
 	}
 
 	var g gates
 	g.gate(rep.FinalStep == iters && len(rep.Losses) == iters, "run incomplete: final step %d, %d losses, want %d",
 		rep.FinalStep, len(rep.Losses), iters)
-	g.gate(out.LossDeltaFinal <= elasticTol && out.MaxParamDiff <= elasticTol,
-		"trajectory diverged: loss delta %g, param diff %g (tol %g)", out.LossDeltaFinal, out.MaxParamDiff, elasticTol)
+	g.gate(lossDelta <= elasticTol && paramDiff <= elasticTol,
+		"trajectory diverged: loss delta %g, param diff %g (tol %g)", lossDelta, paramDiff, elasticTol)
 	g.gate(rep.ReplansAvoided > 0, "hysteresis avoided no replans across %d events", rep.EventsApplied)
 	g.gate(rep.FaultsDetected > 0 && rep.Retries > 0, "schedule exercised too little: faults=%d retries=%d",
 		rep.FaultsDetected, rep.Retries)
-	fmt.Fprintf(e.w, "churn: survived %d events (%d faults) in %d iterations: availability %.1f%%, %d steps lost, %d replans (%d avoided), recovery p50 %v p99 %v\n",
-		rep.EventsApplied, rep.FaultsDetected, iters, out.AvailabilityPct, rep.StepsLost,
-		rep.Replans, rep.ReplansAvoided,
-		rep.RecoveryPercentile(0.5).Round(time.Microsecond), rep.RecoveryPercentile(0.99).Round(time.Microsecond))
-	fmt.Fprintf(e.w, "churn: final trajectory vs uninterrupted: loss delta %.3g, param diff %.3g (gate %g)\n",
-		out.LossDeltaFinal, out.MaxParamDiff, elasticTol)
 
-	out.trialVerdict = runTrials(e, chaos.OneFault, chaos.Churn)
-	return out, append(g.failed, out.Violations...), nil
+	trials := runTrials(e, chaos.OneFault, chaos.Churn)
+	return []exps.Table{ledger, decisions, trials.table()}, append(g.failed, trials.Violations...), nil
 }

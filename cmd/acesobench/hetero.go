@@ -11,6 +11,7 @@ import (
 	"aceso/internal/config"
 	"aceso/internal/core"
 	"aceso/internal/diffcheck"
+	"aceso/internal/exps"
 	"aceso/internal/hardware"
 	"aceso/internal/model"
 	"aceso/internal/perfmodel"
@@ -72,24 +73,6 @@ func awareVsBlind(g *model.Graph, truth, blind hardware.Cluster, opts core.Optio
 	return cmp, nil
 }
 
-// heteroReport is the BENCH_hetero.json schema. Both searches are rows
-// of core's determinism table.
-type heteroReport struct {
-	Setting        string  `json:"setting"`
-	Seed           int64   `json:"seed"`
-	HeteroIterTime float64 `json:"hetero_iter_time_s"`
-	HeteroExplored int     `json:"hetero_explored"`
-	HeteroPlan     string  `json:"hetero_plan"`
-	BlindIterTime  float64 `json:"blind_iter_time_s"` // best blind plan re-priced on the mixed fleet
-	BlindExplored  int     `json:"blind_explored"`
-	BlindFeasible  int     `json:"blind_feasible_plans"`
-	Speedup        float64 `json:"speedup"` // blind / hetero iteration time
-	AllA100Time    float64 `json:"all_a100_iter_time_s"`
-	AllV100Time    float64 `json:"all_v100_iter_time_s"`
-	DiffTrials     int     `json:"diff_trials"`
-	DiffViolations int     `json:"diff_violations"`
-}
-
 // planFingerprint renders a configuration's shape as a stable string:
 // stage boundaries and device counts.
 func planFingerprint(cfg *config.Config) string {
@@ -109,7 +92,7 @@ func planFingerprint(cfg *config.Config) string {
 // all-A100 / all-V100 fleets for context. The hetero-aware plan must
 // strictly beat the blind one, and a slice of the differential
 // validation on mixed-class clusters must find no violation.
-func runHetero(e *env) (any, []string, error) {
+func runHetero(e *env) ([]exps.Table, []string, error) {
 	graph, err := model.GPT3("1.3B")
 	if err != nil {
 		return nil, nil, err
@@ -127,52 +110,35 @@ func runHetero(e *env) (any, []string, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	heteroTime, heteroPlan := cmp.Aware.Best.Estimate.IterTime, planFingerprint(cmp.Aware.Best.Config)
-
-	homTime := func(cl hardware.Cluster) (float64, error) {
-		res, err := core.Search(graph, cl, opts)
+	heteroTime := cmp.Aware.Best.Estimate.IterTime
+	t := exps.Table{
+		Title: fmt.Sprintf("hetero: GPT-3 1.3B on 8×A100-80GB + 8×V100-32GB, %d iterations, stage counts {2,4}, seed %d",
+			opts.MaxIterations, e.set.Seed),
+		Cols: []exps.Col{{Head: "planner"}, {Head: "iter s", Fmt: "%.4f"}, {Head: "vs aware", Fmt: "%.3fx"},
+			{Head: "explored"}, {Head: "feasible plans"}, {Head: "plan"}},
+	}
+	row := func(name string, iterTime float64, res *core.Result, feasible any, plan *config.Config) {
+		t.Rows = append(t.Rows, []any{name, iterTime, iterTime / heteroTime, res.Explored, feasible, planFingerprint(plan)})
+	}
+	row("mixed-aware", heteroTime, cmp.Aware, "-", cmp.Aware.Best.Config)
+	row("class-blind re-priced", cmp.BlindCost, cmp.Blind, cmp.Feasible, cmp.BlindBest.Config)
+	for _, hom := range []struct {
+		name string
+		cl   hardware.Cluster
+	}{{"all-A100", hardware.A100V100(2, 0)}, {"all-V100", hardware.A100V100(0, 2)}} {
+		res, err := core.Search(graph, hom.cl, opts)
+		if err == nil && !res.Best.Estimate.Feasible {
+			err = fmt.Errorf("no feasible plan")
+		}
 		if err != nil {
-			return 0, err
+			return nil, nil, fmt.Errorf("%s baseline: %w", hom.name, err)
 		}
-		if !res.Best.Estimate.Feasible {
-			return 0, fmt.Errorf("no feasible plan")
-		}
-		return res.Best.Estimate.IterTime, nil
+		row(hom.name, res.Best.Estimate.IterTime, res, "-", res.Best.Config)
 	}
-	a100Time, err := homTime(hardware.A100V100(2, 0))
-	if err != nil {
-		return nil, nil, fmt.Errorf("all-A100 baseline: %w", err)
-	}
-	v100Time, err := homTime(hardware.A100V100(0, 2))
-	if err != nil {
-		return nil, nil, fmt.Errorf("all-V100 baseline: %w", err)
-	}
-
-	fmt.Fprintf(e.w, "hetero: mixed-aware %.4fs (explored %d, plan %s)\n",
-		heteroTime, cmp.Aware.Explored, heteroPlan)
-	fmt.Fprintf(e.w, "hetero: class-blind %.4fs re-priced (explored %d, %d/%d plans feasible) — speedup %.3fx\n",
-		cmp.BlindCost, cmp.Blind.Explored, cmp.Feasible, len(cmp.Blind.TopK), cmp.BlindCost/heteroTime)
-	fmt.Fprintf(e.w, "hetero: homogeneous baselines: all-A100 %.4fs, all-V100 %.4fs\n", a100Time, v100Time)
 	var g gates
 	g.gate(heteroTime < cmp.BlindCost, "hetero-aware plan (%.6fs) does not strictly beat the best class-blind plan (%.6fs)",
 		heteroTime, cmp.BlindCost)
 
 	diff := runTrials(e, diffcheck.Hetero(nil).Scenario)
-
-	return &heteroReport{
-		Setting: fmt.Sprintf("GPT-3 1.3B on 8×A100-80GB + 8×V100-32GB, %d iterations, stage counts {2,4}, seed %d",
-			opts.MaxIterations, e.set.Seed),
-		Seed:           e.set.Seed,
-		HeteroIterTime: heteroTime,
-		HeteroExplored: cmp.Aware.Explored,
-		HeteroPlan:     heteroPlan,
-		BlindIterTime:  cmp.BlindCost,
-		BlindExplored:  cmp.Blind.Explored,
-		BlindFeasible:  cmp.Feasible,
-		Speedup:        cmp.BlindCost / heteroTime,
-		AllA100Time:    a100Time,
-		AllV100Time:    v100Time,
-		DiffTrials:     diff.Trials,
-		DiffViolations: len(diff.Violations),
-	}, append(g.failed, diff.Violations...), nil
+	return []exps.Table{t, diff.table()}, append(g.failed, diff.Violations...), nil
 }

@@ -6,9 +6,9 @@
 //
 //	acesobench [flags] [targets...]
 //
-// With no target, or "all", the paper's figures and tables run. A
-// target that produces a report writes it to <outdir>/BENCH_<name>.json;
-// a failed gate exits 1. Exit status 2 means the command line named no
+// With no target, or "all", the paper's figures and tables run. Every
+// target prints its tables and, under -csv, writes each as CSV; a
+// failed gate exits 1. Exit status 2 means the command line named no
 // runnable target. The searches the gated targets run are pinned in
 // internal/core/testdata/determinism.json, not here.
 package main
@@ -36,11 +36,10 @@ type target struct {
 	doc  string // one line for -list
 	// inAll marks the paper's figures and tables, which "all" selects.
 	inAll bool
-	// run does the work, printing progress to env.w. report, when
-	// non-nil, is a pointer to the BENCH_<name>.json value; failed names
-	// every acceptance gate that did not hold; err is a run that could
-	// not finish.
-	run func(*env) (report any, failed []string, err error)
+	// run does the work, printing progress to env.w, and returns the
+	// tables main prints and writes; failed names every acceptance gate
+	// that did not hold; err is a run that could not finish.
+	run func(*env) (tables []exps.Table, failed []string, err error)
 }
 
 // registry lists the targets in the order a multi-target invocation
@@ -77,7 +76,7 @@ var registry = []target{
 		doc: "elastic.Supervise through a seeded 22-event schedule, then one-fault and churn trials; fails unless it rejoins the uninterrupted run within 1e-9"},
 	{name: "spot", run: runSpot,
 		doc: "expected-time vs nominal-time planning and a replayed reclaim trace on spot capacity, then spot trials; fails under 1.2x achieved speedup or on a lossy aware replay"},
-	{name: "chaos", run: func(e *env) (any, []string, error) { return nil, runTrials(e, chaos.Search).Violations, nil },
+	{name: "chaos", run: func(e *env) ([]exps.Table, []string, error) { return nil, runTrials(e, chaos.Search).Violations, nil },
 		doc: "fault-injection trials against the search; fails on any panic, invalid plan or non-finite score"},
 }
 
@@ -106,6 +105,28 @@ func writeFile(path string, write func(io.Writer) error) error {
 	return f.Close()
 }
 
+// csv writes every table that has columns into the -csv directory, if
+// one was given: <name>.csv, or <name>_<key>.csv for a keyed table, its
+// key's spaces made '-' and its commas and parentheses dropped.
+func (e *env) csv(name string, tables []exps.Table) error {
+	if e.csvDir == "" {
+		return nil
+	}
+	for _, t := range tables {
+		if len(t.Cols) == 0 {
+			continue
+		}
+		file := name
+		if t.Key != "" {
+			file += "_" + strings.NewReplacer(" ", "-", ",", "", "(", "", ")", "").Replace(t.Key)
+		}
+		if err := writeFile(filepath.Join(e.csvDir, file+".csv"), t.WriteCSV); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // logf is the progress logger handed to the trial harnesses.
 func (e *env) logf(format string, args ...any) {
 	fmt.Fprintf(e.w, format+"\n", args...)
@@ -120,23 +141,13 @@ func (g *gates) gate(ok bool, format string, args ...any) {
 	}
 }
 
-// writeReport writes v to path as indented JSON.
-func writeReport(path string, v any) error {
+// writeJSON writes v to path as indented JSON.
+func writeJSON(path string, v any) error {
 	return writeFile(path, func(w io.Writer) error {
 		enc := json.NewEncoder(w)
 		enc.SetIndent("", "  ")
 		return enc.Encode(v)
 	})
-}
-
-// saveReport writes a target's report to <outdir>/BENCH_<name>.json.
-func saveReport(e *env, name string, report any) error {
-	path := filepath.Join(e.outDir, "BENCH_"+name+".json")
-	if err := writeReport(path, report); err != nil {
-		return err
-	}
-	fmt.Fprintf(e.w, "%s: report → %s\n", name, path)
-	return nil
 }
 
 // startProfiles starts the CPU profile and returns the function that
@@ -213,8 +224,8 @@ func main() {
 	flag.DurationVar(&e.set.Budget, "budget", 2*time.Second, "per-search time budget of the paper targets (the paper used 200s)")
 	flag.IntVar(&e.set.Sizes, "sizes", 5, "how many of the 5 model sizes the paper targets run (1-5)")
 	flag.Int64Var(&e.set.Seed, "seed", 1, "deterministic seed")
-	flag.StringVar(&e.csvDir, "csv", "", "also write the paper targets' tables as CSV into this directory")
-	flag.StringVar(&e.outDir, "outdir", ".", "directory the BENCH_<target>.json reports are written to")
+	flag.StringVar(&e.csvDir, "csv", "", "also write every target's tables as CSV into this directory")
+	flag.StringVar(&e.outDir, "outdir", ".", "directory the trace target's event stream and the trials' repro files are written to")
 	flag.IntVar(&e.trials, "trials", 0, "randomized trials per scenario of the diff, hetero, churn, spot and chaos targets (0 = until -duration, or the scenario's own count)")
 	flag.DurationVar(&e.duration, "duration", 0, "wall budget per scenario of the same targets (0 = none)")
 	list := flag.Bool("list", false, "print the targets and exit")
@@ -248,9 +259,10 @@ func main() {
 		if !t.inAll { // the paper targets title their own tables
 			fmt.Fprintf(e.w, "running %s (seed %d)...\n", t.name, e.set.Seed)
 		}
-		report, failed, err := t.run(e)
-		if err == nil && report != nil {
-			err = saveReport(e, t.name, report)
+		tables, failed, err := t.run(e)
+		if err == nil {
+			exps.Print(e.w, tables)
+			err = e.csv(t.name, tables)
 		}
 		if err != nil {
 			failed = append(failed, err.Error())

@@ -84,9 +84,10 @@ func TestBenchFig10(t *testing.T) {
 
 // TestCommandLine pins the exit convention: a command line that names
 // nothing runnable exits 2 before anything runs or is written, and
-// -list names every registered target.
+// -list names every registered target. A gated target prints and writes
+// tables, like a paper target, and no report.
 func TestCommandLine(t *testing.T) {
-	dir := t.TempDir()
+	dir, gateOut, gateCSV := t.TempDir(), t.TempDir(), t.TempDir()
 	var names []string
 	for _, tg := range registry {
 		names = append(names, tg.name)
@@ -102,6 +103,8 @@ func TestCommandLine(t *testing.T) {
 		{"deleted search target", []string{"search"}, 2, []string{`unknown target "search"`}},
 		{"deleted guard flag", []string{"-guard", "-outdir", dir, "spot"}, 2, []string{"flag provided but not defined: -guard"}},
 		{"list", []string{"-list"}, 0, names},
+		{"gated target writes tables", []string{"-trials", "2", "-outdir", gateOut, "-csv", gateCSV, "diff"}, 0,
+			[]string{"diff-effects-off", "diff-effects-on", "p50"}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			out, err := exec.Command(binPath, tc.args...).CombinedOutput()
@@ -128,20 +131,39 @@ func TestCommandLine(t *testing.T) {
 	if files, _ := os.ReadDir(dir); len(files) > 0 {
 		t.Errorf("a refused command line wrote %d files to -outdir", len(files))
 	}
+	if csv, err := os.ReadFile(filepath.Join(gateCSV, "diff.csv")); err != nil || !strings.HasPrefix(string(csv), "mode,trials,") {
+		t.Errorf("diff.csv: %v\n%s", err, csv)
+	}
+	if _, err := os.Stat(filepath.Join(gateOut, "BENCH_diff.json")); !errors.Is(err, os.ErrNotExist) {
+		t.Errorf("diff wrote a report: %v", err)
+	}
 }
 
-// TestSpotReplayLedger pins the decisions of the spot target's replay:
-// lost steps and clean drains of the risk-aware run, then of the
-// risk-blind one. The searches the target runs are determinism rows.
+// TestSpotReplayLedger pins the decisions of the spot target's replay,
+// read from its replay table: lost steps and clean drains of the
+// risk-aware run, then of the risk-blind one. The searches the target
+// runs are determinism rows.
 func TestSpotReplayLedger(t *testing.T) {
 	e := &env{w: io.Discard, outDir: t.TempDir(), trials: 1}
 	e.set.Seed = 1
-	report, failed, err := runSpot(e)
+	tables, failed, err := runSpot(e)
 	if err != nil || len(failed) > 0 {
 		t.Fatalf("spot: %v %v", err, failed)
 	}
-	r := report.(*spotReport)
-	got := [4]int{r.Aware.StepsLost, r.Aware.CleanDrains, r.Blind.StepsLost, r.Blind.CleanDrains}
+	var got [4]int
+	for _, tb := range tables {
+		if tb.Key != "replay" {
+			continue
+		}
+		for c, col := range tb.Cols {
+			switch col.Head {
+			case "steps lost":
+				got[0], got[2] = tb.Rows[0][c].(int), tb.Rows[1][c].(int)
+			case "clean drains":
+				got[1], got[3] = tb.Rows[0][c].(int), tb.Rows[1][c].(int)
+			}
+		}
+	}
 	if want := [4]int{0, 5, 15, 0}; got != want {
 		t.Errorf("replay lost steps and clean drains (aware, blind) %v, want %v", got, want)
 	}

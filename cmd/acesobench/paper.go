@@ -3,27 +3,20 @@ package main
 // The paper targets: Figure 1, Exp#1-9 (Figures 7-16, Tables 3-5), the
 // §5.4 case studies, the §1 shared-cluster scenario and this
 // implementation's ablations. Each computes a list of tables, prints
-// them to stdout and, under -csv, writes the same rows as CSV; none has
-// a report or a gate. internal/exps does the work.
+// them to stdout and, under -csv, writes the same rows as CSV, like
+// every target; none has a gate. internal/exps does the work.
 
 import (
 	"fmt"
-	"path/filepath"
-	"strings"
 
 	"aceso/internal/exps"
 )
 
-// paper is a paper target: a member of "all" whose run computes the
-// tables it prints and writes.
+// paper is a paper target: a member of "all" with no gate.
 func paper(name, doc string, run func(*env) ([]exps.Table, error)) target {
-	return target{name: name, doc: doc, inAll: true, run: func(e *env) (any, []string, error) {
+	return target{name: name, doc: doc, inAll: true, run: func(e *env) ([]exps.Table, []string, error) {
 		tables, err := run(e)
-		if err != nil {
-			return nil, nil, err
-		}
-		exps.Print(e.w, tables)
-		return nil, nil, e.csv(name, tables)
+		return tables, nil, err
 	}}
 }
 
@@ -56,26 +49,4 @@ func e2e(view func(*exps.E2E) []exps.Table) func(*env) ([]exps.Table, error) {
 		}
 		return view(e.e2eRun), nil
 	}
-}
-
-// csv writes every table that has columns into the -csv directory, if
-// one was given: <name>.csv, or <name>_<key>.csv for a keyed table, its
-// key's spaces made '-' and its commas and parentheses dropped.
-func (e *env) csv(name string, tables []exps.Table) error {
-	if e.csvDir == "" {
-		return nil
-	}
-	for _, t := range tables {
-		if len(t.Cols) == 0 {
-			continue
-		}
-		file := name
-		if t.Key != "" {
-			file += "_" + strings.NewReplacer(" ", "-", ",", "", "(", "", ")", "").Replace(t.Key)
-		}
-		if err := writeFile(filepath.Join(e.csvDir, file+".csv"), t.WriteCSV); err != nil {
-			return err
-		}
-	}
-	return nil
 }

@@ -13,9 +13,11 @@ import (
 	"io"
 	"path/filepath"
 	"runtime"
+	"strings"
 	"time"
 
 	"aceso/internal/core"
+	"aceso/internal/exps"
 	"aceso/internal/hardware"
 	"aceso/internal/model"
 	"aceso/internal/obs"
@@ -23,23 +25,12 @@ import (
 
 // scaleRow is one cluster/graph point of the scale target.
 type scaleRow struct {
-	Devices     int     `json:"devices"`
-	Ops         int     `json:"ops"`
-	StageCounts []int   `json:"stage_counts"`
-	Explored    int     `json:"explored"`
-	BestScore   float64 `json:"best_iter_time_seconds"`
-	AllocMB     float64 `json:"alloc_mb"`
-
-	elapsed time.Duration // compared within the run only, never recorded
+	Devices, Ops, Explored int
+	BestScore, AllocMB     float64
+	elapsed                time.Duration
 }
 
 func (r scaleRow) String() string { return fmt.Sprintf("%d devices / %d ops", r.Devices, r.Ops) }
-
-// scaleReport is the BENCH_scale.json schema.
-type scaleReport struct {
-	Setting string     `json:"setting"`
-	Rows    []scaleRow `json:"rows"`
-}
 
 // scalePoints are the synthetic thousand-device settings: DGX-1-like
 // nodes (8 V100s each) and uniform graphs sized so the largest point is
@@ -88,24 +79,26 @@ func scaleSearch(g *model.Graph, cl hardware.Cluster, seed int64) (scaleRow, err
 	elapsed := time.Since(start)
 	runtime.ReadMemStats(&after)
 	return scaleRow{
-		Devices:     cl.TotalDevices(),
-		Ops:         len(g.Ops),
-		StageCounts: scaleStageCounts,
-		elapsed:     elapsed,
-		Explored:    res.Explored,
-		BestScore:   res.Best.Score,
-		AllocMB:     float64(after.TotalAlloc-before.TotalAlloc) / (1 << 20),
+		Devices:   cl.TotalDevices(),
+		Ops:       len(g.Ops),
+		elapsed:   elapsed,
+		Explored:  res.Explored,
+		BestScore: res.Best.Score,
+		AllocMB:   float64(after.TotalAlloc-before.TotalAlloc) / (1 << 20),
 	}, nil
 }
 
 // runScale searches each scale point and gates on the explored count
 // being the same in every repetition and on the linearity of the
 // largest point against the smallest.
-func runScale(e *env) (any, []string, error) {
-	out := &scaleReport{
-		Setting: fmt.Sprintf("uniform synthetic graphs on DGX1V100 clusters, StageCounts=%v, MaxIterations=%d, Seed=%d, fixed-iteration, fastest of %d",
+func runScale(e *env) ([]exps.Table, []string, error) {
+	t := exps.Table{
+		Title: fmt.Sprintf("scale: uniform synthetic graphs on DGX1V100 clusters, StageCounts=%v, MaxIterations=%d, seed %d, fastest of %d",
 			scaleStageCounts, scaleIters, e.set.Seed, scaleReps),
+		Cols: []exps.Col{{Head: "devices"}, {Head: "ops"}, {Head: "elapsed", Round: time.Millisecond}, {Head: "explored"},
+			{Head: "best s", Fmt: "%.4f"}, {Head: "alloc MB", Fmt: "%.0f"}},
 	}
+	var rows []scaleRow
 	var g gates
 	for _, pt := range scalePoints {
 		graph := model.Uniform(pt.ops, 1e9, 1e6, 1e5, 1024)
@@ -132,40 +125,24 @@ func runScale(e *env) (any, []string, error) {
 			}
 		}
 		row.AllocMB = coldAllocMB
-		out.Rows = append(out.Rows, row)
-		fmt.Fprintf(e.w, "scale: %4d devices, %5d ops: %8.0fms, %d explored, best %.4fs, %.0f MB allocated\n",
-			row.Devices, row.Ops, row.elapsed.Seconds()*1e3, row.Explored, row.BestScore, row.AllocMB)
+		rows = append(rows, row)
+		t.Rows = append(t.Rows, []any{row.Devices, row.Ops, row.elapsed, row.Explored, row.BestScore, row.AllocMB})
 	}
-	small, large := out.Rows[0], out.Rows[len(out.Rows)-1]
+	small, large := rows[0], rows[len(rows)-1]
 	allocRatio, elapsedRatio := large.AllocMB/small.AllocMB, large.elapsed.Seconds()/small.elapsed.Seconds()
-	fmt.Fprintf(e.w, "scale: %d → %d devices costs %.1f× time, %.1f× allocation\n",
-		small.Devices, large.Devices, elapsedRatio, allocRatio)
+	t.Notes = []string{fmt.Sprintf("%d → %d devices costs %.1f× time, %.1f× allocation",
+		small.Devices, large.Devices, elapsedRatio, allocRatio)}
 	g.gate(allocRatio <= scaleMaxAllocRatio, "alloc_mb at %d devices is %.1f× that at %d, gate %.0f×",
 		large.Devices, allocRatio, small.Devices, scaleMaxAllocRatio)
 	g.gate(elapsedRatio <= scaleMaxElapsedRatio, "elapsed at %d devices is %.1f× that at %d, gate %.0f×",
 		large.Devices, elapsedRatio, small.Devices, scaleMaxElapsedRatio)
-	return out, g.failed, nil
-}
-
-// traceReport is the BENCH_trace.json schema: everything the trace run
-// produced except the per-iteration JSONL stream itself. The
-// convergence samples carry wall-clock times, so this file — unlike the
-// JSONL trace — is not byte-identical across runs.
-type traceReport struct {
-	Setting     string                 `json:"setting"`
-	Iterations  int                    `json:"iterations"`
-	Explored    int                    `json:"explored"`
-	BestScore   float64                `json:"best_iter_time_seconds"`
-	Audited     int64                  `json:"estimates_audited"`
-	Violations  []string               `json:"breakdown_violations,omitempty"`
-	Convergence []obs.ConvergencePoint `json:"convergence"`
-	Metrics     *obs.Registry          `json:"metrics"`
+	return []exps.Table{t}, g.failed, nil
 }
 
 // runTrace runs the paper's 16-GPU setting with the JSONL tracer, the
 // metrics registry and the breakdown auditor all attached, and gates on
 // the auditor finding no resource-accounting violation.
-func runTrace(e *env) (any, []string, error) {
+func runTrace(e *env) ([]exps.Table, []string, error) {
 	const iters = 4
 	g, err := model.GPT3("2.6B")
 	if err != nil {
@@ -173,13 +150,13 @@ func runTrace(e *env) (any, []string, error) {
 	}
 	jsonl := obs.NewJSONLTracer()
 	auditor := obs.NewAuditor()
-	conv := obs.NewConvergence()
+	curve := obs.NewConvergence()
 	reg := obs.NewRegistry()
 	res, err := core.Search(g, hardware.DGX1V100(2), core.Options{
 		TimeBudget:    time.Hour,
 		MaxIterations: iters,
 		Seed:          e.set.Seed,
-		Tracer:        obs.MultiTracer(jsonl, auditor, conv),
+		Tracer:        obs.MultiTracer(jsonl, auditor, curve),
 		Metrics:       reg,
 	})
 	if err != nil {
@@ -191,22 +168,25 @@ func runTrace(e *env) (any, []string, error) {
 		return nil, nil, err
 	}
 
-	out := &traceReport{
-		Setting:     fmt.Sprintf("GPT-3 2.6B on 16xV100 (DGX1V100(2)), MaxIterations=%d, Seed=%d", iters, e.set.Seed),
-		Iterations:  res.Iterations,
-		Explored:    res.Explored,
-		BestScore:   res.Best.Score,
-		Audited:     auditor.Checked(),
-		Violations:  auditor.Violations(),
-		Convergence: conv.Curve(),
-		Metrics:     reg,
+	var prom strings.Builder
+	if err := reg.WritePrometheus(&prom); err != nil {
+		return nil, nil, err
 	}
-	fmt.Fprintf(e.w, "trace: %d iterations, %d explored, best %.4fs, %d estimates audited\n",
-		res.Iterations, res.Explored, res.Best.Score, auditor.Checked())
-	fmt.Fprintf(e.w, "trace: events → %s\n", traceFile)
+	conv := exps.Table{Key: "convergence", Title: "\nbest feasible estimate over the search",
+		Cols: []exps.Col{{Head: "elapsed", Round: time.Microsecond}, {Head: "best s", Fmt: "%.4f"}}}
+	for _, p := range curve.Curve() {
+		conv.Rows = append(conv.Rows, []any{p.Elapsed, p.IterTime})
+	}
+	tables := []exps.Table{{
+		Title: fmt.Sprintf("trace: GPT-3 2.6B on 16xV100 (DGX1V100(2)), MaxIterations=%d, seed %d", iters, e.set.Seed),
+		Cols: []exps.Col{{Head: "iterations"}, {Head: "explored"}, {Head: "best s", Fmt: "%.4f"},
+			{Head: "estimates audited"}, {Head: "audit violations"}},
+		Rows:  [][]any{{res.Iterations, res.Explored, res.Best.Score, auditor.Checked(), len(auditor.Violations())}},
+		Notes: []string{"events → " + traceFile},
+	}, conv, {Title: "\nmetrics", Notes: []string{strings.TrimSuffix(prom.String(), "\n")}}}
 	var failed []string
 	if err := auditor.Err(); err != nil {
 		failed = append(failed, err.Error())
 	}
-	return out, failed, nil
+	return tables, failed, nil
 }

@@ -15,9 +15,9 @@ import (
 	"aceso/internal/chaos"
 	"aceso/internal/core"
 	"aceso/internal/elastic"
+	"aceso/internal/exps"
 	"aceso/internal/hardware"
 	"aceso/internal/model"
-	"aceso/internal/obs"
 	"aceso/internal/perfmodel"
 )
 
@@ -37,44 +37,6 @@ const (
 	spotDrainCost   = 0.5
 	spotNoticeIters = 2 // advance warning, in iterations
 )
-
-// spotReplayStats is one supervised replay's ledger and the achieved
-// throughput priced from it.
-type spotReplayStats struct {
-	*elastic.Report
-	CheckpointCadence  int     `json:"checkpoint_cadence"`
-	WallIters          float64 `json:"wall_iters"`
-	AchievedThroughput float64 `json:"achieved_throughput"`
-}
-
-// spotReport is the BENCH_spot.json schema.
-type spotReport struct {
-	Setting string `json:"setting"`
-	Seed    int64  `json:"seed"`
-
-	// Planner slice: search on the mixed reserved/spot fleet vs the
-	// same search on the hazard-stripped twin, re-priced under risk.
-	AwareNominalIterTime  float64 `json:"aware_nominal_iter_time"`
-	AwareExpectedIterTime float64 `json:"aware_expected_iter_time"`
-	AwareExplored         int     `json:"aware_explored"`
-	RecommendedCadence    int     `json:"recommended_cadence"`
-	BlindNominalIterTime  float64 `json:"blind_nominal_iter_time"`
-	BlindExpectedIterTime float64 `json:"blind_expected_iter_time"`
-	BlindExplored         int     `json:"blind_explored"`
-	ExpectedSpeedup       float64 `json:"expected_speedup"`
-
-	// Replay slice: one preemption trace, two supervisors.
-	ReplayIterations int             `json:"replay_iterations"`
-	ReplayReclaims   int             `json:"replay_reclaims"`
-	Aware            spotReplayStats `json:"aware"`
-	Blind            spotReplayStats `json:"blind"`
-	AchievedSpeedup  float64         `json:"achieved_speedup"`
-	SpeedupGate      float64         `json:"speedup_gate"`
-
-	trialVerdict
-
-	Metrics *obs.Registry `json:"metrics"`
-}
 
 // spotReclaim is one scripted spot reclaim: the device is taken at
 // iteration At and (optionally) handed back at ReaddAt.
@@ -127,22 +89,17 @@ func spotEvents(aware bool) elastic.ChurnSpec {
 	return spec
 }
 
-// spotStats prices one supervised run's achieved throughput.
-func spotStats(rep *elastic.Report, cadence, iters int) spotReplayStats {
-	wall := float64(rep.IterationsExecuted) +
+// spotWall prices one supervised run's wall work in iterations: every
+// iteration it ran, plus its checkpoints, faults and clean drains.
+func spotWall(rep *elastic.Report) float64 {
+	return float64(rep.IterationsExecuted) +
 		spotCkptCost*float64(rep.Checkpoints) +
 		spotFaultCost*float64(rep.FaultsDetected) +
 		spotDrainCost*float64(rep.CleanDrains)
-	return spotReplayStats{
-		Report:             rep,
-		CheckpointCadence:  cadence,
-		WallIters:          wall,
-		AchievedThroughput: float64(iters) / wall,
-	}
 }
 
 // runSpot runs the planner, replay and chaos slices of the case study.
-func runSpot(e *env) (any, []string, error) {
+func runSpot(e *env) ([]exps.Table, []string, error) {
 	// Planner slice: GPT-3 350M on 8 reserved + 8 spot V100s, spot
 	// reclaimed 6×/hour, against the same search on the hazard-stripped
 	// twin with every plan re-priced under the true hazard.
@@ -169,9 +126,15 @@ func runSpot(e *env) (any, []string, error) {
 	g.gate(aware.RecommendedCadence > 0, "no recommended cadence on a hazardous fleet")
 	g.gate(awareExpected <= cmp.BlindCost*(1+1e-9), "risk-aware expected %.6fs worse than re-priced risk-blind %.6fs",
 		awareExpected, cmp.BlindCost)
-	fmt.Fprintf(e.w, "spot: planner: aware %.4fs nominal / %.4fs expected (cadence %d, explored %d); blind %.4fs nominal / %.4fs expected (explored %d)\n",
-		aware.Best.Estimate.IterTime, awareExpected, aware.RecommendedCadence, aware.Explored,
-		cmp.BlindBest.Estimate.IterTime, cmp.BlindCost, cmp.Blind.Explored)
+	planner := exps.Table{Key: "planner",
+		Title: "spot: planner: GPT-3 350M on 8 reserved + 8 spot V100s (6 reclaims/hour, 120s notice), risk-blind plans re-priced under risk",
+		Cols: []exps.Col{{Head: "planner"}, {Head: "nominal s", Fmt: "%.4f"}, {Head: "expected s", Fmt: "%.4f"},
+			{Head: "vs aware", Fmt: "%.3fx"}, {Head: "explored"}, {Head: "cadence"}},
+		Rows: [][]any{
+			{"risk-aware", aware.Best.Estimate.IterTime, awareExpected, 1.0, aware.Explored, aware.RecommendedCadence},
+			{"risk-blind", cmp.BlindBest.Estimate.IterTime, cmp.BlindCost, cmp.BlindCost / awareExpected, cmp.Blind.Explored, "-"},
+		},
+	}
 
 	// Replay slice: the churn target's MLP fleet, one preemption trace,
 	// two supervisors.
@@ -189,7 +152,6 @@ func runSpot(e *env) (any, []string, error) {
 	lamPerIter := float64(len(spotTrace)) / iters
 	awareCadence := perfmodel.RecommendedCadence(lamPerIter, 1, spotCkptCost, blindCadence)
 
-	reg := obs.NewRegistry()
 	run := func(aware bool) (*elastic.Report, error) {
 		j := job
 		j.Params = job.Params.Clone() // a supervised run consumes its parameters
@@ -198,7 +160,6 @@ func runSpot(e *env) (any, []string, error) {
 			if aware {
 				o.CheckpointEvery = awareCadence
 				o.CheckpointCost = 1
-				o.Metrics = reg
 			}
 		})
 	}
@@ -212,9 +173,9 @@ func runSpot(e *env) (any, []string, error) {
 		return nil, nil, fmt.Errorf("blind replay: %w", err)
 	}
 
-	awareStats := spotStats(awareRep, awareCadence, iters)
-	blindStats := spotStats(blindRep, blindCadence, iters)
-	speedup := awareStats.AchievedThroughput / blindStats.AchievedThroughput
+	awareWall, blindWall := spotWall(awareRep), spotWall(blindRep)
+	awareTput, blindTput := iters/awareWall, iters/blindWall // steps per wall iteration
+	speedup := awareTput / blindTput
 
 	g.gate(awareRep.FinalStep == iters && blindRep.FinalStep == iters, "replay incomplete: aware %d, blind %d, want %d",
 		awareRep.FinalStep, blindRep.FinalStep, iters)
@@ -223,32 +184,18 @@ func runSpot(e *env) (any, []string, error) {
 		awareRep.CleanDrains, len(spotTrace), awareRep.NoticesMissed)
 	g.gate(blindRep.StepsLost > 0, "blind replay lost no steps; the trace exercises nothing")
 	g.gate(speedup >= spotSpeedupGate, "achieved speedup %.3fx < gate %.1fx", speedup, spotSpeedupGate)
-	fmt.Fprintf(e.w, "spot: replay: aware %.4f steps/iter-time (lost %d, %d clean drains, cadence %d) vs blind %.4f (lost %d, %d faults, cadence %d): %.3fx achieved speedup (gate %.1fx)\n",
-		awareStats.AchievedThroughput, awareRep.StepsLost, awareRep.CleanDrains, awareCadence,
-		blindStats.AchievedThroughput, blindRep.StepsLost, blindRep.FaultsDetected, blindCadence,
-		speedup, spotSpeedupGate)
+	replay := exps.Table{Key: "replay", View: exps.Lines,
+		Title: fmt.Sprintf("\nspot: replay: %s, %d-reclaim trace over %d iterations, seed %d; achieved speedup gate %.1fx",
+			recoveryJobSetting, len(spotTrace), iters, e.set.Seed, spotSpeedupGate),
+		Cols: append(ledgerCols, exps.Col{Head: "checkpoint cadence", Fmt: "initial cadence %d,"},
+			exps.Col{Head: "wall iters", Fmt: "%.1f wall iterations,"},
+			exps.Col{Head: "achieved throughput", Fmt: "%.4f steps/iter-time,"}, exps.Col{Head: "vs blind", Fmt: "%.3fx blind's"}),
+		Rows: [][]any{
+			append(ledgerCells("aware", awareRep), awareCadence, awareWall, awareTput, speedup),
+			append(ledgerCells("blind", blindRep), blindCadence, blindWall, blindTput, 1.0),
+		},
+	}
 
-	verdict := runTrials(e, chaos.Spot)
-
-	return &spotReport{
-		Setting: fmt.Sprintf("planner: GPT-3 350M on 8 reserved + 8 spot V100s (6 reclaims/hour, 120s notice); replay: %s, %d-reclaim trace over %d iterations, seed %d",
-			recoveryJobSetting, len(spotTrace), iters, e.set.Seed),
-		Seed:                  e.set.Seed,
-		AwareNominalIterTime:  aware.Best.Estimate.IterTime,
-		AwareExpectedIterTime: awareExpected,
-		AwareExplored:         aware.Explored,
-		RecommendedCadence:    aware.RecommendedCadence,
-		BlindNominalIterTime:  cmp.BlindBest.Estimate.IterTime,
-		BlindExpectedIterTime: cmp.BlindCost,
-		BlindExplored:         cmp.Blind.Explored,
-		ExpectedSpeedup:       cmp.BlindCost / awareExpected,
-		ReplayIterations:      iters,
-		ReplayReclaims:        len(spotTrace),
-		Aware:                 awareStats,
-		Blind:                 blindStats,
-		AchievedSpeedup:       speedup,
-		SpeedupGate:           spotSpeedupGate,
-		trialVerdict:          verdict,
-		Metrics:               reg,
-	}, append(g.failed, verdict.Violations...), nil
+	trials := runTrials(e, chaos.Spot)
+	return []exps.Table{planner, replay, trials.table()}, append(g.failed, trials.Violations...), nil
 }

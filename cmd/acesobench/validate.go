@@ -4,7 +4,7 @@ package main
 // internal/diffcheck) and chaos (fault injection against the search,
 // internal/chaos) — and runTrials, the one place a scenario of either
 // package meets the command line. The recovery and hetero targets
-// append its verdict to their reports.
+// table its tally beside their own.
 
 import (
 	"fmt"
@@ -12,23 +12,31 @@ import (
 
 	"aceso/internal/chaos"
 	"aceso/internal/diffcheck"
-	"aceso/internal/obs"
+	"aceso/internal/exps"
 )
 
-// trialVerdict is the randomized-trial block of a report.
-type trialVerdict struct {
-	Trials     int      `json:"chaos_trials"`
-	Passed     int      `json:"chaos_survived_runs"`
-	TypedErrs  int      `json:"chaos_typed_errors"`
-	Violations []string `json:"chaos_violations,omitempty"`
+// trialTally sums the chaos.Reports of one runTrials call.
+type trialTally struct {
+	Trials, Passed, TypedErrs int
+	Violations                []string
+}
+
+// trialCols head a tally's cells.
+var trialCols = []exps.Col{{Head: "trials"}, {Head: "passed"}, {Head: "typed errors"}, {Head: "violations"}}
+
+func (v trialTally) cells() []any { return []any{v.Trials, v.Passed, v.TypedErrs, len(v.Violations)} }
+
+// table is the tally as a target's "trials" table.
+func (v trialTally) table() exps.Table {
+	return exps.Table{Key: "trials", Title: "\nrandomized trials", Cols: trialCols, Rows: [][]any{v.cells()}}
 }
 
 // runTrials runs each scenario under -trials, -duration and -seed and
 // sums the verdicts; every violation is a failed gate of the calling
 // target, and one that carries a shrunken repro is written to
 // <outdir>/BENCH_<scenario>_repro_<trial>.json.
-func runTrials(e *env, scenarios ...chaos.Scenario) trialVerdict {
-	var out trialVerdict
+func runTrials(e *env, scenarios ...chaos.Scenario) trialTally {
+	var out trialTally
 	for _, sc := range scenarios {
 		rep := chaos.Run(sc, chaos.Options{Trials: e.trials, Duration: e.duration, Seed: e.set.Seed, Log: e.logf})
 		fmt.Fprint(e.w, rep.Summary())
@@ -39,7 +47,7 @@ func runTrials(e *env, scenarios ...chaos.Scenario) trialVerdict {
 			msg := fmt.Sprintf("%s %s", sc.Name, v)
 			if v.Repro != nil {
 				name := filepath.Join(e.outDir, fmt.Sprintf("BENCH_%s_repro_%06d.json", sc.Name, v.Trial))
-				if err := writeReport(name, v); err != nil {
+				if err := writeJSON(name, v); err != nil {
 					name = fmt.Sprintf("not written: %v", err)
 				}
 				msg += "; repro → " + name
@@ -50,36 +58,22 @@ func runTrials(e *env, scenarios ...chaos.Scenario) trialVerdict {
 	return out
 }
 
-// diffMode is one checked mode of the diff target.
-type diffMode struct {
-	Mode string `json:"mode"`
-	trialVerdict
-	Band diffcheck.BandStats `json:"band"`
-}
-
-// diffReport is the BENCH_diff.json schema: one verdict and band per
-// checked mode, and the metrics snapshot.
-type diffReport struct {
-	Setting string        `json:"setting"`
-	Modes   []diffMode    `json:"modes"`
-	Metrics *obs.Registry `json:"metrics"`
-}
-
 // runDiff cross-checks perfmodel.Estimate against pipesim on randomized
 // tuples, once with effects off (the hard invariants) and once with
-// effects on (the calibration band).
-func runDiff(e *env) (any, []string, error) {
-	reg := obs.NewRegistry()
-	out := &diffReport{Metrics: reg}
+// effects on (the calibration band): one row per mode.
+func runDiff(e *env) ([]exps.Table, []string, error) {
+	t := exps.Table{
+		Title: fmt.Sprintf("diff: randomized model-vs-simulator tuples, seed %d", e.set.Seed),
+		Cols: append(append([]exps.Col{{Head: "mode"}}, trialCols...),
+			exps.Col{Head: "band samples"}, exps.Col{Head: "min", Fmt: "%.4f"}, exps.Col{Head: "p50", Fmt: "%.4f"},
+			exps.Col{Head: "p95", Fmt: "%.4f"}, exps.Col{Head: "max", Fmt: "%.4f"}),
+	}
 	var failed []string
-	for _, suite := range []*diffcheck.Suite{diffcheck.EffectsOff(reg), diffcheck.EffectsOn(reg)} {
+	for _, suite := range []*diffcheck.Suite{diffcheck.EffectsOff(nil), diffcheck.EffectsOn(nil)} {
 		v := runTrials(e, suite.Scenario)
-		band := suite.Band()
-		fmt.Fprintf(e.w, "%s: band [%.4f, %.4f] p50 %.4f p95 %.4f over %d samples\n",
-			suite.Name, band.Min, band.Max, band.P50, band.P95, band.Samples)
-		out.Modes = append(out.Modes, diffMode{Mode: suite.Name, trialVerdict: v, Band: band})
+		b := suite.Band()
+		t.Rows = append(t.Rows, append(append([]any{suite.Name}, v.cells()...), b.Samples, b.Min, b.P50, b.P95, b.Max))
 		failed = append(failed, v.Violations...)
 	}
-	out.Setting = fmt.Sprintf("randomized model-vs-simulator tuples, %d trials/mode, seed %d", out.Modes[0].Trials, e.set.Seed)
-	return out, failed, nil
+	return []exps.Table{t}, failed, nil
 }

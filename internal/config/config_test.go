@@ -156,10 +156,10 @@ func TestMinMaxPartition(t *testing.T) {
 	if cost != 9 || !reflect.DeepEqual(cuts, []int{0, 3, 5}) || !reflect.DeepEqual(sets, tp1) {
 		t.Errorf("MinMaxPartition = %v, %v, %v; want [0 3 5], %v, 9", cuts, sets, cost, tp1)
 	}
-	// Stage 0 is asked about [0,1)…[0,4); stage 1 about every [k, i)
-	// with 1 ≤ k < i ≤ 5, those ending before 5 too.
-	if calls != 4+10 {
-		t.Errorf("eval called %d times, want 14", calls)
+	// Stage 0 is asked about [0,1)…[0,4); the last stage only about the
+	// ranges [k, 5) that end the units, 1 ≤ k < 5.
+	if calls != 4+4 {
+		t.Errorf("eval called %d times, want 8", calls)
 	}
 	// No range of 3…5 units splits 5 units in two.
 	if cuts, _, _ := MinMaxPartition(len(units), 2, 3, 5, sum); cuts != nil {

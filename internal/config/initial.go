@@ -141,7 +141,11 @@ func MinMaxPartition(n, stages, minLen, maxLen int, eval func(from, to, stage in
 		}
 	}
 	for j := 1; j <= stages; j++ {
-		for i := j; i <= n-(stages-j); i++ {
+		lo := j
+		if j == stages {
+			lo = n // only f[n][stages] is read back
+		}
+		for i := lo; i <= n-(stages-j); i++ {
 			at = &f[i*w+j]
 			for k = max(i-maxLen, j-1); k <= i-minLen; k++ {
 				if prev = f[k*w+j-1].cost; prev < inf {

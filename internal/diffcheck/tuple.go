@@ -35,7 +35,7 @@ import (
 
 // Tuple is one self-contained differential trial: everything needed to
 // rebuild the (graph, cluster, config) triple deterministically. The
-// JSON form is the repro format written next to BENCH_diff.json.
+// JSON form is the repro format acesobench writes per violation.
 type Tuple struct {
 	// Synthetic workload shape: Ops operators of FwdFLOPs/Params/Act
 	// base cost; Slope > 0 makes op i (1+i·Slope)× as expensive
