@@ -36,7 +36,8 @@ paper:
 # so none can rot, and prints B/op (BenchmarkSearchThroughput's is the
 # pinned search's allocation). The acesobench
 # gates write their files and their tables' CSV into one scratch
-# directory, so a table that cannot be written fails ci; scale runs in
+# directory, removed when the line exits with the line's own status, so
+# a table that cannot be written fails ci; scale runs in
 # a process of its own, because its allocation ratio assumes cold
 # arenas; chaos runs for its -duration, the other randomized targets
 # their scenarios' own trial counts.
@@ -48,7 +49,7 @@ ci: build fmt-check
 	$(MAKE) fuzz-smoke
 	$(GO) test -run xxx -bench . -benchtime 1x -benchmem . ./internal/config ./internal/core ./internal/memo ./internal/perfmodel \
 		./internal/planserver ./internal/profiler
-	out=$$(mktemp -d) && $(BENCH) -outdir $$out -csv $$out scale && $(BENCH) -outdir $$out -csv $$out trace diff hetero && \
+	out=$$(mktemp -d) && trap 'rm -rf "$$out"' EXIT && $(BENCH) -outdir $$out -csv $$out scale && $(BENCH) -outdir $$out -csv $$out trace diff hetero && \
 		$(BENCH) -duration 10s -csv $$out chaos && $(MAKE) recover-smoke OUT=$$out
 
 # fmt-check fails when gofmt would change any file of either module.
@@ -71,6 +72,7 @@ fuzz-smoke:
 	$(GO) test -fuzz=FuzzTermReuseMatchesFresh -fuzztime=5s ./internal/perfmodel
 	$(GO) test -fuzz=FuzzTrialBoundContainsEstimate -fuzztime=5s ./internal/perfmodel
 	$(GO) test -fuzz=FuzzSearchNeverPanics -fuzztime=5s ./internal/core
+	$(GO) test -fuzz=FuzzMoveUndo -fuzztime=5s ./internal/core
 	$(GO) test -fuzz=FuzzRestrictExact -fuzztime=5s ./internal/hardware
 	$(GO) test -fuzz=FuzzCheckpointLoadNeverPanics -fuzztime=5s ./internal/elastic
 	$(GO) test -fuzz=FuzzChurnEventsNeverPanic -fuzztime=5s ./internal/elastic

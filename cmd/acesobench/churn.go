@@ -17,11 +17,6 @@ import (
 	"aceso/internal/hardware"
 )
 
-// elasticTol is the acceptance bound on the supervised-vs-uninterrupted
-// trajectory: reshard is a pure float64 repartition, so anything above
-// accumulated rounding noise means recovery corrupted state.
-const elasticTol = 1e-9
-
 // recoveryJob is the churn and spot targets' workload: MLP(6 layers,
 // dim 16, batch 32) at pp2×tp2×dp2 on 8 emulated V100s — two 4-device
 // nodes instead of one DGX, so link derates hit a fabric the plan
@@ -125,10 +120,12 @@ func churnSchedule() elastic.ChurnSpec {
 
 // runChurn survives one deterministic churn schedule (22 mixed events
 // over 28 iterations on 8 emulated V100s across 2 nodes, with a
-// checkpoint file round trip) and gates on: every iteration completed,
-// the final trajectory matching an uninterrupted run within elasticTol,
-// and hysteresis having avoided at least one replan search. It then
-// runs the randomized one-fault and churn chaos passes.
+// checkpoint file round trip) and gates on the invariants every
+// recovery trial holds (chaos.CheckRun: each loss within
+// chaos.RejoinTol of an uninterrupted run, the steps lost bounded),
+// on hysteresis having avoided at least one replan search, and on the
+// schedule having exercised faults and retries. It then runs the
+// randomized one-fault and churn chaos passes.
 func runChurn(e *env) ([]exps.Table, []string, error) {
 	const iters = 28
 	job, err := recoveryJob(iters, e.set.Seed)
@@ -155,7 +152,7 @@ func runChurn(e *env) ([]exps.Table, []string, error) {
 	}
 	ledger := exps.Table{
 		Title: fmt.Sprintf("churn: %s, %d-event churn schedule over %d iterations, checkpoint every 2, seed %d; trajectory gate %g",
-			recoveryJobSetting, len(spec.Events), iters, e.set.Seed, elasticTol),
+			recoveryJobSetting, len(spec.Events), iters, e.set.Seed, chaos.RejoinTol),
 		Cols: append(ledgerCols, exps.Col{Head: "steps lost per fault", Fmt: "%.2f lost per fault,"},
 			exps.Col{Head: "final devices", Fmt: "ends on %d devices;"},
 			exps.Col{Head: "loss delta", Fmt: "vs uninterrupted: loss delta %.3g,"}, exps.Col{Head: "param diff", Fmt: "param diff %.3g"}),
@@ -169,10 +166,9 @@ func runChurn(e *env) ([]exps.Table, []string, error) {
 	}
 
 	var g gates
-	g.gate(rep.FinalStep == iters && len(rep.Losses) == iters, "run incomplete: final step %d, %d losses, want %d",
-		rep.FinalStep, len(rep.Losses), iters)
-	g.gate(lossDelta <= elasticTol && paramDiff <= elasticTol,
-		"trajectory diverged: loss delta %g, param diff %g (tol %g)", lossDelta, paramDiff, elasticTol)
+	if v := chaos.CheckRun(rep, refLosses, ref); v != nil {
+		g.gate(false, "recovery broke %s: %s", v.Kind, v.Detail)
+	}
 	g.gate(rep.ReplansAvoided > 0, "hysteresis avoided no replans across %d events", rep.EventsApplied)
 	g.gate(rep.FaultsDetected > 0 && rep.Retries > 0, "schedule exercised too little: faults=%d retries=%d",
 		rep.FaultsDetected, rep.Retries)

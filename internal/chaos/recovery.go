@@ -23,10 +23,10 @@ const LR = 0.05
 // trials, so the work-loss bound is a closed formula.
 const maxCadence = 4
 
-// rejoinTol bounds the divergence between a supervised run and its
+// RejoinTol bounds the divergence between a supervised run and its
 // uninterrupted reference: reconfigurations are semantics-preserving,
 // so only float re-association noise is tolerated.
-const rejoinTol = 1e-9
+const RejoinTol = 1e-9
 
 // Shape is a (stages × tp × dp) decomposition of a plan.
 type Shape struct {
@@ -205,7 +205,7 @@ const (
 // random valid parallelization with per-operator split dimensions and
 // recomputation, the schedule and a random checkpoint cadence, runs it
 // through elastic.Supervise, and checks the invariants of a finished
-// run (checkRun). A typed error — a rejected draw, a schedule that
+// run (CheckRun). A typed error — a rejected draw, a schedule that
 // genuinely ran out of capacity — is an acceptable outcome; a
 // *comm.CollectiveTimeoutError is not.
 func recovery(name string, kind schedule) Scenario {
@@ -286,17 +286,19 @@ func recoveryTrial(kind schedule, rng *rand.Rand, seed int64) (bool, *Violation)
 	if kind == oneFault && len(spec.Events) != rep.FaultsDetected {
 		return false, violation("lost-steps", "planned fault did not fire (detected=%d)", rep.FaultsDetected)
 	}
-	if v := checkRun(rep, refLosses, ref); v != nil {
+	if v := CheckRun(rep, refLosses, ref); v != nil {
 		return false, v
 	}
 	return true, nil
 }
 
-// checkRun holds the invariants of a finished supervised run: every
-// iteration completed, a strictly monotone step counter, finite
-// losses, coherent drain accounting, a bound on discarded work, and
-// agreement with the uninterrupted reference run within rejoinTol.
-func checkRun(rep *elastic.Report, refLosses []float64, ref *runtime.Params) *Violation {
+// CheckRun holds the invariants of a finished supervised run of
+// len(refLosses) iterations: every iteration completed, a strictly
+// monotone step counter, finite losses, coherent drain accounting, a
+// bound on discarded work at a cadence of at most 4, and agreement with
+// the uninterrupted reference run (Reference) within RejoinTol. It
+// returns the first invariant broken, nil when all hold.
+func CheckRun(rep *elastic.Report, refLosses []float64, ref *runtime.Params) *Violation {
 	iters := len(refLosses)
 	if rep.FinalStep != iters || len(rep.Losses) != iters {
 		return violation("lost-steps", "final step %d, %d losses, want %d (events=%d faults=%d notices=%d drains=%d missed=%d)",
@@ -326,11 +328,11 @@ func checkRun(rep *elastic.Report, refLosses []float64, ref *runtime.Params) *Vi
 	}
 	// Recovery must cost wall time only, never training fidelity.
 	for i := range refLosses {
-		if math.Abs(rep.Losses[i]-refLosses[i]) > rejoinTol {
+		if math.Abs(rep.Losses[i]-refLosses[i]) > RejoinTol {
 			return violation("diverged", "loss[%d] %.15g vs uninterrupted %.15g", i, rep.Losses[i], refLosses[i])
 		}
 	}
-	if d := ref.MaxDiff(rep.Params); d > rejoinTol {
+	if d := ref.MaxDiff(rep.Params); d > RejoinTol {
 		return violation("diverged", "final params differ by %g from uninterrupted run", d)
 	}
 	return nil

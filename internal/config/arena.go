@@ -1,13 +1,10 @@
 package config
 
-// Arena is a free-list of Config allocations for the search hot path.
-// The multi-hop search clones a configuration for every primitive
-// trial and throws most of the clones away within the same iteration
-// (rejected by validation, deduplicated, outscored); recycling them
-// through an arena turns the dominant allocation source of the search
-// (Clone was ~53% of allocated objects) into slice reuse.
-//
-// An Arena is deliberately dumb: it does not track liveness. The
+import "slices"
+
+// Arena is a free-list of Config allocations for the search hot path,
+// where the candidates the search keeps die by the thousand (pruned,
+// outscored, superseded). An Arena is deliberately dumb: it does not track liveness. The
 // caller must guarantee that a Put config is no longer referenced
 // anywhere — CloneIn overwrites every field of a recycled Config, so a
 // stale reference would silently read another candidate's data. The
@@ -31,41 +28,46 @@ func (a *Arena) Put(c *Config) {
 // of allocating.
 func (a *Arena) Reuses() int { return a.reuses }
 
-// CloneIn is Clone backed by an arena: when a recycled Config with
-// enough capacity is available its Stage and OpSetting slices are
-// reused, otherwise it falls back to fresh allocation. The result is
-// indistinguishable from Clone(): every field — including the
-// memoized sub-hashes, key and hash — is copied or overwritten, so no
-// state of the recycled config's previous life survives.
+// CloneIn is Clone backed by an arena: a recycled Config's Stage and
+// OpSetting slices are reused where their capacity suffices. The result
+// is indistinguishable from Clone(): every field — including the
+// memoized sub-hashes, key and hash — is copied or overwritten (by
+// Restore), so no state of the recycled config's previous life
+// survives.
 func (c *Config) CloneIn(a *Arena) *Config {
-	n := len(a.free)
-	if n == 0 {
-		return c.Clone()
-	}
-	out := a.free[n-1]
-	a.free[n-1] = nil
-	a.free = a.free[:n-1]
-	a.reuses++
-	out.MicroBatch = c.MicroBatch
-	out.key = c.key
-	out.hash = c.hash
-	out.hashOK = c.hashOK
-	if cap(out.Stages) >= len(c.Stages) {
-		out.Stages = out.Stages[:len(c.Stages)]
+	var out *Config
+	if n := len(a.free); n > 0 {
+		out = a.free[n-1]
+		a.free[n-1] = nil
+		a.free = a.free[:n-1]
+		a.reuses++
 	} else {
-		out.Stages = make([]Stage, len(c.Stages))
+		out = new(Config)
 	}
-	// Reuse the recycled config's flat ops backing (see Config.flat);
-	// per-stage windows get cap==len exactly like Clone, so appends on
-	// one stage's Ops never clobber a neighbor.
-	total := c.numOps()
-	flat := out.flat
-	if cap(flat) >= total {
-		flat = flat[:total]
-	} else {
-		flat = make([]OpSetting, total)
-	}
-	copy(out.Stages, c.Stages)
-	out.tile(flat)
+	// Reuse the recycled config's flat ops backing (see Config.flat).
+	out.Stages = slices.Grow(out.Stages[:0], len(c.Stages))[:len(c.Stages)]
+	out.flat = slices.Grow(out.flat[:0], c.numOps())[:c.numOps()]
+	out.Restore(c, 0, len(c.Stages)-1)
 	return out
+}
+
+// Restore copies into c stages lo through hi of base — bounds, devices,
+// settings, sub-hashes — and base's microbatch, key and hash: the undo
+// of an edit of a copy of base that moved no boundary outside lo..hi.
+// The windows are re-cut from c's flat backing, so a shifted boundary
+// is undone too; c's flat must hold base's op count. Allocates nothing.
+func (c *Config) Restore(base *Config, lo, hi int) {
+	off := 0
+	for i := 0; i < lo; i++ {
+		off += len(base.Stages[i].Ops)
+	}
+	for i := lo; i <= hi; i++ {
+		st := &c.Stages[i]
+		n := len(base.Stages[i].Ops)
+		*st = base.Stages[i]
+		st.Ops = c.flat[off : off+n : off+n]
+		copy(st.Ops, base.Stages[i].Ops)
+		off += n
+	}
+	c.MicroBatch, c.key, c.hash, c.hashOK = base.MicroBatch, base.key, base.hash, base.hashOK
 }

@@ -367,21 +367,8 @@ func (c *Config) validate(g *model.Graph, totalDevices int, base *Config, opsRea
 //
 // All stages' op settings share one backing array, sliced with
 // cap==len per stage so an append on any stage's Ops reallocates
-// instead of clobbering its neighbor — the same semantics the old
-// exact-size per-stage allocations had, at three allocations per
-// clone instead of stages+2.
-func (c *Config) Clone() *Config {
-	out := &Config{
-		Stages:     make([]Stage, len(c.Stages)),
-		MicroBatch: c.MicroBatch,
-		key:        c.key,
-		hash:       c.hash,
-		hashOK:     c.hashOK,
-	}
-	copy(out.Stages, c.Stages)
-	out.tile(make([]OpSetting, c.numOps()))
-	return out
-}
+// instead of clobbering its neighbor, at three allocations per clone.
+func (c *Config) Clone() *Config { return c.CloneIn(&Arena{}) }
 
 // numOps returns the number of op settings across all stages.
 func (c *Config) numOps() int {
@@ -392,25 +379,8 @@ func (c *Config) numOps() int {
 	return n
 }
 
-// tile copies every stage's settings into flat, back to back in stage
-// order, re-points the stages' Ops windows there and makes flat the
-// config's backing. flat holds exactly numOps() settings and shares no
-// memory with the windows it is copied from.
-func (c *Config) tile(flat []OpSetting) {
-	off := 0
-	for i := range c.Stages {
-		st := &c.Stages[i]
-		n := len(st.Ops)
-		dst := flat[off : off+n : off+n]
-		copy(dst, st.Ops)
-		st.Ops = dst
-		off += n
-	}
-	c.flat = flat
-}
-
 // tiled reports whether the stages' Ops windows lie back to back, in
-// stage order, over the whole of c.flat — what tile leaves behind.
+// stage order, over the whole of c.flat — what Clone leaves behind.
 func (c *Config) tiled() bool {
 	off := 0
 	for i := range c.Stages {
@@ -436,7 +406,7 @@ func (c *Config) tiled() bool {
 // rewrite it before the next Key, Hash or SubHash.
 func (c *Config) ShiftBoundary(i, k int) []OpSetting {
 	if !c.tiled() {
-		c.tile(make([]OpSetting, c.numOps()))
+		*c = *c.Clone()
 	}
 	lo := 0
 	for j := 0; j < i; j++ {

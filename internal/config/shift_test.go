@@ -8,10 +8,10 @@ import (
 	"aceso/internal/model"
 )
 
-// shiftMoveOps is core.moveOps after the clone, on the config API: shift
+// shiftMoveOps is core.shift on the config API: shift
 // the boundary in place, then give the moved ops the receiving stage's
 // template with their own dim. mutMoveOps is the same move built with
-// append, the way moveOps used to build it.
+// append, the way core built it before boundaries were re-cut.
 func shiftMoveOps(c *Config, from, dir, k int) {
 	to := from + dir
 	dst := c.Stages[to].Ops

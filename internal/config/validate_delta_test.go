@@ -15,7 +15,7 @@ import (
 
 // mutMoveOps shifts k ops across the boundary between stages from and
 // from+dir; moved ops adopt the receiving stage's tp/dp and keep their
-// own dim (core.moveOps).
+// own dim (core.shift).
 func mutMoveOps(c *Config, from, dir, k int) *Config {
 	to := from + dir
 	if to < 0 || to >= len(c.Stages) || k <= 0 || c.Stages[from].NumOps() <= k {
@@ -80,7 +80,7 @@ func mutMoveDevices(c *Config, from, to int, useDP bool) *Config {
 }
 
 // mutRetile converts the ops [from, end) of a stage between tp- and
-// dp-heavier tilings of the same device count (core.retileRange).
+// dp-heavier tilings of the same device count (core.retile).
 func mutRetile(c *Config, stage, from int, toDP bool) *Config {
 	out := c.Clone()
 	out.MutStage(stage, func(s *Stage) {

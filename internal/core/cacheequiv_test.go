@@ -125,14 +125,14 @@ func TestIncrementalEstimateEquivalence(t *testing.T) {
 				var cands []*config.Config
 				switch k := rng.Intn(len(prims) + 2); k {
 				case len(prims):
-					cands = append(cands, retileRange(s, cfg, stage, j, rng.Intn(2) == 0))
+					cands = append(cands, retiled(cfg, stage, j, rng.Intn(2) == 0))
 				case len(prims) + 1:
 					c := cfg.Clone()
 					j += c.Stages[stage].Start
 					c.MutOp(stage, j, func(o *config.OpSetting) { o.Dim = (o.Dim + 1) % len(g.Ops[j].Dims) })
 					cands = append(cands, c)
 				default:
-					cands = prims[k].apply(s, cfg, stage, nil)
+					cands = candidates(s, prims[k].apply, cfg, stage)
 				}
 				// Keep only valid candidates; primitives may return nil or
 				// configs the cluster cannot host.
@@ -175,7 +175,7 @@ func TestIncrementalEstimateEquivalence(t *testing.T) {
 			}
 			baseEst, ok := check(base, nil, nil, -1)
 			for k := 1; ok && k < base.Stages[1].NumOps(); k++ {
-				mid := retileRange(s, base, 1, k, false)
+				mid := retiled(base, 1, k, false)
 				var midEst *perfmodel.Estimate
 				if midEst, ok = check(mid, base, baseEst, k); ok {
 					cut := mid.Clone()

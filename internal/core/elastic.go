@@ -21,10 +21,7 @@ func ProjectConfig(g *model.Graph, old *config.Config, newDevices int) (*config.
 	if newDevices < 1 {
 		return nil, fmt.Errorf("core: project onto %d devices", newDevices)
 	}
-	stages := old.NumStages()
-	if stages > newDevices {
-		stages = newDevices
-	}
+	stages := min(old.NumStages(), newDevices)
 	// Merge stages if the new cluster cannot host the old depth: fold
 	// the shallowest adjacent pair until it fits.
 	ranges := make([][2]int, 0, old.NumStages())

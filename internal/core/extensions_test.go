@@ -74,7 +74,7 @@ func TestToggleZeRO(t *testing.T) {
 	for j := range cfg.Stages[0].Ops {
 		cfg.Stages[0].Ops[j] = config.OpSetting{TP: 1, DP: 4, Dim: 0}
 	}
-	on := toggle(true, true)(s, cfg, 0, nil)
+	on := candidates(s, toggle(true, true), cfg, 0)
 	if len(on) != 1 {
 		t.Fatal("inc-zr produced nothing")
 	}
@@ -87,17 +87,17 @@ func TestToggleZeRO(t *testing.T) {
 		}
 	}
 	// Idempotent: inc-zr on an all-ZeRO stage yields nothing.
-	if got := toggle(true, true)(s, on[0], 0, nil); got != nil {
+	if got := candidates(s, toggle(true, true), on[0], 0); got != nil {
 		t.Error("inc-zr on sharded stage should be nil")
 	}
 	// dec restores the original hash (invariant 3).
-	off := toggle(true, false)(s, on[0], 0, nil)
+	off := candidates(s, toggle(true, false), on[0], 0)
 	if len(off) != 1 || off[0].Hash() != cfg.Hash() {
 		t.Error("dec-zr does not invert inc-zr")
 	}
 	// tp-only stage: nothing to shard.
 	tpOnly := mustBalanced(t, g, 4, 1, 8)
-	if got := toggle(true, true)(s, tpOnly, 0, nil); got != nil {
+	if got := candidates(s, toggle(true, true), tpOnly, 0); got != nil {
 		t.Error("inc-zr with dp=1 should be nil")
 	}
 }
@@ -109,7 +109,7 @@ func TestZeROCutsOptimizerMemory(t *testing.T) {
 	for j := range cfg.Stages[0].Ops {
 		cfg.Stages[0].Ops[j] = config.OpSetting{TP: 1, DP: 4, Dim: 0}
 	}
-	zr := toggle(true, true)(s, cfg, 0, nil)[0]
+	zr := candidates(s, toggle(true, true), cfg, 0)[0]
 	base := s.estimate(cfg)
 	sharded := s.estimate(zr)
 	if sharded.Stages[0].OptMem >= base.Stages[0].OptMem/2 {
@@ -149,7 +149,7 @@ func TestDeviceMovesClearDanglingZeRO(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, p := range Table[4:8] { // inc-dp, dec-dp, inc-tp, dec-tp
-		for _, c := range p.apply(s, cfg, 1, nil) {
+		for _, c := range candidates(s, p.apply, cfg, 1) {
 			if c == nil {
 				continue
 			}
@@ -190,7 +190,7 @@ func TestSeqParCutsActivationMemory(t *testing.T) {
 	g, _ := model.GPT3("1.3B")
 	s := testSearcher(t, g, 4)
 	cfg := mustBalanced(t, g, 4, 1, 4) // tp=4
-	sp := toggle(false, true)(s, cfg, 0, nil)
+	sp := candidates(s, toggle(false, true), cfg, 0)
 	if len(sp) != 1 {
 		t.Fatal("inc-sp produced nothing")
 	}
@@ -207,7 +207,7 @@ func TestSeqParCutsActivationMemory(t *testing.T) {
 		t.Error("sequence parallelism must not slow the forward pass")
 	}
 	// dec inverts (invariant 3).
-	back := toggle(false, false)(s, sp[0], 0, nil)
+	back := candidates(s, toggle(false, false), sp[0], 0)
 	if len(back) != 1 || back[0].Hash() != cfg.Hash() {
 		t.Error("dec-sp does not invert inc-sp")
 	}
@@ -216,7 +216,7 @@ func TestSeqParCutsActivationMemory(t *testing.T) {
 	for j := range dpOnly.Stages[0].Ops {
 		dpOnly.Stages[0].Ops[j] = config.OpSetting{TP: 1, DP: 4, Dim: 0}
 	}
-	if got := toggle(false, true)(s, dpOnly, 0, nil); got != nil {
+	if got := candidates(s, toggle(false, true), dpOnly, 0); got != nil {
 		t.Error("inc-sp with tp=1 should be nil")
 	}
 }

@@ -15,8 +15,8 @@ var trialHooks struct {
 const fineTuneCandidateCap = 96
 
 // fineTune is the §4.2 op-level pass run after each improving
-// iteration. It greedily applies two families of adjustments and
-// returns the improved configuration (nil when nothing helped):
+// iteration. It greedily tries two families of moves on the best so far
+// and returns the improved configuration (nil when nothing helped):
 //
 //  1. Flexible tp/dp mixes inside a stage: starting from a handful of
 //     suffix positions, convert [j, end) between tp- and dp-heavier
@@ -26,49 +26,22 @@ const fineTuneCandidateCap = 96
 //     collectives.
 //  2. Flexible tensor-parallel dimensions: flip individual operators
 //     to their alternative sharding dim (row↔col, in↔out channel).
+//
+// Each move rewrites one stage of the best so far, which is the batch
+// base and the trial's base: a winner becomes both.
 func (s *searcher) fineTune(cfg *config.Config) *config.Config {
 	curEst := s.estimate(cfg)
-	best := cfg
-	bestScore := s.score(cfg, curEst)
-	improved := false
-	budget := fineTuneCandidateCap
-
-	// Every candidate is a clone of best with one stage rewritten, so
-	// best is the batch base: the estimate copies every other stage.
+	best, bestScore := cfg, s.score(cfg, curEst)
 	s.pushBatch(cfg, curEst)
 	defer s.popBatch()
-
-	consider := func(c *config.Config) {
-		if c == nil {
-			return
-		}
-		if budget <= 0 {
-			s.st.recycle(c)
-			return
-		}
-		budget--
-		if !s.st.visit(c) {
-			return
-		}
-		// Every candidate is a clone of the best so far with one stage
-		// rewritten, and best is valid: cfg passed multiHop's check, a
-		// successor passed this one. An invalid key stays visited, which
-		// only skips its next copy (validity goes with the key).
-		if err := c.ValidateDelta(s.graph, s.cluster.TotalDevices(), best); err != nil {
-			s.st.recycle(c)
-			return
-		}
-		lost := s.loses(c, bestScore)
-		if s.met != nil {
-			s.met.trials[lost].Inc()
-		}
-		if lost {
-			s.st.recycle(c)
-			return
-		}
-		e := s.estimate(c)
-		sc := s.score(c, e)
-		if sc < bestScore {
+	t := s.st.trial(0, cfg)
+	t.budget = fineTuneCandidateCap
+	tryMoves := func() {
+		for i := range t.moves {
+			c, e, sc := s.try(t, &t.moves[i], true, bestScore)
+			if c == nil {
+				continue
+			}
 			if trialHooks.won != nil {
 				trialHooks.won(c)
 			}
@@ -80,61 +53,60 @@ func (s *searcher) fineTune(cfg *config.Config) *config.Config {
 				s.st.recycle(best)
 			}
 			best, bestScore = c, sc
-			improved = true
-		} else {
-			s.st.recycle(c)
 		}
 	}
 
 	for si := range cfg.Stages {
-		if s.expired() || budget <= 0 {
+		if s.expired() || t.budget <= 0 {
 			break
 		}
-		st := &best.Stages[si]
-		n := st.NumOps()
-		// Suffix starts: stage start plus up to 6 interior positions.
-		starts := []int{0}
-		for _, f := range []int{8, 4, 2} {
-			if p := n - n/f; p > 0 && p < n {
-				starts = append(starts, p)
-			}
-		}
-		for _, from := range starts {
-			consider(retileRange(s, best, si, from, true))
-			consider(retileRange(s, best, si, from, false))
-		}
+		t.moves = suffixRetiles(t.moves[:0], cfg, si)
+		tryMoves()
 	}
 
 	// Dim flips, bottleneck stage first for the remaining budget.
-	est := s.estimate(best)
-	bns := Bottlenecks(est, s.cluster.MemoryBytes)
-	for _, bn := range bns {
-		if s.expired() || budget <= 0 {
+	for _, bn := range Bottlenecks(s.estimate(best), s.cluster.MemoryBytes) {
+		if s.expired() || t.budget <= 0 {
 			break
 		}
-		// Capture the op range by value: `best` may be superseded (and
-		// its predecessor recycled) while this loop runs, so no pointer
-		// into a candidate's stage array may outlive a consider call.
-		stStart, stEnd := best.Stages[bn.Stage].Start, best.Stages[bn.Stage].End
-		for j := stStart; j < stEnd && budget > 0; j++ {
-			op := &s.graph.Ops[j]
-			if len(op.Dims) < 2 || best.Stages[bn.Stage].Setting(j).TP < 2 {
-				continue // a dim flip on an unsharded op is a no-op
-			}
-			cur := best.Stages[bn.Stage].Setting(j).Dim
-			for d := range op.Dims {
-				if d == cur {
-					continue
-				}
-				c := s.st.clone(best)
-				c.MutOp(bn.Stage, j, func(op *config.OpSetting) { op.Dim = d })
-				consider(c)
-			}
-		}
+		t.moves = s.dimFlips(t.moves[:0], best, bn.Stage)
+		tryMoves()
 	}
 
-	if !improved {
+	if best == cfg {
 		return nil
 	}
 	return best
+}
+
+// suffixRetiles appends fineTune's retiles of stage si of cfg: suffixes
+// from the stage start and up to three interior positions, each toward
+// dp, then tp. Whether one applies is read off the best it is tried on.
+func suffixRetiles(moves []move, cfg *config.Config, si int) []move {
+	n := cfg.Stages[si].NumOps()
+	for _, f := range [...]int{1, 8, 4, 2} {
+		if from := n - n/f; f == 1 || from > 0 && from < n {
+			moves = append(moves, move{kind: retileOps, stage: si, n: from, on: true}, move{kind: retileOps, stage: si, n: from})
+		}
+	}
+	return moves
+}
+
+// dimFlips appends fineTune's flips of stage's sharded ops in cfg, each
+// to every other dim. A flip rewrites its own op's dim alone, so the
+// flips of a stage can be read off the best before any is tried.
+func (s *searcher) dimFlips(moves []move, cfg *config.Config, stage int) []move {
+	st := &cfg.Stages[stage]
+	for j := st.Start; j < st.End; j++ {
+		set := st.Setting(j)
+		if set.TP < 2 {
+			continue // a dim flip on an unsharded op is a no-op
+		}
+		for d := range s.graph.Ops[j].Dims {
+			if d != set.Dim {
+				moves = append(moves, move{kind: flipDim, stage: stage, n: j, dim: d})
+			}
+		}
+	}
+	return moves
 }

@@ -8,6 +8,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"aceso/internal/config"
 	"aceso/internal/model"
@@ -49,11 +50,10 @@ const (
 
 // Primitive is one row of the reconfiguration-primitive table. Each
 // primitive adjusts exactly one mechanism, which keeps its resource
-// impact analyzable; apply realizes it as a set of candidate
-// configurations (a primitive's argument — how many ops, which
-// partner, which halving — yields several concrete candidates that the
-// multi-hop search ranks by estimated performance), appended to a slice
-// the caller owns.
+// impact analyzable; apply realizes it as moves on the trial's base (a
+// primitive's argument — how many ops, which partner, which halving —
+// yields several concrete moves that the multi-hop search ranks by
+// estimated performance), appended to t.moves.
 type Primitive struct {
 	Name string
 	Comp Trend
@@ -63,7 +63,7 @@ type Primitive struct {
 	// only under Options.ExtendedPrimitives.
 	Extended bool
 
-	apply func(s *searcher, cfg *config.Config, stage int, out []*config.Config) []*config.Config
+	apply func(s *searcher, t *trial, stage int)
 }
 
 // effect returns the primitive's trend on a resource.
@@ -151,6 +151,85 @@ func Eligible(r Resource, extended bool) []*Primitive {
 	return eligible[0][r]
 }
 
+// ---------- moves ----------
+
+// moveKind is what a move edits: a row of Table 1, or one of
+// fineTune's op-level adjustments.
+type moveKind uint8
+
+const (
+	shiftOps      moveKind = iota // k ops across every boundary from stage to `to` (inc/dec-op#, relay)
+	rescaleStage                  // stage doubles or halves its devices, partner `to` the reverse (inc/dec-dp/tp)
+	retileOps                     // ops [n, end) of stage between tp- and dp-heavier tilings (inc/dec-dp/tp, fineTune)
+	setMicroBatch                 // the microbatch becomes n (inc/dec-mbs)
+	setRecompute                  // a recompute rung: ops' Recompute flags become on (inc/dec-rc)
+	toggleFlag                    // ZeRO or sequence parallelism becomes on over stage (inc/dec-zr/sp)
+	flipDim                       // op n's sharding dim becomes dim (fineTune)
+)
+
+// move is one candidate edit of a trial's base, a plain value: the
+// search applies it to the base's scratch copy, judges it and undoes it
+// (trial), so a candidate costs a copy only when the search keeps it.
+type move struct {
+	kind  moveKind
+	stage int // the stage edited; a shift's donor
+	to    int // a shift's last receiving stage; a rescale's partner
+	n     int // ops per boundary (shift), first op from the stage start (retile), microbatch, flipped op
+	dim   int // a flip's new dim
+	// on: a rescale grows stage, a retile goes dp-heavier, a rung or a
+	// toggle sets its flag. dp and toDP are a rescale's mechanisms for
+	// stage and partner; zero picks ZeRO over sequence parallelism.
+	on, dp, toDP, zero bool
+	ops                []rcCand // a rung's operators, in trial.ops: rcBuf is reused by attachRecompute
+}
+
+// apply edits c, a copy of the base the move was made on, in place, and
+// reports false, with c untouched, when the move does not apply: only a
+// retile checks, for fineTune makes retiles before it knows their best.
+func (m *move) apply(c *config.Config) bool {
+	switch m.kind {
+	case shiftOps:
+		dir := 1
+		if m.to < m.stage {
+			dir = -1
+		}
+		for cur := m.stage; cur != m.to; cur += dir {
+			shift(c, cur, dir, m.n)
+		}
+	case rescaleStage:
+		rescale(c, m.stage, m.on, m.dp)
+		rescale(c, m.to, !m.on, m.toDP)
+	case retileOps:
+		return retile(c, m.stage, m.n, m.on)
+	case setMicroBatch:
+		c.SetMicroBatch(m.n)
+	case setRecompute:
+		setRC(c, m.stage, m.ops, m.on)
+	case toggleFlag:
+		st := &c.Stages[m.stage]
+		for j := range st.Ops {
+			if f := flagOf(&st.Ops[j], m.zero); f != nil {
+				*f = m.on
+			}
+		}
+		c.InvalidateStage(m.stage)
+	case flipDim:
+		c.Stages[m.stage].Setting(m.n).Dim = m.dim
+		c.InvalidateStage(m.stage)
+	}
+	return true
+}
+
+// undo restores from t's base the stages m edited on t's scratch: a
+// shift's or a rescale's range between stage and to, else stage.
+func (t *trial) undo(m *move) {
+	lo, hi := m.stage, m.stage
+	if m.kind == shiftOps || m.kind == rescaleStage {
+		lo, hi = min(m.stage, m.to), max(m.stage, m.to)
+	}
+	t.scratch.Restore(t.base, lo, hi)
+}
+
 // ---------- helpers shared by the apply functions ----------
 
 // idlestStage returns the stage (≠ exclude) with the shortest stage
@@ -168,12 +247,12 @@ func idlestStage(est *perfmodel.Estimate, exclude int) int {
 	return best
 }
 
-// rescale doubles (grow) or halves stage i's device count through every
-// op's dp (useDP) or tp. A doubled dp must still divide the microbatch;
-// a halving the chosen mechanism cannot make on every op is made by the
-// other one. Returns false, with the stage untouched, when no resize is
-// possible.
-func rescale(c *config.Config, i int, grow, useDP bool) bool {
+// rescaleVia reports the mechanism, dp (true) or tp, by which stage i
+// of c doubles (grow) or halves its device count when asked for dp
+// (useDP) or tp: a doubled dp must still divide the microbatch, and a
+// halving the asked mechanism cannot make on every op is made by the
+// other one. ok is false when no resize is possible.
+func rescaleVia(c *config.Config, i int, grow, useDP bool) (dp, ok bool) {
 	st := &c.Stages[i]
 	canDP, canTP := true, true
 	for j := range st.Ops {
@@ -188,17 +267,21 @@ func rescale(c *config.Config, i int, grow, useDP bool) bool {
 	if !grow && (useDP && !canDP || !useDP && !canTP) {
 		useDP = !useDP
 	}
-	if useDP && !canDP || !useDP && !canTP {
-		return false
-	}
+	return useDP, useDP && canDP || !useDP && canTP
+}
+
+// rescale doubles (grow) or halves stage i's device count through every
+// op's dp or tp, a mechanism rescaleVia allowed.
+func rescale(c *config.Config, i int, grow, dp bool) {
+	st := &c.Stages[i]
 	for j := range st.Ops {
 		op := &st.Ops[j]
 		switch {
-		case grow && useDP:
+		case grow && dp:
 			op.SetTiling(op.TP, op.DP*2)
 		case grow:
 			op.SetTiling(op.TP*2, op.DP)
-		case useDP:
+		case dp:
 			op.SetTiling(op.TP, op.DP/2)
 		default:
 			op.SetTiling(op.TP/2, op.DP)
@@ -210,51 +293,40 @@ func rescale(c *config.Config, i int, grow, useDP bool) bool {
 		st.Devices /= 2
 	}
 	c.InvalidateStage(i)
-	return true
 }
 
-// moveOps shifts k operators across the boundary between stages from
-// and from±1 (dir = -1 moves the first k ops of `from` to the previous
-// stage; dir = +1 moves the last k ops to the next stage). Transferred
-// ops adopt settings compatible with the receiving stage. Returns nil
-// when the move is illegal.
-func moveOps(s *searcher, cfg *config.Config, from, dir, k int) *config.Config {
-	to := from + dir
-	if to < 0 || to >= cfg.NumStages() || k <= 0 {
-		return nil
-	}
-	if cfg.Stages[from].NumOps() <= k {
-		return nil // donor must keep at least one op
-	}
-	out := s.st.clone(cfg)
-	// Transferred ops adopt the receiving stage's tp/dp (nearest
-	// existing op as template) but keep their own sharding dim, which
-	// is op-specific and stays valid. Recompute flags do not transfer
-	// across stages: the template's recompute choice applies (the
-	// rc-attachment pass re-optimizes).
-	dst := out.Stages[to].Ops
+// shift moves k operators across the boundary between stages from and
+// from+dir (dir = -1 moves the first k ops of `from` to the previous
+// stage; dir = +1 moves the last k ops to the next stage); the donor
+// must keep at least one. Transferred ops adopt the receiving stage's tp/dp (nearest
+// existing op as template) but keep their own sharding dim, which is
+// op-specific and stays valid. Recompute flags do not transfer across
+// stages: the template's recompute choice applies (the rc-attachment
+// pass re-optimizes).
+func shift(c *config.Config, from, dir, k int) {
+	dst := c.Stages[from+dir].Ops
 	var tpl config.OpSetting
 	var moved []config.OpSetting
 	if dir < 0 {
 		tpl = dst[len(dst)-1]
-		moved = out.ShiftBoundary(to, k)
+		moved = c.ShiftBoundary(from-1, k)
 	} else {
 		tpl = dst[0]
-		moved = out.ShiftBoundary(from, -k)
+		moved = c.ShiftBoundary(from, -k)
 	}
 	for i := range moved {
 		dim := moved[i].Dim
 		moved[i] = tpl
 		moved[i].Dim = dim
 	}
-	return out
 }
 
 // opKs returns the candidate "how many ops to move" arguments for a
 // stage with n ops: 1, 2, 4, ... capped at half the stage. The result
 // is appended into buf[:0] so callers on the search hot path can
 // recycle a scratch slice; each call's result must be fully consumed
-// before the next call reuses the buffer.
+// before the next call reuses the buffer. Every k leaves the donor an
+// operator, so every shift the op# primitives make is legal.
 func opKs(buf []int, n int) []int {
 	ks := buf[:0]
 	for k := 1; k <= n/2 || k == 1 && n > 1; k *= 2 {
@@ -268,11 +340,11 @@ func opKs(buf []int, n int) []int {
 
 // ---------- primitive applications ----------
 
-func applyDecOps(s *searcher, cfg *config.Config, stage int, out []*config.Config) []*config.Config {
-	est := s.estimate(cfg)
-	idle := idlestStage(est, stage)
+func applyDecOps(s *searcher, t *trial, stage int) {
+	cfg := t.base
+	idle := idlestStage(s.estimate(cfg), stage)
 	if idle < 0 {
-		return out
+		return
 	}
 	dir := +1
 	if idle < stage {
@@ -281,44 +353,24 @@ func applyDecOps(s *searcher, cfg *config.Config, stage int, out []*config.Confi
 	ks := opKs(s.opksBuf, cfg.Stages[stage].NumOps())
 	s.opksBuf = ks
 	for _, k := range ks {
-		// Direct move toward the idlest stage.
-		if c := moveOps(s, cfg, stage, dir, k); c != nil {
-			out = append(out, c)
-		}
-		// Relay combination (§4.3): shift every boundary between the
-		// bottleneck and the idlest stage by k. Intermediate hops are
-		// dead the moment the next hop is cloned from them.
+		// Direct move toward the idlest stage, then the relay
+		// combination (§4.3): every boundary between the bottleneck and
+		// the idlest stage shifts by k.
+		t.moves = append(t.moves, move{kind: shiftOps, stage: stage, to: stage + dir, n: k})
 		if idle != stage+dir {
-			c := cfg
-			ok := true
-			for cur := stage; cur != idle; cur += dir {
-				next := moveOps(s, c, cur, dir, k)
-				if c != cfg {
-					s.st.recycle(c)
-				}
-				if next == nil {
-					ok = false
-					break
-				}
-				c = next
-			}
-			if ok {
-				out = append(out, c)
-			}
+			t.moves = append(t.moves, move{kind: shiftOps, stage: stage, to: idle, n: k})
 		}
 		// Opposite direction as a fallback candidate.
-		if k == 1 {
-			if c := moveOps(s, cfg, stage, -dir, k); c != nil {
-				out = append(out, c)
-			}
+		if to := stage - dir; k == 1 && to >= 0 && to < cfg.NumStages() {
+			t.moves = append(t.moves, move{kind: shiftOps, stage: stage, to: to, n: k})
 		}
 	}
-	return out
 }
 
-func applyIncOps(s *searcher, cfg *config.Config, stage int, out []*config.Config) []*config.Config {
+func applyIncOps(s *searcher, t *trial, stage int) {
 	// Pull ops into this stage from whichever neighbor is busier.
-	for _, dir := range []int{-1, +1} {
+	cfg := t.base
+	for _, dir := range [...]int{-1, +1} {
 		nb := stage + dir
 		if nb < 0 || nb >= cfg.NumStages() {
 			continue
@@ -326,101 +378,84 @@ func applyIncOps(s *searcher, cfg *config.Config, stage int, out []*config.Confi
 		ks := opKs(s.opksBuf, cfg.Stages[nb].NumOps())
 		s.opksBuf = ks
 		for _, k := range ks {
-			if c := moveOps(s, cfg, nb, -dir, k); c != nil {
-				out = append(out, c)
-			}
+			t.moves = append(t.moves, move{kind: shiftOps, stage: nb, to: stage, n: k})
 		}
 	}
-	return out
 }
 
-func applyIncMBS(s *searcher, cfg *config.Config, _ int, out []*config.Config) []*config.Config {
-	mbs := cfg.MicroBatch * 2
-	if s.graph.GlobalBatch%mbs != 0 {
-		return out
+func applyIncMBS(s *searcher, t *trial, _ int) {
+	if mbs := t.base.MicroBatch * 2; s.graph.GlobalBatch%mbs == 0 {
+		t.moves = append(t.moves, move{kind: setMicroBatch, n: mbs})
 	}
-	c := s.st.clone(cfg)
-	c.SetMicroBatch(mbs)
-	return append(out, c)
 }
 
-func applyDecMBS(s *searcher, cfg *config.Config, _ int, out []*config.Config) []*config.Config {
+func applyDecMBS(_ *searcher, t *trial, _ int) {
+	cfg := t.base
 	if cfg.MicroBatch%2 != 0 {
-		return out
+		return
 	}
 	mbs := cfg.MicroBatch / 2
 	// Every op's dp must still divide the microbatch.
 	for i := range cfg.Stages {
 		for j := range cfg.Stages[i].Ops {
 			if mbs%cfg.Stages[i].Ops[j].DP != 0 {
-				return out
+				return
 			}
 		}
 	}
-	c := s.st.clone(cfg)
-	c.SetMicroBatch(mbs)
-	return append(out, c)
+	t.moves = append(t.moves, move{kind: setMicroBatch, n: mbs})
 }
 
 // resize returns the apply function of the inc/dec-dp/tp rows: the
 // stage trades devices with a partner (tradeDevices) and, besides,
 // retiles in place at the same device count — dp-heavier under inc-dp
 // and dec-tp, tp-heavier under dec-dp and inc-tp.
-func resize(grow, useDP bool) func(s *searcher, cfg *config.Config, stage int, out []*config.Config) []*config.Config {
-	return func(s *searcher, cfg *config.Config, stage int, out []*config.Config) []*config.Config {
-		out = tradeDevices(s, cfg, stage, grow, useDP, out)
-		if c := retileRange(s, cfg, stage, 0, grow == useDP); c != nil {
-			out = append(out, c)
-		}
-		return out
+func resize(grow, useDP bool) func(s *searcher, t *trial, stage int) {
+	return func(s *searcher, t *trial, stage int) {
+		tradeDevices(s, t, stage, grow, useDP)
+		t.moves = append(t.moves, move{kind: retileOps, stage: stage, on: grow == useDP})
 	}
 }
 
 // tradeDevices doubles (grow) or halves the bottleneck stage's devices
-// via dp (useDP) or tp (Figure 5(c)/(d)) and appends the results to
-// out. Device counts must balance exactly: a partner halves to free
-// what a growing stage takes, or doubles to take what a shrinking one
-// frees, so eligible partners hold exactly twice (grow) or half the
-// stage's devices. A growing stage borrows from the idlest partner
-// first, a shrinking one gives to the busiest, which benefits most
-// (§3.2.1); the partner halves or doubles via dp, then via tp, and one
-// partner that yields a candidate is enough — multi-hop explores the
-// rest.
-func tradeDevices(s *searcher, cfg *config.Config, stage int, grow, useDP bool, out []*config.Config) []*config.Config {
+// via dp (useDP) or tp (Figure 5(c)/(d)). Device counts must balance
+// exactly: a partner halves to free what a growing stage takes, or
+// doubles to take what a shrinking one frees, so eligible partners hold
+// exactly twice (grow) or half the stage's devices. A growing stage
+// borrows from the idlest partner first, a shrinking one gives to the
+// busiest, which benefits most (§3.2.1); the partner halves or doubles
+// via dp, then via tp, and one partner that yields a move is enough —
+// multi-hop explores the rest.
+func tradeDevices(s *searcher, t *trial, stage int, grow, useDP bool) {
+	cfg := t.base
 	devs := cfg.Stages[stage].Devices
 	if cfg.NumStages() < 2 || !grow && devs < 2 {
-		return out
+		return
 	}
 	est := s.estimate(cfg)
+	dp, ok := rescaleVia(cfg, stage, grow, useDP)
+	if !ok {
+		return
+	}
 	want := devs / 2
 	if grow {
 		want = devs * 2
 	}
 	partners := partnersBySlack(est, cfg, stage, want)
 	if !grow {
-		for i, j := 0, len(partners)-1; i < j; i, j = i+1, j-1 {
-			partners[i], partners[j] = partners[j], partners[i]
-		}
+		slices.Reverse(partners)
 	}
-	n := len(out)
+	n := len(t.moves)
 	for _, partner := range partners {
-		for _, partnerDP := range []bool{true, false} {
-			c := s.st.clone(cfg)
-			if !rescale(c, stage, grow, useDP) {
-				s.st.recycle(c)
-				return out
+		for _, partnerDP := range [...]bool{true, false} {
+			if toDP, ok := rescaleVia(cfg, partner, !grow, partnerDP); ok {
+				t.moves = append(t.moves, move{kind: rescaleStage, stage: stage, to: partner, on: grow, dp: dp, toDP: toDP})
 			}
-			if !rescale(c, partner, !grow, partnerDP) {
-				s.st.recycle(c)
-				continue
-			}
-			out = append(out, c)
 		}
-		if len(out) > n {
+		if len(t.moves) > n {
 			break
 		}
 	}
-	return out
 }
 
 // partnersBySlack returns the stages (≠ stage) with exactly `devices`
@@ -438,32 +473,31 @@ func partnersBySlack(est *perfmodel.Estimate, cfg *config.Config, stage, devices
 	return out
 }
 
-// retileRange converts ops [stage.Start+from, stage.End) between tp-
+// retile converts ops [stage.Start+from, stage.End) of c between tp-
 // and dp-heavier tilings of the same device count: toDP doubles dp and
-// halves tp, or the reverse. Returns nil when illegal.
-func retileRange(s *searcher, cfg *config.Config, stage, from int, toDP bool) *config.Config {
-	st := &cfg.Stages[stage]
+// halves tp, or the reverse. It reports false, with c untouched, when
+// an op cannot convert.
+func retile(c *config.Config, stage, from int, toDP bool) bool {
+	st := &c.Stages[stage]
 	if from >= st.NumOps() {
-		return nil
+		return false
 	}
 	for j := from; j < st.NumOps(); j++ {
 		op := &st.Ops[j]
-		if toDP && (op.TP < 2 || cfg.MicroBatch%(op.DP*2) != 0) || !toDP && op.DP < 2 {
-			return nil
+		if toDP && (op.TP < 2 || c.MicroBatch%(op.DP*2) != 0) || !toDP && op.DP < 2 {
+			return false
 		}
 	}
-	c := s.st.clone(cfg)
-	c.MutStage(stage, func(nst *config.Stage) {
-		for j := from; j < nst.NumOps(); j++ {
-			op := &nst.Ops[j]
-			if toDP {
-				op.SetTiling(op.TP/2, op.DP*2)
-			} else {
-				op.SetTiling(op.TP*2, op.DP/2)
-			}
+	for j := from; j < st.NumOps(); j++ {
+		op := &st.Ops[j]
+		if toDP {
+			op.SetTiling(op.TP/2, op.DP*2)
+		} else {
+			op.SetTiling(op.TP*2, op.DP/2)
 		}
-	})
-	return c
+	}
+	c.InvalidateStage(stage)
+	return true
 }
 
 // savedActBytes approximates the activation bytes an op stashes per
@@ -503,64 +537,61 @@ func rcRank(s *searcher, cfg *config.Config, stage int, recomputed bool) []rcCan
 
 // setRC sets the Recompute flag of ops in stage of c.
 func setRC(c *config.Config, stage int, ops []rcCand, on bool) {
-	c.MutStage(stage, func(st *config.Stage) {
-		for _, o := range ops {
-			st.Setting(o.op).Recompute = on
-		}
-	})
+	st := &c.Stages[stage]
+	for _, o := range ops {
+		st.Setting(o.op).Recompute = on
+	}
+	c.InvalidateStage(stage)
 }
 
 // climbRC walks stage's recompute ladder on c, marking its rungs in
 // place: rung k recomputes the first k ops of rank, for k = 1, 2, 4, …
 // ≤ len(rank), and the walk stops at the first rung that makes c
 // feasible (§4.1's greedy goal). Rungs only add flags, so c at rung k
-// equals a fresh clone marked to k. at sees each rung's estimate and
-// whether the walk climbs past it. climbRC returns the last rung's k;
-// the ladder's top, all of rank, is the caller's to take.
-func climbRC(s *searcher, c *config.Config, stage int, rank []rcCand, at func(e *perfmodel.Estimate, more bool)) int {
+// equals a fresh copy marked to k. at sees each rung's k, its estimate
+// and whether the walk climbs past it. climbRC returns the last rung's
+// k; the ladder's top, all of rank, is the caller's to take.
+func climbRC(s *searcher, c *config.Config, stage int, rank []rcCand, at func(k int, e *perfmodel.Estimate, more bool)) int {
 	for k := 1; k <= len(rank); k *= 2 {
 		setRC(c, stage, rank[k/2:k], true)
 		e := s.estimate(c)
 		more := !e.Feasible && 2*k <= len(rank)
-		if at(e, more); !more {
+		if at(k, e, more); !more {
 			return k
 		}
 	}
 	return 0
 }
 
-// applyIncRC offers each rung of the stage's recompute ladder as a
-// clone, then the ladder's top, "recompute everything", as the scratch
-// config the ladder climbed.
-func applyIncRC(s *searcher, cfg *config.Config, stage int, out []*config.Config) []*config.Config {
-	rank := rcRank(s, cfg, stage, false)
-	if len(rank) == 0 {
-		return out
+// applyIncRC offers each rung of the stage's recompute ladder, then the
+// ladder's top, "recompute everything". The ladder climbs, estimating
+// its rungs, on the trial's scratch, which it then restores; the rungs
+// share a copy of the ranking, in t.ops, as prefixes.
+func applyIncRC(s *searcher, t *trial, stage int) {
+	ops := append(t.ops[:0], rcRank(s, t.base, stage, false)...)
+	if t.ops = ops; len(ops) == 0 {
+		return
 	}
-	c := s.st.clone(cfg)
-	k := climbRC(s, c, stage, rank, func(*perfmodel.Estimate, bool) {
-		if len(rank) > 1 {
-			out = append(out, s.st.clone(c))
+	climbRC(s, t.scratch, stage, ops, func(k int, _ *perfmodel.Estimate, _ bool) {
+		if len(ops) > 1 {
+			t.moves = append(t.moves, move{kind: setRecompute, stage: stage, on: true, ops: ops[:k]})
 		}
 	})
-	setRC(c, stage, rank[k:], true)
-	return append(out, c)
+	t.scratch.Restore(t.base, stage, stage)
+	t.moves = append(t.moves, move{kind: setRecompute, stage: stage, on: true, ops: ops})
 }
 
 // applyDecRC un-recomputes the first k ops of the ranking, for k = 1,
 // 2, 4, … < n, then all n.
-func applyDecRC(s *searcher, cfg *config.Config, stage int, out []*config.Config) []*config.Config {
-	rank := rcRank(s, cfg, stage, true)
-	if len(rank) == 0 {
-		return out
+func applyDecRC(s *searcher, t *trial, stage int) {
+	ops := append(t.ops[:0], rcRank(s, t.base, stage, true)...)
+	if t.ops = ops; len(ops) == 0 {
+		return
 	}
-	c, k := s.st.clone(cfg), 1
-	for ; k < len(rank); k *= 2 {
-		setRC(c, stage, rank[k/2:k], false)
-		out = append(out, s.st.clone(c))
+	for k := 1; k < len(ops); k *= 2 {
+		t.moves = append(t.moves, move{kind: setRecompute, stage: stage, ops: ops[:k]})
 	}
-	setRC(c, stage, rank[k/2:], false)
-	return append(out, c)
+	t.moves = append(t.moves, move{kind: setRecompute, stage: stage, ops: ops})
 }
 
 // sortCands is a tiny insertion sort to keep the apply functions free
@@ -573,39 +604,30 @@ func sortCands[T any](s []T, less func(a, b T) bool) {
 	}
 }
 
-// toggle returns the apply function that sets ZeRO (zero) or sequence
-// parallelism to on for every op of the stage that can carry the flag
-// (dp > 1 for ZeRO, tp > 1 for sequence parallelism). It yields nothing
-// when no op would change.
-func toggle(zero, on bool) func(s *searcher, cfg *config.Config, stage int, out []*config.Config) []*config.Config {
-	flag := func(op *config.OpSetting) *bool {
-		switch {
-		case zero && op.DP > 1:
-			return &op.ZeRO
-		case !zero && op.TP > 1:
-			return &op.SeqPar
-		}
-		return nil
+// flagOf returns the op's ZeRO (zero) or sequence-parallel flag when the
+// op can carry it — dp > 1 for ZeRO, tp > 1 for sequence parallelism —
+// and nil otherwise.
+func flagOf(op *config.OpSetting, zero bool) *bool {
+	switch {
+	case zero && op.DP > 1:
+		return &op.ZeRO
+	case !zero && op.TP > 1:
+		return &op.SeqPar
 	}
-	return func(s *searcher, cfg *config.Config, stage int, out []*config.Config) []*config.Config {
-		st := &cfg.Stages[stage]
-		changed := false
+	return nil
+}
+
+// toggle returns the apply function that sets ZeRO (zero) or sequence
+// parallelism to on for every op of the stage that can carry the flag.
+// It offers nothing when no op would change.
+func toggle(zero, on bool) func(s *searcher, t *trial, stage int) {
+	return func(_ *searcher, t *trial, stage int) {
+		st := &t.base.Stages[stage]
 		for j := range st.Ops {
-			if f := flag(&st.Ops[j]); f != nil && *f != on {
-				changed = true
+			if f := flagOf(&st.Ops[j], zero); f != nil && *f != on {
+				t.moves = append(t.moves, move{kind: toggleFlag, stage: stage, on: on, zero: zero})
+				return
 			}
 		}
-		if !changed {
-			return out
-		}
-		c := s.st.clone(cfg)
-		c.MutStage(stage, func(st *config.Stage) {
-			for j := range st.Ops {
-				if f := flag(&st.Ops[j]); f != nil {
-					*f = on
-				}
-			}
-		})
-		return append(out, c)
 	}
 }

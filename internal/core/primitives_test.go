@@ -130,20 +130,19 @@ func TestAllPrimitivesPreserveSemantics(t *testing.T) {
 	}
 	for i := range Table {
 		prim := &Table[i]
-		got := prim.apply(s, cfg, 1, nil)
+		got := candidates(s, prim.apply, cfg, 1)
 		checkPreserved(t, s, cfg, got, prim.Name)
 	}
 }
 
 func TestMoveOps(t *testing.T) {
 	g := model.Uniform(20, 1e10, 1e6, 1e5, 64)
-	s := testSearcher(t, g, 4)
 	cfg := mustBalanced(t, g, 4, 2, 2)
 
 	// Move 3 ops from stage 1 back to stage 0.
-	c := moveOps(s, cfg, 1, -1, 3)
+	c := shifted(cfg, 1, -1, 3)
 	if c == nil {
-		t.Fatal("moveOps returned nil")
+		t.Fatal("shifted returned nil")
 	}
 	if err := c.Validate(g, 4); err != nil {
 		t.Fatal(err)
@@ -152,23 +151,23 @@ func TestMoveOps(t *testing.T) {
 		t.Errorf("stage 0 has %d ops, want %d", got, cfg.Stages[0].NumOps()+3)
 	}
 	// Move forward.
-	c2 := moveOps(s, cfg, 0, +1, 2)
+	c2 := shifted(cfg, 0, +1, 2)
 	if c2 == nil {
-		t.Fatal("forward moveOps returned nil")
+		t.Fatal("forward shifted returned nil")
 	}
 	if err := c2.Validate(g, 4); err != nil {
 		t.Fatal(err)
 	}
 	// Donor must keep one op.
-	if c := moveOps(s, cfg, 0, +1, cfg.Stages[0].NumOps()); c != nil {
-		t.Error("moveOps emptied the donor stage")
+	if c := shifted(cfg, 0, +1, cfg.Stages[0].NumOps()); c != nil {
+		t.Error("shifted emptied the donor stage")
 	}
 	// Out-of-range target.
-	if c := moveOps(s, cfg, 0, -1, 1); c != nil {
-		t.Error("moveOps past stage 0 should fail")
+	if c := shifted(cfg, 0, -1, 1); c != nil {
+		t.Error("shifted past stage 0 should fail")
 	}
-	if c := moveOps(s, cfg, 1, +1, 1); c != nil {
-		t.Error("moveOps past the last stage should fail")
+	if c := shifted(cfg, 1, +1, 1); c != nil {
+		t.Error("shifted past the last stage should fail")
 	}
 }
 
@@ -177,17 +176,16 @@ func TestMoveOpsPreservesDims(t *testing.T) {
 	// op is a matmul must keep Dim 0 — the bug class where templates
 	// carried out-of-range dims.
 	g, _ := model.GPT3("350M")
-	s := testSearcher(t, g, 4)
 	cfg := mustBalanced(t, g, 4, 2, 1)
 	for k := 1; k < 16; k++ {
 		for _, dir := range []int{-1, +1} {
 			for _, from := range []int{0, 1} {
-				c := moveOps(s, cfg, from, dir, k)
+				c := shifted(cfg, from, dir, k)
 				if c == nil {
 					continue
 				}
 				if err := c.Validate(g, 4); err != nil {
-					t.Fatalf("moveOps(from=%d dir=%d k=%d): %v", from, dir, k, err)
+					t.Fatalf("shifted(from=%d dir=%d k=%d): %v", from, dir, k, err)
 				}
 			}
 		}
@@ -199,11 +197,11 @@ func TestIncDecMBS(t *testing.T) {
 	s := testSearcher(t, g, 4)
 	cfg := mustBalanced(t, g, 4, 2, 4)
 
-	up := applyIncMBS(s, cfg, 0, nil)
+	up := candidates(s, applyIncMBS, cfg, 0)
 	if len(up) != 1 || up[0].MicroBatch != 8 {
 		t.Fatalf("inc-mbs: got %v", up)
 	}
-	down := applyDecMBS(s, cfg, 0, nil)
+	down := candidates(s, applyDecMBS, cfg, 0)
 	if len(down) != 1 || down[0].MicroBatch != 2 {
 		t.Fatalf("dec-mbs: got %v", down)
 	}
@@ -212,13 +210,13 @@ func TestIncDecMBS(t *testing.T) {
 	for j := range c.Stages[0].Ops {
 		c.Stages[0].Ops[j] = config.OpSetting{TP: 1, DP: 4, Dim: 0} // dp=4 == mbs
 	}
-	if got := applyDecMBS(s, c, 0, nil); got != nil {
+	if got := candidates(s, applyDecMBS, c, 0); got != nil {
 		t.Error("dec-mbs below max dp should be rejected")
 	}
 	// inc-mbs cannot exceed global batch divisibility.
 	c2 := cfg.Clone()
 	c2.MicroBatch = g.GlobalBatch
-	if got := applyIncMBS(s, c2, 0, nil); got != nil {
+	if got := candidates(s, applyIncMBS, c2, 0); got != nil {
 		t.Error("inc-mbs beyond global batch should be rejected")
 	}
 }
@@ -228,7 +226,7 @@ func TestGrowShrinkMoveDevices(t *testing.T) {
 	s := testSearcher(t, g, 16)
 	cfg := mustBalanced(t, g, 16, 3, 4) // devices 4,4,8
 
-	grown := tradeDevices(s, cfg, 0, true, false, nil) // inc-tp on stage 0: partner must hold 8
+	grown := traded(s, cfg, 0, true, false) // inc-tp on stage 0: partner must hold 8
 	if len(grown) == 0 {
 		t.Fatal("growing produced nothing")
 	}
@@ -241,7 +239,7 @@ func TestGrowShrinkMoveDevices(t *testing.T) {
 			t.Error(err)
 		}
 	}
-	shrunk := tradeDevices(s, cfg, 2, false, false, nil) // dec-tp on stage 2: partner must hold 4
+	shrunk := traded(s, cfg, 2, false, false) // dec-tp on stage 2: partner must hold 4
 	if len(shrunk) == 0 {
 		t.Fatal("shrinking produced nothing")
 	}
@@ -259,22 +257,21 @@ func TestGrowShrinkMoveDevices(t *testing.T) {
 	}
 	// No eligible partner: even 4,4 split has no stage with 8 devices.
 	even := mustBalanced(t, g, 8, 2, 4)
-	if got := tradeDevices(s, even, 0, true, false, nil); got != nil {
+	if got := traded(s, even, 0, true, false); got != nil {
 		t.Error("grow without an exactly-double partner should fail")
 	}
 	// Single-stage configs cannot trade devices.
 	solo := mustBalanced(t, g, 8, 1, 4)
-	if got := tradeDevices(s, solo, 0, true, false, nil); got != nil {
+	if got := traded(s, solo, 0, true, false); got != nil {
 		t.Error("grow on a 1-stage pipeline should fail")
 	}
 }
 
 func TestRetile(t *testing.T) {
 	g := model.Uniform(8, 1e10, 1e6, 1e5, 64)
-	s := testSearcher(t, g, 8)
 	cfg := mustBalanced(t, g, 8, 1, 8) // tp=8, dp=1
 
-	c := retileRange(s, cfg, 0, 0, true) // toward dp
+	c := retiled(cfg, 0, 0, true) // toward dp
 	if c == nil {
 		t.Fatal("retile toDP failed")
 	}
@@ -286,7 +283,7 @@ func TestRetile(t *testing.T) {
 		t.Error("retile changed device count")
 	}
 	// Reverse restores the original (inc∘dec identity, invariant 3).
-	back := retileRange(s, c, 0, 0, false)
+	back := retiled(c, 0, 0, false)
 	if back == nil {
 		t.Fatal("reverse retile failed")
 	}
@@ -298,7 +295,7 @@ func TestRetile(t *testing.T) {
 	for j := range flat.Stages[0].Ops {
 		flat.Stages[0].Ops[j] = config.OpSetting{TP: 1, DP: 8, Dim: 0}
 	}
-	if got := retileRange(s, flat, 0, 0, true); got != nil {
+	if got := retiled(flat, 0, 0, true); got != nil {
 		t.Error("retile toDP with tp=1 should fail")
 	}
 }
@@ -308,7 +305,7 @@ func TestIncDecRC(t *testing.T) {
 	s := testSearcher(t, g, 4)
 	cfg := mustBalanced(t, g, 4, 2, 1)
 
-	inc := applyIncRC(s, cfg, 0, nil)
+	inc := candidates(s, applyIncRC, cfg, 0)
 	if len(inc) == 0 {
 		t.Fatal("inc-rc produced nothing")
 	}
@@ -333,7 +330,7 @@ func TestIncDecRC(t *testing.T) {
 	for j := range full.Stages[0].Ops {
 		full.Stages[0].Ops[j].Recompute = true
 	}
-	dec := applyDecRC(s, full, 0, nil)
+	dec := candidates(s, applyDecRC, full, 0)
 	if len(dec) == 0 {
 		t.Fatal("dec-rc produced nothing")
 	}
@@ -343,7 +340,7 @@ func TestIncDecRC(t *testing.T) {
 		}
 	}
 	// dec-rc with nothing to clear.
-	if got := applyDecRC(s, cfg, 0, nil); got != nil {
+	if got := candidates(s, applyDecRC, cfg, 0); got != nil {
 		t.Error("dec-rc on rc-free stage should be nil")
 	}
 }
@@ -354,7 +351,7 @@ func TestIncRCPicksLargestActivations(t *testing.T) {
 	g := model.Skewed(8, 1e10, 1e6, 1e6, 1.0, 64)
 	s := testSearcher(t, g, 4)
 	cfg := mustBalanced(t, g, 4, 1, 4)
-	cands := applyIncRC(s, cfg, 0, nil)
+	cands := candidates(s, applyIncRC, cfg, 0)
 	if len(cands) == 0 {
 		t.Fatal("no candidates")
 	}
@@ -404,7 +401,7 @@ func TestPrimitiveValidityProperty(t *testing.T) {
 		}
 		prim := &Table[int(primRaw)%len(Table)]
 		stage := int(stageRaw) % stages
-		for _, c := range prim.apply(s, cfg, stage, nil) {
+		for _, c := range candidates(s, prim.apply, cfg, stage) {
 			if c == nil {
 				continue
 			}

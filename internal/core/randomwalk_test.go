@@ -45,7 +45,7 @@ func TestRandomPrimitiveWalk(t *testing.T) {
 					steps++
 					prim := prims[rng.Intn(len(prims))]
 					stage := rng.Intn(cfg.NumStages())
-					cands := prim.apply(s, cfg, stage, nil)
+					cands := candidates(s, prim.apply, cfg, stage)
 					if len(cands) == 0 {
 						continue
 					}

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"aceso/internal/config"
 	"aceso/internal/hardware"
@@ -51,14 +52,7 @@ func WarmOptions(g *model.Graph, prev *config.Config, devices int, opts Options)
 		if len(counts) == 0 {
 			counts = defaultStageCounts(devices, len(g.Ops))
 		}
-		found := false
-		for _, p := range counts {
-			if p == depth {
-				found = true
-				break
-			}
-		}
-		if !found {
+		if !slices.Contains(counts, depth) {
 			counts = append(append([]int(nil), counts...), depth)
 		}
 		opts.StageCounts = counts

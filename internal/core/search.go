@@ -28,9 +28,7 @@ const infeasibleScore = 1e9
 // estimated. When the pool exceeds the cap it is pruned back to the
 // best poolCap/2 entries — half the cap of insert headroom before the
 // next prune, and the restart heuristic only ever wants the best few
-// anyway. (Historically the prune truncated to poolCap with a 2×cap
-// trigger, so a hot pool re-pruned after every poolCap inserts while
-// holding twice the memory the cap promised.)
+// anyway.
 const poolCap = 4096
 
 // Initializer builds the starting configuration for one pipeline
@@ -197,10 +195,7 @@ type Result struct {
 
 // defaultStageCounts picks the pipeline depths searched in parallel.
 func defaultStageCounts(devices, ops int) []int {
-	limit := devices // don't shadow the max builtin
-	if ops < limit {
-		limit = ops
-	}
+	limit := min(devices, ops)
 	var out []int
 	for p := 1; p <= limit && p <= 8; p++ {
 		out = append(out, p)
@@ -246,13 +241,7 @@ func SearchContext(ctx context.Context, g *model.Graph, cl hardware.Cluster, opt
 	if len(stageCounts) == 0 {
 		stageCounts = defaultStageCounts(cl.TotalDevices(), len(g.Ops))
 	}
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(stageCounts) {
-		workers = len(stageCounts)
-	}
-	if workers < 1 {
-		workers = 1
-	}
+	workers := max(1, min(runtime.GOMAXPROCS(0), len(stageCounts)))
 	// One store per worker, not per task: a worker runs its tasks
 	// serially, so consecutive stage-count searches on the same worker
 	// recycle each other's candidate memory (see store). The stores are
@@ -293,14 +282,10 @@ func SearchContext(ctx context.Context, g *model.Graph, cl hardware.Cluster, opt
 	// search. Tasks are handed out deepest first: the deepest starts at
 	// once on worker 0 (whose store it therefore clones into on every
 	// search in a loop), and each idle worker takes the deepest task not
-	// yet started. The deepest pipeline sets the makespan of GPT-3
-	// 2.6B's search. In a cold GPT-3 350M one on 16 V100s, no task
-	// dominates: p=7, 8 and 12 take 1.5–1.8 ms of 6.5–6.9 ms on 2 vCPUs,
-	// and p=1, handed out last, 1.4 ms since fine-tuning bounds its
-	// losing trials (DESIGN.md §5b, Scheduling).
-	// Scheduling cannot change any task's result (tasks share only
-	// thread-safe caches whose values are pure functions of their keys),
-	// so the merged outcome is identical under any schedule.
+	// yet started (DESIGN.md §5b, Scheduling). Scheduling cannot change
+	// any task's result (tasks share only thread-safe caches whose values
+	// are pure functions of their keys), so the merged outcome is
+	// identical under any schedule.
 	order := make([]int, len(stageCounts))
 	for i := range order {
 		order[i] = i
@@ -471,15 +456,13 @@ type searcher struct {
 	// pruneBuf prunePool's sort buffer, rcBuf the saved-activation
 	// ranking of the rc primitives and attachRecompute (never live
 	// across nested calls: estimates do not re-enter them), rcKeys the
-	// keys of attachRecompute's rungs. trials receives multiHop's apply
-	// results, each consumed before the next apply.
+	// keys of attachRecompute's rungs.
 	candsAt  [][]Candidate
 	bnBufAt  [][]Resource
 	pruneBuf poolEntries
 	rcBuf    []rcCand
 	rcKeys   []uint64
 	opksBuf  []int
-	trials   []*config.Config
 
 	// obj scores feasible candidates: nominal iteration time, or
 	// expected time on spot capacity (objective.go).
@@ -601,8 +584,9 @@ func (s *searcher) count() {
 
 // loses reports whether the fine-tune trial c certainly scores no
 // better than best, by the batch base's bound (perfmodel.Batch.Bound)
-// on c's iteration time or peak memory, through the objective's floor.
-// A poisoned score is never below an honest best. A losing key is
+// on c's iteration time or peak memory, through the objective's floor,
+// and counts the trial as decided by the bound or by the estimate. A
+// poisoned score is never below an honest best. A losing key is
 // counted as estimate counts it and left explored with no estimate, as
 // a released key is, whoever observes the search.
 func (s *searcher) loses(c *config.Config, best float64) bool {
@@ -615,6 +599,9 @@ func (s *searcher) loses(c *config.Config, best float64) bool {
 		lost = s.obj.floor(c, lo.IterTime) >= best
 	} else if lost {
 		lost = s.score(c, &lo) >= best
+	}
+	if s.met != nil {
+		s.met.trials[lost].Inc()
 	}
 	if !lost {
 		return false
@@ -815,6 +802,7 @@ func (s *searcher) multiHop(cfg *config.Config, est *perfmodel.Estimate, bn Bott
 	for len(s.candsAt) <= hop {
 		s.candsAt = append(s.candsAt, nil)
 	}
+	t := s.st.trial(hop, cfg)
 	for _, res := range resources {
 		prims := Eligible(res, s.opts.ExtendedPrimitives)
 		if s.opts.DisableHeuristic2 {
@@ -831,55 +819,27 @@ func (s *searcher) multiHop(cfg *config.Config, est *perfmodel.Estimate, bn Bott
 			if s.met != nil {
 				pc = s.met.prims[prim.Name]
 			}
-			batch := prim.apply(s, cfg, bn.Stage, s.trials[:0])
-			s.trials = batch
-			for ci, c := range batch {
+			t.moves = t.moves[:0]
+			prim.apply(s, t, bn.Stage)
+			for i := range t.moves {
 				// A deadline or cancellation that fires mid-hop must
 				// abort promptly, not after this primitive's whole
 				// candidate batch has been estimated.
 				if s.expired() {
 					return nil, 0, ""
 				}
+				c, e, sc := s.try(t, &t.moves[i], false, 0)
 				if c == nil {
 					continue
 				}
-				// cfg is valid — the task's seed, or a candidate that passed
-				// here or in fineTune, give or take Recompute flags, which
-				// no invariant reads — so only rewritten stages are checked.
-				if err := c.ValidateDelta(s.graph, s.cluster.TotalDevices(), cfg); err != nil {
-					s.st.recycle(c)
-					continue
-				}
-				if rc := s.attachRecompute(c); rc != c {
-					// The candidate was superseded by its recompute
-					// variant before anything retained it.
-					s.st.release(c.Key())
-					s.st.recycle(c)
-					c = rc
-				}
-				if !s.st.visit(c) {
-					s.itDedup++
-					if s.met != nil {
-						s.met.dedup.Inc()
-					}
-					continue
-				}
-				k := c.Key()
 				if pc != nil {
 					pc.Inc()
 				}
-				e := s.estimate(c)
-				sc := s.score(c, e)
 				if sc < initScore {
-					// The rest of the batch was never pooled or
-					// estimated — recycle it on the way out.
-					for _, rest := range batch[ci+1:] {
-						s.st.recycle(rest)
-					}
 					return c, hop + 1, prim.Name
 				}
-				cand := Candidate{Config: c, Estimate: e, Score: sc, key: k}
-				s.pool[k] = cand
+				cand := Candidate{Config: c, Estimate: e, Score: sc, key: c.Key()}
+				s.pool[cand.key] = cand
 				if len(s.pool) > poolCap {
 					s.prunePool()
 				}
@@ -897,20 +857,9 @@ func (s *searcher) multiHop(cfg *config.Config, est *perfmodel.Estimate, bn Bott
 				cands[i], cands[j] = cands[j], cands[i]
 			})
 		} else {
-			// Insertion sort: stable like sort.SliceStable (equal-key
-			// order preserved) without the reflection-based swapper's
-			// per-call allocations; candidate lists are small.
-			for i := 1; i < len(cands); i++ {
-				for j := i; j > 0 && cands[j].less(&cands[j-1]); j-- {
-					cands[j], cands[j-1] = cands[j-1], cands[j]
-				}
-			}
+			sortCands(cands, func(a, b Candidate) bool { return a.less(&b) })
 		}
-		limit := s.opts.BranchFactor
-		if limit > len(cands) {
-			limit = len(cands)
-		}
-		for i := 0; i < limit; i++ {
+		for i := 0; i < min(s.opts.BranchFactor, len(cands)); i++ {
 			nb, ok := s.topBottleneck(hop, cands[i].Estimate)
 			if !ok {
 				continue
@@ -929,6 +878,63 @@ func (s *searcher) multiHop(cfg *config.Config, est *perfmodel.Estimate, bn Bott
 	return nil, 0, ""
 }
 
+// try is the one trial of multiHop (fine false) and fineTune: it
+// applies m to t's scratch, runs the loop's checks in its order — in
+// multiHop validate, attach recompute (which may hand back its ladder's
+// pick), visit; in fineTune, within t's budget, visit, validate, bound
+// against best — and undoes m. A candidate that passes is estimated and
+// scored, and returned when kept: always in multiHop, below best in
+// fineTune, which re-bases t on it. It is the scratch's clone or the
+// ladder's pick; nothing else is copied.
+func (s *searcher) try(t *trial, m *move, fine bool, best float64) (*config.Config, *perfmodel.Estimate, float64) {
+	if fine && t.budget <= 0 || !m.apply(t.scratch) {
+		return nil, nil, 0
+	}
+	// The base is valid — the task's seed, or a candidate that passed
+	// these checks, give or take Recompute flags, which no invariant
+	// reads — so ValidateDelta checks only the stages m rewrote.
+	c, devs, ok := t.scratch, s.cluster.TotalDevices(), false
+	if fine {
+		// An invalid key stays visited, which only skips its next trial
+		// (validity goes with the key).
+		t.budget--
+		ok = s.st.visit(c) && c.ValidateDelta(s.graph, devs, t.base) == nil && !s.loses(c, best)
+	} else if c.ValidateDelta(s.graph, devs, t.base) == nil {
+		if c = s.attachRecompute(c); c != t.scratch {
+			// The scratch was superseded by its recompute variant.
+			s.st.release(t.scratch.Key())
+		}
+		if ok = s.st.visit(c); !ok {
+			s.itDedup++
+			if s.met != nil {
+				s.met.dedup.Inc()
+			}
+			if c != t.scratch {
+				s.st.recycle(c)
+			}
+		}
+	}
+	var e *perfmodel.Estimate
+	var sc float64
+	if ok {
+		e = s.estimate(c)
+		sc = s.score(c, e)
+		if ok = !fine || sc < best; ok && c == t.scratch {
+			c = s.st.clone(c)
+		}
+	}
+	t.undo(m)
+	if !ok {
+		return nil, nil, 0
+	}
+	if fine {
+		// The scratch follows its new base.
+		t.base = c
+		t.undo(m)
+	}
+	return c, e, sc
+}
+
 // attachRecompute implements the §4.3 combination "attach inc/dec-rc
 // to all other primitives": after any reconfiguration, greedily add
 // recomputation in over-memory stages (largest activations first)
@@ -937,8 +943,8 @@ func (s *searcher) multiHop(cfg *config.Config, est *perfmodel.Estimate, bn Bott
 //
 // Each over-memory stage climbs its ladder (climbRC) on one scratch
 // clone, estimated against the config it extends, and keeps the first
-// rung that fits the stage (a clone if the walk climbs on), else the
-// ladder's top.
+// rung that fits the stage — unmarking the rungs the walk climbed past
+// it — else the ladder's top: the scratch is the pick.
 func (s *searcher) attachRecompute(cfg *config.Config) *config.Config {
 	e := s.estimate(cfg)
 	if e.Feasible {
@@ -954,20 +960,19 @@ func (s *searcher) attachRecompute(cfg *config.Config) *config.Config {
 			continue
 		}
 		s.pushBatch(out, e)
-		c := s.st.clone(out)
+		pick := s.st.clone(out)
 		keys := s.rcKeys[:0]
-		var pick *config.Config
-		k := climbRC(s, c, si, rank, func(re *perfmodel.Estimate, more bool) {
-			keys = append(keys, c.Key())
-			if pick == nil && re.Stages[si].PeakMem <= re.Stages[si].CapMem {
-				if pick = c; more {
-					pick = s.st.clone(c)
-				}
+		fit := 0
+		k := climbRC(s, pick, si, rank, func(k int, re *perfmodel.Estimate, _ bool) {
+			keys = append(keys, pick.Key())
+			if fit == 0 && re.Stages[si].PeakMem <= re.Stages[si].CapMem {
+				fit = k
 			}
 		})
-		if pick == nil {
-			setRC(c, si, rank[k:], true)
-			pick = c
+		if fit == 0 {
+			setRC(pick, si, rank[k:], true)
+		} else if fit < k {
+			setRC(pick, si, rank[fit:k], false)
 		}
 		e = s.estimate(pick)
 		s.popBatch()
@@ -979,9 +984,6 @@ func (s *searcher) attachRecompute(cfg *config.Config) *config.Config {
 			if key != pk {
 				s.st.release(key)
 			}
-		}
-		if c != pick {
-			s.st.recycle(c)
 		}
 		if out != cfg {
 			s.st.release(out.Key())

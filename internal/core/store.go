@@ -9,19 +9,32 @@ import (
 
 // store owns the memory of the candidates one worker's tasks make, and
 // is the only code that decides when it is reused (DESIGN.md §5b,
-// *Candidate lifetime*). A candidate — a config and, once estimated, its
-// estimate — is scratch (cloned, maybe estimated, not yet taken up),
+// *Candidate lifetime*). A candidate is tried as a move on the scratch
+// copy of its base (trial) and undone; the search clones it only to keep
+// it. A kept candidate — a config and, once estimated, its estimate — is
 // visited (its key was taken up, so the pool, the top-K list, a
 // candidate slice or a batch base may hold it) or published (in a
-// Result). Only scratch memory is released. Each task has its own memo
-// (begin … end); the config arena carries dead candidates to the
+// Result); a recompute ladder's pick is scratch until the search takes
+// it up. Only scratch memory is released. Each task has its own memo
+// (begin … end); the config arena carries dead candidates, and the
+// per-depth trials their scratch copies and move buffers, to the
 // worker's next task and, through handOver, to the next search. Not safe
 // for concurrent use.
 type store struct {
-	arena config.Arena
-	ests  perfmodel.EstArena
-	limbo []*config.Config // evicted, recycled at settle
-	memo  map[uint64]entry // the running task's keys
+	arena  config.Arena
+	ests   perfmodel.EstArena
+	limbo  []*config.Config // evicted, recycled at settle
+	memo   map[uint64]entry // the running task's keys
+	trials []*trial         // by multi-hop depth; fineTune uses depth 0's
+}
+
+// trial is one base's trial state: moves are made on base, each is
+// applied to scratch, judged and undone (searcher.try).
+type trial struct {
+	base, scratch *config.Config
+	moves         []move
+	ops           []rcCand // the operators of the moves' recompute rungs
+	budget        int      // fineTune's trials left
 }
 
 // entry is what a task knows of one key.
@@ -31,10 +44,12 @@ type entry struct {
 	explored bool                // estimated, and counted, once
 }
 
-// storeHooks, when a test sets them, see each config recycle hands to
-// the arena and each estimate release frees, with its key, before either
-// can be reused, and each estimate of a released key computed again.
+// storeHooks, when a test sets them, see each config clone makes, each
+// config recycle hands to the arena and each estimate release frees,
+// with its key, before either can be reused, and each estimate of a
+// released key computed again.
 var storeHooks struct {
+	cloned   func(*config.Config)
 	recycled func(*config.Config)
 	released func(uint64, *perfmodel.Estimate)
 	again    func(*perfmodel.Estimate)
@@ -52,18 +67,34 @@ func (st *store) end(pool map[uint64]Candidate) {
 	st.memo = nil
 }
 
-// clone copies cfg into a scratch candidate, reusing recycled memory.
+// clone copies cfg, reusing recycled memory: a candidate the search
+// keeps, or a recompute ladder's scratch, which becomes its pick.
 func (st *store) clone(cfg *config.Config) *config.Config {
-	return cfg.CloneIn(&st.arena)
+	c := cfg.CloneIn(&st.arena)
+	if storeHooks.cloned != nil {
+		storeHooks.cloned(c)
+	}
+	return c
+}
+
+// trial returns depth's trial, with base as its base and a scratch copy
+// of base in the memory of the depth's previous scratch.
+func (st *store) trial(depth int, base *config.Config) *trial {
+	for len(st.trials) <= depth {
+		st.trials = append(st.trials, new(trial))
+	}
+	t := st.trials[depth]
+	st.arena.Put(t.scratch)
+	t.base, t.scratch = base, base.CloneIn(&st.arena)
+	return t
 }
 
 // visit takes c up: it reports whether c's key is new to the task and
-// marks it visited. A duplicate is recycled on the spot.
+// marks it visited.
 func (st *store) visit(c *config.Config) bool {
 	k := c.Key()
 	e := st.memo[k]
 	if e.visited {
-		st.recycle(c)
 		return false
 	}
 	e.visited = true

@@ -438,3 +438,62 @@ func TestArenasOutliveSearch(t *testing.T) {
 	}
 	t.Skip("sync.Pool never handed the stores back in ten tries")
 }
+
+// TestOnlyKeptConfigsAreCloned pins the trial loop's rule: the search
+// copies a candidate only to keep it. In the pinned search, at
+// GOMAXPROCS 1 on stores this test holds, every clone is either of a
+// key already visited — a candidate multiHop pools or returns as its
+// improvement, or a fine-tune best — or a recompute ladder's scratch,
+// made from an over-memory config, which becomes the ladder's pick.
+// multiHop takes up a pick as it is, without a copy, so the candidates
+// it takes up (the primitive counters) and fine-tune's winners number at
+// least the first kind of clone and at most both kinds.
+func TestOnlyKeptConfigsAreCloned(t *testing.T) {
+	g, err := model.GPT3("2.6B")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	ss := &[]store{{}}
+	var kept, ladders, stray, won int
+	storeHooks.cloned = func(c *config.Config) {
+		switch e := (*ss)[0].memo[c.Key()]; {
+		case e.visited:
+			kept++
+		case e.est != nil && !e.est.Feasible:
+			ladders++
+		default:
+			stray++
+		}
+	}
+	trialHooks.won = func(*config.Config) { won++ }
+	defer func() { storeHooks.cloned, trialHooks.won = nil, nil }()
+	for try := 0; ; try++ {
+		for stores.Get() != nil {
+		}
+		stores.Put(ss)
+		kept, ladders, stray, won = 0, 0, 0, 0
+		reg := obs.NewRegistry()
+		res, err := Search(g, hardware.DGX1V100(2), Options{TimeBudget: time.Hour, MaxIterations: 4, Seed: 1, Metrics: reg})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, _ := stores.Get().(*[]store); got != ss {
+			if try == 10 {
+				t.Skip("sync.Pool never handed the stores back in ten tries")
+			}
+			continue
+		}
+		takenUp := 0
+		for i := range Table {
+			takenUp += int(reg.Counter(obs.Labeled(obs.PrimitiveAppliedTotal, "primitive", Table[i].Name)).Value())
+		}
+		t.Logf("explored %d: %d clones, %d kept (%d taken up by multiHop, %d fine-tune bests), %d recompute ladders",
+			res.Explored, kept+ladders+stray, kept, takenUp, won, ladders)
+		if stray > 0 || kept > takenUp+won || takenUp+won > kept+ladders || ladders == 0 {
+			t.Errorf("%d clones of neither a visited key nor an over-memory ladder base; %d taken up + %d fine-tune bests, want between %d kept and %d with the ladders' picks",
+				stray, takenUp, won, kept, kept+ladders)
+		}
+		return
+	}
+}

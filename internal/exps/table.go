@@ -7,6 +7,7 @@ import (
 	"strconv"
 	"strings"
 	"time"
+	"unicode/utf8"
 )
 
 // Table is one table of a paper artifact. A table without columns is a
@@ -96,7 +97,8 @@ func Print(w io.Writer, tables []Table) {
 	}
 }
 
-// grid writes the header, a rule and the cells with aligned columns.
+// grid writes the header, a rule and the cells with aligned columns,
+// measured in runes: a duration prints "µs", two bytes in one column.
 func grid(w io.Writer, cols []Col, cells [][]string) {
 	head, rule, widths := make([]string, len(cols)), make([]string, len(cols)), make([]int, len(cols))
 	for i, c := range cols {
@@ -105,7 +107,7 @@ func grid(w io.Writer, cols []Col, cells [][]string) {
 	lines := append([][]string{head, rule}, cells...)
 	for _, r := range lines {
 		for i, c := range r {
-			widths[i] = max(widths[i], len(c))
+			widths[i] = max(widths[i], utf8.RuneCountInString(c))
 		}
 	}
 	for i := range rule {
@@ -119,7 +121,7 @@ func grid(w io.Writer, cols []Col, cells [][]string) {
 			}
 			sb.WriteString(c)
 			if i < len(r)-1 {
-				sb.WriteString(strings.Repeat(" ", widths[i]-len(c)))
+				sb.WriteString(strings.Repeat(" ", widths[i]-utf8.RuneCountInString(c)))
 			}
 		}
 		fmt.Fprintln(w, sb.String())

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"strings"
 	"testing"
+	"time"
+	"unicode/utf8"
 )
 
 func TestTableAlignment(t *testing.T) {
@@ -29,6 +31,24 @@ func TestTableAlignment(t *testing.T) {
 	}
 	if !strings.Contains(lines[3], "2.50") {
 		t.Errorf("float not formatted: %q", lines[3])
+	}
+
+	// A duration in microseconds prints "µs", two bytes in one column:
+	// the column after it starts at the same rune in every row.
+	tb = Table{Cols: []Col{{Head: "time"}, {Head: "next"}}}
+	tb.Rows = append(tb.Rows, []any{834 * time.Microsecond, "a"})
+	tb.Rows = append(tb.Rows, []any{1398 * time.Microsecond, "b"})
+	buf.Reset()
+	Print(&buf, []Table{tb})
+	lines = strings.Split(strings.TrimRight(buf.String(), "\n"), "\n")
+	if len(lines) != 4 || !strings.Contains(lines[2], "834µs") || !strings.Contains(lines[3], "1.398ms") {
+		t.Fatalf("duration rows = %q", lines)
+	}
+	for i, want := range []string{"next", "-", "a", "b"} {
+		at := strings.Index(lines[i], "  "+want) + len("  ")
+		if got := utf8.RuneCountInString(lines[i][:at]); got != len("1.398ms  ") {
+			t.Errorf("line %d: %q starts at rune %d, want %d: %q", i, want, got, len("1.398ms  "), lines)
+		}
 	}
 }
 

@@ -95,10 +95,11 @@ type Tracer interface {
 type EstimateTracer interface {
 	Tracer
 	// OnEstimate is called for every configuration newly estimated in
-	// the search hot path. cfg and est are read-only and must not be
-	// retained past the call: the search's candidate store decides when
-	// their memory is reused (core.store). cfg may be nil for callers
-	// that audit bare estimates.
+	// the search hot path. cfg and est are read-only and valid only
+	// during the call: cfg is often a trial's scratch copy, edited again
+	// as soon as the call returns, and the search's candidate store
+	// decides when est's memory is reused (core.store). cfg may be nil
+	// for callers that audit bare estimates.
 	OnEstimate(cfg *config.Config, est *perfmodel.Estimate)
 }
 
