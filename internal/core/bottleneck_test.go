@@ -146,6 +146,13 @@ func TestTopBottleneckMatchesBottlenecks(t *testing.T) {
 	g, _ := model.GPT3("350M")
 	cl := hardware.DGX1V100(1).Restrict(4)
 	check := &bottleneckChecker{t: t, s: searcher{cluster: cl}}
+	// Released keys estimated again are checked too.
+	storeHooks.again = func(e *perfmodel.Estimate, first bool) {
+		if !first {
+			check.OnEstimate(nil, e)
+		}
+	}
+	defer func() { storeHooks.again = nil }()
 	if _, err := Search(g, cl, Options{TimeBudget: time.Hour, MaxIterations: 4, Seed: 1, Tracer: check}); err != nil {
 		t.Fatal(err)
 	}

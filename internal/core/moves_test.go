@@ -95,7 +95,9 @@ func zooSeed(t *testing.T, mi, fi, di int) *moveBase {
 // SubHash, every stage's bounds and devices, every setting and the
 // microbatch, each read against a fresh copy whose memos are recomputed
 // — and the applied scratch reads as a fresh Clone edited the way the
-// primitives edited candidates before moves were data (editOldWay). The
+// primitives edited candidates before moves were data (editOldWay). A
+// valid applied scratch then climbs its recompute ladders, as multiHop's
+// trials do, and the undo restores what they marked as well. The
 // bases start at the seeds of the determinism zoo's searches and walk
 // on through applied moves; each step's moves come from a primitive's
 // generator or from one of fineTune's, on the stage choices names.
@@ -105,6 +107,7 @@ func FuzzMoveUndo(f *testing.F) {
 	f.Add(uint8(4), uint8(2), uint8(1), []byte{1, 0, 5, 2, 1, 1, 10, 0, 0, 12, 0, 1})
 	f.Add(uint8(1), uint8(4), uint8(5), []byte{8, 1, 2, 3, 1, 0, 7, 0, 1, 13, 0, 0})
 	f.Add(uint8(3), uint8(3), uint8(7), []byte{5, 0, 0, 8, 0, 2, 9, 1, 0, 11, 0, 0})
+	f.Add(uint8(2), uint8(0), uint8(4), []byte{0, 3, 3, 0, 3, 5})
 	f.Fuzz(func(t *testing.T, mi, fi, di uint8, choices []byte) {
 		b := zooSeed(t, int(mi), int(fi), int(di))
 		if b == nil {
@@ -137,6 +140,9 @@ func FuzzMoveUndo(f *testing.F) {
 					t.Fatalf("move %+v:\n applied %s\nold way %s", *m, got.Canonical(), want.Canonical())
 				}
 				next = tr.scratch.Clone()
+				if tr.scratch.ValidateDelta(s.graph, s.cluster.TotalDevices(), base) == nil {
+					s.attachRecompute(tr)
+				}
 			}
 			tr.undo(m)
 			fresh := base.Clone()
@@ -153,8 +159,8 @@ func FuzzMoveUndo(f *testing.F) {
 // want, whose memos are computed afresh.
 func checkBitEqual(t *testing.T, c, want *config.Config, m *move) {
 	t.Helper()
-	if c.Key() != want.Key() || c.Hash() != want.Hash() || c.MicroBatch != want.MicroBatch || len(c.Stages) != len(want.Stages) {
-		t.Fatalf("undone %+v: Key, Hash, microbatch or stage count differ from the base", *m)
+	if c.Key() != want.Key() || c.Hash() != want.Hash() || c.Canonical() != want.Canonical() || c.MicroBatch != want.MicroBatch || len(c.Stages) != len(want.Stages) {
+		t.Fatalf("undone %+v: Key, Hash, Canonical, microbatch or stage count differ from the base", *m)
 	}
 	for i := range c.Stages {
 		a, w := &c.Stages[i], &want.Stages[i]

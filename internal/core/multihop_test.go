@@ -19,7 +19,7 @@ func TestAttachRecomputeFixesOOM(t *testing.T) {
 	if s.estimate(cfg).Feasible {
 		t.Skip("config unexpectedly feasible; OOM setup needed")
 	}
-	fixed := s.attachRecompute(cfg)
+	fixed := attachOn(s, cfg)
 	if fixed.Hash() == cfg.Hash() {
 		t.Fatal("attachRecompute changed nothing on an OOM config")
 	}
@@ -39,7 +39,7 @@ func TestAttachRecomputeNoopWhenFeasible(t *testing.T) {
 	if !s.estimate(cfg).Feasible {
 		t.Fatal("setup should be feasible")
 	}
-	if got := s.attachRecompute(cfg); got.Hash() != cfg.Hash() {
+	if got := attachOn(s, cfg); got.Hash() != cfg.Hash() {
 		t.Error("attachRecompute modified a feasible config")
 	}
 }

@@ -220,14 +220,18 @@ func (m *move) apply(c *config.Config) bool {
 	return true
 }
 
-// undo restores from t's base the stages m edited on t's scratch: a
-// shift's or a rescale's range between stage and to, else stage.
+// undo restores from t's base the stages m edited on t's scratch (a
+// shift's or rescale's range from stage to to, else stage), t.climbed.
 func (t *trial) undo(m *move) {
 	lo, hi := m.stage, m.stage
 	if m.kind == shiftOps || m.kind == rescaleStage {
 		lo, hi = min(m.stage, m.to), max(m.stage, m.to)
 	}
 	t.scratch.Restore(t.base, lo, hi)
+	for _, si := range t.climbed {
+		t.scratch.Restore(t.base, si, si)
+	}
+	t.climbed = t.climbed[:0]
 }
 
 // ---------- helpers shared by the apply functions ----------
@@ -547,36 +551,46 @@ func setRC(c *config.Config, stage int, ops []rcCand, on bool) {
 // climbRC walks stage's recompute ladder on c, marking its rungs in
 // place: rung k recomputes the first k ops of rank, for k = 1, 2, 4, …
 // ≤ len(rank), and the walk stops at the first rung that makes c
-// feasible (§4.1's greedy goal). Rungs only add flags, so c at rung k
-// equals a fresh copy marked to k. at sees each rung's k, its estimate
-// and whether the walk climbs past it. climbRC returns the last rung's
-// k; the ladder's top, all of rank, is the caller's to take.
-func climbRC(s *searcher, c *config.Config, stage int, rank []rcCand, at func(k int, e *perfmodel.Estimate, more bool)) int {
-	for k := 1; k <= len(rank); k *= 2 {
+// feasible (§4.1's greedy goal). No rung is estimated: its key is
+// counted explored, and its stage peak is arithmetic on c's estimate e
+// (RecomputePeak), folded with e's other stages as the walk folds them.
+// climbRC returns the last rung's k and the first that fits the stage
+// (0: none); the ladder's top, all of rank, is the caller's to take.
+func climbRC(s *searcher, c *config.Config, e *perfmodel.Estimate, stage int, rank []rcCand) (k, fit int) {
+	others, capMem := e.Microbatches > 0, e.Stages[stage].CapMem
+	for i := range e.Stages {
+		others = others && (i == stage || !(e.Stages[i].PeakMem > e.Stages[i].CapMem))
+	}
+	s.st.terms = s.pm.StashTerms(c, stage, s.st.terms)
+	for k = 1; k <= len(rank); k *= 2 {
 		setRC(c, stage, rank[k/2:k], true)
-		e := s.estimate(c)
-		more := !e.Feasible && 2*k <= len(rank)
-		if at(k, e, more); !more {
-			return k
+		if s.explore(c.Key()) && s.met != nil {
+			s.met.rungs.Inc()
+		}
+		peak := e.RecomputePeak(stage, &c.Stages[stage], s.st.terms)
+		if fit == 0 && peak <= capMem {
+			fit = k
+		}
+		if others && !(peak > capMem) || 2*k > len(rank) {
+			break
 		}
 	}
-	return 0
+	return k, fit
 }
 
 // applyIncRC offers each rung of the stage's recompute ladder, then the
-// ladder's top, "recompute everything". The ladder climbs, estimating
-// its rungs, on the trial's scratch, which it then restores; the rungs
-// share a copy of the ranking, in t.ops, as prefixes.
+// ladder's top, "recompute everything". The ladder climbs on the
+// trial's scratch, against the base's estimate, which it then restores;
+// the rungs share a copy of the ranking, in t.ops, as prefixes.
 func applyIncRC(s *searcher, t *trial, stage int) {
 	ops := append(t.ops[:0], rcRank(s, t.base, stage, false)...)
 	if t.ops = ops; len(ops) == 0 {
 		return
 	}
-	climbRC(s, t.scratch, stage, ops, func(k int, _ *perfmodel.Estimate, _ bool) {
-		if len(ops) > 1 {
-			t.moves = append(t.moves, move{kind: setRecompute, stage: stage, on: true, ops: ops[:k]})
-		}
-	})
+	last, _ := climbRC(s, t.scratch, s.estimate(t.base), stage, ops)
+	for k := 1; k <= last && len(ops) > 1; k *= 2 {
+		t.moves = append(t.moves, move{kind: setRecompute, stage: stage, on: true, ops: ops[:k]})
+	}
 	t.scratch.Restore(t.base, stage, stage)
 	t.moves = append(t.moves, move{kind: setRecompute, stage: stage, on: true, ops: ops})
 }

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"math"
+	"reflect"
 	"slices"
 	"testing"
 	"time"
@@ -29,22 +31,42 @@ func ladderSearcher(pm *perfmodel.Model, tr obs.Tracer) *searcher {
 	return newSearcher(pm.Graph, pm.Cluster, pm, opts, 0, new(store))
 }
 
+// attachOn runs attachRecompute on a trial of cfg and returns the
+// trial's scratch as the ladders left it, until the store's next trial.
+func attachOn(s *searcher, cfg *config.Config) *config.Config {
+	t := s.st.trial(0, cfg)
+	s.attachRecompute(t)
+	return t.scratch
+}
+
 // ladderStats counts the shapes of ladder attachRecomputeByClones met:
 // a pick below the rung the ladder stopped on, and the ladder's top
-// taken because no rung fit.
-type ladderStats struct{ climbedPast, top int }
+// taken because no rung fit. rung, when set, sees each rung the ladder
+// estimates, the top included: its stage, the estimate of the config it
+// extends, and the rung with its estimate.
+type ladderStats struct {
+	climbedPast, top int
+	rung             func(si int, base *perfmodel.Estimate, c *config.Config, e *perfmodel.Estimate)
+}
 
 // attachRecomputeByClones is attachRecompute built the way the search
 // built it before the ladder ran on one scratch config: every rung a
-// fresh clone of the config it extends, then a loop picking the first
-// that fits the stage, else the ladder's top. It is the reference
-// TestRecomputeLadderMatchesClones holds attachRecompute to.
+// fresh clone of the config it extends, estimated, then a loop picking
+// the first that fits the stage, else the ladder's top. It is the
+// reference TestRecomputeLadderMatchesClones holds attachRecompute to.
 func attachRecomputeByClones(s *searcher, cfg *config.Config, stats *ladderStats) *config.Config {
 	drop := func(c, keep *config.Config) {
 		if k := c.Key(); k != keep.Key() {
 			s.st.release(k)
 		}
 		s.st.recycle(c)
+	}
+	estimate := func(si int, base *perfmodel.Estimate, c *config.Config) *perfmodel.Estimate {
+		e := s.estimate(c)
+		if stats.rung != nil {
+			stats.rung(si, base, c, e)
+		}
+		return e
 	}
 	e := s.estimate(cfg)
 	if e.Feasible {
@@ -69,7 +91,7 @@ func attachRecomputeByClones(s *searcher, cfg *config.Config, stats *ladderStats
 		for k := 1; k <= len(rank); k *= 2 {
 			c := mark(k)
 			cands = append(cands, c)
-			if s.estimate(c).Feasible {
+			if estimate(si, e, c).Feasible {
 				break
 			}
 		}
@@ -83,7 +105,7 @@ func attachRecomputeByClones(s *searcher, cfg *config.Config, stats *ladderStats
 		var pick *config.Config
 		var pickEst *perfmodel.Estimate
 		for i, c := range cands {
-			pick, pickEst = c, s.estimate(c)
+			pick, pickEst = c, estimate(si, e, c)
 			if pickEst.Stages[si].PeakMem <= pickEst.Stages[si].CapMem {
 				if i < climbed-1 {
 					stats.climbedPast++
@@ -111,39 +133,37 @@ func attachRecomputeByClones(s *searcher, cfg *config.Config, stats *ladderStats
 }
 
 // ladderRun is what one attachRecompute call did: the configuration it
-// returned, the keys it estimated as new in order, and the keys whose
-// estimates it released.
+// returned, the keys it counted as explored in order, and the task's
+// memo after it, but for which keys were ever estimated: that is what
+// the two ladders differ in.
 type ladderRun struct {
 	canonical string
 	key, hash uint64
-	estimated []uint64
-	released  []uint64
+	explored  []uint64
+	memo      map[uint64]entry
 }
 
 func runLadder(pm *perfmodel.Model, start *config.Config, attach func(*searcher, *config.Config) *config.Config) ladderRun {
 	var run ladderRun
-	tr := (*estimateKeys)(&run.estimated)
-	storeHooks.released = func(k uint64, _ *perfmodel.Estimate) { run.released = append(run.released, k) }
-	defer func() { storeHooks.released = nil }()
-	s := ladderSearcher(pm, tr)
+	storeHooks.explored = func(k uint64) { run.explored = append(run.explored, k) }
+	defer func() { storeHooks.explored = nil }()
+	s := ladderSearcher(pm, nil)
 	got := attach(s, start.Clone())
 	run.canonical, run.key, run.hash = got.Canonical(), got.Key(), got.Hash()
-	slices.Sort(run.released)
+	run.memo = make(map[uint64]entry, len(s.st.memo))
+	for k, en := range s.st.memo {
+		en.estimated = false
+		run.memo[k] = en
+	}
 	return run
 }
 
-// TestRecomputeLadderMatchesClones holds attachRecompute, which climbs
-// each stage's recompute ladder on one scratch config, to the ladder
-// built one clone per rung (attachRecomputeByClones): over the zoo's
-// models at 2, 4, 8 and 16 stages on 16 V100s, from every balanced start
-// with a stage over memory, both return the same configuration (settings,
-// Key and Hash), estimate the same keys as new in the same order, and
-// release the estimates of the same keys.
-func TestRecomputeLadderMatchesClones(t *testing.T) {
+// overMemoryStarts calls f with every balanced start over memory of the
+// zoo's models at 2, 4, 8 and 16 stages and microbatches 1 to 16 on 16
+// V100s, and the model of its graph.
+func overMemoryStarts(t *testing.T, f func(name string, pm *perfmodel.Model, start *config.Config)) {
 	models, _ := determinismZoo(t)
 	cl := hardware.DGX1V100(2)
-	var stats ladderStats
-	starts := 0
 	for _, m := range models {
 		g, err := m.build()
 		if err != nil {
@@ -156,29 +176,81 @@ func TestRecomputeLadderMatchesClones(t *testing.T) {
 				if err != nil || pm.Estimate(start).Feasible {
 					continue
 				}
-				starts++
-				want := runLadder(pm, start, func(s *searcher, c *config.Config) *config.Config {
-					return attachRecomputeByClones(s, c, &stats)
-				})
-				got := runLadder(pm, start, (*searcher).attachRecompute)
-				name := m.name + "/" + start.String()
-				if got.canonical != want.canonical || got.key != want.key || got.hash != want.hash {
-					t.Errorf("%s: attachRecompute returned\n%s (key %x, hash %x), by clones\n%s (key %x, hash %x)",
-						name, got.canonical, got.key, got.hash, want.canonical, want.key, want.hash)
-				}
-				if !slices.Equal(got.estimated, want.estimated) {
-					t.Errorf("%s: estimated %d keys %x, by clones %d keys %x", name,
-						len(got.estimated), got.estimated, len(want.estimated), want.estimated)
-				}
-				if !slices.Equal(got.released, want.released) {
-					t.Errorf("%s: released %x, by clones %x", name, got.released, want.released)
-				}
+				f(m.name+"/"+start.String(), pm, start)
 			}
 		}
 	}
+}
+
+// TestRecomputeLadderMatchesClones holds attachRecompute, which climbs
+// each stage's recompute ladder in place on a trial's scratch and
+// estimates only its pick, to the ladder built one estimated clone per
+// rung (attachRecomputeByClones): from every over-memory start
+// (overMemoryStarts), both return the same configuration (settings, Key
+// and Hash), count the same keys as explored in the same order, and
+// leave the same memo — the same keys explored, visited and holding an
+// estimate, each estimate the same.
+func TestRecomputeLadderMatchesClones(t *testing.T) {
+	var stats ladderStats
+	starts := 0
+	overMemoryStarts(t, func(name string, pm *perfmodel.Model, start *config.Config) {
+		starts++
+		want := runLadder(pm, start, func(s *searcher, c *config.Config) *config.Config {
+			out := attachRecomputeByClones(s, c, &stats)
+			if out != c {
+				// The pick superseded the trial's key, which the trial
+				// loop releases.
+				s.st.release(c.Key())
+			}
+			return out
+		})
+		got := runLadder(pm, start, attachOn)
+		if got.canonical != want.canonical || got.key != want.key || got.hash != want.hash {
+			t.Errorf("%s: attachRecompute returned\n%s (key %x, hash %x), by clones\n%s (key %x, hash %x)",
+				name, got.canonical, got.key, got.hash, want.canonical, want.key, want.hash)
+		}
+		if !slices.Equal(got.explored, want.explored) {
+			t.Errorf("%s: counted %d keys %x, by clones %d keys %x", name,
+				len(got.explored), got.explored, len(want.explored), want.explored)
+		}
+		if !reflect.DeepEqual(got.memo, want.memo) {
+			t.Errorf("%s: the memo after attachRecompute differs from the one by clones", name)
+		}
+	})
 	t.Logf("%d starts over memory: %d picks below the rung a ladder stopped on, %d ladder tops", starts, stats.climbedPast, stats.top)
 	if stats.climbedPast == 0 || stats.top == 0 {
 		t.Error("the starts miss a shape of ladder: the test exercises too little")
+	}
+}
+
+// TestRungPeakMatchesEstimate holds the ladder's arithmetic to the
+// model: on every rung the reference ladder estimates from every
+// over-memory start (overMemoryStarts), the stage peak RecomputePeak
+// sums from the stage's StashTerms and the estimate of the config the
+// rung extends has the bits of the rung's estimated PeakMem, and
+// climbRC's feasibility fold of it reads the rung's Feasible.
+func TestRungPeakMatchesEstimate(t *testing.T) {
+	rungs := 0
+	overMemoryStarts(t, func(name string, pm *perfmodel.Model, start *config.Config) {
+		stats := ladderStats{rung: func(si int, base *perfmodel.Estimate, c *config.Config, e *perfmodel.Estimate) {
+			rungs++
+			peak := base.RecomputePeak(si, &c.Stages[si], pm.StashTerms(c, si, nil))
+			if math.Float64bits(peak) != math.Float64bits(e.Stages[si].PeakMem) {
+				t.Fatalf("%s, rung %s of stage %d: arithmetic peak %v, estimated %v", name, c, si, peak, e.Stages[si].PeakMem)
+			}
+			fits := base.Microbatches > 0 && !(peak > e.Stages[si].CapMem)
+			for i := range base.Stages {
+				fits = fits && (i == si || !(base.Stages[i].PeakMem > base.Stages[i].CapMem))
+			}
+			if fits != e.Feasible {
+				t.Fatalf("%s, rung %s of stage %d: arithmetic feasibility %v, estimated %v", name, c, si, fits, e.Feasible)
+			}
+		}}
+		attachRecomputeByClones(ladderSearcher(pm, nil), start.Clone(), &stats)
+	})
+	t.Logf("%d rungs", rungs)
+	if rungs == 0 {
+		t.Error("no rung estimated: the test exercises nothing")
 	}
 }
 
@@ -202,38 +274,55 @@ func deepRecomputeStart(tb testing.TB, tr obs.Tracer) (*searcher, *config.Config
 	return nil, nil
 }
 
-// TestRecomputeRungLooksUpOneStage pins what a rung costs the stage
-// cache: a rung differs from the config it extends in the one stage it
-// recomputes, and is estimated against that config, so it looks up
-// that stage alone — recompute moves no device, so no other stage's
-// pipeline context shifts.
+// TestRecomputeRungLooksUpOneStage pins what a climb costs: its rungs'
+// keys and arithmetic, no estimate. After the trial's own estimate, a
+// ladder (climbRC) makes no stage-cache lookup and estimates nothing —
+// its stash terms price no operator (TestStashTermsPriceNothing in
+// perfmodel) — and attachRecompute estimates only its picks, one per
+// stage it climbed, each one walk of the pipeline's stages.
 func TestRecomputeRungLooksUpOneStage(t *testing.T) {
 	var tr estimateKeys
 	s, cfg := deepRecomputeStart(t, &tr)
-	s.estimate(cfg)
+	again := 0
+	storeHooks.again = func(*perfmodel.Estimate, bool) { again++ }
+	defer func() { storeHooks.again = nil }()
+	e := s.estimate(cfg)
 	tr = tr[:0]
+	trial := s.st.trial(0, cfg)
+	si := e.OOMStage
 	h0, m0 := s.pm.StageCacheStats()
-	s.attachRecompute(cfg)
-	h1, m1 := s.pm.StageCacheStats()
-	if len(tr) == 0 {
-		t.Fatal("attachRecompute estimated no rung")
+	climbRC(s, trial.scratch, e, si, rcRank(s, cfg, si, false))
+	if h1, m1 := s.pm.StageCacheStats(); h1 != h0 || m1 != m0 || len(tr) != 0 || again != 0 {
+		t.Errorf("a ladder made %d stage-cache lookups and %d estimates, want none", h1-h0+m1-m0, len(tr)+again)
 	}
-	if lookups := h1 - h0 + m1 - m0; lookups != uint64(len(tr)) {
-		t.Errorf("%d rungs estimated made %d stage-cache lookups, want one each", len(tr), lookups)
+	trial.scratch.Restore(cfg, si, si)
+
+	h0, m0 = s.pm.StageCacheStats()
+	s.attachRecompute(trial)
+	h1, m1 := s.pm.StageCacheStats()
+	picks := len(trial.climbed)
+	if picks == 0 {
+		t.Fatal("attachRecompute climbed no ladder")
+	}
+	if len(tr) != picks {
+		t.Errorf("attachRecompute climbed %d ladders and made %d first estimates, want one each", picks, len(tr))
+	}
+	if lookups := h1 - h0 + m1 - m0; lookups != uint64(picks*cfg.NumStages()) {
+		t.Errorf("%d picks made %d stage-cache lookups, want %d each", picks, lookups, cfg.NumStages())
 	}
 }
 
 // BenchmarkAttachRecompute times attachRecompute on the start of
 // TestRecomputeRungLooksUpOneStage from an empty memo, the start's own
-// estimate included.
+// estimate included, and the undo of its ladders.
 func BenchmarkAttachRecompute(b *testing.B) {
 	s, cfg := deepRecomputeStart(b, nil)
+	t := s.st.trial(0, cfg)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		clear(s.st.memo)
-		if rc := s.attachRecompute(cfg); rc != cfg {
-			s.st.recycle(rc)
-		}
+		s.attachRecompute(t)
+		t.undo(&move{})
 	}
 }

@@ -209,8 +209,9 @@ func defaultStageCounts(devices, ops int) []int {
 }
 
 // Search runs Aceso's iterative bottleneck-alleviation search for
-// graph g over cluster cl (Algorithm 1), with one goroutine per
-// candidate pipeline depth (§4.3), and returns the merged result.
+// graph g over cluster cl (Algorithm 1), one task per candidate pipeline
+// depth (§4.3) on a pool of GOMAXPROCS workers, deepest first, and
+// returns the merged result.
 func Search(g *model.Graph, cl hardware.Cluster, opts Options) (*Result, error) {
 	return SearchContext(context.Background(), g, cl, opts)
 }
@@ -282,10 +283,11 @@ func SearchContext(ctx context.Context, g *model.Graph, cl hardware.Cluster, opt
 	// search. Tasks are handed out deepest first: the deepest starts at
 	// once on worker 0 (whose store it therefore clones into on every
 	// search in a loop), and each idle worker takes the deepest task not
-	// yet started (DESIGN.md §5b, Scheduling). Scheduling cannot change
-	// any task's result (tasks share only thread-safe caches whose values
-	// are pure functions of their keys), so the merged outcome is
-	// identical under any schedule.
+	// yet started (DESIGN.md §5b, Scheduling). Tasks share only
+	// thread-safe caches whose values are pure functions of their keys,
+	// so under MaxIterations the merged outcome is identical under any
+	// schedule; a clock instead stops each task where it finds it, and a
+	// task that starts after the deadline contributes only its seed.
 	order := make([]int, len(stageCounts))
 	for i := range order {
 		order[i] = i
@@ -395,6 +397,7 @@ type searchMeters struct {
 	prunes     *obs.Counter
 	prims      map[string]*obs.Counter // every Table row; read-only, so workers share it
 	trials     map[bool]*obs.Counter   // fine-tune trials, by whether their bound rejected them; read-only
+	rungs      *obs.Counter
 	hopDepth   *obs.Histogram
 	iterTime   *obs.Histogram
 }
@@ -410,6 +413,7 @@ func newSearchMeters(reg *obs.Registry) *searchMeters {
 		iterations: reg.Counter(obs.IterationsTotal),
 		restarts:   reg.Counter(obs.PoolRestartsTotal),
 		prunes:     reg.Counter(obs.PoolPrunesTotal),
+		rungs:      reg.Counter(obs.RecomputeRungsTotal),
 		prims:      make(map[string]*obs.Counter),
 		hopDepth:   reg.Histogram(obs.MultiHopDepth, 1, 2, 3, 4, 5, 6, 7, 8),
 		iterTime:   reg.Histogram(obs.IterationSeconds, obs.SecondsBuckets...),
@@ -455,13 +459,11 @@ type searcher struct {
 	// bnBufAt[hop] the Bottleneck resource list built for depth hop+1,
 	// pruneBuf prunePool's sort buffer, rcBuf the saved-activation
 	// ranking of the rc primitives and attachRecompute (never live
-	// across nested calls: estimates do not re-enter them), rcKeys the
-	// keys of attachRecompute's rungs.
+	// across nested calls: estimates do not re-enter them).
 	candsAt  [][]Candidate
 	bnBufAt  [][]Resource
 	pruneBuf poolEntries
 	rcBuf    []rcCand
-	rcKeys   []uint64
 	opksBuf  []int
 
 	// obj scores feasible candidates: nominal iteration time, or
@@ -543,8 +545,8 @@ func (s *searcher) popBatch() {
 // multiHop/fineTune node the active batch estimator serves the call,
 // sharing the base configuration's per-stage metrics; the resulting
 // estimate is bitwise identical to the full path (see perfmodel.Batch).
-// A released key is computed again — to the same bits — and not counted
-// again.
+// A key explored with no estimate held — released, or a recompute rung —
+// is estimated when asked, uncounted, and traced only the first time.
 func (s *searcher) estimate(cfg *config.Config) *perfmodel.Estimate {
 	k := cfg.Key()
 	en := s.st.memo[k]
@@ -557,29 +559,41 @@ func (s *searcher) estimate(cfg *config.Config) *perfmodel.Estimate {
 	} else {
 		e = s.pm.EstimateIn(cfg, &s.st.ests)
 	}
-	again := en.explored
-	en.est, en.explored = e, true
-	s.st.memo[k] = en
-	if again {
-		if storeHooks.again != nil {
-			storeHooks.again(e)
-		}
-		return e
+	if !en.explored {
+		s.count(k)
+	} else if storeHooks.again != nil {
+		storeHooks.again(e, !en.estimated)
 	}
-	s.count()
-	if t, ok := s.tracer.(obs.EstimateTracer); ok {
+	if t, ok := s.tracer.(obs.EstimateTracer); ok && !en.estimated {
 		t.OnEstimate(cfg, e)
 	}
+	en.est, en.explored, en.estimated = e, true, true
+	s.st.memo[k] = en
 	return e
 }
 
-// count counts one newly explored key.
-func (s *searcher) count() {
+// count counts k, a newly explored key.
+func (s *searcher) count(k uint64) {
 	s.explored++
 	s.itEstimated++
 	if s.met != nil {
 		s.met.estimated.Inc()
 	}
+	if storeHooks.explored != nil {
+		storeHooks.explored(k)
+	}
+}
+
+// explore counts k explored with no estimate unless it is: it reports which.
+func (s *searcher) explore(k uint64) bool {
+	en := s.st.memo[k]
+	if en.explored {
+		return false
+	}
+	en.explored = true
+	s.st.memo[k] = en
+	s.count(k)
+	return true
 }
 
 // loses reports whether the fine-tune trial c certainly scores no
@@ -587,8 +601,7 @@ func (s *searcher) count() {
 // on c's iteration time or peak memory, through the objective's floor,
 // and counts the trial as decided by the bound or by the estimate. A
 // poisoned score is never below an honest best. A losing key is
-// counted as estimate counts it and left explored with no estimate, as
-// a released key is, whoever observes the search.
+// explored with no estimate, whoever observes the search.
 func (s *searcher) loses(c *config.Config, best float64) bool {
 	k := c.Key()
 	en := s.st.memo[k]
@@ -603,15 +616,10 @@ func (s *searcher) loses(c *config.Config, best float64) bool {
 	if s.met != nil {
 		s.met.trials[lost].Inc()
 	}
-	if !lost {
-		return false
+	if lost {
+		s.explore(k)
 	}
-	if !en.explored {
-		en.explored = true
-		s.st.memo[k] = en
-		s.count()
-	}
-	return true
+	return lost
 }
 
 // score maps an estimate to a single comparable figure: the objective's
@@ -784,8 +792,8 @@ func (s *searcher) observeIteration(stageCount, iter int, improved bool, bnStage
 // primitive that produced it (the final hop's primitive).
 //
 // est must be cfg's estimate; it anchors the node's batched estimator,
-// which every candidate of this node is evaluated against
-// (attachRecompute's rungs against the candidate they extend).
+// which every candidate of this node, and its recompute ladder's pick,
+// is evaluated against.
 func (s *searcher) multiHop(cfg *config.Config, est *perfmodel.Estimate, bn Bottleneck, hop int, initScore float64) (*config.Config, int, string) {
 	if hop >= s.opts.MaxHops || s.expired() {
 		return nil, 0, ""
@@ -880,12 +888,12 @@ func (s *searcher) multiHop(cfg *config.Config, est *perfmodel.Estimate, bn Bott
 
 // try is the one trial of multiHop (fine false) and fineTune: it
 // applies m to t's scratch, runs the loop's checks in its order — in
-// multiHop validate, attach recompute (which may hand back its ladder's
-// pick), visit; in fineTune, within t's budget, visit, validate, bound
-// against best — and undoes m. A candidate that passes is estimated and
-// scored, and returned when kept: always in multiHop, below best in
-// fineTune, which re-bases t on it. It is the scratch's clone or the
-// ladder's pick; nothing else is copied.
+// multiHop validate, attach recompute on the scratch, visit; in
+// fineTune, within t's budget, visit, validate, bound against best —
+// and undoes m and the ladders. A candidate that passes is estimated
+// and scored, and returned when kept: always in multiHop, below best in
+// fineTune, which re-bases t on it. It is the scratch's clone; nothing
+// else is copied.
 func (s *searcher) try(t *trial, m *move, fine bool, best float64) (*config.Config, *perfmodel.Estimate, float64) {
 	if fine && t.budget <= 0 || !m.apply(t.scratch) {
 		return nil, nil, 0
@@ -900,17 +908,11 @@ func (s *searcher) try(t *trial, m *move, fine bool, best float64) (*config.Conf
 		t.budget--
 		ok = s.st.visit(c) && c.ValidateDelta(s.graph, devs, t.base) == nil && !s.loses(c, best)
 	} else if c.ValidateDelta(s.graph, devs, t.base) == nil {
-		if c = s.attachRecompute(c); c != t.scratch {
-			// The scratch was superseded by its recompute variant.
-			s.st.release(t.scratch.Key())
-		}
+		s.attachRecompute(t)
 		if ok = s.st.visit(c); !ok {
 			s.itDedup++
 			if s.met != nil {
 				s.met.dedup.Inc()
-			}
-			if c != t.scratch {
-				s.st.recycle(c)
 			}
 		}
 	}
@@ -919,7 +921,7 @@ func (s *searcher) try(t *trial, m *move, fine bool, best float64) (*config.Conf
 	if ok {
 		e = s.estimate(c)
 		sc = s.score(c, e)
-		if ok = !fine || sc < best; ok && c == t.scratch {
+		if ok = !fine || sc < best; ok {
 			c = s.st.clone(c)
 		}
 	}
@@ -941,59 +943,30 @@ func (s *searcher) try(t *trial, m *move, fine bool, best float64) (*config.Conf
 // until they fit. Under-used recomputation removal is left to explicit
 // dec-rc hops.
 //
-// Each over-memory stage climbs its ladder (climbRC) on one scratch
-// clone, estimated against the config it extends, and keeps the first
-// rung that fits the stage — unmarking the rungs the walk climbed past
-// it — else the ladder's top: the scratch is the pick.
-func (s *searcher) attachRecompute(cfg *config.Config) *config.Config {
-	e := s.estimate(cfg)
-	if e.Feasible {
-		return cfg
-	}
-	out := cfg
-	for si := range out.Stages {
+// Each over-memory stage of t's scratch climbs its ladder (climbRC) in
+// place, into t.climbed, and keeps the first rung that fits the stage —
+// unmarking the rungs climbed past it — else the ladder's top. Only the
+// pick is estimated; the key it supersedes is released.
+func (s *searcher) attachRecompute(t *trial) {
+	c, e := t.scratch, s.estimate(t.scratch)
+	for si := 0; si < len(c.Stages) && !e.Feasible; si++ {
 		if e.Stages[si].PeakMem <= e.Stages[si].CapMem {
 			continue
 		}
-		rank := rcRank(s, out, si, false)
+		rank := rcRank(s, c, si, false)
 		if len(rank) == 0 {
 			continue
 		}
-		s.pushBatch(out, e)
-		pick := s.st.clone(out)
-		keys := s.rcKeys[:0]
-		fit := 0
-		k := climbRC(s, pick, si, rank, func(k int, re *perfmodel.Estimate, _ bool) {
-			keys = append(keys, pick.Key())
-			if fit == 0 && re.Stages[si].PeakMem <= re.Stages[si].CapMem {
-				fit = k
-			}
-		})
-		if fit == 0 {
-			setRC(pick, si, rank[k:], true)
+		prev := c.Key()
+		if k, fit := climbRC(s, c, e, si, rank); fit == 0 {
+			setRC(c, si, rank[k:], true)
 		} else if fit < k {
-			setRC(pick, si, rank[fit:k], false)
+			setRC(c, si, rank[fit:k], false)
 		}
-		e = s.estimate(pick)
-		s.popBatch()
-		s.rcKeys = keys
-		// Unpicked rungs and the superseded intermediate are dead —
-		// never pooled, never returned.
-		pk := pick.Key()
-		for _, key := range keys {
-			if key != pk {
-				s.st.release(key)
-			}
-		}
-		if out != cfg {
-			s.st.release(out.Key())
-			s.st.recycle(out)
-		}
-		if out = pick; e.Feasible {
-			break
-		}
+		e = s.estimate(c)
+		s.st.release(prev)
+		t.climbed = append(t.climbed, si)
 	}
-	return out
 }
 
 // poolEntry is prunePool's sort record; poolEntries implements

@@ -14,8 +14,7 @@ import (
 // it. A kept candidate — a config and, once estimated, its estimate — is
 // visited (its key was taken up, so the pool, the top-K list, a
 // candidate slice or a batch base may hold it) or published (in a
-// Result); a recompute ladder's pick is scratch until the search takes
-// it up. Only scratch memory is released. Each task has its own memo
+// Result). Only scratch memory is released. Each task has its own memo
 // (begin … end); the config arena carries dead candidates, and the
 // per-depth trials their scratch copies and move buffers, to the
 // worker's next task and, through handOver, to the next search. Not safe
@@ -26,6 +25,7 @@ type store struct {
 	limbo  []*config.Config // evicted, recycled at settle
 	memo   map[uint64]entry // the running task's keys
 	trials []*trial         // by multi-hop depth; fineTune uses depth 0's
+	terms  []float64        // the stash terms of the stage a ladder climbs
 }
 
 // trial is one base's trial state: moves are made on base, each is
@@ -34,25 +34,28 @@ type trial struct {
 	base, scratch *config.Config
 	moves         []move
 	ops           []rcCand // the operators of the moves' recompute rungs
+	climbed       []int    // the stages attachRecompute marked on scratch
 	budget        int      // fineTune's trials left
 }
 
 // entry is what a task knows of one key.
 type entry struct {
-	est      *perfmodel.Estimate // nil until estimated, and again once released
-	visited  bool                // taken up: its estimate is never released
-	explored bool                // estimated, and counted, once
+	est       *perfmodel.Estimate // nil until estimated, and again once released
+	visited   bool                // taken up: its estimate is never released
+	explored  bool                // counted, once: when estimated or explored with no estimate
+	estimated bool                // estimated, and traced, once
 }
 
 // storeHooks, when a test sets them, see each config clone makes, each
 // config recycle hands to the arena and each estimate release frees,
-// with its key, before either can be reused, and each estimate of a
-// released key computed again.
+// with its key, before either can be reused, each key counted explored,
+// and each estimate of an explored key, first (never estimated) or not.
 var storeHooks struct {
 	cloned   func(*config.Config)
 	recycled func(*config.Config)
 	released func(uint64, *perfmodel.Estimate)
-	again    func(*perfmodel.Estimate)
+	again    func(e *perfmodel.Estimate, first bool)
+	explored func(uint64)
 }
 
 func (st *store) begin() { st.memo = make(map[uint64]entry, 1024) }
@@ -67,8 +70,8 @@ func (st *store) end(pool map[uint64]Candidate) {
 	st.memo = nil
 }
 
-// clone copies cfg, reusing recycled memory: a candidate the search
-// keeps, or a recompute ladder's scratch, which becomes its pick.
+// clone copies cfg, a candidate the search keeps, reusing recycled
+// memory.
 func (st *store) clone(cfg *config.Config) *config.Config {
 	c := cfg.CloneIn(&st.arena)
 	if storeHooks.cloned != nil {
@@ -85,7 +88,7 @@ func (st *store) trial(depth int, base *config.Config) *trial {
 	}
 	t := st.trials[depth]
 	st.arena.Put(t.scratch)
-	t.base, t.scratch = base, base.CloneIn(&st.arena)
+	t.base, t.scratch, t.climbed = base, base.CloneIn(&st.arena), t.climbed[:0]
 	return t
 }
 

@@ -20,9 +20,10 @@ import (
 // estimate the moment release frees it — NaN in every float, garbage in
 // every int, every flag flipped — so a live reference would read that
 // or, once the memory is reused, another candidate's. It counts what it
-// scribbled and which released keys were estimated again.
+// scribbled, which explored keys were estimated again, and which of
+// those estimates were the key's first.
 type deadMemory struct {
-	recycled, released, again atomic.Int64
+	recycled, released, again, first atomic.Int64
 }
 
 // scribbling turns the hooks on; the test's cleanup turns them off.
@@ -35,7 +36,12 @@ func (d *deadMemory) scribbling(t *testing.T) {
 		d.released.Add(1)
 		scribble(reflect.ValueOf(e).Elem())
 	}
-	storeHooks.again = func(*perfmodel.Estimate) { d.again.Add(1) }
+	storeHooks.again = func(_ *perfmodel.Estimate, first bool) {
+		d.again.Add(1)
+		if first {
+			d.first.Add(1)
+		}
+	}
 	t.Cleanup(func() { storeHooks.recycled, storeHooks.released, storeHooks.again = nil, nil, nil })
 }
 
@@ -50,7 +56,8 @@ func (d *deadMemory) scribbling(t *testing.T) {
 //     candidate's config or estimate changed under it;
 //   - every configuration it estimates passes the full Validate and is
 //     estimated as new once (estimateAuditor), and every configuration
-//     it explores is estimated or rejected by a fine-tune trial's bound;
+//     it explores is estimated, rejected by a fine-tune trial's bound or
+//     a recompute rung decided by arithmetic;
 //   - every published candidate is as it was returned — settings, Key,
 //     Hash and rank — after the next row's search recycled through the
 //     same stores, and carries the estimate a fresh model computes for
@@ -74,22 +81,26 @@ func TestReleasedEstimatesAreDead(t *testing.T) {
 		bothTrialPaths(t, func(exact bool, reg *obs.Registry) {
 			audit := newEstimateAuditor(t, g, cl.TotalDevices())
 			opts.Tracer, opts.Metrics = audit, reg
-			r0, a0 := d.released.Load(), d.again.Load()
+			r0, a0, f0 := d.released.Load(), d.again.Load(), d.first.Load()
 			got, res := pinnedSearch(t, g, row, cl, opts)
 			if !reflect.DeepEqual(got, committed[n]) {
 				t.Errorf("row %d (exact trials %v) drifted with dead memory scribbled:\n got %+v\nwant %+v", n, exact, got, committed[n])
 			}
-			rejected := rejectedByBound(reg)
+			// A key is counted explored once: estimated then, rejected by
+			// a bound or a recompute rung. The auditor sees each key's
+			// first estimate, which for a rung may come later (late).
+			rejected, rungs := rejectedByBound(reg), int(reg.Counter(obs.RecomputeRungsTotal).Value())
+			late := int(d.first.Load() - f0)
 			bounded += rejected
-			if audit.estimated+rejected != res.Explored {
-				t.Errorf("%s on %s (exact trials %v): audited %d and the bound rejected %d of %d explored configurations",
-					row.Model, row.Fleet, exact, audit.estimated, rejected, res.Explored)
+			if audit.estimated+rejected+rungs != res.Explored+late {
+				t.Errorf("%s on %s (exact trials %v): audited %d, the bound rejected %d and %d were recompute rungs (%d estimated later) of %d explored configurations",
+					row.Model, row.Fleet, exact, audit.estimated, rejected, rungs, late, res.Explored)
 			}
 			last.check(t)
 			last = snapshot(row.Model+" on "+row.Fleet, res, perfmodel.New(g, cl, 1))
 			if row.Model == "gpt3-2.6B" && row.Fleet == "DGX1V100(2)" {
-				t.Logf("pinned search, GOMAXPROCS %d, exact trials %v: %d estimates released, %d released keys estimated again",
-					row.GOMAXPROCS, exact, d.released.Load()-r0, d.again.Load()-a0)
+				t.Logf("pinned search, GOMAXPROCS %d, exact trials %v: %d estimates released, %d explored keys estimated again, %d of them for the first time",
+					row.GOMAXPROCS, exact, d.released.Load()-r0, d.again.Load()-a0, late)
 			}
 		})
 		n++
@@ -441,13 +452,10 @@ func TestArenasOutliveSearch(t *testing.T) {
 
 // TestOnlyKeptConfigsAreCloned pins the trial loop's rule: the search
 // copies a candidate only to keep it. In the pinned search, at
-// GOMAXPROCS 1 on stores this test holds, every clone is either of a
-// key already visited — a candidate multiHop pools or returns as its
-// improvement, or a fine-tune best — or a recompute ladder's scratch,
-// made from an over-memory config, which becomes the ladder's pick.
-// multiHop takes up a pick as it is, without a copy, so the candidates
-// it takes up (the primitive counters) and fine-tune's winners number at
-// least the first kind of clone and at most both kinds.
+// GOMAXPROCS 1 on stores this test holds, every clone is of a key
+// already visited, and the clones number exactly the candidates multiHop
+// takes up (the primitive counters) and fine-tune's winners: a recompute
+// ladder climbs on the trial's scratch and is copied only with it.
 func TestOnlyKeptConfigsAreCloned(t *testing.T) {
 	g, err := model.GPT3("2.6B")
 	if err != nil {
@@ -455,14 +463,11 @@ func TestOnlyKeptConfigsAreCloned(t *testing.T) {
 	}
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	ss := &[]store{{}}
-	var kept, ladders, stray, won int
+	var kept, stray, won int
 	storeHooks.cloned = func(c *config.Config) {
-		switch e := (*ss)[0].memo[c.Key()]; {
-		case e.visited:
+		if (*ss)[0].memo[c.Key()].visited {
 			kept++
-		case e.est != nil && !e.est.Feasible:
-			ladders++
-		default:
+		} else {
 			stray++
 		}
 	}
@@ -472,7 +477,7 @@ func TestOnlyKeptConfigsAreCloned(t *testing.T) {
 		for stores.Get() != nil {
 		}
 		stores.Put(ss)
-		kept, ladders, stray, won = 0, 0, 0, 0
+		kept, stray, won = 0, 0, 0
 		reg := obs.NewRegistry()
 		res, err := Search(g, hardware.DGX1V100(2), Options{TimeBudget: time.Hour, MaxIterations: 4, Seed: 1, Metrics: reg})
 		if err != nil {
@@ -488,11 +493,11 @@ func TestOnlyKeptConfigsAreCloned(t *testing.T) {
 		for i := range Table {
 			takenUp += int(reg.Counter(obs.Labeled(obs.PrimitiveAppliedTotal, "primitive", Table[i].Name)).Value())
 		}
-		t.Logf("explored %d: %d clones, %d kept (%d taken up by multiHop, %d fine-tune bests), %d recompute ladders",
-			res.Explored, kept+ladders+stray, kept, takenUp, won, ladders)
-		if stray > 0 || kept > takenUp+won || takenUp+won > kept+ladders || ladders == 0 {
-			t.Errorf("%d clones of neither a visited key nor an over-memory ladder base; %d taken up + %d fine-tune bests, want between %d kept and %d with the ladders' picks",
-				stray, takenUp, won, kept, kept+ladders)
+		t.Logf("explored %d: %d clones (%d taken up by multiHop, %d fine-tune bests)",
+			res.Explored, kept+stray, takenUp, won)
+		if stray > 0 || kept != takenUp+won {
+			t.Errorf("%d clones of a key not visited, %d of visited keys; %d taken up + %d fine-tune bests, want as many clones",
+				stray, kept, takenUp, won)
 		}
 		return
 	}

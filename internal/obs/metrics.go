@@ -31,6 +31,8 @@ const (
 	// FineTuneTrialsTotal carries a `{decided="bound"|"exact"}` label:
 	// fine-tune trials rejected by their bound, and those estimated.
 	FineTuneTrialsTotal = "aceso_search_finetune_trials_total"
+	// RecomputeRungsTotal counts new recompute-rung keys, explored unestimated.
+	RecomputeRungsTotal = "aceso_search_recompute_rungs_total"
 
 	// Differential-validation harness (internal/diffcheck). Violations
 	// carry a `{kind="..."}` label per invariant.
@@ -301,8 +303,8 @@ func (r *Registry) snapshot() (names []string, vals map[string]float64) {
 }
 
 // MarshalJSON renders the registry as a flat JSON object with sorted
-// keys, so snapshots embed directly into larger reports
-// (BENCH_trace.json) and diff cleanly.
+// keys, so snapshots embed directly into larger reports (the
+// repository benchmark's per-layer search counters) and diff cleanly.
 func (r *Registry) MarshalJSON() ([]byte, error) {
 	names, vals := r.snapshot()
 	var b strings.Builder

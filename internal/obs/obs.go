@@ -88,13 +88,13 @@ type Tracer interface {
 	OnIteration(ev IterationEvent)
 }
 
-// EstimateTracer is a Tracer that also observes every estimate the
-// search makes. Observing changes nothing the search computes: a
-// fine-tune trial its bound rejects is counted as explored and never
-// estimated, so an EstimateTracer does not see it.
+// EstimateTracer is a Tracer that also observes the search's estimates.
+// Observing changes nothing the search computes: a bound-rejected
+// fine-tune trial or a recompute rung is counted explored unestimated,
+// and seen only if the search estimates it later.
 type EstimateTracer interface {
 	Tracer
-	// OnEstimate is called for every configuration newly estimated in
+	// OnEstimate is called with each configuration's first estimate in
 	// the search hot path. cfg and est are read-only and valid only
 	// during the call: cfg is often a trial's scratch copy, edited again
 	// as soon as the call returns, and the search's candidate store

@@ -135,8 +135,8 @@ func (b *Batch) Bound(cfg *config.Config, lo, hi *Estimate) bool {
 	x.addOps(&wn, tst, first, end, in)
 	x.borrow = false
 	if first == bst.Start {
-		x.stash(&wo, bst)
-		x.stash(&wn, tst)
+		wo.ActPerMB += m.stash(bst, x.microBatch)
+		wn.ActPerMB += m.stash(tst, x.microBatch)
 	}
 
 	nu := float64(8*(bst.NumOps()+1)) * 0x1p-53

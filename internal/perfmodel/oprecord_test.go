@@ -2,6 +2,7 @@ package perfmodel
 
 import (
 	"fmt"
+	"math"
 	"testing"
 	"unsafe"
 
@@ -189,5 +190,53 @@ func BenchmarkEstimateDimFlip(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		cfg.MutOp(0, j, func(o *config.OpSetting) { o.Dim ^= 1 })
 		sink += m.evalStage(st, key, &a).FwdTime
+	}
+}
+
+// TestStashTermsPriceNothing: a stage's stash terms price no operator,
+// and on GPT-3 350M over four tp 2 stages, sequence-parallel in the
+// second, every marking of a stage's Recompute flags — none, every
+// other operator, all — gets from RecomputePeak, with the terms and the
+// unmarked config's estimate, the bits of the marked config's estimated
+// peak.
+func TestStashTermsPriceNothing(t *testing.T) {
+	g, err := model.GPT3("350M")
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := New(g, hardware.DGX1V100(2), 1)
+	cfg, err := config.Balanced(g, 16, 4, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for si := range cfg.Stages {
+		cfg.MutStage(si, func(st *config.Stage) {
+			for j := range st.Ops {
+				st.Ops[j].SetTiling(2, 2)
+				st.Ops[j].SeqPar = si == 1
+			}
+		})
+	}
+	if err := cfg.Validate(g, 16); err != nil {
+		t.Fatal(err)
+	}
+	base := m.Estimate(cfg)
+	for si := range cfg.Stages {
+		var terms []float64
+		if n := countPriced(func() { terms = m.StashTerms(cfg, si, nil) }); n != 0 {
+			t.Errorf("stage %d: StashTerms priced %d operators", si, n)
+		}
+		for _, every := range []int{0, 2, 1} {
+			c := cfg.Clone()
+			c.MutStage(si, func(st *config.Stage) {
+				for j := range st.Ops {
+					st.Ops[j].Recompute = every > 0 && j%every == 0
+				}
+			})
+			peak, want := base.RecomputePeak(si, &c.Stages[si], terms), m.Estimate(c).Stages[si].PeakMem
+			if math.Float64bits(peak) != math.Float64bits(want) {
+				t.Errorf("stage %d, every %d recomputed: RecomputePeak %v, estimated %v", si, every, peak, want)
+			}
+		}
 	}
 }

@@ -321,7 +321,7 @@ func (m *Model) evalStage(st *config.Stage, k stageKey, a *EstArena) StageMetric
 	x := m.pricer(k.firstDev, st.Devices, k.microBatch, a)
 	var sm StageMetrics
 	x.addOps(&sm, st, st.Start, st.End, stageEntry)
-	x.stash(&sm, st)
+	sm.ActPerMB += m.stash(st, k.microBatch)
 	// Stage-boundary transfer from the previous stage.
 	if k.prevDevices > 0 {
 		in := &m.Graph.Ops[st.Start-1]
@@ -527,20 +527,11 @@ func (x *pricer) addOps(sm *StageMetrics, st *config.Stage, from, to int, in opC
 		}
 		sm.OptMem += opt
 
-		actShare := 1.0
-		if out.layout == model.Split {
-			actShare = float64(shards)
-		} else if set.SeqPar && set.TP > 1 {
-			// Sequence-parallel regions stash 1/tp of the tokens.
-			actShare = float64(set.TP)
-		}
-		saved := actStashFactor*op.ActElems*float64(samples)*bpe/actShare +
-			op.WorkElems*float64(samples)*bpe/float64(shards)
+		saved, working := stashed(op, set, shards, out.layout, samples, bpe)
 		if set.Recompute {
 			saved = 0
 		}
 		sm.ActPerMB += saved
-		working := (op.ActElems/actShare + op.WorkElems/float64(shards)) * float64(samples) * bpe
 		if working > sm.ExtraMem {
 			sm.ExtraMem = working
 		}
@@ -557,13 +548,54 @@ func (x *pricer) addOps(sm *StageMetrics, st *config.Stage, from, to int, in opC
 	return in
 }
 
-// stash adds the stage's input stash: the boundary activation is always
-// kept so recomputation can restart from it.
-func (x *pricer) stash(sm *StageMetrics, st *config.Stage) {
-	if st.Start > 0 {
-		in := &x.m.Graph.Ops[st.Start-1]
-		sm.ActPerMB += in.ActElems * float64(x.microBatch/st.Ops[0].DP) * x.bpe
+// stashed returns operator op's activation stash per microbatch as if
+// not recomputed, and its working set, under set, shards and layout.
+func stashed(op *model.Op, set *config.OpSetting, shards int, layout model.Layout, samples int, bpe float64) (saved, working float64) {
+	share := 1.0
+	if layout == model.Split {
+		share = float64(shards)
+	} else if set.SeqPar && set.TP > 1 {
+		share = float64(set.TP) // sequence-parallel regions stash 1/tp of the tokens
 	}
+	return actStashFactor*op.ActElems*float64(samples)*bpe/share + op.WorkElems*float64(samples)*bpe/float64(shards),
+		(op.ActElems/share + op.WorkElems/float64(shards)) * float64(samples) * bpe
+}
+
+// StashTerms appends to buf[:0] the stash of each operator of stage si
+// of cfg as if it were not recomputed, in operator order, then the
+// stage's input stash: what RecomputePeak reads. It prices nothing.
+func (m *Model) StashTerms(cfg *config.Config, si int, buf []float64) []float64 {
+	st, in, terms := &cfg.Stages[si], stageEntry, buf[:0]
+	for j := st.Start; j < st.End; j++ {
+		set, op := st.Setting(j), &m.Graph.Ops[j]
+		shards, _, out := flow(op, set, in)
+		saved, _ := stashed(op, set, shards, out.layout, cfg.MicroBatch/set.DP, m.Graph.Precision.BytesPerElem())
+		terms, in = append(terms, saved), out
+	}
+	return append(terms, m.stash(st, cfg.MicroBatch))
+}
+
+// RecomputePeak returns stage si's peak memory in a config that differs
+// from e's only in st's Recompute flags, given its StashTerms: bit-equal
+// to its estimate's, for evalStage sums the same terms in the same order.
+func (e *Estimate) RecomputePeak(si int, st *config.Stage, terms []float64) float64 {
+	sm := e.Stages[si]
+	sm.ActPerMB = 0
+	for j, t := range terms {
+		if j == len(st.Ops) || !st.Ops[j].Recompute {
+			sm.ActPerMB += t
+		}
+	}
+	return peakMem(&sm, min(len(e.Stages)-si, e.Microbatches))
+}
+
+// stash returns the stage's input stash: the boundary activation is
+// always kept so recomputation can restart from it.
+func (m *Model) stash(st *config.Stage, microBatch int) float64 {
+	if st.Start == 0 {
+		return 0
+	}
+	return m.Graph.Ops[st.Start-1].ActElems * float64(microBatch/st.Ops[0].DP) * m.Graph.Precision.BytesPerElem()
 }
 
 // checkTerms marks the model's terms unsound when a price is negative or
