@@ -67,6 +67,7 @@ bench-smoke:
 # accepts one target per invocation, hence one line per target.
 fuzz-smoke:
 	$(GO) test -fuzz=FuzzDeviceSplit -fuzztime=5s ./internal/config
+	$(GO) test -fuzz=FuzzKeyFollowsEdits -fuzztime=5s ./internal/config
 	$(GO) test -fuzz=FuzzParseOpKey -fuzztime=5s ./internal/profiler
 	$(GO) test -fuzz=FuzzOpKeyRoundTrip -fuzztime=5s ./internal/profiler
 	$(GO) test -fuzz=FuzzTermReuseMatchesFresh -fuzztime=5s ./internal/perfmodel

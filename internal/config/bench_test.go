@@ -40,9 +40,9 @@ func BenchmarkConfigKey(b *testing.B) {
 	}
 }
 
-// BenchmarkSubHashAfterMutOp is what a primitive costs the identity
-// layer: one op of one stage changed, that stage's sub-hash refolded a
-// word at a time.
+// BenchmarkSubHashAfterMutOp is what a per-operator edit costs the
+// identity layer: one op of one stage changed through MutOp, which moves
+// the stage's memoized sub-hash by the op's term difference.
 func BenchmarkSubHashAfterMutOp(b *testing.B) {
 	c := benchConfig(b)
 	b.ReportAllocs()
@@ -51,6 +51,28 @@ func BenchmarkSubHashAfterMutOp(b *testing.B) {
 		si := i % len(c.Stages)
 		c.MutOp(si, c.Stages[si].Start, func(o *OpSetting) { o.Recompute = !o.Recompute })
 		sinkHash += c.Stages[si].SubHash()
+	}
+}
+
+// BenchmarkRungKeys is what one recompute ladder costs the identity
+// layer, as the search climbs it: on one stage, rung k = 1, 2, 4, …
+// flips the Recompute flags of ops [k/2, k) through MutOp and reads the
+// config's Key; the stage is then restored from its base.
+func BenchmarkRungKeys(b *testing.B) {
+	base := benchConfig(b)
+	c := base.Clone()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		si := i % len(c.Stages)
+		st := &c.Stages[si]
+		for k := 1; k <= st.NumOps(); k *= 2 {
+			for op := st.Start + k/2; op < st.Start+k; op++ {
+				c.MutOp(si, op, func(o *OpSetting) { o.Recompute = true })
+			}
+			sinkHash += c.Key()
+		}
+		c.Restore(base, si, si)
 	}
 }
 

@@ -23,8 +23,8 @@ const (
 	fnvPrime64  = 1099511628211
 )
 
-// mixSeed starts the word-at-a-time folds of SubHash and Key (the
-// golden-ratio constant: memo.Mix maps an all-zero state to zero).
+// mixSeed seeds every memo.Mix of SubHash and Key (the golden-ratio
+// constant: memo.Mix maps an all-zero state to zero).
 const mixSeed = 0x9e3779b97f4a7c15
 
 // fnvBytes folds b into an FNV-1a state.
@@ -73,17 +73,18 @@ func (o *OpSetting) SetTiling(tp, dp int) {
 // [Start, End) executed on Devices GPUs.
 //
 // Stages memoize their semantic sub-hash (asked for every candidate
-// the search builds). The memo is invalidated by the Config mutation
-// helpers (MutStage, MutOp, InvalidateStage, Invalidate); code that
-// writes the exported fields directly after a Key/Hash/SubHash call
-// must invalidate by hand or the memos go stale (DESIGN.md §5b).
+// the search builds). The Config mutation helpers keep the memo: MutOp
+// moves it in place by the edited operator's term, MutStage,
+// InvalidateStage and Invalidate drop it. Code that writes the exported
+// fields directly after a Key/Hash/SubHash call must invalidate by hand
+// or the memos go stale (DESIGN.md §5b).
 type Stage struct {
 	Start, End int
 	Devices    int
 	Ops        []OpSetting // len == End-Start, indexed by op - Start
 
-	// sub memoizes SubHash (0 = not yet computed; SubHash never
-	// returns 0).
+	// sub memoizes SubHash; 0 means no memo, so a sum that lands on 0
+	// is refolded rather than stored or moved by a delta.
 	sub uint64
 }
 
@@ -91,8 +92,8 @@ type Stage struct {
 func (s *Stage) NumOps() int { return s.End - s.Start }
 
 // Setting returns the OpSetting for global operator index op.
-// Mutating through the returned pointer bypasses hash invalidation;
-// use Config.MutOp (or invalidate explicitly) on hashed configs.
+// Mutating through the returned pointer bypasses the memos; use
+// Config.MutOp, which moves them in place, on hashed configs.
 func (s *Stage) Setting(op int) *OpSetting { return &s.Ops[op-s.Start] }
 
 // invalidate drops the stage's memoized sub-hash.
@@ -144,13 +145,13 @@ func (s *Stage) appendSegment(b []byte) []byte {
 	return append(b, ';')
 }
 
-// word packs the setting into one 64-bit word: 20 bits each for TP, DP
-// and Dim above the three flag bits. The packing is injective while the
-// three integers stay below 2^20 — a single stage of a million devices
-// — which Validate's tp·dp = Devices bound guarantees for every
-// configuration the search keeps.
-func (o *OpSetting) word() uint64 {
-	w := uint64(o.TP)<<43 ^ uint64(o.DP)<<23 ^ uint64(o.Dim)<<3
+// word packs the setting of global operator op into one 64-bit word:
+// 22 bits of op index, 16 bits each for TP and DP, 7 for Dim and the
+// three flag bits. The packing is injective while op < 2^22, TP and DP
+// stay below 2^16 — which Validate's tp·dp = Devices bound guarantees
+// for every valid stage of fewer than 65 536 devices — and 0 ≤ Dim < 128.
+func (o *OpSetting) word(op int) uint64 {
+	w := uint64(op)<<42 ^ uint64(o.TP)<<26 ^ uint64(o.DP)<<10 ^ uint64(o.Dim)<<3
 	if o.Recompute {
 		w ^= 1
 	}
@@ -163,21 +164,21 @@ func (o *OpSetting) word() uint64 {
 	return w
 }
 
+// term is operator op's summand in its stage's SubHash.
+func (o *OpSetting) term(op int) uint64 { return memo.Mix(mixSeed, o.word(op)) }
+
 // SubHash returns the stage's semantic sub-hash: two stages have equal
 // sub-hashes iff their canonical segments (op range, device count and
-// every op setting) are byte-identical, up to 64-bit collisions. It
-// folds exactly the fields appendSegment writes, a word at a time, and
-// builds no string. Memoized; see Stage. Never 0.
+// every op setting) are byte-identical, up to 64-bit collisions. It is
+// additive over exactly the fields appendSegment writes: a mixed header
+// of Start, End and Devices plus, mod 2^64, one term per operator, so
+// an edit of one setting moves it by that operator's term difference
+// (Config.MutOp). It builds no string. Memoized; see Stage.
 func (s *Stage) SubHash() uint64 {
 	if s.sub == 0 {
-		h := memo.Mix(mixSeed, uint64(s.Start))
-		h = memo.Mix(h, uint64(s.End))
-		h = memo.Mix(h, uint64(s.Devices))
+		h := memo.Mix(memo.Mix(memo.Mix(mixSeed, uint64(s.Start)), uint64(s.End)), uint64(s.Devices))
 		for j := range s.Ops {
-			h = memo.Mix(h, s.Ops[j].word())
-		}
-		if h == 0 {
-			h = 1
+			h += s.Ops[j].term(s.Start + j)
 		}
 		s.sub = h
 	}
@@ -204,9 +205,9 @@ type Config struct {
 	// (Figure 5(c)).
 	MicroBatch int
 
-	// key memoizes Key() (0 = not yet computed; Key never returns 0);
-	// hash memoizes Hash(), hashOK marks it valid. Both are invalidated
-	// by the mutation helpers below.
+	// key memoizes Key(), 0 meaning no memo as for Stage.sub; hash
+	// memoizes Hash(), hashOK marks it valid. The mutation helpers below
+	// keep both.
 	key    uint64
 	hash   uint64
 	hashOK bool
@@ -362,8 +363,8 @@ func (c *Config) validate(g *model.Graph, totalDevices int, base *Config, opsRea
 
 // Clone returns a deep copy of the configuration. Memoized keys and
 // hashes are carried over (they describe identical content), so a
-// neighbor built by Clone plus a mutation helper re-folds only the
-// mutated stage's sub-hash.
+// neighbor built by Clone plus MutStage re-folds only the mutated
+// stage's sub-hash, and one built by Clone plus MutOp re-folds nothing.
 //
 // All stages' op settings share one backing array, sliced with
 // cap==len per stage so an append on any stage's Ops reallocates
@@ -432,10 +433,10 @@ func (c *Config) ShiftBoundary(i, k int) []OpSetting {
 // The search hot path memoizes Key(), per-stage sub-hashes, and (in
 // perfmodel) per-stage metrics keyed by those sub-hashes; Hash() and
 // the canonical segments are memoized too. All of that is only sound if
-// every post-construction mutation goes through the helpers below,
-// which invalidate exactly the touched memos. Building a Config from
-// literals and mutating it before the first Key/Hash/SubHash call needs
-// no helpers — the memos are filled lazily.
+// every post-construction mutation goes through the helpers below:
+// MutOp moves the touched memos in place, the others drop them.
+// Building a Config from literals and mutating it before the first
+// Key/Hash/SubHash call needs no helpers — the memos are filled lazily.
 
 // SetMicroBatch sets the aggregate microbatch size. Stage sub-hashes
 // are unaffected (the microbatch is keyed separately everywhere).
@@ -451,14 +452,26 @@ func (c *Config) MutStage(i int, fn func(*Stage)) {
 }
 
 // MutOp applies fn to the setting of global operator index op inside
-// stage i and invalidates the stage's memoized hashes.
+// stage i and adds the operator's term difference to the stage's
+// sub-hash and to the key where they are memoized: O(1), no refold.
+// Hash is dropped.
 func (c *Config) MutOp(i, op int, fn func(*OpSetting)) {
-	fn(c.Stages[i].Setting(op))
-	c.InvalidateStage(i)
+	s := &c.Stages[i]
+	o := s.Setting(op)
+	d := -o.term(op)
+	fn(o)
+	d += o.term(op)
+	if s.sub != 0 {
+		s.sub += d
+	}
+	if c.key != 0 {
+		c.key += d
+	}
+	c.hashOK = false
 }
 
 // InvalidateStage drops stage i's memoized hashes (and the config's
-// key and hash) after a direct mutation that bypassed MutStage/MutOp.
+// key and hash) after a direct mutation of the stage.
 func (c *Config) InvalidateStage(i int) {
 	c.Stages[i].invalidate()
 	c.key, c.hashOK = 0, false
@@ -475,20 +488,19 @@ func (c *Config) Invalidate() {
 
 // Key returns the configuration's structural identity: two
 // configurations have equal keys iff their canonical forms are
-// byte-identical, up to 64-bit collisions. It mixes the microbatch and
-// the stages' memoized sub-hashes, so a neighbor that mutated one stage
-// pays that stage's fold plus O(stages). This is what the search
-// deduplicates and memoizes estimates on (§4.3); it says nothing about
-// order — the value is not Hash() and is not stable across versions, so
-// it must never be persisted or used to rank. Memoized. Never 0.
+// byte-identical, up to 64-bit collisions. It is the mixed microbatch
+// plus, mod 2^64, the stages' sub-hashes: a neighbor that rewrote one
+// stage pays that stage's fold plus O(stages) additions, and one that
+// edited operators through MutOp pays one term difference per operator.
+// This is what the search deduplicates and memoizes estimates on
+// (§4.3); it says nothing about order — the value is not Hash() and is
+// not stable across versions, so it must never be persisted or used to
+// rank. Memoized.
 func (c *Config) Key() uint64 {
 	if c.key == 0 {
 		h := memo.Mix(mixSeed, uint64(c.MicroBatch))
 		for i := range c.Stages {
-			h = memo.Mix(h, c.Stages[i].SubHash())
-		}
-		if h == 0 {
-			h = 1
+			h += c.Stages[i].SubHash()
 		}
 		c.key = h
 	}
@@ -521,7 +533,9 @@ func (c *Config) Hash() uint64 {
 // Freeze fills every memo — Key, Hash and each stage's sub-hash — so
 // that no accessor writes afterwards and the configuration can be
 // shared read-only across goroutines (and cloned from several at
-// once). A later mutation helper thaws it.
+// once). A later mutation helper thaws it. The one exception is a memo
+// whose value is 0 (probability 2^-64), which is never stored: each
+// read refolds it and writes the same 0.
 func (c *Config) Freeze() {
 	c.Key()
 	c.Hash()

@@ -97,7 +97,8 @@ func zooSeed(t *testing.T, mi, fi, di int) *moveBase {
 // — and the applied scratch reads as a fresh Clone edited the way the
 // primitives edited candidates before moves were data (editOldWay). A
 // valid applied scratch then climbs its recompute ladders, as multiHop's
-// trials do, and the undo restores what they marked as well. The
+// trials do; its in-place Key and sub-hashes then equal a fresh fold of
+// its settings, and the undo restores what the ladders marked as well. The
 // bases start at the seeds of the determinism zoo's searches and walk
 // on through applied moves; each step's moves come from a primitive's
 // generator or from one of fineTune's, on the stage choices names.
@@ -143,11 +144,14 @@ func FuzzMoveUndo(f *testing.F) {
 				if tr.scratch.ValidateDelta(s.graph, s.cluster.TotalDevices(), base) == nil {
 					s.attachRecompute(tr)
 				}
+				fresh := tr.scratch.Clone()
+				fresh.Invalidate()
+				checkBitEqual(t, "applied", tr.scratch, fresh, m)
 			}
 			tr.undo(m)
 			fresh := base.Clone()
 			fresh.Invalidate()
-			checkBitEqual(t, tr.scratch, fresh, m)
+			checkBitEqual(t, "undone", tr.scratch, fresh, m)
 			if next != nil && next.Validate(s.graph, s.cluster.TotalDevices()) == nil {
 				base = next
 			}
@@ -156,16 +160,16 @@ func FuzzMoveUndo(f *testing.F) {
 }
 
 // checkBitEqual fails unless c, with its memos as they stand, equals
-// want, whose memos are computed afresh.
-func checkBitEqual(t *testing.T, c, want *config.Config, m *move) {
+// want, whose memos are computed afresh; what names c's state after m.
+func checkBitEqual(t *testing.T, what string, c, want *config.Config, m *move) {
 	t.Helper()
 	if c.Key() != want.Key() || c.Hash() != want.Hash() || c.Canonical() != want.Canonical() || c.MicroBatch != want.MicroBatch || len(c.Stages) != len(want.Stages) {
-		t.Fatalf("undone %+v: Key, Hash, Canonical, microbatch or stage count differ from the base", *m)
+		t.Fatalf("%s %+v: Key, Hash, Canonical, microbatch or stage count differ from a fresh fold", what, *m)
 	}
 	for i := range c.Stages {
 		a, w := &c.Stages[i], &want.Stages[i]
 		if a.SubHash() != w.SubHash() || a.Start != w.Start || a.End != w.End || a.Devices != w.Devices || !slices.Equal(a.Ops, w.Ops) {
-			t.Fatalf("undone %+v: stage %d is %+v, the base's %+v", *m, i, *a, *w)
+			t.Fatalf("%s %+v: stage %d is %+v, a fresh fold's %+v", what, *m, i, *a, *w)
 		}
 	}
 }

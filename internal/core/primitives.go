@@ -214,8 +214,7 @@ func (m *move) apply(c *config.Config) bool {
 		}
 		c.InvalidateStage(m.stage)
 	case flipDim:
-		c.Stages[m.stage].Setting(m.n).Dim = m.dim
-		c.InvalidateStage(m.stage)
+		c.MutOp(m.stage, m.n, func(o *config.OpSetting) { o.Dim = m.dim })
 	}
 	return true
 }
@@ -539,13 +538,12 @@ func rcRank(s *searcher, cfg *config.Config, stage int, recomputed bool) []rcCan
 	return cands
 }
 
-// setRC sets the Recompute flag of ops in stage of c.
+// setRC sets the Recompute flag of ops in stage of c, moving c's key
+// in place by one term difference per op.
 func setRC(c *config.Config, stage int, ops []rcCand, on bool) {
-	st := &c.Stages[stage]
 	for _, o := range ops {
-		st.Setting(o.op).Recompute = on
+		c.MutOp(stage, o.op, func(s *config.OpSetting) { s.Recompute = on })
 	}
-	c.InvalidateStage(stage)
 }
 
 // climbRC walks stage's recompute ladder on c, marking its rungs in

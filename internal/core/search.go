@@ -8,7 +8,6 @@ import (
 	"runtime"
 	"runtime/debug"
 	"sort"
-	"sync/atomic"
 	"time"
 
 	"aceso/internal/config"
@@ -136,13 +135,13 @@ func (c *Candidate) less(o *Candidate) bool {
 // actual tie: a few hundred times a search against tens of thousands of
 // Key calls. Both configs must still be alive, which the store
 // guarantees for every pool entry and per-depth candidate slice (see
-// store.evict). tieBreaks counts the calls for TestTieBreaksPerSearch.
+// store.evict).
 func hashLess(a, b *config.Config) bool {
-	tieBreaks.Add(1)
+	if storeHooks.tied != nil {
+		storeHooks.tied()
+	}
 	return a.Hash() < b.Hash()
 }
-
-var tieBreaks atomic.Int64
 
 // SearchError describes the failure of one per-stage-count search
 // worker. A panicking worker is isolated — its goroutine recovers,

@@ -2,6 +2,7 @@ package core
 
 import (
 	"sort"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -583,20 +584,22 @@ func TestSearchDeterministicWithPruning(t *testing.T) {
 	}
 }
 
-// TestTieBreaksPerSearch counts how often one search of the
-// BENCH_search.json setting (GPT-3 2.6B, 16 V100, MaxIterations 4,
-// seed 1; 24 701 configurations) pays for a canonical hash: hashLess is
-// the only caller of Config.Hash inside the search, so its call count
-// bounds the cold path. The count repeats exactly; a count in the
-// thousands means an order is being taken on the hot loop.
+// TestTieBreaksPerSearch counts how often one search of the pinned
+// setting (GPT-3 2.6B, 16 V100, MaxIterations 4, seed 1; 24 701
+// configurations, the search-deep workload's) pays for a canonical
+// hash: hashLess is the only caller of Config.Hash inside the search,
+// so its call count bounds the cold path. The count repeats exactly; a
+// count in the thousands means an order is being taken on the hot loop.
 func TestTieBreaksPerSearch(t *testing.T) {
 	g, _ := model.GPT3("2.6B")
-	before := tieBreaks.Load()
+	var ties atomic.Int64
+	storeHooks.tied = func() { ties.Add(1) }
+	defer func() { storeHooks.tied = nil }()
 	res, err := Search(g, hardware.DGX1V100(2), Options{TimeBudget: time.Hour, MaxIterations: 4, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	n := tieBreaks.Load() - before
+	n := ties.Load()
 	t.Logf("explored %d configurations, %d score ties broken by canonical hash", res.Explored, n)
 	if n == 0 || n > 1000 {
 		t.Errorf("%d tie-breaks for %d explored configurations, want a few hundred", n, res.Explored)

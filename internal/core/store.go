@@ -49,13 +49,15 @@ type entry struct {
 // storeHooks, when a test sets them, see each config clone makes, each
 // config recycle hands to the arena and each estimate release frees,
 // with its key, before either can be reused, each key counted explored,
-// and each estimate of an explored key, first (never estimated) or not.
+// each estimate of an explored key, first (never estimated) or not, and
+// each score tie hashLess breaks, from every worker at once.
 var storeHooks struct {
 	cloned   func(*config.Config)
 	recycled func(*config.Config)
 	released func(uint64, *perfmodel.Estimate)
 	again    func(e *perfmodel.Estimate, first bool)
 	explored func(uint64)
+	tied     func()
 }
 
 func (st *store) begin() { st.memo = make(map[uint64]entry, 1024) }
