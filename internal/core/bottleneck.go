@@ -94,9 +94,9 @@ func Bottlenecks(est *perfmodel.Estimate, memCapacity float64) []Bottleneck {
 // sorting the full per-stage ranking: the multi-hop branch step only
 // ever consumes the top entry. The top stage is the first index
 // attaining the extreme key (matching the stable sort's tie-break),
-// and the resource list is built into the per-depth scratch buffer —
-// owned by this frame until the recursion consuming it returns.
-func (s *searcher) topBottleneck(hop int, est *perfmodel.Estimate) (Bottleneck, bool) {
+// and the resource list is built into t.res, the buffer of the node
+// that branches, until the recursion consuming it returns.
+func (s *searcher) topBottleneck(t *trial, est *perfmodel.Estimate) (Bottleneck, bool) {
 	if len(est.Stages) == 0 {
 		return Bottleneck{}, false
 	}
@@ -106,12 +106,8 @@ func (s *searcher) topBottleneck(hop int, est *perfmodel.Estimate) (Bottleneck, 
 			top = i
 		}
 	}
-	for len(s.bnBufAt) <= hop {
-		s.bnBufAt = append(s.bnBufAt, make([]Resource, 0, 4))
-	}
-	rs := resourceOrder(s.bnBufAt[hop][:0], est, top, totalConsumption(est), s.cluster.MemoryBytes)
-	s.bnBufAt[hop] = rs
-	return Bottleneck{Stage: top, Resources: rs}, true
+	t.res = resourceOrder(t.res[:0], est, top, totalConsumption(est), s.cluster.MemoryBytes)
+	return Bottleneck{Stage: top, Resources: t.res}, true
 }
 
 // StageProportions returns stage si's share of the cluster-wide

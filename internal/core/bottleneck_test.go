@@ -30,7 +30,7 @@ func TestBottleneckRankingByTime(t *testing.T) {
 	if err := cfg.Validate(g, 4); err != nil {
 		t.Fatal(err)
 	}
-	est := s.estimate(cfg)
+	est := s.estimate(nil, cfg)
 	if !est.Feasible {
 		t.Fatal("test setup should be feasible")
 	}
@@ -52,7 +52,7 @@ func TestBottleneckOOMPrioritizesMemory(t *testing.T) {
 	g, _ := model.GPT3("13B")
 	s := testSearcher(t, g, 4)
 	cfg := mustBalanced(t, g, 4, 2, 1)
-	est := s.estimate(cfg)
+	est := s.estimate(nil, cfg)
 	if est.Feasible {
 		t.Skip("13B unexpectedly fits; test requires OOM")
 	}
@@ -73,7 +73,7 @@ func TestBottleneckResourceOrderByProportion(t *testing.T) {
 	g, _ := model.GPT3("350M")
 	s := testSearcher(t, g, 4)
 	cfg := mustBalanced(t, g, 4, 2, 1)
-	est := s.estimate(cfg)
+	est := s.estimate(nil, cfg)
 	bns := Bottlenecks(est, s.cluster.MemoryBytes)
 	for _, bn := range bns {
 		// Comp and Comm must both always be present, in some order.
@@ -116,7 +116,8 @@ func TestResourceString(t *testing.T) {
 type bottleneckChecker struct {
 	t  *testing.T
 	mu sync.Mutex
-	s  searcher // scratch buffers for topBottleneck
+	s  searcher // what topBottleneck reads
+	tr trial    // the buffer it builds into
 
 	feasible, infeasible, pressured int
 }
@@ -127,7 +128,7 @@ func (c *bottleneckChecker) OnEstimate(_ *config.Config, est *perfmodel.Estimate
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	want := Bottlenecks(est, c.s.cluster.MemoryBytes)[0]
-	got, ok := c.s.topBottleneck(0, est)
+	got, ok := c.s.topBottleneck(&c.tr, est)
 	if !ok || got.Stage != want.Stage || !reflect.DeepEqual(got.Resources, want.Resources) {
 		c.t.Errorf("topBottleneck = stage %d %v (ok %v), Bottlenecks[0] = stage %d %v",
 			got.Stage, got.Resources, ok, want.Stage, want.Resources)

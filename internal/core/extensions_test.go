@@ -110,8 +110,8 @@ func TestZeROCutsOptimizerMemory(t *testing.T) {
 		cfg.Stages[0].Ops[j] = config.OpSetting{TP: 1, DP: 4, Dim: 0}
 	}
 	zr := candidates(s, toggle(true, true), cfg, 0)[0]
-	base := s.estimate(cfg)
-	sharded := s.estimate(zr)
+	base := s.estimate(nil, cfg)
+	sharded := s.estimate(nil, zr)
 	if sharded.Stages[0].OptMem >= base.Stages[0].OptMem/2 {
 		t.Errorf("ZeRO OptMem %v, want well below %v", sharded.Stages[0].OptMem, base.Stages[0].OptMem)
 	}
@@ -197,8 +197,8 @@ func TestSeqParCutsActivationMemory(t *testing.T) {
 	if err := sp[0].Validate(g, 4); err != nil {
 		t.Fatal(err)
 	}
-	base := s.estimate(cfg)
-	seq := s.estimate(sp[0])
+	base := s.estimate(nil, cfg)
+	seq := s.estimate(nil, sp[0])
 	if seq.Stages[0].ActPerMB >= base.Stages[0].ActPerMB {
 		t.Errorf("seq-parallel ActPerMB %v should be below base %v",
 			seq.Stages[0].ActPerMB, base.Stages[0].ActPerMB)

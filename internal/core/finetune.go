@@ -27,26 +27,21 @@ const fineTuneCandidateCap = 96
 //  2. Flexible tensor-parallel dimensions: flip individual operators
 //     to their alternative sharding dim (row↔col, in↔out channel).
 //
-// Each move rewrites one stage of the best so far, which is the batch
-// base and the trial's base: a winner becomes both.
+// Each move rewrites one stage of the best so far, which is the base of
+// the pass's node: a winner rebases it (searcher.try).
 func (s *searcher) fineTune(cfg *config.Config) *config.Config {
-	curEst := s.estimate(cfg)
-	best, bestScore := cfg, s.score(cfg, curEst)
-	s.pushBatch(cfg, curEst)
-	defer s.popBatch()
-	t := s.st.trial(0, cfg)
+	t := s.st.trial(s.pm, 0, cfg, s.estimate(nil, cfg))
+	best, bestScore := cfg, s.score(cfg, t.est)
 	t.budget = fineTuneCandidateCap
 	tryMoves := func() {
 		for i := range t.moves {
-			c, e, sc := s.try(t, &t.moves[i], true, bestScore)
+			c, _, sc := s.try(t, &t.moves[i], true, bestScore)
 			if c == nil {
 				continue
 			}
 			if trialHooks.won != nil {
 				trialHooks.won(c)
 			}
-			s.popBatch()
-			s.pushBatch(c, e)
 			// The superseded best is dead unless it is the caller's
 			// input configuration.
 			if best != cfg {
@@ -65,7 +60,7 @@ func (s *searcher) fineTune(cfg *config.Config) *config.Config {
 	}
 
 	// Dim flips, bottleneck stage first for the remaining budget.
-	for _, bn := range Bottlenecks(s.estimate(best), s.cluster.MemoryBytes) {
+	for _, bn := range Bottlenecks(t.est, s.cluster.MemoryBytes) {
 		if s.expired() || t.budget <= 0 {
 			break
 		}

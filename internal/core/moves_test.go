@@ -13,7 +13,7 @@ import (
 // as configurations: each a clone of cfg with one move applied (a move
 // that does not apply is left out).
 func candidates(s *searcher, apply func(*searcher, *trial, int), cfg *config.Config, stage int) []*config.Config {
-	t := s.st.trial(0, cfg)
+	t := node(s, cfg)
 	t.moves = t.moves[:0]
 	apply(s, t, stage)
 	var out []*config.Config
@@ -23,6 +23,11 @@ func candidates(s *searcher, apply func(*searcher, *trial, int), cfg *config.Con
 		}
 	}
 	return out
+}
+
+// node returns depth 0's trial on cfg, which it estimates in full.
+func node(s *searcher, cfg *config.Config) *trial {
+	return s.st.trial(s.pm, 0, cfg, s.estimate(nil, cfg))
 }
 
 // withMove returns a clone of cfg with m applied, nil when m does not
@@ -117,7 +122,7 @@ func FuzzMoveUndo(f *testing.F) {
 		s, base := b.s, b.seed.Clone()
 		for ; len(choices) >= 3; choices = choices[3:] {
 			gen, stage := int(choices[0])%(len(Table)+2), int(choices[1])%base.NumStages()
-			tr := s.st.trial(0, base)
+			tr := node(s, base)
 			tr.moves = tr.moves[:0]
 			switch gen {
 			case len(Table):

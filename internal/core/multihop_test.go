@@ -16,7 +16,7 @@ func TestAttachRecomputeFixesOOM(t *testing.T) {
 	for j := range cfg.Stages[0].Ops {
 		cfg.Stages[0].Ops[j] = config.OpSetting{TP: 1, DP: 8, Dim: 0}
 	}
-	if s.estimate(cfg).Feasible {
+	if s.estimate(nil, cfg).Feasible {
 		t.Skip("config unexpectedly feasible; OOM setup needed")
 	}
 	fixed := attachOn(s, cfg)
@@ -27,7 +27,7 @@ func TestAttachRecomputeFixesOOM(t *testing.T) {
 		t.Error("no ops recomputed")
 	}
 	// It may not fully fix very large models, but memory must drop.
-	if s.estimate(fixed).PeakMem >= s.estimate(cfg).PeakMem {
+	if s.estimate(nil, fixed).PeakMem >= s.estimate(nil, cfg).PeakMem {
 		t.Error("attachRecompute did not reduce memory")
 	}
 }
@@ -36,7 +36,7 @@ func TestAttachRecomputeNoopWhenFeasible(t *testing.T) {
 	g, _ := model.GPT3("350M")
 	s := testSearcher(t, g, 4)
 	cfg := mustBalanced(t, g, 4, 2, 1)
-	if !s.estimate(cfg).Feasible {
+	if !s.estimate(nil, cfg).Feasible {
 		t.Fatal("setup should be feasible")
 	}
 	if got := attachOn(s, cfg); got.Hash() != cfg.Hash() {
@@ -90,12 +90,12 @@ func TestMultiHopFindsImprovement(t *testing.T) {
 	if err := cfg.Validate(g, 4); err != nil {
 		t.Fatal(err)
 	}
-	initScore := s.score(cfg, s.estimate(cfg))
-	bns := Bottlenecks(s.estimate(cfg), s.cluster.MemoryBytes)
+	initScore := s.score(cfg, s.estimate(nil, cfg))
+	bns := Bottlenecks(s.estimate(nil, cfg), s.cluster.MemoryBytes)
 	if bns[0].Stage != 0 {
 		t.Fatalf("expected stage 0 to be the bottleneck, got %d", bns[0].Stage)
 	}
-	found, hops, prim := s.multiHop(cfg, s.estimate(cfg), bns[0], 0, initScore)
+	found, hops, prim := s.multiHop(cfg, s.estimate(nil, cfg), bns[0], 0, initScore)
 	if found == nil {
 		t.Fatal("multiHop found no improvement on a grossly imbalanced pipeline")
 	}
@@ -105,7 +105,7 @@ func TestMultiHopFindsImprovement(t *testing.T) {
 	if hops < 1 || hops > s.opts.MaxHops {
 		t.Errorf("hops = %d, want within [1, %d]", hops, s.opts.MaxHops)
 	}
-	if got := s.score(found, s.estimate(found)); got >= initScore {
+	if got := s.score(found, s.estimate(nil, found)); got >= initScore {
 		t.Errorf("claimed improvement scores %v ≥ initial %v", got, initScore)
 	}
 }
@@ -115,8 +115,8 @@ func TestMultiHopRespectsMaxHops(t *testing.T) {
 	s := testSearcher(t, g, 4)
 	s.opts.MaxHops = 0 // no hops allowed at all
 	cfg := mustBalanced(t, g, 4, 2, 4)
-	bns := Bottlenecks(s.estimate(cfg), s.cluster.MemoryBytes)
-	if found, _, _ := s.multiHop(cfg, s.estimate(cfg), bns[0], 0, 1e30); found != nil {
+	bns := Bottlenecks(s.estimate(nil, cfg), s.cluster.MemoryBytes)
+	if found, _, _ := s.multiHop(cfg, s.estimate(nil, cfg), bns[0], 0, 1e30); found != nil {
 		t.Error("multiHop produced a result with MaxHops=0")
 	}
 }
@@ -128,8 +128,8 @@ func TestMultiHopDeadlineCutoff(t *testing.T) {
 	close(done)
 	s.done = done // already expired
 	cfg := mustBalanced(t, g, 4, 2, 1)
-	bns := Bottlenecks(s.estimate(cfg), s.cluster.MemoryBytes)
-	if found, _, _ := s.multiHop(cfg, s.estimate(cfg), bns[0], 0, 1e30); found != nil {
+	bns := Bottlenecks(s.estimate(nil, cfg), s.cluster.MemoryBytes)
+	if found, _, _ := s.multiHop(cfg, s.estimate(nil, cfg), bns[0], 0, 1e30); found != nil {
 		t.Error("expired search still explored")
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"aceso/internal/hardware"
 	"aceso/internal/model"
 	"aceso/internal/obs"
+	"aceso/internal/perfmodel"
 )
 
 // obsOpts returns deterministic search options: a fixed iteration
@@ -119,6 +120,39 @@ func TestSearchMetricsRegistry(t *testing.T) {
 	}
 	if hits <= 0 {
 		t.Error("stage cache hit snapshot not mirrored (uniform layers should hit)")
+	}
+}
+
+// TestStageCacheCountersAddEachSearch runs three searches into one
+// registry — two on a model of their own each, then the first model's
+// again — and holds each stage-cache counter to the sum of what the
+// searches looked up: the two models' lifetime counts. A counter set to
+// one model's lifetime, or added it whole, reads otherwise.
+func TestStageCacheCountersAddEachSearch(t *testing.T) {
+	g, _ := model.GPT3("350M")
+	cl := hardware.DGX1V100(1).Restrict(4)
+	reg := obs.NewRegistry()
+	big, small := perfmodel.New(g, cl, 7), perfmodel.New(g, cl, 7)
+	for _, pm := range []*perfmodel.Model{big, small, big} {
+		opts := obsOpts()
+		opts.Metrics, opts.Model = reg, pm
+		if pm == small {
+			opts.StageCounts = []int{2}
+		}
+		if _, err := Search(g, cl, opts); err != nil {
+			t.Fatal(err)
+		}
+	}
+	bh, bm := big.StageCacheStats()
+	sh, sm := small.StageCacheStats()
+	if bh == 0 || sm == 0 {
+		t.Fatalf("the searches looked up too little to tell: %d/%d and %d/%d hits/misses", bh, bm, sh, sm)
+	}
+	if got, want := reg.Counter(obs.StageCacheHitsTotal).Value(), int64(bh+sh); got != want {
+		t.Errorf("hits counter %d, want %d + %d = %d", got, bh, sh, want)
+	}
+	if got, want := reg.Counter(obs.StageCacheMissesTotal).Value(), int64(bm+sm); got != want {
+		t.Errorf("misses counter %d, want %d + %d = %d", got, bm, sm, want)
 	}
 }
 

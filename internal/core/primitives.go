@@ -345,7 +345,7 @@ func opKs(buf []int, n int) []int {
 
 func applyDecOps(s *searcher, t *trial, stage int) {
 	cfg := t.base
-	idle := idlestStage(s.estimate(cfg), stage)
+	idle := idlestStage(t.est, stage)
 	if idle < 0 {
 		return
 	}
@@ -435,7 +435,7 @@ func tradeDevices(s *searcher, t *trial, stage int, grow, useDP bool) {
 	if cfg.NumStages() < 2 || !grow && devs < 2 {
 		return
 	}
-	est := s.estimate(cfg)
+	est := t.est
 	dp, ok := rescaleVia(cfg, stage, grow, useDP)
 	if !ok {
 		return
@@ -585,7 +585,7 @@ func applyIncRC(s *searcher, t *trial, stage int) {
 	if t.ops = ops; len(ops) == 0 {
 		return
 	}
-	last, _ := climbRC(s, t.scratch, s.estimate(t.base), stage, ops)
+	last, _ := climbRC(s, t.scratch, t.est, stage, ops)
 	for k := 1; k <= last && len(ops) > 1; k *= 2 {
 		t.moves = append(t.moves, move{kind: setRecompute, stage: stage, on: true, ops: ops[:k]})
 	}

@@ -63,7 +63,7 @@ func TestRandomPrimitiveWalk(t *testing.T) {
 					if c.Hash() != c.Clone().Hash() {
 						t.Fatalf("step %d: hash not stable under clone", steps)
 					}
-					est := s.estimate(c)
+					est := s.estimate(nil, c)
 					if est.IterTime <= 0 || est.PeakMem <= 0 {
 						t.Fatalf("step %d: degenerate estimate %+v", steps, est)
 					}

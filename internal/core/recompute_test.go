@@ -34,7 +34,7 @@ func ladderSearcher(pm *perfmodel.Model, tr obs.Tracer) *searcher {
 // attachOn runs attachRecompute on a trial of cfg and returns the
 // trial's scratch as the ladders left it, until the store's next trial.
 func attachOn(s *searcher, cfg *config.Config) *config.Config {
-	t := s.st.trial(0, cfg)
+	t := node(s, cfg)
 	s.attachRecompute(t)
 	return t.scratch
 }
@@ -62,13 +62,13 @@ func attachRecomputeByClones(s *searcher, cfg *config.Config, stats *ladderStats
 		s.st.recycle(c)
 	}
 	estimate := func(si int, base *perfmodel.Estimate, c *config.Config) *perfmodel.Estimate {
-		e := s.estimate(c)
+		e := s.estimate(nil, c)
 		if stats.rung != nil {
 			stats.rung(si, base, c, e)
 		}
 		return e
 	}
-	e := s.estimate(cfg)
+	e := s.estimate(nil, cfg)
 	if e.Feasible {
 		return cfg
 	}
@@ -279,16 +279,17 @@ func deepRecomputeStart(tb testing.TB, tr obs.Tracer) (*searcher, *config.Config
 // ladder (climbRC) makes no stage-cache lookup and estimates nothing —
 // its stash terms price no operator (TestStashTermsPriceNothing in
 // perfmodel) — and attachRecompute estimates only its picks, one per
-// stage it climbed, each one walk of the pipeline's stages.
+// stage it climbed, on the node's batch: the k-th pick differs from the
+// base in the k stages climbed so far, and looks up only those.
 func TestRecomputeRungLooksUpOneStage(t *testing.T) {
 	var tr estimateKeys
 	s, cfg := deepRecomputeStart(t, &tr)
 	again := 0
 	storeHooks.again = func(*perfmodel.Estimate, bool) { again++ }
 	defer func() { storeHooks.again = nil }()
-	e := s.estimate(cfg)
+	e := s.estimate(nil, cfg)
 	tr = tr[:0]
-	trial := s.st.trial(0, cfg)
+	trial := s.st.trial(s.pm, 0, cfg, e)
 	si := e.OOMStage
 	h0, m0 := s.pm.StageCacheStats()
 	climbRC(s, trial.scratch, e, si, rcRank(s, cfg, si, false))
@@ -307,17 +308,18 @@ func TestRecomputeRungLooksUpOneStage(t *testing.T) {
 	if len(tr) != picks {
 		t.Errorf("attachRecompute climbed %d ladders and made %d first estimates, want one each", picks, len(tr))
 	}
-	if lookups := h1 - h0 + m1 - m0; lookups != uint64(picks*cfg.NumStages()) {
-		t.Errorf("%d picks made %d stage-cache lookups, want %d each", picks, lookups, cfg.NumStages())
+	if lookups, want := h1-h0+m1-m0, uint64(picks*(picks+1)/2); lookups != want {
+		t.Errorf("%d picks made %d stage-cache lookups, want 1 + 2 + … + %d = %d", picks, lookups, picks, want)
 	}
 }
 
 // BenchmarkAttachRecompute times attachRecompute on the start of
-// TestRecomputeRungLooksUpOneStage from an empty memo, the start's own
-// estimate included, and the undo of its ladders.
+// TestRecomputeRungLooksUpOneStage from an empty memo, on the node's
+// batch as the search runs it, the start's own estimate included, and
+// the undo of its ladders.
 func BenchmarkAttachRecompute(b *testing.B) {
 	s, cfg := deepRecomputeStart(b, nil)
-	t := s.st.trial(0, cfg)
+	t := node(s, cfg)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -261,6 +261,7 @@ func SearchContext(ctx context.Context, g *model.Graph, cl hardware.Cluster, opt
 	if pm == nil {
 		pm = perfmodel.New(g, cl, opts.Seed)
 	}
+	hits0, misses0 := pm.StageCacheStats()
 	// What a candidate scores and where each pipeline starts, both
 	// derived from cl (objective.go).
 	obj := newObjective(&cl)
@@ -328,12 +329,12 @@ func SearchContext(ctx context.Context, g *model.Graph, cl hardware.Cluster, opt
 	}
 
 	if opts.Metrics != nil {
-		// Mirror the performance model's own stage-cache counters into
-		// the registry. Set (not Add): a shared Model accumulates across
-		// searches and this snapshot reflects its lifetime totals.
+		// Add the search's own lookups of the model's stage cache to the
+		// registry: a model may be shared and outlive the search, and a
+		// registry shared by many searches, each with its own model.
 		hits, misses := pm.StageCacheStats()
-		opts.Metrics.Counter(obs.StageCacheHitsTotal).Set(int64(hits))
-		opts.Metrics.Counter(obs.StageCacheMissesTotal).Set(int64(misses))
+		opts.Metrics.Counter(obs.StageCacheHitsTotal).Add(int64(hits - hits0))
+		opts.Metrics.Counter(obs.StageCacheMissesTotal).Add(int64(misses - misses0))
 	}
 
 	res := &Result{}
@@ -428,7 +429,9 @@ func newSearchMeters(reg *obs.Registry) *searchMeters {
 	return m
 }
 
-// searcher is the per-stage-count search state.
+// searcher is the per-stage-count search state. A search node's own
+// state — base, estimate, batch, candidates — is its trial, one per
+// multi-hop depth, in st.
 type searcher struct {
 	graph   *model.Graph
 	cluster hardware.Cluster
@@ -446,21 +449,9 @@ type searcher struct {
 	// searchers run serially on it.
 	st *store
 
-	// batches is the stack of batched estimators, one per active
-	// multiHop/fineTune base; batch is its top (nil = full path). The
-	// slots — and their key slices — are reused across pushes at the
-	// same depth, so a push is allocation-free in steady state.
-	batches []perfmodel.Batch
-	batch   *perfmodel.Batch
-
-	// Reusable scratch, hoisted out of the hot path: candsAt[hop] backs
-	// multiHop's per-resource candidate list at recursion depth hop,
-	// bnBufAt[hop] the Bottleneck resource list built for depth hop+1,
-	// pruneBuf prunePool's sort buffer, rcBuf the saved-activation
-	// ranking of the rc primitives and attachRecompute (never live
-	// across nested calls: estimates do not re-enter them).
-	candsAt  [][]Candidate
-	bnBufAt  [][]Resource
+	// Reusable scratch, hoisted out of the hot path: pruneBuf prunePool's
+	// sort buffer, rcBuf the rc primitives' and attachRecompute's ranking
+	// (never live across nested calls: estimates do not re-enter them).
 	pruneBuf poolEntries
 	rcBuf    []rcCand
 	opksBuf  []int
@@ -515,46 +506,23 @@ func (s *searcher) expired() bool {
 	}
 }
 
-// pushBatch makes (cfg, est) the base for batched estimation until the
-// matching popBatch. Stack slots are reused, so steady-state pushes
-// allocate nothing.
-func (s *searcher) pushBatch(cfg *config.Config, est *perfmodel.Estimate) {
-	if n := len(s.batches); n < cap(s.batches) {
-		s.batches = s.batches[:n+1]
-	} else {
-		s.batches = append(s.batches, perfmodel.Batch{})
-	}
-	b := &s.batches[len(s.batches)-1]
-	s.pm.BeginBatch(b, cfg, est, &s.st.ests)
-	s.batch = b
-}
-
-// popBatch restores the enclosing base (nil at the outermost level).
-func (s *searcher) popBatch() {
-	s.batches = s.batches[:len(s.batches)-1]
-	if n := len(s.batches); n > 0 {
-		s.batch = &s.batches[n-1]
-	} else {
-		s.batch = nil
-	}
-}
-
 // estimate memoizes performance-model evaluations by configuration key
-// in the task's memo and counts unique explored configurations. Inside a
-// multiHop/fineTune node the active batch estimator serves the call,
-// sharing the base configuration's per-stage metrics; the resulting
-// estimate is bitwise identical to the full path (see perfmodel.Batch).
-// A key explored with no estimate held — released, or a recompute rung —
-// is estimated when asked, uncounted, and traced only the first time.
-func (s *searcher) estimate(cfg *config.Config) *perfmodel.Estimate {
+// in the task's memo and counts unique explored configurations. The
+// batch of t, the node cfg was made in, serves the call, sharing the
+// base's per-stage metrics; the resulting estimate is bitwise identical
+// to the full walk (see perfmodel.Batch), which serves a nil t: seeds
+// and memo hits. A key explored with no estimate held — released, or a
+// recompute rung — is estimated when asked, uncounted, and traced only
+// the first time.
+func (s *searcher) estimate(t *trial, cfg *config.Config) *perfmodel.Estimate {
 	k := cfg.Key()
 	en := s.st.memo[k]
 	if en.est != nil {
 		return en.est
 	}
 	var e *perfmodel.Estimate
-	if s.batch != nil {
-		e = s.batch.Estimate(cfg)
+	if t != nil {
+		e = t.batch.Estimate(cfg)
 	} else {
 		e = s.pm.EstimateIn(cfg, &s.st.ests)
 	}
@@ -596,17 +564,17 @@ func (s *searcher) explore(k uint64) bool {
 }
 
 // loses reports whether the fine-tune trial c certainly scores no
-// better than best, by the batch base's bound (perfmodel.Batch.Bound)
-// on c's iteration time or peak memory, through the objective's floor,
-// and counts the trial as decided by the bound or by the estimate. A
+// better than best, by t's bound (perfmodel.Batch.Bound) on c's
+// iteration time or peak memory, through the objective's floor, and
+// counts the trial as decided by the bound or by the estimate. A
 // poisoned score is never below an honest best. A losing key is
 // explored with no estimate, whoever observes the search.
-func (s *searcher) loses(c *config.Config, best float64) bool {
+func (s *searcher) loses(t *trial, c *config.Config, best float64) bool {
 	k := c.Key()
 	en := s.st.memo[k]
 	var lo, hi perfmodel.Estimate
 	lost := !trialHooks.exact && en.est == nil && best <= infeasibleScore*poisonedPenalty &&
-		s.batch.Bound(c, &lo, &hi) && lo.Feasible == hi.Feasible
+		t.batch.Bound(c, &lo, &hi) && lo.Feasible == hi.Feasible
 	if lost && lo.Feasible {
 		lost = s.obj.floor(c, lo.IterTime) >= best
 	} else if lost {
@@ -660,7 +628,7 @@ func (s *searcher) run(init *config.Config) ([]Candidate, int, bool) {
 	s.st.visit(init)
 	var topK []Candidate
 	record := func(cfg *config.Config) {
-		e := s.estimate(cfg)
+		e := s.estimate(nil, cfg)
 		cand := Candidate{Config: cfg, Estimate: e, Score: s.score(cfg, e), key: cfg.Key()}
 		topK = insertTopK(topK, cand, s.opts.TopK)
 	}
@@ -684,7 +652,7 @@ func (s *searcher) run(init *config.Config) ([]Candidate, int, bool) {
 		if s.met != nil {
 			t0 = time.Now()
 		}
-		curEst := s.estimate(cur)
+		curEst := s.estimate(nil, cur)
 		initScore := s.score(cur, curEst)
 
 		var found *config.Config
@@ -790,15 +758,13 @@ func (s *searcher) observeIteration(stageCount, iter int, improved bool, bnStage
 // than initScore, recursing up to MaxHops, along with the name of the
 // primitive that produced it (the final hop's primitive).
 //
-// est must be cfg's estimate; it anchors the node's batched estimator,
-// which every candidate of this node, and its recompute ladder's pick,
-// is evaluated against.
+// est must be cfg's estimate. The node is depth hop's trial: every
+// candidate of it, and its recompute ladders' picks, is estimated
+// against cfg.
 func (s *searcher) multiHop(cfg *config.Config, est *perfmodel.Estimate, bn Bottleneck, hop int, initScore float64) (*config.Config, int, string) {
 	if hop >= s.opts.MaxHops || s.expired() {
 		return nil, 0, ""
 	}
-	s.pushBatch(cfg, est)
-	defer s.popBatch()
 	resources := bn.Resources
 	if s.opts.DisableHeuristic2 {
 		resources = append([]Resource(nil), resources...)
@@ -806,10 +772,7 @@ func (s *searcher) multiHop(cfg *config.Config, est *perfmodel.Estimate, bn Bott
 			resources[i], resources[j] = resources[j], resources[i]
 		})
 	}
-	for len(s.candsAt) <= hop {
-		s.candsAt = append(s.candsAt, nil)
-	}
-	t := s.st.trial(hop, cfg)
+	t := s.st.trial(s.pm, hop, cfg, est)
 	for _, res := range resources {
 		prims := Eligible(res, s.opts.ExtendedPrimitives)
 		if s.opts.DisableHeuristic2 {
@@ -818,9 +781,8 @@ func (s *searcher) multiHop(cfg *config.Config, est *perfmodel.Estimate, bn Bott
 				prims[i], prims[j] = prims[j], prims[i]
 			})
 		}
-		// Per-depth scratch: frames at other depths use their own slot,
-		// and the recursion below finishes before this slot is reused.
-		cands := s.candsAt[hop][:0]
+		// The node's own: the recursion below finishes before it is reused.
+		cands := t.cands[:0]
 		for _, prim := range prims {
 			var pc *obs.Counter
 			if s.met != nil {
@@ -853,11 +815,11 @@ func (s *searcher) multiHop(cfg *config.Config, est *perfmodel.Estimate, bn Bott
 				cands = append(cands, cand)
 			}
 			if s.expired() {
-				s.candsAt[hop] = cands
+				t.cands = cands
 				return nil, 0, ""
 			}
 		}
-		s.candsAt[hop] = cands // retain grown capacity across nodes
+		t.cands = cands // retain grown capacity across nodes
 		// Heuristic-2: best estimated performance first.
 		if s.opts.DisableHeuristic2 {
 			s.rng.Shuffle(len(cands), func(i, j int) {
@@ -867,7 +829,7 @@ func (s *searcher) multiHop(cfg *config.Config, est *perfmodel.Estimate, bn Bott
 			sortCands(cands, func(a, b Candidate) bool { return a.less(&b) })
 		}
 		for i := 0; i < min(s.opts.BranchFactor, len(cands)); i++ {
-			nb, ok := s.topBottleneck(hop, cands[i].Estimate)
+			nb, ok := s.topBottleneck(t, cands[i].Estimate)
 			if !ok {
 				continue
 			}
@@ -891,7 +853,7 @@ func (s *searcher) multiHop(cfg *config.Config, est *perfmodel.Estimate, bn Bott
 // fineTune, within t's budget, visit, validate, bound against best —
 // and undoes m and the ladders. A candidate that passes is estimated
 // and scored, and returned when kept: always in multiHop, below best in
-// fineTune, which re-bases t on it. It is the scratch's clone; nothing
+// fineTune, which rebases t on it. It is the scratch's clone; nothing
 // else is copied.
 func (s *searcher) try(t *trial, m *move, fine bool, best float64) (*config.Config, *perfmodel.Estimate, float64) {
 	if fine && t.budget <= 0 || !m.apply(t.scratch) {
@@ -905,7 +867,7 @@ func (s *searcher) try(t *trial, m *move, fine bool, best float64) (*config.Conf
 		// An invalid key stays visited, which only skips its next trial
 		// (validity goes with the key).
 		t.budget--
-		ok = s.st.visit(c) && c.ValidateDelta(s.graph, devs, t.base) == nil && !s.loses(c, best)
+		ok = s.st.visit(c) && c.ValidateDelta(s.graph, devs, t.base) == nil && !s.loses(t, c, best)
 	} else if c.ValidateDelta(s.graph, devs, t.base) == nil {
 		s.attachRecompute(t)
 		if ok = s.st.visit(c); !ok {
@@ -918,7 +880,7 @@ func (s *searcher) try(t *trial, m *move, fine bool, best float64) (*config.Conf
 	var e *perfmodel.Estimate
 	var sc float64
 	if ok {
-		e = s.estimate(c)
+		e = s.estimate(t, c)
 		sc = s.score(c, e)
 		if ok = !fine || sc < best; ok {
 			c = s.st.clone(c)
@@ -929,8 +891,8 @@ func (s *searcher) try(t *trial, m *move, fine bool, best float64) (*config.Conf
 		return nil, nil, 0
 	}
 	if fine {
-		// The scratch follows its new base.
-		t.base = c
+		// The node and its scratch follow the new base.
+		s.st.rebase(s.pm, t, c, e)
 		t.undo(m)
 	}
 	return c, e, sc
@@ -947,7 +909,7 @@ func (s *searcher) try(t *trial, m *move, fine bool, best float64) (*config.Conf
 // unmarking the rungs climbed past it — else the ladder's top. Only the
 // pick is estimated; the key it supersedes is released.
 func (s *searcher) attachRecompute(t *trial) {
-	c, e := t.scratch, s.estimate(t.scratch)
+	c, e := t.scratch, s.estimate(t, t.scratch)
 	for si := 0; si < len(c.Stages) && !e.Feasible; si++ {
 		if e.Stages[si].PeakMem <= e.Stages[si].CapMem {
 			continue
@@ -962,7 +924,7 @@ func (s *searcher) attachRecompute(t *trial) {
 		} else if fit < k {
 			setRC(c, si, rank[fit:k], false)
 		}
-		e = s.estimate(c)
+		e = s.estimate(t, c)
 		s.st.release(prev)
 		t.climbed = append(t.climbed, si)
 	}

@@ -370,12 +370,12 @@ func TestFineTuneFindsDimOrTilingImprovements(t *testing.T) {
 	g, _ := model.WideResNet("0.5B")
 	s := testSearcher(t, g, 8)
 	cfg := mustBalanced(t, g, 8, 1, 8) // tp=8 everywhere
-	before := s.score(cfg, s.estimate(cfg))
+	before := s.score(cfg, s.estimate(nil, cfg))
 	ft := s.fineTune(cfg)
 	if ft == nil {
 		t.Fatal("fine-tune found nothing on an all-tp Wide-ResNet")
 	}
-	after := s.score(ft, s.estimate(ft))
+	after := s.score(ft, s.estimate(nil, ft))
 	if after >= before {
 		t.Errorf("fine-tune did not improve: %.3f → %.3f", before, after)
 	}

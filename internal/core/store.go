@@ -10,32 +10,36 @@ import (
 // store owns the memory of the candidates one worker's tasks make, and
 // is the only code that decides when it is reused (DESIGN.md §5b,
 // *Candidate lifetime*). A candidate is tried as a move on the scratch
-// copy of its base (trial) and undone; the search clones it only to keep
-// it. A kept candidate — a config and, once estimated, its estimate — is
-// visited (its key was taken up, so the pool, the top-K list, a
-// candidate slice or a batch base may hold it) or published (in a
-// Result). Only scratch memory is released. Each task has its own memo
-// (begin … end); the config arena carries dead candidates, and the
-// per-depth trials their scratch copies and move buffers, to the
-// worker's next task and, through handOver, to the next search. Not safe
-// for concurrent use.
+// copy of its node's base (trial) and undone; the search clones it only
+// to keep it. A kept candidate — a config and, once estimated, its
+// estimate — is visited (its key was taken up, so the pool, the top-K
+// list or a node may hold it) or published (in a Result). Only scratch
+// memory is released. Each task has its own memo (begin … end); the
+// config arena carries dead candidates, and the nodes their scratch
+// copies and buffers, to the worker's next task and, through handOver,
+// to the next search. Not safe for concurrent use.
 type store struct {
 	arena  config.Arena
 	ests   perfmodel.EstArena
 	limbo  []*config.Config // evicted, recycled at settle
 	memo   map[uint64]entry // the running task's keys
-	trials []*trial         // by multi-hop depth; fineTune uses depth 0's
+	trials []*trial         // the nodes, by multi-hop depth; fineTune uses depth 0's
 	terms  []float64        // the stash terms of the stage a ladder climbs
 }
 
-// trial is one base's trial state: moves are made on base, each is
-// applied to scratch, judged and undone (searcher.try).
+// trial is one search node (Algorithm 2): a base, its estimate, and what
+// its candidates are made with — each move, made on base, is applied to
+// scratch, estimated by batch against base, judged and undone (try).
 type trial struct {
 	base, scratch *config.Config
+	est           *perfmodel.Estimate // base's
+	batch         perfmodel.Batch
 	moves         []move
-	ops           []rcCand // the operators of the moves' recompute rungs
-	climbed       []int    // the stages attachRecompute marked on scratch
-	budget        int      // fineTune's trials left
+	ops           []rcCand    // the operators of the moves' recompute rungs
+	climbed       []int       // the stages attachRecompute marked on scratch
+	cands         []Candidate // multiHop's candidates of one resource
+	res           []Resource  // the next depth's bottleneck resources
+	budget        int         // fineTune's trials left
 }
 
 // entry is what a task knows of one key.
@@ -82,16 +86,25 @@ func (st *store) clone(cfg *config.Config) *config.Config {
 	return c
 }
 
-// trial returns depth's trial, with base as its base and a scratch copy
-// of base in the memory of the depth's previous scratch.
-func (st *store) trial(depth int, base *config.Config) *trial {
+// trial returns depth's node on base, whose estimate est is: a scratch
+// copy of base in the memory of the depth's previous scratch, and a
+// batch that estimates against base.
+func (st *store) trial(pm *perfmodel.Model, depth int, base *config.Config, est *perfmodel.Estimate) *trial {
 	for len(st.trials) <= depth {
 		st.trials = append(st.trials, new(trial))
 	}
 	t := st.trials[depth]
 	st.arena.Put(t.scratch)
-	t.base, t.scratch, t.climbed = base, base.CloneIn(&st.arena), t.climbed[:0]
+	t.scratch, t.climbed = base.CloneIn(&st.arena), t.climbed[:0]
+	st.rebase(pm, t, base, est)
 	return t
+}
+
+// rebase makes base, whose estimate est is, t's base: fineTune's node
+// moves to each trial that wins.
+func (st *store) rebase(pm *perfmodel.Model, t *trial, base *config.Config, est *perfmodel.Estimate) {
+	t.base, t.est = base, est
+	pm.BeginBatch(&t.batch, base, est, &st.ests)
 }
 
 // visit takes c up: it reports whether c's key is new to the task and
@@ -132,8 +145,8 @@ func (st *store) recycle(c *config.Config) {
 }
 
 // evict parks a config a prune let go: until the top-level iteration
-// ends, a multiHop frame's candidate slice may alias it and a tie may
-// Hash it.
+// ends, an active node's base or candidate slice may alias it and a tie
+// may Hash it.
 func (st *store) evict(c *config.Config) {
 	st.limbo = append(st.limbo, c)
 }
@@ -181,11 +194,17 @@ func takeStores(workers int) *[]store {
 }
 
 // handOver gives a finished search's stores to the next one with only
-// their config arenas and operator records: a Result's estimates point
-// into the estimate arenas' chunks.
+// their config arenas, operator records and nodes' buffers: a Result's
+// estimates point into the estimate arenas' chunks, and a node keeps
+// nothing of the search — base, estimate, batch or candidate, up to its
+// slice's capacity.
 func handOver(ss *[]store) {
 	for i := range *ss {
 		(*ss)[i].ests.Reset()
+		for _, t := range (*ss)[i].trials {
+			clear(t.cands[:cap(t.cands)])
+			t.base, t.est, t.batch = nil, nil, perfmodel.Batch{}
+		}
 	}
 	stores.Put(ss)
 }

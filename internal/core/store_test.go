@@ -141,7 +141,7 @@ func TestReleasedEstimatesAreDead(t *testing.T) {
 // release for a visited key, so no search test holds the guard.
 func TestReleaseSparesVisited(t *testing.T) {
 	s, cfg := deepRecomputeStart(t, nil)
-	e := s.estimate(cfg)
+	e := s.estimate(nil, cfg)
 	s.st.visit(cfg)
 	storeHooks.released = func(uint64, *perfmodel.Estimate) { t.Error("release freed a visited key's estimate") }
 	defer func() { storeHooks.released = nil }()
@@ -500,5 +500,51 @@ func TestOnlyKeptConfigsAreCloned(t *testing.T) {
 				stray, kept, takenUp, won)
 		}
 		return
+	}
+}
+
+// TestHandOverKeepsNoNode runs one search on stores this test holds and,
+// once the search hands them back, checks every node of every store: no
+// base, estimate or batch model, and a candidate slice zero up to its
+// capacity. A pooled store outlives the search, so anything a node kept
+// would keep the search's configs, estimate chunks and model reachable.
+func TestHandOverKeepsNoNode(t *testing.T) {
+	g, err := model.GPT3("2.6B")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ss := &[]store{}
+	for try := 0; ; try++ {
+		for stores.Get() != nil {
+		}
+		stores.Put(ss)
+		if _, err := Search(g, hardware.DGX1V100(2), Options{TimeBudget: time.Hour, MaxIterations: 4, Seed: 1}); err != nil {
+			t.Fatal(err)
+		}
+		if got, _ := stores.Get().(*[]store); got == ss {
+			break
+		}
+		if try == 10 {
+			t.Skip("sync.Pool never handed the stores back in ten tries")
+		}
+	}
+	nodes, cands := 0, 0
+	for i := range *ss {
+		for depth, tr := range (*ss)[i].trials {
+			nodes++
+			cands += cap(tr.cands)
+			if tr.base != nil || tr.est != nil || !reflect.ValueOf(&tr.batch).Elem().FieldByName("m").IsNil() {
+				t.Errorf("store %d, depth %d: the node kept its base, estimate or batch", i, depth)
+			}
+			for j, c := range tr.cands[:cap(tr.cands)] {
+				if c != (Candidate{}) {
+					t.Errorf("store %d, depth %d: candidate %d of %d kept", i, depth, j, cap(tr.cands))
+					break
+				}
+			}
+		}
+	}
+	if nodes < 2 || cands == 0 {
+		t.Fatalf("%d nodes with room for %d candidates: the search went too shallow to tell", nodes, cands)
 	}
 }

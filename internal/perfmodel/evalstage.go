@@ -37,7 +37,8 @@ func (m *Model) EvalStage(start, end, devices, tp, dp int, recompute bool,
 	st := config.UniformStage(start, end, devices, config.OpSetting{TP: tp, DP: dp, Recompute: recompute})
 	// Route through the shared stage memo: the DP baselines enumerate
 	// the same (range, tp, dp) stages under many pipeline contexts.
-	sm := m.stageMetrics(&st, stageKey{st.SubHash(), microBatch, firstDev, inflight, prevDevices}, nil)
+	var sm StageMetrics
+	m.stageMetrics(&sm, &st, stageKey{st.SubHash(), microBatch, firstDev, inflight, prevDevices}, nil)
 	sm.CapMem = m.Cluster.RangeMemory(firstDev, devices)
 	return sm, nil
 }

@@ -210,28 +210,27 @@ func (m *Model) StageCacheStats() (hits, misses uint64) {
 	return m.scHits.Load(), m.scMisses.Load()
 }
 
-// stageMetrics returns the metrics of st under key, its pipeline
+// stageMetrics fills sm with the metrics of st under key, its pipeline
 // context, consulting the shared memo. An Estimate of a
 // Clone-plus-one-mutation neighbor therefore recomputes only the
 // mutated stage; every other stage is a lookup. A miss is evaluated
 // with a's operator records (nil prices every operator).
-func (m *Model) stageMetrics(st *config.Stage, key stageKey, a *EstArena) StageMetrics {
+func (m *Model) stageMetrics(sm *StageMetrics, st *config.Stage, key stageKey, a *EstArena) {
 	if m.DisableStageCache {
-		return m.evalStage(st, key, nil)
-	}
-	if sm, ok := m.scache.Load(key); ok {
+		*sm = m.evalStage(st, key, nil)
+	} else if v, ok := m.scache.Load(key); ok {
 		m.scHits.Add(1)
-		return sm
+		*sm = v
+	} else {
+		m.scMisses.Add(1)
+		*sm = m.evalStage(st, key, a)
+		if m.scache.Len() >= stageCacheCap {
+			// Values are pure functions of keys, so a wholesale reset on
+			// overflow changes no results, only recomputation counts.
+			m.scache.Reset()
+		}
+		m.scache.Store(key, *sm)
 	}
-	m.scMisses.Add(1)
-	sm := m.evalStage(st, key, a)
-	if m.scache.Len() >= stageCacheCap {
-		// Values are pure functions of keys, so a wholesale reset on
-		// overflow changes no results, only recomputation counts.
-		m.scache.Reset()
-	}
-	m.scache.Store(key, sm)
-	return sm
 }
 
 // optBytes returns optimizer-state bytes per parameter.
@@ -289,7 +288,7 @@ func (m *Model) walk(cfg *config.Config, a *EstArena, base *Estimate, baseKeys [
 		if baseKeys != nil && key == baseKeys[si] {
 			*sm = base.Stages[si]
 		} else {
-			*sm = m.stageMetrics(st, key, a)
+			m.stageMetrics(sm, st, key, a)
 			sm.CapMem = m.Cluster.RangeMemory(firstDev, st.Devices)
 		}
 		firstDev += st.Devices

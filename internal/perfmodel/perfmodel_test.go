@@ -345,10 +345,12 @@ func BenchmarkStageMetricsMiss(b *testing.B) {
 	}
 	m.Estimate(cfg)
 	st := &cfg.Stages[1]
+	var sm StageMetrics
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		key := stageKey{st.SubHash(), cfg.MicroBatch, cfg.FirstDev(1), 8 + i, cfg.Stages[0].Devices}
-		sink += m.stageMetrics(st, key, nil).StageTime
+		m.stageMetrics(&sm, st, key, nil)
+		sink += sm.StageTime
 	}
 }
