@@ -38,69 +38,17 @@ func PlacementFor(c *hardware.Cluster, firstDev, size int) Placement {
 	return IntraNode
 }
 
-// linkOf picks the effective link parameters for a placement,
-// including any fault-spec derates (hardware.FaultSpec): a degraded
-// fabric slows every collective that crosses it, which is exactly the
-// signal the search needs to shift communication off the bad links.
-func linkOf(c *hardware.Cluster, p Placement) (bw, lat float64) {
-	if p == InterNode {
-		return c.EffInterBW(), c.EffInterLat()
-	}
-	return c.EffIntraBW(), c.EffIntraLat()
-}
-
-// GroupLink prices the link a contiguous device range communicates
-// over: on a homogeneous cluster it is linkOf; on a heterogeneous one
-// a ring is bottlenecked by its slowest member, so the bandwidth is
-// the minimum and the latency the maximum over the group's classes,
-// composed with the cluster-wide fault-spec link derates the same way
-// EffIntraBW composes them with the scalars.
-func GroupLink(c *hardware.Cluster, first, size int, p Placement) (bw, lat float64) {
-	if len(c.Classes) == 0 {
-		return linkOf(c, p)
-	}
-	if size < 1 {
-		size = 1
-	}
-	ibwS, xbwS, ilatS, xlatS := c.LinkFaultScales()
-	if p == InterNode {
-		bw, lat = c.DeviceInterBW(first), c.DeviceInterLat(first)
-		for d := first + 1; d < first+size; d++ {
-			if v := c.DeviceInterBW(d); v < bw {
-				bw = v
-			}
-			if v := c.DeviceInterLat(d); v > lat {
-				lat = v
-			}
-		}
-		return bw * xbwS, lat * xlatS
-	}
-	bw, lat = c.DeviceIntraBW(first), c.DeviceIntraLat(first)
-	for d := first + 1; d < first+size; d++ {
-		if v := c.DeviceIntraBW(d); v < bw {
-			bw = v
-		}
-		if v := c.DeviceIntraLat(d); v > lat {
-			lat = v
-		}
-	}
-	return bw * ibwS, lat * ilatS
-}
-
 // AllReduceAt returns the time (seconds) for a ring all-reduce of
 // `bytes` over the `size` devices starting at first, priced at that
-// range's link — the slowest class in the group on a mixed fleet.
+// range's link (hardware.Cluster.RangeLink) — the slowest class in the
+// group on a mixed fleet, derated by any fabric fault.
 func AllReduceAt(c *hardware.Cluster, bytes float64, first, size int, p Placement) float64 {
-	bw, lat := GroupLink(c, first, size, p)
-	return allReduceOn(bw, lat, bytes, size)
-}
-
-func allReduceOn(bw, lat, bytes float64, size int) float64 {
 	if size <= 1 || bytes <= 0 {
 		return 0
 	}
+	bw, lat := c.RangeLink(first, size, p == InterNode)
 	g := float64(size)
-	return 2*(g-1)/g*bytes/bw + 2*(g-1)*lat
+	return 2*(g-1)/g*bytes/bw + float64(2*(g-1)*lat)
 }
 
 // AllGatherAt returns the time for a ring all-gather over the device
@@ -108,16 +56,12 @@ func allReduceOn(bw, lat, bytes float64, size int) float64 {
 // (i.e. each contributes bytes/size). A ring reduce-scatter has the
 // same cost shape.
 func AllGatherAt(c *hardware.Cluster, bytes float64, first, size int, p Placement) float64 {
-	bw, lat := GroupLink(c, first, size, p)
-	return allGatherOn(bw, lat, bytes, size)
-}
-
-func allGatherOn(bw, lat, bytes float64, size int) float64 {
 	if size <= 1 || bytes <= 0 {
 		return 0
 	}
+	bw, lat := c.RangeLink(first, size, p == InterNode)
 	g := float64(size)
-	return (g-1)/g*bytes/bw + (g-1)*lat
+	return (g-1)/g*bytes/bw + float64((g-1)*lat)
 }
 
 // P2PAt returns the time to move `bytes` across a pipeline-stage
@@ -127,6 +71,6 @@ func P2PAt(c *hardware.Cluster, bytes float64, first int, p Placement) float64 {
 	if bytes <= 0 {
 		return 0
 	}
-	bw, lat := GroupLink(c, first, 2, p)
+	bw, lat := c.RangeLink(first, 2, p == InterNode)
 	return bytes/bw + lat
 }

@@ -44,15 +44,11 @@ func totalConsumption(est *perfmodel.Estimate) consumption {
 // resource, highest first — with memory in front when the stage is what
 // makes the configuration infeasible, and at the back when the stage is
 // feasible but under memory pressure.
-func resourceOrder(buf []Resource, est *perfmodel.Estimate, si int, tot consumption, memCapacity float64) []Resource {
+func resourceOrder(buf []Resource, est *perfmodel.Estimate, si int, tot consumption) []Resource {
+	// CapMem is the stage's own capacity: a fault-derated or lower-class
+	// device shrinks its budget below the cluster-wide figure.
 	s := &est.Stages[si]
-	// Per-stage capacity: a fault-derated device shrinks its stage's
-	// budget below the cluster-wide figure.
-	cap := memCapacity
-	if s.CapMem > 0 && s.CapMem < cap {
-		cap = s.CapMem
-	}
-	if !est.Feasible && s.PeakMem > cap {
+	if !est.Feasible && s.PeakMem > s.CapMem {
 		// Safety first: resolve memory, then whatever time resource
 		// dominates.
 		buf = append(buf, Mem)
@@ -64,7 +60,7 @@ func resourceOrder(buf []Resource, est *perfmodel.Estimate, si int, tot consumpt
 	}
 	// High memory pressure makes memory-relieving primitives worth
 	// exploring even before an OOM materializes.
-	if est.Feasible && s.PeakMem > 0.9*cap {
+	if est.Feasible && s.PeakMem > 0.9*s.CapMem {
 		buf = append(buf, Mem)
 	}
 	return buf
@@ -74,7 +70,7 @@ func resourceOrder(buf []Resource, est *perfmodel.Estimate, si int, tot consumpt
 // each one's resources by Heuristic-2. The full ranking (not just the
 // top stage) is returned so that the search can fall back to secondary
 // bottlenecks when the primary one cannot be improved (§3.2.3).
-func Bottlenecks(est *perfmodel.Estimate, memCapacity float64) []Bottleneck {
+func Bottlenecks(est *perfmodel.Estimate) []Bottleneck {
 	idx := make([]int, len(est.Stages))
 	for i := range idx {
 		idx[i] = i
@@ -85,18 +81,18 @@ func Bottlenecks(est *perfmodel.Estimate, memCapacity float64) []Bottleneck {
 	tot := totalConsumption(est)
 	out := make([]Bottleneck, 0, len(idx))
 	for _, si := range idx {
-		out = append(out, Bottleneck{Stage: si, Resources: resourceOrder(nil, est, si, tot, memCapacity)})
+		out = append(out, Bottleneck{Stage: si, Resources: resourceOrder(nil, est, si, tot)})
 	}
 	return out
 }
 
-// topBottleneck returns Bottlenecks(est, mem)[0] without building and
+// topBottleneck returns Bottlenecks(est)[0] without building and
 // sorting the full per-stage ranking: the multi-hop branch step only
 // ever consumes the top entry. The top stage is the first index
 // attaining the extreme key (matching the stable sort's tie-break),
 // and the resource list is built into t.res, the buffer of the node
 // that branches, until the recursion consuming it returns.
-func (s *searcher) topBottleneck(t *trial, est *perfmodel.Estimate) (Bottleneck, bool) {
+func topBottleneck(t *trial, est *perfmodel.Estimate) (Bottleneck, bool) {
 	if len(est.Stages) == 0 {
 		return Bottleneck{}, false
 	}
@@ -106,7 +102,7 @@ func (s *searcher) topBottleneck(t *trial, est *perfmodel.Estimate) (Bottleneck,
 			top = i
 		}
 	}
-	t.res = resourceOrder(t.res[:0], est, top, totalConsumption(est), s.cluster.MemoryBytes)
+	t.res = resourceOrder(t.res[:0], est, top, totalConsumption(est))
 	return Bottleneck{Stage: top, Resources: t.res}, true
 }
 

@@ -34,7 +34,7 @@ func TestBottleneckRankingByTime(t *testing.T) {
 	if !est.Feasible {
 		t.Fatal("test setup should be feasible")
 	}
-	bns := Bottlenecks(est, s.cluster.MemoryBytes)
+	bns := Bottlenecks(est)
 	if len(bns) != 2 {
 		t.Fatalf("got %d bottlenecks, want 2", len(bns))
 	}
@@ -56,7 +56,7 @@ func TestBottleneckOOMPrioritizesMemory(t *testing.T) {
 	if est.Feasible {
 		t.Skip("13B unexpectedly fits; test requires OOM")
 	}
-	bns := Bottlenecks(est, s.cluster.MemoryBytes)
+	bns := Bottlenecks(est)
 	if bns[0].Resources[0] != Mem {
 		t.Errorf("OOM bottleneck resources = %v, want Mem first", bns[0].Resources)
 	}
@@ -74,7 +74,7 @@ func TestBottleneckResourceOrderByProportion(t *testing.T) {
 	s := testSearcher(t, g, 4)
 	cfg := mustBalanced(t, g, 4, 2, 1)
 	est := s.estimate(nil, cfg)
-	bns := Bottlenecks(est, s.cluster.MemoryBytes)
+	bns := Bottlenecks(est)
 	for _, bn := range bns {
 		// Comp and Comm must both always be present, in some order.
 		hasComp, hasComm := false, false
@@ -116,8 +116,7 @@ func TestResourceString(t *testing.T) {
 type bottleneckChecker struct {
 	t  *testing.T
 	mu sync.Mutex
-	s  searcher // what topBottleneck reads
-	tr trial    // the buffer it builds into
+	tr trial // the buffer topBottleneck builds into
 
 	feasible, infeasible, pressured int
 }
@@ -127,8 +126,8 @@ func (c *bottleneckChecker) OnIteration(obs.IterationEvent) {}
 func (c *bottleneckChecker) OnEstimate(_ *config.Config, est *perfmodel.Estimate) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	want := Bottlenecks(est, c.s.cluster.MemoryBytes)[0]
-	got, ok := c.s.topBottleneck(&c.tr, est)
+	want := Bottlenecks(est)[0]
+	got, ok := topBottleneck(&c.tr, est)
 	if !ok || got.Stage != want.Stage || !reflect.DeepEqual(got.Resources, want.Resources) {
 		c.t.Errorf("topBottleneck = stage %d %v (ok %v), Bottlenecks[0] = stage %d %v",
 			got.Stage, got.Resources, ok, want.Stage, want.Resources)
@@ -146,7 +145,7 @@ func (c *bottleneckChecker) OnEstimate(_ *config.Config, est *perfmodel.Estimate
 func TestTopBottleneckMatchesBottlenecks(t *testing.T) {
 	g, _ := model.GPT3("350M")
 	cl := hardware.DGX1V100(1).Restrict(4)
-	check := &bottleneckChecker{t: t, s: searcher{cluster: cl}}
+	check := &bottleneckChecker{t: t}
 	// Released keys estimated again are checked too.
 	storeHooks.again = func(e *perfmodel.Estimate, first bool) {
 		if !first {

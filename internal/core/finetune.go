@@ -60,7 +60,7 @@ func (s *searcher) fineTune(cfg *config.Config) *config.Config {
 	}
 
 	// Dim flips, bottleneck stage first for the remaining budget.
-	for _, bn := range Bottlenecks(t.est, s.cluster.MemoryBytes) {
+	for _, bn := range Bottlenecks(t.est) {
 		if s.expired() || t.budget <= 0 {
 			break
 		}

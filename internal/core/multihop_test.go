@@ -91,7 +91,7 @@ func TestMultiHopFindsImprovement(t *testing.T) {
 		t.Fatal(err)
 	}
 	initScore := s.score(cfg, s.estimate(nil, cfg))
-	bns := Bottlenecks(s.estimate(nil, cfg), s.cluster.MemoryBytes)
+	bns := Bottlenecks(s.estimate(nil, cfg))
 	if bns[0].Stage != 0 {
 		t.Fatalf("expected stage 0 to be the bottleneck, got %d", bns[0].Stage)
 	}
@@ -115,7 +115,7 @@ func TestMultiHopRespectsMaxHops(t *testing.T) {
 	s := testSearcher(t, g, 4)
 	s.opts.MaxHops = 0 // no hops allowed at all
 	cfg := mustBalanced(t, g, 4, 2, 4)
-	bns := Bottlenecks(s.estimate(nil, cfg), s.cluster.MemoryBytes)
+	bns := Bottlenecks(s.estimate(nil, cfg))
 	if found, _, _ := s.multiHop(cfg, s.estimate(nil, cfg), bns[0], 0, 1e30); found != nil {
 		t.Error("multiHop produced a result with MaxHops=0")
 	}
@@ -128,7 +128,7 @@ func TestMultiHopDeadlineCutoff(t *testing.T) {
 	close(done)
 	s.done = done // already expired
 	cfg := mustBalanced(t, g, 4, 2, 1)
-	bns := Bottlenecks(s.estimate(nil, cfg), s.cluster.MemoryBytes)
+	bns := Bottlenecks(s.estimate(nil, cfg))
 	if found, _, _ := s.multiHop(cfg, s.estimate(nil, cfg), bns[0], 0, 1e30); found != nil {
 		t.Error("expired search still explored")
 	}

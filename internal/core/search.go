@@ -660,7 +660,7 @@ func (s *searcher) run(init *config.Config) ([]Candidate, int, bool) {
 		hops := 0
 		tries := 0
 		lastBN := -1
-		bns := Bottlenecks(curEst, s.cluster.MemoryBytes)
+		bns := Bottlenecks(curEst)
 		for _, bn := range bns {
 			tries++
 			lastBN = bn.Stage
@@ -829,7 +829,7 @@ func (s *searcher) multiHop(cfg *config.Config, est *perfmodel.Estimate, bn Bott
 			sortCands(cands, func(a, b Candidate) bool { return a.less(&b) })
 		}
 		for i := 0; i < min(s.opts.BranchFactor, len(cands)); i++ {
-			nb, ok := s.topBottleneck(t, cands[i].Estimate)
+			nb, ok := topBottleneck(t, cands[i].Estimate)
 			if !ok {
 				continue
 			}

@@ -35,7 +35,7 @@ type DeviceClass struct {
 
 	// Link overrides; 0 means "inherit the cluster scalar". A group's
 	// links are priced from its slowest member class (min bandwidth,
-	// max latency — see DeviceIntraBW and collective.GroupLink).
+	// max latency — see Cluster.RangeLink).
 	IntraBW  float64
 	InterBW  float64
 	IntraLat float64
@@ -199,89 +199,52 @@ func (c *Cluster) ClassOf(logical int) *DeviceClass {
 	return &c.Classes[c.NodeClass[n]]
 }
 
-// classComputeScale returns the throughput derate of a logical rank's
-// class relative to the scalar envelope at precision p (1 on a
-// homogeneous cluster). Effective throughput is peak × utilization:
-// two classes with equal peaks but different achievable utilization
-// still run at different speeds.
-func (c *Cluster) classComputeScale(logical int, p Precision) float64 {
-	d := c.ClassOf(logical)
-	if d == nil {
-		return 1
+// RangeLink returns the bandwidth and latency of the link the logical
+// range [first, first+size) communicates over, inter- or intra-node. A
+// ring runs at its slowest member, so the bandwidth is the minimum and
+// the latency the maximum over the members' links: a class override
+// where the class sets one, the cluster scalar otherwise. The extremes
+// start from the first member, not the scalar, because Validate lets
+// an override exceed the scalar. The fault spec's fabric derates
+// multiply the result where they are set.
+func (c *Cluster) RangeLink(first, size int, inter bool) (bw, lat float64) {
+	sbw, slat := c.IntraBW, c.IntraLat
+	if inter {
+		sbw, slat = c.InterBW, c.InterLat
 	}
-	ref := c.PeakFLOPS(p) * c.MaxUtil
-	if ref <= 0 {
-		return 1
+	bw, lat = sbw, slat
+	for d := first; d < first+size && len(c.Classes) > 0; d++ {
+		mbw, mlat := sbw, slat
+		if k := c.ClassOf(d); k != nil {
+			kbw, klat := k.IntraBW, k.IntraLat
+			if inter {
+				kbw, klat = k.InterBW, k.InterLat
+			}
+			if kbw > 0 {
+				mbw = kbw
+			}
+			if klat > 0 {
+				mlat = klat
+			}
+		}
+		if d == first || mbw < bw {
+			bw = mbw
+		}
+		if d == first || mlat > lat {
+			lat = mlat
+		}
 	}
-	return clampScale(d.PeakFLOPS(p) * d.MaxUtil / ref)
-}
-
-// classMemory returns the per-device memory of a logical rank's class
-// (the cluster scalar on a homogeneous cluster), before fault derates.
-func (c *Cluster) classMemory(logical int) float64 {
-	if d := c.ClassOf(logical); d != nil {
-		return d.MemoryBytes
+	if f := c.Faults; f != nil {
+		bs, ls := f.IntraBWScale, f.IntraLatScale
+		if inter {
+			bs, ls = f.InterBWScale, f.InterLatScale
+		}
+		if bs != 0 {
+			bw *= clampScale(bs)
+		}
+		if ls != 0 {
+			lat *= ls
+		}
 	}
-	return c.MemoryBytes
-}
-
-// DeviceIntraBW returns the intra-node bandwidth of a logical rank's
-// class before fault derates (the cluster scalar when the class has no
-// override or the cluster is homogeneous).
-func (c *Cluster) DeviceIntraBW(logical int) float64 {
-	if d := c.ClassOf(logical); d != nil && d.IntraBW > 0 {
-		return d.IntraBW
-	}
-	return c.IntraBW
-}
-
-// DeviceInterBW is DeviceIntraBW for the inter-node link.
-func (c *Cluster) DeviceInterBW(logical int) float64 {
-	if d := c.ClassOf(logical); d != nil && d.InterBW > 0 {
-		return d.InterBW
-	}
-	return c.InterBW
-}
-
-// DeviceIntraLat returns the intra-node hop latency of a logical
-// rank's class before fault derates.
-func (c *Cluster) DeviceIntraLat(logical int) float64 {
-	if d := c.ClassOf(logical); d != nil && d.IntraLat > 0 {
-		return d.IntraLat
-	}
-	return c.IntraLat
-}
-
-// DeviceInterLat is DeviceIntraLat for the inter-node link.
-func (c *Cluster) DeviceInterLat(logical int) float64 {
-	if d := c.ClassOf(logical); d != nil && d.InterLat > 0 {
-		return d.InterLat
-	}
-	return c.InterLat
-}
-
-// LinkFaultScales returns the cluster-wide link derates of the
-// attached fault spec as plain multipliers (all 1 when healthy):
-// bandwidth scales in (0, 1], latency scales ≥ 1. Group-range link
-// pricing (collective.GroupLink) composes these with the per-class
-// link parameters the same way EffIntraBW composes them with the
-// scalars.
-func (c *Cluster) LinkFaultScales() (intraBW, interBW, intraLat, interLat float64) {
-	intraBW, interBW, intraLat, interLat = 1, 1, 1, 1
-	if c.Faults == nil {
-		return
-	}
-	if c.Faults.IntraBWScale != 0 {
-		intraBW = clampScale(c.Faults.IntraBWScale)
-	}
-	if c.Faults.InterBWScale != 0 {
-		interBW = clampScale(c.Faults.InterBWScale)
-	}
-	if c.Faults.IntraLatScale != 0 {
-		intraLat = c.Faults.IntraLatScale
-	}
-	if c.Faults.InterLatScale != 0 {
-		interLat = c.Faults.InterLatScale
-	}
-	return
+	return bw, lat
 }

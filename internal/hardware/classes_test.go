@@ -1,6 +1,8 @@
 package hardware
 
 import (
+	"math"
+	"math/rand"
 	"strings"
 	"testing"
 )
@@ -57,8 +59,8 @@ func TestRestrictRefitsFaults(t *testing.T) {
 	if got := small.DeviceFLOPSScale(2, FP16); got != 0.5 {
 		t.Errorf("DeviceFLOPSScale(2) = %v, want 0.5 after refit", got)
 	}
-	if got := small.EffInterBW(); got != small.InterBW*0.5 {
-		t.Errorf("EffInterBW() = %v, want link derate preserved", got)
+	if got, _ := small.RangeLink(0, 8, true); got != small.InterBW*0.5 {
+		t.Errorf("inter-node bandwidth = %v, want link derate preserved", got)
 	}
 	if small.Faults == deg.Faults {
 		t.Error("Restrict shared the old FaultSpec pointer instead of refitting a copy")
@@ -253,17 +255,136 @@ func TestRestrictPreservesClassLayout(t *testing.T) {
 }
 
 func TestGroupLinkDefaults(t *testing.T) {
-	// Homogeneous cluster: the class table is empty and the device link
-	// accessors fall back to the scalars.
+	// Homogeneous cluster: the class table is empty and a device's link
+	// is the scalar.
 	h := DGX1V100(2)
-	if got := h.DeviceIntraBW(3); got != h.IntraBW {
-		t.Errorf("DeviceIntraBW = %v, want scalar %v", got, h.IntraBW)
+	if got, _ := h.RangeLink(3, 1, false); got != h.IntraBW {
+		t.Errorf("intra-node bandwidth = %v, want scalar %v", got, h.IntraBW)
 	}
 	c := A100V100(1, 1)
-	if got := c.DeviceIntraBW(0); got != 300e9 {
-		t.Errorf("A100 DeviceIntraBW = %v, want 300e9", got)
+	if got, _ := c.RangeLink(0, 1, false); got != 300e9 {
+		t.Errorf("A100 intra-node bandwidth = %v, want 300e9", got)
 	}
-	if got := c.DeviceIntraBW(8); got != 130e9 {
-		t.Errorf("V100 DeviceIntraBW = %v, want 130e9", got)
+	if got, _ := c.RangeLink(8, 1, false); got != 130e9 {
+		t.Errorf("V100 intra-node bandwidth = %v, want 130e9", got)
+	}
+}
+
+// TestRangeLink pins RangeLink's bits: the slowest member's class link
+// (or the scalar where its class sets none), times the fabric derates
+// that are set.
+func TestRangeLink(t *testing.T) {
+	degrade := func(c Cluster, f FaultSpec) Cluster {
+		d, err := c.Degrade(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return d
+	}
+	// A V100 class without link overrides inherits the scalars.
+	bare := V100Class()
+	bare.IntraBW, bare.IntraLat = 0, 0
+	inherit := Mixed(8, []int{0, 1}, A100Class(), bare)
+	inherit.IntraBW, inherit.IntraLat = 200e9, 6e-6
+	// Scalars below every class override, which Validate allows: the
+	// extremes must start from the first member, not the scalar.
+	above := A100V100(1, 1)
+	above.IntraBW, above.IntraLat, above.InterBW = 100e9, 1e-6, 10e9
+	for _, c := range []Cluster{inherit, above} {
+		if err := c.Validate(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, tc := range []struct {
+		name            string
+		c               Cluster
+		first, size     int
+		inter           bool
+		wantBW, wantLat float64
+	}{
+		{"healthy intra", DGX1V100(2), 0, 8, false, 130e9, 5e-6},
+		{"healthy inter", DGX1V100(2), 0, 16, true, 12.5e9, 20e-6},
+		{"derated inter", degrade(DGX1V100(2), FaultSpec{InterBWScale: 0.5, InterLatScale: 4}), 0, 16, true, 6.25e9, 80e-6},
+		{"unset scale unchanged", degrade(DGX1V100(2), FaultSpec{InterBWScale: 0.5, InterLatScale: 4}), 0, 8, false, 130e9, 5e-6},
+		{"derated intra", degrade(DGX1V100(2), FaultSpec{IntraBWScale: 0.25, IntraLatScale: 2}), 8, 8, false, 32.5e9, 10e-6},
+		{"a100 node", A100V100(1, 1), 0, 8, false, 300e9, 4e-6},
+		{"v100 node", A100V100(1, 1), 8, 8, false, 130e9, 5e-6},
+		{"across classes intra", A100V100(1, 1), 4, 8, false, 130e9, 5e-6},
+		{"across classes inter", A100V100(1, 1), 0, 16, true, 12.5e9, 20e-6},
+		{"derated classes", degrade(A100V100(1, 1), FaultSpec{InterBWScale: 0.5}), 4, 8, true, 6.25e9, 20e-6},
+		{"inherited scalar", inherit, 8, 8, false, 200e9, 6e-6},
+		{"inherited scalar across", inherit, 0, 16, false, 200e9, 6e-6},
+		{"override above scalar", above, 0, 16, false, 130e9, 5e-6},
+		{"override above scalar, one class", above, 0, 8, true, 12.5e9, 20e-6},
+	} {
+		bw, lat := tc.c.RangeLink(tc.first, tc.size, tc.inter)
+		if bw != tc.wantBW || lat != tc.wantLat {
+			t.Errorf("%s: RangeLink(%d, %d, %v) = (%v, %v), want (%v, %v)",
+				tc.name, tc.first, tc.size, tc.inter, bw, lat, tc.wantBW, tc.wantLat)
+		}
+	}
+}
+
+// TestRangeLinkIsSlowestMember: on random mixed fleets with random
+// link overrides, fabric derates and dead devices, a range's link is
+// the minimum bandwidth and maximum latency of its members' one-device
+// links, bit for bit.
+func TestRangeLinkIsSlowestMember(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	override := func(max float64) float64 {
+		if rng.Intn(3) == 0 {
+			return 0 // inherit the scalar
+		}
+		return max * (0.1 + rng.Float64())
+	}
+	scale := func(lo, hi float64) float64 {
+		if rng.Intn(2) == 0 {
+			return 0 // unchanged
+		}
+		return lo + (hi-lo)*rng.Float64()
+	}
+	for trial := 0; trial < 300; trial++ {
+		classes := make([]DeviceClass, 1+rng.Intn(3))
+		for i := range classes {
+			classes[i] = V100Class()
+			classes[i].IntraBW, classes[i].InterBW = override(300e9), override(25e9)
+			classes[i].IntraLat, classes[i].InterLat = override(5e-6), override(20e-6)
+		}
+		nodeClass := make([]int, 1+rng.Intn(5))
+		for i := range nodeClass {
+			nodeClass[i] = rng.Intn(len(classes))
+		}
+		c := Mixed(1+rng.Intn(8), nodeClass, classes...)
+		// Scalars drawn from the overrides' range, so some overrides
+		// exceed them.
+		c.IntraBW, c.InterBW = 300e9*(0.1+rng.Float64()), 25e9*(0.1+rng.Float64())
+		c.IntraLat, c.InterLat = 5e-6*(0.1+rng.Float64()), 20e-6*(0.1+rng.Float64())
+		f := FaultSpec{
+			IntraBWScale: scale(0.01, 1), InterBWScale: scale(0.01, 1),
+			IntraLatScale: scale(1, 10), InterLatScale: scale(1, 10),
+		}
+		for d := 0; d < c.physTotal()-1; d++ {
+			if rng.Intn(6) == 0 {
+				f.Devices = append(f.Devices, DeviceFault{Device: d, Dead: true})
+			}
+		}
+		c, err := c.Degrade(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := c.TotalDevices()
+		first := rng.Intn(n)
+		size := 1 + rng.Intn(n-first)
+		for _, inter := range []bool{false, true} {
+			wantBW, wantLat := c.RangeLink(first, 1, inter)
+			for d := first + 1; d < first+size; d++ {
+				bw, lat := c.RangeLink(d, 1, inter)
+				wantBW, wantLat = math.Min(wantBW, bw), math.Max(wantLat, lat)
+			}
+			if bw, lat := c.RangeLink(first, size, inter); bw != wantBW || lat != wantLat {
+				t.Fatalf("trial %d: RangeLink(%d, %d, %v) = (%v, %v), want the members' (%v, %v)",
+					trial, first, size, inter, bw, lat, wantBW, wantLat)
+			}
+		}
 	}
 }

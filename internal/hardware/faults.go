@@ -233,7 +233,14 @@ func clampScale(v float64) float64 {
 // fault derates (a throttled device) compose by multiplication: a
 // throttled slow device is slower than either effect alone.
 func (c *Cluster) DeviceFLOPSScale(logical int, p Precision) float64 {
-	s := c.classComputeScale(logical, p)
+	s := 1.0
+	if k := c.ClassOf(logical); k != nil {
+		// Effective throughput is peak × utilization: two classes with
+		// equal peaks but different ceilings still run at different speeds.
+		if ref := c.PeakFLOPS(p) * c.MaxUtil; ref > 0 {
+			s = clampScale(k.PeakFLOPS(p) * k.MaxUtil / ref)
+		}
+	}
 	if d := c.deviceFault(logical); d != nil {
 		s *= clampScale(d.FLOPSScale)
 	}
@@ -243,7 +250,10 @@ func (c *Cluster) DeviceFLOPSScale(logical int, p Precision) float64 {
 // DeviceMemory returns the usable memory of one logical rank: its
 // class capacity derated by any memory fault.
 func (c *Cluster) DeviceMemory(logical int) float64 {
-	mem := c.classMemory(logical)
+	mem := c.MemoryBytes
+	if k := c.ClassOf(logical); k != nil {
+		mem = k.MemoryBytes
+	}
 	if d := c.deviceFault(logical); d != nil {
 		mem *= clampScale(d.MemScale)
 	}
@@ -290,36 +300,4 @@ func (c *Cluster) RangeMemory(first, size int) float64 {
 // cluster (the normalizer for infeasibility penalties).
 func (c *Cluster) MinDeviceMemory() float64 {
 	return c.RangeMemory(0, c.TotalDevices())
-}
-
-// EffIntraBW returns the intra-node bandwidth after link faults.
-func (c *Cluster) EffIntraBW() float64 {
-	if c.Faults == nil || c.Faults.IntraBWScale == 0 {
-		return c.IntraBW
-	}
-	return c.IntraBW * clampScale(c.Faults.IntraBWScale)
-}
-
-// EffInterBW returns the inter-node bandwidth after link faults.
-func (c *Cluster) EffInterBW() float64 {
-	if c.Faults == nil || c.Faults.InterBWScale == 0 {
-		return c.InterBW
-	}
-	return c.InterBW * clampScale(c.Faults.InterBWScale)
-}
-
-// EffIntraLat returns the intra-node latency after link faults.
-func (c *Cluster) EffIntraLat() float64 {
-	if c.Faults == nil || c.Faults.IntraLatScale == 0 {
-		return c.IntraLat
-	}
-	return c.IntraLat * c.Faults.IntraLatScale
-}
-
-// EffInterLat returns the inter-node latency after link faults.
-func (c *Cluster) EffInterLat() float64 {
-	if c.Faults == nil || c.Faults.InterLatScale == 0 {
-		return c.InterLat
-	}
-	return c.InterLat * c.Faults.InterLatScale
 }

@@ -116,14 +116,15 @@ func TestLinkDerates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := deg.EffInterBW(); got != 0.5*cl.InterBW {
-		t.Errorf("EffInterBW = %v, want %v", got, 0.5*cl.InterBW)
+	bw, lat := deg.RangeLink(0, 16, true)
+	if bw != 0.5*cl.InterBW {
+		t.Errorf("inter-node bandwidth = %v, want %v", bw, 0.5*cl.InterBW)
 	}
-	if got := deg.EffInterLat(); got != 4*cl.InterLat {
-		t.Errorf("EffInterLat = %v, want %v", got, 4*cl.InterLat)
+	if lat != 4*cl.InterLat {
+		t.Errorf("inter-node latency = %v, want %v", lat, 4*cl.InterLat)
 	}
 	// Unset scales (0) leave the intra-node link unchanged.
-	if deg.EffIntraBW() != cl.IntraBW || deg.EffIntraLat() != cl.IntraLat {
+	if bw, lat := deg.RangeLink(0, 8, false); bw != cl.IntraBW || lat != cl.IntraLat {
 		t.Error("unset link scales must mean unchanged")
 	}
 }

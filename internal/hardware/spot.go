@@ -8,9 +8,9 @@
 //
 // Representation follows the class/derate discipline of classes.go:
 // capacity is a property of a DeviceClass, so a homogeneous cluster
-// (len(Classes) == 0) is hazard-free by construction and every accessor
-// below has the same fast path that keeps hazard-free searches
-// bit-identical (the explored=24701 rows of core's determinism.json).
+// (len(Classes) == 0) is hazard-free by construction: its ranges sum
+// to +0, and the search switches to the risk-aware objective only when
+// HasSpot reports a live hazard.
 package hardware
 
 import "fmt"
@@ -66,25 +66,11 @@ func ReservedSpotV100(devicesPerNode, reservedNodes, spotNodes int, hazardPerHou
 		V100Class(), AsSpot(V100Class(), hazardPerHour, noticeSeconds))
 }
 
-// SpotOf returns the device class of a logical rank when that class is
-// spot capacity, or nil for reserved devices and homogeneous clusters.
-// Fast path: a cluster without classes has no spot capacity.
-func (c *Cluster) SpotOf(logical int) *DeviceClass {
-	if len(c.Classes) == 0 {
-		return nil
-	}
-	d := c.ClassOf(logical)
-	if d == nil || d.Capacity != Spot {
-		return nil
-	}
-	return d
-}
-
 // DeviceHazard returns the preemption hazard rate (expected
 // preemptions per hour) of a logical rank: the class rate for spot
 // devices, 0 for reserved devices and homogeneous clusters.
 func (c *Cluster) DeviceHazard(logical int) float64 {
-	if d := c.SpotOf(logical); d != nil {
+	if d := c.ClassOf(logical); d != nil && d.Capacity == Spot {
 		return d.HazardRate
 	}
 	return 0
@@ -94,13 +80,8 @@ func (c *Cluster) DeviceHazard(logical int) float64 {
 // preemptions per hour) over the contiguous logical device range
 // [first, first+size). Poisson hazards compose by addition: losing
 // *any* device of a group stalls the group, so the group's reclaim
-// rate is the sum of its members'. Fast path: hazard-free clusters
-// (no device classes) return 0 without touching per-device state, so
-// hazard-free searches stay bit-identical.
+// rate is the sum of its members'.
 func (c *Cluster) RangeHazard(first, size int) float64 {
-	if len(c.Classes) == 0 {
-		return 0
-	}
 	var sum float64
 	for d := first; d < first+size; d++ {
 		sum += c.DeviceHazard(d)
@@ -124,9 +105,6 @@ func (c *Cluster) HasSpot() bool {
 // the risk-blind twin used by benchmarks to measure what ignoring the
 // hazard costs.
 func (c Cluster) StripHazard() Cluster {
-	if len(c.Classes) == 0 {
-		return c
-	}
 	classes := append([]DeviceClass(nil), c.Classes...)
 	for i := range classes {
 		classes[i].Capacity = Reserved

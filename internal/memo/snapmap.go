@@ -102,12 +102,13 @@ func (t *table[K, V]) slot(h uint64, k K) *atomic.Pointer[entry[K, V]] {
 	}
 }
 
-// Load returns the memoized value for k.
-func (m *SnapMap[K, V]) Load(k K) (V, bool) {
-	var zero V
+// Load copies the memoized value for k into *dst and reports whether
+// there is one; a miss leaves *dst as it was. Loading into the
+// caller's value copies a large V once, not once out and once in.
+func (m *SnapMap[K, V]) Load(k K, dst *V) bool {
 	t := m.tab.Load()
 	if t == nil {
-		return zero, false
+		return false
 	}
 	h := k.Hash()
 	for i := h & t.mask; ; i = (i + 1) & t.mask {
@@ -115,10 +116,11 @@ func (m *SnapMap[K, V]) Load(k K) (V, bool) {
 		// fill a free slot with another key's entry.
 		e := t.slots[i].Load()
 		if e == nil {
-			return zero, false
+			return false
 		}
 		if e.hash == h && e.key == k {
-			return e.val, true
+			*dst = e.val
+			return true
 		}
 	}
 }

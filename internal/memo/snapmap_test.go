@@ -20,14 +20,18 @@ func (clashKey) Hash() uint64 { return 7 }
 
 func TestSnapMapBasics(t *testing.T) {
 	var m SnapMap[intKey, string]
-	if _, ok := m.Load(1); ok {
-		t.Fatal("empty map reported a hit")
+	v := "kept"
+	if m.Load(1, &v) || v != "kept" {
+		t.Fatalf("empty map: Load(1) = %q; want a miss that leaves the destination", v)
 	}
 	m.Store(1, "one")
 	m.Store(2, "two")
 	m.Store(1, "one") // a racing recomputation stores the same pair again
-	if v, ok := m.Load(1); !ok || v != "one" {
+	if ok := m.Load(1, &v); !ok || v != "one" {
 		t.Fatalf("Load(1) = %q, %v; want \"one\", true", v, ok)
+	}
+	if v = "kept"; m.Load(3, &v) || v != "kept" {
+		t.Fatalf("Load(3) = %q; want a miss that leaves the destination", v)
 	}
 	if got := m.Len(); got != 2 {
 		t.Fatalf("Len = %d, want 2", got)
@@ -40,12 +44,13 @@ func TestSnapMapCollidingHashes(t *testing.T) {
 	for i := 0; i < n; i++ {
 		m.Store(clashKey(i), i+1)
 	}
+	var v int
 	for i := 0; i < n; i++ {
-		if v, ok := m.Load(clashKey(i)); !ok || v != i+1 {
+		if ok := m.Load(clashKey(i), &v); !ok || v != i+1 {
 			t.Fatalf("Load(%d) = %d, %v; want %d, true", i, v, ok, i+1)
 		}
 	}
-	if _, ok := m.Load(clashKey(n)); ok {
+	if m.Load(clashKey(n), &v) {
 		t.Fatal("absent key with a colliding hash reported a hit")
 	}
 }
@@ -61,8 +66,9 @@ func TestSnapMapFill(t *testing.T) {
 	if got := m.Len(); got != n {
 		t.Fatalf("Len = %d, want %d", got, n)
 	}
+	var v int
 	for i := 0; i < n; i++ {
-		if v, ok := m.Load(intKey(i)); !ok || v != i*i {
+		if ok := m.Load(intKey(i), &v); !ok || v != i*i {
 			t.Fatalf("Load(%d) = %d, %v; want %d, true", i, v, ok, i*i)
 		}
 	}
@@ -70,11 +76,11 @@ func TestSnapMapFill(t *testing.T) {
 	if got := m.Len(); got != 0 {
 		t.Fatalf("Len after Reset = %d, want 0", got)
 	}
-	if _, ok := m.Load(1); ok {
+	if m.Load(1, &v) {
 		t.Fatal("Reset kept an entry")
 	}
 	m.Store(3, 9)
-	if v, ok := m.Load(3); !ok || v != 9 || m.Len() != 1 {
+	if ok := m.Load(3, &v); !ok || v != 9 || m.Len() != 1 {
 		t.Fatalf("after Reset, Store: Load(3) = %d, %v, Len %d; want 9, true, 1", v, ok, m.Len())
 	}
 }
@@ -101,10 +107,11 @@ func TestSnapMapConcurrent(t *testing.T) {
 			defer rd.Done()
 			started.Done()
 			var seen [keys]bool
+			var v int
 			for !stop.Load() {
 				for i := 0; i < keys; i++ {
 					k := (i*7 + r*1031) % keys
-					v, ok := m.Load(intKey(k))
+					ok := m.Load(intKey(k), &v)
 					switch {
 					case ok && v != k*3:
 						t.Errorf("Load(%d) = %d, want %d", k, v, k*3)
@@ -125,9 +132,10 @@ func TestSnapMapConcurrent(t *testing.T) {
 		go func(w int) {
 			defer wr.Done()
 			// Writers overlap on purpose: each key is stored by two of them.
+			var v int
 			for i := 0; i < keys/2; i++ {
 				k := (w*keys/4 + i) % keys
-				if _, ok := m.Load(intKey(k)); !ok {
+				if !m.Load(intKey(k), &v) {
 					m.Store(intKey(k), k*3)
 				}
 				if i%64 == 0 {
@@ -142,8 +150,9 @@ func TestSnapMapConcurrent(t *testing.T) {
 	if got := m.Len(); got != keys {
 		t.Fatalf("Len = %d, want %d", got, keys)
 	}
+	var v int
 	for k := 0; k < keys; k++ {
-		if v, ok := m.Load(intKey(k)); !ok || v != k*3 {
+		if ok := m.Load(intKey(k), &v); !ok || v != k*3 {
 			t.Fatalf("after run: Load(%d) = %d, %v; want %d, true", k, v, ok, k*3)
 		}
 	}
@@ -187,8 +196,9 @@ func BenchmarkSnapMapLoadHit(b *testing.B) {
 		m.Store(intKey(i), i)
 	}
 	b.ResetTimer()
+	var v int
 	for i := 0; i < b.N; i++ {
-		v, _ := m.Load(intKey(i & (n - 1)))
+		m.Load(intKey(i&(n-1)), &v)
 		sink += v
 	}
 }

@@ -93,7 +93,7 @@ const (
 // seconds: decades from 100 µs to 100 s.
 var SecondsBuckets = []float64{1e-4, 1e-3, 1e-2, 0.1, 1, 10, 100}
 
-// Counter is a monotonic (or Set-overwritten snapshot) integer metric.
+// Counter is a monotonic integer metric.
 type Counter struct {
 	v atomic.Int64
 }
@@ -103,10 +103,6 @@ func (c *Counter) Inc() { c.v.Add(1) }
 
 // Add adds n.
 func (c *Counter) Add(n int64) { c.v.Add(n) }
-
-// Set overwrites the value — for snapshot-style gauges mirrored from
-// another subsystem's own counters (the perfmodel stage cache).
-func (c *Counter) Set(n int64) { c.v.Store(n) }
 
 // Value returns the current value.
 func (c *Counter) Value() int64 { return c.v.Load() }

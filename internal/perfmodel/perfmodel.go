@@ -218,9 +218,8 @@ func (m *Model) StageCacheStats() (hits, misses uint64) {
 func (m *Model) stageMetrics(sm *StageMetrics, st *config.Stage, key stageKey, a *EstArena) {
 	if m.DisableStageCache {
 		*sm = m.evalStage(st, key, nil)
-	} else if v, ok := m.scache.Load(key); ok {
+	} else if m.scache.Load(key, sm) {
 		m.scHits.Add(1)
-		*sm = v
 	} else {
 		m.scMisses.Add(1)
 		*sm = m.evalStage(st, key, a)

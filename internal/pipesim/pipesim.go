@@ -351,7 +351,6 @@ func SimulateEffects(pm *perfmodel.Model, cfg *config.Config, seed int64, sched 
 		StageBusy:    make([]float64, p),
 		StageOOM:     make([]bool, p),
 	}
-	firstDev := 0
 	for i := 0; i < p; i++ {
 		t := stageFree[i] + est.Stages[i].DPSync
 		res.StageTime[i] = t
@@ -371,15 +370,10 @@ func SimulateEffects(pm *perfmodel.Model, cfg *config.Config, seed int64, sched 
 		// Fault- and class-aware capacity: a derated or lower-class
 		// device shrinks its stage's budget (CapMem ==
 		// Cluster.MemoryBytes on healthy homogeneous hardware).
-		cap := est.Stages[i].CapMem
-		if cap <= 0 {
-			cap = pm.Cluster.RangeMemory(firstDev, cfg.Stages[i].Devices)
-		}
-		if mem > cap {
+		if mem > est.Stages[i].CapMem {
 			res.StageOOM[i] = true
 			res.OOM = true
 		}
-		firstDev += cfg.Stages[i].Devices
 	}
 	for i := 0; i < p; i++ {
 		if res.IterTime > 0 {

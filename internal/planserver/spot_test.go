@@ -53,12 +53,12 @@ func TestClusterSpecBuildSpotCapacity(t *testing.T) {
 	if h := cl.DeviceHazard(cl.DevicesPerNode); h != 0.5 {
 		t.Fatalf("spot device hazard %v, want 0.5", h)
 	}
-	sc := cl.SpotOf(cl.DevicesPerNode)
-	if sc == nil || sc.NoticeSeconds != 30 {
-		t.Fatalf("SpotOf(spot device) = %+v, want notice 30s", sc)
+	sc := cl.ClassOf(cl.DevicesPerNode)
+	if sc == nil || sc.Capacity != hardware.Spot || sc.NoticeSeconds != 30 {
+		t.Fatalf("ClassOf(spot device) = %+v, want spot with notice 30s", sc)
 	}
-	if cl.SpotOf(0) != nil {
-		t.Fatal("SpotOf(reserved device) is non-nil")
+	if rc := cl.ClassOf(0); rc == nil || rc.Capacity == hardware.Spot {
+		t.Fatalf("ClassOf(reserved device) = %+v, want reserved", rc)
 	}
 
 	// Unknown capacity strings are a 4xx-shaped typed error, not a

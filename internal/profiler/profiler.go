@@ -196,10 +196,10 @@ func New(c hardware.Cluster, seed int64) *Profiler {
 // collPerturb memoizes the perturbation multiplier for a collective.
 func (p *Profiler) collPerturb(kind byte, group int, pl collective.Placement) float64 {
 	key := collKey{kind, group, pl}
-	if v, ok := p.cmult.Load(key); ok {
-		return v
-	}
 	var m float64
+	if p.cmult.Load(key, &m) {
+		return m
+	}
 	// Byte-identical to fmt.Sprintf("%c|%d|%d", kind, group, pl): kind
 	// is always an ASCII letter, so %c emits the byte itself.
 	var buf [32]byte
