@@ -328,7 +328,7 @@ func CheckRun(rep *elastic.Report, refLosses []float64, ref *runtime.Params) *Vi
 	}
 	// Recovery must cost wall time only, never training fidelity.
 	for i := range refLosses {
-		if math.Abs(rep.Losses[i]-refLosses[i]) > RejoinTol {
+		if !(math.Abs(rep.Losses[i]-refLosses[i]) <= RejoinTol) {
 			return violation("diverged", "loss[%d] %.15g vs uninterrupted %.15g", i, rep.Losses[i], refLosses[i])
 		}
 	}

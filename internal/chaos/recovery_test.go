@@ -1,10 +1,12 @@
 package chaos
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
 	"aceso/internal/elastic"
+	"aceso/internal/runtime"
 )
 
 // TestRandomSpecsAlwaysValid: every generated schedule passes the
@@ -65,5 +67,15 @@ func TestRandomSpotSpecMixesNotices(t *testing.T) {
 	}
 	if !windowed {
 		t.Error("no notice ever carried a positive window")
+	}
+}
+
+// TestCheckRunRejectsNaNReference: a NaN reference loss is a
+// divergence, not a match (the run's own losses are checked finite).
+func TestCheckRunRejectsNaNReference(t *testing.T) {
+	ref := &runtime.Params{Step: 2}
+	rep := &elastic.Report{FinalStep: 2, Losses: []float64{1, 1}, Steps: []int{1, 2}, Params: ref}
+	if v := CheckRun(rep, []float64{1, math.NaN()}, ref); v == nil || v.Kind != "diverged" {
+		t.Errorf("NaN reference loss: violation %+v, want diverged", v)
 	}
 }

@@ -280,10 +280,10 @@ func (d *decoder) tensorShard() (TensorShard, error) {
 			return sh, err
 		}
 		if f.dst == nil {
-			if v >= uint32(numTensorKinds) {
+			if v >= uint32(runtime.NumTensorKinds) {
 				return sh, d.fail(fmt.Sprintf("unknown tensor kind %d", v))
 			}
-			sh.Kind = TensorKind(v)
+			sh.Kind = runtime.TensorKind(v)
 			continue
 		}
 		if v > maxDim {

@@ -1,6 +1,9 @@
 package elastic
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
 	"errors"
 	"math/rand"
 	"os"
@@ -63,7 +66,14 @@ func uniformCfg(t testing.TB, g *model.Graph, stages, devPerStage, tp, dp, mbs i
 // trainedState returns a sharded state with real Adam moments.
 func trainedState(t *testing.T, g *model.Graph, cfg *config.Config) (*State, *runtime.Params) {
 	t.Helper()
-	p := runtime.InitParams(g, 7)
+	return trainedStateOf(t, g, runtime.InitParams(g, 7), cfg)
+}
+
+// trainedStateOf trains p two Adam steps on trainData, which fits any
+// graph whose batch spans batch rows of dim columns, and shards it
+// under cfg.
+func trainedStateOf(t *testing.T, g *model.Graph, p *runtime.Params, cfg *config.Config) (*State, *runtime.Params) {
+	t.Helper()
 	p.Opt = runtime.Adam
 	x, y := trainData(42)
 	if _, err := runtime.Serial(g, p, x, y, cfg.MicroBatch, lr, 2); err != nil {
@@ -126,6 +136,31 @@ func TestSaveLoadAtomic(t *testing.T) {
 	}
 	if d := p.MaxDiff(q); d != 0 {
 		t.Fatalf("loaded state differs by %g", d)
+	}
+}
+
+// TestEncodeMatchesDigest pins the checkpoint bytes of one fixed Adam
+// state: MLPWithNorm trained two Serial steps, sharded under pp2×tp2.
+// Equal digests mean the same shards, in the same order within each
+// rank, carrying the same float bits; the format is versioned, so
+// these bytes may change only with FormatVersion.
+func TestEncodeMatchesDigest(t *testing.T) {
+	g, err := model.MLPWithNorm(2, dim, batch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, _ := trainedState(t, g, uniformCfg(t, g, 2, 2, 2, 1, 4))
+	raw, err := os.ReadFile(filepath.Join("testdata", "encode_digests.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]string{}
+	if err := json.Unmarshal(raw, &want); err != nil {
+		t.Fatal(err)
+	}
+	sum := sha256.Sum256(Encode(st))
+	if got := hex.EncodeToString(sum[:]); got != want["mlpln-pp2tp2"] {
+		t.Errorf("Encode sha256 %s, golden %s", got, want["mlpln-pp2tp2"])
 	}
 }
 
@@ -195,6 +230,29 @@ func TestAssembleRejectsGapsAndOverlaps(t *testing.T) {
 		Ranks: append(append([]RankShard(nil), st.Ranks...), st.Ranks[0])}
 	if _, err := AssembleState(dup); err == nil {
 		t.Fatal("assembly with duplicated shards succeeded")
+	}
+
+	// Missing tensor: drop every shard of op 0's kind k. The rest still
+	// covers exactly, so only the required set can catch it — and must,
+	// before Reshard cuts the incomplete state.
+	for _, k := range []runtime.TensorKind{runtime.B, runtime.MB} {
+		cut := &State{Step: st.Step, Seed: st.Seed, Opt: st.Opt}
+		for _, rs := range st.Ranks {
+			kept := RankShard{Rank: rs.Rank}
+			for _, sh := range rs.Tensors {
+				if sh.Op != 0 || sh.Kind != k {
+					kept.Tensors = append(kept.Tensors, sh)
+				}
+			}
+			cut.Ranks = append(cut.Ranks, kept)
+		}
+		var mt *runtime.MissingTensorError
+		if _, err := AssembleState(cut); !errors.As(err, &mt) || mt.Op != 0 || mt.Kind != k {
+			t.Errorf("assembly without op 0's %v: err = %v, want *runtime.MissingTensorError", k, err)
+		}
+		if _, err := Reshard(g, cfg, cut); !errors.As(err, &mt) {
+			t.Errorf("reshard without op 0's %v: err = %v, want *runtime.MissingTensorError", k, err)
+		}
 	}
 }
 

@@ -13,11 +13,12 @@ import (
 	"aceso/internal/tensor"
 )
 
-// FuzzCheckpointLoadNeverPanics pins the decoder's robustness contract:
+// FuzzCheckpointLoadNeverPanics pins the loader's robustness contract:
 // arbitrary, truncated or bit-flipped bytes must come back as a typed
-// error — never a panic, never a runaway allocation. Checkpoints are
-// the recovery path; a decoder that crashes on a torn file turns a
-// survivable fault into an unrecoverable one.
+// error — never a panic, never a runaway allocation — from Decode,
+// from AssembleState and from the Reshard a recovery runs next.
+// Checkpoints are the recovery path; a loader that crashes on a torn
+// file turns a survivable fault into an unrecoverable one.
 func FuzzCheckpointLoadNeverPanics(f *testing.F) {
 	g, err := model.MLP(2, 4, 4)
 	if err != nil {
@@ -46,6 +47,18 @@ func FuzzCheckpointLoadNeverPanics(f *testing.F) {
 		mut[off] ^= 0x80
 		f.Add(mut)
 	}
+	// One shard dropped under a valid checksum: the plan keeps op 0's
+	// tensors whole, so its MB goes missing without a coverage gap.
+	dropped := *st
+	dropped.Ranks = append([]RankShard(nil), st.Ranks...)
+	for ri, rs := range dropped.Ranks {
+		for ti, sh := range rs.Tensors {
+			if sh.Op == 0 && sh.Kind == runtime.MB {
+				dropped.Ranks[ri].Tensors = append(append([]TensorShard(nil), rs.Tensors[:ti]...), rs.Tensors[ti+1:]...)
+			}
+		}
+	}
+	f.Add(Encode(&dropped))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		st, err := Decode(data)
@@ -56,12 +69,23 @@ func FuzzCheckpointLoadNeverPanics(f *testing.F) {
 			return
 		}
 		// Whatever decoded must survive the rest of the pipeline without
-		// panicking: re-encode always, assemble when coverage is exact.
+		// panicking: re-encode always; assemble, and reshard onto the
+		// seed's plan what assembles. A reshard that succeeds covers
+		// exactly.
 		reenc := Encode(st)
 		if _, err := Decode(reenc); err != nil {
 			t.Fatalf("re-encode of decoded state does not decode: %v", err)
 		}
-		_, _ = AssembleState(st)
+		if _, err := AssembleState(st); err != nil {
+			return
+		}
+		out, err := Reshard(g, cfg, st)
+		if err != nil {
+			return
+		}
+		if _, err := AssembleState(out); err != nil {
+			t.Fatalf("resharded state does not assemble: %v", err)
+		}
 	})
 }
 

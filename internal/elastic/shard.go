@@ -26,37 +26,12 @@ import (
 	"aceso/internal/tensor"
 )
 
-// TensorKind identifies which of a parameter's tensors a shard slices:
-// the weight/bias themselves or one of Adam's four moment buffers.
-type TensorKind uint8
-
-// The tensor kinds a checkpoint can carry, mirroring runtime.Params.
-const (
-	KindW TensorKind = iota
-	KindB
-	KindMW
-	KindVW
-	KindMB
-	KindVB
-	numTensorKinds
-)
-
-var kindNames = [numTensorKinds]string{"W", "B", "MW", "VW", "MB", "VB"}
-
-// String implements fmt.Stringer.
-func (k TensorKind) String() string {
-	if int(k) < len(kindNames) {
-		return kindNames[k]
-	}
-	return fmt.Sprintf("TensorKind(%d)", int(k))
-}
-
 // TensorShard is a rectangular slice of one parameter tensor as it
 // lives on one device rank: the sub-matrix [RowOff, RowOff+Rows) ×
 // [ColOff, ColOff+Cols) of the FullRows×FullCols tensor of op Op.
 type TensorShard struct {
 	Op                 int
-	Kind               TensorKind
+	Kind               runtime.TensorKind
 	RowOff, ColOff     int
 	Rows, Cols         int
 	FullRows, FullCols int
@@ -83,136 +58,55 @@ type State struct {
 	Ranks []RankShard
 }
 
-// sliceKind captures how one op's tensors are cut across its tp group.
-type sliceKind int
-
-const (
-	sliceNone sliceKind = iota // full tensors on the stage's first rank
-	sliceCols                  // column-parallel: W and B column-cut
-	sliceRows                  // row-parallel: W row-cut, B on rank 0
-)
-
-// opSlicing decides the shard layout for op j under setting set.
-func opSlicing(g *model.Graph, j int, set *config.OpSetting) sliceKind {
-	if g.Ops[j].Kind != model.KindMatMul || set.TP <= 1 {
-		return sliceNone
-	}
-	if g.Ops[j].Dims[set.Dim].Name == "col" {
-		return sliceCols
-	}
-	return sliceRows
-}
-
-// subMat copies the rectangle [r0, r0+rows) × [c0, c0+cols) of m.
-func subMat(m *tensor.Mat, r0, c0, rows, cols int) []float64 {
-	out := make([]float64, rows*cols)
-	for i := 0; i < rows; i++ {
-		copy(out[i*cols:(i+1)*cols], m.Data[(r0+i)*m.Cols+c0:(r0+i)*m.Cols+c0+cols])
-	}
-	return out
-}
-
 // ShardState cuts the full training state p along cfg's parallelization
-// boundaries into per-rank shards. Weights replicated across a
-// data-parallel group are checkpointed once, on the group's first
-// replica (they are identical by construction — the runtime applies
-// the same summed update on every replica). The shard data is copied:
-// the returned State is independent of p.
+// boundaries into per-rank shards, each op's tensors by
+// runtime.OpSlicing and in runtime.Layout order. Weights replicated
+// across a data-parallel group are checkpointed once, on the group's
+// first replica (they are identical by construction — the runtime
+// applies the same summed update on every replica). The shard data is
+// copied: the returned State is independent of p.
 func ShardState(g *model.Graph, cfg *config.Config, p *runtime.Params) (*State, error) {
 	p.EnsureOptState()
+	if err := p.Validate(); err != nil {
+		return nil, fmt.Errorf("elastic: %w", err)
+	}
 	st := &State{Step: p.Step, Seed: p.Seed, Opt: p.Opt}
-	byRank := map[int]*RankShard{}
-	rank := func(r int) *RankShard {
-		rs, ok := byRank[r]
-		if !ok {
-			rs = &RankShard{Rank: r}
-			byRank[r] = rs
-		}
-		return rs
-	}
-
-	add := func(r int, op int, kind TensorKind, m *tensor.Mat, r0, c0, rows, cols int) {
-		rank(r).Tensors = append(rank(r).Tensors, TensorShard{
-			Op: op, Kind: kind, RowOff: r0, ColOff: c0, Rows: rows, Cols: cols,
-			FullRows: m.Rows, FullCols: m.Cols,
-			Data: subMat(m, r0, c0, rows, cols),
-		})
-	}
-	type kindMat struct {
-		kind TensorKind
-		m    *tensor.Mat
-	}
-	// wLike/bLike pair each primary tensor with its Adam moments so the
-	// moments always follow their tensor's slicing.
-	wLike := func(op int) []kindMat {
-		out := []kindMat{{KindW, p.W[op]}}
-		if p.MW != nil {
-			out = append(out, kindMat{KindMW, p.MW[op]}, kindMat{KindVW, p.VW[op]})
-		}
-		return out
-	}
-	bLike := func(op int) []kindMat {
-		out := []kindMat{{KindB, p.B[op]}}
-		if p.MB != nil {
-			out = append(out, kindMat{KindMB, p.MB[op]}, kindMat{KindVB, p.VB[op]})
-		}
-		return out
-	}
-
+	ranks := make([]RankShard, cfg.TotalDevices())
 	for si := range cfg.Stages {
 		stage := &cfg.Stages[si]
 		firstDev := cfg.FirstDev(si)
 		for j := stage.Start; j < stage.End; j++ {
-			w := p.W[j]
-			if w == nil {
-				continue // op carries no weights
-			}
 			set := stage.Setting(j)
-			b := p.B[j]
-			switch opSlicing(g, j, set) {
-			case sliceCols:
-				if w.Cols%set.TP != 0 || b.Cols%set.TP != 0 {
-					return nil, fmt.Errorf("elastic: op %d cols %d not divisible by tp %d", j, w.Cols, set.TP)
+			sl := runtime.OpSlicing(&g.Ops[j], set)
+			for _, k := range runtime.Layout {
+				m := p.T[k][j]
+				if m == nil {
+					continue // op carries no weights, or no moments under SGD
 				}
-				cs := w.Cols / set.TP
+				covered := 0
 				for t := 0; t < set.TP; t++ {
-					for _, kv := range wLike(j) {
-						add(firstDev+t, j, kv.kind, kv.m, 0, t*cs, w.Rows, cs)
+					blk, ok := sl.Cut(k, m, set.TP, t)
+					if !ok {
+						continue
 					}
-					for _, kv := range bLike(j) {
-						add(firstDev+t, j, kv.kind, kv.m, 0, t*cs, 1, cs)
-					}
+					covered += blk.Rows * blk.Cols
+					rs := &ranks[firstDev+t]
+					rs.Tensors = append(rs.Tensors, TensorShard{
+						Op: j, Kind: k, RowOff: blk.R0, ColOff: blk.C0, Rows: blk.Rows, Cols: blk.Cols,
+						FullRows: m.Rows, FullCols: m.Cols, Data: blk.Of(m).Data,
+					})
 				}
-			case sliceRows:
-				if w.Rows%set.TP != 0 {
-					return nil, fmt.Errorf("elastic: op %d rows %d not divisible by tp %d", j, w.Rows, set.TP)
-				}
-				rs := w.Rows / set.TP
-				for t := 0; t < set.TP; t++ {
-					for _, kv := range wLike(j) {
-						add(firstDev+t, j, kv.kind, kv.m, t*rs, 0, rs, w.Cols)
-					}
-				}
-				// Row-parallel bias is applied after the all-reduce: it is
-				// not sharded; the tp group's first rank owns it whole.
-				for _, kv := range bLike(j) {
-					add(firstDev, j, kv.kind, kv.m, 0, 0, 1, b.Cols)
-				}
-			default:
-				for _, kv := range wLike(j) {
-					add(firstDev, j, kv.kind, kv.m, 0, 0, w.Rows, w.Cols)
-				}
-				for _, kv := range bLike(j) {
-					add(firstDev, j, kv.kind, kv.m, 0, 0, 1, b.Cols)
+				if covered != len(m.Data) {
+					return nil, fmt.Errorf("elastic: op %d %v %dx%d does not divide among tp %d",
+						j, k, m.Rows, m.Cols, set.TP)
 				}
 			}
 		}
 	}
-
-	// Deterministic rank order (map iteration is not).
-	for r := 0; r < cfg.TotalDevices(); r++ {
-		if rs, ok := byRank[r]; ok {
-			st.Ranks = append(st.Ranks, *rs)
+	for r := range ranks {
+		if len(ranks[r].Tensors) > 0 {
+			ranks[r].Rank = r
+			st.Ranks = append(st.Ranks, ranks[r])
 		}
 	}
 	return st, nil
@@ -221,21 +115,23 @@ func ShardState(g *model.Graph, cfg *config.Config, p *runtime.Params) (*State, 
 // tensorKey identifies one full tensor across shards.
 type tensorKey struct {
 	op   int
-	kind TensorKind
+	kind runtime.TensorKind
 }
 
 // AssembleState reconstructs the full runtime.Params from a sharded
 // State, verifying exact coverage: every scalar of every tensor must be
 // written by exactly one shard — a gap or an overlap is a corruption
-// (or a resharder bug) reported as an error, never silently absorbed.
-// The caller attaches Arch for transformer graphs.
+// (or a resharder bug) reported as an error, never silently absorbed —
+// and every op with a tensor must carry all the kinds its optimizer
+// holds (a *runtime.MissingTensorError otherwise). The caller attaches
+// Arch for transformer graphs.
 func AssembleState(st *State) (*runtime.Params, error) {
-	fulls := map[tensorKey]*tensor.Mat{}
+	p := &runtime.Params{Opt: st.Opt, Step: st.Step, Seed: st.Seed}
 	covered := map[tensorKey][]uint8{}
 	for ri := range st.Ranks {
 		for ti := range st.Ranks[ri].Tensors {
 			sh := &st.Ranks[ri].Tensors[ti]
-			if sh.Kind >= numTensorKinds {
+			if sh.Kind >= runtime.NumTensorKinds {
 				return nil, fmt.Errorf("elastic: op %d has unknown tensor kind %d", sh.Op, sh.Kind)
 			}
 			if sh.Rows < 0 || sh.Cols < 0 || sh.RowOff < 0 || sh.ColOff < 0 ||
@@ -248,10 +144,13 @@ func AssembleState(st *State) (*runtime.Params, error) {
 					sh.Op, sh.Kind, len(sh.Data), sh.elems())
 			}
 			key := tensorKey{sh.Op, sh.Kind}
-			full, ok := fulls[key]
-			if !ok {
+			full := p.T[sh.Kind][sh.Op]
+			if full == nil {
+				if p.T[sh.Kind] == nil {
+					p.T[sh.Kind] = map[int]*tensor.Mat{}
+				}
 				full = tensor.New(sh.FullRows, sh.FullCols)
-				fulls[key] = full
+				p.T[sh.Kind][sh.Op] = full
 				covered[key] = make([]uint8, sh.FullRows*sh.FullCols)
 			}
 			if full.Rows != sh.FullRows || full.Cols != sh.FullCols {
@@ -280,37 +179,8 @@ func AssembleState(st *State) (*runtime.Params, error) {
 			}
 		}
 	}
-
-	p := &runtime.Params{
-		W: map[int]*tensor.Mat{}, B: map[int]*tensor.Mat{},
-		Opt: st.Opt, Step: st.Step, Seed: st.Seed,
-	}
-	hasMoments := false
-	for key := range fulls {
-		if key.kind != KindW && key.kind != KindB {
-			hasMoments = true
-			break
-		}
-	}
-	if hasMoments {
-		p.MW, p.VW = map[int]*tensor.Mat{}, map[int]*tensor.Mat{}
-		p.MB, p.VB = map[int]*tensor.Mat{}, map[int]*tensor.Mat{}
-	}
-	for key, full := range fulls {
-		switch key.kind {
-		case KindW:
-			p.W[key.op] = full
-		case KindB:
-			p.B[key.op] = full
-		case KindMW:
-			p.MW[key.op] = full
-		case KindVW:
-			p.VW[key.op] = full
-		case KindMB:
-			p.MB[key.op] = full
-		case KindVB:
-			p.VB[key.op] = full
-		}
+	if err := p.Validate(); err != nil {
+		return nil, fmt.Errorf("elastic: %w", err)
 	}
 	return p, nil
 }

@@ -83,13 +83,13 @@ func InitParamsArch(g *model.Graph, arch Arch, seed int64) (*Params, error) {
 			for j := range b.Data {
 				b.Data[j] = rng.NormFloat64() * 0.01
 			}
-			p.W[i], p.B[i] = w, b
+			p.T[W][i], p.T[B][i] = w, b
 		case model.KindLayerNorm:
 			gain := tensor.New(1, ws[i])
 			for j := range gain.Data {
 				gain.Data[j] = 1
 			}
-			p.W[i], p.B[i] = gain, tensor.New(1, ws[i])
+			p.T[W][i], p.T[B][i] = gain, tensor.New(1, ws[i])
 		}
 		cur = ws[i]
 	}

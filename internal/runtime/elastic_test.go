@@ -49,19 +49,16 @@ func TestCloneIsDeepCopy(t *testing.T) {
 			}
 		}
 	}
-	bump(p.W)
-	bump(p.B)
-	bump(p.MW)
-	bump(p.VW)
-	bump(p.MB)
-	bump(p.VB)
+	for _, m := range p.T {
+		bump(m)
+	}
 	p.Step += 17
 
 	if d := snap.MaxDiff(pristine); d != 0 {
 		t.Fatalf("mutating the original changed the clone by %g — shallow alias", d)
 	}
 	// And the reverse direction: mutating the clone must not touch pristine.
-	bump(snap.MW)
+	bump(snap.T[MW])
 	if d := snap.MaxDiff(pristine); d == 0 {
 		t.Fatal("mutation of clone moments not visible to MaxDiff — moments not compared")
 	}
@@ -78,9 +75,31 @@ func TestMaxDiffStrictness(t *testing.T) {
 		t.Errorf("step mismatch: MaxDiff = %g, want +Inf", d)
 	}
 	q = p.Clone()
-	q.MW, q.VW, q.MB, q.VB = nil, nil, nil, nil
+	q.T[MW], q.T[VW], q.T[MB], q.T[VB] = nil, nil, nil, nil
 	if d := p.MaxDiff(q); !math.IsInf(d, 1) {
 		t.Errorf("one-sided optimizer state: MaxDiff = %g, want +Inf", d)
+	}
+
+	// A NaN difference, a W tensor missing from the argument and a W
+	// tensor only the argument has are each an unbounded divergence, in
+	// both directions.
+	nan := p.Clone()
+	for _, w := range nan.T[W] {
+		for i := range w.Data {
+			w.Data[i] = math.NaN()
+		}
+	}
+	missing := p.Clone()
+	delete(missing.T[W], 0)
+	extra := p.Clone()
+	extra.T[W][len(g.Ops)] = tensor.New(1, 1)
+	for name, q := range map[string]*Params{"NaN weight": nan, "missing W": missing, "extra W": extra} {
+		if d := p.MaxDiff(q); !math.IsInf(d, 1) {
+			t.Errorf("%s: p.MaxDiff(q) = %g, want +Inf", name, d)
+		}
+		if d := q.MaxDiff(p); !math.IsInf(d, 1) {
+			t.Errorf("%s: q.MaxDiff(p) = %g, want +Inf", name, d)
+		}
 	}
 }
 

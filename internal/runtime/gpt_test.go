@@ -163,7 +163,7 @@ func TestInitParamsArchShapes(t *testing.T) {
 		op := &g.Ops[i]
 		switch op.Kind {
 		case model.KindMatMul:
-			w := p.W[i]
+			w := p.T[W][i]
 			if w.Cols != int(op.ActElems) {
 				t.Errorf("op %d (%s): W cols %d, want %d", i, op.Name, w.Cols, int(op.ActElems))
 			}
@@ -171,8 +171,8 @@ func TestInitParamsArchShapes(t *testing.T) {
 				t.Errorf("op %d (%s): W rows %d not multiple of hidden", i, op.Name, w.Rows)
 			}
 		case model.KindLayerNorm:
-			if p.W[i].Cols != gptHidden {
-				t.Errorf("op %d: LN width %d", i, p.W[i].Cols)
+			if p.T[W][i].Cols != gptHidden {
+				t.Errorf("op %d: LN width %d", i, p.T[W][i].Cols)
 			}
 		}
 	}
@@ -212,7 +212,7 @@ func TestSearchedGPTConfigsAreSemanticPreserving(t *testing.T) {
 				set := cfg.Stages[i].Setting(j)
 				switch g.Ops[j].Kind {
 				case model.KindMatMul:
-					w := p.W[j]
+					w := p.T[W][j]
 					if w.Cols%set.TP != 0 || w.Rows%set.TP != 0 {
 						ok = false
 					}

@@ -17,6 +17,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sort"
 	"sync"
 	"time"
 
@@ -59,18 +60,71 @@ const (
 	adamEps   = 1e-8
 )
 
-// Params holds the full training state of an executable graph: per op
-// ID, a weight matrix and a 1×out bias (gain/bias for layer norms).
+// TensorKind indexes an operator's tensors in Params.T: the weight (a
+// layer norm's gain), the bias, and Adam's first and second moments of
+// each. The numbering is the one checkpoints record.
+type TensorKind uint8
+
+// The tensor kinds of the training state.
+const (
+	W TensorKind = iota
+	B
+	MW
+	VW
+	MB
+	VB
+	NumTensorKinds
+)
+
+// kinds names each kind and the parameter it belongs to: a moment is
+// cut like its parameter.
+var kinds = [NumTensorKinds]struct {
+	name  string
+	param TensorKind
+}{W: {"W", W}, B: {"B", B}, MW: {"MW", W}, VW: {"VW", W}, MB: {"MB", B}, VB: {"VB", B}}
+
+// Layout lists the kinds in the order a checkpoint lays out an
+// operator's shards on a rank: each parameter, then its two moments.
+var Layout = [NumTensorKinds]TensorKind{W, MW, VW, B, MB, VB}
+
+// String implements fmt.Stringer.
+func (k TensorKind) String() string {
+	if k < NumTensorKinds {
+		return kinds[k].name
+	}
+	return fmt.Sprintf("TensorKind(%d)", int(k))
+}
+
+// Holds reports whether a state trained with o keeps a tensor of kind
+// k for every operator that has parameters: W and B always, their
+// moments under Adam.
+func (o Optimizer) Holds(k TensorKind) bool { return o == Adam || kinds[k].param == k }
+
+// MissingTensorError reports an operator that has parameters but lacks
+// a tensor its optimizer keeps.
+type MissingTensorError struct {
+	Op   int
+	Kind TensorKind
+}
+
+// Error implements the error interface.
+func (e *MissingTensorError) Error() string {
+	return fmt.Sprintf("runtime: op %d lacks its %v tensor", e.Op, e.Kind)
+}
+
+// Params holds the full training state of an executable graph: per
+// tensor kind, a map from op ID to that op's tensor — a weight matrix
+// and a 1×out bias (gain/bias for layer norms), and under Adam their
+// first/second moments (lazily sized by EnsureOptState before
+// training; stages update disjoint op IDs, so no locking is needed).
 // Arch is non-nil for transformer graphs (see InitParamsArch). Opt
-// selects the update rule; Adam keeps first/second-moment state per
-// parameter in MW/VW/MB/VB. Step counts completed optimizer steps —
+// selects the update rule. Step counts completed optimizer steps —
 // Adam's bias correction depends on it, so a checkpoint that loses
-// Step silently changes the training trajectory on resume. Seed
-// records the RNG cursor the weights were drawn from (checkpoint
-// provenance).
+// Step or the moments silently changes the training trajectory on
+// resume. Seed records the RNG cursor the weights were drawn from
+// (checkpoint provenance).
 type Params struct {
-	W    map[int]*tensor.Mat
-	B    map[int]*tensor.Mat
+	T    [NumTensorKinds]map[int]*tensor.Mat
 	Arch *Arch
 	Opt  Optimizer
 
@@ -81,13 +135,6 @@ type Params struct {
 
 	// Seed is the RNG cursor the parameters were initialized from.
 	Seed int64
-
-	// Adam first/second-moment state, keyed like W and B (lazily sized
-	// by EnsureOptState before training; stages update disjoint op IDs,
-	// so no locking is needed). Checkpoints must capture these four
-	// maps: losing them resets the optimizer's memory on resume.
-	MW, VW map[int]*tensor.Mat
-	MB, VB map[int]*tensor.Mat
 }
 
 // EnsureOptState sizes the Adam moment buffers. It must run before
@@ -95,24 +142,42 @@ type Params struct {
 // Exported so the checkpoint layer can shard a not-yet-trained Adam
 // state deterministically.
 func (p *Params) EnsureOptState() {
-	if p.Opt != Adam || p.MW != nil {
+	if p.Opt != Adam || p.T[MW] != nil {
 		return
 	}
-	p.MW, p.VW = map[int]*tensor.Mat{}, map[int]*tensor.Mat{}
-	p.MB, p.VB = map[int]*tensor.Mat{}, map[int]*tensor.Mat{}
-	for id, w := range p.W {
-		p.MW[id] = tensor.New(w.Rows, w.Cols)
-		p.VW[id] = tensor.New(w.Rows, w.Cols)
-		b := p.B[id]
-		p.MB[id] = tensor.New(1, b.Cols)
-		p.VB[id] = tensor.New(1, b.Cols)
+	for k := MW; k < NumTensorKinds; k++ {
+		p.T[k] = make(map[int]*tensor.Mat, len(p.T[W]))
+		for id, m := range p.T[kinds[k].param] {
+			p.T[k][id] = tensor.New(m.Rows, m.Cols)
+		}
 	}
+}
+
+// Validate returns a *MissingTensorError for the lowest op ID that has
+// a tensor but lacks a kind its optimizer holds.
+func (p *Params) Validate() error {
+	var ids []int
+	for k := range p.T {
+		for id := range p.T[k] {
+			ids = append(ids, id)
+		}
+	}
+	sort.Ints(ids)
+	for _, id := range ids {
+		for k := W; k < NumTensorKinds; k++ {
+			if p.Opt.Holds(k) && p.T[k][id] == nil {
+				return &MissingTensorError{Op: id, Kind: k}
+			}
+		}
+	}
+	return nil
 }
 
 // InitParams initializes deterministic weights for every linear op.
 func InitParams(g *model.Graph, seed int64) *Params {
 	rng := rand.New(rand.NewSource(seed))
-	p := &Params{W: map[int]*tensor.Mat{}, B: map[int]*tensor.Mat{}, Seed: seed}
+	p := &Params{Seed: seed}
+	p.T[W], p.T[B] = map[int]*tensor.Mat{}, map[int]*tensor.Mat{}
 	for i := range g.Ops {
 		op := &g.Ops[i]
 		dim := int(op.ActElems)
@@ -127,81 +192,123 @@ func InitParams(g *model.Graph, seed int64) *Params {
 			for j := range b.Data {
 				b.Data[j] = rng.NormFloat64() * 0.01
 			}
-			p.W[i] = w
-			p.B[i] = b
+			p.T[W][i] = w
+			p.T[B][i] = b
 		case model.KindLayerNorm:
 			// Gain initialized to ones, bias to zeros, as frameworks do.
 			gain := tensor.New(1, dim)
 			for j := range gain.Data {
 				gain.Data[j] = 1
 			}
-			p.W[i] = gain
-			p.B[i] = tensor.New(1, dim)
+			p.T[W][i] = gain
+			p.T[B][i] = tensor.New(1, dim)
 		}
 	}
 	return p
 }
 
-// Clone deep-copies the full training state: weights, biases, the
-// step counter and — critically for checkpoints — the Adam moment
-// maps. A shallow alias of MW/VW/MB/VB here would let a "snapshot"
-// keep training along with the live parameters, silently corrupting
-// every checkpoint built from it.
+// Clone deep-copies the full training state: every tensor of every
+// kind and the step counter. A shallow alias of the moment maps here
+// would let a "snapshot" keep training along with the live parameters,
+// silently corrupting every checkpoint built from it.
 func (p *Params) Clone() *Params {
-	return &Params{
-		W: cloneMatMap(p.W), B: cloneMatMap(p.B),
-		Arch: p.Arch, Opt: p.Opt, Step: p.Step, Seed: p.Seed,
-		MW: cloneMatMap(p.MW), VW: cloneMatMap(p.VW),
-		MB: cloneMatMap(p.MB), VB: cloneMatMap(p.VB),
+	q := &Params{Arch: p.Arch, Opt: p.Opt, Step: p.Step, Seed: p.Seed}
+	for k, m := range p.T {
+		if m == nil {
+			continue
+		}
+		q.T[k] = make(map[int]*tensor.Mat, len(m))
+		for id, v := range m {
+			q.T[k][id] = v.Clone()
+		}
 	}
-}
-
-func cloneMatMap(m map[int]*tensor.Mat) map[int]*tensor.Mat {
-	if m == nil {
-		return nil
-	}
-	out := make(map[int]*tensor.Mat, len(m))
-	for k, v := range m {
-		out[k] = v.Clone()
-	}
-	return out
+	return q
 }
 
 // MaxDiff returns the largest element-wise difference between two
 // complete training states: weights, biases and Adam moments. A step
-// mismatch — or optimizer state present on one side only — is an
-// unbounded divergence (+Inf): the two states cannot produce the same
-// continuation, no matter how close the weights look.
+// mismatch, a tensor present on one side only, a shape mismatch or a
+// NaN difference is an unbounded divergence (+Inf): the two states
+// cannot produce the same continuation, no matter how close the rest
+// looks.
 func (p *Params) MaxDiff(q *Params) float64 {
 	if p.Step != q.Step {
 		return math.Inf(1)
 	}
 	var max float64
-	for k, v := range p.W {
-		if d := tensor.MaxAbsDiff(v, q.W[k]); d > max {
-			max = d
-		}
-	}
-	for k, v := range p.B {
-		if d := tensor.MaxAbsDiff(v, q.B[k]); d > max {
-			max = d
-		}
-	}
-	for _, pair := range [][2]map[int]*tensor.Mat{{p.MW, q.MW}, {p.VW, q.VW}, {p.MB, q.MB}, {p.VB, q.VB}} {
-		a, b := pair[0], pair[1]
-		if (a == nil) != (b == nil) {
+	for k := range p.T {
+		if len(p.T[k]) != len(q.T[k]) {
 			return math.Inf(1)
 		}
-		for k, v := range a {
-			if b[k] == nil {
+		for id, a := range p.T[k] {
+			b := q.T[k][id]
+			if b == nil || a.Rows != b.Rows || a.Cols != b.Cols {
 				return math.Inf(1)
 			}
-			if d := tensor.MaxAbsDiff(v, b[k]); d > max {
+			if d := tensor.MaxAbsDiff(a, b); d > max {
 				max = d
 			}
 		}
 	}
 	return max
+}
+
+// Slicing is how an operator's tensors are cut across its
+// tensor-parallel group: the one rule Parallel executes and
+// checkpoints shard by.
+type Slicing uint8
+
+const (
+	// SliceNone keeps every tensor whole on the group's first rank.
+	SliceNone Slicing = iota
+	// SliceCols is column-parallel: W, B and their moments are cut by
+	// columns.
+	SliceCols
+	// SliceRows is row-parallel: W and its moments are cut by rows; B
+	// and its moments stay whole on the group's first rank, because the
+	// bias is added after the all-reduce.
+	SliceRows
+)
+
+// OpSlicing returns how op is sliced under set: a matmul with tp > 1
+// is cut along its partition dim, every other op is not.
+func OpSlicing(op *model.Op, set *config.OpSetting) Slicing {
+	if op.Kind != model.KindMatMul || set.TP <= 1 {
+		return SliceNone
+	}
+	if op.Dims[set.Dim].Name == "col" {
+		return SliceCols
+	}
+	return SliceRows
+}
+
+// Block is the rectangle rows [R0, R0+Rows) × cols [C0, C0+Cols) of a
+// tensor.
+type Block struct{ R0, C0, Rows, Cols int }
+
+// Of copies block b out of m.
+func (b Block) Of(m *tensor.Mat) *tensor.Mat {
+	out := tensor.New(b.Rows, b.Cols)
+	for i := 0; i < b.Rows; i++ {
+		copy(out.Data[i*b.Cols:(i+1)*b.Cols], m.Data[(b.R0+i)*m.Cols+b.C0:])
+	}
+	return out
+}
+
+// Cut returns the block of m, a tensor of kind k, that rank t of a
+// tp-wide group holds under s, and false when the rank holds none of
+// it. Where tp does not divide the cut dimension, the blocks leave its
+// remainder uncovered.
+func (s Slicing) Cut(k TensorKind, m *tensor.Mat, tp, t int) (Block, bool) {
+	switch {
+	case s == SliceCols:
+		n := m.Cols / tp
+		return Block{0, t * n, m.Rows, n}, true
+	case s == SliceRows && kinds[k].param == W:
+		n := m.Rows / tp
+		return Block{t * n, 0, n, m.Cols}, true
+	}
+	return Block{0, 0, m.Rows, m.Cols}, t == 0
 }
 
 type grads struct {
@@ -212,9 +319,9 @@ type grads struct {
 func newGrads(p *Params, ops []int) *grads {
 	g := &grads{W: map[int]*tensor.Mat{}, B: map[int]*tensor.Mat{}}
 	for _, id := range ops {
-		if w, ok := p.W[id]; ok {
+		if w, ok := p.T[W][id]; ok {
 			g.W[id] = tensor.New(w.Rows, w.Cols)
-			g.B[id] = tensor.New(1, p.B[id].Cols)
+			g.B[id] = tensor.New(1, p.T[B][id].Cols)
 		}
 	}
 	return g
@@ -250,9 +357,9 @@ func Serial(g *model.Graph, p *Params, x, y *tensor.Mat, microBatch int, lr floa
 				stash[i] = act
 				switch g.Ops[i].Kind {
 				case model.KindMatMul:
-					act = tensor.AddBias(tensor.MatMul(act, p.W[i]), p.B[i])
+					act = tensor.AddBias(tensor.MatMul(act, p.T[W][i]), p.T[B][i])
 				case model.KindLayerNorm:
-					act, _ = tensor.LayerNorm(act, p.W[i], p.B[i])
+					act, _ = tensor.LayerNorm(act, p.T[W][i], p.T[B][i])
 				case model.KindAttentionCore:
 					if p.Arch == nil {
 						return nil, fmt.Errorf("runtime: attention op %d needs Arch params", i)
@@ -272,11 +379,11 @@ func Serial(g *model.Graph, p *Params, x, y *tensor.Mat, microBatch int, lr floa
 				case model.KindMatMul:
 					tensor.AddInPlace(acc.W[i], tensor.MatMul(tensor.Transpose(stash[i]), d))
 					tensor.ColSumTo(acc.B[i], d)
-					d = tensor.MatMul(d, tensor.Transpose(p.W[i]))
+					d = tensor.MatMul(d, tensor.Transpose(p.T[W][i]))
 				case model.KindLayerNorm:
 					// Recompute the normalization cache from the input.
-					_, cache := tensor.LayerNorm(stash[i], p.W[i], p.B[i])
-					d = tensor.LayerNormBackward(d, cache, p.W[i], acc.W[i], acc.B[i])
+					_, cache := tensor.LayerNorm(stash[i], p.T[W][i], p.T[B][i])
+					d = tensor.LayerNormBackward(d, cache, p.T[W][i], acc.W[i], acc.B[i])
 				case model.KindAttentionCore:
 					d = attnBackward(d, stash[i], p.Arch.Seq, p.Arch.Hidden/p.Arch.Heads, p.Arch.Causal)
 				case model.KindElementwise:
@@ -296,20 +403,21 @@ func Serial(g *model.Graph, p *Params, x, y *tensor.Mat, microBatch int, lr floa
 // 1-based iteration count (Adam bias correction).
 func applyUpdate(p *Params, acc *grads, lr, gradScale float64, step int) {
 	for id, dw := range acc.W {
-		updateTensor(p, id, p.W[id], dw, p.MW, p.VW, lr, gradScale, step)
-		updateTensor(p, id, p.B[id], acc.B[id], p.MB, p.VB, lr, gradScale, step)
+		updateTensor(p.Opt, p.T[W][id], dw, p.T[MW][id], p.T[VW][id], lr, gradScale, step)
+		updateTensor(p.Opt, p.T[B][id], acc.B[id], p.T[MB][id], p.T[VB][id], lr, gradScale, step)
 	}
 }
 
-func updateTensor(p *Params, id int, w, g *tensor.Mat, ms, vs map[int]*tensor.Mat, lr, gradScale float64, step int) {
-	if p.Opt != Adam {
+// updateTensor applies one step to w with gradient g; m and v are its
+// Adam moments (unused under SGD).
+func updateTensor(opt Optimizer, w, g, m, v *tensor.Mat, lr, gradScale float64, step int) {
+	if opt != Adam {
 		s := lr * gradScale
 		for i := range w.Data {
 			w.Data[i] -= s * g.Data[i]
 		}
 		return
 	}
-	m, v := ms[id], vs[id]
 	c1 := 1 - pow(adamBeta1, step)
 	c2 := 1 - pow(adamBeta2, step)
 	for i := range w.Data {
@@ -400,7 +508,7 @@ func CheckRunnable(g *model.Graph, cfg *config.Config, p *Params) error {
 			set := st.Setting(j)
 			switch op.Kind {
 			case model.KindMatMul:
-				w := p.W[j]
+				w := p.T[W][j]
 				if w == nil {
 					return fmt.Errorf("runtime: op %d has no weights", j)
 				}
@@ -642,38 +750,34 @@ func (e *stageExec) forwardOp(j int, a *acts) (*acts, error) {
 	set := e.st.Setting(j)
 	switch op.Kind {
 	case model.KindMatMul:
-		dim := op.Dims[set.Dim]
-		w, b := e.params.W[j], e.params.B[j]
-		cols := w.Cols
+		sl := OpSlicing(op, set)
+		w, b := e.params.T[W][j], e.params.T[B][j]
 		out := &acts{dp: set.DP, tp: set.TP, parts: make([][]*tensor.Mat, set.DP)}
 		for d := 0; d < set.DP; d++ {
 			xFull := replicaFull(a, d)
-			if set.TP == 1 {
+			switch sl {
+			case SliceNone:
 				out.tp = 1
 				out.layout = model.Replicated
 				out.parts[d] = []*tensor.Mat{tensor.AddBias(tensor.MatMul(xFull, w), b)}
-				continue
-			}
-			if dim.Name == "col" {
+			case SliceCols:
 				// Column-parallel: shard W's columns; outputs stay split.
-				shard := cols / set.TP
 				parts := make([]*tensor.Mat, set.TP)
 				for t := 0; t < set.TP; t++ {
-					wt := tensor.ColSlice(w, t*shard, (t+1)*shard)
-					bt := tensor.ColSlice(b, t*shard, (t+1)*shard)
-					parts[t] = tensor.AddBias(tensor.MatMul(xFull, wt), bt)
+					wt, _ := sl.Cut(W, w, set.TP, t)
+					bt, _ := sl.Cut(B, b, set.TP, t)
+					parts[t] = tensor.AddBias(tensor.MatMul(xFull, wt.Of(w)), bt.Of(b))
 				}
 				out.layout = model.Split
 				out.parts[d] = parts
-			} else {
+			case SliceRows:
 				// Row-parallel: shard X's columns and W's rows; the
 				// partial products all-reduce to the full output.
-				shard := w.Rows / set.TP
 				partials := make([]*tensor.Mat, set.TP)
 				for t := 0; t < set.TP; t++ {
-					xt := tensor.ColSlice(xFull, t*shard, (t+1)*shard)
-					wt := tensor.RowSlice(w, t*shard, (t+1)*shard)
-					partials[t] = tensor.MatMul(xt, wt)
+					wt, _ := sl.Cut(W, w, set.TP, t)
+					xt := tensor.ColSlice(xFull, wt.R0, wt.R0+wt.Rows)
+					partials[t] = tensor.MatMul(xt, wt.Of(w))
 				}
 				sum, err := e.tpAllReduce(d, partials)
 				if err != nil {
@@ -710,7 +814,7 @@ func (e *stageExec) forwardOp(j int, a *acts) (*acts, error) {
 		// hidden dimension — a column-split input gathers first (the
 		// relayout the performance model charges for).
 		out := &acts{dp: set.DP, tp: 1, layout: model.Replicated, parts: make([][]*tensor.Mat, set.DP)}
-		gain, bias := e.params.W[j], e.params.B[j]
+		gain, bias := e.params.T[W][j], e.params.T[B][j]
 		for d := 0; d < set.DP; d++ {
 			xFull := replicaFull(a, d)
 			y, _ := tensor.LayerNorm(xFull, gain, bias)
@@ -776,46 +880,44 @@ func (e *stageExec) backwardOp(j int, in, d *acts, acc *grads) (*acts, error) {
 	set := e.st.Setting(j)
 	switch op.Kind {
 	case model.KindMatMul:
-		dim := op.Dims[set.Dim]
-		w := e.params.W[j]
+		sl := OpSlicing(op, set)
+		w := e.params.T[W][j]
 		out := &acts{dp: set.DP, tp: 1, layout: model.Replicated, parts: make([][]*tensor.Mat, set.DP)}
 		for dp := 0; dp < set.DP; dp++ {
 			xFull := replicaFull(in, dp)
-			if set.TP == 1 {
+			switch sl {
+			case SliceNone:
 				dy := replicaFull(d, dp)
 				tensor.AddInPlace(acc.W[j], tensor.MatMul(tensor.Transpose(xFull), dy))
 				tensor.ColSumTo(acc.B[j], dy)
 				out.parts[dp] = []*tensor.Mat{tensor.MatMul(dy, tensor.Transpose(w))}
-				continue
-			}
-			if dim.Name == "col" {
+			case SliceCols:
 				// dY arrives split; each shard contributes to its W
 				// columns, and dX all-reduces across the group.
-				shard := w.Cols / set.TP
 				dyParts := splitCols(d, dp, set.TP)
 				partials := make([]*tensor.Mat, set.TP)
 				for t := 0; t < set.TP; t++ {
+					wt, _ := sl.Cut(W, w, set.TP, t)
 					dwt := tensor.MatMul(tensor.Transpose(xFull), dyParts[t])
-					accCols(acc.W[j], dwt, t*shard)
-					accColsBias(acc.B[j], dyParts[t], t*shard)
-					wt := tensor.ColSlice(w, t*shard, (t+1)*shard)
-					partials[t] = tensor.MatMul(dyParts[t], tensor.Transpose(wt))
+					accBlock(acc.W[j], dwt, wt)
+					accColsBias(acc.B[j], dyParts[t], wt.C0)
+					partials[t] = tensor.MatMul(dyParts[t], tensor.Transpose(wt.Of(w)))
 				}
 				dx, err := e.tpAllReduce(dp, partials)
 				if err != nil {
 					return nil, err
 				}
 				out.parts[dp] = []*tensor.Mat{dx}
-			} else {
+			case SliceRows:
 				// Row-parallel: dY is replicated; X was column-split.
-				shard := w.Rows / set.TP
 				dy := replicaFull(d, dp)
 				dxParts := make([]*tensor.Mat, set.TP)
 				for t := 0; t < set.TP; t++ {
-					xt := tensor.ColSlice(xFull, t*shard, (t+1)*shard)
+					wt, _ := sl.Cut(W, w, set.TP, t)
+					xt := tensor.ColSlice(xFull, wt.R0, wt.R0+wt.Rows)
 					dwt := tensor.MatMul(tensor.Transpose(xt), dy)
-					accRows(acc.W[j], dwt, t*shard)
-					dxParts[t] = tensor.MatMul(dy, tensor.Transpose(tensor.RowSlice(w, t*shard, (t+1)*shard)))
+					accBlock(acc.W[j], dwt, wt)
+					dxParts[t] = tensor.MatMul(dy, tensor.Transpose(wt.Of(w)))
 				}
 				tensor.ColSumTo(acc.B[j], dy)
 				out.parts[dp] = []*tensor.Mat{tensor.ConcatCols(dxParts...)}
@@ -841,11 +943,11 @@ func (e *stageExec) backwardOp(j int, in, d *acts, acc *grads) (*acts, error) {
 		return out, nil
 	case model.KindLayerNorm:
 		out := &acts{dp: set.DP, tp: 1, layout: model.Replicated, parts: make([][]*tensor.Mat, set.DP)}
-		gain := e.params.W[j]
+		gain := e.params.T[W][j]
 		for dp := 0; dp < set.DP; dp++ {
 			dy := replicaFull(d, dp)
 			x := replicaFull(in, dp)
-			_, cache := tensor.LayerNorm(x, gain, e.params.B[j])
+			_, cache := tensor.LayerNorm(x, gain, e.params.T[B][j])
 			out.parts[dp] = []*tensor.Mat{tensor.LayerNormBackward(dy, cache, gain, acc.W[j], acc.B[j])}
 		}
 		return out, nil
@@ -878,11 +980,13 @@ func splitCols(a *acts, dp, tp int) []*tensor.Mat {
 	return out
 }
 
-// accCols accumulates a column-shard gradient into the full matrix.
-func accCols(dst, shard *tensor.Mat, colOff int) {
-	for i := 0; i < shard.Rows; i++ {
-		for j := 0; j < shard.Cols; j++ {
-			dst.Data[i*dst.Cols+colOff+j] += shard.At(i, j)
+// accBlock accumulates a gradient block into block b of the full
+// matrix.
+func accBlock(dst, part *tensor.Mat, b Block) {
+	for i := 0; i < part.Rows; i++ {
+		row := dst.Data[(b.R0+i)*dst.Cols+b.C0:]
+		for j, v := range part.Data[i*part.Cols : (i+1)*part.Cols] {
+			row[j] += v
 		}
 	}
 }
@@ -892,14 +996,6 @@ func accColsBias(dst, dy *tensor.Mat, colOff int) {
 		for j := 0; j < dy.Cols; j++ {
 			dst.Data[colOff+j] += dy.At(i, j)
 		}
-	}
-}
-
-// accRows accumulates a row-shard gradient into the full matrix.
-func accRows(dst, shard *tensor.Mat, rowOff int) {
-	copyOff := rowOff * dst.Cols
-	for i := range shard.Data {
-		dst.Data[copyOff+i] += shard.Data[i]
 	}
 }
 

@@ -242,16 +242,17 @@ func MSE(pred, target *Mat) (float64, *Mat) {
 	return loss / n, grad
 }
 
-// MaxAbsDiff returns the largest element-wise |a−b|.
+// MaxAbsDiff returns the largest element-wise |a−b|, or +Inf where a
+// difference is NaN: a NaN on either side is never close.
 func MaxAbsDiff(a, b *Mat) float64 {
 	shapeCheck(a.Rows == b.Rows && a.Cols == b.Cols, "diff", a, b)
 	var max float64
 	for i := range a.Data {
-		d := a.Data[i] - b.Data[i]
-		if d < 0 {
-			d = -d
-		}
-		if d > max {
+		d := math.Abs(a.Data[i] - b.Data[i])
+		if !(d <= max) {
+			if math.IsNaN(d) {
+				return math.Inf(1)
+			}
 			max = d
 		}
 	}
