@@ -15,6 +15,7 @@ package comm
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -48,7 +49,7 @@ type mailKey struct {
 type rendezvous struct {
 	want    int
 	entered int
-	inputs  []*tensor.Mat
+	inputs  []*tensor.Mat // by position in the group, whatever the arrival order
 	ranks   []int
 	done    chan struct{}
 	outputs map[int]*tensor.Mat
@@ -207,19 +208,24 @@ func (w *World) enter(op string, group []int, rank int, in *tensor.Mat) (*rendez
 	if dead, _ := w.deadPeer(group); dead >= 0 {
 		return nil, &DeadRankError{Op: op, Rank: rank, Dead: dead}
 	}
+	pos := slices.Index(group, rank)
+	if pos < 0 {
+		return nil, fmt.Errorf("comm: %s: rank %d is not in group %v", op, rank, group)
+	}
 	key := fmt.Sprint(group)
 	w.mu.Lock()
 	r, ok := w.points[key]
 	if !ok {
 		r = &rendezvous{
 			want:    len(group),
+			inputs:  make([]*tensor.Mat, len(group)),
 			done:    make(chan struct{}),
 			outputs: make(map[int]*tensor.Mat),
 		}
 		w.points[key] = r
 	}
 	r.entered++
-	r.inputs = append(r.inputs, in)
+	r.inputs[pos] = in
 	r.ranks = append(r.ranks, rank)
 	last := r.entered == r.want
 	if last {
@@ -240,6 +246,8 @@ func (w *World) enter(op string, group []int, rank int, in *tensor.Mat) (*rendez
 // AllReduceSum sums the contributions of every rank in group and
 // returns the result to each caller. Must be called by every member;
 // a dead member fails the call with a typed error instead of blocking.
+// The sum runs in group order, not arrival order, so a floating-point
+// reduction gives the same bits on every run.
 func (w *World) AllReduceSum(group []int, rank int, in *tensor.Mat) (*tensor.Mat, error) {
 	r, err := w.enter("all-reduce", group, rank, in)
 	if err != nil {

@@ -52,84 +52,26 @@ func TestDeterminismTable(t *testing.T) {
 	if testing.Short() {
 		t.Skip("68 searches")
 	}
-	models, fleets := determinismZoo(t)
-
 	var got []determinismRow
-	pin := func(g *model.Graph, row determinismRow, cl hardware.Cluster, opts Options) {
-		t.Helper()
-		row, _ = pinnedSearch(t, g, row, cl, opts)
+	for _, c := range determinismCases(t) {
+		row, _ := pinnedSearch(t, c.g, c.row, c.cl, c.opts)
 		got = append(got, row)
-	}
-	for _, m := range models {
-		g, err := m.build()
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, f := range fleets {
-			for _, procs := range []int{1, 4} {
-				pin(g, determinismRow{Model: m.name, Fleet: f.name, GOMAXPROCS: procs}, f.cl, Options{})
-			}
-		}
 	}
 	// gpt3-1.3B on one node explores exactly what it explores without
 	// the extension (1 579, the same plans); gpt3-2.6B there is the
 	// smallest zoo point the extension moves (2 823 → 2 827), so only
 	// the second pair would notice the option being ignored.
 	moved := false
-	for _, m := range models[1:3] {
-		g, err := m.build()
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, procs := range []int{1, 4} {
-			pin(g, determinismRow{Model: m.name, Fleet: fleets[0].name, Options: "extended-primitives", GOMAXPROCS: procs},
-				fleets[0].cl, Options{ExtendedPrimitives: true})
-			ext := got[len(got)-1]
-			for _, def := range got {
-				if def.Options == "" && def.Model == ext.Model && def.Fleet == ext.Fleet && def.GOMAXPROCS == procs {
-					moved = moved || def.Explored != ext.Explored
-				}
+	for _, ext := range got {
+		for _, def := range got {
+			if ext.Options == "extended-primitives" && def.Options == "" && def.Model == ext.Model &&
+				def.Fleet == ext.Fleet && def.GOMAXPROCS == ext.GOMAXPROCS {
+				moved = moved || def.Explored != ext.Explored
 			}
 		}
 	}
 	if !moved {
 		t.Error("no extended-primitives row differs from its default twin: the rows pin nothing about the option")
-	}
-
-	// acesobench scale: uniform graphs on 1 024/2 048/4 096 DGX-1 devices,
-	// pinned pipeline depths, two iterations.
-	for _, pt := range []struct{ nodes, ops int }{{128, 2560}, {256, 5120}, {512, 10240}} {
-		g := model.Uniform(pt.ops, 1e9, 1e6, 1e5, 1024)
-		for _, procs := range []int{1, 4} {
-			pin(g, determinismRow{Model: fmt.Sprintf("uniform-%d", pt.ops), Fleet: fmt.Sprintf("DGX1V100(%d)", pt.nodes),
-				Options: "scale", GOMAXPROCS: procs},
-				hardware.DGX1V100(pt.nodes), Options{MaxIterations: 2, StageCounts: []int{8, 16, 32}})
-		}
-	}
-	// acesobench hetero and spot: each case study's aware search and its
-	// blind twin on the fleet with the property stripped.
-	blind := fleets[2].cl
-	blind.Classes, blind.NodeClass = nil, nil
-	spot := fleets[4].cl
-	for _, cs := range []struct {
-		model int // index into models
-		fleet string
-		cl    hardware.Cluster
-	}{
-		{1, "A100V100(1,1)", fleets[2].cl},
-		{1, "A100V100(1,1)-class-blind", blind},
-		{0, "ReservedSpotV100(8,1,1)", spot},
-		{0, "ReservedSpotV100(8,1,1)-hazard-stripped", spot.StripHazard()},
-	} {
-		m := models[cs.model]
-		g, err := m.build()
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, procs := range []int{1, 4} {
-			pin(g, determinismRow{Model: m.name, Fleet: cs.fleet, Options: "case-study", GOMAXPROCS: procs},
-				cs.cl, Options{StageCounts: []int{2, 4}})
-		}
 	}
 
 	if *updateDeterminism {
@@ -151,6 +93,72 @@ func TestDeterminismTable(t *testing.T) {
 			t.Errorf("row %d drifted:\n got %+v\nwant %+v", i, got[i], want[i])
 		}
 	}
+}
+
+// determinismCase is one row's search: the row's identity (model, fleet,
+// options, GOMAXPROCS) and what it runs.
+type determinismCase struct {
+	row  determinismRow
+	g    *model.Graph
+	cl   hardware.Cluster
+	opts Options
+}
+
+// determinismCases returns the table's searches in row order.
+func determinismCases(t *testing.T) []determinismCase {
+	t.Helper()
+	models, fleets := determinismZoo(t)
+	var cs []determinismCase
+	pin := func(g *model.Graph, row determinismRow, cl hardware.Cluster, opts Options) {
+		for _, procs := range []int{1, 4} {
+			row.GOMAXPROCS = procs
+			cs = append(cs, determinismCase{row, g, cl, opts})
+		}
+	}
+	build := func(m zooModel) *model.Graph {
+		g, err := m.build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return g
+	}
+	for _, m := range models {
+		g := build(m)
+		for _, f := range fleets {
+			pin(g, determinismRow{Model: m.name, Fleet: f.name}, f.cl, Options{})
+		}
+	}
+	for _, m := range models[1:3] {
+		pin(build(m), determinismRow{Model: m.name, Fleet: fleets[0].name, Options: "extended-primitives"},
+			fleets[0].cl, Options{ExtendedPrimitives: true})
+	}
+
+	// acesobench scale: uniform graphs on 1 024/2 048/4 096 DGX-1 devices,
+	// pinned pipeline depths, two iterations.
+	for _, pt := range []struct{ nodes, ops int }{{128, 2560}, {256, 5120}, {512, 10240}} {
+		g := model.Uniform(pt.ops, 1e9, 1e6, 1e5, 1024)
+		pin(g, determinismRow{Model: fmt.Sprintf("uniform-%d", pt.ops), Fleet: fmt.Sprintf("DGX1V100(%d)", pt.nodes),
+			Options: "scale"}, hardware.DGX1V100(pt.nodes), Options{MaxIterations: 2, StageCounts: []int{8, 16, 32}})
+	}
+	// acesobench hetero and spot: each case study's aware search and its
+	// blind twin on the fleet with the property stripped.
+	blind := fleets[2].cl
+	blind.Classes, blind.NodeClass = nil, nil
+	spot := fleets[4].cl
+	for _, c := range []struct {
+		model int // index into models
+		fleet string
+		cl    hardware.Cluster
+	}{
+		{1, "A100V100(1,1)", fleets[2].cl},
+		{1, "A100V100(1,1)-class-blind", blind},
+		{0, "ReservedSpotV100(8,1,1)", spot},
+		{0, "ReservedSpotV100(8,1,1)-hazard-stripped", spot.StripHazard()},
+	} {
+		m := models[c.model]
+		pin(build(m), determinismRow{Model: m.name, Fleet: c.fleet, Options: "case-study"}, c.cl, Options{StageCounts: []int{2, 4}})
+	}
+	return cs
 }
 
 type zooModel struct {

@@ -3,10 +3,12 @@ package core
 import "aceso/internal/config"
 
 // trialHooks, when a test sets them: exact sends every fine-tune trial
-// to the exact estimate, and won sees each trial that beat the best.
+// to the exact estimate, won sees each trial that beat the best, and
+// help publishes every multiHop batch and runs each of its trials in
+// two halves (help.go), the owner's too.
 var trialHooks struct {
-	exact bool
-	won   func(*config.Config)
+	exact, help bool
+	won         func(*config.Config)
 }
 
 // fineTuneCandidateCap bounds the op-level candidates evaluated per

@@ -42,7 +42,7 @@ func checkRunInOrder(t *testing.T, workers, n int) {
 	var order []int
 	active := make(map[int]bool) // worker → currently in run()
 	others := 0
-	runInOrder(workers, tasks, func(w, task int) {
+	runInOrder(workers, tasks, nil, func(w, task int) {
 		mu.Lock()
 		if w < 0 || w >= workers {
 			t.Errorf("workers=%d n=%d: worker index %d out of range", workers, n, w)

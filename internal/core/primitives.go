@@ -180,7 +180,7 @@ type move struct {
 	// toggle sets its flag. dp and toDP are a rescale's mechanisms for
 	// stage and partner; zero picks ZeRO over sequence parallelism.
 	on, dp, toDP, zero bool
-	ops                []rcCand // a rung's operators, in trial.ops: rcBuf is reused by attachRecompute
+	ops                []rcCand // a rung's operators, in trial.ops: rank is reused by attachRecompute
 }
 
 // apply edits c, a copy of the base the move was made on, in place, and
@@ -514,9 +514,8 @@ func savedActBytes(g *model.Graph, cfg *config.Config, stage, op int) float64 {
 }
 
 // rcCand ranks an op by the activation bytes its recompute choice
-// stashes; both rc primitives build their ranking in the searcher's
-// shared rcBuf scratch (safe: apply functions never nest, see
-// searcher.rcBuf).
+// stashes; both rc primitives and attachRecompute build their ranking in
+// their node's rank buffer.
 type rcCand struct {
 	op    int
 	bytes float64
@@ -525,15 +524,15 @@ type rcCand struct {
 // rcRank ranks the ops of stage whose Recompute flag is recomputed in
 // the order the rc primitives flip them: the largest stash is
 // recomputed first, the cheapest un-recomputed first.
-func rcRank(s *searcher, cfg *config.Config, stage int, recomputed bool) []rcCand {
+func rcRank(s *searcher, t *trial, cfg *config.Config, stage int, recomputed bool) []rcCand {
 	st := &cfg.Stages[stage]
-	cands := s.rcBuf[:0]
+	cands := t.rank[:0]
 	for j := st.Start; j < st.End; j++ {
 		if st.Setting(j).Recompute == recomputed {
 			cands = append(cands, rcCand{j, savedActBytes(s.graph, cfg, stage, j)})
 		}
 	}
-	s.rcBuf = cands
+	t.rank = cands
 	sortCands(cands, func(a, b rcCand) bool { return recomputed && a.bytes < b.bytes || !recomputed && a.bytes > b.bytes })
 	return cands
 }
@@ -546,26 +545,24 @@ func setRC(c *config.Config, stage int, ops []rcCand, on bool) {
 	}
 }
 
-// climbRC walks stage's recompute ladder on c, marking its rungs in
-// place: rung k recomputes the first k ops of rank, for k = 1, 2, 4, …
-// ≤ len(rank), and the walk stops at the first rung that makes c
+// climbRC walks stage's recompute ladder on c, t's scratch, marking its
+// rungs in place: rung k recomputes the first k ops of rank, for k = 1,
+// 2, 4, … ≤ len(rank), and the walk stops at the first rung that makes c
 // feasible (§4.1's greedy goal). No rung is estimated: its key is
-// counted explored, and its stage peak is arithmetic on c's estimate e
+// counted explored (rung), and its stage peak is arithmetic on c's estimate e
 // (RecomputePeak), folded with e's other stages as the walk folds them.
 // climbRC returns the last rung's k and the first that fits the stage
 // (0: none); the ladder's top, all of rank, is the caller's to take.
-func climbRC(s *searcher, c *config.Config, e *perfmodel.Estimate, stage int, rank []rcCand) (k, fit int) {
+func climbRC(s *searcher, t *trial, c *config.Config, e *perfmodel.Estimate, stage int, rank []rcCand) (k, fit int) {
 	others, capMem := e.Microbatches > 0, e.Stages[stage].CapMem
 	for i := range e.Stages {
 		others = others && (i == stage || !(e.Stages[i].PeakMem > e.Stages[i].CapMem))
 	}
-	s.st.terms = s.pm.StashTerms(c, stage, s.st.terms)
+	t.terms = s.pm.StashTerms(c, stage, t.terms)
 	for k = 1; k <= len(rank); k *= 2 {
 		setRC(c, stage, rank[k/2:k], true)
-		if s.explore(c.Key()) && s.met != nil {
-			s.met.rungs.Inc()
-		}
-		peak := e.RecomputePeak(stage, &c.Stages[stage], s.st.terms)
+		s.rung(t, c.Key())
+		peak := e.RecomputePeak(stage, &c.Stages[stage], t.terms)
 		if fit == 0 && peak <= capMem {
 			fit = k
 		}
@@ -581,11 +578,11 @@ func climbRC(s *searcher, c *config.Config, e *perfmodel.Estimate, stage int, ra
 // trial's scratch, against the base's estimate, which it then restores;
 // the rungs share a copy of the ranking, in t.ops, as prefixes.
 func applyIncRC(s *searcher, t *trial, stage int) {
-	ops := append(t.ops[:0], rcRank(s, t.base, stage, false)...)
+	ops := append(t.ops[:0], rcRank(s, t, t.base, stage, false)...)
 	if t.ops = ops; len(ops) == 0 {
 		return
 	}
-	last, _ := climbRC(s, t.scratch, t.est, stage, ops)
+	last, _ := climbRC(s, t, t.scratch, t.est, stage, ops)
 	for k := 1; k <= last && len(ops) > 1; k *= 2 {
 		t.moves = append(t.moves, move{kind: setRecompute, stage: stage, on: true, ops: ops[:k]})
 	}
@@ -596,7 +593,7 @@ func applyIncRC(s *searcher, t *trial, stage int) {
 // applyDecRC un-recomputes the first k ops of the ranking, for k = 1,
 // 2, 4, … < n, then all n.
 func applyDecRC(s *searcher, t *trial, stage int) {
-	ops := append(t.ops[:0], rcRank(s, t.base, stage, true)...)
+	ops := append(t.ops[:0], rcRank(s, t, t.base, stage, true)...)
 	if t.ops = ops; len(ops) == 0 {
 		return
 	}

@@ -77,7 +77,7 @@ func attachRecomputeByClones(s *searcher, cfg *config.Config, stats *ladderStats
 		if e.Stages[si].PeakMem <= e.Stages[si].CapMem {
 			continue
 		}
-		rank := slices.Clone(rcRank(s, out, si, false))
+		rank := slices.Clone(rcRank(s, new(trial), out, si, false))
 		mark := func(k int) *config.Config {
 			c := s.st.clone(out)
 			c.MutStage(si, func(st *config.Stage) {
@@ -292,7 +292,7 @@ func TestRecomputeRungLooksUpOneStage(t *testing.T) {
 	trial := s.st.trial(s.pm, 0, cfg, e)
 	si := e.OOMStage
 	h0, m0 := s.pm.StageCacheStats()
-	climbRC(s, trial.scratch, e, si, rcRank(s, cfg, si, false))
+	climbRC(s, trial, trial.scratch, e, si, rcRank(s, trial, cfg, si, false))
 	if h1, m1 := s.pm.StageCacheStats(); h1 != h0 || m1 != m0 || len(tr) != 0 || again != 0 {
 		t.Errorf("a ladder made %d stage-cache lookups and %d estimates, want none", h1-h0+m1-m0, len(tr)+again)
 	}

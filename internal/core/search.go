@@ -241,13 +241,15 @@ func SearchContext(ctx context.Context, g *model.Graph, cl hardware.Cluster, opt
 	if len(stageCounts) == 0 {
 		stageCounts = defaultStageCounts(cl.TotalDevices(), len(g.Ops))
 	}
-	workers := max(1, min(runtime.GOMAXPROCS(0), len(stageCounts)))
+	workers := max(1, runtime.GOMAXPROCS(0))
 	// One store per worker, not per task: a worker runs its tasks
 	// serially, so consecutive stage-count searches on the same worker
-	// recycle each other's candidate memory (see store). The stores are
-	// taken before anything else is built and handed over on the way
+	// recycle each other's candidate memory (see store), and then helps
+	// the tasks still running from the same store (help.go). The stores
+	// are taken before anything else is built and handed over on the way
 	// out, so that a loop of searches meets them again (see stores).
 	ss := takeStores(workers)
+	c := &crew{ss: ss, wake: make(chan struct{}, 1), over: make(chan struct{})}
 	panicked := false
 	defer func() {
 		// A searcher that panicked may have died between recycling a
@@ -283,11 +285,14 @@ func SearchContext(ctx context.Context, g *model.Graph, cl hardware.Cluster, opt
 	// search. Tasks are handed out deepest first: the deepest starts at
 	// once on worker 0 (whose store it therefore clones into on every
 	// search in a loop), and each idle worker takes the deepest task not
-	// yet started (DESIGN.md §5b, Scheduling). Tasks share only
-	// thread-safe caches whose values are pure functions of their keys,
-	// so under MaxIterations the merged outcome is identical under any
-	// schedule; a clock instead stops each task where it finds it, and a
-	// task that starts after the deadline contributes only its seed.
+	// yet started (DESIGN.md §5b, Scheduling); a worker out of tasks
+	// helps the tasks still running. Tasks share only thread-safe caches
+	// whose values are pure functions of their keys, and a helper runs
+	// only pure halves of a task's trials, which the task commits in
+	// order, so under MaxIterations the merged outcome is identical under
+	// any schedule and any help. A clock instead stops each task where it
+	// finds it — further along when helped — and a task that starts after
+	// the deadline contributes only its seed.
 	order := make([]int, len(stageCounts))
 	for i := range order {
 		order[i] = i
@@ -295,7 +300,7 @@ func SearchContext(ctx context.Context, g *model.Graph, cl hardware.Cluster, opt
 	sort.SliceStable(order, func(a, b int) bool {
 		return stageCounts[order[a]] > stageCounts[order[b]]
 	})
-	runInOrder(workers, order, func(w, wi int) {
+	runInOrder(workers, order, c, func(w, wi int) {
 		p := stageCounts[wi]
 		// Panic isolation: one buggy searcher (a bad primitive, a
 		// poisoned estimate) must not take down its siblings.
@@ -319,11 +324,12 @@ func SearchContext(ctx context.Context, g *model.Graph, cl hardware.Cluster, opt
 			return
 		}
 		s := newSearcher(g, cl, pm, opts, p, &(*ss)[w])
-		s.done, s.met = ctx.Done(), met
+		s.done, s.met, s.crew = ctx.Done(), met, c
 		topK, iters, converged := s.run(init)
 		outs[wi] = workerOut{topK: topK, explored: s.explored, iterations: iters, converged: converged}
 	})
 
+	panicked = c.failed.Load()
 	for i := range outs {
 		panicked = panicked || outs[i].err != nil && outs[i].err.PanicValue != nil
 	}
@@ -450,11 +456,10 @@ type searcher struct {
 	st *store
 
 	// Reusable scratch, hoisted out of the hot path: pruneBuf prunePool's
-	// sort buffer, rcBuf the rc primitives' and attachRecompute's ranking
-	// (never live across nested calls: estimates do not re-enter them).
+	// sort buffer, opksBuf the op# primitives' shift sizes.
 	pruneBuf poolEntries
-	rcBuf    []rcCand
 	opksBuf  []int
+	crew     *crew // the search's helpers (help.go); nil runs every move live
 
 	// obj scores feasible candidates: nominal iteration time, or
 	// expected time on spot capacity (objective.go).
@@ -514,8 +519,16 @@ func (s *searcher) expired() bool {
 // and memo hits. A key explored with no estimate held — released, or a
 // recompute rung — is estimated when asked, uncounted, and traced only
 // the first time.
+//
+// On a pure half's node (t.rec set) the memo is not read: the estimate
+// is made and recorded, and the commit half notes it (commit).
 func (s *searcher) estimate(t *trial, cfg *config.Config) *perfmodel.Estimate {
 	k := cfg.Key()
+	if t != nil && t.rec != nil {
+		e := t.batch.Estimate(cfg)
+		t.record(step{kind: stepEst, key: k, est: e})
+		return e
+	}
 	en := s.st.memo[k]
 	if en.est != nil {
 		return en.est
@@ -526,6 +539,13 @@ func (s *searcher) estimate(t *trial, cfg *config.Config) *perfmodel.Estimate {
 	} else {
 		e = s.pm.EstimateIn(cfg, &s.st.ests)
 	}
+	s.note(k, en, cfg, e)
+	return e
+}
+
+// note takes e, cfg's estimate, into the memo entry en of its key k,
+// which holds none: it counts k if new and traces a first estimate.
+func (s *searcher) note(k uint64, en entry, cfg *config.Config, e *perfmodel.Estimate) {
 	if !en.explored {
 		s.count(k)
 	} else if storeHooks.again != nil {
@@ -536,7 +556,6 @@ func (s *searcher) estimate(t *trial, cfg *config.Config) *perfmodel.Estimate {
 	}
 	en.est, en.explored, en.estimated = e, true, true
 	s.st.memo[k] = en
-	return e
 }
 
 // count counts k, a newly explored key.
@@ -561,6 +580,26 @@ func (s *searcher) explore(k uint64) bool {
 	s.st.memo[k] = en
 	s.count(k)
 	return true
+}
+
+// rung explores k, a recompute rung's key climbed on t, and counts it a
+// rung if new.
+func (s *searcher) rung(t *trial, k uint64) {
+	if !t.record(step{kind: stepRung, key: k}) && s.explore(k) && s.met != nil {
+		s.met.rungs.Inc()
+	}
+}
+
+// take visits k, counting a dedup hit when k was visited already.
+func (s *searcher) take(k uint64) bool {
+	if s.st.visit(k) {
+		return true
+	}
+	s.itDedup++
+	if s.met != nil {
+		s.met.dedup.Inc()
+	}
+	return false
 }
 
 // loses reports whether the fine-tune trial c certainly scores no
@@ -625,7 +664,7 @@ const poisonedPenalty = 1e6
 // contract rests on.
 func (s *searcher) run(init *config.Config) ([]Candidate, int, bool) {
 	cur := init
-	s.st.visit(init)
+	s.st.visit(init.Key())
 	var topK []Candidate
 	record := func(cfg *config.Config) {
 		e := s.estimate(nil, cfg)
@@ -781,45 +820,14 @@ func (s *searcher) multiHop(cfg *config.Config, est *perfmodel.Estimate, bn Bott
 				prims[i], prims[j] = prims[j], prims[i]
 			})
 		}
-		// The node's own: the recursion below finishes before it is reused.
-		cands := t.cands[:0]
-		for _, prim := range prims {
-			var pc *obs.Counter
-			if s.met != nil {
-				pc = s.met.prims[prim.Name]
-			}
-			t.moves = t.moves[:0]
-			prim.apply(s, t, bn.Stage)
-			for i := range t.moves {
-				// A deadline or cancellation that fires mid-hop must
-				// abort promptly, not after this primitive's whole
-				// candidate batch has been estimated.
-				if s.expired() {
-					return nil, 0, ""
-				}
-				c, e, sc := s.try(t, &t.moves[i], false, 0)
-				if c == nil {
-					continue
-				}
-				if pc != nil {
-					pc.Inc()
-				}
-				if sc < initScore {
-					return c, hop + 1, prim.Name
-				}
-				cand := Candidate{Config: c, Estimate: e, Score: sc, key: c.Key()}
-				s.pool[cand.key] = cand
-				if len(s.pool) > poolCap {
-					s.prunePool()
-				}
-				cands = append(cands, cand)
-			}
-			if s.expired() {
-				t.cands = cands
-				return nil, 0, ""
-			}
+		c, name, stop := s.batch(t, prims, bn.Stage, hop, initScore)
+		if c != nil {
+			return c, hop + 1, name
 		}
-		t.cands = cands // retain grown capacity across nodes
+		if stop {
+			return nil, 0, ""
+		}
+		cands := t.cands
 		// Heuristic-2: best estimated performance first.
 		if s.opts.DisableHeuristic2 {
 			s.rng.Shuffle(len(cands), func(i, j int) {
@@ -847,6 +855,63 @@ func (s *searcher) multiHop(cfg *config.Config, est *perfmodel.Estimate, bn Bott
 	return nil, 0, ""
 }
 
+// batch tries, in order, the moves prims make on t for stage: the first
+// candidate scoring below initScore is returned with its primitive's
+// name, every other is pooled and kept in t.cands, and stop reports an
+// expired search. The moves are made up front and published to helpers
+// (publish); the rungs a primitive counted while making them are counted
+// when its first move is due, as if it were made then.
+func (s *searcher) batch(t *trial, prims []*Primitive, stage, hop int, initScore float64) (found *config.Config, name string, stop bool) {
+	t.moves, t.gen.steps, t.segs, t.rec = t.moves[:0], t.gen.steps[:0], t.segs[:0], &t.gen
+	for _, prim := range prims {
+		prim.apply(s, t, stage)
+		t.segs = append(t.segs, segment{prim, len(t.moves), len(t.gen.steps)})
+	}
+	t.rec = nil
+	j, i, g := s.publish(t, hop), 0, 0
+	defer func() { s.retract(j, i) }()
+	cands := t.cands[:0]
+	defer func() { t.cands = cands }() // retain grown capacity across nodes
+	for _, sg := range t.segs {
+		for ; g < sg.steps; g++ {
+			s.rung(t, t.gen.steps[g].key)
+		}
+		var pc *obs.Counter
+		if s.met != nil {
+			pc = s.met.prims[sg.prim.Name]
+		}
+		for ; i < sg.moves; i++ {
+			// A deadline or cancellation that fires mid-hop must abort
+			// promptly, not after this primitive's whole candidate batch
+			// has been estimated.
+			if s.expired() {
+				return nil, "", true
+			}
+			c, e, sc := s.next(t, j, i)
+			if c == nil {
+				continue
+			}
+			if pc != nil {
+				pc.Inc()
+			}
+			if sc < initScore {
+				i++
+				return c, sg.prim.Name, false
+			}
+			cand := Candidate{Config: c, Estimate: e, Score: sc, key: c.Key()}
+			s.pool[cand.key] = cand
+			if len(s.pool) > poolCap {
+				s.prunePool()
+			}
+			cands = append(cands, cand)
+		}
+		if s.expired() {
+			return nil, "", true
+		}
+	}
+	return nil, "", false
+}
+
 // try is the one trial of multiHop (fine false) and fineTune: it
 // applies m to t's scratch, runs the loop's checks in its order — in
 // multiHop validate, attach recompute on the scratch, visit; in
@@ -867,15 +932,10 @@ func (s *searcher) try(t *trial, m *move, fine bool, best float64) (*config.Conf
 		// An invalid key stays visited, which only skips its next trial
 		// (validity goes with the key).
 		t.budget--
-		ok = s.st.visit(c) && c.ValidateDelta(s.graph, devs, t.base) == nil && !s.loses(t, c, best)
+		ok = s.st.visit(c.Key()) && c.ValidateDelta(s.graph, devs, t.base) == nil && !s.loses(t, c, best)
 	} else if c.ValidateDelta(s.graph, devs, t.base) == nil {
 		s.attachRecompute(t)
-		if ok = s.st.visit(c); !ok {
-			s.itDedup++
-			if s.met != nil {
-				s.met.dedup.Inc()
-			}
-		}
+		ok = s.take(c.Key())
 	}
 	var e *perfmodel.Estimate
 	var sc float64
@@ -914,18 +974,24 @@ func (s *searcher) attachRecompute(t *trial) {
 		if e.Stages[si].PeakMem <= e.Stages[si].CapMem {
 			continue
 		}
-		rank := rcRank(s, c, si, false)
+		rank := rcRank(s, t, c, si, false)
 		if len(rank) == 0 {
 			continue
 		}
-		prev := c.Key()
-		if k, fit := climbRC(s, c, e, si, rank); fit == 0 {
+		prev, pick := c.Key(), rank
+		if k, fit := climbRC(s, t, c, e, si, rank); fit == 0 {
 			setRC(c, si, rank[k:], true)
-		} else if fit < k {
+		} else if pick = rank[:fit]; fit < k {
 			setRC(c, si, rank[fit:k], false)
 		}
+		if t.rec != nil {
+			t.record(step{kind: stepPick, stage: si, lo: len(t.rec.ops), hi: len(t.rec.ops) + len(pick)})
+			t.rec.ops = append(t.rec.ops, pick...)
+		}
 		e = s.estimate(t, c)
-		s.st.release(prev)
+		if !t.record(step{kind: stepRelease, key: prev}) {
+			s.st.release(prev)
+		}
 		t.climbed = append(t.climbed, si)
 	}
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"sync"
+	"sync/atomic"
 
 	"aceso/internal/config"
 	"aceso/internal/perfmodel"
@@ -21,10 +22,11 @@ import (
 type store struct {
 	arena  config.Arena
 	ests   perfmodel.EstArena
-	limbo  []*config.Config // evicted, recycled at settle
-	memo   map[uint64]entry // the running task's keys
-	trials []*trial         // the nodes, by multi-hop depth; fineTune uses depth 0's
-	terms  []float64        // the stash terms of the stage a ladder climbs
+	limbo  []*config.Config    // evicted, recycled at settle
+	memo   map[uint64]entry    // the running task's keys
+	trials []*trial            // the nodes, by multi-hop depth; fineTune uses depth 0's
+	help   trial               // the node pure halves of published moves run on (help.go)
+	posted atomic.Pointer[job] // the job the worker's task publishes
 }
 
 // trial is one search node (Algorithm 2): a base, its estimate, and what
@@ -36,10 +38,21 @@ type trial struct {
 	batch         perfmodel.Batch
 	moves         []move
 	ops           []rcCand    // the operators of the moves' recompute rungs
+	rank          []rcCand    // rcRank's buffer
+	terms         []float64   // the stash terms of the stage a ladder climbs
 	climbed       []int       // the stages attachRecompute marked on scratch
 	cands         []Candidate // multiHop's candidates of one resource
 	res           []Resource  // the next depth's bottleneck resources
 	budget        int         // fineTune's trials left
+
+	// multiHop's batch (help.go): the moves' primitives, the rungs their
+	// making counted, and the job helpers see, on a copy of base.
+	segs   []segment
+	gen    trail
+	rec    *trail // set: what touches the task is recorded here instead
+	shared *config.Config
+	epoch  uint64 // names shared's base; 0: no copy yet
+	job    job
 }
 
 // entry is what a task knows of one key.
@@ -95,7 +108,7 @@ func (st *store) trial(pm *perfmodel.Model, depth int, base *config.Config, est 
 	}
 	t := st.trials[depth]
 	st.arena.Put(t.scratch)
-	t.scratch, t.climbed = base.CloneIn(&st.arena), t.climbed[:0]
+	t.scratch, t.climbed, t.epoch = base.CloneIn(&st.arena), t.climbed[:0], 0
 	st.rebase(pm, t, base, est)
 	return t
 }
@@ -107,10 +120,9 @@ func (st *store) rebase(pm *perfmodel.Model, t *trial, base *config.Config, est 
 	pm.BeginBatch(&t.batch, base, est, &st.ests)
 }
 
-// visit takes c up: it reports whether c's key is new to the task and
+// visit takes key k up: it reports whether k is new to the task and
 // marks it visited.
-func (st *store) visit(c *config.Config) bool {
-	k := c.Key()
+func (st *store) visit(k uint64) bool {
 	e := st.memo[k]
 	if e.visited {
 		return false
@@ -126,13 +138,19 @@ func (st *store) visit(c *config.Config) bool {
 // and never the key of one the caller goes on with.
 func (st *store) release(k uint64) {
 	if e := st.memo[k]; e.est != nil && !e.visited {
-		if storeHooks.released != nil {
-			storeHooks.released(k, e.est)
-		}
-		st.ests.Release(e.est)
+		st.drop(k, e.est)
 		e.est = nil
 		st.memo[k] = e
 	}
+}
+
+// drop frees e, an estimate of key k nothing holds: a released one, or
+// one a pure half made that its commit did not take into the memo.
+func (st *store) drop(k uint64, e *perfmodel.Estimate) {
+	if storeHooks.released != nil {
+		storeHooks.released(k, e)
+	}
+	st.ests.Release(e)
 }
 
 // recycle takes back a config nothing references: never estimated, or
@@ -200,11 +218,24 @@ func takeStores(workers int) *[]store {
 // slice's capacity.
 func handOver(ss *[]store) {
 	for i := range *ss {
-		(*ss)[i].ests.Reset()
-		for _, t := range (*ss)[i].trials {
-			clear(t.cands[:cap(t.cands)])
-			t.base, t.est, t.batch = nil, nil, perfmodel.Batch{}
+		st := &(*ss)[i]
+		st.ests.Reset()
+		for _, t := range st.trials {
+			t.forget()
 		}
+		st.help.forget()
 	}
 	stores.Put(ss)
+}
+
+// forget drops what t holds of a search — base, estimate, batch,
+// candidates, its job's searcher and estimates — and keeps its buffers.
+func (t *trial) forget() {
+	clear(t.cands[:cap(t.cands)])
+	t.base, t.est, t.batch = nil, nil, perfmodel.Batch{}
+	t.job.s, t.job.est = nil, nil
+	out := t.job.out[:cap(t.job.out)]
+	for i := range out {
+		clear(out[i].steps[:cap(out[i].steps)])
+	}
 }

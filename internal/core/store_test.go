@@ -142,7 +142,7 @@ func TestReleasedEstimatesAreDead(t *testing.T) {
 func TestReleaseSparesVisited(t *testing.T) {
 	s, cfg := deepRecomputeStart(t, nil)
 	e := s.estimate(nil, cfg)
-	s.st.visit(cfg)
+	s.st.visit(cfg.Key())
 	storeHooks.released = func(uint64, *perfmodel.Estimate) { t.Error("release freed a visited key's estimate") }
 	defer func() { storeHooks.released = nil }()
 	s.st.release(cfg.Key())
@@ -455,7 +455,9 @@ func TestArenasOutliveSearch(t *testing.T) {
 // GOMAXPROCS 1 on stores this test holds, every clone is of a key
 // already visited, and the clones number exactly the candidates multiHop
 // takes up (the primitive counters) and fine-tune's winners: a recompute
-// ladder climbs on the trial's scratch and is copied only with it.
+// ladder climbs on the trial's scratch and is copied only with it. So
+// too when every multiHop trial runs in two halves (trialHooks.help):
+// only the owner's commit clones.
 func TestOnlyKeptConfigsAreCloned(t *testing.T) {
 	g, err := model.GPT3("2.6B")
 	if err != nil {
@@ -472,11 +474,14 @@ func TestOnlyKeptConfigsAreCloned(t *testing.T) {
 		}
 	}
 	trialHooks.won = func(*config.Config) { won++ }
-	defer func() { storeHooks.cloned, trialHooks.won = nil, nil }()
-	for try := 0; ; try++ {
+	defer func() { storeHooks.cloned, trialHooks.won, trialHooks.help = nil, nil, false }()
+	for try, checked := 0, 0; ; try++ {
 		for stores.Get() != nil {
 		}
 		stores.Put(ss)
+		// The second check runs every multiHop trial in two halves: a
+		// commit clones as try does, and only what it keeps.
+		trialHooks.help = checked == 1
 		kept, stray, won = 0, 0, 0
 		reg := obs.NewRegistry()
 		res, err := Search(g, hardware.DGX1V100(2), Options{TimeBudget: time.Hour, MaxIterations: 4, Seed: 1, Metrics: reg})
@@ -493,19 +498,22 @@ func TestOnlyKeptConfigsAreCloned(t *testing.T) {
 		for i := range Table {
 			takenUp += int(reg.Counter(obs.Labeled(obs.PrimitiveAppliedTotal, "primitive", Table[i].Name)).Value())
 		}
-		t.Logf("explored %d: %d clones (%d taken up by multiHop, %d fine-tune bests)",
-			res.Explored, kept+stray, takenUp, won)
+		t.Logf("explored %d, two halves %v: %d clones (%d taken up by multiHop, %d fine-tune bests)",
+			res.Explored, trialHooks.help, kept+stray, takenUp, won)
 		if stray > 0 || kept != takenUp+won {
-			t.Errorf("%d clones of a key not visited, %d of visited keys; %d taken up + %d fine-tune bests, want as many clones",
-				stray, kept, takenUp, won)
+			t.Errorf("two halves %v: %d clones of a key not visited, %d of visited keys; %d taken up + %d fine-tune bests, want as many clones",
+				trialHooks.help, stray, kept, takenUp, won)
 		}
-		return
+		if checked++; checked == 2 {
+			return
+		}
 	}
 }
 
 // TestHandOverKeepsNoNode runs one search on stores this test holds and,
-// once the search hands them back, checks every node of every store: no
-// base, estimate or batch model, and a candidate slice zero up to its
+// once the search hands them back, checks every node of every store, the
+// helper's too: no base, estimate, batch model or job searcher, no
+// estimate on a job's trail, and a candidate slice zero up to its
 // capacity. A pooled store outlives the search, so anything a node kept
 // would keep the search's configs, estimate chunks and model reachable.
 func TestHandOverKeepsNoNode(t *testing.T) {
@@ -530,11 +538,20 @@ func TestHandOverKeepsNoNode(t *testing.T) {
 	}
 	nodes, cands := 0, 0
 	for i := range *ss {
-		for depth, tr := range (*ss)[i].trials {
+		for depth, tr := range append((*ss)[i].trials, &(*ss)[i].help) {
 			nodes++
 			cands += cap(tr.cands)
-			if tr.base != nil || tr.est != nil || !reflect.ValueOf(&tr.batch).Elem().FieldByName("m").IsNil() {
-				t.Errorf("store %d, depth %d: the node kept its base, estimate or batch", i, depth)
+			if tr.base != nil || tr.est != nil || !reflect.ValueOf(&tr.batch).Elem().FieldByName("m").IsNil() ||
+				tr.job.s != nil || tr.job.est != nil {
+				t.Errorf("store %d, depth %d: the node kept its base, estimate, batch or job", i, depth)
+			}
+			out := tr.job.out[:cap(tr.job.out)]
+			for k := range out {
+				for _, p := range out[k].steps[:cap(out[k].steps)] {
+					if p.est != nil {
+						t.Errorf("store %d, depth %d: the node's job kept an estimate", i, depth)
+					}
+				}
 			}
 			for j, c := range tr.cands[:cap(tr.cands)] {
 				if c != (Candidate{}) {

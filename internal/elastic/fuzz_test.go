@@ -16,7 +16,8 @@ import (
 // FuzzCheckpointLoadNeverPanics pins the loader's robustness contract:
 // arbitrary, truncated or bit-flipped bytes must come back as a typed
 // error — never a panic, never a runaway allocation — from Decode,
-// from AssembleState and from the Reshard a recovery runs next.
+// from AssembleState, from the Reshard a recovery runs next and from
+// the training step after it.
 // Checkpoints are the recovery path; a loader that crashes on a torn
 // file turns a survivable fault into an unrecoverable one.
 func FuzzCheckpointLoadNeverPanics(f *testing.F) {
@@ -59,6 +60,23 @@ func FuzzCheckpointLoadNeverPanics(f *testing.F) {
 		}
 	}
 	f.Add(Encode(&dropped))
+	// Op 0's MW replaced by a 1×1 shard under a valid checksum: it
+	// covers its own full shape, so only its weight's shape disagrees.
+	misshapen := *st
+	misshapen.Ranks = append([]RankShard(nil), st.Ranks...)
+	for ri, rs := range misshapen.Ranks {
+		misshapen.Ranks[ri].Tensors = append([]TensorShard(nil), rs.Tensors...)
+		for ti, sh := range rs.Tensors {
+			if sh.Op == 0 && sh.Kind == runtime.MW {
+				misshapen.Ranks[ri].Tensors[ti] = TensorShard{Op: 0, Kind: runtime.MW, Rows: 1, Cols: 1, FullRows: 1, FullCols: 1, Data: []float64{0.5}}
+			}
+		}
+	}
+	f.Add(Encode(&misshapen))
+	x, y := tensor.New(4, 4), tensor.New(4, 4)
+	for i := range x.Data {
+		x.Data[i], y.Data[i] = float64(i%5)/4, float64(i%3)/2
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		st, err := Decode(data)
@@ -69,9 +87,9 @@ func FuzzCheckpointLoadNeverPanics(f *testing.F) {
 			return
 		}
 		// Whatever decoded must survive the rest of the pipeline without
-		// panicking: re-encode always; assemble, and reshard onto the
-		// seed's plan what assembles. A reshard that succeeds covers
-		// exactly.
+		// panicking: re-encode always; assemble, reshard onto the seed's
+		// plan what assembles, and train a step on what reshards. A
+		// reshard that succeeds covers exactly.
 		reenc := Encode(st)
 		if _, err := Decode(reenc); err != nil {
 			t.Fatalf("re-encode of decoded state does not decode: %v", err)
@@ -83,9 +101,13 @@ func FuzzCheckpointLoadNeverPanics(f *testing.F) {
 		if err != nil {
 			return
 		}
-		if _, err := AssembleState(out); err != nil {
+		q, err := AssembleState(out)
+		if err != nil {
 			t.Fatalf("resharded state does not assemble: %v", err)
 		}
+		// Training is what comes next: it may refuse the state, never
+		// panic on it.
+		runtime.Serial(g, q, x, y, cfg.MicroBatch, 0.1, 1)
 	})
 }
 

@@ -221,3 +221,22 @@ func TestCommErrorsUnwrapThroughStageWrapping(t *testing.T) {
 	var _ error = (*comm.DeadRankError)(nil)
 	var _ error = (*DeviceLostError)(nil)
 }
+
+// TestValidateRejectsMisshapenState: a moment that is not its
+// parameter's shape, or a bias that is not one row as wide as its
+// weight, is a typed error before anything trains on it — training
+// would index past the short tensor.
+func TestValidateRejectsMisshapenState(t *testing.T) {
+	g := buildMLP(t)
+	for k := B; k < NumTensorKinds; k++ {
+		p := trainedParams(t, g)
+		if err := p.Validate(); err != nil {
+			t.Fatalf("trained state: %v", err)
+		}
+		p.T[k][0] = tensor.New(1, 1)
+		var sm *ShapeMismatchError
+		if err := p.Validate(); !errors.As(err, &sm) || sm.Op != 0 || sm.Kind != k {
+			t.Errorf("op 0's %v 1×1: err = %v, want *ShapeMismatchError on op 0 %v", k, err, k)
+		}
+	}
+}

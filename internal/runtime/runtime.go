@@ -153,8 +153,21 @@ func (p *Params) EnsureOptState() {
 	}
 }
 
-// Validate returns a *MissingTensorError for the lowest op ID that has
-// a tensor but lacks a kind its optimizer holds.
+// ShapeMismatchError reports a tensor shaped unlike its operator's
+// weight: a moment has its parameter's shape, a bias is 1×W.Cols.
+type ShapeMismatchError struct {
+	Op, Rows, Cols, WantRows, WantCols int
+	Kind                               TensorKind
+}
+
+// Error implements the error interface.
+func (e *ShapeMismatchError) Error() string {
+	return fmt.Sprintf("runtime: op %d %v is %d×%d, want %d×%d", e.Op, e.Kind, e.Rows, e.Cols, e.WantRows, e.WantCols)
+}
+
+// Validate returns, for the lowest op ID whose tensors are wrong, a
+// *MissingTensorError for a kind its optimizer holds and it lacks, or a
+// *ShapeMismatchError for a tensor shaped unlike its weight.
 func (p *Params) Validate() error {
 	var ids []int
 	for k := range p.T {
@@ -167,6 +180,15 @@ func (p *Params) Validate() error {
 		for k := W; k < NumTensorKinds; k++ {
 			if p.Opt.Holds(k) && p.T[k][id] == nil {
 				return &MissingTensorError{Op: id, Kind: k}
+			}
+		}
+		for k, w := B, p.T[W][id]; k < NumTensorKinds; k++ {
+			rows := w.Rows
+			if kinds[k].param == B {
+				rows = 1
+			}
+			if m := p.T[k][id]; m != nil && (m.Rows != rows || m.Cols != w.Cols) {
+				return &ShapeMismatchError{Op: id, Kind: k, Rows: m.Rows, Cols: m.Cols, WantRows: rows, WantCols: w.Cols}
 			}
 		}
 	}

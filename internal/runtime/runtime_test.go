@@ -1,8 +1,11 @@
 package runtime
 
 import (
+	"encoding/binary"
+	"hash/fnv"
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 	"time"
 
@@ -387,5 +390,45 @@ func TestAdamConvergesFasterHere(t *testing.T) {
 	// The two optimizers must actually differ.
 	if math.Abs(adamLosses[4]-sgdLosses[4]) < 1e-15 {
 		t.Error("Adam and SGD produced identical trajectories")
+	}
+}
+
+// TestParallelIsBitwiseRepeatable: a tensor-parallel all-reduce sums
+// its four ranks' partials in group order, so five runs of one tp4 Adam
+// trajectory give the same bits — losses, weights and moments — however
+// the rank goroutines happen to arrive.
+func TestParallelIsBitwiseRepeatable(t *testing.T) {
+	g := buildMLP(t)
+	cfg := uniform(t, g, 1, 4, 4, 1, 4)
+	x, y := data(42)
+	var want uint64
+	for run := 0; run < 5; run++ {
+		p := InitParams(g, 7)
+		p.Opt = Adam
+		losses, err := Parallel(g, cfg, p, x, y, lr, 5, RunOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		h := fnv.New64a()
+		for _, l := range losses {
+			binary.Write(h, binary.LittleEndian, math.Float64bits(l))
+		}
+		for k := range p.T {
+			var ids []int
+			for id := range p.T[k] {
+				ids = append(ids, id)
+			}
+			sort.Ints(ids)
+			for _, id := range ids {
+				for _, v := range p.T[k][id].Data {
+					binary.Write(h, binary.LittleEndian, math.Float64bits(v))
+				}
+			}
+		}
+		if run == 0 {
+			want = h.Sum64()
+		} else if got := h.Sum64(); got != want {
+			t.Fatalf("run %d hashes %016x, run 0 %016x", run, got, want)
+		}
 	}
 }
