@@ -88,7 +88,7 @@ fuzz-smoke:
 recover-smoke:
 	$(BENCH) -outdir $(OUT) -csv $(OUT) churn spot
 	$(GO) test -count=1 -run 'TestRunClean/spot' ./internal/chaos
-	$(GO) test -count=1 -run 'TestSuperviseNoticeDrainZeroLostSteps|TestSuperviseNoticeMissedFallsBack' ./internal/elastic
+	$(GO) test -count=1 -run 'TestSuperviseNoticeDrainZeroLostSteps|TestSuperviseNoticeMissedFallsBack|TestSupervisedRunIsPure' ./internal/elastic
 
 # loc prints what ROADMAP item 7 budgets: the non-test Go lines of the
 # root module (bench/ is a module of its own) and of cmd/acesobench,

@@ -42,10 +42,9 @@ func supervise(job elastic.Job, spec elastic.ChurnSpec, seed int64, tune func(*e
 	}
 	defer os.RemoveAll(dir)
 	opt := elastic.Options{
-		LR:           chaos.LR,
-		Dir:          dir,
-		SearchBudget: 300 * time.Millisecond,
-		Seed:         seed,
+		LR:   chaos.LR,
+		Dir:  dir,
+		Seed: seed,
 	}
 	tune(&opt)
 	return elastic.Supervise(context.Background(), job, spec, opt)

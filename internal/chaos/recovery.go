@@ -241,7 +241,6 @@ func recoveryTrial(kind schedule, rng *rand.Rand, seed int64) (bool, *Violation)
 	opt := elastic.Options{
 		LR:           LR,
 		CommDeadline: 20 * time.Second,
-		SearchBudget: 100 * time.Millisecond,
 		Seed:         seed,
 		MaxCadence:   maxCadence,
 	}

@@ -6,7 +6,6 @@ import (
 	"sync/atomic"
 
 	"aceso/internal/config"
-	"aceso/internal/obs"
 	"aceso/internal/perfmodel"
 )
 
@@ -208,8 +207,8 @@ func (s *searcher) pure(h *trial, m *move, r *trail) {
 // commit is the commit half of m's trial on t, the owner's node: r's
 // steps done to the task — an estimate noted, or freed if the memo holds
 // one — then the visit, and a kept candidate scored. m and its picks are
-// replayed only where a config is read: on a copy of the base to keep
-// it, or on the scratch for a tracer, which sees each first estimate's.
+// replayed on the scratch, which a tracer sees with each first estimate,
+// cloned when the candidate is kept and undone.
 func (s *searcher) commit(t *trial, m *move, r *trail) (*config.Config, *perfmodel.Estimate, float64) {
 	if r.fault != nil {
 		panic(r.fault)
@@ -217,17 +216,9 @@ func (s *searcher) commit(t *trial, m *move, r *trail) (*config.Config, *perfmod
 	if !r.valid {
 		return nil, nil, 0
 	}
-	_, tracing := s.tracer.(obs.EstimateTracer)
-	var c *config.Config
-	if tracing {
-		c = t.scratch
-		defer t.undo(m)
-	} else if !s.st.memo[r.key].visited {
-		c = s.st.clone(t.base)
-	}
-	if c != nil {
-		m.apply(c)
-	}
+	c := t.scratch
+	defer t.undo(m)
+	m.apply(c)
 	for _, p := range r.steps {
 		switch p.kind {
 		case stepEst:
@@ -241,20 +232,14 @@ func (s *searcher) commit(t *trial, m *move, r *trail) (*config.Config, *perfmod
 		case stepRelease:
 			s.st.release(p.key)
 		case stepPick:
-			if c != nil {
-				setRC(c, p.stage, r.ops[p.lo:p.hi], true)
-			}
-			if tracing {
-				t.climbed = append(t.climbed, p.stage)
-			}
+			setRC(c, p.stage, r.ops[p.lo:p.hi], true)
+			t.climbed = append(t.climbed, p.stage)
 		}
 	}
 	if !s.take(r.key) {
 		return nil, nil, 0
 	}
-	if tracing {
-		c = s.st.clone(c)
-	}
+	c = s.st.clone(c)
 	e := s.st.memo[r.key].est
 	return c, e, s.score(c, e)
 }

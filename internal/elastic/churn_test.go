@@ -2,9 +2,18 @@ package elastic
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
 	"errors"
+	"fmt"
 	"math"
+	"os"
+	"path/filepath"
 	"reflect"
+	goruntime "runtime"
+	"sort"
+	"strings"
 	"testing"
 	"time"
 
@@ -16,8 +25,8 @@ import (
 
 const tol = 1e-9
 
-// superviseOpts returns fast-test defaults: file round trip, short
-// search budget.
+// superviseOpts returns fast-test defaults: a file round trip and a
+// short collective deadline.
 func superviseOpts(t *testing.T) Options {
 	t.Helper()
 	return Options{
@@ -25,7 +34,6 @@ func superviseOpts(t *testing.T) Options {
 		CheckpointEvery: 2,
 		Dir:             t.TempDir(),
 		CommDeadline:    10 * time.Second,
-		SearchBudget:    300 * time.Millisecond,
 	}
 }
 
@@ -585,5 +593,80 @@ func TestRecoveryPercentile(t *testing.T) {
 	}
 	if got := rep.RecoveryPercentile(0.99); got != 4*time.Millisecond {
 		t.Errorf("p99 = %v, want 4ms", got)
+	}
+}
+
+// superviseDigest hashes what a supervised run decided and computed:
+// its losses' bits, the final state's bits, its transitions, the bytes
+// its reshards moved and its ladder counts.
+func superviseDigest(rep *Report) string {
+	h := sha256.New()
+	for _, l := range rep.Losses {
+		fmt.Fprintf(h, "%x ", math.Float64bits(l))
+	}
+	for k, m := range rep.Params.T {
+		var ids []int
+		for id := range m {
+			ids = append(ids, id)
+		}
+		sort.Ints(ids)
+		for _, id := range ids {
+			fmt.Fprintf(h, "\n%d %d %dx%d:", k, id, m[id].Rows, m[id].Cols)
+			for _, v := range m[id].Data {
+				fmt.Fprintf(h, "%x ", math.Float64bits(v))
+			}
+		}
+	}
+	for _, tr := range rep.Transitions {
+		fmt.Fprintf(h, "\n%d %s %s", tr.Step, tr.Kind, tr.Detail)
+	}
+	fmt.Fprintf(h, "\nreshard %d B", rep.ReshardBytesMoved)
+	var rungs []string
+	for rung, n := range rep.Ladder {
+		rungs = append(rungs, fmt.Sprintf("\n%s %d", rung, n))
+	}
+	sort.Strings(rungs)
+	fmt.Fprint(h, strings.Join(rungs, ""))
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// TestSupervisedRunIsPure: a supervised run is a function of its job,
+// schedule and seed. pp2×tp4 on 8 devices loses a device, gets it back,
+// meets a straggler harsh enough to force a replan, and drains a covered
+// notice; the run's digest is the same at GOMAXPROCS 1, 2 and 4 and
+// equals testdata/supervise_digests.json.
+func TestSupervisedRunIsPure(t *testing.T) {
+	raw, err := os.ReadFile(filepath.Join("testdata", "supervise_digests.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]string{}
+	if err := json.Unmarshal(raw, &want); err != nil {
+		t.Fatal(err)
+	}
+	spec := ChurnSpec{Events: []ChurnEvent{
+		{Iteration: 2, Kind: Preempt, Device: 5},
+		{Iteration: 4, Kind: Readd, Device: 5},
+		{Iteration: 6, Kind: SlowNode, Device: 0, Scale: 0.05},
+		{Iteration: 8, Kind: SlowNode, Device: 0, Scale: 1},
+		{Iteration: 9, Kind: PreemptNotice, Device: 3, Notice: 2},
+	}}
+	defer goruntime.GOMAXPROCS(goruntime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 2, 4} {
+		goruntime.GOMAXPROCS(procs)
+		job := testJob(t, hardware.DGX1V100(1), 2, 4, 4, 12)
+		opt := superviseOpts(t)
+		opt.CheckpointCost = 1
+		rep, err := Supervise(context.Background(), job, spec, opt)
+		if err != nil {
+			t.Fatalf("GOMAXPROCS %d: %v", procs, err)
+		}
+		if rep.FaultsDetected != 1 || rep.CleanDrains != 1 || !hasTransition(rep, TransReplanForced) {
+			t.Fatalf("GOMAXPROCS %d: %d faults, %d clean drains, forced replan %v; want 1, 1, true",
+				procs, rep.FaultsDetected, rep.CleanDrains, hasTransition(rep, TransReplanForced))
+		}
+		if got := superviseDigest(rep); got != want["mlp-pp2tp4-churn"] {
+			t.Errorf("GOMAXPROCS %d: digest %s, golden %s", procs, got, want["mlp-pp2tp4-churn"])
+		}
 	}
 }

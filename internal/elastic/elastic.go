@@ -5,7 +5,7 @@ import (
 	"fmt"
 	"math"
 	"path/filepath"
-	"sort"
+	"slices"
 	"time"
 
 	"aceso/internal/config"
@@ -37,6 +37,10 @@ const (
 	// idle-capacity gain) above which a churn event triggers an
 	// immediate warm replan; smaller blips are debounced.
 	replanThreshold = 0.15
+	// replanIterations bounds each replan search. Iterations, not the
+	// clock, end it, so the plan a recovery takes depends on the job,
+	// the schedule and Seed alone, never on the host that ran it.
+	replanIterations = 4
 	// hysteresisEvents is how many consecutive deferred degradations
 	// accumulate before the supervisor replans anyway — persistence
 	// beats the threshold.
@@ -68,8 +72,6 @@ type Options struct {
 	// (default 30s); it is what turns a missing rank into a typed
 	// error instead of a hung World.
 	CommDeadline time.Duration
-	// SearchBudget bounds each Replan search (default 200ms).
-	SearchBudget time.Duration
 	// Seed drives the replan searches and the backoff jitter.
 	Seed int64
 	// Metrics, when non-nil, receives the Report as the aceso_elastic_*,
@@ -103,15 +105,10 @@ func (o Options) withDefaults() Options {
 	if o.CommDeadline <= 0 {
 		o.CommDeadline = 30 * time.Second
 	}
-	if o.SearchBudget <= 0 {
-		o.SearchBudget = 200 * time.Millisecond
-	}
 	if o.MaxCadence <= 0 {
 		o.MaxCadence = 4
 	}
-	if o.CheckpointCost < 0 {
-		o.CheckpointCost = 0
-	}
+	o.CheckpointCost = max(o.CheckpointCost, 0)
 	return o
 }
 
@@ -201,16 +198,9 @@ func (r *Report) RecoveryPercentile(q float64) time.Duration {
 	if len(r.Recoveries) == 0 {
 		return 0
 	}
-	sorted := append([]time.Duration(nil), r.Recoveries...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	idx := int(math.Ceil(q*float64(len(sorted)))) - 1
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= len(sorted) {
-		idx = len(sorted) - 1
-	}
-	return sorted[idx]
+	sorted := slices.Clone(r.Recoveries)
+	slices.Sort(sorted)
+	return sorted[min(max(int(math.Ceil(q*float64(len(sorted))))-1, 0), len(sorted)-1)]
 }
 
 // publish adds the ledger to reg: each series is the Report field it

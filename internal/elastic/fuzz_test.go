@@ -187,7 +187,6 @@ func FuzzChurnEventsNeverPanic(f *testing.F) {
 		opt := Options{
 			LR:           0.05,
 			CommDeadline: 5 * time.Second,
-			SearchBudget: 10 * time.Millisecond,
 		}
 		job := Job{Graph: g, Cluster: cl, Config: cfg, Params: p, X: x, Y: y, Iters: 2}
 		rep, err := Supervise(context.Background(), job, spec, opt)
@@ -270,7 +269,6 @@ func FuzzPreemptNoticeNeverPanics(f *testing.F) {
 		opt := Options{
 			LR:             0.05,
 			CommDeadline:   5 * time.Second,
-			SearchBudget:   10 * time.Millisecond,
 			CheckpointCost: int(ckptCost) % 7,
 		}
 		job := Job{Graph: g, Cluster: cl, Config: cfg, Params: p, X: x, Y: y, Iters: 4}

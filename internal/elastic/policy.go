@@ -31,9 +31,7 @@ func backoffDelay(attempt int, seed int64) time.Duration {
 	for i := 1; i < attempt && d < backoffCap; i++ {
 		d *= 2
 	}
-	if d > backoffCap {
-		d = backoffCap
-	}
+	d = min(d, backoffCap)
 	z := uint64(seed) + uint64(attempt)*0x9e3779b97f4a7c15
 	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
 	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
@@ -58,12 +56,15 @@ func (s *supervisor) estimate(cl *hardware.Cluster, c *config.Config) float64 {
 
 // replan runs one warm Replan search from the running plan against a
 // fleet state and returns the best candidate (best first) the runtime
-// can execute with p on cl, or nil.
+// can execute with p on cl, or nil. replanIterations ends the search;
+// its TimeBudget never binds, so the supervisor's context is its only
+// deadline.
 func (s *supervisor) replan(spec hardware.FaultSpec, cl *hardware.Cluster, p *runtime.Params) (*config.Config, error) {
 	s.rep.Replans++
 	res, err := core.Replan(s.ctx, s.job.Graph, s.fl.healthy, spec, s.cur, core.Options{
-		TimeBudget: s.opt.SearchBudget,
-		Seed:       s.opt.Seed,
+		TimeBudget:    time.Hour,
+		MaxIterations: replanIterations,
+		Seed:          s.opt.Seed,
 	})
 	if err != nil {
 		return nil, err
@@ -209,10 +210,7 @@ func (s *supervisor) hysteresis(before hardware.Cluster) error {
 func (s *supervisor) adaptCadence(at int) {
 	gap := float64(at + 1)
 	if s.lastFaultAt >= 0 {
-		gap = float64(at - s.lastFaultAt)
-		if gap < 1 {
-			gap = 1
-		}
+		gap = max(float64(at-s.lastFaultAt), 1)
 	}
 	s.lastFaultAt = at
 	if s.emaGap == 0 {
@@ -220,13 +218,7 @@ func (s *supervisor) adaptCadence(at int) {
 	} else {
 		s.emaGap = 0.5*s.emaGap + 0.5*gap
 	}
-	newCad := int(math.Round(s.emaGap / 2))
-	if newCad < 1 {
-		newCad = 1
-	}
-	if newCad > s.opt.MaxCadence {
-		newCad = s.opt.MaxCadence
-	}
+	newCad := min(max(int(math.Round(s.emaGap/2)), 1), s.opt.MaxCadence)
 	if newCad != s.cadence {
 		s.emit(s.ckpt.Step, TransCadence, "checkpoint cadence %d → %d (inter-fault EMA %.1f iters)", s.cadence, newCad, s.emaGap)
 		s.cadence = newCad

@@ -61,10 +61,6 @@ type supervisor struct {
 func newSupervisor(ctx context.Context, job Job, spec ChurnSpec, opt Options) *supervisor {
 	events := append([]ChurnEvent(nil), spec.Events...)
 	sort.SliceStable(events, func(i, j int) bool { return events[i].Iteration < events[j].Iteration })
-	cadence := opt.CheckpointEvery
-	if cadence > opt.MaxCadence {
-		cadence = opt.MaxCadence
-	}
 	return &supervisor{
 		ctx: ctx, job: job, opt: opt,
 		rep:         &Report{EventCounts: map[string]int{}, Ladder: map[string]int{}},
@@ -75,7 +71,7 @@ func newSupervisor(ctx context.Context, job Job, spec ChurnSpec, opt Options) *s
 		curP:        job.Params,
 		stepZero:    job.Params.Step,
 		ckptAt:      job.Cluster,
-		cadence:     cadence,
+		cadence:     min(opt.CheckpointEvery, opt.MaxCadence),
 		simLeft:     opt.SimulateTimeouts,
 		lastFaultAt: -1,
 	}

@@ -28,17 +28,26 @@ func (p *Params) rowsPerSample() int {
 	return p.Arch.Seq
 }
 
-// widths returns each op's output width (columns) given the model
-// input width, validating the chain.
-func widths(g *model.Graph, inputWidth int) ([]int, error) {
-	out := make([]int, len(g.Ops))
-	cur := inputWidth
+// widths returns the width (columns) of each activation the graph
+// chains, validating the chain: ws[0] is the model input's — Arch.Hidden
+// for a transformer, else the first operator's, as InitParams sizes it —
+// and ws[i+1] op i's output.
+func (p *Params) widths(g *model.Graph) ([]int, error) {
+	ws := make([]int, len(g.Ops)+1)
+	if p.Arch != nil {
+		ws[0] = p.Arch.Hidden
+	} else if len(g.Ops) > 0 {
+		ws[0] = int(g.Ops[0].ActElems)
+	}
 	for i := range g.Ops {
-		op := &g.Ops[i]
+		op, cur := &g.Ops[i], ws[i]
 		switch op.Kind {
 		case model.KindMatMul:
 			cur = int(op.ActElems)
 		case model.KindAttentionCore:
+			if p.Arch == nil {
+				return nil, fmt.Errorf("runtime: attention op %d needs Arch params", i)
+			}
 			if cur%3 != 0 {
 				return nil, fmt.Errorf("runtime: attention op %d input width %d not 3·h", i, cur)
 			}
@@ -48,11 +57,14 @@ func widths(g *model.Graph, inputWidth int) ([]int, error) {
 				return nil, fmt.Errorf("runtime: op %d width %d != chain %d", i, int(op.ActElems), cur)
 			}
 		default:
-			return nil, fmt.Errorf("runtime: unsupported op kind %v", op.Kind)
+			// Rejecting unknown kinds up front keeps the error out of the
+			// concurrent stage executors, where a failing stage would
+			// leave its neighbors blocked on Recv.
+			return nil, &UnsupportedOpError{Op: i, Kind: op.Kind}
 		}
-		out[i] = cur
+		ws[i+1] = cur
 	}
-	return out, nil
+	return ws, nil
 }
 
 // InitParamsArch initializes weights for a transformer graph
@@ -61,19 +73,17 @@ func widths(g *model.Graph, inputWidth int) ([]int, error) {
 // returned Params carry the Arch so Serial/Parallel interpret rows as
 // tokens.
 func InitParamsArch(g *model.Graph, arch Arch, seed int64) (*Params, error) {
-	ws, err := widths(g, arch.Hidden)
+	p := InitParams(g, seed) // square defaults, replaced below
+	p.Arch = &arch
+	ws, err := p.widths(g)
 	if err != nil {
 		return nil, err
 	}
-	p := InitParams(g, seed) // square defaults, replaced below
-	p.Arch = &arch
 	rng := rand.New(rand.NewSource(seed + 1))
-	cur := arch.Hidden
 	for i := range g.Ops {
-		op := &g.Ops[i]
-		switch op.Kind {
+		switch g.Ops[i].Kind {
 		case model.KindMatMul:
-			in, out := cur, ws[i]
+			in, out := ws[i], ws[i+1]
 			w := tensor.New(in, out)
 			scale := 1 / float64(in)
 			for j := range w.Data {
@@ -85,13 +95,12 @@ func InitParamsArch(g *model.Graph, arch Arch, seed int64) (*Params, error) {
 			}
 			p.T[W][i], p.T[B][i] = w, b
 		case model.KindLayerNorm:
-			gain := tensor.New(1, ws[i])
+			gain := tensor.New(1, ws[i+1])
 			for j := range gain.Data {
 				gain.Data[j] = 1
 			}
-			p.T[W][i], p.T[B][i] = gain, tensor.New(1, ws[i])
+			p.T[W][i], p.T[B][i] = gain, tensor.New(1, ws[i+1])
 		}
-		cur = ws[i]
 	}
 	return p, nil
 }

@@ -353,11 +353,10 @@ func newGrads(p *Params, ops []int) *grads {
 // device and returns the per-iteration losses. It is the reference
 // that Parallel must match.
 func Serial(g *model.Graph, p *Params, x, y *tensor.Mat, microBatch int, lr float64, iters int) ([]float64, error) {
-	rps := p.rowsPerSample()
-	if err := checkData(g, x, y, microBatch, rps); err != nil {
+	if err := checkData(g, p, x, y, microBatch); err != nil {
 		return nil, err
 	}
-	mbRows := microBatch * rps
+	mbRows := microBatch * p.rowsPerSample()
 	numMB := x.Rows / mbRows
 	p.EnsureOptState()
 	base := p.Step
@@ -383,14 +382,9 @@ func Serial(g *model.Graph, p *Params, x, y *tensor.Mat, microBatch int, lr floa
 				case model.KindLayerNorm:
 					act, _ = tensor.LayerNorm(act, p.T[W][i], p.T[B][i])
 				case model.KindAttentionCore:
-					if p.Arch == nil {
-						return nil, fmt.Errorf("runtime: attention op %d needs Arch params", i)
-					}
 					act = attnForward(act, p.Arch.Seq, p.Arch.Hidden/p.Arch.Heads, p.Arch.Causal)
 				case model.KindElementwise:
 					act = tensor.ReLU(act)
-				default:
-					return nil, &UnsupportedOpError{Op: i, Kind: g.Ops[i].Kind}
 				}
 			}
 			loss, d := tensor.MSE(act, ymb)
@@ -460,10 +454,13 @@ func pow(b float64, n int) float64 {
 	return out
 }
 
-func checkData(g *model.Graph, x, y *tensor.Mat, microBatch, rowsPerSample int) error {
-	if x.Rows != g.GlobalBatch*rowsPerSample {
+// checkData checks x and y against the batch, the microbatch and the
+// widths the graph chains (x as wide as the input, y as the last op),
+// and p's tensors against those widths (shapes).
+func checkData(g *model.Graph, p *Params, x, y *tensor.Mat, microBatch int) error {
+	if x.Rows != g.GlobalBatch*p.rowsPerSample() {
 		return fmt.Errorf("runtime: X has %d rows, want batch %d × %d rows/sample",
-			x.Rows, g.GlobalBatch, rowsPerSample)
+			x.Rows, g.GlobalBatch, p.rowsPerSample())
 	}
 	if y.Rows != x.Rows {
 		return fmt.Errorf("runtime: X/Y row mismatch %d vs %d", x.Rows, y.Rows)
@@ -471,7 +468,42 @@ func checkData(g *model.Graph, x, y *tensor.Mat, microBatch, rowsPerSample int) 
 	if microBatch <= 0 || g.GlobalBatch%microBatch != 0 {
 		return fmt.Errorf("runtime: microbatch %d does not divide batch %d", microBatch, g.GlobalBatch)
 	}
+	ws, err := p.shapes(g)
+	if err != nil {
+		return err
+	}
+	if x.Cols != ws[0] || y.Cols != ws[len(ws)-1] {
+		return fmt.Errorf("runtime: X/Y are %d/%d wide, the graph takes %d and yields %d", x.Cols, y.Cols, ws[0], ws[len(ws)-1])
+	}
 	return nil
+}
+
+// shapes returns the widths the graph chains (widths) once every weight
+// and bias of p fits them, else a *MissingTensorError or a
+// *ShapeMismatchError for the first op that does not: a matmul's weight
+// is ws[j]×ws[j+1], a layer norm's gain 1×ws[j+1], a bias 1×ws[j+1].
+func (p *Params) shapes(g *model.Graph) ([]int, error) {
+	ws, err := p.widths(g)
+	if err != nil {
+		return nil, err
+	}
+	for j := range g.Ops {
+		rows := ws[j]
+		if kind := g.Ops[j].Kind; kind == model.KindLayerNorm {
+			rows = 1
+		} else if kind != model.KindMatMul {
+			continue
+		}
+		for _, k := range [...]TensorKind{W, B} {
+			if m := p.T[k][j]; m == nil {
+				return nil, &MissingTensorError{Op: j, Kind: k}
+			} else if m.Rows != rows || m.Cols != ws[j+1] {
+				return nil, &ShapeMismatchError{Op: j, Kind: k, Rows: m.Rows, Cols: m.Cols, WantRows: rows, WantCols: ws[j+1]}
+			}
+			rows = 1
+		}
+	}
+	return ws, nil
 }
 
 // FaultPlan injects a device failure into a Parallel run: the
@@ -515,44 +547,33 @@ func (e *DeviceLostError) Error() string {
 // CheckRunnable verifies that the numeric runtime can execute cfg with
 // the given parameters: cfg is valid on its own device count (which
 // includes the microbatch dividing the batch), every op kind is
-// supported, weights exist and divide by their tensor-parallel
-// degrees. Exported so elastic replanning can filter searched
-// candidates down to executable ones before committing a resharded
-// state to one of them.
+// supported, each weight and bias is shaped as the graph chains its
+// widths (a *MissingTensorError or *ShapeMismatchError otherwise), and
+// weights divide by their tensor-parallel degrees. Exported so elastic
+// replanning can filter searched candidates down to executable ones
+// before committing a resharded state to one of them.
 func CheckRunnable(g *model.Graph, cfg *config.Config, p *Params) error {
 	if err := cfg.Validate(g, cfg.TotalDevices()); err != nil {
 		return fmt.Errorf("runtime: %w", err)
 	}
+	if _, err := p.shapes(g); err != nil {
+		return err
+	}
 	for si := range cfg.Stages {
 		st := &cfg.Stages[si]
 		for j := st.Start; j < st.End; j++ {
-			op := &g.Ops[j]
 			set := st.Setting(j)
-			switch op.Kind {
+			switch g.Ops[j].Kind {
 			case model.KindMatMul:
-				w := p.T[W][j]
-				if w == nil {
-					return fmt.Errorf("runtime: op %d has no weights", j)
-				}
-				if w.Cols%set.TP != 0 || w.Rows%set.TP != 0 {
+				if w := p.T[W][j]; w.Cols%set.TP != 0 || w.Rows%set.TP != 0 {
 					return fmt.Errorf("runtime: op %d weight %d×%d not divisible by tp %d",
 						j, w.Rows, w.Cols, set.TP)
 				}
 			case model.KindAttentionCore:
-				if p.Arch == nil {
-					return fmt.Errorf("runtime: attention op %d needs Arch params", j)
-				}
 				if p.Arch.Heads%set.TP != 0 {
 					return fmt.Errorf("runtime: op %d: %d heads not divisible by tp %d",
 						j, p.Arch.Heads, set.TP)
 				}
-			case model.KindLayerNorm, model.KindElementwise:
-				// Executable with no extra parameters.
-			default:
-				// Rejecting unknown kinds up front keeps the error out
-				// of the concurrent stage executors, where a failing
-				// stage would leave its neighbors blocked on Recv.
-				return &UnsupportedOpError{Op: j, Kind: op.Kind}
 			}
 		}
 	}
@@ -573,7 +594,7 @@ func CheckRunnable(g *model.Graph, cfg *config.Config, p *Params) error {
 // different iterations) and must be restored from a checkpoint; that
 // is exactly the contract the elastic layer is built around.
 func Parallel(g *model.Graph, cfg *config.Config, p *Params, x, y *tensor.Mat, lr float64, iters int, opt RunOptions) ([]float64, error) {
-	if err := checkData(g, x, y, cfg.MicroBatch, p.rowsPerSample()); err != nil {
+	if err := checkData(g, p, x, y, cfg.MicroBatch); err != nil {
 		return nil, err
 	}
 	if err := CheckRunnable(g, cfg, p); err != nil {

@@ -2,6 +2,7 @@ package runtime
 
 import (
 	"encoding/binary"
+	"errors"
 	"hash/fnv"
 	"math"
 	"math/rand"
@@ -266,6 +267,40 @@ func TestParallelRejectsBadInputs(t *testing.T) {
 	y2 := tensor.New(8, 6)
 	if _, err := Parallel(g2, cfg2, InitParams(g2, 1), x2, y2, lr, 1, RunOptions{}); err == nil {
 		t.Error("tp=4 on dim 6 accepted")
+	}
+}
+
+// TestCheckRunnableRejectsGraphShapes: a state consistent with itself
+// (Params.Validate passes) but not with the graph — op 0's weight
+// narrowed to 8×4, or op 2's cut to 4 input rows, the bias and the Adam
+// moments to match — is a *ShapeMismatchError from CheckRunnable and
+// from Parallel, not a panic in a stage goroutine. Data not as wide as
+// the graph's ends is refused too.
+func TestCheckRunnableRejectsGraphShapes(t *testing.T) {
+	g := buildMLP(t)
+	cfg := uniform(t, g, 2, 1, 1, 1, 4)
+	x, y := data(1)
+	for _, tc := range []struct{ op, rows, cols int }{{0, dim, dim / 2}, {2, dim / 2, dim}} {
+		p := InitParams(g, 1)
+		p.Opt = Adam
+		p.T[W][tc.op], p.T[B][tc.op] = tensor.New(tc.rows, tc.cols), tensor.New(1, tc.cols)
+		p.EnsureOptState()
+		if err := p.Validate(); err != nil {
+			t.Fatalf("op %d W %d×%d: Validate = %v, want nil", tc.op, tc.rows, tc.cols, err)
+		}
+		var sm *ShapeMismatchError
+		if err := CheckRunnable(g, cfg, p); !errors.As(err, &sm) || sm.Op != tc.op || sm.Kind != W {
+			t.Fatalf("op %d W %d×%d: CheckRunnable = %v, want *ShapeMismatchError on op %d W", tc.op, tc.rows, tc.cols, err, tc.op)
+		}
+		if _, err := Parallel(g, cfg, p, x, y, lr, 1, RunOptions{}); !errors.As(err, &sm) {
+			t.Errorf("op %d W %d×%d: Parallel = %v, want *ShapeMismatchError", tc.op, tc.rows, tc.cols, err)
+		}
+	}
+	p := InitParams(g, 1)
+	for _, xy := range [][2]*tensor.Mat{{tensor.New(batch, dim-1), y}, {x, tensor.New(batch, dim+1)}} {
+		if _, err := Parallel(g, cfg, p, xy[0], xy[1], lr, 1, RunOptions{}); err == nil {
+			t.Errorf("X %d wide, Y %d wide accepted", xy[0].Cols, xy[1].Cols)
+		}
 	}
 }
 
